@@ -26,6 +26,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
 
 use cbv_everify::report::{CheckKind, Finding, Severity, Subject};
 use cbv_netlist::{CccId, DeviceId, NetId};
@@ -164,10 +165,10 @@ pub enum TimingPayload {
 ///
 /// The first three fields are per-run stage economics. The last three
 /// describe the run's relationship to a *shared tier* — the cache a
-/// `FlowService` (or a farm coordinator) snapshots before the run and
-/// absorbs additions back into afterwards. They are filled by the tier
-/// owner, not by the flow itself, and stay zero for a plain
-/// `run_flow_incremental` against a private cache.
+/// `FlowService` (or a farm coordinator) fetches the run's keys from
+/// before the run and absorbs additions back into afterwards. They are
+/// filled by the tier owner, not by the flow itself, and stay zero for a
+/// plain `run_flow_incremental` against a private cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Units replayed from cache.
@@ -180,7 +181,7 @@ pub struct CacheStats {
     /// Fresh entries this run contributed to the shared tier's absorb
     /// batch (the absorbed-batch size of one buffered run).
     pub absorbed: usize,
-    /// Units answered by the shared (remote) tier's snapshot.
+    /// Units answered by the shared (remote) tier's keyed fetch.
     pub remote_hits: usize,
     /// Units the shared tier could not answer — dispatched for
     /// verification (locally or to farm workers).
@@ -257,13 +258,16 @@ impl VerifyCache {
     /// the cap.
     pub fn set_capacity(&mut self, capacity: Option<usize>) {
         self.capacity = capacity.map(|c| c.max(1));
+        self.trim();
+    }
+
+    /// Evicts down to the capacity bound, each tier in one pass.
+    fn trim(&mut self) {
         if let Some(cap) = self.capacity {
-            while self.entries.len() > cap {
-                self.evict_lru();
-            }
-            while self.timing.len() > cap {
-                self.evict_timing_lru();
-            }
+            let over = self.entries.len().saturating_sub(cap);
+            self.evictions += evict_oldest(&mut self.entries, |e| e.used.get(), over);
+            let over = self.timing.len().saturating_sub(cap);
+            self.timing_evictions += evict_oldest(&mut self.timing, |e| e.used.get(), over);
         }
     }
 
@@ -325,23 +329,10 @@ impl VerifyCache {
             return;
         }
         if let Some(cap) = self.capacity {
-            while self.entries.len() >= cap {
-                self.evict_lru();
-            }
+            let over = (self.entries.len() + 1).saturating_sub(cap);
+            self.evictions += evict_oldest(&mut self.entries, |e| e.used.get(), over);
         }
         self.entries.insert(key, Entry { result, used });
-    }
-
-    fn evict_lru(&mut self) {
-        let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.used.get())
-            .map(|(&k, _)| k);
-        if let Some(k) = victim {
-            self.entries.remove(&k);
-            self.evictions += 1;
-        }
     }
 
     /// True when the timing key is stored, without refreshing its
@@ -370,23 +361,10 @@ impl VerifyCache {
             return;
         }
         if let Some(cap) = self.capacity {
-            while self.timing.len() >= cap {
-                self.evict_timing_lru();
-            }
+            let over = (self.timing.len() + 1).saturating_sub(cap);
+            self.timing_evictions += evict_oldest(&mut self.timing, |e| e.used.get(), over);
         }
         self.timing.insert(key, TimingEntry { payload, used });
-    }
-
-    fn evict_timing_lru(&mut self) {
-        let victim = self
-            .timing
-            .iter()
-            .min_by_key(|(_, e)| e.used.get())
-            .map(|(&k, _)| k);
-        if let Some(k) = victim {
-            self.timing.remove(&k);
-            self.timing_evictions += 1;
-        }
     }
 
     /// Merges entries this cache lacks from `other` (a snapshot another
@@ -394,29 +372,72 @@ impl VerifyCache {
     /// entries win — two runs of the same unit produce the same payload,
     /// so freshness is irrelevant; keys are merged in sorted order so
     /// any evictions are deterministic. This is the write-back half of
-    /// the daemon's shared-cache discipline: snapshot under the lock,
-    /// verify unlocked, absorb the additions under the lock. Returns the
-    /// number of entries actually copied (the absorbed-batch size a
+    /// the daemon's shared-cache discipline: fetch under the lock,
+    /// verify unlocked, absorb the additions under the lock. The whole
+    /// batch is stored first and each tier trimmed back to capacity in
+    /// one pass — the survivors are the newest stamps either way, so the
+    /// result (and the eviction tally) equals evicting one entry per
+    /// insert, at O(capacity) per batch instead of per entry. Returns
+    /// the number of entries actually copied (the absorbed-batch size a
     /// batching tier reports), which existing-entry wins make smaller
     /// than `other.len()` under contention.
     pub fn absorb(&mut self, other: &VerifyCache) -> usize {
-        let mut keys: Vec<&CacheKey> = other.entries.keys().collect();
+        let mut keys: Vec<&CacheKey> = other
+            .entries
+            .keys()
+            .filter(|k| !self.entries.contains_key(k))
+            .collect();
         keys.sort_unstable();
-        let mut copied = 0;
         for &key in &keys {
-            if !self.entries.contains_key(key) {
-                self.insert(*key, other.entries[key].result.clone());
-                copied += 1;
-            }
+            let used = Cell::new(self.next_tick());
+            let result = other.entries[key].result.clone();
+            self.entries.insert(*key, Entry { result, used });
         }
         // Timing entries merge under the same discipline (existing
         // wins, sorted order); the return value stays the unit-entry
         // count — the batch size the tier's stage reports track.
-        let mut tkeys: Vec<&TimingKey> = other.timing.keys().collect();
+        let mut tkeys: Vec<&TimingKey> = other
+            .timing
+            .keys()
+            .filter(|k| !self.timing.contains_key(k))
+            .collect();
         tkeys.sort_unstable();
         for &key in &tkeys {
-            if !self.timing.contains_key(key) {
-                self.insert_timing(*key, other.timing[key].payload.clone());
+            let used = Cell::new(self.next_tick());
+            let payload = other.timing[key].payload.clone();
+            self.timing.insert(*key, TimingEntry { payload, used });
+        }
+        self.trim();
+        keys.len()
+    }
+
+    /// The keyed read: copies into `overlay` the entries `units` and
+    /// `timing` name that this cache holds and `overlay` still lacks,
+    /// refreshing their recency here exactly as [`get`](VerifyCache::get)
+    /// would. Returns the number of entries copied. A shared tier
+    /// answers one request with this instead of a whole-cache clone, so
+    /// the request costs O(keys), not O(cache).
+    pub fn fetch_into(
+        &self,
+        units: &[CacheKey],
+        timing: &[TimingKey],
+        overlay: &mut VerifyCache,
+    ) -> usize {
+        let mut copied = 0;
+        for key in units {
+            if !overlay.contains(key) {
+                if let Some(result) = self.get(key) {
+                    overlay.insert(*key, result.clone());
+                    copied += 1;
+                }
+            }
+        }
+        for key in timing {
+            if !overlay.contains_timing(key) {
+                if let Some(payload) = self.get_timing(key) {
+                    overlay.insert_timing(*key, payload.clone());
+                    copied += 1;
+                }
             }
         }
         copied
@@ -504,6 +525,38 @@ impl VerifyCache {
         }
         Ok(cache)
     }
+}
+
+/// Removes the `k` entries with the oldest recency stamps from one
+/// tier's map and returns how many went. Stamps are unique, so the
+/// victims are a function of stamp order alone; a batch costs one pass
+/// over the map however large `k` is.
+fn evict_oldest<K: Copy + Eq + Hash, E>(
+    map: &mut HashMap<K, E>,
+    stamp: impl Fn(&E) -> u64,
+    k: usize,
+) -> usize {
+    let k = k.min(map.len());
+    if k == 0 {
+        return 0;
+    }
+    if k == 1 {
+        // A lone insert at capacity: the minimum, without a stamp list.
+        let oldest = map
+            .iter()
+            .min_by_key(|(_, e)| stamp(e))
+            .map(|(&key, _)| key);
+        map.remove(&oldest.expect("k <= len, so the map is not empty"));
+        return 1;
+    }
+    let mut stamps: Vec<(u64, K)> = map.iter().map(|(&key, e)| (stamp(e), key)).collect();
+    if k < stamps.len() {
+        stamps.select_nth_unstable_by_key(k - 1, |&(used, _)| used);
+    }
+    for (_, key) in &stamps[..k] {
+        map.remove(key);
+    }
+    k
 }
 
 /// Error from [`VerifyCache::from_json`].

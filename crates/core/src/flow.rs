@@ -416,6 +416,113 @@ pub(crate) fn dirty_closure(
     dirty
 }
 
+/// Driver resistance the clock-RC skew bounds are computed (and keyed)
+/// with.
+const CLOCK_DRIVER_OHMS: f64 = 200.0;
+
+/// The timing-tier keys a run can name from its prep alone, before any
+/// lookup: constraints and graph structure (both keyed by the
+/// recognition-relevant digest) and one skew key per extracted clock
+/// tree. The STA key is derived from those artifacts' *payloads*, so it
+/// is named in a second step ([`TimingKeys::sta`]) once they are at
+/// hand — which is what lets a shared tier answer the whole timing
+/// remainder in the same locked batch as the unit keys.
+pub(crate) struct TimingKeys<'a> {
+    env: u64,
+    constraints: TimingKey,
+    graph: TimingKey,
+    /// Per recognized clock net, in `clock_nets` order; `None` for a
+    /// clock net with no extracted RC (no bounds, nothing to cache).
+    skews: Vec<Option<TimingKey>>,
+    net_count: usize,
+    schedule: &'a ClockSchedule,
+}
+
+impl<'a> TimingKeys<'a> {
+    pub(crate) fn of(
+        netlist: &FlatNetlist,
+        recognition: &Recognition,
+        extracted: &Extracted,
+        env: u64,
+        schedule: &'a ClockSchedule,
+    ) -> TimingKeys<'a> {
+        let rec_digest = recognition_timing_digest(netlist, recognition);
+        let key = |space, digest| TimingKey { env, space, digest };
+        TimingKeys {
+            env,
+            net_count: netlist.net_count(),
+            schedule,
+            constraints: key(TimingSpace::Constraints, rec_digest),
+            graph: key(TimingSpace::Graph, rec_digest),
+            skews: recognition
+                .clock_nets
+                .iter()
+                .map(|&c| {
+                    extracted.net(c).map(|en| {
+                        let tree = clock_tree_digest(c, en.rc.content_digest(), CLOCK_DRIVER_OHMS);
+                        key(TimingSpace::Skew, tree)
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    /// The keys nameable before any lookup, in lookup order.
+    pub(crate) fn known(&self) -> Vec<TimingKey> {
+        [self.constraints, self.graph]
+            .into_iter()
+            .chain(self.skews.iter().flatten().copied())
+            .collect()
+    }
+
+    /// The STA key `cache`'s copies of the [`known`](TimingKeys::known)
+    /// artifacts lead to, or `None` unless it holds every one of them
+    /// (the run will then compute the missing ones, and with them a
+    /// structure no tier has seen).
+    pub(crate) fn sta(&self, cache: &VerifyCache) -> Option<TimingKey> {
+        let Some(TimingPayload::Constraints(constraints)) = cache.get_timing(&self.constraints)
+        else {
+            return None;
+        };
+        let Some(TimingPayload::Graph { launches, cut_nets }) = cache.get_timing(&self.graph)
+        else {
+            return None;
+        };
+        let mut skews: Vec<ClockSkew> = Vec::new();
+        for key in self.skews.iter().flatten() {
+            let Some(TimingPayload::Skew(skew)) = cache.get_timing(key) else {
+                return None;
+            };
+            skews.extend(skew.clone());
+        }
+        Some(self.sta_key(launches, cut_nets, constraints, &skews))
+    }
+
+    /// Keyed by everything `analyze` reads except the arc delays, so a
+    /// delay-only ECO lands on the cached lineage and replays
+    /// incrementally from the changed units' endpoints.
+    fn sta_key(
+        &self,
+        launches: &[cbv_timing::LaunchPoint],
+        cut_nets: &[NetId],
+        constraints: &[cbv_timing::Constraint],
+        skews: &[ClockSkew],
+    ) -> TimingKey {
+        TimingKey {
+            env: self.env,
+            space: TimingSpace::Sta,
+            digest: sta_structure_digest(
+                self.net_count,
+                launches,
+                cut_nets,
+                constraints,
+                self.schedule,
+                skews,
+            ),
+        }
+    }
+}
+
 /// What the cached serial timing remainder came back with.
 pub(crate) struct TimingRemainder {
     /// The STA report — byte-identical to a full cold propagation over
@@ -467,8 +574,7 @@ pub(crate) fn timing_remainder(
     extracted: &Extracted,
     process: &Process,
     config: &FlowConfig,
-    schedule: &ClockSchedule,
-    env: u64,
+    keys: &TimingKeys<'_>,
     units: &[UnitResult],
     unit_fps: &[UnitFingerprint],
     cache: &VerifyCache,
@@ -481,15 +587,10 @@ pub(crate) fn timing_remainder(
     let mut fresh: Vec<(TimingKey, TimingPayload)> = Vec::new();
     let arcs: Vec<cbv_timing::Arc> = units.iter().flat_map(|u| u.arcs.iter().copied()).collect();
     let n_arcs = arcs.len();
-    let rec_digest = recognition_timing_digest(netlist, recognition);
 
     // Inferred capture constraints: pure function of recognition content
     // (pessimism and process live in the environment fingerprint).
-    let cons_key = TimingKey {
-        env,
-        space: TimingSpace::Constraints,
-        digest: rec_digest,
-    };
+    let cons_key = keys.constraints;
     let constraints = match cache.get_timing(&cons_key) {
         Some(TimingPayload::Constraints(c)) => {
             hits += 1;
@@ -505,11 +606,7 @@ pub(crate) fn timing_remainder(
 
     // Launch/cut structure of the spliced graph: also arc-independent,
     // so a cached structure is reassembled around this run's arcs.
-    let graph_key = TimingKey {
-        env,
-        space: TimingSpace::Graph,
-        digest: rec_digest,
-    };
+    let graph_key = keys.graph;
     let graph = match cache.get_timing(&graph_key) {
         Some(TimingPayload::Graph { launches, cut_nets }) => {
             hits += 1;
@@ -537,54 +634,30 @@ pub(crate) fn timing_remainder(
     // net with no extracted RC yields no bounds and nothing to cache.
     // `None` bounds on an extracted tree (degenerate single-node net)
     // are cached too — the negative result costs the same walk.
-    let r_driver = cbv_tech::Ohms::new(200.0);
+    let r_driver = cbv_tech::Ohms::new(CLOCK_DRIVER_OHMS);
     let mut skews: Vec<ClockSkew> = Vec::new();
-    for &c in &recognition.clock_nets {
-        let skew = match extracted.net(c) {
+    for (&c, key) in recognition.clock_nets.iter().zip(&keys.skews) {
+        let skew = match *key {
             None => None,
-            Some(en) => {
-                let key = TimingKey {
-                    env,
-                    space: TimingSpace::Skew,
-                    digest: clock_tree_digest(c, en.rc.content_digest(), r_driver.ohms()),
-                };
-                match cache.get_timing(&key) {
-                    Some(TimingPayload::Skew(s)) => {
-                        hits += 1;
-                        s.clone()
-                    }
-                    _ => {
-                        misses += 1;
-                        let s = cbv_timing::clock_skew_bounds(
-                            extracted,
-                            c,
-                            r_driver,
-                            &config.tolerance,
-                        );
-                        fresh.push((key, TimingPayload::Skew(s.clone())));
-                        s
-                    }
+            Some(key) => match cache.get_timing(&key) {
+                Some(TimingPayload::Skew(s)) => {
+                    hits += 1;
+                    s.clone()
                 }
-            }
+                _ => {
+                    misses += 1;
+                    let s =
+                        cbv_timing::clock_skew_bounds(extracted, c, r_driver, &config.tolerance);
+                    fresh.push((key, TimingPayload::Skew(s.clone())));
+                    s
+                }
+            },
         };
         skews.extend(skew);
     }
 
-    // STA: keyed by everything `analyze` reads except the arc delays, so
-    // a delay-only ECO lands on the cached lineage and replays
-    // incrementally from the changed units' endpoints.
-    let sta_key = TimingKey {
-        env,
-        space: TimingSpace::Sta,
-        digest: sta_structure_digest(
-            netlist.net_count(),
-            &graph.launches,
-            &graph.cut_nets,
-            &constraints,
-            schedule,
-            &skews,
-        ),
-    };
+    let schedule = keys.schedule;
+    let sta_key = keys.sta_key(&graph.launches, &graph.cut_nets, &constraints, &skews);
     // Endpoint nets of one unit's arcs — computed only for units whose
     // fingerprint moved (and once for everything on a structure miss);
     // the clean majority's nets replay from the lineage.
@@ -901,8 +974,7 @@ pub fn run_flow_incremental(
             &extracted,
             process,
             config,
-            &schedule,
-            env,
+            &TimingKeys::of(&netlist, &recognition, &extracted, env, &schedule),
             &per_unit[..n_cccs],
             &fps.units[..n_cccs],
             cache,

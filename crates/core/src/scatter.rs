@@ -48,7 +48,7 @@ use cbv_timing::{ClockSchedule, DelayCalc, Pessimism};
 
 use crate::flow::{
     check_deadline, dirty_closure, timed, timing_remainder, FlowConfig, FlowReport, StageReport,
-    TimingRemainder,
+    TimingKeys, TimingRemainder,
 };
 use crate::signoff::Signoff;
 
@@ -417,10 +417,45 @@ pub fn run_flow_with(
 /// netlist under an identical environment, so every downstream stage
 /// reads the same values and the signoff bytes cannot differ.
 pub fn run_flow_shared(
+    netlist: FlatNetlist,
+    process: &Process,
+    config: &FlowConfig,
+    cache: &mut VerifyCache,
+    backend: &dyn UnitBackend,
+    preps: Option<&PrepCache>,
+) -> FlowReport {
+    run_flow_tiered(netlist, process, config, cache, None, backend, preps)
+}
+
+/// Every key one run can look up, named once its prep is at hand — what
+/// a [`SharedTier`] is asked for.
+pub(crate) struct RunKeys<'a> {
+    /// Unit keys in fixed unit order.
+    pub units: Vec<CacheKey>,
+    /// The timing tier's keys (see [`TimingKeys`] for the two steps).
+    pub timing: TimingKeys<'a>,
+}
+
+/// The shared side of the flow's cache seam. A run against an *owned*
+/// cache looks up and primes it in place (an empty one is the cold
+/// flow); a run against a shared tier starts from an empty per-run
+/// overlay and asks the tier, once, for the entries its keys name. The
+/// overlay then receives the run's fresh results like an owned cache,
+/// and the tier's owner decides what to publish.
+pub(crate) trait SharedTier {
+    /// Copies whatever the tier holds under `keys` into `overlay`.
+    fn fetch(&self, keys: &RunKeys<'_>, overlay: &mut VerifyCache);
+}
+
+/// [`run_flow_shared`] over the cache seam: with a `tier`, `cache` is
+/// the run's overlay and is filled by one keyed fetch before the dirty
+/// closure reads it.
+pub(crate) fn run_flow_tiered(
     mut netlist: FlatNetlist,
     process: &Process,
     config: &FlowConfig,
     cache: &mut VerifyCache,
+    tier: Option<&dyn SharedTier>,
     backend: &dyn UnitBackend,
     preps: Option<&PrepCache>,
 ) -> FlowReport {
@@ -508,12 +543,37 @@ pub fn run_flow_shared(
         }
     };
 
+    let schedule = config.schedule.clone().unwrap_or_else(|| {
+        let name = prep
+            .recognition
+            .clock_nets
+            .first()
+            .map(|&c| prep.netlist.net_name(c).to_owned())
+            .unwrap_or_else(|| "clk".to_owned());
+        ClockSchedule::single(name, process.f_target().period())
+    });
+
     // 4. Fingerprints and the dirty closure, via the shared helper so
-    // the dirty set is exactly the incremental flow's.
+    // the dirty set is exactly the incremental flow's. The prep names
+    // every key the run can look up, so a shared tier is asked for them
+    // here, in one batch, before the closure reads the overlay.
     let n_cccs = prep.n_cccs();
-    let dirty = timed(&mut stages, flow, "fingerprint", |_| {
+    let (timing_keys, dirty) = timed(&mut stages, flow, "fingerprint", |_| {
+        let keys = RunKeys {
+            units: (0..prep.n_units()).map(|i| prep.unit_key(i)).collect(),
+            timing: TimingKeys::of(
+                &prep.netlist,
+                &prep.recognition,
+                &prep.extracted,
+                prep.env,
+                &schedule,
+            ),
+        };
+        if let Some(tier) = tier {
+            tier.fetch(&keys, cache);
+        }
         let dirty = dirty_closure(cache, prep.env, &prep.fps, &prep.recognition);
-        (dirty, prep.fps.units.len(), None)
+        ((keys.timing, dirty), prep.fps.units.len(), None)
     });
 
     // 5. Scatter-gather everify: the backend verifies dirty units
@@ -564,15 +624,6 @@ pub fn run_flow_shared(
     // 6. Timing: arcs arrived with the unit outcomes; what remains is
     // the serial splice (CCC index order — the cold graph's exact arc
     // sequence), constraints, skew and STA.
-    let schedule = config.schedule.clone().unwrap_or_else(|| {
-        let name = prep
-            .recognition
-            .clock_nets
-            .first()
-            .map(|&c| prep.netlist.net_name(c).to_owned())
-            .unwrap_or_else(|| "clk".to_owned());
-        ClockSchedule::single(name, process.f_target().period())
-    });
     let dirty_cccs: Vec<usize> = (0..n_cccs).filter(|&i| dirty[i]).collect();
     let mut timing_stats = CacheStats {
         hits: n_cccs - dirty_cccs.len(),
@@ -586,8 +637,7 @@ pub fn run_flow_shared(
             &prep.extracted,
             process,
             config,
-            &schedule,
-            prep.env,
+            &timing_keys,
             &per_unit[..n_cccs],
             &prep.fps.units[..n_cccs],
             cache,

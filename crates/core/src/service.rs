@@ -13,16 +13,26 @@
 //! A verification run can take arbitrarily long, so the shared cache is
 //! never held across one. [`FlowService::verify`] instead:
 //!
-//! 1. **snapshots** the shared cache under the lock (a clone — unit
-//!    results are plain data), overlaid with the undrained staging tier
-//!    so a run always sees its own service's recent results;
-//! 2. runs the flow against the snapshot, unlocked, so concurrent
+//! 1. **fetches** by key: once the run's prep has named its unit keys
+//!    and timing-tier keys, one locked batch copies exactly those
+//!    entries — shared tier first (refreshing their LRU recency), then
+//!    the undrained staging tier, so a run always sees its own
+//!    service's recent results — into a per-run overlay. A request
+//!    therefore costs O(design) in time and memory however large the
+//!    tier has grown, and a bounded tier never evicts the revision a
+//!    session is walking;
+//! 2. runs the flow against the overlay, unlocked, so concurrent
 //!    requests verify in parallel;
 //! 3. **stages** the run's fresh entries, and a **drain** absorbs the
 //!    whole staging batch into the shared tier under the lock
 //!    ([`VerifyCache::absorb`] merges in sorted key order and keeps
 //!    existing entries, so two racing requests that verified the same
 //!    unit converge on one entry deterministically).
+//!
+//! Both tiers are existing-entry-wins and rebuildable, so their locks
+//! *recover* from poisoning instead of propagating it: a job that
+//! panics while holding one costs at most the entries it was writing,
+//! never the requests that come after it.
 //!
 //! [`verify`](FlowService::verify) and
 //! [`verify_report`](FlowService::verify_report) drain immediately —
@@ -41,7 +51,7 @@
 //! # The scatter-gather seam
 //!
 //! [`verify_with_backend`](FlowService::verify_with_backend) is the
-//! farm coordinator's entry point: the same snapshot/stage/drain
+//! farm coordinator's entry point: the same fetch/stage/drain
 //! discipline, but per-unit work routed through a
 //! [`UnitBackend`](crate::scatter::UnitBackend). The plain entry points
 //! use [`LocalBackend`]; signoff bytes are identical either way.
@@ -58,7 +68,7 @@
 //! claimant degrades to duplicated work, never to a hang.
 
 use std::collections::HashSet;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use cbv_cache::{CacheKey, CacheStats, UnitResult, VerifyCache};
@@ -66,7 +76,7 @@ use cbv_netlist::FlatNetlist;
 use cbv_tech::Process;
 
 use crate::flow::{FlowConfig, FlowReport};
-use crate::scatter::{run_flow_shared, LocalBackend, PrepCache, UnitBackend};
+use crate::scatter::{run_flow_tiered, LocalBackend, PrepCache, RunKeys, SharedTier, UnitBackend};
 
 /// A shareable, cache-backed verification endpoint. `&FlowService` is
 /// `Send + Sync`; workers call [`verify`](FlowService::verify)
@@ -106,8 +116,8 @@ pub struct ServiceVerdict {
     pub clean: bool,
     /// Total violations across categories.
     pub violations: usize,
-    /// Hit/miss/eviction tally of the everify stage against the shared
-    /// cache snapshot.
+    /// Hit/miss/eviction tally of the everify stage against the run's
+    /// overlay of the shared cache.
     pub cache: CacheStats,
     /// Flow wall-clock runtime in seconds.
     pub runtime_s: f64,
@@ -132,10 +142,7 @@ impl FlowService {
     /// Bounds the shared cache (LRU eviction past `capacity` entries) —
     /// what a long-running daemon does so memory stays flat.
     pub fn with_cache_capacity(self, capacity: usize) -> FlowService {
-        self.cache
-            .lock()
-            .expect("service cache lock")
-            .set_capacity(Some(capacity));
+        self.shared().set_capacity(Some(capacity));
         self
     }
 
@@ -153,7 +160,7 @@ impl FlowService {
 
     /// Current entry count of the shared cache.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().expect("service cache lock").len()
+        self.shared().len()
     }
 
     /// Serializes the shared tier to its `cbv-cache/1` wire form for
@@ -161,22 +168,19 @@ impl FlowService {
     /// jobs includes every admitted job's results.
     pub fn cache_to_json(&self) -> String {
         self.drain_absorb();
-        self.cache.lock().expect("service cache lock").to_json()
+        self.shared().to_json()
     }
 
     /// Absorbs a previously persisted cache into the shared tier — the
     /// daemon-restart warm start. Existing entries win and the tier's
     /// capacity bound still applies; returns the entries absorbed.
     pub fn preload_cache(&self, loaded: &VerifyCache) -> usize {
-        self.cache
-            .lock()
-            .expect("service cache lock")
-            .absorb(loaded)
+        self.shared().absorb(loaded)
     }
 
     /// Total LRU evictions from the shared cache since construction.
     pub fn cache_evictions(&self) -> usize {
-        self.cache.lock().expect("service cache lock").evictions()
+        self.shared().evictions()
     }
 
     /// Serial preps answered from the shared prep cache (another stream
@@ -190,14 +194,26 @@ impl FlowService {
         self.preps.miss_count()
     }
 
+    /// The shared tier, recovered if a panicking holder poisoned it (see
+    /// the module docs: every update leaves the map valid).
+    fn shared(&self) -> MutexGuard<'_, VerifyCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The staging tier, recovered like [`shared`](FlowService::shared).
+    fn staged(&self) -> MutexGuard<'_, VerifyCache> {
+        self.staging.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Verifies one netlist revision with per-unit work routed through
-    /// `backend` — the farm coordinator's entry point. The run snapshots
-    /// the shared tier (plus undrained staging), verifies unlocked, and
-    /// *stages* its fresh entries; publication to the shared tier waits
-    /// for the next [`drain_absorb`](FlowService::drain_absorb). The
-    /// verdict's [`CacheStats`] carry the batching economics: `absorbed`
-    /// is the number of entries this run staged, `remote_hits`/
-    /// `remote_misses` the snapshot's answer rate.
+    /// `backend` — the farm coordinator's entry point. The run fetches
+    /// its keys from the shared tier (plus undrained staging) into a
+    /// per-run overlay, verifies unlocked, and *stages* its fresh
+    /// entries; publication to the shared tier waits for the next
+    /// [`drain_absorb`](FlowService::drain_absorb). The verdict's
+    /// [`CacheStats`] carry the batching economics: `absorbed` is the
+    /// number of entries this run staged, `remote_hits`/`remote_misses`
+    /// the fetch's answer rate.
     pub fn verify_with_backend(
         &self,
         netlist: FlatNetlist,
@@ -205,26 +221,46 @@ impl FlowService {
         trace_parent: Option<u64>,
         backend: &dyn UnitBackend,
     ) -> (FlowReport, ServiceVerdict) {
-        let mut snapshot = self.cache.lock().expect("service cache lock").clone();
-        snapshot.absorb(&self.staging.lock().expect("service staging lock"));
+        self.verify_tiered(netlist, deadline, trace_parent, self, backend)
+    }
+
+    /// [`verify_with_backend`](FlowService::verify_with_backend) with
+    /// the overlay filled by `tier` — always `self` outside the tests,
+    /// which substitute the whole-clone oracle.
+    fn verify_tiered(
+        &self,
+        netlist: FlatNetlist,
+        deadline: Option<Instant>,
+        trace_parent: Option<u64>,
+        tier: &dyn SharedTier,
+        backend: &dyn UnitBackend,
+    ) -> (FlowReport, ServiceVerdict) {
         let mut config = self.config.clone();
         config.deadline = deadline;
         config.trace_parent = trace_parent;
-        let report = run_flow_shared(
+        let mut overlay = VerifyCache::new();
+        let report = run_flow_tiered(
             netlist,
             &self.process,
             &config,
-            &mut snapshot,
+            &mut overlay,
+            Some(tier),
             backend,
             Some(&self.preps),
         );
+        self.stage(report, &overlay)
+    }
+
+    /// Stages the entries `report` says the run added to `overlay`, and
+    /// assembles the verdict.
+    fn stage(&self, report: FlowReport, overlay: &VerifyCache) -> (FlowReport, ServiceVerdict) {
         let staged = {
-            let mut staging = self.staging.lock().expect("service staging lock");
+            let mut staging = self.staged();
             let mut staged = 0usize;
             for key in &report.fresh {
-                // A bounded snapshot may already have evicted a fresh
+                // A bounded overlay may already have evicted a fresh
                 // entry; only what survived can be staged.
-                if let Some(r) = snapshot.get(key) {
+                if let Some(r) = overlay.get(key) {
                     staging.insert(*key, r.clone());
                     staged += 1;
                 }
@@ -236,7 +272,7 @@ impl FlowService {
             // They are not counted in `staged`: absorb accounting is
             // unit-denominated throughout.
             for key in &report.fresh_timing {
-                if let Some(p) = snapshot.get_timing(key) {
+                if let Some(p) = overlay.get_timing(key) {
                     staging.insert_timing(*key, p.clone());
                 }
             }
@@ -270,8 +306,8 @@ impl FlowService {
     /// [`verify_buffered`](FlowService::verify_buffered) run this once
     /// per queue drain.
     pub fn drain_absorb(&self) -> usize {
-        let mut shared = self.cache.lock().expect("service cache lock");
-        let mut staging = self.staging.lock().expect("service staging lock");
+        let mut shared = self.shared();
+        let mut staging = self.staged();
         if staging.is_empty() {
             return 0;
         }
@@ -286,7 +322,7 @@ impl FlowService {
 
     /// Entries currently staged and awaiting a drain.
     pub fn staged_len(&self) -> usize {
-        self.staging.lock().expect("service staging lock").len()
+        self.staged().len()
     }
 
     /// Claims `key` for computation by this caller. `true` means the
@@ -346,14 +382,10 @@ impl FlowService {
     /// then the staging overlay (results another stream staged but has
     /// not drained yet).
     pub fn lookup_unit(&self, key: &CacheKey) -> Option<UnitResult> {
-        if let Some(r) = self.cache.lock().expect("service cache lock").get(key) {
+        if let Some(r) = self.shared().get(key) {
             return Some(r.clone());
         }
-        self.staging
-            .lock()
-            .expect("service staging lock")
-            .get(key)
-            .cloned()
+        self.staged().get(key).cloned()
     }
 
     /// Stages unit results directly — the farm coordinator publishes
@@ -365,7 +397,7 @@ impl FlowService {
         if results.is_empty() {
             return;
         }
-        let mut staging = self.staging.lock().expect("service staging lock");
+        let mut staging = self.staged();
         for (key, result) in results {
             if staging.get(key).is_none() {
                 staging.insert(*key, result.clone());
@@ -415,11 +447,247 @@ impl FlowService {
     }
 }
 
+/// The keyed fetch: one locked batch per request. The shared tier is
+/// read first (refreshing recency there, so a bounded tier keeps what
+/// live sessions are walking), then staging fills what it lacks; the
+/// STA key follows in the same batch once the artifacts it is derived
+/// from are in the overlay. The overlay inherits the tier's bound, so a
+/// design larger than the bound is capped per run as it is per tier.
+impl SharedTier for FlowService {
+    fn fetch(&self, keys: &RunKeys<'_>, overlay: &mut VerifyCache) {
+        let shared = self.shared();
+        let staging = self.staged();
+        overlay.set_capacity(shared.capacity());
+        let timing = keys.timing.known();
+        let mut copied = shared.fetch_into(&keys.units, &timing, overlay)
+            + staging.fetch_into(&keys.units, &timing, overlay);
+        if let Some(sta) = keys.timing.sta(overlay) {
+            copied +=
+                shared.fetch_into(&[], &[sta], overlay) + staging.fetch_into(&[], &[sta], overlay);
+        }
+        drop((shared, staging));
+        self.config.tracer.add("cache.fetch.batches", 1);
+        self.config.tracer.add("cache.fetch.entries", copied as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::run_flow_incremental;
+    use crate::flow::{run_flow, run_flow_incremental};
+    use crate::scatter::{PreparedDesign, UnitOutcome};
+    use cbv_exec::{run_isolated, Executor};
     use cbv_gen::adders::static_ripple_adder;
+    use cbv_mutate::{MutationOp, Site};
+    use cbv_netlist::{Device, DeviceId, NetKind};
+    use cbv_obs::TraceCtx;
+    use cbv_tech::MosKind;
+
+    /// The discipline the keyed fetch replaced, kept as its oracle: the
+    /// overlay is a clone of the whole shared tier with staging absorbed
+    /// into it.
+    struct WholeClone<'a>(&'a FlowService);
+
+    impl SharedTier for WholeClone<'_> {
+        fn fetch(&self, _keys: &RunKeys<'_>, overlay: &mut VerifyCache) {
+            *overlay = self.0.shared().clone();
+            overlay.absorb(&self.0.staged());
+        }
+    }
+
+    /// One buffered request through the keyed fetch or the oracle.
+    fn request(service: &FlowService, oracle: bool, netlist: FlatNetlist) -> ServiceVerdict {
+        if oracle {
+            service
+                .verify_tiered(netlist, None, None, &WholeClone(service), &LocalBackend)
+                .1
+        } else {
+            service.verify_buffered(netlist, None, None)
+        }
+    }
+
+    /// Replays `revisions` as `clients` lockstep sessions would — every
+    /// client verifies a revision (buffered, so the later ones read the
+    /// earlier ones' staging), then the tier drains — through a keyed
+    /// service and an oracle service, and demands equality request for
+    /// request and in the tiers they end with.
+    fn assert_keyed_equals_oracle(revisions: impl Iterator<Item = FlatNetlist>, clients: usize) {
+        let p = Process::strongarm_035();
+        let keyed = FlowService::new(p.clone(), FlowConfig::default());
+        let oracle = FlowService::new(p, FlowConfig::default());
+        for (step, netlist) in revisions.enumerate() {
+            for client in 0..clients {
+                let k = request(&keyed, false, netlist.clone());
+                let o = request(&oracle, true, netlist.clone());
+                assert_eq!(
+                    k.signoff_json, o.signoff_json,
+                    "step {step} client {client}"
+                );
+                assert_eq!(k.cache, o.cache, "step {step} client {client}");
+            }
+            assert_eq!(keyed.drain_absorb(), oracle.drain_absorb(), "step {step}");
+        }
+        assert!(keyed.cache_len() > 0);
+        assert_eq!(keyed.cache_to_json(), oracle.cache_to_json());
+    }
+
+    /// A seeded one-device ECO stream: each step scales one device's
+    /// width by about 3 %, steering a device that has drifted back, and
+    /// yields the revision. Every step's factor is its own, so no two
+    /// paths through the walk meet in the same geometry — a unit seen
+    /// once is never seen again once it has been edited.
+    fn eco_stream(mut netlist: FlatNetlist, seed: u64) -> impl Iterator<Item = FlatNetlist> {
+        let mut state = seed;
+        let mut drift = vec![0i32; netlist.devices().len()];
+        let mut step = 0u32;
+        std::iter::repeat_with(move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let device = (state >> 33) as usize % drift.len();
+            let up = match drift[device] {
+                d if d > 4 => false,
+                d if d < -4 => true,
+                _ => state >> 63 == 1,
+            };
+            drift[device] += if up { 1 } else { -1 };
+            step += 1;
+            let by = 0.03 + f64::from(step) * 1e-6;
+            let factor = if up { 1.0 + by } else { 1.0 - by };
+            cbv_mutate::apply(
+                &mut netlist,
+                &MutationOp::WidthScale { factor },
+                Site::Device(DeviceId(device as u32)),
+            )
+            .expect("width-scale applies at every device");
+            netlist.clone()
+        })
+    }
+
+    #[test]
+    fn keyed_fetch_equals_the_whole_clone_oracle_on_an_eco_stream() {
+        let p = Process::strongarm_035();
+        let seed = static_ripple_adder(8, &p).netlist;
+        assert_keyed_equals_oracle(eco_stream(seed, 13).take(200), 2);
+    }
+
+    #[test]
+    fn keyed_fetch_equals_the_whole_clone_oracle_on_the_serve_scenarios() {
+        // `tests/serve.rs`'s reference stream — a mutate operator, a raw
+        // resize, an add-net/add-device batch — walked by four clients,
+        // then rolled back to the seed (a revision the tier has seen).
+        let p = Process::strongarm_035();
+        let seed = static_ripple_adder(2, &p).netlist;
+        let mut netlist = seed.clone();
+        let mut revisions = vec![netlist.clone()];
+        cbv_mutate::apply(
+            &mut netlist,
+            &MutationOp::WidthScale { factor: 1.25 },
+            Site::Device(DeviceId(0)),
+        )
+        .expect("width-scale applies");
+        revisions.push(netlist.clone());
+        let d = netlist.device_mut(DeviceId(1));
+        (d.w, d.l) = (2.0e-6, 3.5e-7);
+        revisions.push(netlist.clone());
+        netlist.add_net("spur", NetKind::Signal);
+        let net = |i: u32| cbv_netlist::NetId(i);
+        netlist.add_device(Device::mos(
+            MosKind::Nmos,
+            "mspur",
+            net(0),
+            net(1),
+            net(2),
+            net(3),
+            1.0e-6,
+            3.5e-7,
+        ));
+        revisions.push(netlist);
+        revisions.push(seed);
+        assert_keyed_equals_oracle(revisions.into_iter(), 4);
+    }
+
+    #[test]
+    fn a_tier_at_capacity_never_evicts_the_revision_being_walked() {
+        // 500 steps through a tier of four revisions' worth of entries,
+        // against an unbounded tier. The keyed fetch refreshes what it
+        // reads, so eviction only ever takes entries no live revision
+        // names: the bounded tier answers exactly what the unbounded one
+        // does. The one thing it may forget is a unit that returns to a
+        // fingerprint it left several revisions ago (layout quantizes,
+        // so a neighbour's edit can flip a unit back) — those steps are
+        // told apart by their keys and must be rare.
+        let p = Process::strongarm_035();
+        let config = FlowConfig::default();
+        let seed = static_ripple_adder(2, &p).netlist;
+        let units = PreparedDesign::build(seed.clone(), &p, &config).n_units();
+        let unbounded = FlowService::new(p.clone(), config.clone());
+        let bounded = FlowService::new(p.clone(), config.clone()).with_cache_capacity(4 * units);
+        let mut seen: HashSet<CacheKey> = HashSet::new();
+        let mut previous: Vec<CacheKey> = Vec::new();
+        let mut returns = 0;
+        for (step, netlist) in eco_stream(seed, 29).take(500).enumerate() {
+            let prep = PreparedDesign::build(netlist.clone(), &p, &config);
+            let keys: Vec<CacheKey> = (0..units).map(|i| prep.unit_key(i)).collect();
+            let returned = keys
+                .iter()
+                .any(|k| seen.contains(k) && !previous.contains(k));
+            let b = bounded.verify(netlist.clone(), None, None).cache;
+            let u = unbounded.verify(netlist, None, None).cache;
+            if returned {
+                returns += 1;
+            } else {
+                assert_eq!((b.hits, b.misses), (u.hits, u.misses), "step {step}");
+            }
+            seen.extend(&keys);
+            previous = keys;
+        }
+        assert!(returns <= 10, "{returns} steps returned to an old unit");
+        assert_eq!(bounded.cache_len(), 4 * units, "the walk filled the tier");
+        assert!(bounded.cache_evictions() > 0);
+        assert!(unbounded.cache_len() > 4 * units);
+    }
+
+    /// A backend that dies between the fetch and the stage while holding
+    /// both tier locks — the worst a panicking job can do to them.
+    struct PoisoningBackend<'a>(&'a FlowService);
+
+    impl UnitBackend for PoisoningBackend<'_> {
+        fn verify_units(
+            &self,
+            _prep: &PreparedDesign,
+            _exec: &Executor,
+            _ctx: TraceCtx<'_>,
+            _units: &[usize],
+            _deadline: Option<Instant>,
+        ) -> (Vec<UnitOutcome>, Duration) {
+            let _shared = self.0.cache.lock();
+            let _staging = self.0.staging.lock();
+            panic!("job died holding the tier locks");
+        }
+    }
+
+    #[test]
+    fn a_job_that_panics_holding_the_tier_locks_poisons_no_later_request() {
+        let p = Process::strongarm_035();
+        let netlist = static_ripple_adder(4, &p).netlist;
+        let cold =
+            serde_json::to_string(&run_flow(netlist.clone(), &p, &FlowConfig::default()).signoff)
+                .unwrap();
+        let service = FlowService::new(p.clone(), FlowConfig::default());
+        let died = run_isolated(0, || {
+            service.verify_with_backend(netlist.clone(), None, None, &PoisoningBackend(&service))
+        });
+        assert!(died.is_err(), "the job must have panicked");
+        assert!(service.cache.is_poisoned() && service.staging.is_poisoned());
+
+        let after = service.verify(netlist.clone(), None, None);
+        assert_eq!(after.signoff_json, cold);
+        assert!(service.cache_len() > 0, "the recovered tier still absorbs");
+        let warm = service.verify(netlist, None, None);
+        assert_eq!(warm.signoff_json, cold);
+        assert_eq!(warm.cache.misses, 0, "and still answers");
+    }
 
     #[test]
     fn identical_revisions_share_one_prep() {
@@ -565,8 +833,9 @@ mod tests {
         let service = FlowService::new(p.clone(), FlowConfig::default()).with_cache_capacity(2);
         let v = service.verify(static_ripple_adder(4, &p).netlist, None, None);
         assert!(service.cache_len() <= 2, "shared cache stays bounded");
-        // The run's inserts overflowed its cache snapshot (the adder has
-        // more than two units); the verdict's stage stats carry that.
+        // The run's inserts overflowed its overlay, which inherits the
+        // tier's bound (the adder has more than two units); the
+        // verdict's stage stats carry that.
         assert!(v.cache.evictions > 0, "adder has >2 units");
     }
 }

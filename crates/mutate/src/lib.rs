@@ -46,7 +46,7 @@ pub use campaign::{
 };
 pub use op::{
     apply, apply_resize, check_site_devices, keeper_devices, precharge_devices, sites,
-    stack_internal_nmos, Mutation, MutationOp, Site,
+    stack_internal_nmos, Mutation, MutationOp, Site, UndoRecord,
 };
 pub use screen::{
     run_func_screen, FuncMutantRecord, FuncOpSummary, FuncOracle, FuncScreenConfig,

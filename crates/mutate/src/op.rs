@@ -436,7 +436,34 @@ impl Mutation {
     /// pre-mutation content (fingerprint-identical; see the property
     /// tests).
     pub fn revert(self, netlist: &mut FlatNetlist) {
-        match self.undo {
+        self.undo.revert(netlist);
+    }
+
+    /// Keeps only the undo record, dropping the report-facing fields.
+    pub fn into_undo(self) -> UndoRecord {
+        UndoRecord(self.undo)
+    }
+}
+
+/// The slim undo of one applied mutation: exactly what reverting reads,
+/// so a long edit history (a daemon session's undo stack) can keep one
+/// per edit without the [`Mutation`]'s operator, site and description.
+/// Only [`Mutation::into_undo`] makes one, so a record always matches an
+/// edit that was really applied.
+#[derive(Debug, Clone)]
+pub struct UndoRecord(Undo);
+
+impl UndoRecord {
+    /// Un-applies the mutation this record was taken from (see
+    /// [`Mutation::revert`]).
+    pub fn revert(self, netlist: &mut FlatNetlist) {
+        self.0.revert(netlist);
+    }
+}
+
+impl Undo {
+    fn revert(self, netlist: &mut FlatNetlist) {
+        match self {
             Undo::Geometry { device, w, l, kind } => {
                 let d = netlist.device_mut(device);
                 d.w = w;

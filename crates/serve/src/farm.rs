@@ -14,7 +14,7 @@
 //! 1. The coordinator replays the design + raw ECO steps through a
 //!    local [`Session`] (bit-identical netlist reconstruction), then
 //!    hands the netlist to
-//!    [`FlowService::verify_with_backend`] — the service's snapshot/
+//!    [`FlowService::verify_with_backend`] — the service's fetch/
 //!    stage/drain cache discipline *is* the *shared content-addressed
 //!    cache tier*: every worker's unit results land there keyed by
 //!    `(env, content, binding)` fingerprint, and the next revision's

@@ -48,7 +48,7 @@ pub use protocol::{
 pub use queue::{JobQueue, PushError};
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use session::{
-    design_from_name, edit_from_json, edit_to_json, edits_from_json, Edit, Session, SessionSeed,
-    DESIGN_NAMES,
+    design_from_name, edit_from_json, edit_to_json, edits_from_json, Edit, NewDevice, NewNet,
+    Session, SessionSeed, DESIGN_NAMES,
 };
 pub use state::{state_from_json, state_to_json, write_state_atomic, SavedSession};

@@ -65,7 +65,11 @@ pub struct ServerConfig {
     /// rejected with `retry_after_ms`, which pins the backpressure path
     /// for deterministic tests.
     pub queue_capacity: usize,
-    /// Shared verification cache entry cap (`None` = unbounded).
+    /// Shared verification cache entry cap, per tier (unit results and
+    /// timing artifacts each). Bounded by default — a daemon that runs
+    /// for weeks must not grow per ECO; a resident entry costs a few
+    /// hundred bytes, so the default 4,096 is about a megabyte. `None`
+    /// removes the bound.
     pub cache_capacity: Option<usize>,
     /// `FlowConfig::parallelism` for each verification job (0 = auto,
     /// honouring `CBV_THREADS`).
@@ -89,7 +93,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 2,
             queue_capacity: 16,
-            cache_capacity: None,
+            cache_capacity: Some(4096),
             parallelism: 0,
             trace_path: None,
             retry_after_ms: 25,
@@ -964,7 +968,7 @@ fn save(shared: &Shared, session: &mut Option<Session>, value: &Value, id: u64) 
     let snapshot = SavedSession {
         design: session.design().to_owned(),
         seed: session.seed().clone(),
-        steps: session.history().to_vec(),
+        steps: session.history().map(<[Edit]>::to_vec).collect(),
     };
     let sessions = {
         let mut saved = shared.saved.lock().expect("saved lock");
@@ -1048,6 +1052,7 @@ fn stats(shared: &Shared, id: u64) -> String {
          \"queue_capacity\":{qcap},\"queue_depth\":{qdepth},\"workers\":{workers},\
          \"cache_entries\":{entries},\"cache_staged\":{staged},\
          \"cache_evictions\":{evictions},\
+         \"cache_fetches\":{fetches},\"cache_fetched_entries\":{fetched},\
          \"repair\":{{\"requests\":{rreq},\"attempts\":{rattempts},\
          \"accepted\":{raccepted},\"rejected_regression\":{rregression},\
          \"oracle_calls\":{roracle}}}}}}}",
@@ -1067,6 +1072,8 @@ fn stats(shared: &Shared, id: u64) -> String {
         entries = shared.service.cache_len(),
         staged = shared.service.staged_len(),
         evictions = shared.service.cache_evictions(),
+        fetches = t.counter_value("cache.fetch.batches"),
+        fetched = t.counter_value("cache.fetch.entries"),
         rreq = t.counter_value("repair.requests"),
         rattempts = t.counter_value("repair.attempts"),
         raccepted = t.counter_value("repair.accepted"),

@@ -19,13 +19,15 @@
 //! error reply, never a daemon panic.
 
 use cbv_core::gen;
-use cbv_core::mutate::{self, Mutation, MutationOp, Site};
+use cbv_core::mutate::{self, MutationOp, Site, UndoRecord};
 use cbv_core::netlist::{spice, Device, DeviceId, FlatNetlist, NetId, NetKind, Term};
 use cbv_core::tech::{MosKind, Process};
 use serde::write_json_string;
 use serde_json::Value;
 
-/// One reversible edit, as parsed off the wire.
+/// One reversible edit, as parsed off the wire. A session keeps every
+/// accepted edit for its lifetime, so the rare string-carrying payloads
+/// are boxed: the common one-device edits stay at 40 bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Edit {
     /// A `cbv-mutate` operator applied at an explicit site — the same
@@ -37,31 +39,9 @@ pub enum Edit {
         site: Site,
     },
     /// Appends a fresh net.
-    AddNet {
-        /// Net name.
-        name: String,
-        /// Net kind (wire name, e.g. `"signal"`).
-        kind: NetKind,
-    },
+    AddNet(Box<NewNet>),
     /// Appends a fresh MOS device.
-    AddDevice {
-        /// Instance name.
-        name: String,
-        /// Polarity.
-        kind: MosKind,
-        /// Gate net.
-        gate: NetId,
-        /// Drain net.
-        drain: NetId,
-        /// Source net.
-        source: NetId,
-        /// Bulk net.
-        bulk: NetId,
-        /// Drawn width, meters.
-        w: f64,
-        /// Drawn length, meters.
-        l: f64,
-    },
+    AddDevice(Box<NewDevice>),
     /// Sets a device's drawn geometry.
     Resize {
         /// Target device.
@@ -82,9 +62,41 @@ pub enum Edit {
     },
 }
 
-/// The exact inverse of one applied edit.
+/// The net an [`Edit::AddNet`] appends.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NewNet {
+    /// Net name.
+    pub name: String,
+    /// Net kind (wire name, e.g. `"signal"`).
+    pub kind: NetKind,
+}
+
+/// The MOS device an [`Edit::AddDevice`] appends.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NewDevice {
+    /// Instance name.
+    pub name: String,
+    /// Polarity.
+    pub kind: MosKind,
+    /// Gate net.
+    pub gate: NetId,
+    /// Drain net.
+    pub drain: NetId,
+    /// Source net.
+    pub source: NetId,
+    /// Bulk net.
+    pub bulk: NetId,
+    /// Drawn width, meters.
+    pub w: f64,
+    /// Drawn length, meters.
+    pub l: f64,
+}
+
+/// The exact inverse of one applied edit — only what reverting reads
+/// (a `cbv-mutate` operator keeps its slim [`UndoRecord`], not the
+/// whole `Mutation` with its description string).
 enum UndoAction {
-    Mutation(Mutation),
+    Mutation(UndoRecord),
     PopNet,
     PopDevice,
     Resize {
@@ -164,12 +176,22 @@ pub enum SessionSeed {
 /// One client's working copy: the current netlist plus the undo stack
 /// that can walk it back to any earlier revision, plus the forward
 /// history (seed + accepted batches) that can replay it from scratch.
+///
+/// A long-running session commits thousands of one-edit steps, so the
+/// history is flat: every accepted edit in one vector, its inverse at
+/// the same index in a second, and one `u32` end offset per revision —
+/// three allocations however many steps, under 100 bytes per one-edit
+/// step ([`Session::history_bytes`]).
 pub struct Session {
     design: String,
     seed: SessionSeed,
     netlist: FlatNetlist,
-    undo: Vec<Vec<UndoAction>>,
-    history: Vec<Vec<Edit>>,
+    /// Accepted edits of every revision, in application order.
+    edits: Vec<Edit>,
+    /// `undo[i]` inverts `edits[i]`.
+    undo: Vec<UndoAction>,
+    /// `ends[k]` is where revision `k + 1`'s batch ends in `edits`.
+    ends: Vec<u32>,
 }
 
 impl Session {
@@ -185,8 +207,9 @@ impl Session {
             design: design.to_owned(),
             seed: SessionSeed::Registry,
             netlist,
+            edits: Vec::new(),
             undo: Vec::new(),
-            history: Vec::new(),
+            ends: Vec::new(),
         })
     }
 
@@ -204,8 +227,9 @@ impl Session {
                 top: top.to_owned(),
             },
             netlist,
+            edits: Vec::new(),
             undo: Vec::new(),
-            history: Vec::new(),
+            ends: Vec::new(),
         })
     }
 
@@ -242,13 +266,25 @@ impl Session {
 
     /// The accepted edit batches, one per revision, in application
     /// order. `seed` + `history` replays the current netlist exactly.
-    pub fn history(&self) -> &[Vec<Edit>] {
-        &self.history
+    pub fn history(&self) -> impl Iterator<Item = &[Edit]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().map(|&e| e as usize));
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.edits[start..end as usize])
+    }
+
+    /// Heap bytes the revision history holds (edits, their inverses and
+    /// the step boundaries, at their allocated capacity; the boxed
+    /// payloads of add-net/add-device edits are not followed).
+    pub fn history_bytes(&self) -> usize {
+        self.edits.capacity() * std::mem::size_of::<Edit>()
+            + self.undo.capacity() * std::mem::size_of::<UndoAction>()
+            + self.ends.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Current revision: 0 is the seed, +1 per accepted ECO batch.
     pub fn revision(&self) -> u64 {
-        self.undo.len() as u64
+        self.ends.len() as u64
     }
 
     /// The current netlist (cloned by the caller for verification).
@@ -260,21 +296,29 @@ impl Session {
     /// On error the netlist is exactly as before and the revision does
     /// not advance.
     pub fn apply_batch(&mut self, edits: &[Edit]) -> Result<u64, String> {
-        let mut applied: Vec<UndoAction> = Vec::with_capacity(edits.len());
+        let start = self.edits.len();
+        let end =
+            u32::try_from(start + edits.len()).map_err(|_| "session history is full".to_owned())?;
         for (k, edit) in edits.iter().enumerate() {
             match self.apply_one(edit) {
-                Ok(undo) => applied.push(undo),
+                Ok(undo) => self.undo.push(undo),
                 Err(e) => {
-                    while let Some(u) = applied.pop() {
-                        u.revert(&mut self.netlist);
-                    }
+                    self.revert_to(start);
                     return Err(format!("edit {k}: {e}"));
                 }
             }
         }
-        self.undo.push(applied);
-        self.history.push(edits.to_vec());
+        self.edits.extend_from_slice(edits);
+        self.ends.push(end);
         Ok(self.revision())
+    }
+
+    /// Reverts, newest first, every applied edit from index `start` on.
+    fn revert_to(&mut self, start: usize) {
+        for u in self.undo.drain(start..).rev() {
+            u.revert(&mut self.netlist);
+        }
+        self.edits.truncate(start);
     }
 
     /// Rolls the netlist back to an earlier (or the current) revision.
@@ -285,13 +329,8 @@ impl Session {
                 self.revision()
             ));
         }
-        while self.revision() > revision {
-            let batch = self.undo.pop().expect("revision > 0 has a batch");
-            for u in batch.into_iter().rev() {
-                u.revert(&mut self.netlist);
-            }
-            self.history.pop();
-        }
+        self.ends.truncate(revision as usize);
+        self.revert_to(self.ends.last().map_or(0, |&e| e as usize));
         Ok(self.revision())
     }
 
@@ -325,38 +364,29 @@ impl Session {
             Edit::Op { op, site } => {
                 self.check_site(*site)?;
                 mutate::apply(&mut self.netlist, op, *site)
-                    .map(UndoAction::Mutation)
+                    .map(|m| UndoAction::Mutation(m.into_undo()))
                     .ok_or_else(|| format!("operator {} not applicable at site", op.name()))
             }
-            Edit::AddNet { name, kind } => {
-                self.netlist.add_net(name, *kind);
+            Edit::AddNet(net) => {
+                self.netlist.add_net(&net.name, net.kind);
                 Ok(UndoAction::PopNet)
             }
-            Edit::AddDevice {
-                name,
-                kind,
-                gate,
-                drain,
-                source,
-                bulk,
-                w,
-                l,
-            } => {
-                for n in [gate, drain, source, bulk] {
-                    self.check_net(*n)?;
+            Edit::AddDevice(d) => {
+                for n in [d.gate, d.drain, d.source, d.bulk] {
+                    self.check_net(n)?;
                 }
-                if !(*w > 0.0 && *l > 0.0) {
+                if !(d.w > 0.0 && d.l > 0.0) {
                     return Err("device geometry must be positive".into());
                 }
                 self.netlist.add_device(Device::mos(
-                    *kind,
-                    name.clone(),
-                    *gate,
-                    *drain,
-                    *source,
-                    *bulk,
-                    *w,
-                    *l,
+                    d.kind,
+                    d.name.clone(),
+                    d.gate,
+                    d.drain,
+                    d.source,
+                    d.bulk,
+                    d.w,
+                    d.l,
                 ));
                 Ok(UndoAction::PopDevice)
             }
@@ -471,29 +501,22 @@ pub fn edit_to_json(edit: &Edit) -> String {
             serde_json::to_string(op).expect("op serialization is infallible"),
             serde_json::to_string(site).expect("site serialization is infallible"),
         ),
-        Edit::AddNet { name, kind } => format!(
+        Edit::AddNet(net) => format!(
             "{{\"edit\":\"add-net\",\"name\":{},\"kind\":\"{}\"}}",
-            quoted(name),
-            net_kind_name(*kind)
+            quoted(&net.name),
+            net_kind_name(net.kind)
         ),
-        Edit::AddDevice {
-            name,
-            kind,
-            gate,
-            drain,
-            source,
-            bulk,
-            w,
-            l,
-        } => format!(
+        Edit::AddDevice(d) => format!(
             "{{\"edit\":\"add-device\",\"name\":{},\"kind\":\"{}\",\
-             \"gate\":{},\"drain\":{},\"source\":{},\"bulk\":{},\"w\":{w:?},\"l\":{l:?}}}",
-            quoted(name),
-            mos_kind_name(*kind),
-            gate.index(),
-            drain.index(),
-            source.index(),
-            bulk.index(),
+             \"gate\":{},\"drain\":{},\"source\":{},\"bulk\":{},\"w\":{:?},\"l\":{:?}}}",
+            quoted(&d.name),
+            mos_kind_name(d.kind),
+            d.gate.index(),
+            d.drain.index(),
+            d.source.index(),
+            d.bulk.index(),
+            d.w,
+            d.l,
         ),
         Edit::Resize { device, w, l } => format!(
             "{{\"edit\":\"resize\",\"device\":{},\"w\":{w:?},\"l\":{l:?}}}",
@@ -520,11 +543,11 @@ pub fn edit_from_json(v: &Value) -> Result<Edit, String> {
                 site: mutate::site_from_json(site).map_err(|e| e.to_string())?,
             })
         }
-        "add-net" => Ok(Edit::AddNet {
+        "add-net" => Ok(Edit::AddNet(Box::new(NewNet {
             name: str_field(v, "name")?.to_owned(),
             kind: parse_net_kind(str_field(v, "kind")?)?,
-        }),
-        "add-device" => Ok(Edit::AddDevice {
+        }))),
+        "add-device" => Ok(Edit::AddDevice(Box::new(NewDevice {
             name: str_field(v, "name")?.to_owned(),
             kind: parse_mos_kind(str_field(v, "kind")?)?,
             gate: NetId(id_field(v, "gate")?),
@@ -533,7 +556,7 @@ pub fn edit_from_json(v: &Value) -> Result<Edit, String> {
             bulk: NetId(id_field(v, "bulk")?),
             w: f64_field(v, "w")?,
             l: f64_field(v, "l")?,
-        }),
+        }))),
         "resize" => Ok(Edit::Resize {
             device: DeviceId(id_field(v, "device")?),
             w: f64_field(v, "w")?,
@@ -608,10 +631,10 @@ mod tests {
         let rev1 = s.netlist().clone();
 
         let r2 = s
-            .apply_batch(&[Edit::AddNet {
+            .apply_batch(&[Edit::AddNet(Box::new(NewNet {
                 name: "scratch".into(),
                 kind: NetKind::Signal,
-            }])
+            }))])
             .unwrap();
         assert_eq!(r2, 2);
 
@@ -648,6 +671,50 @@ mod tests {
             "rollback reproduces the seed exactly"
         );
         assert!(s.rollback_to(5).is_err(), "cannot roll forward");
+    }
+
+    #[test]
+    fn history_is_flat_and_small() {
+        assert!(std::mem::size_of::<Edit>() <= 40);
+        assert!(std::mem::size_of::<UndoAction>() <= 32);
+
+        // 1,000 one-edit steps: one record per step in each of the two
+        // flat vectors plus one boundary, whatever the step count.
+        let p = process();
+        let mut s = Session::open("ripple2", &p).unwrap();
+        let seed = s.netlist().clone();
+        let devices = seed.devices().len() as u32;
+        let step = |k: u32| Edit::Op {
+            op: MutationOp::WidthScale {
+                factor: if k.is_multiple_of(2) { 1.02 } else { 0.98 },
+            },
+            site: Site::Device(DeviceId(k % devices)),
+        };
+        for k in 0..1000 {
+            assert_eq!(s.apply_batch(&[step(k)]).unwrap(), u64::from(k) + 1);
+        }
+        assert_eq!(
+            (s.edits.len(), s.undo.len(), s.ends.len()),
+            (1000, 1000, 1000)
+        );
+        assert!(s.history().zip(0..).all(|(batch, k)| batch == [step(k)]));
+        assert!(
+            s.history_bytes() <= 100 * 1000,
+            "{} bytes for 1,000 one-edit steps",
+            s.history_bytes()
+        );
+
+        // The flat layout replays and rolls back like the nested one.
+        let steps: Vec<Vec<Edit>> = s.history().map(<[Edit]>::to_vec).collect();
+        let replayed = Session::replay("ripple2", &SessionSeed::Registry, &steps, &p).unwrap();
+        assert!(same_netlist(replayed.netlist(), s.netlist()));
+        assert_eq!(s.rollback_to(400).unwrap(), 400);
+        assert_eq!((s.edits.len(), s.undo.len()), (400, 400));
+        let partial = Session::replay("ripple2", &SessionSeed::Registry, &steps[..400], &p);
+        assert!(same_netlist(partial.unwrap().netlist(), s.netlist()));
+        assert_eq!(s.rollback_to(0).unwrap(), 0);
+        assert!(same_netlist(s.netlist(), &seed));
+        assert_eq!(s.history().count(), 0);
     }
 
     #[test]
@@ -700,7 +767,7 @@ mod tests {
                 term: Term::Gate,
                 net: NetId(u32::MAX),
             },
-            Edit::AddDevice {
+            Edit::AddDevice(Box::new(NewDevice {
                 name: "m".into(),
                 kind: MosKind::Nmos,
                 gate: NetId(u32::MAX),
@@ -709,7 +776,7 @@ mod tests {
                 bulk: NetId(0),
                 w: 1e-6,
                 l: 1e-7,
-            },
+            })),
             Edit::Op {
                 op: MutationOp::KeeperDelete,
                 site: Site::Device(DeviceId(u32::MAX)),

@@ -186,7 +186,7 @@ pub fn write_state_atomic(path: &str, json: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{Edit, Session};
+    use crate::session::{Edit, NewNet, Session};
     use cbv_core::netlist::{DeviceId, NetKind};
     use cbv_core::tech::Process;
 
@@ -203,10 +203,10 @@ mod tests {
                         w: 2.5e-6,
                         l: 3.5e-7,
                     }],
-                    vec![Edit::AddNet {
+                    vec![Edit::AddNet(Box::new(NewNet {
                         name: "scratch \"x\"".to_owned(),
                         kind: NetKind::Signal,
-                    }],
+                    }))],
                 ],
             },
         );
@@ -250,7 +250,7 @@ mod tests {
         let snapshot = SavedSession {
             design: live.design().to_owned(),
             seed: live.seed().clone(),
-            steps: live.history().to_vec(),
+            steps: live.history().map(<[Edit]>::to_vec).collect(),
         };
         let json = state_to_json(
             &BTreeMap::from([("s".to_owned(), snapshot)]),

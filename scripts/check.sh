@@ -171,6 +171,14 @@ wait "$SERVED_PID"
 SERVED_PID=
 echo "   signoff bytes survive save -> restart -> restore"
 
+# The daemon's footprint contract, in counts only: over a 2,000-step
+# lockstep session the shared tier stays within its default bound, a
+# request copies out at most its own design's keys, and the session
+# history stays under 100 bytes a step — with the final signoff bytes
+# equal to the in-process replay.
+echo "== footprint gate (long lockstep session: tier bound, keyed fetch, session bytes) =="
+cargo test -q -p cbv-serve --test footprint
+
 # The auto-repair closed loop: break a registry design with a keeper
 # shrink over the wire, ask the daemon to repair it, and demand the
 # repaired signoff byte-identical to the clean design's replay — the

@@ -739,3 +739,85 @@ fn recompilation_is_byte_identical() {
         assert_eq!(&bytes[..8], b"CBVCSIM1", "{}: magic", spec.name);
     }
 }
+
+proptest! {
+    /// A bounded `VerifyCache` evicts in batches (one pass per absorb,
+    /// per capacity change) where it used to evict one entry per
+    /// insert. Against a model that does exactly that — a recency list
+    /// that drops its single oldest entry whenever an insert finds it
+    /// full — every sequence of inserts, lookups, absorbs and
+    /// re-boundings must leave the same keys resident and the same
+    /// eviction tally.
+    #[test]
+    fn batch_eviction_equals_one_at_a_time(
+        cap in 1usize..9,
+        ops in proptest::collection::vec((0u8..4, 0u64..24, 1usize..12), 1..80),
+    ) {
+        use cbv_core::cache::{CacheKey, UnitResult, VerifyCache};
+
+        let key = |i: u64| CacheKey { env: 1, content: i, binding: i };
+        /// Keys oldest-first, a capacity, and the evictions so far.
+        struct Model(Vec<u64>, usize, usize);
+        impl Model {
+            fn touch(&mut self, k: u64) -> bool {
+                let at = self.0.iter().position(|&x| x == k);
+                if let Some(at) = at {
+                    self.0.remove(at);
+                    self.0.push(k);
+                }
+                at.is_some()
+            }
+            fn insert(&mut self, k: u64) {
+                if !self.touch(k) {
+                    while self.0.len() >= self.1 {
+                        self.0.remove(0);
+                        self.2 += 1;
+                    }
+                    self.0.push(k);
+                }
+            }
+        }
+
+        let mut cache = VerifyCache::with_capacity(cap);
+        let mut model = Model(Vec::new(), cap, 0);
+        for &(kind, k, n) in &ops {
+            match kind {
+                0 => {
+                    cache.insert(key(k), UnitResult::default());
+                    model.insert(k);
+                }
+                1 => {
+                    prop_assert_eq!(cache.get(&key(k)).is_some(), model.touch(k));
+                }
+                2 => {
+                    // Absorb a batch of `n` consecutive keys: existing
+                    // entries win (and keep their recency), the rest
+                    // arrive in sorted key order.
+                    let mut batch = VerifyCache::new();
+                    for i in k..k + n as u64 {
+                        batch.insert(key(i), UnitResult::default());
+                    }
+                    let fresh: Vec<u64> =
+                        (k..k + n as u64).filter(|i| !model.0.contains(i)).collect();
+                    prop_assert_eq!(cache.absorb(&batch), fresh.len());
+                    for i in fresh {
+                        model.insert(i);
+                    }
+                }
+                _ => {
+                    cache.set_capacity(Some(n));
+                    model.1 = n;
+                    while model.0.len() > n {
+                        model.0.remove(0);
+                        model.2 += 1;
+                    }
+                }
+            }
+            let resident: Vec<u64> = (0..36).filter(|&i| cache.contains(&key(i))).collect();
+            let mut expected = model.0.clone();
+            expected.sort_unstable();
+            prop_assert_eq!(resident, expected);
+            prop_assert_eq!(cache.evictions(), model.2);
+        }
+    }
+}
