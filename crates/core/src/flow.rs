@@ -16,13 +16,13 @@
 use std::time::{Duration, Instant};
 
 use cbv_cache::{
-    clock_tree_digest, env_fingerprint, fingerprint_design, recognition_timing_digest,
-    sta_structure_digest, CacheKey, CacheStats, StaLineage, TimingKey, TimingPayload, TimingSpace,
-    UnitFingerprint, UnitResult, VerifyCache,
+    clock_tree_digest, recognition_timing_digest, sta_structure_digest, CacheKey, CacheStats,
+    StaLineage, TimingKey, TimingPayload, TimingSpace, UnitFingerprint, UnitResult, VerifyCache,
 };
-use cbv_everify::{CheckKind, CheckScope, EverifyConfig, Finding, Severity, Subject};
+use cbv_everify::EverifyConfig;
 use cbv_exec::Executor;
 use cbv_extract::Extracted;
+use cbv_layout::Layout;
 use cbv_netlist::{FlatNetlist, NetId};
 use cbv_obs::{TraceCtx, Tracer};
 use cbv_power::ActivityModel;
@@ -30,6 +30,7 @@ use cbv_recognize::Recognition;
 use cbv_tech::{Process, Seconds, Tolerance};
 use cbv_timing::{ClockSchedule, ClockSkew, DelayCalc, Pessimism, TimingGraph};
 
+use crate::scatter::{run_flow_tiered, LocalBackend};
 use crate::signoff::Signoff;
 
 /// Flow configuration knobs.
@@ -226,45 +227,21 @@ pub fn try_run_flow(
 /// `timing`, the per-check finding counters, and busy-time gauges; the
 /// tracer is flushed before returning. The signoff and report are
 /// byte-identical whether tracing is enabled or not.
-pub fn run_flow(mut netlist: FlatNetlist, process: &Process, config: &FlowConfig) -> FlowReport {
+pub fn run_flow(netlist: FlatNetlist, process: &Process, config: &FlowConfig) -> FlowReport {
     let mut stages = Vec::new();
-    let mut drc_violations = 0usize;
     let exec = Executor::threads(config.parallelism);
     let tracer = &config.tracer;
     let root = tracer.span_in(config.trace_parent, "flow");
     let flow = TraceCtx::under(tracer, &root);
 
-    // 1. Circuit recognition (§2.3).
-    let recognition = timed(&mut stages, flow, "recognize", |_| {
-        let r = cbv_recognize::recognize(&mut netlist);
-        let n = r.cccs.len();
-        (r, n, None)
-    });
-
-    // 2. Layout assistance (§2.2).
-    let layout = timed(&mut stages, flow, "layout", |_| {
-        let l = cbv_layout::synthesize(&mut netlist, process);
-        let n = l.shapes.len();
-        (l, n, None)
-    });
-
-    // 2b. Optional geometric DRC over the assisted layout.
-    if config.check_drc {
-        let rules = cbv_layout::Rules::for_process(process);
-        let violations = timed(&mut stages, flow, "drc", |_| {
-            let v = cbv_layout::check_drc(&layout, &netlist, &rules, 10_000);
-            let n = v.len();
-            (v, n, None)
-        });
-        drc_violations = violations.len();
-    }
-
-    // 3. Extraction (§4.3 inputs).
-    let extracted = timed(&mut stages, flow, "extract", |_| {
-        let e = cbv_extract::extract(&layout, &netlist, process);
-        let n = e.iter().count();
-        (e, n, None)
-    });
+    // 1–3. Recognition, layout assistance, optional DRC, extraction.
+    let (prep, drc_violations) = serial_prep(&mut stages, flow, netlist, process, config.check_drc);
+    let Prep {
+        netlist,
+        recognition,
+        layout,
+        extracted,
+    } = &prep;
 
     // 4. Electrical verification battery (§4.2), checks fanned out
     // across the executor's workers — one `check:<kind>` span each, a
@@ -273,10 +250,10 @@ pub fn run_flow(mut netlist: FlatNetlist, process: &Process, config: &FlowConfig
     everify_cfg.tolerance = config.tolerance;
     let ereport = timed(&mut stages, flow, "everify", |ctx| {
         let checks = cbv_everify::battery(
-            &netlist,
-            &recognition,
-            &extracted,
-            Some(&layout),
+            netlist,
+            recognition,
+            extracted,
+            Some(layout),
             process,
             &everify_cfg,
         );
@@ -287,33 +264,26 @@ pub fn run_flow(mut netlist: FlatNetlist, process: &Process, config: &FlowConfig
     });
 
     // 5. Timing verification (§4.3).
-    let schedule = config.schedule.clone().unwrap_or_else(|| {
-        let name = recognition
-            .clock_nets
-            .first()
-            .map(|&c| netlist.net_name(c).to_owned())
-            .unwrap_or_else(|| "clk".to_owned());
-        ClockSchedule::single(name, process.f_target().period())
-    });
+    let schedule = schedule_of(config, &prep, process);
     let calc = DelayCalc::new(process, config.tolerance, config.pessimism);
     let (sta, n_constraints) = timed(&mut stages, flow, "timing", |ctx| {
         let (graph, graph_busy) = cbv_timing::graph::build_graph_traced(
-            &netlist,
-            &recognition,
-            &extracted,
+            netlist,
+            recognition,
+            extracted,
             &calc,
             &exec,
             ctx,
         );
         let serial_start = Instant::now();
         let constraints =
-            cbv_timing::infer_constraints(&netlist, &recognition, process, &config.pessimism);
+            cbv_timing::infer_constraints(netlist, recognition, process, &config.pessimism);
         let skews: Vec<_> = recognition
             .clock_nets
             .iter()
             .filter_map(|&c| {
                 cbv_timing::clock_skew_bounds(
-                    &extracted,
+                    extracted,
                     c,
                     cbv_tech::Ohms::new(200.0),
                     &config.tolerance,
@@ -323,7 +293,7 @@ pub fn run_flow(mut netlist: FlatNetlist, process: &Process, config: &FlowConfig
         let r = {
             let _sta_span = ctx.span("sta");
             cbv_timing::analyze(
-                &netlist,
+                netlist,
                 &graph,
                 &constraints,
                 &schedule,
@@ -344,48 +314,154 @@ pub fn run_flow(mut netlist: FlatNetlist, process: &Process, config: &FlowConfig
         ((r, n), graph.arcs.len(), Some(cpu))
     });
 
-    // 6. Power estimation (§3).
-    let power = timed(&mut stages, flow, "power", |_| {
-        let p = cbv_power::dynamic_power(
-            &netlist,
-            &recognition,
-            &extracted,
-            process,
-            process.f_target(),
-            &ActivityModel::uniform(config.activity),
-        );
-        (p, 1, None)
-    });
-
-    let mut signoff = Signoff::default();
-    if config.check_drc {
-        signoff.add_drc(drc_violations);
-    }
-    signoff.add_everify(&ereport);
-    signoff.add_timing(&sta, n_constraints);
-    signoff.set_power(power.total());
+    // 6. Power estimation (§3) and the signoff roll-up.
+    let signoff = power_and_signoff(
+        &mut stages,
+        flow,
+        &prep,
+        process,
+        config,
+        drc_violations,
+        &ereport,
+        &sta,
+        n_constraints,
+    );
 
     drop(root);
     tracer.flush();
 
     FlowReport {
         stages,
-        recognition,
+        recognition: prep.recognition,
         signoff,
         everify: ereport,
         sta,
-        netlist,
+        netlist: prep.netlist,
         fresh: Vec::new(),
         fresh_timing: Vec::new(),
     }
 }
 
+/// What stages 1–3 leave behind: the annotated netlist and the three
+/// representations every later stage reads.
+pub(crate) struct Prep {
+    pub netlist: FlatNetlist,
+    pub recognition: Recognition,
+    pub layout: Layout,
+    pub extracted: Extracted,
+}
+
+/// Stages 1–3 of Fig 2, one row each: circuit recognition (§2.3), layout
+/// assistance (§2.2), optional geometric DRC over the assisted layout,
+/// extraction (the §4.3 inputs). The one definition of the serial prep —
+/// the cold flow, the cached driver's prep-miss branch and
+/// [`PreparedDesign::build`](crate::scatter::PreparedDesign::build) all
+/// run this. Returns the DRC violation count when DRC ran.
+pub(crate) fn serial_prep(
+    stages: &mut Vec<StageReport>,
+    flow: TraceCtx<'_>,
+    mut netlist: FlatNetlist,
+    process: &Process,
+    check_drc: bool,
+) -> (Prep, Option<usize>) {
+    let recognition = timed(stages, flow, "recognize", |_| {
+        let r = cbv_recognize::recognize(&mut netlist);
+        let n = r.cccs.len();
+        (r, n, None)
+    });
+    let layout = timed(stages, flow, "layout", |_| {
+        let l = cbv_layout::synthesize(&mut netlist, process);
+        let n = l.shapes.len();
+        (l, n, None)
+    });
+    let drc_violations = check_drc.then(|| drc_row(stages, flow, &layout, &netlist, process));
+    let extracted = timed(stages, flow, "extract", |_| {
+        let e = cbv_extract::extract(&layout, &netlist, process);
+        let n = e.iter().count();
+        (e, n, None)
+    });
+    let prep = Prep {
+        netlist,
+        recognition,
+        layout,
+        extracted,
+    };
+    (prep, drc_violations)
+}
+
+/// The `drc` row: geometric DRC over the assisted layout, returning the
+/// violation count. It reports per run rather than priming the prep, so
+/// a run whose prep was answered from a shared cache re-runs it against
+/// the cached layout.
+pub(crate) fn drc_row(
+    stages: &mut Vec<StageReport>,
+    flow: TraceCtx<'_>,
+    layout: &Layout,
+    netlist: &FlatNetlist,
+    process: &Process,
+) -> usize {
+    let rules = cbv_layout::Rules::for_process(process);
+    timed(stages, flow, "drc", |_| {
+        let n = cbv_layout::check_drc(layout, netlist, &rules, 10_000).len();
+        (n, n, None)
+    })
+}
+
+/// The schedule timing verifies against: the configured one, else a
+/// single-phase schedule at the process target frequency on the design's
+/// first recognized clock.
+pub(crate) fn schedule_of(config: &FlowConfig, prep: &Prep, process: &Process) -> ClockSchedule {
+    config.schedule.clone().unwrap_or_else(|| {
+        let name = prep
+            .recognition
+            .clock_nets
+            .first()
+            .map(|&c| prep.netlist.net_name(c).to_owned())
+            .unwrap_or_else(|| "clk".to_owned());
+        ClockSchedule::single(name, process.f_target().period())
+    })
+}
+
+/// The flow's last row — power estimation (§3), cheap and always
+/// recomputed — and the [`Signoff`] roll-up over everything the run
+/// found. `drc_violations` is `Some` exactly when DRC ran.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn power_and_signoff(
+    stages: &mut Vec<StageReport>,
+    flow: TraceCtx<'_>,
+    prep: &Prep,
+    process: &Process,
+    config: &FlowConfig,
+    drc_violations: Option<usize>,
+    ereport: &cbv_everify::Report,
+    sta: &cbv_timing::StaReport,
+    n_constraints: usize,
+) -> Signoff {
+    let power = timed(stages, flow, "power", |_| {
+        let p = cbv_power::dynamic_power(
+            &prep.netlist,
+            &prep.recognition,
+            &prep.extracted,
+            process,
+            process.f_target(),
+            &ActivityModel::uniform(config.activity),
+        );
+        (p, 1, None)
+    });
+    let mut signoff = Signoff::default();
+    if let Some(n) = drc_violations {
+        signoff.add_drc(n);
+    }
+    signoff.add_everify(ereport);
+    signoff.add_timing(sta, n_constraints);
+    signoff.set_power(power.total());
+    signoff
+}
+
 /// Fingerprint lookup plus the conservative one-step fanout closure: a
 /// unit is dirty when its fingerprint misses `cache`, or it is a clean
-/// CCC whose fanin boundary crosses a fingerprint-dirty CCC. Shared by
-/// [`run_flow_incremental`] and the farm's scatter-gather flow so both
-/// compute the exact same dirty set (a lookup also refreshes recency on
-/// a bounded cache, identically in both flows).
+/// CCC whose fanin boundary crosses a fingerprint-dirty CCC. A lookup
+/// also refreshes the entry's recency on a bounded cache.
 pub(crate) fn dirty_closure(
     cache: &VerifyCache,
     env: u64,
@@ -427,7 +503,7 @@ const CLOCK_DRIVER_OHMS: f64 = 200.0;
 /// is named in a second step ([`TimingKeys::sta`]) once they are at
 /// hand — which is what lets a shared tier answer the whole timing
 /// remainder in the same locked batch as the unit keys.
-pub(crate) struct TimingKeys<'a> {
+pub(crate) struct TimingKeys {
     env: u64,
     constraints: TimingKey,
     graph: TimingKey,
@@ -435,30 +511,25 @@ pub(crate) struct TimingKeys<'a> {
     /// clock net with no extracted RC (no bounds, nothing to cache).
     skews: Vec<Option<TimingKey>>,
     net_count: usize,
-    schedule: &'a ClockSchedule,
+    schedule: ClockSchedule,
 }
 
-impl<'a> TimingKeys<'a> {
-    pub(crate) fn of(
-        netlist: &FlatNetlist,
-        recognition: &Recognition,
-        extracted: &Extracted,
-        env: u64,
-        schedule: &'a ClockSchedule,
-    ) -> TimingKeys<'a> {
-        let rec_digest = recognition_timing_digest(netlist, recognition);
+impl TimingKeys {
+    pub(crate) fn of(prep: &Prep, env: u64, schedule: ClockSchedule) -> TimingKeys {
+        let rec_digest = recognition_timing_digest(&prep.netlist, &prep.recognition);
         let key = |space, digest| TimingKey { env, space, digest };
         TimingKeys {
             env,
-            net_count: netlist.net_count(),
+            net_count: prep.netlist.net_count(),
             schedule,
             constraints: key(TimingSpace::Constraints, rec_digest),
             graph: key(TimingSpace::Graph, rec_digest),
-            skews: recognition
+            skews: prep
+                .recognition
                 .clock_nets
                 .iter()
                 .map(|&c| {
-                    extracted.net(c).map(|en| {
+                    prep.extracted.net(c).map(|en| {
                         let tree = clock_tree_digest(c, en.rc.content_digest(), CLOCK_DRIVER_OHMS);
                         key(TimingSpace::Skew, tree)
                     })
@@ -516,7 +587,7 @@ impl<'a> TimingKeys<'a> {
                 launches,
                 cut_nets,
                 constraints,
-                self.schedule,
+                &self.schedule,
                 skews,
             ),
         }
@@ -546,8 +617,7 @@ pub(crate) struct TimingRemainder {
 
 /// The serial timing remainder — splice, graph assembly, constraint
 /// inference, clock-RC skew, STA — with every artifact content-addressed
-/// against `cache`'s timing tier. Shared by [`run_flow_incremental`] and
-/// the farm's scatter-gather flow so both replay identically:
+/// against `cache`'s timing tier:
 ///
 /// - constraints and the graph's launch/cut structure are keyed by the
 ///   recognition-relevant content digest (they never read arc delays);
@@ -569,12 +639,10 @@ pub(crate) struct TimingRemainder {
 /// caller's (it owns the `&mut` and decides based on poisoning).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn timing_remainder(
-    netlist: &FlatNetlist,
-    recognition: &Recognition,
-    extracted: &Extracted,
+    prep: &Prep,
     process: &Process,
     config: &FlowConfig,
-    keys: &TimingKeys<'_>,
+    keys: &TimingKeys,
     units: &[UnitResult],
     unit_fps: &[UnitFingerprint],
     cache: &VerifyCache,
@@ -598,7 +666,12 @@ pub(crate) fn timing_remainder(
         }
         _ => {
             misses += 1;
-            let c = cbv_timing::infer_constraints(netlist, recognition, process, &config.pessimism);
+            let c = cbv_timing::infer_constraints(
+                &prep.netlist,
+                &prep.recognition,
+                process,
+                &config.pessimism,
+            );
             fresh.push((cons_key, TimingPayload::Constraints(c.clone())));
             c
         }
@@ -618,7 +691,7 @@ pub(crate) fn timing_remainder(
         }
         _ => {
             misses += 1;
-            let g = cbv_timing::graph_from_arcs(netlist, recognition, arcs);
+            let g = cbv_timing::graph_from_arcs(&prep.netlist, &prep.recognition, arcs);
             fresh.push((
                 graph_key,
                 TimingPayload::Graph {
@@ -636,7 +709,7 @@ pub(crate) fn timing_remainder(
     // are cached too — the negative result costs the same walk.
     let r_driver = cbv_tech::Ohms::new(CLOCK_DRIVER_OHMS);
     let mut skews: Vec<ClockSkew> = Vec::new();
-    for (&c, key) in recognition.clock_nets.iter().zip(&keys.skews) {
+    for (&c, key) in prep.recognition.clock_nets.iter().zip(&keys.skews) {
         let skew = match *key {
             None => None,
             Some(key) => match cache.get_timing(&key) {
@@ -646,8 +719,12 @@ pub(crate) fn timing_remainder(
                 }
                 _ => {
                     misses += 1;
-                    let s =
-                        cbv_timing::clock_skew_bounds(extracted, c, r_driver, &config.tolerance);
+                    let s = cbv_timing::clock_skew_bounds(
+                        &prep.extracted,
+                        c,
+                        r_driver,
+                        &config.tolerance,
+                    );
                     fresh.push((key, TimingPayload::Skew(s.clone())));
                     s
                 }
@@ -656,7 +733,7 @@ pub(crate) fn timing_remainder(
         skews.extend(skew);
     }
 
-    let schedule = keys.schedule;
+    let schedule = &keys.schedule;
     let sta_key = keys.sta_key(&graph.launches, &graph.cut_nets, &constraints, &skews);
     // Endpoint nets of one unit's arcs — computed only for units whose
     // fingerprint moved (and once for everything on a structure miss);
@@ -684,7 +761,7 @@ pub(crate) fn timing_remainder(
             dirty.dedup();
             let stale = !dirty.is_empty();
             if let Some((report, snapshot)) = cbv_timing::analyze_incremental(
-                netlist,
+                &prep.netlist,
                 &graph,
                 &constraints,
                 schedule,
@@ -728,7 +805,7 @@ pub(crate) fn timing_remainder(
         None => {
             misses += 1;
             let (report, snapshot) = cbv_timing::analyze_with_snapshot(
-                netlist,
+                &prep.netlist,
                 &graph,
                 &constraints,
                 schedule,
@@ -763,7 +840,9 @@ pub(crate) fn timing_remainder(
     }
 }
 
-/// Runs the verification flow incrementally against a [`VerifyCache`].
+/// Runs the verification flow incrementally against a [`VerifyCache`]:
+/// the cached flow driver ([`crate::scatter`]) on an owned cache, with
+/// the in-process unit backend and no shared prep.
 ///
 /// The ECO loop of §2.3: recognition, layout and extraction always run
 /// (they are the inputs the fingerprints are computed *from*), then each
@@ -782,316 +861,12 @@ pub(crate) fn timing_remainder(
 /// for the next call. Stage reports for `everify` and `timing` carry
 /// [`CacheStats`] so the savings are visible.
 pub fn run_flow_incremental(
-    mut netlist: FlatNetlist,
+    netlist: FlatNetlist,
     process: &Process,
     config: &FlowConfig,
     cache: &mut VerifyCache,
 ) -> FlowReport {
-    let mut stages = Vec::new();
-    let mut drc_violations = 0usize;
-    let exec = Executor::threads(config.parallelism);
-    let tracer = &config.tracer;
-    let root = tracer.span_in(config.trace_parent, "flow");
-    let flow = TraceCtx::under(tracer, &root);
-
-    // 1–3. Recognition, layout, extraction: identical to the cold flow.
-    let recognition = timed(&mut stages, flow, "recognize", |_| {
-        let r = cbv_recognize::recognize(&mut netlist);
-        let n = r.cccs.len();
-        (r, n, None)
-    });
-    let layout = timed(&mut stages, flow, "layout", |_| {
-        let l = cbv_layout::synthesize(&mut netlist, process);
-        let n = l.shapes.len();
-        (l, n, None)
-    });
-    if config.check_drc {
-        let rules = cbv_layout::Rules::for_process(process);
-        let violations = timed(&mut stages, flow, "drc", |_| {
-            let v = cbv_layout::check_drc(&layout, &netlist, &rules, 10_000);
-            let n = v.len();
-            (v, n, None)
-        });
-        drc_violations = violations.len();
-    }
-    let extracted = timed(&mut stages, flow, "extract", |_| {
-        let e = cbv_extract::extract(&layout, &netlist, process);
-        let n = e.iter().count();
-        (e, n, None)
-    });
-
-    let mut everify_cfg = EverifyConfig::for_process(process);
-    everify_cfg.tolerance = config.tolerance;
-
-    // 4. Fingerprint every unit and compute the dirty closure.
-    let n_cccs = recognition.cccs.len();
-    let (env, fps, dirty) = timed(&mut stages, flow, "fingerprint", |_| {
-        let env = env_fingerprint(process, &config.tolerance, &config.pessimism, &everify_cfg);
-        let fps = fingerprint_design(&netlist, &recognition, &extracted);
-        let dirty = dirty_closure(cache, env, &fps, &recognition);
-        let n_units = fps.units.len();
-        ((env, fps, dirty), n_units, None)
-    });
-
-    // 5. Electrical battery (§4.2): re-verify dirty units in parallel,
-    // replay the rest from cache. `per_unit` accumulates every unit's
-    // payload in fixed unit order; timing arcs are filled in below. A
-    // unit whose battery panics is isolated into a ToolError finding
-    // naming it and marked *poisoned* — reported, but never cached.
-    let scopes = CheckScope::partition(&netlist, &recognition);
-    debug_assert_eq!(scopes.len(), fps.units.len());
-    let dirty_units: Vec<usize> = (0..scopes.len()).filter(|&i| dirty[i]).collect();
-    let everify_stats = CacheStats {
-        hits: scopes.len() - dirty_units.len(),
-        misses: dirty_units.len(),
-        ..CacheStats::default()
-    };
-    let mut poisoned = vec![false; scopes.len()];
-    let (ereport, mut per_unit) = timed(&mut stages, flow, "everify", |ctx| {
-        let (fresh, busy) = exec.try_map_traced(
-            ctx,
-            dirty_units.clone(),
-            |i| {
-                check_deadline(config.deadline);
-                cbv_everify::run_scoped(
-                    &netlist,
-                    &recognition,
-                    &extracted,
-                    Some(&layout),
-                    process,
-                    &everify_cfg,
-                    &scopes[i],
-                )
-            },
-            |k| format!("unit:{}", dirty_units[k]),
-        );
-        ctx.tracer.gauge("everify.busy_s", busy.as_secs_f64());
-        let mut fresh = fresh.into_iter();
-        let per_unit: Vec<UnitResult> = (0..scopes.len())
-            .map(|i| {
-                if dirty[i] {
-                    match fresh.next().expect("one result per dirty unit") {
-                        Ok(r) => UnitResult {
-                            findings: r.raw_findings().to_vec(),
-                            checked: r.checked_count(),
-                            filtered: r.filtered_count(),
-                            arcs: Vec::new(),
-                        },
-                        Err(p) => {
-                            poisoned[i] = true;
-                            UnitResult {
-                                findings: vec![Finding {
-                                    check: CheckKind::Tool,
-                                    subject: Subject::Unit(i as u32),
-                                    severity: Severity::ToolError,
-                                    stress: f64::INFINITY,
-                                    message: format!("everify unit {i} panicked: {}", p.message),
-                                }],
-                                checked: 0,
-                                filtered: 0,
-                                arcs: Vec::new(),
-                            }
-                        }
-                    }
-                } else {
-                    cache
-                        .get(&CacheKey::new(env, fps.units[i]))
-                        .expect("clean unit has a cache entry")
-                        .clone()
-                }
-            })
-            .collect();
-        let merged = cbv_everify::Report::from_parts(
-            everify_cfg.filter_threshold,
-            per_unit.iter().flat_map(|u| u.findings.clone()).collect(),
-            per_unit.iter().map(|u| u.checked).sum(),
-            per_unit.iter().map(|u| u.filtered).sum(),
-        );
-        let n = merged.checked_count();
-        ((merged, per_unit), n, Some(busy))
-    });
-    stages.last_mut().expect("everify stage").cache = Some(everify_stats);
-    tracer.add("cache.everify.hits", everify_stats.hits as u64);
-    tracer.add("cache.everify.misses", everify_stats.misses as u64);
-    tracer.add("fingerprint.dirty_units", dirty_units.len() as u64);
-
-    // 6. Timing (§4.3): recompute arcs for dirty CCCs only, splice the
-    // cached arcs back in CCC index order — reproducing the cold graph's
-    // exact arc sequence — then run constraints, skew and STA as usual.
-    let schedule = config.schedule.clone().unwrap_or_else(|| {
-        let name = recognition
-            .clock_nets
-            .first()
-            .map(|&c| netlist.net_name(c).to_owned())
-            .unwrap_or_else(|| "clk".to_owned());
-        ClockSchedule::single(name, process.f_target().period())
-    });
-    let calc = DelayCalc::new(process, config.tolerance, config.pessimism);
-    let dirty_cccs: Vec<usize> = (0..n_cccs).filter(|&i| dirty[i]).collect();
-    let mut timing_stats = CacheStats {
-        hits: n_cccs - dirty_cccs.len(),
-        misses: dirty_cccs.len(),
-        ..CacheStats::default()
-    };
-    // Arc computations that panicked: the CCC's arcs are dropped (its
-    // timing is unverified), the unit is poisoned, and a ToolError
-    // finding is merged into the everify report so signoff cannot be
-    // clean.
-    let mut timing_panics: Vec<Finding> = Vec::new();
-    let remainder = timed(&mut stages, flow, "timing", |ctx| {
-        let (fresh_arcs, graph_busy) = exec.try_map_traced(
-            ctx,
-            dirty_cccs.clone(),
-            |i| {
-                check_deadline(config.deadline);
-                cbv_timing::graph::ccc_arcs(&netlist, &recognition, &extracted, &calc, i)
-            },
-            |k| format!("arcs:{}", dirty_cccs[k]),
-        );
-        let serial_start = Instant::now();
-        let mut fresh_arcs = fresh_arcs.into_iter();
-        for (i, unit) in per_unit.iter_mut().take(n_cccs).enumerate() {
-            if dirty[i] {
-                match fresh_arcs.next().expect("one arc set per dirty CCC") {
-                    Ok(arcs) => unit.arcs = arcs,
-                    Err(p) => {
-                        poisoned[i] = true;
-                        unit.arcs = Vec::new();
-                        timing_panics.push(Finding {
-                            check: CheckKind::Tool,
-                            subject: Subject::Unit(i as u32),
-                            severity: Severity::ToolError,
-                            stress: f64::INFINITY,
-                            message: format!("timing arcs for CCC {i} panicked: {}", p.message),
-                        });
-                    }
-                }
-            }
-        }
-        let rem = timing_remainder(
-            &netlist,
-            &recognition,
-            &extracted,
-            process,
-            config,
-            &TimingKeys::of(&netlist, &recognition, &extracted, env, &schedule),
-            &per_unit[..n_cccs],
-            &fps.units[..n_cccs],
-            cache,
-            ctx,
-        );
-        ctx.tracer
-            .gauge("timing.graph_busy_s", graph_busy.as_secs_f64());
-        let n_arcs = rem.n_arcs;
-        let cpu = graph_busy + serial_start.elapsed();
-        (rem, n_arcs, Some(cpu))
-    });
-    let TimingRemainder {
-        sta,
-        n_constraints,
-        hits: rem_hits,
-        misses: rem_misses,
-        fresh: fresh_timing,
-        ..
-    } = remainder;
-    timing_stats.hits += rem_hits;
-    timing_stats.misses += rem_misses;
-    stages.last_mut().expect("timing stage").cache = Some(timing_stats);
-    tracer.add("cache.timing.hits", timing_stats.hits as u64);
-    tracer.add("cache.timing.misses", timing_stats.misses as u64);
-
-    // Prime the cache with the re-verified units, now that both their
-    // findings and arcs are known. Poisoned units (battery or arc panic)
-    // are *not* cached: their stored payload would be the failure
-    // artifact, and a later run must re-attempt them. On a bounded
-    // cache these inserts may evict; the delta lands in the everify
-    // stage's stats so a daemon's flow summaries show cache pressure.
-    let evictions_before = cache.evictions();
-    let mut fresh_keys = Vec::new();
-    for i in 0..per_unit.len() {
-        if dirty[i] && !poisoned[i] {
-            let key = CacheKey::new(env, fps.units[i]);
-            cache.insert(key, std::mem::take(&mut per_unit[i]));
-            fresh_keys.push(key);
-        }
-    }
-    let evicted = cache.evictions() - evictions_before;
-    if let Some(stats) = stages
-        .iter_mut()
-        .find(|s| s.stage == "everify")
-        .and_then(|s| s.cache.as_mut())
-    {
-        stats.evictions = evicted;
-    }
-    tracer.add("cache.evictions", evicted as u64);
-
-    // Prime the timing tier with the remainder artifacts — but only on
-    // an unpoisoned run: a poisoned run's remainder was computed over
-    // degraded arcs (dropped units), and a timed-out or crashed flow
-    // must leave the cache exactly as it found it.
-    let mut fresh_timing_keys: Vec<TimingKey> = Vec::new();
-    if !poisoned.iter().any(|&p| p) {
-        let tevict_before = cache.timing_evictions();
-        for (key, payload) in fresh_timing {
-            cache.insert_timing(key, payload);
-            fresh_timing_keys.push(key);
-        }
-        let tevicted = cache.timing_evictions() - tevict_before;
-        if let Some(stats) = stages
-            .iter_mut()
-            .find(|s| s.stage == "timing")
-            .and_then(|s| s.cache.as_mut())
-        {
-            stats.evictions = tevicted;
-        }
-        tracer.add("cache.timing.evictions", tevicted as u64);
-    }
-
-    // 7. Power estimation (§3) — cheap, always recomputed.
-    let power = timed(&mut stages, flow, "power", |_| {
-        let p = cbv_power::dynamic_power(
-            &netlist,
-            &recognition,
-            &extracted,
-            process,
-            process.f_target(),
-            &ActivityModel::uniform(config.activity),
-        );
-        (p, 1, None)
-    });
-
-    let mut ereport = ereport;
-    if !timing_panics.is_empty() {
-        ereport.merge(cbv_everify::Report::from_parts(
-            everify_cfg.filter_threshold,
-            timing_panics,
-            0,
-            0,
-        ));
-    }
-    cbv_everify::finding_counters(&ereport, flow);
-
-    let mut signoff = Signoff::default();
-    if config.check_drc {
-        signoff.add_drc(drc_violations);
-    }
-    signoff.add_everify(&ereport);
-    signoff.add_timing(&sta, n_constraints);
-    signoff.set_power(power.total());
-
-    drop(root);
-    tracer.flush();
-
-    FlowReport {
-        stages,
-        recognition,
-        signoff,
-        everify: ereport,
-        sta,
-        netlist,
-        fresh: fresh_keys,
-        fresh_timing: fresh_timing_keys,
-    }
+    run_flow_tiered(netlist, process, config, cache, None, &LocalBackend, None)
 }
 
 #[cfg(test)]
@@ -1136,78 +911,6 @@ mod tests {
                 .any(|se| se.kind == cbv_recognize::StateKind::Keeper),
             "chain keepers recognized"
         );
-    }
-
-    #[test]
-    fn incremental_matches_cold_and_hits_warm() {
-        let p = Process::strongarm_035();
-        let cfg = FlowConfig::default();
-        let cold = run_flow(static_ripple_adder(4, &p).netlist, &p, &cfg);
-        let cold_json = serde_json::to_string(&cold.signoff).unwrap();
-
-        let mut cache = VerifyCache::new();
-        let first = run_flow_incremental(static_ripple_adder(4, &p).netlist, &p, &cfg, &mut cache);
-        assert_eq!(serde_json::to_string(&first.signoff).unwrap(), cold_json);
-        let estats = first.stages.iter().find(|s| s.stage == "everify").unwrap();
-        assert_eq!(estats.cache.unwrap().hits, 0, "cold cache: all misses");
-        assert!(!cache.is_empty());
-
-        let second = run_flow_incremental(static_ripple_adder(4, &p).netlist, &p, &cfg, &mut cache);
-        assert_eq!(serde_json::to_string(&second.signoff).unwrap(), cold_json);
-        for stage in &second.stages {
-            if let Some(stats) = stage.cache {
-                assert_eq!(
-                    stats.misses, 0,
-                    "{}: warm rerun must be all hits",
-                    stage.stage
-                );
-                assert!(stats.hits > 0);
-            }
-        }
-        assert_eq!(
-            second.stages.len(),
-            7,
-            "incremental adds a fingerprint stage"
-        );
-    }
-
-    #[test]
-    fn expired_deadline_poisons_every_dirty_unit() {
-        let p = Process::strongarm_035();
-        let cfg = FlowConfig {
-            // Already expired when the first unit closure runs: every
-            // dirty unit deterministically takes the timeout path.
-            deadline: Some(Instant::now()),
-            ..FlowConfig::default()
-        };
-        let mut cache = VerifyCache::new();
-        let r = run_flow_incremental(static_ripple_adder(4, &p).netlist, &p, &cfg, &mut cache);
-        assert!(!r.signoff.clean(), "timed-out flow must not sign off");
-        let tool_errors = r
-            .everify
-            .raw_findings()
-            .iter()
-            .filter(|f| f.severity == Severity::ToolError)
-            .count();
-        // Battery pass: every unit (CCCs + residue). Arc pass: CCCs only.
-        let n_cccs = r.recognition.cccs.len();
-        assert_eq!(
-            tool_errors,
-            2 * n_cccs + 1,
-            "every unit times out in the battery, every CCC in the arc pass"
-        );
-        assert!(cache.is_empty(), "poisoned units are never cached");
-
-        // The same design without a deadline signs off and fills the
-        // cache: the timeout path left no residue behind.
-        let clean = run_flow_incremental(
-            static_ripple_adder(4, &p).netlist,
-            &p,
-            &FlowConfig::default(),
-            &mut cache,
-        );
-        assert!(clean.signoff.clean(), "{}", clean.signoff);
-        assert!(!cache.is_empty());
     }
 
     #[test]

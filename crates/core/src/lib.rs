@@ -13,7 +13,11 @@
 //! * [`flow`] — the ALPHA design flow of Fig 2 as an executable
 //!   pipeline: RTL → schematic recognition → layout → extraction → the
 //!   §4.2 electrical battery → §4.3 timing → §3 power → §4.1 logic
-//!   verification, with per-stage runtimes and artifact counts;
+//!   verification, with per-stage runtimes and artifact counts —
+//!   [`flow::run_flow`] cold, and one cached driver ([`scatter`]) behind
+//!   [`flow::run_flow_incremental`], the daemon's [`service`] and the
+//!   farm, differing only in its cache / unit-backend / prep-source
+//!   seams;
 //! * [`signoff`] — the aggregated Correct-by-Verification report.
 //!
 //! # Quickstart

@@ -1,27 +1,41 @@
-//! Scatter-gather flow stage: the verification farm's unit backend.
+//! The cached flow driver and its three seams.
 //!
-//! The paper's methodology leaned on a ~100-CPU simulation farm (§1:
-//! 2×10⁹ cycles/day); this module is the seam that lets our flow shard
-//! the same way. [`run_flow_with`] is [`run_flow_incremental`] with the
-//! per-unit work — the §4.2 scoped battery *and* the unit's §4.3 timing
-//! arcs, fused — routed through a [`UnitBackend`]. [`LocalBackend`]
-//! fans the units out on the in-process executor; the farm coordinator
-//! in `cbv-serve` implements the same trait over worker processes.
+//! Fig 2 is one design flow with the §4.2/§4.3 filters sitting inside
+//! the designer's edit loop, and `run_flow_tiered` here is its one cached
+//! implementation; every cached entry point is that body with its seams
+//! set:
 //!
-//! # Determinism argument
+//! - **cache** — an owned [`VerifyCache`] looked up and primed in place
+//!   (an empty one is the cold flow plus fingerprinting), or a per-run
+//!   overlay filled from a `SharedTier` by one keyed fetch (the
+//!   daemon's [`FlowService`](crate::service::FlowService));
+//! - **unit backend** ([`UnitBackend`]) — [`LocalBackend`] fans dirty
+//!   units out on the in-process executor; the farm coordinator in
+//!   `cbv-serve` ships them to worker processes, the way the paper's
+//!   methodology leaned on a ~100-CPU farm (§1: 2×10⁹ cycles/day);
+//! - **prep source** — stages 1–3 built by this run, or answered from a
+//!   [`PrepCache`] another stream of the same service already filled.
 //!
-//! A backend may return unit outcomes in any order and compute them
-//! anywhere; [`run_flow_with`] re-indexes them by unit and merges in
-//! fixed unit order, splices timing arcs in CCC index order, and runs
-//! constraints/skew/STA/power serially — so the [`Signoff`] it
-//! serializes is byte-identical to [`run_flow`] and
-//! [`run_flow_incremental`] on the same netlist. The one observable
-//! difference is finding *order* inside the everify report: a CCC whose
-//! arc computation panics contributes its `ToolError` finding inline
-//! with the unit (here) rather than appended after the power stage (in
-//! [`run_flow_incremental`]). Signoff carries only per-category counts,
-//! the worst setup slack, races and power — never finding lists — so
-//! the bytes cannot differ; `tests/farm.rs` pins this.
+//! [`run_flow_incremental`] is the driver on an owned cache with the
+//! local backend and no shared prep; [`run_flow_shared`] exposes the
+//! other two seams. The cold [`run_flow`] is deliberately *not* this
+//! body: it verifies the whole design without the unit partition, which
+//! makes it the oracle the driver is compared against. The two share
+//! only the serial prep, the default schedule and the power + signoff
+//! roll-up.
+//!
+//! # Stage rows and determinism
+//!
+//! The rows are the cold flow's plus `fingerprint`. The backend computes
+//! a dirty unit's §4.2 scoped battery *and* its §4.3 timing arcs fused,
+//! inside the `everify` row, so the `timing` row is the serial remainder
+//! alone (splice, constraints, skew, STA) and a unit half that panics
+//! reports its `ToolError` inline with the unit. A backend may return
+//! outcomes in any order and compute them anywhere: the driver
+//! re-indexes them by unit, merges in fixed unit order, splices arcs in
+//! CCC index order and runs the remainder and power serially — so the
+//! [`Signoff`] it serializes (per-category counts, never finding lists)
+//! is byte-identical to [`run_flow`]'s, whatever the seams are set to.
 //!
 //! [`run_flow`]: crate::flow::run_flow
 //! [`run_flow_incremental`]: crate::flow::run_flow_incremental
@@ -44,13 +58,12 @@ use cbv_netlist::FlatNetlist;
 use cbv_obs::TraceCtx;
 use cbv_recognize::Recognition;
 use cbv_tech::{Process, Tolerance};
-use cbv_timing::{ClockSchedule, DelayCalc, Pessimism};
+use cbv_timing::{DelayCalc, Pessimism};
 
 use crate::flow::{
-    check_deadline, dirty_closure, timed, timing_remainder, FlowConfig, FlowReport, StageReport,
-    TimingKeys, TimingRemainder,
+    check_deadline, dirty_closure, drc_row, power_and_signoff, schedule_of, serial_prep, timed,
+    timing_remainder, FlowConfig, FlowReport, Prep, StageReport, TimingKeys,
 };
-use crate::signoff::Signoff;
 
 /// Everything a worker needs to verify any unit of one design revision:
 /// the recognized/laid-out/extracted design plus its unit partition and
@@ -58,10 +71,7 @@ use crate::signoff::Signoff;
 /// then units are verified independently — locally, on another thread,
 /// or in another process that rebuilt the identical netlist.
 pub struct PreparedDesign {
-    netlist: FlatNetlist,
-    recognition: Recognition,
-    layout: Layout,
-    extracted: Extracted,
+    parts: Prep,
     scopes: Vec<CheckScope>,
     fps: DesignFingerprints,
     env: u64,
@@ -85,24 +95,36 @@ pub struct UnitOutcome {
     pub poisoned: bool,
 }
 
+/// The finding a unit reports in place of the half (`what`: battery or
+/// arcs) that panicked or ran past its deadline.
+fn tool_error(unit: usize, what: &str, panic: &cbv_exec::TaskPanic) -> Finding {
+    Finding {
+        check: CheckKind::Tool,
+        subject: Subject::Unit(unit as u32),
+        severity: Severity::ToolError,
+        stress: f64::INFINITY,
+        message: format!("{what} {unit} panicked: {}", panic.message),
+    }
+}
+
 impl PreparedDesign {
     /// Runs the serial prep stages (recognition, layout assistance,
     /// extraction, partition, fingerprints) over a netlist. This is the
-    /// worker-side entry: no tracing, no stage reports — the
-    /// coordinator's [`run_flow_with`] times these stages itself and
-    /// assembles via [`PreparedDesign::from_parts`].
-    pub fn build(mut netlist: FlatNetlist, process: &Process, config: &FlowConfig) -> Self {
-        let recognition = cbv_recognize::recognize(&mut netlist);
-        let layout = cbv_layout::synthesize(&mut netlist, process);
-        let extracted = cbv_extract::extract(&layout, &netlist, process);
-        Self::from_parts(netlist, recognition, layout, extracted, process, config)
+    /// worker-side entry: no tracing, no stage reports, no DRC — the
+    /// coordinator's driver reports those for the run.
+    pub fn build(netlist: FlatNetlist, process: &Process, config: &FlowConfig) -> Self {
+        let (parts, _) = serial_prep(
+            &mut Vec::new(),
+            TraceCtx::disabled(),
+            netlist,
+            process,
+            false,
+        );
+        Self::from_prep(parts, process, config)
     }
 
     /// Assembles a prepared design from already-computed prep artifacts,
-    /// deriving the unit partition, fingerprints and check config the
-    /// same way [`run_flow_incremental`] does.
-    ///
-    /// [`run_flow_incremental`]: crate::flow::run_flow_incremental
+    /// deriving the unit partition, fingerprints and check config.
     pub fn from_parts(
         netlist: FlatNetlist,
         recognition: Recognition,
@@ -111,17 +133,24 @@ impl PreparedDesign {
         process: &Process,
         config: &FlowConfig,
     ) -> Self {
-        let mut everify_cfg = EverifyConfig::for_process(process);
-        everify_cfg.tolerance = config.tolerance;
-        let env = env_fingerprint(process, &config.tolerance, &config.pessimism, &everify_cfg);
-        let fps = fingerprint_design(&netlist, &recognition, &extracted);
-        let scopes = CheckScope::partition(&netlist, &recognition);
-        debug_assert_eq!(scopes.len(), fps.units.len());
-        PreparedDesign {
+        let parts = Prep {
             netlist,
             recognition,
             layout,
             extracted,
+        };
+        Self::from_prep(parts, process, config)
+    }
+
+    fn from_prep(parts: Prep, process: &Process, config: &FlowConfig) -> Self {
+        let mut everify_cfg = EverifyConfig::for_process(process);
+        everify_cfg.tolerance = config.tolerance;
+        let env = env_fingerprint(process, &config.tolerance, &config.pessimism, &everify_cfg);
+        let fps = fingerprint_design(&parts.netlist, &parts.recognition, &parts.extracted);
+        let scopes = CheckScope::partition(&parts.netlist, &parts.recognition);
+        debug_assert_eq!(scopes.len(), fps.units.len());
+        PreparedDesign {
+            parts,
             scopes,
             fps,
             env,
@@ -152,7 +181,7 @@ impl PreparedDesign {
 
     /// Number of CCC units (units carrying timing arcs).
     pub fn n_cccs(&self) -> usize {
-        self.recognition.cccs.len()
+        self.parts.recognition.cccs.len()
     }
 
     /// The cache key of one unit under this design's environment.
@@ -163,20 +192,23 @@ impl PreparedDesign {
     /// Verifies one unit: the §4.2 scoped battery, then (for CCC units)
     /// the unit's §4.3 timing arcs. Both halves run under panic
     /// isolation and a cooperative deadline, and both are always
-    /// attempted — matching [`run_flow_incremental`]'s two passes, so an
-    /// expired deadline yields the same `ToolError` census (two findings
-    /// per CCC unit, one for the residue) with identical messages.
-    ///
-    /// [`run_flow_incremental`]: crate::flow::run_flow_incremental
+    /// attempted, so an expired deadline yields a fixed `ToolError`
+    /// census: two findings per CCC unit, one for the residue.
     pub fn verify_unit(&self, i: usize, deadline: Option<Instant>) -> UnitOutcome {
+        let Prep {
+            netlist,
+            recognition,
+            layout,
+            extracted,
+        } = &self.parts;
         let mut poisoned = false;
         let mut result = match run_isolated(i, || {
             check_deadline(deadline);
             cbv_everify::run_scoped(
-                &self.netlist,
-                &self.recognition,
-                &self.extracted,
-                Some(&self.layout),
+                netlist,
+                recognition,
+                extracted,
+                Some(layout),
                 &self.process,
                 &self.everify_cfg,
                 &self.scopes[i],
@@ -191,13 +223,7 @@ impl PreparedDesign {
             Err(p) => {
                 poisoned = true;
                 UnitResult {
-                    findings: vec![Finding {
-                        check: CheckKind::Tool,
-                        subject: Subject::Unit(i as u32),
-                        severity: Severity::ToolError,
-                        stress: f64::INFINITY,
-                        message: format!("everify unit {i} panicked: {}", p.message),
-                    }],
+                    findings: vec![tool_error(i, "everify unit", &p)],
                     checked: 0,
                     filtered: 0,
                     arcs: Vec::new(),
@@ -208,25 +234,15 @@ impl PreparedDesign {
             let calc = DelayCalc::new(&self.process, self.tolerance, self.pessimism);
             match run_isolated(i, || {
                 check_deadline(deadline);
-                cbv_timing::graph::ccc_arcs(
-                    &self.netlist,
-                    &self.recognition,
-                    &self.extracted,
-                    &calc,
-                    i,
-                )
+                cbv_timing::graph::ccc_arcs(netlist, recognition, extracted, &calc, i)
             }) {
                 Ok(arcs) => result.arcs = arcs,
                 Err(p) => {
                     poisoned = true;
                     result.arcs = Vec::new();
-                    result.findings.push(Finding {
-                        check: CheckKind::Tool,
-                        subject: Subject::Unit(i as u32),
-                        severity: Severity::ToolError,
-                        stress: f64::INFINITY,
-                        message: format!("timing arcs for CCC {i} panicked: {}", p.message),
-                    });
+                    result
+                        .findings
+                        .push(tool_error(i, "timing arcs for CCC", &p));
                 }
             }
         }
@@ -363,8 +379,7 @@ pub trait UnitBackend {
 }
 
 /// The in-process backend: units fan out across the executor's worker
-/// threads, one `unit:<i>` span each — the farm flow degenerates to the
-/// incremental flow's parallelism.
+/// threads, one `unit:<i>` span each.
 pub struct LocalBackend;
 
 impl UnitBackend for LocalBackend {
@@ -389,33 +404,15 @@ impl UnitBackend for LocalBackend {
     }
 }
 
-/// Runs the incremental verification flow with the per-unit work routed
-/// through `backend`. Stage structure, cache discipline, trace spans and
-/// counters mirror [`run_flow_incremental`]; the differences are that
-/// battery findings and timing arcs are computed *fused* per unit by the
-/// backend inside the `everify` stage, and the `timing` stage is the
-/// serial remainder (splice, graph, constraints, skew, STA). Signoff is
-/// byte-identical — see the module docs for the argument.
-///
-/// [`run_flow_incremental`]: crate::flow::run_flow_incremental
-pub fn run_flow_with(
-    netlist: FlatNetlist,
-    process: &Process,
-    config: &FlowConfig,
-    cache: &mut VerifyCache,
-    backend: &dyn UnitBackend,
-) -> FlowReport {
-    run_flow_shared(netlist, process, config, cache, backend, None)
-}
-
-/// [`run_flow_with`] with an optional shared [`PrepCache`]: when
-/// another stream of the same service already built this exact revision
-/// under this environment, the whole serial prep (recognition, layout,
-/// extraction, partition, fingerprints) is answered from the cache and
-/// only DRC — a per-run report, not part of the prep artifact —
-/// re-runs. A cached prep was built from an identically-constructed
-/// netlist under an identical environment, so every downstream stage
-/// reads the same values and the signoff bytes cannot differ.
+/// The cached flow driver with its unit backend and prep source
+/// exposed. With a shared [`PrepCache`], the whole serial prep
+/// (recognition, layout, extraction, partition, fingerprints) is
+/// answered from the cache when another stream of the same service
+/// already built this exact revision under this environment — only DRC,
+/// a per-run report and not part of the prep artifact, re-runs. A cached
+/// prep was built from an identically-constructed netlist under an
+/// identical environment, so every downstream stage reads the same
+/// values and the signoff bytes cannot differ.
 pub fn run_flow_shared(
     netlist: FlatNetlist,
     process: &Process,
@@ -429,11 +426,11 @@ pub fn run_flow_shared(
 
 /// Every key one run can look up, named once its prep is at hand — what
 /// a [`SharedTier`] is asked for.
-pub(crate) struct RunKeys<'a> {
+pub(crate) struct RunKeys {
     /// Unit keys in fixed unit order.
     pub units: Vec<CacheKey>,
     /// The timing tier's keys (see [`TimingKeys`] for the two steps).
-    pub timing: TimingKeys<'a>,
+    pub timing: TimingKeys,
 }
 
 /// The shared side of the flow's cache seam. A run against an *owned*
@@ -444,14 +441,27 @@ pub(crate) struct RunKeys<'a> {
 /// and the tier's owner decides what to publish.
 pub(crate) trait SharedTier {
     /// Copies whatever the tier holds under `keys` into `overlay`.
-    fn fetch(&self, keys: &RunKeys<'_>, overlay: &mut VerifyCache);
+    fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache);
 }
 
-/// [`run_flow_shared`] over the cache seam: with a `tier`, `cache` is
-/// the run's overlay and is filled by one keyed fetch before the dirty
-/// closure reads it.
+/// Where a run's stages 1–3 came from — the prep-source seam. One lives
+/// on the driver's stack per run, so the large variant is not boxed.
+#[allow(clippy::large_enum_variant)]
+enum PrepSource<'a> {
+    /// Another stream's published artifact, partition and fingerprints
+    /// included.
+    Shared(Arc<PreparedDesign>),
+    /// This run's own, with the slot to publish under when a
+    /// [`PrepCache`] is in play. Partition and fingerprints are still to
+    /// be built — inside the `fingerprint` row, so that row times them.
+    Built(Prep, Option<PrepBuild<'a>>),
+}
+
+/// The one cached-flow body (see the module docs). With a `tier`,
+/// `cache` is the run's overlay and is filled by one keyed fetch before
+/// the dirty closure reads it.
 pub(crate) fn run_flow_tiered(
-    mut netlist: FlatNetlist,
+    netlist: FlatNetlist,
     process: &Process,
     config: &FlowConfig,
     cache: &mut VerifyCache,
@@ -460,7 +470,6 @@ pub(crate) fn run_flow_tiered(
     preps: Option<&PrepCache>,
 ) -> FlowReport {
     let mut stages: Vec<StageReport> = Vec::new();
-    let mut drc_violations = 0usize;
     let exec = Executor::threads(config.parallelism);
     let tracer = &config.tracer;
     let root = tracer.span_in(config.trace_parent, "flow");
@@ -476,111 +485,72 @@ pub(crate) fn run_flow_tiered(
         let env = env_fingerprint(process, &config.tolerance, &config.pessimism, &everify_cfg);
         pc.begin((env, raw_netlist_digest(&netlist)))
     });
-    let prep: Arc<PreparedDesign> = match claim {
+    let (source, drc_violations) = match claim {
         Some(PrepClaim::Hit(p)) => {
             // 1–3 are cache hits: emit the same stage rows (with the
             // artifact's counts) so the report shape is stable, and
             // re-run DRC, which reports per-run rather than priming
             // the prep.
+            let parts = &p.parts;
             timed(&mut stages, flow, "recognize", |_| {
-                ((), p.recognition.cccs.len(), None)
+                ((), parts.recognition.cccs.len(), None)
             });
             timed(&mut stages, flow, "layout", |_| {
-                ((), p.layout.shapes.len(), None)
+                ((), parts.layout.shapes.len(), None)
             });
-            if config.check_drc {
-                let rules = cbv_layout::Rules::for_process(process);
-                let violations = timed(&mut stages, flow, "drc", |_| {
-                    let v = cbv_layout::check_drc(&p.layout, &p.netlist, &rules, 10_000);
-                    let n = v.len();
-                    (v, n, None)
-                });
-                drc_violations = violations.len();
-            }
+            let drc_violations = config
+                .check_drc
+                .then(|| drc_row(&mut stages, flow, &parts.layout, &parts.netlist, process));
             timed(&mut stages, flow, "extract", |_| {
-                ((), p.extracted.iter().count(), None)
+                ((), parts.extracted.iter().count(), None)
             });
-            p
+            (PrepSource::Shared(p), drc_violations)
         }
         claim => {
-            // 1–3. Serial prep, identical to the incremental flow.
-            let recognition = timed(&mut stages, flow, "recognize", |_| {
-                let r = cbv_recognize::recognize(&mut netlist);
-                let n = r.cccs.len();
-                (r, n, None)
-            });
-            let layout = timed(&mut stages, flow, "layout", |_| {
-                let l = cbv_layout::synthesize(&mut netlist, process);
-                let n = l.shapes.len();
-                (l, n, None)
-            });
-            if config.check_drc {
-                let rules = cbv_layout::Rules::for_process(process);
-                let violations = timed(&mut stages, flow, "drc", |_| {
-                    let v = cbv_layout::check_drc(&layout, &netlist, &rules, 10_000);
-                    let n = v.len();
-                    (v, n, None)
-                });
-                drc_violations = violations.len();
-            }
-            let extracted = timed(&mut stages, flow, "extract", |_| {
-                let e = cbv_extract::extract(&layout, &netlist, process);
-                let n = e.iter().count();
-                (e, n, None)
-            });
-            let prep = Arc::new(PreparedDesign::from_parts(
-                netlist,
-                recognition,
-                layout,
-                extracted,
-                process,
-                config,
-            ));
-            if let Some(PrepClaim::Build(slot)) = claim {
-                slot.publish(Arc::clone(&prep));
-            }
-            prep
+            // 1–3. Serial prep, identical to the cold flow's.
+            let (parts, drc_violations) =
+                serial_prep(&mut stages, flow, netlist, process, config.check_drc);
+            let slot = match claim {
+                Some(PrepClaim::Build(slot)) => Some(slot),
+                _ => None,
+            };
+            (PrepSource::Built(parts, slot), drc_violations)
         }
     };
 
-    let schedule = config.schedule.clone().unwrap_or_else(|| {
-        let name = prep
-            .recognition
-            .clock_nets
-            .first()
-            .map(|&c| prep.netlist.net_name(c).to_owned())
-            .unwrap_or_else(|| "clk".to_owned());
-        ClockSchedule::single(name, process.f_target().period())
-    });
-
-    // 4. Fingerprints and the dirty closure, via the shared helper so
-    // the dirty set is exactly the incremental flow's. The prep names
-    // every key the run can look up, so a shared tier is asked for them
-    // here, in one batch, before the closure reads the overlay.
-    let n_cccs = prep.n_cccs();
-    let (timing_keys, dirty) = timed(&mut stages, flow, "fingerprint", |_| {
+    // 4. Fingerprints and the dirty closure. The prep names every key
+    // the run can look up, so a shared tier is asked for them here, in
+    // one batch, before the closure reads the overlay.
+    let (prep, timing_keys, dirty) = timed(&mut stages, flow, "fingerprint", |_| {
+        let prep = match source {
+            PrepSource::Shared(p) => p,
+            PrepSource::Built(parts, slot) => {
+                let prep = Arc::new(PreparedDesign::from_prep(parts, process, config));
+                if let Some(slot) = slot {
+                    slot.publish(Arc::clone(&prep));
+                }
+                prep
+            }
+        };
+        let schedule = schedule_of(config, &prep.parts, process);
         let keys = RunKeys {
             units: (0..prep.n_units()).map(|i| prep.unit_key(i)).collect(),
-            timing: TimingKeys::of(
-                &prep.netlist,
-                &prep.recognition,
-                &prep.extracted,
-                prep.env,
-                &schedule,
-            ),
+            timing: TimingKeys::of(&prep.parts, prep.env, schedule),
         };
         if let Some(tier) = tier {
             tier.fetch(&keys, cache);
         }
-        let dirty = dirty_closure(cache, prep.env, &prep.fps, &prep.recognition);
-        ((keys.timing, dirty), prep.fps.units.len(), None)
+        let dirty = dirty_closure(cache, prep.env, &prep.fps, &prep.parts.recognition);
+        let n_units = prep.n_units();
+        ((prep, keys.timing, dirty), n_units, None)
     });
+    let n_cccs = prep.n_cccs();
 
     // 5. Scatter-gather everify: the backend verifies dirty units
     // (battery + arcs fused), clean units replay from cache. Outcomes
     // are re-indexed by unit, so backend completion order is irrelevant.
     let dirty_units: Vec<usize> = (0..prep.n_units()).filter(|&i| dirty[i]).collect();
-    let everify_stats = CacheStats {
+    let mut everify_stats = CacheStats {
         hits: prep.n_units() - dirty_units.len(),
         misses: dirty_units.len(),
         ..CacheStats::default()
@@ -616,7 +586,6 @@ pub(crate) fn run_flow_tiered(
         let n = merged.checked_count();
         ((merged, per_unit), n, Some(busy))
     });
-    stages.last_mut().expect("everify stage").cache = Some(everify_stats);
     tracer.add("cache.everify.hits", everify_stats.hits as u64);
     tracer.add("cache.everify.misses", everify_stats.misses as u64);
     tracer.add("fingerprint.dirty_units", dirty_units.len() as u64);
@@ -624,17 +593,9 @@ pub(crate) fn run_flow_tiered(
     // 6. Timing: arcs arrived with the unit outcomes; what remains is
     // the serial splice (CCC index order — the cold graph's exact arc
     // sequence), constraints, skew and STA.
-    let dirty_cccs: Vec<usize> = (0..n_cccs).filter(|&i| dirty[i]).collect();
-    let mut timing_stats = CacheStats {
-        hits: n_cccs - dirty_cccs.len(),
-        misses: dirty_cccs.len(),
-        ..CacheStats::default()
-    };
     let remainder = timed(&mut stages, flow, "timing", |ctx| {
         let rem = timing_remainder(
-            &prep.netlist,
-            &prep.recognition,
-            &prep.extracted,
+            &prep.parts,
             process,
             config,
             &timing_keys,
@@ -646,22 +607,21 @@ pub(crate) fn run_flow_tiered(
         let n_arcs = rem.n_arcs;
         (rem, n_arcs, None)
     });
-    let TimingRemainder {
-        sta,
-        n_constraints,
-        hits: rem_hits,
-        misses: rem_misses,
-        fresh: fresh_timing,
-        ..
-    } = remainder;
-    timing_stats.hits += rem_hits;
-    timing_stats.misses += rem_misses;
-    stages.last_mut().expect("timing stage").cache = Some(timing_stats);
+    let dirty_cccs = dirty[..n_cccs].iter().filter(|&&d| d).count();
+    let mut timing_stats = CacheStats {
+        hits: n_cccs - dirty_cccs + remainder.hits,
+        misses: dirty_cccs + remainder.misses,
+        ..CacheStats::default()
+    };
     tracer.add("cache.timing.hits", timing_stats.hits as u64);
     tracer.add("cache.timing.misses", timing_stats.misses as u64);
 
-    // Prime the cache with fresh, non-poisoned units — same discipline
-    // and eviction accounting as the incremental flow.
+    // Prime the cache with the re-verified units. Poisoned units
+    // (battery or arc panic) are *not* cached: their stored payload
+    // would be the failure artifact, and a later run must re-attempt
+    // them. On a bounded cache these inserts may evict; the delta lands
+    // in the everify stage's stats so a daemon's flow summaries show
+    // cache pressure.
     let evictions_before = cache.evictions();
     let mut fresh_keys = Vec::new();
     for i in 0..per_unit.len() {
@@ -671,75 +631,57 @@ pub(crate) fn run_flow_tiered(
             fresh_keys.push(key);
         }
     }
-    let evicted = cache.evictions() - evictions_before;
-    if let Some(stats) = stages
-        .iter_mut()
-        .find(|s| s.stage == "everify")
-        .and_then(|s| s.cache.as_mut())
-    {
-        stats.evictions = evicted;
-    }
-    tracer.add("cache.evictions", evicted as u64);
+    everify_stats.evictions = cache.evictions() - evictions_before;
+    tracer.add("cache.evictions", everify_stats.evictions as u64);
 
-    // Prime the timing tier — same discipline as the incremental flow:
-    // only an unpoisoned run's remainder is trustworthy (a poisoned one
-    // ran over degraded arcs and must leave no residue).
+    // Prime the timing tier with the remainder artifacts — but only on
+    // an unpoisoned run: a poisoned run's remainder was computed over
+    // degraded arcs (dropped units), and a timed-out or crashed flow
+    // must leave the cache exactly as it found it.
     let mut fresh_timing_keys: Vec<cbv_cache::TimingKey> = Vec::new();
     if !poisoned.iter().any(|&p| p) {
         let tevict_before = cache.timing_evictions();
-        for (key, payload) in fresh_timing {
+        for (key, payload) in remainder.fresh {
             cache.insert_timing(key, payload);
             fresh_timing_keys.push(key);
         }
-        let tevicted = cache.timing_evictions() - tevict_before;
-        if let Some(stats) = stages
-            .iter_mut()
-            .find(|s| s.stage == "timing")
-            .and_then(|s| s.cache.as_mut())
-        {
-            stats.evictions = tevicted;
-        }
-        tracer.add("cache.timing.evictions", tevicted as u64);
+        timing_stats.evictions = cache.timing_evictions() - tevict_before;
+        tracer.add("cache.timing.evictions", timing_stats.evictions as u64);
+    }
+    for (stage, stats) in [("everify", everify_stats), ("timing", timing_stats)] {
+        let row = stages.iter_mut().find(|s| s.stage == stage);
+        row.expect("cached stage row").cache = Some(stats);
     }
 
-    // 7. Power (§3) — cheap, always recomputed.
-    let power = timed(&mut stages, flow, "power", |_| {
-        let p = cbv_power::dynamic_power(
-            &prep.netlist,
-            &prep.recognition,
-            &prep.extracted,
-            process,
-            process.f_target(),
-            &cbv_power::ActivityModel::uniform(config.activity),
-        );
-        (p, 1, None)
-    });
-
+    // 7. Power (§3) and the signoff roll-up.
+    let signoff = power_and_signoff(
+        &mut stages,
+        flow,
+        &prep.parts,
+        process,
+        config,
+        drc_violations,
+        &ereport,
+        &remainder.sta,
+        remainder.n_constraints,
+    );
     cbv_everify::finding_counters(&ereport, flow);
-
-    let mut signoff = Signoff::default();
-    if config.check_drc {
-        signoff.add_drc(drc_violations);
-    }
-    signoff.add_everify(&ereport);
-    signoff.add_timing(&sta, n_constraints);
-    signoff.set_power(power.total());
 
     drop(root);
     tracer.flush();
 
     let (netlist, recognition) = match Arc::try_unwrap(prep) {
-        Ok(p) => (p.netlist, p.recognition),
+        Ok(p) => (p.parts.netlist, p.parts.recognition),
         // Another stream still holds this prep through the shared
         // cache: the report gets its own copies.
-        Err(p) => (p.netlist.clone(), p.recognition.clone()),
+        Err(p) => (p.parts.netlist.clone(), p.parts.recognition.clone()),
     };
     FlowReport {
         stages,
         recognition,
         signoff,
         everify: ereport,
-        sta,
+        sta: remainder.sta,
         netlist,
         fresh: fresh_keys,
         fresh_timing: fresh_timing_keys,
@@ -757,47 +699,56 @@ mod tests {
         serde_json::to_string(&r.signoff).unwrap()
     }
 
+    /// `(stage, hits, misses)` of every stage row that carries cache stats.
+    fn cached_rows(r: &FlowReport) -> Vec<(&'static str, usize, usize)> {
+        r.stages
+            .iter()
+            .filter_map(|s| s.cache.map(|c| (s.stage, c.hits, c.misses)))
+            .collect()
+    }
+
     #[test]
-    fn local_backend_matches_cold_and_incremental_flows() {
+    fn cached_flow_matches_cold_and_its_entry_points_share_one_cache() {
         let p = Process::strongarm_035();
         let cfg = FlowConfig::default();
         let cold = run_flow(static_ripple_adder(4, &p).netlist, &p, &cfg);
         let cold_json = signoff_json(&cold);
 
         let mut cache = VerifyCache::new();
-        let scat = run_flow_with(
+        let first = run_flow_incremental(static_ripple_adder(4, &p).netlist, &p, &cfg, &mut cache);
+        assert_eq!(signoff_json(&first), cold_json);
+        assert_eq!(first.stages.len(), 7, "the cold rows plus fingerprint");
+        for (stage, hits, _) in cached_rows(&first) {
+            assert_eq!(hits, 0, "{stage}: cold cache, all misses");
+        }
+        assert!(!cache.is_empty());
+        assert_eq!(first.fresh.len(), cache.len(), "every fresh key cached");
+
+        // The cache one entry point primed answers the other: a warm
+        // run through the backend seam is all hits and adds nothing.
+        let warm = run_flow_shared(
             static_ripple_adder(4, &p).netlist,
             &p,
             &cfg,
             &mut cache,
             &LocalBackend,
+            None,
         );
-        assert_eq!(signoff_json(&scat), cold_json);
-        assert_eq!(scat.stages.len(), 7, "same stage census as incremental");
-        assert_eq!(scat.fresh.len(), cache.len(), "every fresh key cached");
-
-        // The cache it primed is interchangeable with the incremental
-        // flow's: a warm incremental run over it is all hits.
-        let warm = run_flow_incremental(static_ripple_adder(4, &p).netlist, &p, &cfg, &mut cache);
         assert_eq!(signoff_json(&warm), cold_json);
-        let estats = warm
-            .stages
-            .iter()
-            .find(|s| s.stage == "everify")
-            .and_then(|s| s.cache)
-            .unwrap();
-        assert_eq!(estats.misses, 0, "scatter flow primes the shared cache");
+        assert_eq!(warm.stages.len(), 7);
+        assert_eq!(cached_rows(&warm).len(), 2, "everify and timing");
+        for (stage, hits, misses) in cached_rows(&warm) {
+            assert_eq!(misses, 0, "{stage}: warm rerun must be all hits");
+            assert!(hits > 0);
+        }
+        assert!(warm.fresh.is_empty(), "warm run contributes nothing");
 
-        // And the reverse: a warm scatter run over an incremental cache.
-        let warm2 = run_flow_with(
-            static_ripple_adder(4, &p).netlist,
-            &p,
-            &cfg,
-            &mut cache,
-            &LocalBackend,
-        );
+        // And back again.
+        let warm2 = run_flow_incremental(static_ripple_adder(4, &p).netlist, &p, &cfg, &mut cache);
         assert_eq!(signoff_json(&warm2), cold_json);
-        assert!(warm2.fresh.is_empty(), "warm run contributes nothing");
+        assert!(cached_rows(&warm2)
+            .iter()
+            .all(|&(_, _, misses)| misses == 0));
     }
 
     #[test]
@@ -811,40 +762,99 @@ mod tests {
         assert!(!cold.signoff.clean());
 
         let mut cache = VerifyCache::new();
-        let scat = run_flow_with(netlist, &p, &cfg, &mut cache, &LocalBackend);
-        assert_eq!(signoff_json(&scat), signoff_json(&cold));
+        let cached = run_flow_incremental(netlist, &p, &cfg, &mut cache);
+        assert_eq!(signoff_json(&cached), signoff_json(&cold));
     }
 
     #[test]
-    fn expired_deadline_census_matches_incremental() {
+    fn expired_deadline_poisons_every_dirty_unit() {
         let p = Process::strongarm_035();
         let cfg = FlowConfig {
+            // Already expired when the first unit closure runs: every
+            // dirty unit deterministically takes the timeout path.
             deadline: Some(Instant::now()),
             ..FlowConfig::default()
         };
         let mut cache = VerifyCache::new();
-        let r = run_flow_with(
-            static_ripple_adder(4, &p).netlist,
-            &p,
-            &cfg,
-            &mut cache,
-            &LocalBackend,
-        );
-        assert!(!r.signoff.clean());
+        let r = run_flow_incremental(static_ripple_adder(4, &p).netlist, &p, &cfg, &mut cache);
+        assert!(!r.signoff.clean(), "timed-out flow must not sign off");
         let tool_errors = r
             .everify
             .raw_findings()
             .iter()
             .filter(|f| f.severity == Severity::ToolError)
             .count();
+        // Battery half: every unit (CCCs + residue). Arc half: CCCs only.
         let n_cccs = r.recognition.cccs.len();
         assert_eq!(
             tool_errors,
             2 * n_cccs + 1,
-            "both halves of every unit time out, as in the incremental flow"
+            "both halves of every unit time out"
         );
         assert!(cache.is_empty(), "poisoned units are never cached");
         assert!(r.fresh.is_empty());
+
+        // The same design without a deadline signs off and fills the
+        // cache: the timeout path left no residue behind.
+        let clean = run_flow_incremental(
+            static_ripple_adder(4, &p).netlist,
+            &p,
+            &FlowConfig::default(),
+            &mut cache,
+        );
+        assert!(clean.signoff.clean(), "{}", clean.signoff);
+        assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn prep_hit_and_prep_miss_runs_report_alike_with_drc_off_and_on() {
+        let p = Process::strongarm_035();
+        let rows = |r: &FlowReport| -> Vec<(&'static str, usize)> {
+            r.stages.iter().map(|s| (s.stage, s.artifacts)).collect()
+        };
+        for check_drc in [false, true] {
+            let cfg = FlowConfig {
+                check_drc,
+                ..FlowConfig::default()
+            };
+            let cold = run_flow(static_ripple_adder(4, &p).netlist, &p, &cfg);
+            let preps = PrepCache::new(2);
+            // Fresh caches on both sides, so the two runs differ in
+            // their prep source and nothing else.
+            let run = || {
+                run_flow_shared(
+                    static_ripple_adder(4, &p).netlist,
+                    &p,
+                    &cfg,
+                    &mut VerifyCache::new(),
+                    &LocalBackend,
+                    Some(&preps),
+                )
+            };
+            let (miss, hit) = (run(), run());
+            assert_eq!((preps.miss_count(), preps.hit_count()), (1, 1));
+            assert_eq!(rows(&miss), rows(&hit), "check_drc={check_drc}");
+            assert_eq!(
+                rows(&miss).iter().any(|&(stage, _)| stage == "drc"),
+                check_drc,
+                "the drc row appears exactly when DRC is on"
+            );
+            let drc = |r: &FlowReport| {
+                let mut categories = r.signoff.categories.iter();
+                categories
+                    .find(|c| c.category == "drc")
+                    .map(|c| c.violations)
+            };
+            assert_eq!(drc(&miss).is_some(), check_drc);
+            assert_eq!(
+                drc(&miss),
+                drc(&hit),
+                "the hit re-runs DRC on the cached layout"
+            );
+            assert_eq!(drc(&miss), drc(&cold));
+            assert_eq!(signoff_json(&miss), signoff_json(&cold));
+            assert_eq!(signoff_json(&hit), signoff_json(&cold));
+        }
     }
 
     #[test]
@@ -966,13 +976,7 @@ mod tests {
         let cfg = FlowConfig::default();
         let reference = {
             let mut cache = VerifyCache::new();
-            let r = run_flow_with(
-                static_ripple_adder(4, &p).netlist,
-                &p,
-                &cfg,
-                &mut cache,
-                &LocalBackend,
-            );
+            let r = run_flow_incremental(static_ripple_adder(4, &p).netlist, &p, &cfg, &mut cache);
             signoff_json(&r)
         };
         let preps = PrepCache::new(4);
@@ -1011,13 +1015,7 @@ mod tests {
         let p = Process::strongarm_035();
         let cfg = FlowConfig::default();
         let mut cache = VerifyCache::new();
-        run_flow_with(
-            static_ripple_adder(4, &p).netlist,
-            &p,
-            &cfg,
-            &mut cache,
-            &LocalBackend,
-        );
+        run_flow_incremental(static_ripple_adder(4, &p).netlist, &p, &cfg, &mut cache);
         let prep = PreparedDesign::build(static_ripple_adder(4, &p).netlist, &p, &cfg);
         for i in 0..prep.n_units() {
             let o = prep.verify_unit(i, None);

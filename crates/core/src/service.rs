@@ -1,4 +1,4 @@
-//! `FlowService` — the shareable facade over the incremental flow.
+//! `FlowService` — the shareable facade over the cached flow driver.
 //!
 //! The paper's methodology only pays off as a *service*: many designers
 //! stream ECOs at one verification system that keeps the accumulated
@@ -34,10 +34,9 @@
 //! panics while holding one costs at most the entries it was writing,
 //! never the requests that come after it.
 //!
-//! [`verify`](FlowService::verify) and
-//! [`verify_report`](FlowService::verify_report) drain immediately —
-//! one absorb per call, the original discipline. A batching caller (the
-//! daemon's job loop, the farm coordinator) uses
+//! [`verify`](FlowService::verify) drains immediately — one absorb per
+//! call, the original discipline. A batching caller (the daemon's job
+//! loop, the farm coordinator) uses
 //! [`verify_buffered`](FlowService::verify_buffered) and calls
 //! [`drain_absorb`](FlowService::drain_absorb) once per queue drain,
 //! paying one sorted merge for a whole burst of jobs instead of one per
@@ -48,13 +47,16 @@
 //! requests can never observe different verdicts for the same netlist —
 //! the byte-identity guarantee the daemon's wire protocol exposes.
 //!
-//! # The scatter-gather seam
+//! # The driver's seams
 //!
-//! [`verify_with_backend`](FlowService::verify_with_backend) is the
-//! farm coordinator's entry point: the same fetch/stage/drain
-//! discipline, but per-unit work routed through a
-//! [`UnitBackend`](crate::scatter::UnitBackend). The plain entry points
-//! use [`LocalBackend`]; signoff bytes are identical either way.
+//! Every request is one run of the cached flow driver
+//! ([`crate::scatter`]) with all three of its seams set by the service:
+//! the *cache* is a per-run overlay this service fills as the driver's
+//! `SharedTier`, the *prep source* is the service's [`PrepCache`], and
+//! the *unit backend* is the caller's —
+//! [`verify_with_backend`](FlowService::verify_with_backend) is the farm
+//! coordinator's entry point, the plain entry points use
+//! [`LocalBackend`]. Signoff bytes are identical either way.
 //!
 //! # Single-flight
 //!
@@ -380,12 +382,15 @@ impl FlowService {
 
     /// Looks one unit up in the shared tier: the published cache first,
     /// then the staging overlay (results another stream staged but has
-    /// not drained yet).
+    /// not drained yet). Both guards are taken before either tier is
+    /// read: a [`drain_absorb`](FlowService::drain_absorb) landing
+    /// between two separately locked reads would move the entry from
+    /// staging to shared behind the first read and ahead of the second,
+    /// and the lookup would miss a result the tier holds.
     pub fn lookup_unit(&self, key: &CacheKey) -> Option<UnitResult> {
-        if let Some(r) = self.shared().get(key) {
-            return Some(r.clone());
-        }
-        self.staged().get(key).cloned()
+        let shared = self.shared();
+        let staging = self.staged();
+        shared.get(key).or_else(|| staging.get(key)).cloned()
     }
 
     /// Stages unit results directly — the farm coordinator publishes
@@ -405,31 +410,20 @@ impl FlowService {
         }
     }
 
-    /// Verifies one netlist revision and returns the full [`FlowReport`]
-    /// with its serialized signoff. `deadline` bounds the per-unit
+    /// Verifies one netlist revision; the common entry point when only
+    /// the verdict is needed. `deadline` bounds the per-unit
     /// verification work cooperatively (see [`FlowConfig::deadline`]);
     /// `trace_parent` nests the run's `flow` span under a caller span.
     /// Drains immediately: the shared cache is warm when this returns.
-    pub fn verify_report(
-        &self,
-        netlist: FlatNetlist,
-        deadline: Option<Instant>,
-        trace_parent: Option<u64>,
-    ) -> (FlowReport, ServiceVerdict) {
-        let out = self.verify_with_backend(netlist, deadline, trace_parent, &LocalBackend);
-        self.drain_absorb();
-        out
-    }
-
-    /// Verifies one netlist revision; the common entry point when only
-    /// the verdict is needed. Drains immediately.
     pub fn verify(
         &self,
         netlist: FlatNetlist,
         deadline: Option<Instant>,
         trace_parent: Option<u64>,
     ) -> ServiceVerdict {
-        self.verify_report(netlist, deadline, trace_parent).1
+        let verdict = self.verify_buffered(netlist, deadline, trace_parent);
+        self.drain_absorb();
+        verdict
     }
 
     /// Like [`verify`](FlowService::verify) but leaves the fresh entries
@@ -454,7 +448,7 @@ impl FlowService {
 /// from are in the overlay. The overlay inherits the tier's bound, so a
 /// design larger than the bound is capped per run as it is per tier.
 impl SharedTier for FlowService {
-    fn fetch(&self, keys: &RunKeys<'_>, overlay: &mut VerifyCache) {
+    fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) {
         let shared = self.shared();
         let staging = self.staged();
         overlay.set_capacity(shared.capacity());
@@ -482,6 +476,7 @@ mod tests {
     use cbv_netlist::{Device, DeviceId, NetKind};
     use cbv_obs::TraceCtx;
     use cbv_tech::MosKind;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The discipline the keyed fetch replaced, kept as its oracle: the
     /// overlay is a clone of the whole shared tier with staging absorbed
@@ -489,7 +484,7 @@ mod tests {
     struct WholeClone<'a>(&'a FlowService);
 
     impl SharedTier for WholeClone<'_> {
-        fn fetch(&self, _keys: &RunKeys<'_>, overlay: &mut VerifyCache) {
+        fn fetch(&self, _keys: &RunKeys, overlay: &mut VerifyCache) {
             *overlay = self.0.shared().clone();
             overlay.absorb(&self.0.staged());
         }
@@ -825,6 +820,48 @@ mod tests {
         service.await_units(&[key], Duration::from_millis(20));
         assert!(t0.elapsed() >= Duration::from_millis(20));
         assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn lookup_never_misses_a_published_unit_while_the_tier_drains() {
+        // One stream stages a unit, announces it and drains — moving the
+        // entry from staging to shared — 200,000 times over, while
+        // another keeps looking up the last announced key. From its
+        // announcement on the tier holds that key in one tier or the
+        // other, so the only way to miss is to read shared before a
+        // drain and staging after it.
+        const KEYS: u64 = 200_000;
+        let service = FlowService::new(Process::strongarm_035(), FlowConfig::default());
+        let key = |i: u64| {
+            let unit = cbv_cache::UnitFingerprint {
+                content: i,
+                binding: i,
+            };
+            CacheKey::new(i, unit)
+        };
+        // 0 = nothing announced yet; keys count from 1.
+        let announced = AtomicU64::new(0);
+        let misses = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut misses = 0u32;
+                loop {
+                    let last = announced.load(Ordering::SeqCst);
+                    if last > 0 && service.lookup_unit(&key(last)).is_none() {
+                        misses += 1;
+                    }
+                    if last == KEYS {
+                        return misses;
+                    }
+                }
+            });
+            for i in 1..=KEYS {
+                service.stage_results(&[(key(i), UnitResult::default())]);
+                announced.store(i, Ordering::SeqCst);
+                service.drain_absorb();
+            }
+            reader.join().expect("reader thread")
+        });
+        assert_eq!(misses, 0, "lookups that fell between staging and shared");
     }
 
     #[test]

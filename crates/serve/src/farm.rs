@@ -3,8 +3,8 @@
 //! The paper's §1 backdrop is a ~100-CPU simulation farm (2×10⁹
 //! cycles/day); this module is the signoff-side equivalent. A [`Farm`]
 //! shards one revision's dirty verification units across `cbv-served`
-//! worker processes and merges the results through the same
-//! scatter-gather flow ([`cbv_core::scatter::run_flow_with`]) the
+//! worker processes and merges the results through the same cached
+//! flow driver ([`cbv_core::scatter`], as its unit backend) the
 //! in-process path uses — so a farm signoff is **byte-identical** to
 //! `cbv replay` on the same design and edit stream, at any worker
 //! count, with any interleaving of crashes, steals and retries.

