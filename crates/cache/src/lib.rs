@@ -186,6 +186,9 @@ pub struct CacheStats {
     /// Units the shared tier could not answer — dispatched for
     /// verification (locally or to farm workers).
     pub remote_misses: usize,
+    /// Of the hits, units another run was computing when this one
+    /// fetched: awaited and re-fetched instead of computed twice.
+    pub coalesced: usize,
 }
 
 impl CacheStats {

@@ -461,18 +461,22 @@ pub(crate) fn power_and_signoff(
 /// Fingerprint lookup plus the conservative one-step fanout closure: a
 /// unit is dirty when its fingerprint misses `cache`, or it is a clean
 /// CCC whose fanin boundary crosses a fingerprint-dirty CCC. A lookup
-/// also refreshes the entry's recency on a bounded cache.
+/// also refreshes the entry's recency on a bounded cache. A `pending`
+/// key — another run is computing it right now — is neither dirty nor a
+/// fanout seed: what a run arriving after that claimant would see.
 pub(crate) fn dirty_closure(
     cache: &VerifyCache,
     env: u64,
     fps: &cbv_cache::DesignFingerprints,
     recognition: &Recognition,
+    pending: &[CacheKey],
 ) -> Vec<bool> {
     let n_cccs = recognition.cccs.len();
     let mut dirty: Vec<bool> = fps
         .units
         .iter()
-        .map(|&u| cache.get(&CacheKey::new(env, u)).is_none())
+        .map(|&u| CacheKey::new(env, u))
+        .map(|key| cache.get(&key).is_none() && !pending.contains(&key))
         .collect();
     let fp_dirty: Vec<usize> = (0..n_cccs).filter(|&i| dirty[i]).collect();
     for (j, d) in dirty.iter_mut().enumerate().take(n_cccs) {

@@ -8,7 +8,8 @@
 //! - **cache** — an owned [`VerifyCache`] looked up and primed in place
 //!   (an empty one is the cold flow plus fingerprinting), or a per-run
 //!   overlay filled from a `SharedTier` by one keyed fetch (the
-//!   daemon's [`FlowService`](crate::service::FlowService));
+//!   daemon's [`FlowService`](crate::service::FlowService)) — which is
+//!   raced for, so this seam owns the single-flight rule (`SharedTier`);
 //! - **unit backend** ([`UnitBackend`]) — [`LocalBackend`] fans dirty
 //!   units out on the in-process executor; the farm coordinator in
 //!   `cbv-serve` ships them to worker processes, the way the paper's
@@ -43,7 +44,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use cbv_cache::{
@@ -269,7 +270,7 @@ pub struct PrepCache {
     misses: AtomicU64,
 }
 
-struct PrepState {
+pub(crate) struct PrepState {
     /// Published preps, oldest first.
     entries: Vec<((u64, u64), Arc<PreparedDesign>)>,
     /// Keys some caller is building right now.
@@ -297,7 +298,7 @@ impl PrepBuild<'_> {
     /// Publishes the built prep under the claimed key and wakes every
     /// stream waiting on it.
     pub fn publish(self, prep: Arc<PreparedDesign>) {
-        let mut st = self.cache.state.lock().expect("prep cache lock");
+        let mut st = self.cache.state();
         st.entries.push((self.key, prep));
         if st.entries.len() > self.cache.cap {
             st.entries.remove(0);
@@ -308,7 +309,7 @@ impl PrepBuild<'_> {
 
 impl Drop for PrepBuild<'_> {
     fn drop(&mut self) {
-        let mut st = self.cache.state.lock().expect("prep cache lock");
+        let mut st = self.cache.state();
         st.building.remove(&self.key);
         drop(st);
         self.cache.cv.notify_all();
@@ -330,10 +331,17 @@ impl PrepCache {
         }
     }
 
+    /// The published preps and build slots, recovered if a panicking
+    /// holder poisoned the lock: every update leaves both valid, and a
+    /// build slot is released from a `Drop` that must not panic.
+    pub(crate) fn state(&self) -> MutexGuard<'_, PrepState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Resolves `key` to a published prep or an exclusive build slot,
     /// first waiting out any in-flight build of the same key.
     pub fn begin(&self, key: (u64, u64)) -> PrepClaim<'_> {
-        let mut st = self.state.lock().expect("prep cache lock");
+        let mut st = self.state();
         loop {
             if let Some((_, p)) = st.entries.iter().rev().find(|(k, _)| *k == key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -343,7 +351,7 @@ impl PrepCache {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 return PrepClaim::Build(PrepBuild { cache: self, key });
             }
-            st = self.cv.wait(st).expect("prep cache lock");
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -439,9 +447,102 @@ pub(crate) struct RunKeys {
 /// overlay and asks the tier, once, for the entries its keys name. The
 /// overlay then receives the run's fresh results like an owned cache,
 /// and the tier's owner decides what to publish.
+///
+/// A shared tier is raced for, so the seam also owns its *single-flight*
+/// rule — a unit two racing runs both miss is computed once: `fetch`
+/// claims, and the driver computes, `publish`es, drops the claims and
+/// then `await_units`, for whichever [`UnitBackend`] it was handed.
 pub(crate) trait SharedTier {
-    /// Copies whatever the tier holds under `keys` into `overlay`.
-    fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache);
+    /// One locked batch: copies whatever the tier holds under `keys`
+    /// into `overlay`, then [claims](Inflight::claim_missing) the unit
+    /// keys still missing before the tier's guards drop. Returns the
+    /// claims and *theirs*: missing keys another run is computing.
+    fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>);
+
+    /// Makes the unpoisoned `outcomes` visible to every later fetch under
+    /// `keys[unit]`, before the run ends. An existing entry wins.
+    fn publish(&self, keys: &[CacheKey], outcomes: &[UnitOutcome]);
+
+    /// [Waits](Inflight::wait) until no run holds a claim on any of
+    /// `keys`, then copies what the tier now holds under them into
+    /// `overlay`. What a claimant did not deliver (poisoned, failed,
+    /// outlasted the wait) stays missing.
+    fn await_units(&self, keys: &[CacheKey], by: Option<Instant>, overlay: &mut VerifyCache);
+}
+
+/// The bound on a wait for other runs' claims. A claimant that unwinds
+/// releases at once; this is for one that hangs — a claim degrades to
+/// duplicated work, never to a wedge.
+pub(crate) const CLAIM_WAIT: Duration = Duration::from_secs(10);
+
+/// A shared tier's single-flight ledger: the unit keys some run is
+/// computing right now. Never locked while computing.
+#[derive(Default)]
+pub(crate) struct Inflight {
+    keys: Mutex<HashSet<CacheKey>>,
+    released: Condvar,
+}
+
+/// The keys one run has claimed, released — and every waiter woken — on
+/// drop, so also when a backend unwinds through the driver. Claims are
+/// *advisory*: a waiter whose claimant released without publishing
+/// misses on its re-fetch and computes the unit itself.
+pub(crate) struct Claims<'a> {
+    ledger: &'a Inflight,
+    keys: Vec<CacheKey>,
+}
+
+impl Drop for Claims<'_> {
+    fn drop(&mut self) {
+        let mut inflight = self.ledger.lock();
+        for key in &self.keys {
+            inflight.remove(key);
+        }
+        drop(inflight);
+        self.ledger.released.notify_all();
+    }
+}
+
+impl Inflight {
+    /// The ledger, recovered if a panicking holder poisoned it: a set of
+    /// keys is valid after any panic, and [`Claims`] lock it in `Drop`.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, HashSet<CacheKey>> {
+        self.keys.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims every key of `units` that `overlay` lacks and no other run
+    /// holds, and returns the other missing keys as *theirs*. Call it
+    /// still holding the guards `overlay` was filled under (lock order:
+    /// tiers, then ledger): a run publishes under those guards *before*
+    /// it releases, so a key found in no tier is either still in flight
+    /// or free — there is no window between the two.
+    pub(crate) fn claim_missing(
+        &self,
+        units: &[CacheKey],
+        overlay: &VerifyCache,
+    ) -> (Claims<'_>, Vec<CacheKey>) {
+        let mut inflight = self.lock();
+        let (keys, theirs) = units
+            .iter()
+            .filter(|key| !overlay.contains(key))
+            .partition(|&&key| inflight.insert(key));
+        (Claims { ledger: self, keys }, theirs)
+    }
+
+    /// Blocks until none of `keys` is claimed, [`CLAIM_WAIT`] elapses or
+    /// `by` — the waiting run's own deadline — passes.
+    pub(crate) fn wait(&self, keys: &[CacheKey], by: Option<Instant>) {
+        let bound = Instant::now() + CLAIM_WAIT;
+        let deadline = by.map_or(bound, |by| by.min(bound));
+        let mut inflight = self.lock();
+        while keys.iter().any(|k| inflight.contains(k)) {
+            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+                return;
+            };
+            let woken = self.released.wait_timeout(inflight, remaining);
+            inflight = woken.unwrap_or_else(PoisonError::into_inner).0;
+        }
+    }
 }
 
 /// Where a run's stages 1–3 came from — the prep-source seam. One lives
@@ -520,8 +621,10 @@ pub(crate) fn run_flow_tiered(
 
     // 4. Fingerprints and the dirty closure. The prep names every key
     // the run can look up, so a shared tier is asked for them here, in
-    // one batch, before the closure reads the overlay.
-    let (prep, timing_keys, dirty) = timed(&mut stages, flow, "fingerprint", |_| {
+    // one batch, before the closure reads the overlay. The batch also
+    // claims the unit keys it did not answer; one another run holds is
+    // *pending* — not this run's to compute.
+    let (prep, keys, mut dirty, held) = timed(&mut stages, flow, "fingerprint", |_| {
         let prep = match source {
             PrepSource::Shared(p) => p,
             PrepSource::Built(parts, slot) => {
@@ -537,35 +640,52 @@ pub(crate) fn run_flow_tiered(
             units: (0..prep.n_units()).map(|i| prep.unit_key(i)).collect(),
             timing: TimingKeys::of(&prep.parts, prep.env, schedule),
         };
-        if let Some(tier) = tier {
-            tier.fetch(&keys, cache);
-        }
-        let dirty = dirty_closure(cache, prep.env, &prep.fps, &prep.parts.recognition);
+        let (claims, theirs) = tier.map(|tier| tier.fetch(&keys, cache)).unzip();
+        let theirs: Vec<CacheKey> = theirs.unwrap_or_default();
+        let dirty = dirty_closure(cache, prep.env, &prep.fps, &prep.parts.recognition, &theirs);
         let n_units = prep.n_units();
-        ((prep, keys.timing, dirty), n_units, None)
+        ((prep, keys, dirty, (claims, theirs)), n_units, None)
     });
-    let n_cccs = prep.n_cccs();
+    let (n_units, n_cccs) = (prep.n_units(), prep.n_cccs());
 
     // 5. Scatter-gather everify: the backend verifies dirty units
     // (battery + arcs fused), clean units replay from cache. Outcomes
     // are re-indexed by unit, so backend completion order is irrelevant.
-    let dirty_units: Vec<usize> = (0..prep.n_units()).filter(|&i| dirty[i]).collect();
-    let mut everify_stats = CacheStats {
-        hits: prep.n_units() - dirty_units.len(),
-        misses: dirty_units.len(),
-        ..CacheStats::default()
-    };
-    let mut poisoned = vec![false; prep.n_units()];
+    let mut coalesced = 0;
+    let mut poisoned = vec![false; n_units];
     let (ereport, mut per_unit) = timed(&mut stages, flow, "everify", |ctx| {
-        let (outcomes, busy) =
-            backend.verify_units(&prep, &exec, ctx, &dirty_units, config.deadline);
+        let verify =
+            |units: &[usize]| backend.verify_units(&prep, &exec, ctx, units, config.deadline);
+        let dirty_units: Vec<usize> = (0..n_units).filter(|&i| dirty[i]).collect();
+        let (mut outcomes, mut busy) = verify(&dirty_units);
+        let (claims, theirs) = held;
+        if let Some(tier) = tier {
+            // Publish before releasing (see `Inflight::claim_missing`),
+            // and compute and release before waiting: two runs holding
+            // claims on each other's units cannot block each other.
+            tier.publish(&keys.units, &outcomes);
+            drop(claims);
+            if !theirs.is_empty() {
+                tier.await_units(&theirs, config.deadline, cache);
+                coalesced = theirs.iter().filter(|key| cache.contains(key)).count();
+                // Whatever a claimant did not deliver is dirty now, with
+                // its fanout: a second, normally empty, batch.
+                let settled =
+                    dirty_closure(cache, prep.env, &prep.fps, &prep.parts.recognition, &[]);
+                let late: Vec<usize> = (0..n_units).filter(|&i| settled[i] && !dirty[i]).collect();
+                let (more, more_busy) = verify(&late);
+                outcomes.extend(more);
+                busy += more_busy;
+                dirty = settled;
+            }
+        }
         ctx.tracer.gauge("everify.busy_s", busy.as_secs_f64());
-        let mut fresh: Vec<Option<UnitResult>> = (0..prep.n_units()).map(|_| None).collect();
+        let mut fresh: Vec<Option<UnitResult>> = (0..n_units).map(|_| None).collect();
         for o in outcomes {
             poisoned[o.unit] = o.poisoned;
             fresh[o.unit] = Some(o.result);
         }
-        let per_unit: Vec<UnitResult> = (0..prep.n_units())
+        let per_unit: Vec<UnitResult> = (0..n_units)
             .map(|i| {
                 if dirty[i] {
                     fresh[i].take().expect("one outcome per dirty unit")
@@ -586,9 +706,17 @@ pub(crate) fn run_flow_tiered(
         let n = merged.checked_count();
         ((merged, per_unit), n, Some(busy))
     });
+    // Tallied after the row: a unit awaited and delivered is a hit.
+    let misses = dirty.iter().filter(|&&d| d).count();
+    let mut everify_stats = CacheStats {
+        hits: n_units - misses,
+        misses,
+        coalesced,
+        ..CacheStats::default()
+    };
     tracer.add("cache.everify.hits", everify_stats.hits as u64);
-    tracer.add("cache.everify.misses", everify_stats.misses as u64);
-    tracer.add("fingerprint.dirty_units", dirty_units.len() as u64);
+    tracer.add("cache.everify.misses", misses as u64);
+    tracer.add("fingerprint.dirty_units", (misses + coalesced) as u64);
 
     // 6. Timing: arcs arrived with the unit outcomes; what remains is
     // the serial splice (CCC index order — the cold graph's exact arc
@@ -598,7 +726,7 @@ pub(crate) fn run_flow_tiered(
             &prep.parts,
             process,
             config,
-            &timing_keys,
+            &keys.timing,
             &per_unit[..n_cccs],
             &prep.fps.units[..n_cccs],
             cache,

@@ -17,7 +17,8 @@
 //!    and timing-tier keys, one locked batch copies exactly those
 //!    entries — shared tier first (refreshing their LRU recency), then
 //!    the undrained staging tier, so a run always sees its own
-//!    service's recent results — into a per-run overlay. A request
+//!    service's recent results — into a per-run overlay, and claims
+//!    the unit keys still missing (*Single-flight*, below). A request
 //!    therefore costs O(design) in time and memory however large the
 //!    tier has grown, and a bounded tier never evicts the revision a
 //!    session is walking;
@@ -60,25 +61,28 @@
 //!
 //! # Single-flight
 //!
-//! Racing streams that miss the *same* unit would compute it twice —
+//! Racing requests that miss the *same* unit would compute it twice —
 //! harmless for soundness (absorb is existing-entry-wins) but wasted
-//! work the farm cannot afford. The tier therefore keeps an in-flight
-//! ledger: a backend [claims](FlowService::try_claim_unit) a unit key
-//! before computing it, other streams [wait](FlowService::await_units)
-//! and re-[look up](FlowService::lookup_unit) instead of duplicating
-//! the dispatch. Claims are advisory with a bounded wait, so a crashed
-//! claimant degrades to duplicated work, never to a hang.
+//! work, and lockstep clients do exactly that. "Computed once" is the
+//! driver's cache seam's rule, not this service's callers': the fetch
+//! claims what the run will compute in the in-flight ledger, the driver
+//! publishes the results to staging, releases, and only then awaits and
+//! re-fetches what other runs had claimed — for every backend,
+//! [`LocalBackend`] included. Claims are advisory with a bounded wait,
+//! so a crashed claimant degrades to duplicated work, never to a hang.
 
-use std::collections::HashSet;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
-use cbv_cache::{CacheKey, CacheStats, UnitResult, VerifyCache};
+use cbv_cache::{CacheKey, CacheStats, VerifyCache};
 use cbv_netlist::FlatNetlist;
 use cbv_tech::Process;
 
 use crate::flow::{FlowConfig, FlowReport};
-use crate::scatter::{run_flow_tiered, LocalBackend, PrepCache, RunKeys, SharedTier, UnitBackend};
+use crate::scatter::{
+    run_flow_tiered, Claims, Inflight, LocalBackend, PrepCache, RunKeys, SharedTier, UnitBackend,
+    UnitOutcome,
+};
 
 /// A shareable, cache-backed verification endpoint. `&FlowService` is
 /// `Send + Sync`; workers call [`verify`](FlowService::verify)
@@ -95,12 +99,9 @@ pub struct FlowService {
     ///
     /// [`drain_absorb`]: FlowService::drain_absorb
     staging: Mutex<VerifyCache>,
-    /// Single-flight ledger: unit keys some caller is computing right
-    /// now. Never held while computing — claims are registered, the
-    /// work runs unlocked, and [`release_units`](FlowService::release_units)
-    /// wakes the waiters.
-    inflight: Mutex<HashSet<CacheKey>>,
-    inflight_cv: Condvar,
+    /// Single-flight ledger: unit keys some run is computing right now.
+    /// Lock order: after `staging` — a fetch claims under both tiers.
+    inflight: Inflight,
     /// Shared serial-prep artifacts, content-addressed by raw netlist
     /// digest: W streams verifying the same revision prepare it once.
     preps: PrepCache,
@@ -135,8 +136,7 @@ impl FlowService {
             config,
             cache: Mutex::new(VerifyCache::new()),
             staging: Mutex::new(VerifyCache::new()),
-            inflight: Mutex::new(HashSet::new()),
-            inflight_cv: Condvar::new(),
+            inflight: Inflight::default(),
             preps: PrepCache::new(4),
         }
     }
@@ -327,89 +327,6 @@ impl FlowService {
         self.staged().len()
     }
 
-    /// Claims `key` for computation by this caller. `true` means the
-    /// caller owns the unit and must compute it (then
-    /// [`release_units`](FlowService::release_units), even on failure);
-    /// `false` means another caller has it in flight — wait with
-    /// [`await_units`](FlowService::await_units) and re-look-up instead
-    /// of duplicating the work. This is the tier's single-flight
-    /// discipline: under racing streams, each content address is
-    /// computed once.
-    pub fn try_claim_unit(&self, key: &CacheKey) -> bool {
-        self.inflight
-            .lock()
-            .expect("service inflight lock")
-            .insert(*key)
-    }
-
-    /// Drops this caller's claims and wakes every waiter. Claims are
-    /// *advisory*: releasing without publishing a result is legal (the
-    /// waiter re-looks-up, misses, and computes the unit itself), so a
-    /// failed or poisoned computation cannot wedge the farm.
-    pub fn release_units(&self, keys: &[CacheKey]) {
-        if keys.is_empty() {
-            return;
-        }
-        let mut inflight = self.inflight.lock().expect("service inflight lock");
-        for key in keys {
-            inflight.remove(key);
-        }
-        drop(inflight);
-        self.inflight_cv.notify_all();
-    }
-
-    /// Blocks until none of `keys` is claimed by another caller, or
-    /// `timeout` elapses — the waiter's half of single-flight. On
-    /// return the caller re-looks-up the tier; anything still missing
-    /// (claimant failed, result poisoned, timeout) it computes itself.
-    pub fn await_units(&self, keys: &[CacheKey], timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        let mut inflight = self.inflight.lock().expect("service inflight lock");
-        while keys.iter().any(|k| inflight.contains(k)) {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return;
-            };
-            let (guard, result) = self
-                .inflight_cv
-                .wait_timeout(inflight, remaining)
-                .expect("service inflight lock");
-            inflight = guard;
-            if result.timed_out() {
-                return;
-            }
-        }
-    }
-
-    /// Looks one unit up in the shared tier: the published cache first,
-    /// then the staging overlay (results another stream staged but has
-    /// not drained yet). Both guards are taken before either tier is
-    /// read: a [`drain_absorb`](FlowService::drain_absorb) landing
-    /// between two separately locked reads would move the entry from
-    /// staging to shared behind the first read and ahead of the second,
-    /// and the lookup would miss a result the tier holds.
-    pub fn lookup_unit(&self, key: &CacheKey) -> Option<UnitResult> {
-        let shared = self.shared();
-        let staging = self.staged();
-        shared.get(key).or_else(|| staging.get(key)).cloned()
-    }
-
-    /// Stages unit results directly — the farm coordinator publishes
-    /// remote results here *before* releasing their claims, so a waiter
-    /// that wakes finds them without waiting for the producing stream's
-    /// full verify to finish. Existing staged entries win (first writer,
-    /// same content either way).
-    pub fn stage_results(&self, results: &[(CacheKey, UnitResult)]) {
-        if results.is_empty() {
-            return;
-        }
-        let mut staging = self.staged();
-        for (key, result) in results {
-            if staging.get(key).is_none() {
-                staging.insert(*key, result.clone());
-            }
-        }
-    }
-
     /// Verifies one netlist revision; the common entry point when only
     /// the verdict is needed. `deadline` bounds the per-unit
     /// verification work cooperatively (see [`FlowConfig::deadline`]);
@@ -445,10 +362,11 @@ impl FlowService {
 /// read first (refreshing recency there, so a bounded tier keeps what
 /// live sessions are walking), then staging fills what it lacks; the
 /// STA key follows in the same batch once the artifacts it is derived
-/// from are in the overlay. The overlay inherits the tier's bound, so a
-/// design larger than the bound is capped per run as it is per tier.
+/// from are in the overlay, and the run's claims last, before either
+/// guard drops. The overlay inherits the tier's bound, so a design
+/// larger than the bound is capped per run as it is per tier.
 impl SharedTier for FlowService {
-    fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) {
+    fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
         let shared = self.shared();
         let staging = self.staged();
         overlay.set_capacity(shared.capacity());
@@ -459,8 +377,35 @@ impl SharedTier for FlowService {
             copied +=
                 shared.fetch_into(&[], &[sta], overlay) + staging.fetch_into(&[], &[sta], overlay);
         }
+        let claimed = self.inflight.claim_missing(&keys.units, overlay);
         drop((shared, staging));
         self.config.tracer.add("cache.fetch.batches", 1);
+        self.config.tracer.add("cache.fetch.entries", copied as u64);
+        claimed
+    }
+
+    /// Into staging, where a waiter's re-fetch finds them at once.
+    fn publish(&self, keys: &[CacheKey], outcomes: &[UnitOutcome]) {
+        let mut staging = self.staged();
+        for o in outcomes {
+            if !o.poisoned && !staging.contains(&keys[o.unit]) {
+                staging.insert(keys[o.unit], o.result.clone());
+            }
+        }
+    }
+
+    /// The re-fetch takes both guards before it reads either tier: a
+    /// [`drain_absorb`](FlowService::drain_absorb) landing between two
+    /// separately locked reads would move an entry from staging to
+    /// shared behind the first read and ahead of the second, and the
+    /// run would miss a result the tier holds. Its copies count as the
+    /// request's fetched entries, not as a second batch.
+    fn await_units(&self, keys: &[CacheKey], by: Option<Instant>, overlay: &mut VerifyCache) {
+        self.inflight.wait(keys, by);
+        let shared = self.shared();
+        let staging = self.staged();
+        let copied = shared.fetch_into(keys, &[], overlay) + staging.fetch_into(keys, &[], overlay);
+        drop((shared, staging));
         self.config.tracer.add("cache.fetch.entries", copied as u64);
     }
 }
@@ -468,25 +413,39 @@ impl SharedTier for FlowService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{run_flow, run_flow_incremental};
-    use crate::scatter::{PreparedDesign, UnitOutcome};
+    use crate::flow::{run_flow, run_flow_incremental, schedule_of, serial_prep, TimingKeys};
+    use crate::scatter::{PrepClaim, PreparedDesign};
     use cbv_exec::{run_isolated, Executor};
     use cbv_gen::adders::static_ripple_adder;
     use cbv_mutate::{MutationOp, Site};
     use cbv_netlist::{Device, DeviceId, NetKind};
     use cbv_obs::TraceCtx;
     use cbv_tech::MosKind;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     /// The discipline the keyed fetch replaced, kept as its oracle: the
     /// overlay is a clone of the whole shared tier with staging absorbed
-    /// into it.
+    /// into it. It claims through the service's ledger, under the same
+    /// guards, so the single-flight sequence is the oracle's too.
     struct WholeClone<'a>(&'a FlowService);
 
     impl SharedTier for WholeClone<'_> {
-        fn fetch(&self, _keys: &RunKeys, overlay: &mut VerifyCache) {
-            *overlay = self.0.shared().clone();
-            overlay.absorb(&self.0.staged());
+        fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
+            let (shared, staging) = (self.0.shared(), self.0.staged());
+            *overlay = shared.clone();
+            overlay.absorb(&staging);
+            self.0.inflight.claim_missing(&keys.units, overlay)
+        }
+
+        fn publish(&self, keys: &[CacheKey], outcomes: &[UnitOutcome]) {
+            self.0.publish(keys, outcomes);
+        }
+
+        fn await_units(&self, keys: &[CacheKey], by: Option<Instant>, o: &mut VerifyCache) {
+            self.0.await_units(keys, by, o);
         }
     }
 
@@ -643,8 +602,13 @@ mod tests {
         assert!(unbounded.cache_len() > 4 * units);
     }
 
+    /// The key of a prep build slot [`PoisoningBackend`] dies holding.
+    const ABANDONED_PREP: (u64, u64) = (0xdead, 0xdead);
+
     /// A backend that dies between the fetch and the stage while holding
-    /// both tier locks — the worst a panicking job can do to them.
+    /// every lock the service has — both tiers, the single-flight ledger
+    /// (whose claims the driver holds for it) and the prep cache with a
+    /// build slot — the worst a panicking job can do to them.
     struct PoisoningBackend<'a>(&'a FlowService);
 
     impl UnitBackend for PoisoningBackend<'_> {
@@ -653,11 +617,22 @@ mod tests {
             _prep: &PreparedDesign,
             _exec: &Executor,
             _ctx: TraceCtx<'_>,
-            _units: &[usize],
+            units: &[usize],
             _deadline: Option<Instant>,
         ) -> (Vec<UnitOutcome>, Duration) {
+            let _slot = match self.0.preps.begin(ABANDONED_PREP) {
+                PrepClaim::Build(slot) => slot,
+                PrepClaim::Hit(_) => panic!("nobody publishes this key"),
+            };
             let _shared = self.0.cache.lock();
             let _staging = self.0.staging.lock();
+            let ledger = self.0.inflight.lock();
+            assert_eq!(
+                ledger.len(),
+                units.len(),
+                "the run claimed what it computes"
+            );
+            let _preps = self.0.preps.state();
             panic!("job died holding the tier locks");
         }
     }
@@ -670,14 +645,29 @@ mod tests {
             serde_json::to_string(&run_flow(netlist.clone(), &p, &FlowConfig::default()).signoff)
                 .unwrap();
         let service = FlowService::new(p.clone(), FlowConfig::default());
+        // The slot and the claims are released from `Drop`s that run
+        // while the job unwinds through locks it has just poisoned: a
+        // panic there would abort the process, not fail this test.
         let died = run_isolated(0, || {
             service.verify_with_backend(netlist.clone(), None, None, &PoisoningBackend(&service))
         });
         assert!(died.is_err(), "the job must have panicked");
         assert!(service.cache.is_poisoned() && service.staging.is_poisoned());
+        assert!(
+            service.inflight.lock().is_empty(),
+            "the claims were released"
+        );
+        assert!(
+            matches!(service.preps.begin(ABANDONED_PREP), PrepClaim::Build(_)),
+            "and so was the build slot"
+        );
 
+        // The next identical request waits on nobody: it claims and
+        // computes every unit itself.
+        let n_units = PreparedDesign::build(netlist.clone(), &p, &FlowConfig::default()).n_units();
         let after = service.verify(netlist.clone(), None, None);
         assert_eq!(after.signoff_json, cold);
+        assert_eq!((after.cache.coalesced, after.cache.misses), (0, n_units));
         assert!(service.cache_len() > 0, "the recovered tier still absorbs");
         let warm = service.verify(netlist, None, None);
         assert_eq!(warm.signoff_json, cold);
@@ -785,48 +775,77 @@ mod tests {
         assert_eq!(service.drain_absorb(), 0, "drain on empty staging");
     }
 
+    /// `units` as a run's keys. The timing half is a real design's: a
+    /// fresh service's tier answers none of it.
+    fn run_keys(units: Vec<CacheKey>) -> RunKeys {
+        let p = Process::strongarm_035();
+        let netlist = static_ripple_adder(2, &p).netlist;
+        let (prep, _) = serial_prep(&mut Vec::new(), TraceCtx::disabled(), netlist, &p, false);
+        let schedule = schedule_of(&FlowConfig::default(), &prep, &p);
+        let timing = TimingKeys::of(&prep, 0, schedule);
+        RunKeys { units, timing }
+    }
+
+    /// Unit 0's outcome, as a claimant delivers it.
+    fn delivered() -> UnitOutcome {
+        UnitOutcome {
+            unit: 0,
+            result: cbv_cache::UnitResult::default(),
+            poisoned: false,
+        }
+    }
+
     #[test]
     fn single_flight_claims_wait_and_resolve_through_staging() {
         let p = Process::strongarm_035();
         let service = FlowService::new(p.clone(), FlowConfig::default());
         let fp = |content, binding| cbv_cache::UnitFingerprint { content, binding };
         let key = CacheKey::new(1, fp(2, 3));
+        let keys = run_keys(vec![key]);
+        let mut overlay = VerifyCache::new();
 
-        assert!(service.try_claim_unit(&key), "first claimant wins");
-        assert!(!service.try_claim_unit(&key), "second caller must wait");
+        let (claims, theirs) = service.fetch(&keys, &mut overlay);
+        assert!(theirs.is_empty(), "first claimant wins");
+        let (second, theirs) = service.fetch(&keys, &mut overlay);
+        assert_eq!(theirs, [key], "second caller must wait");
+        drop(second);
         // An unclaimed key never blocks the waiter.
         let other = CacheKey::new(4, fp(5, 6));
         let t0 = Instant::now();
-        service.await_units(&[other], Duration::from_secs(5));
+        service.await_units(&[other], None, &mut overlay);
         assert!(t0.elapsed() < Duration::from_secs(1));
 
-        // A waiter parks until the claimant stages + releases, then
+        // A waiter parks until the claimant publishes + releases, then
         // finds the result in the tier without recomputing.
         let resolved = std::thread::scope(|s| {
             let waiter = s.spawn(|| {
-                service.await_units(&[key], Duration::from_secs(10));
-                service.lookup_unit(&key)
+                let mut overlay = VerifyCache::new();
+                service.await_units(&[key], None, &mut overlay);
+                overlay.get(&key).cloned()
             });
-            let result = UnitResult::default();
-            service.stage_results(&[(key, result)]);
-            service.release_units(&[key]);
+            service.publish(&[key], &[delivered()]);
+            drop(claims);
             waiter.join().expect("waiter thread")
         });
         assert!(resolved.is_some(), "release published the result");
-        assert!(service.try_claim_unit(&key), "claim was released");
+        service.staged().clear();
+        let (_claims, theirs) = service.fetch(&keys, &mut overlay);
+        assert!(theirs.is_empty(), "claim was released");
 
         // The timeout bounds a wedged claimant.
         let t0 = Instant::now();
-        service.await_units(&[key], Duration::from_millis(20));
+        let by = t0 + Duration::from_millis(20);
+        service.await_units(&[key], Some(by), &mut overlay);
+        assert!(!overlay.contains(&key));
         assert!(t0.elapsed() >= Duration::from_millis(20));
         assert!(t0.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
     fn lookup_never_misses_a_published_unit_while_the_tier_drains() {
-        // One stream stages a unit, announces it and drains — moving the
-        // entry from staging to shared — 200,000 times over, while
-        // another keeps looking up the last announced key. From its
+        // One stream publishes a unit, announces it and drains — moving
+        // the entry from staging to shared — 200,000 times over, while
+        // another keeps re-fetching the last announced key. From its
         // announcement on the tier holds that key in one tier or the
         // other, so the only way to miss is to read shared before a
         // drain and staging after it.
@@ -846,7 +865,9 @@ mod tests {
                 let mut misses = 0u32;
                 loop {
                     let last = announced.load(Ordering::SeqCst);
-                    if last > 0 && service.lookup_unit(&key(last)).is_none() {
+                    let mut overlay = VerifyCache::new();
+                    service.await_units(&[key(last)], None, &mut overlay);
+                    if last > 0 && overlay.is_empty() {
                         misses += 1;
                     }
                     if last == KEYS {
@@ -855,13 +876,174 @@ mod tests {
                 }
             });
             for i in 1..=KEYS {
-                service.stage_results(&[(key(i), UnitResult::default())]);
+                service.publish(&[key(i)], &[delivered()]);
                 announced.store(i, Ordering::SeqCst);
                 service.drain_absorb();
             }
             reader.join().expect("reader thread")
         });
-        assert_eq!(misses, 0, "lookups that fell between staging and shared");
+        assert_eq!(misses, 0, "re-fetches that fell between staging and shared");
+    }
+
+    /// [`LocalBackend`] behind a rendezvous: it announces that its run
+    /// has fetched (and so claimed), then parks until `resume`.
+    struct Parked<'a> {
+        entered: &'a Barrier,
+        resume: &'a Barrier,
+    }
+
+    impl UnitBackend for Parked<'_> {
+        fn verify_units(
+            &self,
+            prep: &PreparedDesign,
+            exec: &Executor,
+            ctx: TraceCtx<'_>,
+            units: &[usize],
+            deadline: Option<Instant>,
+        ) -> (Vec<UnitOutcome>, Duration) {
+            self.entered.wait();
+            self.resume.wait();
+            LocalBackend.verify_units(prep, exec, ctx, units, deadline)
+        }
+    }
+
+    /// [`LocalBackend`], counting the units it is asked for.
+    struct Counting(AtomicUsize);
+
+    impl UnitBackend for Counting {
+        fn verify_units(
+            &self,
+            prep: &PreparedDesign,
+            exec: &Executor,
+            ctx: TraceCtx<'_>,
+            units: &[usize],
+            deadline: Option<Instant>,
+        ) -> (Vec<UnitOutcome>, Duration) {
+            self.0.fetch_add(units.len(), Ordering::SeqCst);
+            LocalBackend.verify_units(prep, exec, ctx, units, deadline)
+        }
+    }
+
+    /// A tier that reports when its fetch, claims included, is done.
+    struct FetchThen<'a>(&'a dyn SharedTier, &'a Barrier);
+
+    impl SharedTier for FetchThen<'_> {
+        fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
+            let fetched = self.0.fetch(keys, overlay);
+            self.1.wait();
+            fetched
+        }
+
+        fn publish(&self, keys: &[CacheKey], outcomes: &[UnitOutcome]) {
+            self.0.publish(keys, outcomes);
+        }
+
+        fn await_units(&self, keys: &[CacheKey], by: Option<Instant>, o: &mut VerifyCache) {
+            self.0.await_units(keys, by, o);
+        }
+    }
+
+    /// What the forced lockstep race came back with.
+    struct Race {
+        a: ServiceVerdict,
+        b: ServiceVerdict,
+        /// Units run B's backend was asked for.
+        b_asked: usize,
+        /// The `cbv-cache/1` bytes of the tier the race left behind.
+        tier: String,
+        /// Everify misses of `seed` then `edited` on one owned cache.
+        owned_misses: usize,
+        /// Unit keys of `edited` that `seed` did not prime.
+        missing: usize,
+        cold: String,
+    }
+
+    /// The lockstep race, forced: a tier primed with ripple4 is asked
+    /// for one never-seen revision by two runs, A parked inside its
+    /// backend — fetched, claims held — until B has fetched too.
+    fn lockstep_race(oracle: bool, a_deadline: Option<Instant>) -> Race {
+        let p = Process::strongarm_035();
+        let config = FlowConfig::default();
+        let seed = static_ripple_adder(4, &p).netlist;
+        let mut edited = seed.clone();
+        let scale = MutationOp::WidthScale { factor: 1.25 };
+        cbv_mutate::apply(&mut edited, &scale, Site::Device(DeviceId(0))).expect("applies");
+
+        let mut owned = VerifyCache::new();
+        run_flow_incremental(seed.clone(), &p, &config, &mut owned);
+        let prep = PreparedDesign::build(edited.clone(), &p, &config);
+        let absent = |i: &usize| !owned.contains(&prep.unit_key(*i));
+        let missing = (0..prep.n_units()).filter(absent).count();
+        let replay = run_flow_incremental(edited.clone(), &p, &config, &mut owned);
+        let everify = replay.stages.iter().find(|s| s.stage == "everify");
+        let owned_misses = everify.and_then(|s| s.cache).expect("cached row").misses;
+
+        let service = FlowService::new(p.clone(), config.clone());
+        request(&service, oracle, seed);
+        let whole = WholeClone(&service);
+        let tier: &(dyn SharedTier + Sync) = if oracle { &whole } else { &service };
+        let (entered, resume) = (Barrier::new(2), Barrier::new(2));
+        let counting = Counting(AtomicUsize::new(0));
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                let parked = Parked {
+                    entered: &entered,
+                    resume: &resume,
+                };
+                service.verify_tiered(edited.clone(), a_deadline, None, tier, &parked)
+            });
+            entered.wait();
+            let tier = FetchThen(tier, &resume);
+            let b = service.verify_tiered(edited.clone(), None, None, &tier, &counting);
+            (a.join().expect("run a").1, b.1)
+        });
+        Race {
+            a,
+            b,
+            b_asked: counting.0.load(Ordering::SeqCst),
+            tier: service.cache_to_json(),
+            owned_misses,
+            missing,
+            cold: serde_json::to_string(&run_flow(edited, &p, &config).signoff).unwrap(),
+        }
+    }
+
+    #[test]
+    fn racing_runs_of_one_revision_compute_each_unit_once() {
+        let race = lockstep_race(false, None);
+        assert!(race.missing > 0 && race.owned_misses > race.missing);
+        assert_eq!(
+            race.a.cache.misses + race.b.cache.misses,
+            race.owned_misses,
+            "the two runs together compute what one replay does"
+        );
+        assert_eq!(race.b.cache.coalesced, race.missing);
+        assert_eq!(race.b.cache.misses, 0);
+        assert_eq!(race.b_asked, 0, "B's backend was asked for nothing");
+        assert_eq!(race.a.cache.coalesced, 0);
+        assert_eq!(race.a.signoff_json, race.cold);
+        assert_eq!(race.b.signoff_json, race.cold);
+        assert_eq!(race.tier, lockstep_race(true, None).tier);
+    }
+
+    #[test]
+    fn a_waiter_computes_what_a_poisoned_claimant_did_not_deliver() {
+        // A's deadline has expired when its backend resumes: every unit
+        // it claimed comes back poisoned, so it publishes nothing and
+        // releases. B wakes on the release, not on the wait's bound.
+        let t0 = Instant::now();
+        let race = lockstep_race(false, Some(Instant::now()));
+        assert!(t0.elapsed() < crate::scatter::CLAIM_WAIT);
+        assert!(!race.a.clean, "a timed-out run never signs off");
+        assert_eq!(race.a.cache.absorbed, 0, "nor caches anything");
+        assert_eq!(race.b.cache.coalesced, 0);
+        assert_eq!(race.b.cache.misses, race.owned_misses);
+        assert_eq!(race.b_asked, race.owned_misses, "in its second batch");
+        assert_eq!(race.b.cache.absorbed, race.owned_misses);
+        assert_eq!(race.b.signoff_json, race.cold);
+        // The tier ends as if B had run alone.
+        let alone = lockstep_race(false, None);
+        assert_eq!(race.tier, alone.tier);
     }
 
     #[test]

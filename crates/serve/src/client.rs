@@ -11,10 +11,9 @@
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use serde::write_json_string;
 use serde_json::Value;
 
-use crate::protocol::{extract_raw_field, read_frame, write_frame};
+use crate::protocol::{extract_raw_field, json_escaped, read_frame, write_frame};
 
 /// Anything that can go wrong on a request.
 #[derive(Debug)]
@@ -317,12 +316,6 @@ impl Client {
         self.request_raw("{\"req\":\"shutdown\"}")?;
         Ok(())
     }
-}
-
-fn json_escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_json_string(s, &mut out);
-    out
 }
 
 fn deadline_field(deadline_ms: Option<u64>) -> String {

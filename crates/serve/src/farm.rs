@@ -19,9 +19,11 @@
 //!    cache tier*: every worker's unit results land there keyed by
 //!    `(env, content, binding)` fingerprint, and the next revision's
 //!    dirty closure is computed against it, so unchanged units are
-//!    never dispatched at all.
-//! 2. Inside the flow's everify stage, the backend chunks the dirty
-//!    units into batches and runs one thread per worker. Each thread
+//!    never dispatched at all — nor are units a racing stream already
+//!    has in flight: the driver's cache seam claims, publishes and
+//!    awaits (single-flight), and this backend is pure dispatch.
+//! 2. Inside the flow's everify stage, the backend chunks the units it
+//!    is handed into batches and runs one thread per worker. Each thread
 //!    performs the `hello` version handshake and a `load` (the worker
 //!    replays the same design + steps and must report the **same**
 //!    environment and unit fingerprints — a mismatch means the builds
@@ -52,16 +54,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cbv_core::cache::{read_unit_entry, CacheKey};
+use cbv_core::cache::read_unit_entry;
 use cbv_core::exec::{fan_out, Executor};
 use cbv_core::flow::FlowReport;
 use cbv_core::obs::TraceCtx;
 use cbv_core::scatter::{LocalBackend, PreparedDesign, UnitBackend, UnitOutcome};
 use cbv_core::service::{FlowService, ServiceVerdict};
-use serde::write_json_string;
 use serde_json::Value;
 
-use crate::protocol::{read_frame, write_frame, PROTO_VERSION};
+use crate::protocol::{json_escaped, read_frame, write_frame, PROTO_VERSION};
 use crate::session::{edits_from_json, Session};
 
 /// Farm coordinator configuration.
@@ -330,11 +331,6 @@ impl Farm {
         }
     }
 
-    /// The shared cache tier this coordinator verifies against.
-    pub fn service(&self) -> &Arc<FlowService> {
-        &self.service
-    }
-
     /// Cumulative farm tallies.
     pub fn stats(&self) -> FarmStats {
         self.counters.snapshot()
@@ -404,6 +400,7 @@ impl Farm {
             .service
             .verify_with_backend(netlist, None, None, &backend);
         self.service.drain_absorb();
+        Counters::add(&self.counters.coalesced_units, out.1.cache.coalesced as u64);
         Ok(out)
     }
 
@@ -495,118 +492,57 @@ impl UnitBackend for FarmBackend<'_> {
         // Deadlines are cooperative and local; shipping one over the
         // wire would race the clock against transport latency. A
         // deadline run computes locally, preserving the exact
-        // `ToolError` census the incremental flow produces.
-        if self.live.is_empty() || deadline.is_some() {
+        // `ToolError` census the incremental flow produces. (A warm run
+        // has nothing to start worker threads for.)
+        if self.live.is_empty() || deadline.is_some() || units.is_empty() {
             Counters::add(&self.farm.counters.local_units, units.len() as u64);
             return LocalBackend.verify_units(prep, exec, ctx, units, deadline);
         }
 
-        // Single-flight against racing streams on the shared tier:
-        // claim what this verify will compute; a unit another stream
-        // already has in flight is awaited and re-looked-up instead of
-        // being dispatched twice.
-        let service = self.farm.service();
-        let mut mine: Vec<usize> = Vec::with_capacity(units.len());
-        let mut theirs: Vec<(usize, CacheKey)> = Vec::new();
-        for &u in units {
-            let key = prep.unit_key(u);
-            if service.try_claim_unit(&key) {
-                mine.push(u);
-            } else {
-                theirs.push((u, key));
-            }
-        }
-        let claimed: Vec<CacheKey> = mine.iter().map(|&u| prep.unit_key(u)).collect();
+        let chunk = self.farm.config.batch_units.max(1);
+        let dispatch = DispatchState {
+            state: Mutex::new(Dispatch {
+                pending: units.chunks(chunk).map(<[usize]>::to_vec).collect(),
+                inflight: Vec::new(),
+                done: HashMap::new(),
+                next_batch: 0,
+            }),
+            cvar: Condvar::new(),
+            target: units.len(),
+        };
 
-        let mut outcomes: Vec<UnitOutcome> = Vec::with_capacity(units.len());
-        if !mine.is_empty() {
-            let chunk = self.farm.config.batch_units.max(1);
-            let dispatch = DispatchState {
-                state: Mutex::new(Dispatch {
-                    pending: mine.chunks(chunk).map(<[usize]>::to_vec).collect(),
-                    inflight: Vec::new(),
-                    done: HashMap::new(),
-                    next_batch: 0,
-                }),
-                cvar: Condvar::new(),
-                target: mine.len(),
-            };
-
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-                .live
-                .iter()
-                .map(|&w| {
-                    let dispatch = &dispatch;
-                    Box::new(move || self.run_worker(prep, dispatch, w))
-                        as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            // fan_out is a barrier: every worker thread has exited (and
-            // requeued anything it still held) when this returns.
-            fan_out(tasks);
-
-            let mut st = dispatch.state.lock().expect("dispatch lock");
-            let missing: Vec<usize> = mine
-                .iter()
-                .copied()
-                .filter(|u| !st.done.contains_key(u))
-                .collect();
-            Counters::add(
-                &self.farm.counters.remote_units,
-                (mine.len() - missing.len()) as u64,
-            );
-            outcomes.extend(st.done.drain().map(|(_, o)| o));
-            drop(st);
-            if !missing.is_empty() {
-                // No worker ever answered these (all dead, or none
-                // configured to begin with): the coordinator verifies
-                // them itself rather than signing off with a hole.
-                Counters::add(&self.farm.counters.local_units, missing.len() as u64);
-                let (local, _) = LocalBackend.verify_units(prep, exec, ctx, &missing, deadline);
-                outcomes.extend(local);
-            }
-        }
-
-        // Publish this verify's results to the tier *now* (the flow
-        // would only stage them after the merge), then release the
-        // claims — waiters wake and find them immediately.
-        let staged: Vec<(CacheKey, cbv_core::cache::UnitResult)> = outcomes
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
+            .live
             .iter()
-            .filter(|o| !o.poisoned)
-            .map(|o| (prep.unit_key(o.unit), o.result.clone()))
+            .map(|&w| {
+                let dispatch = &dispatch;
+                Box::new(move || self.run_worker(prep, dispatch, w))
+                    as Box<dyn FnOnce() + Send + '_>
+            })
             .collect();
-        service.stage_results(&staged);
-        service.release_units(&claimed);
+        // fan_out is a barrier: every worker thread has exited (and
+        // requeued anything it still held) when this returns.
+        fan_out(tasks);
 
-        if !theirs.is_empty() {
-            let keys: Vec<CacheKey> = theirs.iter().map(|&(_, k)| k).collect();
-            service.await_units(
-                &keys,
-                Duration::from_millis(self.farm.config.reply_timeout_ms),
-            );
-            let mut unresolved: Vec<usize> = Vec::new();
-            let mut coalesced = 0u64;
-            for &(u, ref key) in &theirs {
-                match service.lookup_unit(key) {
-                    Some(result) => {
-                        coalesced += 1;
-                        outcomes.push(UnitOutcome {
-                            unit: u,
-                            result,
-                            poisoned: false,
-                        });
-                    }
-                    None => unresolved.push(u),
-                }
-            }
-            Counters::add(&self.farm.counters.coalesced_units, coalesced);
-            if !unresolved.is_empty() {
-                // The claimant failed, timed out, or produced a
-                // poisoned (uncacheable) result — compute locally.
-                Counters::add(&self.farm.counters.local_units, unresolved.len() as u64);
-                let (local, _) = LocalBackend.verify_units(prep, exec, ctx, &unresolved, deadline);
-                outcomes.extend(local);
-            }
+        let mut st = dispatch.state.lock().expect("dispatch lock");
+        let missing: Vec<usize> = units
+            .iter()
+            .copied()
+            .filter(|u| !st.done.contains_key(u))
+            .collect();
+        Counters::add(
+            &self.farm.counters.remote_units,
+            (units.len() - missing.len()) as u64,
+        );
+        let mut outcomes: Vec<UnitOutcome> = st.done.drain().map(|(_, o)| o).collect();
+        drop(st);
+        if !missing.is_empty() {
+            // No worker ever answered these (all dead, or none
+            // configured to begin with): the coordinator verifies
+            // them itself rather than signing off with a hole.
+            Counters::add(&self.farm.counters.local_units, missing.len() as u64);
+            let (local, _) = LocalBackend.verify_units(prep, exec, ctx, &missing, deadline);
+            outcomes.extend(local);
         }
         (outcomes, start.elapsed())
     }
@@ -885,12 +821,6 @@ impl FarmBackend<'_> {
         }
         Ok(outcomes)
     }
-}
-
-fn json_escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_json_string(s, &mut out);
-    out
 }
 
 #[cfg(test)]

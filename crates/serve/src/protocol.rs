@@ -117,6 +117,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))
 }
 
+/// `s` as a JSON string literal, quotes and escapes included: where the
+/// crate's hand-assembled frames and state files quote a string.
+pub(crate) fn json_escaped(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    serde::write_json_string(s, &mut out);
+    out
+}
+
 /// Returns the raw text of a top-level field of a serialized JSON
 /// object, exactly as it appears in `text` — no reparse, no
 /// re-serialization. This is how clients recover a verbatim-embedded

@@ -45,10 +45,9 @@ use cbv_core::obs::{JsonlSink, SpanRecord, TraceSink, Tracer};
 use cbv_core::scatter::{PreparedDesign, UnitOutcome};
 use cbv_core::service::{FlowService, ServiceVerdict};
 use cbv_core::tech::Process;
-use serde::write_json_string;
 use serde_json::Value;
 
-use crate::protocol::{read_frame, write_frame, PROTO_VERSION};
+use crate::protocol::{json_escaped, read_frame, write_frame, PROTO_VERSION};
 use crate::queue::{JobQueue, PushError};
 use crate::session::{edits_from_json, Edit, Session, SessionSeed};
 use crate::state::{state_from_json, state_to_json, write_state_atomic, SavedSession};
@@ -392,17 +391,10 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
     }
 }
 
-/// JSON-escapes into a fresh string (for error messages and names).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_json_string(s, &mut out);
-    out
-}
-
 fn error_reply(id: u64, message: &str) -> String {
     format!(
         "{{\"ok\":false,\"id\":{id},\"error\":{}}}",
-        json_str(message)
+        json_escaped(message)
     )
 }
 
@@ -657,7 +649,7 @@ fn load(shared: &Shared, state: &mut ConnState, value: &Value, id: u64) -> Strin
     let reply = format!(
         "{{\"ok\":true,\"id\":{id},\"design\":{},\"revision\":{},\
          \"units\":{},\"cccs\":{},\"env\":{},\"fps\":[{fps}]}}",
-        json_str(session.design()),
+        json_escaped(session.design()),
         session.revision(),
         prepared.n_units(),
         prepared.n_cccs(),
@@ -767,7 +759,7 @@ fn open_session(
             let reply = format!(
                 "{{\"ok\":true,\"id\":{id},\"design\":{},\"revision\":{},\
                  \"devices\":{},\"nets\":{}}}",
-                json_str(s.design()),
+                json_escaped(s.design()),
                 s.revision(),
                 s.netlist().devices().len(),
                 s.netlist().net_count(),
@@ -984,7 +976,7 @@ fn save(shared: &Shared, session: &mut Option<Session>, value: &Value, id: u64) 
     shared.tracer.add("serve.saves", 1);
     format!(
         "{{\"ok\":true,\"id\":{id},\"name\":{},\"revision\":{},\"sessions\":{}}}",
-        json_str(&name),
+        json_escaped(&name),
         session.revision(),
         sessions.len(),
     )
@@ -1019,7 +1011,7 @@ fn restore(shared: &Shared, session: &mut Option<Session>, value: &Value, id: u6
     let reply = format!(
         "{{\"ok\":true,\"id\":{id},\"design\":{},\"revision\":{},\
          \"devices\":{},\"nets\":{}}}",
-        json_str(rebuilt.design()),
+        json_escaped(rebuilt.design()),
         rebuilt.revision(),
         rebuilt.netlist().devices().len(),
         rebuilt.netlist().net_count(),

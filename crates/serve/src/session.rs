@@ -22,8 +22,9 @@ use cbv_core::gen;
 use cbv_core::mutate::{self, MutationOp, Site, UndoRecord};
 use cbv_core::netlist::{spice, Device, DeviceId, FlatNetlist, NetId, NetKind, Term};
 use cbv_core::tech::{MosKind, Process};
-use serde::write_json_string;
 use serde_json::Value;
+
+use crate::protocol::json_escaped;
 
 /// One reversible edit, as parsed off the wire. A session keeps every
 /// accepted edit for its lifetime, so the rare string-carrying payloads
@@ -484,12 +485,6 @@ fn mos_kind_name(kind: MosKind) -> &'static str {
     }
 }
 
-fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_json_string(s, &mut out);
-    out
-}
-
 /// Serializes one edit to the exact wire form [`edit_from_json`]
 /// parses. Floats use shortest-round-trip formatting, so a serialized
 /// history replays with bit-identical geometry — the `save`/`restore`
@@ -503,13 +498,13 @@ pub fn edit_to_json(edit: &Edit) -> String {
         ),
         Edit::AddNet(net) => format!(
             "{{\"edit\":\"add-net\",\"name\":{},\"kind\":\"{}\"}}",
-            quoted(&net.name),
+            json_escaped(&net.name),
             net_kind_name(net.kind)
         ),
         Edit::AddDevice(d) => format!(
             "{{\"edit\":\"add-device\",\"name\":{},\"kind\":\"{}\",\
              \"gate\":{},\"drain\":{},\"source\":{},\"bulk\":{},\"w\":{:?},\"l\":{:?}}}",
-            quoted(&d.name),
+            json_escaped(&d.name),
             mos_kind_name(d.kind),
             d.gate.index(),
             d.drain.index(),

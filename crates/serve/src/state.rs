@@ -18,9 +18,9 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use cbv_core::cache::VerifyCache;
-use serde::write_json_string;
 use serde_json::Value;
 
+use crate::protocol::json_escaped;
 use crate::session::{edit_to_json, edits_from_json, SessionSeed};
 
 /// One saved session snapshot: enough to replay it exactly.
@@ -34,12 +34,6 @@ pub struct SavedSession {
     pub steps: Vec<Vec<crate::session::Edit>>,
 }
 
-fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_json_string(s, &mut out);
-    out
-}
-
 /// Serializes the full daemon state. Sessions are emitted in sorted
 /// name order and the cache in sorted key order, so equal states
 /// serialize to equal bytes.
@@ -51,16 +45,16 @@ pub fn state_to_json(sessions: &BTreeMap<String, SavedSession>, cache_json: &str
         }
         out.push_str(&format!(
             "{{\"name\":{},\"design\":{},",
-            quoted(name),
-            quoted(&saved.design)
+            json_escaped(name),
+            json_escaped(&saved.design)
         ));
         match &saved.seed {
             SessionSeed::Registry => out.push_str("\"seed\":{\"kind\":\"registry\"},"),
             SessionSeed::Spice { text, top } => {
                 out.push_str(&format!(
                     "\"seed\":{{\"kind\":\"spice\",\"spice\":{},\"top\":{}}},",
-                    quoted(text),
-                    quoted(top)
+                    json_escaped(text),
+                    json_escaped(top)
                 ));
             }
         }

@@ -12,14 +12,9 @@ cargo test -q
 
 # The frozen benchmark package builds against this workspace by path:
 # a signature change that breaks perf/ should fail here, not in the
-# pipeline's benchmark run. One of its tests is skipped: it demands
-# that serve_eco's duplicated-compute counts repeat run to run, and
-# until the daemon's local path single-flights (ROADMAP item 1) they
-# follow the two lockstep clients' scheduling — on a 2-core host it is
-# red at every commit since perf/ landed.
+# pipeline's benchmark run.
 echo "== perf/ builds and passes its own tests against the workspace =="
-cargo test --offline --manifest-path perf/Cargo.toml -- \
-  --skip traced_sections_fill_the_catalogue_and_their_counts_repeat
+cargo test --offline --manifest-path perf/Cargo.toml
 
 # The cached flow driver's contract (scatter::run_flow_tiered, here
 # through run_flow_incremental: owned cache, local backend, built prep):
@@ -47,6 +42,12 @@ done
 
 echo "== E16 smoke (campaign detects, amortizes, and round-trips JSON) =="
 cargo test -q -p cbv-bench --lib e16
+
+# Run on its own: two lockstep clients on a design whose every unit is
+# dirty at every step, so its hits are the single-flight's. The full
+# suite's scheduling hid this test's state for three PRs.
+echo "== E17 smoke (daemon under racing clients: sound, and warm by single-flight) =="
+cargo test -q -p cbv-bench --lib e17
 
 # The compiled 64-lane engine must stay bit-exact against the
 # reference engines regardless of worker count (compilation itself is
