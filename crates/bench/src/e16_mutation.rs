@@ -109,11 +109,6 @@ mod tests {
             report.mutants.iter().any(|m| m.detected()),
             "some mutant must be detected"
         );
-        assert!(
-            report.verify_speedup() > 1.0,
-            "incremental mutants must beat the cold baseline ({:.2}x)",
-            report.verify_speedup()
-        );
         assert!(report.cache_hit_fraction() > 0.5);
         let text = render_full(&report);
         assert!(text.contains("mutation campaign: alu4"));

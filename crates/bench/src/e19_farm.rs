@@ -146,8 +146,8 @@ pub fn run_farm_load(design: &str, workers: usize, steps: usize) -> FarmPoint {
                         let t = Instant::now();
                         let (_report, verdict) = farm.verify(design, &prefix).expect("farm verify");
                         run.latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-                        run.hits += verdict.cache.remote_hits as u64;
-                        run.misses += verdict.cache.remote_misses as u64;
+                        run.hits += verdict.cache.hits as u64;
+                        run.misses += verdict.cache.misses as u64;
                         run.final_signoff = verdict.signoff_json;
                     }
                     let s = farm.stats();

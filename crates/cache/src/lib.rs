@@ -163,29 +163,25 @@ pub enum TimingPayload {
 /// Hit/miss tally of one incremental stage, reported to the user so ECO
 /// savings are visible in the flow summary.
 ///
-/// The first three fields are per-run stage economics. The last three
+/// The first three fields are per-run stage economics. The last two
 /// describe the run's relationship to a *shared tier* — the cache a
 /// `FlowService` (or a farm coordinator) fetches the run's keys from
 /// before the run and absorbs additions back into afterwards. They are
-/// filled by the tier owner, not by the flow itself, and stay zero for a
-/// plain `run_flow_incremental` against a private cache.
+/// filled by the tier's side of the run, and stay zero for a plain
+/// `run_flow_incremental` against a private cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Units replayed from cache.
+    /// Units replayed from cache — on a shared tier, answered by its
+    /// keyed fetch.
     pub hits: usize,
-    /// Units re-verified (fingerprint miss or dirty neighbour).
+    /// Units re-verified (fingerprint miss or dirty neighbour) — on a
+    /// shared tier, dispatched locally or to farm workers.
     pub misses: usize,
     /// Entries evicted from the cache while this stage's fresh results
     /// were stored (nonzero only on a capacity-bounded cache).
     pub evictions: usize,
-    /// Fresh entries this run contributed to the shared tier's absorb
-    /// batch (the absorbed-batch size of one buffered run).
+    /// Fresh unit entries this run delivered to the shared tier.
     pub absorbed: usize,
-    /// Units answered by the shared (remote) tier's keyed fetch.
-    pub remote_hits: usize,
-    /// Units the shared tier could not answer — dispatched for
-    /// verification (locally or to farm workers).
-    pub remote_misses: usize,
     /// Of the hits, units another run was computing when this one
     /// fetched: awaited and re-fetched instead of computed twice.
     pub coalesced: usize,
@@ -371,26 +367,40 @@ impl VerifyCache {
     }
 
     /// Merges entries this cache lacks from `other` (a snapshot another
-    /// flow run populated), respecting this cache's capacity. Existing
-    /// entries win — two runs of the same unit produce the same payload,
-    /// so freshness is irrelevant; keys are merged in sorted order so
-    /// any evictions are deterministic. This is the write-back half of
-    /// the daemon's shared-cache discipline: fetch under the lock,
-    /// verify unlocked, absorb the additions under the lock. The whole
-    /// batch is stored first and each tier trimmed back to capacity in
-    /// one pass — the survivors are the newest stamps either way, so the
-    /// result (and the eviction tally) equals evicting one entry per
-    /// insert, at O(capacity) per batch instead of per entry. Returns
-    /// the number of entries actually copied (the absorbed-batch size a
-    /// batching tier reports), which existing-entry wins make smaller
-    /// than `other.len()` under contention.
+    /// flow run populated): [`absorb_keys`](VerifyCache::absorb_keys)
+    /// over every key `other` holds.
     pub fn absorb(&mut self, other: &VerifyCache) -> usize {
-        let mut keys: Vec<&CacheKey> = other
-            .entries
-            .keys()
-            .filter(|k| !self.entries.contains_key(k))
+        let units: Vec<CacheKey> = other.entries.keys().copied().collect();
+        let timing: Vec<TimingKey> = other.timing.keys().copied().collect();
+        self.absorb_keys(other, &units, &timing)
+    }
+
+    /// The keyed write: merges the entries `units` and `timing` name
+    /// that `other` holds and this cache lacks, respecting this cache's
+    /// capacity. Existing entries win — two runs of the same unit
+    /// produce the same payload, so freshness is irrelevant; keys are
+    /// merged once each in sorted order so any evictions are
+    /// deterministic. This is the write-back half of the daemon's
+    /// shared-cache discipline: fetch under the lock, verify unlocked,
+    /// absorb what the run added under the lock. The whole batch is
+    /// stored first and each tier trimmed back to capacity in one pass
+    /// — the survivors are the newest stamps either way, so the result
+    /// (and the eviction tally) equals evicting one entry per insert,
+    /// at O(capacity) per batch instead of per entry. Returns the
+    /// number of unit entries actually copied, which existing-entry
+    /// wins make smaller than the keys named under contention.
+    pub fn absorb_keys(
+        &mut self,
+        other: &VerifyCache,
+        units: &[CacheKey],
+        timing: &[TimingKey],
+    ) -> usize {
+        let mut keys: Vec<&CacheKey> = units
+            .iter()
+            .filter(|k| other.entries.contains_key(k) && !self.entries.contains_key(k))
             .collect();
         keys.sort_unstable();
+        keys.dedup();
         for &key in &keys {
             let used = Cell::new(self.next_tick());
             let result = other.entries[key].result.clone();
@@ -399,12 +409,12 @@ impl VerifyCache {
         // Timing entries merge under the same discipline (existing
         // wins, sorted order); the return value stays the unit-entry
         // count — the batch size the tier's stage reports track.
-        let mut tkeys: Vec<&TimingKey> = other
-            .timing
-            .keys()
-            .filter(|k| !self.timing.contains_key(k))
+        let mut tkeys: Vec<&TimingKey> = timing
+            .iter()
+            .filter(|k| other.timing.contains_key(k) && !self.timing.contains_key(k))
             .collect();
         tkeys.sort_unstable();
+        tkeys.dedup();
         for &key in &tkeys {
             let used = Cell::new(self.next_tick());
             let payload = other.timing[key].payload.clone();
@@ -1195,6 +1205,23 @@ mod tests {
         shared.absorb(&snapshot);
         assert_eq!(shared.len(), 4);
         assert_eq!(shared.evictions(), 0);
+
+        // Keyed: of a duplicated key, one the source lacks and one the
+        // target holds, exactly the remainder arrives — in sorted order
+        // (6 before 7, whatever the list's order) and with one trim.
+        let mut source = VerifyCache::new();
+        for i in [3, 6, 7, 8] {
+            source.insert(key(i), sample_result());
+        }
+        let named = [key(7), key(3), key(6), key(7), key(5)];
+        assert_eq!(shared.absorb_keys(&source, &named, &[]), 2);
+        assert!(!shared.contains(&key(8)), "an unnamed key stays behind");
+        assert_eq!((shared.len(), shared.evictions()), (4, 2));
+        shared.set_capacity(Some(1));
+        assert!(
+            shared.contains(&key(7)),
+            "the last key merged is the newest"
+        );
     }
 
     fn tkey(space: TimingSpace, digest: u64) -> TimingKey {

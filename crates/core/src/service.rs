@@ -15,33 +15,24 @@
 //!
 //! 1. **fetches** by key: once the run's prep has named its unit keys
 //!    and timing-tier keys, one locked batch copies exactly those
-//!    entries — shared tier first (refreshing their LRU recency), then
-//!    the undrained staging tier, so a run always sees its own
-//!    service's recent results — into a per-run overlay, and claims
-//!    the unit keys still missing (*Single-flight*, below). A request
-//!    therefore costs O(design) in time and memory however large the
-//!    tier has grown, and a bounded tier never evicts the revision a
-//!    session is walking;
+//!    entries (refreshing their LRU recency) into a per-run overlay,
+//!    and claims the unit keys still missing (*Single-flight*, below).
+//!    A request therefore costs O(design) in time and memory however
+//!    large the tier has grown, and a bounded tier never evicts the
+//!    revision a session is walking;
 //! 2. runs the flow against the overlay, unlocked, so concurrent
 //!    requests verify in parallel;
-//! 3. **stages** the run's fresh entries, and a **drain** absorbs the
-//!    whole staging batch into the shared tier under the lock
-//!    ([`VerifyCache::absorb`] merges in sorted key order and keeps
+//! 3. **absorbs** the run's fresh entries into the tier under the lock
+//!    ([`VerifyCache::absorb_keys`] merges in sorted key order and keeps
 //!    existing entries, so two racing requests that verified the same
-//!    unit converge on one entry deterministically).
+//!    unit converge on one entry deterministically) before the verdict
+//!    is returned: every answered request's results are in the bounded
+//!    tier, and nothing is held outside it.
 //!
-//! Both tiers are existing-entry-wins and rebuildable, so their locks
-//! *recover* from poisoning instead of propagating it: a job that
-//! panics while holding one costs at most the entries it was writing,
+//! The tier is existing-entry-wins and rebuildable, so its lock
+//! *recovers* from poisoning instead of propagating it: a job that
+//! panics while holding it costs at most the entries it was writing,
 //! never the requests that come after it.
-//!
-//! [`verify`](FlowService::verify) drains immediately — one absorb per
-//! call, the original discipline. A batching caller (the daemon's job
-//! loop, the farm coordinator) uses
-//! [`verify_buffered`](FlowService::verify_buffered) and calls
-//! [`drain_absorb`](FlowService::drain_absorb) once per queue drain,
-//! paying one sorted merge for a whole burst of jobs instead of one per
-//! job.
 //!
 //! Because the signoff is cache-state-independent (the PR 2 soundness
 //! contract: hits replay exactly what a fresh run would compute), racing
@@ -56,7 +47,7 @@
 //! `SharedTier`, the *prep source* is the service's [`PrepCache`], and
 //! the *unit backend* is the caller's —
 //! [`verify_with_backend`](FlowService::verify_with_backend) is the farm
-//! coordinator's entry point, the plain entry points use
+//! coordinator's entry point, [`verify`](FlowService::verify) uses
 //! [`LocalBackend`]. Signoff bytes are identical either way.
 //!
 //! # Single-flight
@@ -66,7 +57,7 @@
 //! work, and lockstep clients do exactly that. "Computed once" is the
 //! driver's cache seam's rule, not this service's callers': the fetch
 //! claims what the run will compute in the in-flight ledger, the driver
-//! publishes the results to staging, releases, and only then awaits and
+//! publishes the results to the tier, releases, and only then awaits and
 //! re-fetches what other runs had claimed — for every backend,
 //! [`LocalBackend`] included. Claims are advisory with a bounded wait,
 //! so a crashed claimant degrades to duplicated work, never to a hang.
@@ -90,17 +81,11 @@ use crate::scatter::{
 pub struct FlowService {
     process: Process,
     config: FlowConfig,
-    /// The shared (remote, in farm terms) content-addressed tier.
+    /// The shared (remote, in farm terms) content-addressed tier — the
+    /// only store: fetch, publish and absorb all take this one guard.
     cache: Mutex<VerifyCache>,
-    /// Fresh entries awaiting the next [`drain_absorb`]; unbounded —
-    /// it holds at most a queue-drain's worth of unit results.
-    ///
-    /// Lock order when both are held: `cache` before `staging`.
-    ///
-    /// [`drain_absorb`]: FlowService::drain_absorb
-    staging: Mutex<VerifyCache>,
     /// Single-flight ledger: unit keys some run is computing right now.
-    /// Lock order: after `staging` — a fetch claims under both tiers.
+    /// Lock order: after `cache` — a fetch claims under the tier's guard.
     inflight: Inflight,
     /// Shared serial-prep artifacts, content-addressed by raw netlist
     /// digest: W streams verifying the same revision prepare it once.
@@ -135,7 +120,6 @@ impl FlowService {
             process,
             config,
             cache: Mutex::new(VerifyCache::new()),
-            staging: Mutex::new(VerifyCache::new()),
             inflight: Inflight::default(),
             preps: PrepCache::new(4),
         }
@@ -166,10 +150,9 @@ impl FlowService {
     }
 
     /// Serializes the shared tier to its `cbv-cache/1` wire form for
-    /// persistence, draining staging first so a snapshot taken between
-    /// jobs includes every admitted job's results.
+    /// persistence; a snapshot taken between jobs includes every
+    /// answered job's results.
     pub fn cache_to_json(&self) -> String {
-        self.drain_absorb();
         self.shared().to_json()
     }
 
@@ -202,20 +185,13 @@ impl FlowService {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The staging tier, recovered like [`shared`](FlowService::shared).
-    fn staged(&self) -> MutexGuard<'_, VerifyCache> {
-        self.staging.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Verifies one netlist revision with per-unit work routed through
     /// `backend` — the farm coordinator's entry point. The run fetches
-    /// its keys from the shared tier (plus undrained staging) into a
-    /// per-run overlay, verifies unlocked, and *stages* its fresh
-    /// entries; publication to the shared tier waits for the next
-    /// [`drain_absorb`](FlowService::drain_absorb). The verdict's
-    /// [`CacheStats`] carry the batching economics: `absorbed` is the
-    /// number of entries this run staged, `remote_hits`/`remote_misses`
-    /// the fetch's answer rate.
+    /// its keys from the shared tier into a per-run overlay, verifies
+    /// unlocked, and absorbs its fresh entries into the tier before it
+    /// returns. The verdict's [`CacheStats`] carry the tier economics:
+    /// `hits`/`misses` are the fetch's answer rate, `absorbed` the
+    /// number of unit entries this run delivered.
     pub fn verify_with_backend(
         &self,
         netlist: FlatNetlist,
@@ -250,45 +226,37 @@ impl FlowService {
             backend,
             Some(&self.preps),
         );
-        self.stage(report, &overlay)
+        self.absorb(report, &overlay)
     }
 
-    /// Stages the entries `report` says the run added to `overlay`, and
-    /// assembles the verdict.
-    fn stage(&self, report: FlowReport, overlay: &VerifyCache) -> (FlowReport, ServiceVerdict) {
-        let staged = {
-            let mut staging = self.staged();
-            let mut staged = 0usize;
-            for key in &report.fresh {
-                // A bounded overlay may already have evicted a fresh
-                // entry; only what survived can be staged.
-                if let Some(r) = overlay.get(key) {
-                    staging.insert(*key, r.clone());
-                    staged += 1;
-                }
-            }
-            // Timing-remainder artifacts ride the same staging tier, so
-            // every stream of this service shares one set of inferred
-            // constraints, graph structure, clock skews and STA lineage
-            // (the `PrepCache` discipline, extended to the remainder).
-            // They are not counted in `staged`: absorb accounting is
-            // unit-denominated throughout.
-            for key in &report.fresh_timing {
-                if let Some(p) = overlay.get_timing(key) {
-                    staging.insert_timing(*key, p.clone());
-                }
-            }
-            staged
-        };
+    /// Absorbs the entries `report` says the run added to `overlay` into
+    /// the shared tier, and assembles the verdict.
+    fn absorb(&self, report: FlowReport, overlay: &VerifyCache) -> (FlowReport, ServiceVerdict) {
         let mut stats = report
             .stages
             .iter()
             .find(|s| s.stage == "everify")
             .and_then(|s| s.cache)
             .unwrap_or_default();
-        stats.absorbed = staged;
-        stats.remote_hits = stats.hits;
-        stats.remote_misses = stats.misses;
+        // A bounded overlay may already have evicted a fresh entry; only
+        // what survived is delivered. Counted here, not by the merge:
+        // what `publish` delivered early is in the tier already.
+        stats.absorbed = report
+            .fresh
+            .iter()
+            .filter(|key| overlay.contains(key))
+            .count();
+        // Timing-remainder artifacts ride the same tier, so every stream
+        // of this service shares one set of inferred constraints, graph
+        // structure, clock skews and STA lineage (the `PrepCache`
+        // discipline, extended to the remainder). They are not counted:
+        // absorb accounting is unit-denominated throughout.
+        self.shared()
+            .absorb_keys(overlay, &report.fresh, &report.fresh_timing);
+        self.config.tracer.add("cache.absorb.batches", 1);
+        self.config
+            .tracer
+            .add("cache.absorb.entries", stats.absorbed as u64);
         let verdict = ServiceVerdict {
             signoff_json: serde_json::to_string(&report.signoff)
                 .expect("signoff serialization is infallible"),
@@ -300,54 +268,12 @@ impl FlowService {
         (report, verdict)
     }
 
-    /// Publishes the staging tier into the shared cache: one sorted
-    /// existing-entry-wins merge for the whole batch, then the staging
-    /// tier is reset. Returns the number of entries actually absorbed
-    /// (and emits `cache.absorb.batches`/`cache.absorb.entries` counters
-    /// on the service's tracer). Callers of
-    /// [`verify_buffered`](FlowService::verify_buffered) run this once
-    /// per queue drain.
-    pub fn drain_absorb(&self) -> usize {
-        let mut shared = self.shared();
-        let mut staging = self.staged();
-        if staging.is_empty() {
-            return 0;
-        }
-        let absorbed = shared.absorb(&staging);
-        staging.clear();
-        self.config.tracer.add("cache.absorb.batches", 1);
-        self.config
-            .tracer
-            .add("cache.absorb.entries", absorbed as u64);
-        absorbed
-    }
-
-    /// Entries currently staged and awaiting a drain.
-    pub fn staged_len(&self) -> usize {
-        self.staged().len()
-    }
-
     /// Verifies one netlist revision; the common entry point when only
     /// the verdict is needed. `deadline` bounds the per-unit
     /// verification work cooperatively (see [`FlowConfig::deadline`]);
     /// `trace_parent` nests the run's `flow` span under a caller span.
-    /// Drains immediately: the shared cache is warm when this returns.
+    /// The shared cache is warm when this returns.
     pub fn verify(
-        &self,
-        netlist: FlatNetlist,
-        deadline: Option<Instant>,
-        trace_parent: Option<u64>,
-    ) -> ServiceVerdict {
-        let verdict = self.verify_buffered(netlist, deadline, trace_parent);
-        self.drain_absorb();
-        verdict
-    }
-
-    /// Like [`verify`](FlowService::verify) but leaves the fresh entries
-    /// in staging — the batching entry point for a job loop that calls
-    /// [`drain_absorb`](FlowService::drain_absorb) when its queue goes
-    /// quiet, amortizing one absorb over many jobs.
-    pub fn verify_buffered(
         &self,
         netlist: FlatNetlist,
         deadline: Option<Instant>,
@@ -358,54 +284,52 @@ impl FlowService {
     }
 }
 
-/// The keyed fetch: one locked batch per request. The shared tier is
-/// read first (refreshing recency there, so a bounded tier keeps what
-/// live sessions are walking), then staging fills what it lacks; the
-/// STA key follows in the same batch once the artifacts it is derived
-/// from are in the overlay, and the run's claims last, before either
-/// guard drops. The overlay inherits the tier's bound, so a design
+/// The keyed fetch: one locked batch per request. The read refreshes
+/// recency in the tier, so a bounded tier keeps what live sessions are
+/// walking; the STA key follows in the same batch once the artifacts it
+/// is derived from are in the overlay, and the run's claims last, before
+/// the guard drops. The overlay inherits the tier's bound, so a design
 /// larger than the bound is capped per run as it is per tier.
 impl SharedTier for FlowService {
     fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
         let shared = self.shared();
-        let staging = self.staged();
         overlay.set_capacity(shared.capacity());
-        let timing = keys.timing.known();
-        let mut copied = shared.fetch_into(&keys.units, &timing, overlay)
-            + staging.fetch_into(&keys.units, &timing, overlay);
+        let mut copied = shared.fetch_into(&keys.units, &keys.timing.known(), overlay);
         if let Some(sta) = keys.timing.sta(overlay) {
-            copied +=
-                shared.fetch_into(&[], &[sta], overlay) + staging.fetch_into(&[], &[sta], overlay);
+            copied += shared.fetch_into(&[], &[sta], overlay);
         }
         let claimed = self.inflight.claim_missing(&keys.units, overlay);
-        drop((shared, staging));
+        drop(shared);
         self.config.tracer.add("cache.fetch.batches", 1);
         self.config.tracer.add("cache.fetch.entries", copied as u64);
         claimed
     }
 
-    /// Into staging, where a waiter's re-fetch finds them at once.
+    /// Into the tier in sorted key order (a backend may deliver in any
+    /// order; eviction must not depend on it), where a waiter's re-fetch
+    /// finds them at once. The batch is stored unbounded and the bound
+    /// put back — [`VerifyCache::absorb_keys`]' one trim a batch, not
+    /// one O(capacity) eviction an entry; the survivors are the same.
     fn publish(&self, keys: &[CacheKey], outcomes: &[UnitOutcome]) {
-        let mut staging = self.staged();
-        for o in outcomes {
-            if !o.poisoned && !staging.contains(&keys[o.unit]) {
-                staging.insert(keys[o.unit], o.result.clone());
-            }
+        let mut shared = self.shared();
+        let mut fresh: Vec<&UnitOutcome> = outcomes
+            .iter()
+            .filter(|o| !o.poisoned && !shared.contains(&keys[o.unit]))
+            .collect();
+        fresh.sort_unstable_by_key(|o| keys[o.unit]);
+        let bound = shared.capacity();
+        shared.set_capacity(None);
+        for o in fresh {
+            shared.insert(keys[o.unit], o.result.clone());
         }
+        shared.set_capacity(bound);
     }
 
-    /// The re-fetch takes both guards before it reads either tier: a
-    /// [`drain_absorb`](FlowService::drain_absorb) landing between two
-    /// separately locked reads would move an entry from staging to
-    /// shared behind the first read and ahead of the second, and the
-    /// run would miss a result the tier holds. Its copies count as the
-    /// request's fetched entries, not as a second batch.
+    /// Its copies count as the request's fetched entries, not as a
+    /// second batch.
     fn await_units(&self, keys: &[CacheKey], by: Option<Instant>, overlay: &mut VerifyCache) {
         self.inflight.wait(keys, by);
-        let shared = self.shared();
-        let staging = self.staged();
-        let copied = shared.fetch_into(keys, &[], overlay) + staging.fetch_into(keys, &[], overlay);
-        drop((shared, staging));
+        let copied = self.shared().fetch_into(keys, &[], overlay);
         self.config.tracer.add("cache.fetch.entries", copied as u64);
     }
 }
@@ -422,21 +346,20 @@ mod tests {
     use cbv_obs::TraceCtx;
     use cbv_tech::MosKind;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
     use std::time::Duration;
 
     /// The discipline the keyed fetch replaced, kept as its oracle: the
-    /// overlay is a clone of the whole shared tier with staging absorbed
-    /// into it. It claims through the service's ledger, under the same
-    /// guards, so the single-flight sequence is the oracle's too.
+    /// overlay is a clone of the whole shared tier. It claims through the
+    /// service's ledger, under the same guard, so the single-flight
+    /// sequence is the oracle's too.
     struct WholeClone<'a>(&'a FlowService);
 
     impl SharedTier for WholeClone<'_> {
         fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
-            let (shared, staging) = (self.0.shared(), self.0.staged());
+            let shared = self.0.shared();
             *overlay = shared.clone();
-            overlay.absorb(&staging);
             self.0.inflight.claim_missing(&keys.units, overlay)
         }
 
@@ -449,22 +372,22 @@ mod tests {
         }
     }
 
-    /// One buffered request through the keyed fetch or the oracle.
+    /// One request through the keyed fetch or the oracle.
     fn request(service: &FlowService, oracle: bool, netlist: FlatNetlist) -> ServiceVerdict {
         if oracle {
             service
                 .verify_tiered(netlist, None, None, &WholeClone(service), &LocalBackend)
                 .1
         } else {
-            service.verify_buffered(netlist, None, None)
+            service.verify(netlist, None, None)
         }
     }
 
     /// Replays `revisions` as `clients` lockstep sessions would — every
-    /// client verifies a revision (buffered, so the later ones read the
-    /// earlier ones' staging), then the tier drains — through a keyed
-    /// service and an oracle service, and demands equality request for
-    /// request and in the tiers they end with.
+    /// client verifies a revision, the later ones reading what the
+    /// earlier ones absorbed — through a keyed service and an oracle
+    /// service, and demands equality request for request and in the
+    /// tiers they end with.
     fn assert_keyed_equals_oracle(revisions: impl Iterator<Item = FlatNetlist>, clients: usize) {
         let p = Process::strongarm_035();
         let keyed = FlowService::new(p.clone(), FlowConfig::default());
@@ -479,7 +402,7 @@ mod tests {
                 );
                 assert_eq!(k.cache, o.cache, "step {step} client {client}");
             }
-            assert_eq!(keyed.drain_absorb(), oracle.drain_absorb(), "step {step}");
+            assert_eq!(keyed.cache_len(), oracle.cache_len(), "step {step}");
         }
         assert!(keyed.cache_len() > 0);
         assert_eq!(keyed.cache_to_json(), oracle.cache_to_json());
@@ -605,8 +528,8 @@ mod tests {
     /// The key of a prep build slot [`PoisoningBackend`] dies holding.
     const ABANDONED_PREP: (u64, u64) = (0xdead, 0xdead);
 
-    /// A backend that dies between the fetch and the stage while holding
-    /// every lock the service has — both tiers, the single-flight ledger
+    /// A backend that dies between the fetch and the absorb while holding
+    /// every lock the service has — the tier, the single-flight ledger
     /// (whose claims the driver holds for it) and the prep cache with a
     /// build slot — the worst a panicking job can do to them.
     struct PoisoningBackend<'a>(&'a FlowService);
@@ -625,7 +548,6 @@ mod tests {
                 PrepClaim::Hit(_) => panic!("nobody publishes this key"),
             };
             let _shared = self.0.cache.lock();
-            let _staging = self.0.staging.lock();
             let ledger = self.0.inflight.lock();
             assert_eq!(
                 ledger.len(),
@@ -652,7 +574,7 @@ mod tests {
             service.verify_with_backend(netlist.clone(), None, None, &PoisoningBackend(&service))
         });
         assert!(died.is_err(), "the job must have panicked");
-        assert!(service.cache.is_poisoned() && service.staging.is_poisoned());
+        assert!(service.cache.is_poisoned());
         assert!(
             service.inflight.lock().is_empty(),
             "the claims were released"
@@ -709,10 +631,12 @@ mod tests {
         assert!(first.clean);
         assert_eq!(first.cache.hits, 0, "cold shared cache");
         assert!(service.cache_len() > 0, "run primed the shared cache");
+        assert_eq!(first.cache.absorbed, service.cache_len(), "with every unit");
 
         let second = service.verify(static_ripple_adder(4, &p).netlist, None, None);
         assert_eq!(second.signoff_json, reference);
         assert_eq!(second.cache.misses, 0, "warm rerun is all hits");
+        assert_eq!(second.cache.absorbed, 0, "and delivers nothing");
     }
 
     #[test]
@@ -751,30 +675,6 @@ mod tests {
         assert!(retry.clean, "a later request re-verifies cleanly");
     }
 
-    #[test]
-    fn buffered_runs_stage_until_drained() {
-        let p = Process::strongarm_035();
-        let service = FlowService::new(p.clone(), FlowConfig::default());
-        let v1 = service.verify_buffered(static_ripple_adder(4, &p).netlist, None, None);
-        assert!(v1.clean);
-        assert!(v1.cache.absorbed > 0, "cold run stages every unit");
-        assert_eq!(service.cache_len(), 0, "nothing published before drain");
-        assert_eq!(service.staged_len(), v1.cache.absorbed);
-
-        // A second buffered run is answered by the staging overlay even
-        // though the shared tier is still empty.
-        let v2 = service.verify_buffered(static_ripple_adder(4, &p).netlist, None, None);
-        assert_eq!(v2.cache.remote_misses, 0, "staging overlay answers it");
-        assert_eq!(v2.cache.absorbed, 0, "warm run stages nothing");
-        assert_eq!(v1.signoff_json, v2.signoff_json);
-
-        let absorbed = service.drain_absorb();
-        assert_eq!(absorbed, v1.cache.absorbed);
-        assert_eq!(service.cache_len(), absorbed);
-        assert_eq!(service.staged_len(), 0);
-        assert_eq!(service.drain_absorb(), 0, "drain on empty staging");
-    }
-
     /// `units` as a run's keys. The timing half is a real design's: a
     /// fresh service's tier answers none of it.
     fn run_keys(units: Vec<CacheKey>) -> RunKeys {
@@ -796,7 +696,7 @@ mod tests {
     }
 
     #[test]
-    fn single_flight_claims_wait_and_resolve_through_staging() {
+    fn single_flight_claims_wait_and_resolve_through_the_tier() {
         let p = Process::strongarm_035();
         let service = FlowService::new(p.clone(), FlowConfig::default());
         let fp = |content, binding| cbv_cache::UnitFingerprint { content, binding };
@@ -828,7 +728,7 @@ mod tests {
             waiter.join().expect("waiter thread")
         });
         assert!(resolved.is_some(), "release published the result");
-        service.staged().clear();
+        service.shared().clear();
         let (_claims, theirs) = service.fetch(&keys, &mut overlay);
         assert!(theirs.is_empty(), "claim was released");
 
@@ -839,50 +739,6 @@ mod tests {
         assert!(!overlay.contains(&key));
         assert!(t0.elapsed() >= Duration::from_millis(20));
         assert!(t0.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn lookup_never_misses_a_published_unit_while_the_tier_drains() {
-        // One stream publishes a unit, announces it and drains — moving
-        // the entry from staging to shared — 200,000 times over, while
-        // another keeps re-fetching the last announced key. From its
-        // announcement on the tier holds that key in one tier or the
-        // other, so the only way to miss is to read shared before a
-        // drain and staging after it.
-        const KEYS: u64 = 200_000;
-        let service = FlowService::new(Process::strongarm_035(), FlowConfig::default());
-        let key = |i: u64| {
-            let unit = cbv_cache::UnitFingerprint {
-                content: i,
-                binding: i,
-            };
-            CacheKey::new(i, unit)
-        };
-        // 0 = nothing announced yet; keys count from 1.
-        let announced = AtomicU64::new(0);
-        let misses = std::thread::scope(|s| {
-            let reader = s.spawn(|| {
-                let mut misses = 0u32;
-                loop {
-                    let last = announced.load(Ordering::SeqCst);
-                    let mut overlay = VerifyCache::new();
-                    service.await_units(&[key(last)], None, &mut overlay);
-                    if last > 0 && overlay.is_empty() {
-                        misses += 1;
-                    }
-                    if last == KEYS {
-                        return misses;
-                    }
-                }
-            });
-            for i in 1..=KEYS {
-                service.publish(&[key(i)], &[delivered()]);
-                announced.store(i, Ordering::SeqCst);
-                service.drain_absorb();
-            }
-            reader.join().expect("reader thread")
-        });
-        assert_eq!(misses, 0, "re-fetches that fell between staging and shared");
     }
 
     /// [`LocalBackend`] behind a rendezvous: it announces that its run

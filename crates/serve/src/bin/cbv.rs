@@ -445,8 +445,8 @@ fn farm(workers: &str, design: &str, edit_args: &[String]) -> ExitCode {
                     "step {}: clean {}, shared cache {}/{}",
                     step - 1,
                     verdict.clean,
-                    verdict.cache.remote_hits,
-                    verdict.cache.remote_hits + verdict.cache.remote_misses
+                    verdict.cache.hits,
+                    verdict.cache.hits + verdict.cache.misses
                 );
                 last = Some(verdict);
             }

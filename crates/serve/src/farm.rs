@@ -15,7 +15,7 @@
 //!    local [`Session`] (bit-identical netlist reconstruction), then
 //!    hands the netlist to
 //!    [`FlowService::verify_with_backend`] — the service's fetch/
-//!    stage/drain cache discipline *is* the *shared content-addressed
+//!    absorb cache discipline *is* the *shared content-addressed
 //!    cache tier*: every worker's unit results land there keyed by
 //!    `(env, content, binding)` fingerprint, and the next revision's
 //!    dirty closure is computed against it, so unchanged units are
@@ -399,7 +399,6 @@ impl Farm {
         let out = self
             .service
             .verify_with_backend(netlist, None, None, &backend);
-        self.service.drain_absorb();
         Counters::add(&self.counters.coalesced_units, out.1.cache.coalesced as u64);
         Ok(out)
     }

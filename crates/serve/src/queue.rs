@@ -92,14 +92,6 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Takes a job if one is queued, without blocking. `None` means the
-    /// queue is momentarily empty (or closed and drained) — workers use
-    /// this to detect quiet moments and flush staged cache entries
-    /// before parking in [`JobQueue::pop`].
-    pub fn try_pop(&self) -> Option<T> {
-        self.state.lock().expect("queue lock").jobs.pop_front()
-    }
-
     /// Stops admission; already-queued jobs still drain. Idempotent.
     pub fn close(&self) {
         self.state.lock().expect("queue lock").closed = true;

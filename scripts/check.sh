@@ -189,8 +189,9 @@ echo "   signoff bytes survive save -> restart -> restore"
 # lockstep session the shared tier stays within its default bound, a
 # request copies out at most its own design's keys, and the session
 # history stays under 100 bytes a step — with the final signoff bytes
-# equal to the in-process replay.
-echo "== footprint gate (long lockstep session: tier bound, keyed fetch, session bytes) =="
+# equal to the in-process replay; and with 8 clients on 2 workers the
+# daemon holds no more than the tier bound under a saturated queue.
+echo "== footprint gate (lockstep session: tier bound, keyed fetch, session bytes; tier bound under a saturated queue) =="
 cargo test -q -p cbv-serve --test footprint
 
 # The auto-repair closed loop: break a registry design with a keeper

@@ -190,7 +190,7 @@ fn shared_tier_answers_a_repeat_revision_without_dispatch() {
 
     let (_r2, v2) = farm.verify("ripple2", &[]).expect("warm verify");
     assert_eq!(v1.signoff_json, v2.signoff_json);
-    assert_eq!(v2.cache.remote_misses, 0, "shared tier answers everything");
+    assert_eq!(v2.cache.misses, 0, "shared tier answers everything");
     assert_eq!(
         farm.stats().dispatched_batches,
         dispatched,

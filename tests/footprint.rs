@@ -14,6 +14,11 @@
 //!
 //! The signoff the walk ends on must still be byte-identical to the
 //! in-process replay.
+//!
+//! A second walk holds the first of those bounds where it is hardest to
+//! keep: more closed-loop clients than workers, so the queue is never
+//! empty, counting everything the daemon holds for the cache — in the
+//! tier or beside it — on every poll.
 
 use cbv_core::flow::FlowConfig;
 use cbv_core::scatter::PreparedDesign;
@@ -27,6 +32,11 @@ const STEPS: usize = 2_000;
 const CLIENTS: usize = 2;
 /// The target the session layout is held to, bytes per one-edit step.
 const SESSION_BYTES_PER_STEP: usize = 100;
+/// The saturated walk: clients (four per default worker), steps each,
+/// and a tier bound their fresh entries overrun many times over.
+const SATURATED_CLIENTS: usize = 8;
+const SATURATED_STEPS: usize = 60;
+const SATURATED_CAPACITY: usize = 256;
 
 /// Step `k` of the stream: one device's width scaled by about 3 %, up
 /// or down so that no device drifts far. Every step has its own factor,
@@ -148,5 +158,73 @@ fn a_long_lockstep_session_keeps_a_flat_footprint() {
     for signoff in &last {
         assert_eq!(signoff, &reference);
     }
+    server.shutdown();
+}
+
+#[test]
+fn a_saturated_queue_keeps_the_tier_within_its_bound() {
+    let config = ServerConfig {
+        cache_capacity: Some(SATURATED_CAPACITY),
+        ..ServerConfig::default()
+    };
+    assert!(
+        SATURATED_CLIENTS > config.workers,
+        "the queue must stay busy"
+    );
+    let server = serve(config).expect("bind loopback daemon");
+    let mut ctl = Client::connect(server.addr()).expect("connect control client");
+    let process = Process::strongarm_035();
+
+    std::thread::scope(|scope| {
+        // Each client walks its own stream: its own seed, and its own
+        // span of step indices, so no two clients share a factor.
+        let walkers: Vec<_> = (0..SATURATED_CLIENTS)
+            .map(|c| {
+                let (addr, process) = (server.addr(), &process);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect client");
+                    let devices = client.open(DESIGN).expect("open");
+                    let mut mirror = Session::open(DESIGN, process).expect("registry design");
+                    let mut drift = vec![0i32; devices];
+                    let mut state = 0xF007_u64 + c as u64;
+                    let mut last = String::new();
+                    for k in 0..SATURATED_STEPS {
+                        let k = c * SATURATED_STEPS + k;
+                        let edit = step(k, devices, &mut drift, &mut state);
+                        last = client.eco(&edit, None).expect("eco step").signoff_raw;
+                        let v: Value = serde_json::from_str(&edit).expect("edit json");
+                        mirror
+                            .apply_batch(&edits_from_json(&v).expect("edit vocabulary"))
+                            .expect("edit applies");
+                    }
+                    (last, mirror)
+                })
+            })
+            .collect();
+
+        // Everything the daemon holds for the cache, sampled for as long
+        // as the queue is busy — not once it has gone quiet.
+        while !walkers.iter().all(|w| w.is_finished()) {
+            let now = stats(&mut ctl);
+            let held = stat(&now, "cache_entries") + stat(&now, "cache_staged");
+            assert!(
+                held <= SATURATED_CAPACITY as u64,
+                "{held} entries held against a bound of {SATURATED_CAPACITY}"
+            );
+        }
+
+        let end = stats(&mut ctl);
+        assert!(stat(&end, "cache_evictions") > 0, "the bound was exercised");
+        let jobs = (SATURATED_CLIENTS * SATURATED_STEPS) as u64;
+        assert_eq!(stat(&end, "jobs"), jobs);
+        for walker in walkers {
+            let (signoff, mirror) = walker.join().expect("client thread");
+            assert_eq!(mirror.revision(), SATURATED_STEPS as u64);
+            let reference = FlowService::new(process.clone(), FlowConfig::default())
+                .verify(mirror.netlist().clone(), None, None)
+                .signoff_json;
+            assert_eq!(signoff, reference);
+        }
+    });
     server.shutdown();
 }
