@@ -35,6 +35,7 @@ use cbv_timing::{
     Arc, ArrivalWindow, CaptureKind, ClockSkew, Constraint, LaunchPoint, StaSnapshot,
 };
 use serde::write_json_string;
+use serde_json::{FieldError, Value};
 
 pub mod fingerprint;
 
@@ -506,21 +507,14 @@ impl VerifyCache {
     pub fn from_json(text: &str) -> Result<VerifyCache, CacheFormatError> {
         let root = serde_json::from_str(text)
             .map_err(|e| CacheFormatError::new(format!("invalid JSON: {e}")))?;
-        let format = root
-            .get("format")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| CacheFormatError::new("missing format tag"))?;
+        let format = root.req_str("format")?;
         if format != "cbv-cache/1" {
             return Err(CacheFormatError::new(format!(
                 "unsupported cache format {format:?}"
             )));
         }
-        let entries = root
-            .get("entries")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| CacheFormatError::new("missing entries array"))?;
         let mut cache = VerifyCache::new();
-        for entry in entries {
+        for entry in root.req_array("entries")? {
             let (key, result) = read_unit_entry(entry)?;
             cache.insert(key, result);
         }
@@ -594,6 +588,12 @@ impl fmt::Display for CacheFormatError {
 
 impl Error for CacheFormatError {}
 
+impl From<FieldError> for CacheFormatError {
+    fn from(e: FieldError) -> CacheFormatError {
+        CacheFormatError::new(e.to_string())
+    }
+}
+
 fn severity_str(s: Severity) -> &'static str {
     match s {
         Severity::Review => "review",
@@ -662,78 +662,53 @@ pub fn write_unit_entry(key: &CacheKey, result: &UnitResult, out: &mut String) {
     out.push_str("]}");
 }
 
-fn field_u64(entry: &serde_json::Value, name: &str) -> Result<u64, CacheFormatError> {
-    entry
-        .get(name)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| CacheFormatError::new(format!("missing or non-integer field {name:?}")))
-}
-
-fn field_str<'a>(entry: &'a serde_json::Value, name: &str) -> Result<&'a str, CacheFormatError> {
-    entry
-        .get(name)
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| CacheFormatError::new(format!("missing or non-string field {name:?}")))
-}
-
 /// Parses one entry produced by [`write_unit_entry`]. Every structural
 /// problem is an error — a farm coordinator treats any failure here as
 /// a corrupt worker reply and re-dispatches the unit.
-pub fn read_unit_entry(
-    entry: &serde_json::Value,
-) -> Result<(CacheKey, UnitResult), CacheFormatError> {
+pub fn read_unit_entry(entry: &Value) -> Result<(CacheKey, UnitResult), CacheFormatError> {
     let key = CacheKey {
-        env: field_u64(entry, "env")?,
-        content: field_u64(entry, "content")?,
-        binding: field_u64(entry, "binding")?,
+        env: entry.req_u64("env")?,
+        content: entry.req_u64("content")?,
+        binding: entry.req_u64("binding")?,
     };
     let mut findings = Vec::new();
-    for f in entry
-        .get("findings")
-        .and_then(|v| v.as_array())
-        .ok_or_else(|| CacheFormatError::new("missing findings array"))?
-    {
-        let check = parse_check(field_str(f, "check")?)
+    for f in entry.req_array("findings")? {
+        let check = parse_check(f.req_str("check")?)
             .ok_or_else(|| CacheFormatError::new("unknown check kind"))?;
-        let subject = if let Some(n) = f.get("net").and_then(|v| v.as_u64()) {
-            Subject::Net(NetId(n as u32))
-        } else if let Some(d) = f.get("dev").and_then(|v| v.as_u64()) {
-            Subject::Device(DeviceId(d as u32))
-        } else if let Some(u) = f.get("unit").and_then(|v| v.as_u64()) {
-            Subject::Unit(u as u32)
+        // The writer names exactly one subject key.
+        let subject = if f.get("net").is_some() {
+            Subject::Net(NetId(f.req_u32("net")?))
+        } else if f.get("dev").is_some() {
+            Subject::Device(DeviceId(f.req_u32("dev")?))
         } else {
-            return Err(CacheFormatError::new("finding lacks net/dev/unit subject"));
+            Subject::Unit(f.req_u32("unit")?)
         };
-        let severity = parse_severity(field_str(f, "severity")?)
+        let severity = parse_severity(f.req_str("severity")?)
             .ok_or_else(|| CacheFormatError::new("unknown severity"))?;
         findings.push(Finding {
             check,
             subject,
             severity,
-            stress: f64::from_bits(field_u64(f, "stress")?),
-            message: field_str(f, "message")?.to_string(),
+            stress: f.req_f64_bits("stress")?,
+            message: f.req_str("message")?.to_string(),
         });
     }
     let mut arcs = Vec::new();
-    for a in entry
-        .get("arcs")
-        .and_then(|v| v.as_array())
-        .ok_or_else(|| CacheFormatError::new("missing arcs array"))?
-    {
+    for a in entry.req_array("arcs")? {
         arcs.push(Arc {
-            from: NetId(field_u64(a, "from")? as u32),
-            to: NetId(field_u64(a, "to")? as u32),
-            min: Seconds::new(f64::from_bits(field_u64(a, "min")?)),
-            max: Seconds::new(f64::from_bits(field_u64(a, "max")?)),
-            ccc: CccId(field_u64(a, "ccc")? as u32),
+            from: NetId(a.req_u32("from")?),
+            to: NetId(a.req_u32("to")?),
+            min: Seconds::new(a.req_f64_bits("min")?),
+            max: Seconds::new(a.req_f64_bits("max")?),
+            ccc: CccId(a.req_u32("ccc")?),
         });
     }
     Ok((
         key,
         UnitResult {
             findings,
-            checked: field_u64(entry, "checked")? as usize,
-            filtered: field_u64(entry, "filtered")? as usize,
+            checked: entry.req_u64("checked")? as usize,
+            filtered: entry.req_u64("filtered")? as usize,
             arcs,
         },
     ))
@@ -781,15 +756,6 @@ fn push_opt_net(out: &mut String, net: Option<NetId>) {
         Some(n) => out.push_str(&n.index().to_string()),
         None => out.push_str("null"),
     }
-}
-
-fn opt_net(v: &serde_json::Value) -> Result<Option<NetId>, CacheFormatError> {
-    if *v == serde_json::Value::Null {
-        return Ok(None);
-    }
-    v.as_u64()
-        .map(|n| Some(NetId(n as u32)))
-        .ok_or_else(|| CacheFormatError::new("net field is neither integer nor null"))
 }
 
 /// Serializes one timing-remainder entry (same float-as-bits discipline
@@ -904,136 +870,102 @@ fn write_timing_entry(key: &TimingKey, payload: &TimingPayload, out: &mut String
 }
 
 /// Parses one entry produced by [`write_timing_entry`].
-fn read_timing_entry(
-    entry: &serde_json::Value,
-) -> Result<(TimingKey, TimingPayload), CacheFormatError> {
-    let space = parse_space(field_str(entry, "space")?)
+fn read_timing_entry(entry: &Value) -> Result<(TimingKey, TimingPayload), CacheFormatError> {
+    let space = parse_space(entry.req_str("space")?)
         .ok_or_else(|| CacheFormatError::new("unknown timing space"))?;
     let key = TimingKey {
-        env: field_u64(entry, "env")?,
+        env: entry.req_u64("env")?,
         space,
-        digest: field_u64(entry, "digest")?,
+        digest: entry.req_u64("digest")?,
     };
-    let field_arr = |name: &str| {
-        entry
-            .get(name)
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| CacheFormatError::new(format!("missing array field {name:?}")))
+    // Array elements and nullable fields hold bare net ids and times.
+    let net = |v: &Value| {
+        v.as_u32()
+            .map(NetId)
+            .ok_or_else(|| CacheFormatError::new("net id is not a u32"))
+    };
+    let time = |v: &Value| {
+        v.as_u64()
+            .map(|bits| Seconds::new(f64::from_bits(bits)))
+            .ok_or_else(|| CacheFormatError::new("time is not an f64 bit pattern"))
     };
     let payload = match space {
         TimingSpace::Constraints => {
             let mut cons = Vec::new();
-            for c in field_arr("cons")? {
+            for c in entry.req_array("cons")? {
                 cons.push(Constraint {
-                    net: NetId(field_u64(c, "net")? as u32),
-                    kind: parse_capture(field_str(c, "kind")?)
+                    net: NetId(c.req_u32("net")?),
+                    kind: parse_capture(c.req_str("kind")?)
                         .ok_or_else(|| CacheFormatError::new("unknown capture kind"))?,
-                    clock: opt_net(
-                        c.get("clock")
-                            .ok_or_else(|| CacheFormatError::new("missing clock field"))?,
-                    )?,
-                    setup: Seconds::new(f64::from_bits(field_u64(c, "setup")?)),
-                    hold: Seconds::new(f64::from_bits(field_u64(c, "hold")?)),
+                    clock: match c.req("clock")? {
+                        Value::Null => None,
+                        v => Some(net(v)?),
+                    },
+                    setup: Seconds::new(c.req_f64_bits("setup")?),
+                    hold: Seconds::new(c.req_f64_bits("hold")?),
                 });
             }
             TimingPayload::Constraints(cons)
         }
         TimingSpace::Graph => {
             let mut launches = Vec::new();
-            for l in field_arr("launches")? {
+            for l in entry.req_array("launches")? {
                 launches.push(LaunchPoint {
-                    net: NetId(field_u64(l, "net")? as u32),
-                    clock: opt_net(
-                        l.get("clock")
-                            .ok_or_else(|| CacheFormatError::new("missing clock field"))?,
-                    )?,
+                    net: NetId(l.req_u32("net")?),
+                    clock: match l.req("clock")? {
+                        Value::Null => None,
+                        v => Some(net(v)?),
+                    },
                 });
             }
-            let mut cut_nets = Vec::new();
-            for n in field_arr("cuts")? {
-                cut_nets.push(NetId(
-                    n.as_u64()
-                        .ok_or_else(|| CacheFormatError::new("non-integer cut net"))?
-                        as u32,
-                ));
+            TimingPayload::Graph {
+                launches,
+                cut_nets: entry
+                    .req_array("cuts")?
+                    .iter()
+                    .map(net)
+                    .collect::<Result<_, _>>()?,
             }
-            TimingPayload::Graph { launches, cut_nets }
         }
-        TimingSpace::Skew => {
-            let v = entry
-                .get("skew")
-                .ok_or_else(|| CacheFormatError::new("missing skew field"))?;
-            let skew = if *v == serde_json::Value::Null {
-                None
-            } else {
-                Some(ClockSkew {
-                    net: NetId(field_u64(v, "net")? as u32),
-                    min: Seconds::new(f64::from_bits(field_u64(v, "min")?)),
-                    max: Seconds::new(f64::from_bits(field_u64(v, "max")?)),
-                })
-            };
-            TimingPayload::Skew(skew)
-        }
+        TimingSpace::Skew => TimingPayload::Skew(match entry.req("skew")? {
+            Value::Null => None,
+            v => Some(ClockSkew {
+                net: NetId(v.req_u32("net")?),
+                min: Seconds::new(v.req_f64_bits("min")?),
+                max: Seconds::new(v.req_f64_bits("max")?),
+            }),
+        }),
         TimingSpace::Sta => {
             let mut unit_digests = Vec::new();
             let mut unit_arc_nets = Vec::new();
-            for u in field_arr("units")? {
-                unit_digests.push(field_u64(u, "d")?);
-                let mut nets = Vec::new();
-                for n in u
-                    .get("nets")
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| CacheFormatError::new("missing unit nets array"))?
-                {
-                    nets.push(NetId(
-                        n.as_u64()
-                            .ok_or_else(|| CacheFormatError::new("non-integer unit net"))?
-                            as u32,
-                    ));
-                }
-                unit_arc_nets.push(nets);
+            for u in entry.req_array("units")? {
+                unit_digests.push(u.req_u64("d")?);
+                unit_arc_nets.push(
+                    u.req_array("nets")?
+                        .iter()
+                        .map(net)
+                        .collect::<Result<_, _>>()?,
+                );
             }
-            let mut arrivals = Vec::new();
-            for a in field_arr("arr")? {
-                if *a == serde_json::Value::Null {
-                    arrivals.push(None);
-                    continue;
-                }
-                let pair = a
-                    .as_array()
-                    .ok_or_else(|| CacheFormatError::new("arrival is neither pair nor null"))?;
-                let bits = |i: usize| {
-                    pair.get(i)
-                        .and_then(|v| v.as_u64())
-                        .ok_or_else(|| CacheFormatError::new("non-integer arrival bound"))
-                };
-                arrivals.push(Some(ArrivalWindow {
-                    min: Seconds::new(f64::from_bits(bits(0)?)),
-                    max: Seconds::new(f64::from_bits(bits(1)?)),
-                }));
-            }
-            let mut clocked_min = Vec::new();
-            for c in field_arr("cmin")? {
-                if *c == serde_json::Value::Null {
-                    clocked_min.push(None);
-                } else {
-                    clocked_min
-                        .push(Some(Seconds::new(f64::from_bits(c.as_u64().ok_or_else(
-                            || CacheFormatError::new("non-integer clocked-min"),
-                        )?))));
-                }
-            }
-            let converged = entry
-                .get("conv")
-                .and_then(|v| v.as_bool())
-                .ok_or_else(|| CacheFormatError::new("missing or non-boolean conv field"))?;
+            let arrivals = entry.req_array("arr")?.iter().map(|a| match a {
+                Value::Null => Ok(None),
+                Value::Array(pair) if pair.len() == 2 => Ok(Some(ArrivalWindow {
+                    min: time(&pair[0])?,
+                    max: time(&pair[1])?,
+                })),
+                _ => Err(CacheFormatError::new("arrival is neither pair nor null")),
+            });
+            let clocked_min = entry.req_array("cmin")?.iter().map(|c| match c {
+                Value::Null => Ok(None),
+                c => time(c).map(Some),
+            });
             TimingPayload::Sta(StaLineage {
                 unit_digests,
                 unit_arc_nets,
                 snapshot: StaSnapshot {
-                    arrivals,
-                    clocked_min,
-                    converged,
+                    arrivals: arrivals.collect::<Result<_, _>>()?,
+                    clocked_min: clocked_min.collect::<Result<_, _>>()?,
+                    converged: entry.req_bool("conv")?,
                 },
             })
         }

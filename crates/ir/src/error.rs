@@ -141,3 +141,12 @@ impl fmt::Display for IrError {
 }
 
 impl Error for IrError {}
+
+/// A required field missing from an imported JSON document.
+impl From<serde_json::FieldError> for IrError {
+    fn from(e: serde_json::FieldError) -> IrError {
+        IrError::Import {
+            message: e.to_string(),
+        }
+    }
+}

@@ -279,55 +279,25 @@ fn parse_err(line: usize, message: impl Into<String>) -> IrError {
     }
 }
 
-/// Splits one line into tokens. Quoted tokens use JSON string escapes.
+/// Splits one line into tokens. Quoted tokens are JSON string literals,
+/// decoded by the `serde_json` shim's tokenizer.
 fn tokenize(line: &str, lineno: usize) -> Result<Vec<Token>, IrError> {
     let mut tokens = Vec::new();
-    let mut chars = line.chars().peekable();
-    loop {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        let Some(&c) = chars.peek() else {
-            return Ok(tokens);
-        };
-        if c == '"' {
-            chars.next();
-            let mut s = String::new();
-            loop {
-                match chars.next() {
-                    None => return Err(parse_err(lineno, "unterminated string")),
-                    Some('"') => break,
-                    Some('\\') => match chars.next() {
-                        Some('"') => s.push('"'),
-                        Some('\\') => s.push('\\'),
-                        Some('n') => s.push('\n'),
-                        Some('r') => s.push('\r'),
-                        Some('t') => s.push('\t'),
-                        Some('u') => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let d = chars
-                                    .next()
-                                    .and_then(|c| c.to_digit(16))
-                                    .ok_or_else(|| parse_err(lineno, "bad \\u escape"))?;
-                                code = code * 16 + d;
-                            }
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(parse_err(lineno, "bad escape in string")),
-                    },
-                    Some(c) => s.push(c),
-                }
-            }
+    let mut rest = line.trim_start();
+    while !rest.is_empty() {
+        let used = if rest.starts_with('"') {
+            let (s, used) =
+                serde_json::string_literal(rest).map_err(|e| parse_err(lineno, e.message))?;
             tokens.push(Token::Quoted(s));
+            used
         } else {
-            let mut s = String::new();
-            while matches!(chars.peek(), Some(c) if !c.is_whitespace()) {
-                s.push(chars.next().unwrap());
-            }
-            tokens.push(Token::Bare(s));
-        }
+            let used = rest.find(char::is_whitespace).unwrap_or(rest.len());
+            tokens.push(Token::Bare(rest[..used].to_string()));
+            used
+        };
+        rest = rest[used..].trim_start();
     }
+    Ok(tokens)
 }
 
 fn bare<'a>(tokens: &'a [Token], i: usize, lineno: usize, what: &str) -> Result<&'a str, IrError> {

@@ -257,10 +257,7 @@ pub fn import_yosys(
     process: &Process,
 ) -> Result<FlatNetlist, IrError> {
     let doc = serde_json::from_str(text).map_err(|e| import_err(format!("malformed JSON: {e}")))?;
-    let modules_v = doc
-        .get("modules")
-        .ok_or_else(|| import_err("document has no \"modules\" object"))?;
-    let modules = object(modules_v, "\"modules\"")?;
+    let modules = object(doc.req("modules")?, "\"modules\"")?;
     let (module_name, module) = select_module(&modules, top)?;
 
     let mut f = FlatNetlist::new(module_name);

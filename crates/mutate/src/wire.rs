@@ -27,7 +27,7 @@ use std::fmt;
 
 use cbv_netlist::{DeviceId, NetId, Term};
 use serde::{JsonWriter, Serialize};
-use serde_json::Value;
+use serde_json::{FieldError, Value};
 
 use crate::op::{MutationOp, Site};
 
@@ -52,6 +52,12 @@ impl fmt::Display for WireError {
 }
 
 impl Error for WireError {}
+
+impl From<FieldError> for WireError {
+    fn from(e: FieldError) -> WireError {
+        WireError::new(e.to_string())
+    }
+}
 
 impl Serialize for MutationOp {
     fn serialize_json(&self, out: &mut String) {
@@ -128,46 +134,21 @@ pub fn parse_term(name: &str) -> Result<Term, WireError> {
     }
 }
 
-fn field_str<'a>(v: &'a Value, name: &str) -> Result<&'a str, WireError> {
-    v.get(name)
-        .and_then(Value::as_str)
-        .ok_or_else(|| WireError::new(format!("missing or non-string field {name:?}")))
-}
-
-fn field_f64(v: &Value, name: &str) -> Result<f64, WireError> {
-    let x = v
-        .get(name)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| WireError::new(format!("missing or non-numeric field {name:?}")))?;
-    if !x.is_finite() {
-        return Err(WireError::new(format!("non-finite magnitude in {name:?}")));
-    }
-    Ok(x)
-}
-
-fn field_u32(v: &Value, name: &str) -> Result<u32, WireError> {
-    let raw = v
-        .get(name)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| WireError::new(format!("missing or non-integer field {name:?}")))?;
-    u32::try_from(raw).map_err(|_| WireError::new(format!("field {name:?} out of range")))
-}
-
 /// Parses a [`MutationOp`] from its wire object.
 pub fn op_from_json(v: &Value) -> Result<MutationOp, WireError> {
-    match field_str(v, "op")? {
+    match v.req_str("op")? {
         "width-scale" => Ok(MutationOp::WidthScale {
-            factor: field_f64(v, "factor")?,
+            factor: v.req_f64("factor")?,
         }),
         "length-scale" => Ok(MutationOp::LengthScale {
-            factor: field_f64(v, "factor")?,
+            factor: v.req_f64("factor")?,
         }),
         "beta-skew" => Ok(MutationOp::BetaSkew {
-            factor: field_f64(v, "factor")?,
+            factor: v.req_f64("factor")?,
         }),
         "keeper-resize" => Ok(MutationOp::KeeperResize {
-            w_factor: field_f64(v, "w_factor")?,
-            l_factor: field_f64(v, "l_factor")?,
+            w_factor: v.req_f64("w_factor")?,
+            l_factor: v.req_f64("l_factor")?,
         }),
         "keeper-delete" => Ok(MutationOp::KeeperDelete),
         "polarity-swap" => Ok(MutationOp::PolaritySwap),
@@ -182,20 +163,17 @@ pub fn op_from_json(v: &Value) -> Result<MutationOp, WireError> {
 /// Parses a [`Site`] from its wire object. Ids are *not* validated
 /// against any netlist here — the applier rejects out-of-range ids.
 pub fn site_from_json(v: &Value) -> Result<Site, WireError> {
-    match field_str(v, "site")? {
-        "device" => Ok(Site::Device(DeviceId(field_u32(v, "device")?))),
+    match v.req_str("site")? {
+        "device" => Ok(Site::Device(DeviceId(v.req_u32("device")?))),
         "rewire" => Ok(Site::Rewire(
-            DeviceId(field_u32(v, "device")?),
-            parse_term(field_str(v, "term")?)?,
-            NetId(field_u32(v, "net")?),
+            DeviceId(v.req_u32("device")?),
+            parse_term(v.req_str("term")?)?,
+            NetId(v.req_u32("net")?),
         )),
-        "bridge" => Ok(Site::Bridge(
-            NetId(field_u32(v, "a")?),
-            NetId(field_u32(v, "b")?),
-        )),
+        "bridge" => Ok(Site::Bridge(NetId(v.req_u32("a")?), NetId(v.req_u32("b")?))),
         "open" => Ok(Site::Open(
-            DeviceId(field_u32(v, "device")?),
-            parse_term(field_str(v, "term")?)?,
+            DeviceId(v.req_u32("device")?),
+            parse_term(v.req_str("term")?)?,
         )),
         other => Err(WireError::new(format!("unknown site kind {other:?}"))),
     }

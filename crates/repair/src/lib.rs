@@ -26,5 +26,5 @@
 pub mod plan;
 pub mod search;
 
-pub use plan::{plan_from_json, RepairEdit, RepairPlan, RepairStep};
+pub use plan::{RepairEdit, RepairPlan, RepairStep};
 pub use search::{repair, repair_warm, replay_plan, restore_target, RepairConfig};

@@ -9,9 +9,8 @@
 //! round-trip formatting, the workspace-wide guarantee that wire replay
 //! is bit-exact.
 
-use cbv_core::mutate::{self, MutationOp, Site};
+use cbv_core::mutate::{MutationOp, Site};
 use cbv_core::netlist::DeviceId;
-use serde_json::Value;
 
 /// One edit of a repair plan, in the serve wire vocabulary.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,129 +168,10 @@ impl RepairPlan {
     }
 }
 
-/// Re-serializes a parsed [`Value`] compactly. Numbers keep their raw
-/// source text in the shim, so this round-trips exactly.
-fn value_to_json(v: &Value) -> String {
-    match v {
-        Value::Null => "null".into(),
-        Value::Bool(b) => if *b { "true" } else { "false" }.into(),
-        Value::Number(raw) => raw.clone(),
-        Value::String(s) => quoted(s),
-        Value::Array(items) => {
-            let mut out = String::from("[");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&value_to_json(item));
-            }
-            out.push(']');
-            out
-        }
-        Value::Object(fields) => {
-            let mut out = String::from("{");
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&quoted(k));
-                out.push(':');
-                out.push_str(&value_to_json(item));
-            }
-            out.push('}');
-            out
-        }
-    }
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn as_f64(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-fn as_usize(v: &Value, key: &str) -> Result<usize, String> {
-    field(v, key)?
-        .as_u64()
-        .map(|u| u as usize)
-        .ok_or_else(|| format!("field `{key}` is not an integer"))
-}
-
-fn as_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))
-}
-
-fn edit_from_json(v: &Value) -> Result<RepairEdit, String> {
-    match as_str(v, "edit")? {
-        "resize" => Ok(RepairEdit::Resize {
-            device: DeviceId(as_usize(v, "device")? as u32),
-            w: as_f64(v, "w")?,
-            l: as_f64(v, "l")?,
-        }),
-        "op" => Ok(RepairEdit::Op {
-            op: mutate::op_from_json(field(v, "op")?).map_err(|e| e.to_string())?,
-            site: mutate::site_from_json(field(v, "site")?).map_err(|e| e.to_string())?,
-        }),
-        other => Err(format!("unknown repair edit `{other}`")),
-    }
-}
-
-/// Parses a plan produced by [`RepairPlan::to_json`] (the other side of
-/// the wire). The signoff is re-serialized from the parsed value, so use
-/// the raw reply for byte comparisons; this parser is for inspecting
-/// steps and accounting.
-pub fn plan_from_json(text: &str) -> Result<RepairPlan, String> {
-    let v: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    let steps = field(&v, "steps")?
-        .as_array()
-        .ok_or("`steps` is not an array")?
-        .iter()
-        .map(|s| {
-            Ok(RepairStep {
-                edit: edit_from_json(s)?,
-                description: as_str(s, "description")?.to_string(),
-                oracle_calls: as_usize(s, "oracle_calls")?,
-                units_reverified: as_usize(s, "units_reverified")?,
-                violations_after: as_usize(s, "violations_after")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let transcript = field(&v, "transcript")?
-        .as_array()
-        .ok_or("`transcript` is not an array")?
-        .iter()
-        .map(|t| {
-            t.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "transcript entry is not a string".to_string())
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(RepairPlan {
-        design: as_str(&v, "design")?.to_string(),
-        repaired: field(&v, "repaired")?
-            .as_bool()
-            .ok_or("`repaired` is not a bool")?,
-        byte_identical: field(&v, "byte_identical")?.as_bool(),
-        steps,
-        oracle_calls: as_usize(&v, "oracle_calls")?,
-        units_reverified: as_usize(&v, "units_reverified")?,
-        attempts: as_usize(&v, "attempts")?,
-        rejected_regression: as_usize(&v, "rejected_regression")?,
-        rejected: field(&v, "rejected")?.as_str().map(str::to_string),
-        transcript,
-        signoff_json: value_to_json(field(&v, "signoff")?),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::{raw_field, Value};
 
     fn sample_plan() -> RepairPlan {
         RepairPlan {
@@ -331,20 +211,66 @@ mod tests {
         }
     }
 
+    /// Reads the emitted JSON back with the shim's parser and checks
+    /// every field the writer wrote, the signoff as a verbatim slice.
+    fn assert_reads_back(plan: &RepairPlan, json: &str) {
+        let v: Value = serde_json::from_str(json).expect("parses");
+        assert_eq!(v.req_str("design"), Ok(plan.design.as_str()));
+        assert_eq!(v.req_bool("repaired"), Ok(plan.repaired));
+        assert_eq!(
+            v.req("byte_identical").unwrap().as_bool(),
+            plan.byte_identical
+        );
+        let steps = v.req_array("steps").unwrap();
+        assert_eq!(steps.len(), plan.steps.len());
+        for (got, want) in steps.iter().zip(&plan.steps) {
+            // The step object is the edit object plus accounting fields.
+            let (Value::Object(fields), Value::Object(edit)) =
+                (got, serde_json::from_str(&want.edit.edit_json()).unwrap())
+            else {
+                panic!("steps and edits are objects");
+            };
+            assert_eq!(fields[..edit.len()], edit[..]);
+            assert_eq!(got.req_str("description"), Ok(want.description.as_str()));
+            assert_eq!(got.req_u64("oracle_calls"), Ok(want.oracle_calls as u64));
+            assert_eq!(
+                got.req_u64("units_reverified"),
+                Ok(want.units_reverified as u64)
+            );
+            assert_eq!(
+                got.req_u64("violations_after"),
+                Ok(want.violations_after as u64)
+            );
+        }
+        assert_eq!(v.req_u64("oracle_calls"), Ok(plan.oracle_calls as u64));
+        assert_eq!(
+            v.req_u64("units_reverified"),
+            Ok(plan.units_reverified as u64)
+        );
+        assert_eq!(v.req_u64("attempts"), Ok(plan.attempts as u64));
+        assert_eq!(
+            v.req_u64("rejected_regression"),
+            Ok(plan.rejected_regression as u64)
+        );
+        assert_eq!(
+            v.req("rejected").unwrap().as_str(),
+            plan.rejected.as_deref()
+        );
+        let transcript: Vec<&str> = v
+            .req_array("transcript")
+            .unwrap()
+            .iter()
+            .map(|t| t.as_str().unwrap())
+            .collect();
+        assert_eq!(transcript, plan.transcript);
+        assert_eq!(raw_field(json, "signoff"), Some(plan.signoff_json.as_str()));
+    }
+
     #[test]
     fn plan_json_round_trips() {
         let plan = sample_plan();
         let json = plan.to_json();
-        let back = plan_from_json(&json).expect("parses");
-        assert_eq!(back.design, plan.design);
-        assert_eq!(back.steps, plan.steps);
-        assert_eq!(back.repaired, plan.repaired);
-        assert_eq!(back.byte_identical, plan.byte_identical);
-        assert_eq!(back.oracle_calls, plan.oracle_calls);
-        assert_eq!(back.rejected, plan.rejected);
-        assert_eq!(back.transcript, plan.transcript);
-        // Re-serializing the parsed plan reproduces the bytes.
-        assert_eq!(back.to_json(), json);
+        assert_reads_back(&plan, &json);
     }
 
     #[test]
@@ -372,7 +298,6 @@ mod tests {
         assert!(json.contains("\"byte_identical\":null"));
         assert!(json.contains("\"steps\":[]"));
         assert!(json.contains("\"rejected\":\"no improving candidate\""));
-        let back = plan_from_json(&json).unwrap();
-        assert_eq!(back.to_json(), json);
+        assert_reads_back(&plan, &json);
     }
 }

@@ -11,9 +11,9 @@
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use serde_json::Value;
+use serde_json::{FieldError, Value};
 
-use crate::protocol::{extract_raw_field, json_escaped, read_frame, write_frame};
+use crate::protocol::{exchange, extract_raw_field, json_escaped};
 
 /// Anything that can go wrong on a request.
 #[derive(Debug)]
@@ -53,6 +53,12 @@ impl std::error::Error for ClientError {}
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> ClientError {
         ClientError::Io(e)
+    }
+}
+
+impl From<FieldError> for ClientError {
+    fn from(e: FieldError) -> ClientError {
+        ClientError::Protocol(e.to_string())
     }
 }
 
@@ -125,81 +131,35 @@ impl Client {
     /// JSON object WITHOUT the closing brace's `id`, e.g.
     /// `{"req":"stats"}`.
     pub fn request_raw(&mut self, body: &str) -> Result<String, ClientError> {
+        self.request(body).map(|(reply, _)| reply)
+    }
+
+    /// [`request_raw`](Client::request_raw), with the reply's one parse.
+    fn request(&mut self, body: &str) -> Result<(String, Value), ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let framed = match body.strip_suffix('}') {
-            Some(prefix) if body.starts_with('{') => {
-                let sep = if prefix.trim_end().ends_with('{') {
-                    ""
-                } else {
-                    ","
-                };
-                format!("{prefix}{sep}\"id\":{id}}}")
-            }
-            _ => {
-                return Err(ClientError::Protocol(
-                    "request body must be an object".into(),
-                ))
-            }
-        };
-        write_frame(&mut self.stream, &framed)?;
-        let reply = read_frame(&mut self.stream)?.ok_or_else(|| {
-            ClientError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ))
-        })?;
-        let v: Value = serde_json::from_str(&reply)
-            .map_err(|e| ClientError::Protocol(format!("unparseable reply: {e}")))?;
-        let got_id = v.get("id").and_then(Value::as_u64);
-        if got_id != Some(id) {
-            return Err(ClientError::Protocol(format!(
-                "reply id {got_id:?} does not match request id {id}"
-            )));
-        }
-        match v.get("ok").and_then(Value::as_bool) {
-            Some(true) => Ok(reply),
-            Some(false) => Err(ClientError::Rejected {
-                error: v
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("unspecified")
-                    .to_owned(),
-                retry_after_ms: v.get("retry_after_ms").and_then(Value::as_u64),
-            }),
-            None => Err(ClientError::Protocol("reply missing \"ok\"".into())),
-        }
+        exchange(&mut self.stream, id, body)
     }
 
     /// Opens a session on a registry design; returns the seed's device
     /// count.
     pub fn open(&mut self, design: &str) -> Result<usize, ClientError> {
-        let reply = self.request_raw(&format!(
+        let (_, v) = self.request(&format!(
             "{{\"req\":\"open\",\"design\":{}}}",
             json_escaped(design)
         ))?;
-        let v: Value =
-            serde_json::from_str(&reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        v.get("devices")
-            .and_then(Value::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| ClientError::Protocol("open reply missing \"devices\"".into()))
+        Ok(v.req_u64("devices")? as usize)
     }
 
     /// Opens a session on an uploaded SPICE deck.
     pub fn upload(&mut self, name: &str, spice: &str, top: &str) -> Result<usize, ClientError> {
-        let reply = self.request_raw(&format!(
+        let (_, v) = self.request(&format!(
             "{{\"req\":\"upload\",\"design\":{},\"spice\":{},\"top\":{}}}",
             json_escaped(name),
             json_escaped(spice),
             json_escaped(top)
         ))?;
-        let v: Value =
-            serde_json::from_str(&reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        v.get("devices")
-            .and_then(Value::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| ClientError::Protocol("upload reply missing \"devices\"".into()))
+        Ok(v.req_u64("devices")? as usize)
     }
 
     /// Streams one ECO batch (`edits_json` is one edit object or an
@@ -210,57 +170,42 @@ impl Client {
         deadline_ms: Option<u64>,
     ) -> Result<Verdict, ClientError> {
         let deadline = deadline_field(deadline_ms);
-        let reply = self.request_raw(&format!(
+        parse_verdict(self.request(&format!(
             "{{\"req\":\"eco\",\"edits\":{edits_json}{deadline}}}"
-        ))?;
-        parse_verdict(&reply)
+        ))?)
     }
 
     /// Requests a signoff of the session's current revision.
     pub fn signoff(&mut self, deadline_ms: Option<u64>) -> Result<Verdict, ClientError> {
         let deadline = deadline_field(deadline_ms);
-        let reply = self.request_raw(&format!("{{\"req\":\"signoff\"{deadline}}}"))?;
-        parse_verdict(&reply)
+        parse_verdict(self.request(&format!("{{\"req\":\"signoff\"{deadline}}}"))?)
     }
 
     /// Rolls the session back to `revision`; returns the new revision.
     pub fn rollback(&mut self, revision: u64) -> Result<u64, ClientError> {
-        let reply =
-            self.request_raw(&format!("{{\"req\":\"rollback\",\"revision\":{revision}}}"))?;
-        let v: Value =
-            serde_json::from_str(&reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        v.get("revision")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ClientError::Protocol("rollback reply missing \"revision\"".into()))
+        let (_, v) = self.request(&format!("{{\"req\":\"rollback\",\"revision\":{revision}}}"))?;
+        Ok(v.req_u64("revision")?)
     }
 
     /// Saves the session (seed + edit history) on the daemon under
     /// `name`; returns the saved revision. With a `--state` file
     /// configured the snapshot survives a daemon restart.
     pub fn save(&mut self, name: &str) -> Result<u64, ClientError> {
-        let reply = self.request_raw(&format!(
+        let (_, v) = self.request(&format!(
             "{{\"req\":\"save\",\"name\":{}}}",
             json_escaped(name)
         ))?;
-        let v: Value =
-            serde_json::from_str(&reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        v.get("revision")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ClientError::Protocol("save reply missing \"revision\"".into()))
+        Ok(v.req_u64("revision")?)
     }
 
     /// Restores a saved snapshot as this connection's session; returns
     /// the restored revision.
     pub fn restore(&mut self, name: &str) -> Result<u64, ClientError> {
-        let reply = self.request_raw(&format!(
+        let (_, v) = self.request(&format!(
             "{{\"req\":\"restore\",\"name\":{}}}",
             json_escaped(name)
         ))?;
-        let v: Value =
-            serde_json::from_str(&reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        v.get("revision")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ClientError::Protocol("restore reply missing \"revision\"".into()))
+        Ok(v.req_u64("revision")?)
     }
 
     /// Asks the daemon to auto-repair the session's current netlist.
@@ -270,34 +215,18 @@ impl Client {
     /// in-process `cbv_repair::repair` on the same netlist.
     pub fn repair(&mut self, commit: bool) -> Result<RepairOutcome, ClientError> {
         let commit_field = if commit { "" } else { ",\"commit\":false" };
-        let reply = self.request_raw(&format!("{{\"req\":\"repair\"{commit_field}}}"))?;
-        let plan_raw = extract_raw_field(&reply, "plan")
-            .ok_or_else(|| ClientError::Protocol("repair reply missing \"plan\"".into()))?
-            .to_owned();
-        let signoff_raw = extract_raw_field(&plan_raw, "signoff")
-            .ok_or_else(|| ClientError::Protocol("repair plan missing \"signoff\"".into()))?
-            .to_owned();
-        let v: Value =
-            serde_json::from_str(&reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        let plan: Value =
-            serde_json::from_str(&plan_raw).map_err(|e| ClientError::Protocol(e.to_string()))?;
+        let (reply, v) = self.request(&format!("{{\"req\":\"repair\"{commit_field}}}"))?;
+        let plan_raw = raw(&reply, "plan")?;
+        let signoff_raw = raw(&plan_raw, "signoff")?;
+        let plan = v.req("plan")?;
         Ok(RepairOutcome {
-            revision: v
-                .get("revision")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ClientError::Protocol("repair reply missing \"revision\"".into()))?,
-            committed: v.get("committed").and_then(Value::as_bool).ok_or_else(|| {
-                ClientError::Protocol("repair reply missing \"committed\"".into())
-            })?,
-            repaired: plan
-                .get("repaired")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| ClientError::Protocol("repair plan missing \"repaired\"".into()))?,
+            revision: v.req_u64("revision")?,
+            committed: v.req_bool("committed")?,
+            repaired: plan.req_bool("repaired")?,
             steps: plan
                 .get("steps")
                 .and_then(Value::as_array)
-                .map(<[Value]>::len)
-                .unwrap_or(0),
+                .map_or(0, <[Value]>::len),
             plan_raw,
             signoff_raw,
         })
@@ -305,10 +234,7 @@ impl Client {
 
     /// Fetches the daemon's stats object (raw JSON).
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        let reply = self.request_raw("{\"req\":\"stats\"}")?;
-        extract_raw_field(&reply, "stats")
-            .map(str::to_owned)
-            .ok_or_else(|| ClientError::Protocol("stats reply missing \"stats\"".into()))
+        raw(&self.request_raw("{\"req\":\"stats\"}")?, "stats")
     }
 
     /// Asks the daemon to drain and exit.
@@ -324,34 +250,22 @@ fn deadline_field(deadline_ms: Option<u64>) -> String {
         .unwrap_or_default()
 }
 
-fn parse_verdict(reply: &str) -> Result<Verdict, ClientError> {
-    let signoff_raw = extract_raw_field(reply, "signoff")
-        .ok_or_else(|| ClientError::Protocol("verdict reply missing \"signoff\"".into()))?
-        .to_owned();
-    let v: Value = serde_json::from_str(reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
-    let field_u64 = |name: &str| {
-        v.get(name)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ClientError::Protocol(format!("verdict reply missing {name:?}")))
-    };
-    let cache = v
-        .get("cache")
-        .ok_or_else(|| ClientError::Protocol("verdict reply missing \"cache\"".into()))?;
-    let cache_u64 = |name: &str| {
-        cache
-            .get(name)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ClientError::Protocol(format!("cache stats missing {name:?}")))
-    };
+/// The verbatim text of the field `name`, which `reply` must carry.
+fn raw(reply: &str, name: &str) -> Result<String, ClientError> {
+    extract_raw_field(reply, name)
+        .map(str::to_owned)
+        .ok_or_else(|| ClientError::Protocol(format!("reply missing {name:?}")))
+}
+
+fn parse_verdict((reply, v): (String, Value)) -> Result<Verdict, ClientError> {
+    let signoff_raw = raw(&reply, "signoff")?;
+    let cache = v.req("cache")?;
     Ok(Verdict {
-        revision: field_u64("revision")?,
-        clean: v
-            .get("clean")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| ClientError::Protocol("verdict reply missing \"clean\"".into()))?,
-        violations: field_u64("violations")? as usize,
-        cache_hits: cache_u64("hits")? as usize,
-        cache_misses: cache_u64("misses")? as usize,
+        revision: v.req_u64("revision")?,
+        clean: v.req_bool("clean")?,
+        violations: v.req_u64("violations")? as usize,
+        cache_hits: cache.req_u64("hits")? as usize,
+        cache_misses: cache.req_u64("misses")? as usize,
         signoff_raw,
     })
 }

@@ -62,7 +62,8 @@ use cbv_core::scatter::{LocalBackend, PreparedDesign, UnitBackend, UnitOutcome};
 use cbv_core::service::{FlowService, ServiceVerdict};
 use serde_json::Value;
 
-use crate::protocol::{json_escaped, read_frame, write_frame, PROTO_VERSION};
+use crate::client::ClientError;
+use crate::protocol::{exchange, json_escaped, PROTO_VERSION};
 use crate::session::{edits_from_json, Session};
 
 /// Farm coordinator configuration.
@@ -256,36 +257,13 @@ impl WorkerConn {
     fn request(&mut self, body: &str) -> Result<Value, WireError> {
         let id = self.next_id;
         self.next_id += 1;
-        let framed = match body.strip_suffix('}') {
-            Some(prefix) => format!("{prefix},\"id\":{id}}}"),
-            None => return Err(WireError::Fatal("request body must be an object".into())),
-        };
-        write_frame(&mut self.stream, &framed)
-            .map_err(|e| WireError::Fatal(format!("transport: {e}")))?;
-        let reply = read_frame(&mut self.stream)
-            .map_err(|e| WireError::Fatal(format!("transport: {e}")))?
-            .ok_or_else(|| WireError::Fatal("worker closed the connection".into()))?;
-        let v: Value = serde_json::from_str(&reply)
-            .map_err(|e| WireError::Fatal(format!("unparseable reply: {e}")))?;
-        if v.get("id").and_then(Value::as_u64) != Some(id) {
-            return Err(WireError::Fatal(
-                "reply id does not match request id".into(),
-            ));
-        }
-        match v.get("ok").and_then(Value::as_bool) {
-            Some(true) => Ok(v),
-            Some(false) => {
-                let error = v
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("unspecified")
-                    .to_owned();
-                match v.get("retry_after_ms").and_then(Value::as_u64) {
-                    Some(ms) => Err(WireError::Busy(ms)),
-                    None => Err(WireError::Fatal(format!("worker rejected: {error}"))),
-                }
-            }
-            None => Err(WireError::Fatal("reply missing \"ok\"".into())),
+        match exchange(&mut self.stream, id, body) {
+            Ok((_, v)) => Ok(v),
+            Err(ClientError::Rejected {
+                retry_after_ms: Some(ms),
+                ..
+            }) => Err(WireError::Busy(ms)),
+            Err(e) => Err(WireError::Fatal(e.to_string())),
         }
     }
 }
@@ -720,17 +698,10 @@ impl FarmBackend<'_> {
             Err(WireError::Busy(_)) => return Err("load rejected as busy".into()),
             Err(WireError::Fatal(m)) => return Err(m),
         };
-        let env = v
-            .get("env")
-            .and_then(Value::as_u64)
-            .ok_or("load reply missing \"env\"")?;
-        if env != prep.env() {
+        if v.req_u64("env")? != prep.env() {
             return Err("worker build divergence: environment fingerprint mismatch".into());
         }
-        let fps = v
-            .get("fps")
-            .and_then(Value::as_array)
-            .ok_or("load reply missing \"fps\"")?;
+        let fps = v.req_array("fps")?;
         let local = prep.unit_fingerprints();
         if fps.len() != local.len() {
             return Err("worker build divergence: unit count mismatch".into());
@@ -780,10 +751,7 @@ impl FarmBackend<'_> {
         units: &[usize],
         v: &Value,
     ) -> Result<Vec<UnitOutcome>, String> {
-        let results = v
-            .get("results")
-            .and_then(Value::as_array)
-            .ok_or("batch reply missing \"results\"")?;
+        let results = v.req_array("results")?;
         if results.len() != units.len() {
             return Err(format!(
                 "batch reply has {} results for {} units",
@@ -793,20 +761,13 @@ impl FarmBackend<'_> {
         }
         let mut outcomes = Vec::with_capacity(results.len());
         for r in results {
-            let unit = r
-                .get("unit")
-                .and_then(Value::as_u64)
-                .ok_or("batch result missing \"unit\"")? as usize;
+            let unit = r.req_u64("unit")? as usize;
             if !units.contains(&unit) {
                 return Err(format!("batch result for unrequested unit {unit}"));
             }
-            let poisoned = r
-                .get("poisoned")
-                .and_then(Value::as_bool)
-                .ok_or("batch result missing \"poisoned\"")?;
-            let entry = r.get("entry").ok_or("batch result missing \"entry\"")?;
-            let (key, result) =
-                read_unit_entry(entry).map_err(|e| format!("unit {unit}: bad entry: {e:?}"))?;
+            let poisoned = r.req_bool("poisoned")?;
+            let (key, result) = read_unit_entry(r.req("entry")?)
+                .map_err(|e| format!("unit {unit}: bad entry: {e:?}"))?;
             if key != prep.unit_key(unit) {
                 return Err(format!(
                     "unit {unit}: content address does not match the requested unit"

@@ -28,13 +28,20 @@
 //! Verification responses embed the signoff JSON **verbatim**: the
 //! server splices the exact string `serde_json::to_string(&signoff)`
 //! produced into the response text, and clients recover it with
-//! [`extract_raw_field`] — a token scanner that returns the raw
-//! balanced-JSON substring without reparsing. A remote signoff is
-//! therefore byte-for-byte the in-process one, which is the contract
+//! [`extract_raw_field`] — the `serde_json` shim's `raw_field`, which
+//! returns the field's text as a slice of the reply, found by the same
+//! tokenizer that parses it and never re-serialized. A remote signoff
+//! is therefore byte-for-byte the in-process one, which is the contract
 //! `tests/serve.rs` and the `scripts/check.sh` loopback smoke enforce
 //! with a literal string compare.
 
 use std::io::{self, Read, Write};
+
+use serde_json::Value;
+
+use crate::client::ClientError;
+
+pub use serde_json::raw_field as extract_raw_field;
 
 /// Hard cap on one frame's payload length, bytes. Large enough for a
 /// sizeable SPICE upload, small enough that a hostile prefix cannot
@@ -125,104 +132,56 @@ pub(crate) fn json_escaped(s: &str) -> String {
     out
 }
 
-/// Returns the raw text of a top-level field of a serialized JSON
-/// object, exactly as it appears in `text` — no reparse, no
-/// re-serialization. This is how clients recover a verbatim-embedded
-/// signoff for byte-identical comparison. Only top-level fields are
-/// found (nesting depth 1); `None` if absent or `text` is not an
-/// object.
-pub fn extract_raw_field<'a>(text: &'a str, field: &str) -> Option<&'a str> {
-    let bytes = text.as_bytes();
-    let mut pos = skip_ws(bytes, 0);
-    if bytes.get(pos) != Some(&b'{') {
-        return None;
-    }
-    pos += 1;
-    loop {
-        pos = skip_ws(bytes, pos);
-        match bytes.get(pos)? {
-            b'}' => return None,
-            b',' => {
-                pos += 1;
-                continue;
-            }
-            b'"' => {}
-            _ => return None,
-        }
-        let key_end = scan_string(bytes, pos)?;
-        let key = &text[pos + 1..key_end - 1];
-        pos = skip_ws(bytes, key_end);
-        if bytes.get(pos) != Some(&b':') {
-            return None;
-        }
-        pos = skip_ws(bytes, pos + 1);
-        let value_end = scan_value(bytes, pos)?;
-        if key == field {
-            return Some(&text[pos..value_end]);
-        }
-        pos = value_end;
-    }
-}
-
-fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
-    while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        pos += 1;
-    }
-    pos
-}
-
-/// Scans a JSON string starting at its opening quote; returns the index
-/// one past the closing quote.
-fn scan_string(bytes: &[u8], start: usize) -> Option<usize> {
-    debug_assert_eq!(bytes.get(start), Some(&b'"'));
-    let mut pos = start + 1;
-    loop {
-        match bytes.get(pos)? {
-            b'\\' => pos += 2,
-            b'"' => return Some(pos + 1),
-            _ => pos += 1,
-        }
-    }
-}
-
-/// Scans one JSON value (any kind) starting at `start`; returns the
-/// index one past its end. Strings inside containers are honoured, so
-/// braces in string contents never confuse the balance count.
-fn scan_value(bytes: &[u8], start: usize) -> Option<usize> {
-    match bytes.get(start)? {
-        b'"' => scan_string(bytes, start),
-        b'{' | b'[' => {
-            let mut depth = 0usize;
-            let mut pos = start;
-            loop {
-                match bytes.get(pos)? {
-                    b'"' => pos = scan_string(bytes, pos)?,
-                    b'{' | b'[' => {
-                        depth += 1;
-                        pos += 1;
-                    }
-                    b'}' | b']' => {
-                        depth -= 1;
-                        pos += 1;
-                        if depth == 0 {
-                            return Some(pos);
-                        }
-                    }
-                    _ => pos += 1,
-                }
-            }
+/// One lockstep request/reply exchange, the envelope every client of
+/// the protocol shares: appends `"id":id` to `body` (a JSON object),
+/// sends it as one frame, reads the reply frame, parses it once, checks
+/// the echoed id, and maps `"ok":false` to [`ClientError::Rejected`]
+/// (with the `retry_after_ms` hint on queue-full rejections). Returns
+/// the reply text — for verbatim [`extract_raw_field`] slices — and its
+/// parse.
+pub(crate) fn exchange(
+    stream: &mut (impl Read + Write),
+    id: u64,
+    body: &str,
+) -> Result<(String, Value), ClientError> {
+    let framed = match body.strip_suffix('}') {
+        Some(prefix) if body.starts_with('{') => {
+            let sep = if prefix.trim_end().ends_with('{') {
+                ""
+            } else {
+                ","
+            };
+            format!("{prefix}{sep}\"id\":{id}}}")
         }
         _ => {
-            // Number, true/false/null: runs to the next delimiter.
-            let mut pos = start;
-            while let Some(b) = bytes.get(pos) {
-                if matches!(b, b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r') {
-                    break;
-                }
-                pos += 1;
-            }
-            (pos > start).then_some(pos)
+            return Err(ClientError::Protocol(
+                "request body must be an object".into(),
+            ))
         }
+    };
+    write_frame(stream, &framed)?;
+    let reply = read_frame(stream)?.ok_or_else(|| {
+        io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+    })?;
+    let v = serde_json::from_str(&reply)
+        .map_err(|e| ClientError::Protocol(format!("unparseable reply: {e}")))?;
+    let got_id = v.get("id").and_then(Value::as_u64);
+    if got_id != Some(id) {
+        return Err(ClientError::Protocol(format!(
+            "reply id {got_id:?} does not match request id {id}"
+        )));
+    }
+    match v.get("ok").and_then(Value::as_bool) {
+        Some(true) => Ok((reply, v)),
+        Some(false) => Err(ClientError::Rejected {
+            error: v
+                .get("error")
+                .and_then(Value::as_str)
+                .unwrap_or("unspecified")
+                .to_owned(),
+            retry_after_ms: v.get("retry_after_ms").and_then(Value::as_u64),
+        }),
+        None => Err(ClientError::Protocol("reply missing \"ok\"".into())),
     }
 }
 

@@ -420,31 +420,6 @@ impl Session {
     }
 }
 
-fn f64_field(v: &Value, name: &str) -> Result<f64, String> {
-    let x = v
-        .get(name)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {name:?}"))?;
-    if !x.is_finite() {
-        return Err(format!("non-finite value in {name:?}"));
-    }
-    Ok(x)
-}
-
-fn id_field(v: &Value, name: &str) -> Result<u32, String> {
-    let raw = v
-        .get(name)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {name:?}"))?;
-    u32::try_from(raw).map_err(|_| format!("field {name:?} out of range"))
-}
-
-fn str_field<'a>(v: &'a Value, name: &str) -> Result<&'a str, String> {
-    v.get(name)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string field {name:?}"))
-}
-
 fn parse_net_kind(name: &str) -> Result<NetKind, String> {
     Ok(match name {
         "signal" => NetKind::Signal,
@@ -529,38 +504,34 @@ pub fn edit_to_json(edit: &Edit) -> String {
 /// Parses one edit object off the wire. The `"edit"` field
 /// discriminates; `"op"` edits nest the `cbv-mutate` wire encodings.
 pub fn edit_from_json(v: &Value) -> Result<Edit, String> {
-    match str_field(v, "edit")? {
-        "op" => {
-            let op = v.get("op").ok_or("missing field \"op\"")?;
-            let site = v.get("site").ok_or("missing field \"site\"")?;
-            Ok(Edit::Op {
-                op: mutate::op_from_json(op).map_err(|e| e.to_string())?,
-                site: mutate::site_from_json(site).map_err(|e| e.to_string())?,
-            })
-        }
+    match v.req_str("edit")? {
+        "op" => Ok(Edit::Op {
+            op: mutate::op_from_json(v.req("op")?).map_err(|e| e.to_string())?,
+            site: mutate::site_from_json(v.req("site")?).map_err(|e| e.to_string())?,
+        }),
         "add-net" => Ok(Edit::AddNet(Box::new(NewNet {
-            name: str_field(v, "name")?.to_owned(),
-            kind: parse_net_kind(str_field(v, "kind")?)?,
+            name: v.req_str("name")?.to_owned(),
+            kind: parse_net_kind(v.req_str("kind")?)?,
         }))),
         "add-device" => Ok(Edit::AddDevice(Box::new(NewDevice {
-            name: str_field(v, "name")?.to_owned(),
-            kind: parse_mos_kind(str_field(v, "kind")?)?,
-            gate: NetId(id_field(v, "gate")?),
-            drain: NetId(id_field(v, "drain")?),
-            source: NetId(id_field(v, "source")?),
-            bulk: NetId(id_field(v, "bulk")?),
-            w: f64_field(v, "w")?,
-            l: f64_field(v, "l")?,
+            name: v.req_str("name")?.to_owned(),
+            kind: parse_mos_kind(v.req_str("kind")?)?,
+            gate: NetId(v.req_u32("gate")?),
+            drain: NetId(v.req_u32("drain")?),
+            source: NetId(v.req_u32("source")?),
+            bulk: NetId(v.req_u32("bulk")?),
+            w: v.req_f64("w")?,
+            l: v.req_f64("l")?,
         }))),
         "resize" => Ok(Edit::Resize {
-            device: DeviceId(id_field(v, "device")?),
-            w: f64_field(v, "w")?,
-            l: f64_field(v, "l")?,
+            device: DeviceId(v.req_u32("device")?),
+            w: v.req_f64("w")?,
+            l: v.req_f64("l")?,
         }),
         "rewire" => Ok(Edit::Rewire {
-            device: DeviceId(id_field(v, "device")?),
-            term: mutate::parse_term(str_field(v, "term")?).map_err(|e| e.to_string())?,
-            net: NetId(id_field(v, "net")?),
+            device: DeviceId(v.req_u32("device")?),
+            term: mutate::parse_term(v.req_str("term")?).map_err(|e| e.to_string())?,
+            net: NetId(v.req_u32("net")?),
         }),
         other => Err(format!("unknown edit kind {other:?}")),
     }

@@ -80,48 +80,31 @@ pub fn state_to_json(sessions: &BTreeMap<String, SavedSession>, cache_json: &str
     out
 }
 
-fn str_field(v: &Value, name: &str) -> Result<String, String> {
-    v.get(name)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string field {name:?}"))
-}
-
 /// Parses a state file written by [`state_to_json`]. Strict: any
 /// structural problem is an error, never a partial load.
 pub fn state_from_json(
     text: &str,
 ) -> Result<(BTreeMap<String, SavedSession>, Option<VerifyCache>), String> {
     let root: Value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    match root.get("format").and_then(Value::as_str) {
-        Some("cbv-state/1") => {}
-        Some(other) => return Err(format!("unsupported state format {other:?}")),
-        None => return Err("missing format tag".into()),
+    match root.req_str("format")? {
+        "cbv-state/1" => {}
+        other => return Err(format!("unsupported state format {other:?}")),
     }
     let mut sessions = BTreeMap::new();
-    let listed = root
-        .get("sessions")
-        .and_then(Value::as_array)
-        .ok_or("missing sessions array")?;
-    for entry in listed {
-        let name = str_field(entry, "name")?;
-        let design = str_field(entry, "design")?;
-        let seed_value = entry.get("seed").ok_or("session missing seed")?;
-        let seed = match seed_value.get("kind").and_then(Value::as_str) {
-            Some("registry") => SessionSeed::Registry,
-            Some("spice") => SessionSeed::Spice {
-                text: str_field(seed_value, "spice")?,
-                top: str_field(seed_value, "top")?,
+    for entry in root.req_array("sessions")? {
+        let name = entry.req_str("name")?.to_owned();
+        let design = entry.req_str("design")?.to_owned();
+        let seed_value = entry.req("seed")?;
+        let seed = match seed_value.req_str("kind")? {
+            "registry" => SessionSeed::Registry,
+            "spice" => SessionSeed::Spice {
+                text: seed_value.req_str("spice")?.to_owned(),
+                top: seed_value.req_str("top")?.to_owned(),
             },
-            Some(other) => return Err(format!("unknown seed kind {other:?}")),
-            None => return Err("seed missing kind".into()),
+            other => return Err(format!("unknown seed kind {other:?}")),
         };
         let mut steps = Vec::new();
-        let listed_steps = entry
-            .get("steps")
-            .and_then(Value::as_array)
-            .ok_or("session missing steps array")?;
-        for (k, step) in listed_steps.iter().enumerate() {
+        for (k, step) in entry.req_array("steps")?.iter().enumerate() {
             if step.as_array().is_none() {
                 return Err(format!("step {k} is not an edit array"));
             }
@@ -141,10 +124,12 @@ pub fn state_from_json(
             return Err(format!("duplicate saved session {name:?}"));
         }
     }
-    // `VerifyCache::from_json` wants the raw text of the cache subtree
-    // (bit patterns must survive untouched), so slice it out of the
-    // original bytes rather than round-tripping through `Value`.
-    let cache = match crate::protocol::extract_raw_field(text, "cache") {
+    // `VerifyCache::from_json` reads text, so hand it the cache subtree's
+    // own bytes. Bit patterns would survive a trip through `Value` too
+    // (`Value` keeps number text raw); the slice only saves
+    // re-serializing the parsed subtree — it is still parsed a second
+    // time, by `from_json`.
+    let cache = match serde_json::raw_field(text, "cache") {
         Some(raw) => Some(VerifyCache::from_json(raw).map_err(|e| format!("cache: {e}"))?),
         None if root.get("cache").is_some() => {
             return Err("cache field is not extractable".into());

@@ -16,6 +16,12 @@ cargo test -q
 echo "== perf/ builds and passes its own tests against the workspace =="
 cargo test --offline --manifest-path perf/Cargo.toml
 
+# The benchmark is frozen: a dependency-edge change in a workspace
+# crate rewrites perf/'s own lockfile during that build. Fail here, not
+# in the pipeline's benchmark run.
+echo "== perf/ and BENCHMARK.json unchanged by the build =="
+git diff --exit-code -- perf/ BENCHMARK.json
+
 # The cached flow driver's contract (scatter::run_flow_tiered, here
 # through run_flow_incremental: owned cache, local backend, built prep):
 # a signoff byte-identical to the cold run_flow oracle at every worker

@@ -4,6 +4,17 @@
 //! JSON text into a dynamic [`Value`] tree (the shim has no derive, so
 //! deserialization is by-hand from `Value`, mirroring
 //! `serde_json::Value` usage).
+//!
+//! This is the workspace's one JSON reader. Beyond `serde_json`'s API it
+//! offers what the workspace's formats need from the same tokenizer:
+//! [`raw_field`] (a top-level field's verbatim text), [`string_literal`]
+//! (one JSON string literal at the head of a longer text) and the
+//! required-field readers on [`Value`] (`req_str`, `req_u32`, ...) with
+//! their one error type, [`FieldError`].
+//!
+//! The tokenizer is linear in the input: a string is copied run by run
+//! (each run up to the next `"` or `\` validated as UTF-8 once), never
+//! re-scanned.
 
 use serde::Serialize;
 
@@ -152,18 +163,145 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The number as `u32`, if this is an integral number in range.
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|n| u32::try_from(n).ok())
+    }
+
+    /// The object field `name`, which must be present.
+    pub fn req(&self, name: &str) -> Result<&Value, FieldError> {
+        self.req_as(name, "a value", Some)
+    }
+
+    /// The string field `name`.
+    pub fn req_str(&self, name: &str) -> Result<&str, FieldError> {
+        self.req_as(name, "a string", Value::as_str)
+    }
+
+    /// The boolean field `name`.
+    pub fn req_bool(&self, name: &str) -> Result<bool, FieldError> {
+        self.req_as(name, "a boolean", Value::as_bool)
+    }
+
+    /// The array field `name`.
+    pub fn req_array(&self, name: &str) -> Result<&[Value], FieldError> {
+        self.req_as(name, "an array", Value::as_array)
+    }
+
+    /// The unsigned-integer field `name`.
+    pub fn req_u64(&self, name: &str) -> Result<u64, FieldError> {
+        self.req_as(name, "an unsigned integer", Value::as_u64)
+    }
+
+    /// The integer field `name`, range-checked to `u32` (an id that
+    /// would truncate is an error, not a different id).
+    pub fn req_u32(&self, name: &str) -> Result<u32, FieldError> {
+        self.req_as(name, "an integer in u32 range", Value::as_u32)
+    }
+
+    /// The numeric field `name`, which must be finite.
+    pub fn req_f64(&self, name: &str) -> Result<f64, FieldError> {
+        self.req_as(name, "a finite number", |v| {
+            v.as_f64().filter(|x| x.is_finite())
+        })
+    }
+
+    /// The `f64` stored in field `name` as its `to_bits()` integer (the
+    /// exact encoding the workspace's cache formats use; NaN included).
+    pub fn req_f64_bits(&self, name: &str) -> Result<f64, FieldError> {
+        self.req_as(name, "an f64 bit pattern", |v| {
+            v.as_u64().map(f64::from_bits)
+        })
+    }
+
+    fn req_as<'a, T>(
+        &'a self,
+        name: &str,
+        expected: &'static str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, FieldError> {
+        self.get(name).and_then(read).ok_or_else(|| FieldError {
+            field: name.to_owned(),
+            expected,
+        })
+    }
+}
+
+/// A required object field that is absent or not of the type asked for:
+/// the one error of [`Value::req`] and its typed siblings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The field's name.
+    pub field: String,
+    /// What the field had to hold, e.g. `"a string"`.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for FieldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "missing or invalid field {:?} (expected {})",
+            self.field, self.expected
+        )
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> String {
+        e.to_string()
+    }
 }
 
 /// Parses one JSON document into a [`Value`].
 pub fn from_str(text: &str) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(ParseError::at(pos, "trailing characters"));
     }
     Ok(value)
+}
+
+/// The text of the top-level field `name` of the JSON object `text`,
+/// exactly as it appears there: no re-serialization, so a value spliced
+/// into a larger document comes back byte for byte. The first
+/// occurrence wins. `None` if the field is absent, `text` is not an
+/// object, or the object is malformed before the field's value ends.
+pub fn raw_field<'a>(text: &'a str, name: &str) -> Option<&'a str> {
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    skip_ws(bytes, &mut pos);
+    expect(bytes, &mut pos, b'{', "expected '{'").ok()?;
+    loop {
+        skip_ws(bytes, &mut pos);
+        let key = parse_string(bytes, &mut pos).ok()?;
+        skip_ws(bytes, &mut pos);
+        expect(bytes, &mut pos, b':', "expected ':'").ok()?;
+        skip_ws(bytes, &mut pos);
+        let start = pos;
+        parse_value(bytes, &mut pos, MAX_DEPTH - 1).ok()?;
+        if key == name {
+            return Some(&text[start..pos]);
+        }
+        skip_ws(bytes, &mut pos);
+        expect(bytes, &mut pos, b',', "expected ','").ok()?;
+    }
+}
+
+/// Decodes the JSON string literal at the head of `text` (which must
+/// start with its opening quote). Returns the decoded string and the
+/// byte length of the literal, quotes included, so a caller scanning a
+/// longer line resumes right after it.
+pub fn string_literal(text: &str) -> Result<(String, usize), ParseError> {
+    let mut pos = 0usize;
+    let s = parse_string(text.as_bytes(), &mut pos)?;
+    Ok((s, pos))
 }
 
 /// Parse failure with byte offset.
@@ -208,8 +346,17 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8, msg: &'static str) -> Result<(),
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Containers a document may nest. The parser recurses per level, so
+/// without a cap a frame of `[`s would overflow the reading thread's
+/// stack and abort the process; real documents nest a handful deep.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one value; `depth` is how many more containers may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(bytes, pos);
+    if depth == 0 && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(ParseError::at(*pos, "nesting too deep"));
+    }
     match bytes.get(*pos) {
         None => Err(ParseError::at(*pos, "unexpected end of input")),
         Some(b'n') => parse_keyword(bytes, pos, b"null", Value::Null),
@@ -225,7 +372,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -250,7 +397,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':', "expected ':'")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -303,13 +450,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     expect(bytes, pos, b'"', "expected string")?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash whole. Both
+        // are ASCII, so the run ends on a UTF-8 boundary, and each byte
+        // is validated once: the scan stays linear in the input.
+        let start = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        let run = std::str::from_utf8(&bytes[start..*pos])
+            .map_err(|e| ParseError::at(start + e.valid_up_to(), "utf8"))?;
+        out.push_str(run);
         match bytes.get(*pos) {
             None => return Err(ParseError::at(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -321,13 +478,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        // Exactly four hex digits: no sign, no short form.
+                        let code = bytes
                             .get(*pos + 1..*pos + 5)
+                            .and_then(|hex| {
+                                hex.iter().try_fold(0u32, |code, &b| {
+                                    Some(code * 16 + char::from(b).to_digit(16)?)
+                                })
+                            })
                             .ok_or_else(|| ParseError::at(*pos, "bad \\u escape"))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| ParseError::at(*pos, "utf8"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| ParseError::at(*pos, "bad \\u escape"))?;
                         // Surrogate pairs are not produced by the paired
                         // serializer (it emits raw UTF-8); lone
                         // surrogates decode to the replacement char.
@@ -337,15 +496,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     _ => return Err(ParseError::at(*pos, "bad escape")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through untouched).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| ParseError::at(*pos, "utf8"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -389,6 +539,64 @@ mod tests {
         assert_eq!(arr[3], Value::Null);
         assert_eq!(v.get("s").unwrap().as_str(), Some("x\n\"y\""));
         assert_eq!(v.get("missing"), None);
+
+        // The required-field readers: typed, range-checked, one error.
+        let v = from_str(
+            r#"{"id": 4294967295, "big": 4294967296, "neg": -1, "w": 2.5e-6,
+                "inf": 1e999, "bits": 9221120237041090560, "ok": true, "s": "x", "a": [1]}"#,
+        )
+        .unwrap();
+        assert_eq!(v.req_u32("id"), Ok(u32::MAX));
+        assert_eq!(v.req_u64("big"), Ok(1 << 32));
+        assert_eq!(v.req_f64("w"), Ok(2.5e-6));
+        assert!(v.req_f64_bits("bits").unwrap().is_nan());
+        assert_eq!(v.req_bool("ok"), Ok(true));
+        assert_eq!(v.req_str("s"), Ok("x"));
+        assert_eq!(v.req_array("a").map(<[Value]>::len), Ok(1));
+        let err = v.req_u32("big").unwrap_err();
+        assert_eq!(
+            (err.field.as_str(), err.expected),
+            ("big", "an integer in u32 range")
+        );
+        assert!(v.req_u64("neg").is_err(), "a negative id is not an id");
+        assert!(v.req_f64("inf").is_err(), "1e999 parses to infinity");
+        assert!(v.req("missing").is_err());
+        assert!(v.req_str("id").is_err(), "wrong type");
+        assert_eq!(
+            String::from(v.req_bool("missing").unwrap_err()),
+            "missing or invalid field \"missing\" (expected a boolean)"
+        );
+    }
+
+    #[test]
+    fn raw_fields_are_verbatim_slices() {
+        let text = "{\"ok\":true,\"id\":7,\"signoff\":{\"categories\":[{\"x\":\"}{\"}],\"power\":1.5e-3},\"tail\":null}";
+        assert_eq!(raw_field(text, "ok"), Some("true"));
+        assert_eq!(raw_field(text, "id"), Some("7"));
+        assert_eq!(
+            raw_field(text, "signoff"),
+            Some("{\"categories\":[{\"x\":\"}{\"}],\"power\":1.5e-3}"),
+            "brace inside a string must not unbalance the scan"
+        );
+        assert_eq!(raw_field(text, "tail"), Some("null"));
+        assert_eq!(raw_field(text, "missing"), None);
+        assert_eq!(raw_field("[1,2]", "x"), None, "not an object");
+        assert_eq!(raw_field("{\"a\":", "a"), None, "truncated");
+        assert_eq!(
+            raw_field(" { \"a\" : [ 1 ] , \"a\" : 2 } ", "a"),
+            Some("[ 1 ]")
+        );
+        assert_eq!(
+            raw_field("{\"k\\\"\":1}", "k\""),
+            Some("1"),
+            "keys are decoded"
+        );
+        // A literal at the head of a longer line, for line-oriented formats.
+        assert_eq!(
+            string_literal("\"a\\\"b\" signal"),
+            Ok(("a\"b".to_owned(), 6))
+        );
+        assert!(string_literal("\"open").is_err());
     }
 
     #[test]
@@ -404,6 +612,16 @@ mod tests {
         let v = from_str(&to_string(&Pair).unwrap()).unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("b").unwrap().as_str(), Some("x{y"));
+
+        // An 8 MB string literal, the shape of a SPICE upload at the
+        // wire's frame cap, round-trips exactly (escapes, control
+        // characters and multi-byte UTF-8 included). A per-character
+        // rescan of the rest of the document made this take minutes.
+        let line = "MP \"out\" in\\vdd vdd PMOS W=2u \u{3bc}m\t\u{1}\n";
+        let deck = line.repeat(8 * 1024 * 1024 / line.len());
+        let text = to_string(&deck).unwrap();
+        assert!(text.len() > 8 * 1024 * 1024);
+        assert_eq!(from_str(&text).unwrap().as_str(), Some(deck.as_str()));
     }
 
     #[test]
@@ -419,5 +637,18 @@ mod tests {
         assert!(from_str("nul").is_err());
         assert!(from_str("1 2").is_err());
         assert!(from_str("\"open").is_err());
+        assert!(
+            from_str("\"\\u+041\"").is_err(),
+            "\\u takes four hex digits, no sign"
+        );
+        assert!(from_str("\"\\u12\"").is_err());
+        assert!(from_str("\"\\q\"").is_err());
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(
+            from_str(&"[".repeat(100_000)).is_err(),
+            "a deep frame is an error, not a stack overflow"
+        );
     }
 }

@@ -211,6 +211,7 @@ fn hostile_ir_text_yields_structured_errors() {
         ("unterminated string", with("net 4 \"oops signal\n")),
         ("bad escape", with("net 4 \"a\\q\" signal\n")),
         ("truncated \\u escape", with("net 4 \"a\\u12\" signal\n")),
+        ("signed \\u escape", with("net 4 \"a\\u+041\" signal\n")),
         ("mos arity", with("mos 2 \"x\" nmos g=2 d=3\n")),
         ("wrong key order", with("res 0 \"r\" b=2 a=3 v=5\n")),
         ("empty ccc", with("ccc 0 family=static devices=-\n")),
