@@ -2,9 +2,10 @@
 //!
 //! One module per experiment in DESIGN.md's index (E1–E22), each covering
 //! one table, figure or quantitative claim of the paper. Every module
-//! exposes a pure `run()`-style function returning the experiment's data;
-//! the `src/bin/` binaries print the paper-style tables and the Criterion
-//! benches in `benches/` measure the underlying kernels.
+//! exposes a pure `run()`-style function returning the experiment's data
+//! and a `print()` that renders the paper-style table; the `cbv-bench`
+//! binary (`src/main.rs`) runs one `print()` by name. Timing of the
+//! underlying kernels lives in the `cbv-perf` benchmark under `perf/`.
 
 pub mod e01_waterfall;
 pub mod e02_hierarchy;

@@ -63,7 +63,7 @@ for threads in 1 8; do
   CBV_THREADS=$threads cargo test -q -p cbv-core --test cross_engine
 done
 
-echo "== E18 smoke (compiled-engine speedup + registry sweep) =="
+echo "== E18 smoke (compiled-engine op count + registry sweep) =="
 cargo test -q -p cbv-bench --lib e18
 
 echo "== E20 smoke (timing remainder replays warm, delay-ECO incremental) =="
@@ -239,11 +239,15 @@ cargo test -q -p cbv-bench --lib e22
 echo "== repair end-to-end (plan byte-identity, staged-batch rejection) =="
 cargo test -q -p cbv-serve --test repair
 
-# The cached remainder's headline: E20's binary re-runs E19's W=1/W=4
-# load points and asserts the re-fitted serial fraction < 0.17 and the
-# projected 100-worker speedup > 5.6x (the process aborts otherwise).
-echo "== E20 full run (table + assertion-backed E19 re-fit) =="
-./target/release/e20_timing
+# The experiment dispatcher: a known name prints its table (to a file:
+# under pipefail, `grep -q` closing a pipe early would make the binary
+# panic on a broken pipe), an unknown one exits non-zero.
+echo "== cbv-bench dispatcher smoke (e1_table1 prints, unknown name fails) =="
+./target/release/cbv-bench e1_table1 > "$SMOKE_DIR/e1.txt"
+grep -q '^E1: ' "$SMOKE_DIR/e1.txt"
+if ./target/release/cbv-bench nosuch 2> /dev/null; then
+  echo "cbv-bench accepted an unknown experiment name"; exit 1
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --check
