@@ -870,7 +870,7 @@ pub fn run_flow_incremental(
     config: &FlowConfig,
     cache: &mut VerifyCache,
 ) -> FlowReport {
-    run_flow_tiered(netlist, process, config, cache, None, &LocalBackend, None)
+    run_flow_tiered(netlist, process, config, cache, None, &LocalBackend)
 }
 
 #[cfg(test)]

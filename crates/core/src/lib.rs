@@ -16,8 +16,8 @@
 //!   verification, with per-stage runtimes and artifact counts —
 //!   [`flow::run_flow`] cold, and one cached driver ([`scatter`]) behind
 //!   [`flow::run_flow_incremental`], the daemon's [`service`] and the
-//!   farm, differing only in its cache / unit-backend / prep-source
-//!   seams;
+//!   farm, differing only in its two seams: the cache (owned, or a
+//!   shared tier that also shares preps) and the unit backend;
 //! * [`signoff`] — the aggregated Correct-by-Verification report.
 //!
 //! # Quickstart

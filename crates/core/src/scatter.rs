@@ -1,4 +1,4 @@
-//! The cached flow driver and its three seams.
+//! The cached flow driver and its two seams.
 //!
 //! Fig 2 is one design flow with the §4.2/§4.3 filters sitting inside
 //! the designer's edit loop, and `run_flow_tiered` here is its one cached
@@ -6,20 +6,21 @@
 //! set:
 //!
 //! - **cache** — an owned [`VerifyCache`] looked up and primed in place
-//!   (an empty one is the cold flow plus fingerprinting), or a per-run
-//!   overlay filled from a `SharedTier` by one keyed fetch (the
-//!   daemon's [`FlowService`](crate::service::FlowService)) — which is
-//!   raced for, so this seam owns the single-flight rule (`SharedTier`);
+//!   (an empty one is the cold flow plus fingerprinting; the run builds
+//!   its own prep), or a `SharedTier` (the daemon's
+//!   [`FlowService`](crate::service::FlowService)) that answers the
+//!   run's prep lookup with another stream's artifact and fills a
+//!   per-run overlay by one keyed fetch — which is raced for, so this
+//!   seam owns the single-flight rule, one claim ledger (`Inflight`)
+//!   per key space;
 //! - **unit backend** ([`UnitBackend`]) — [`LocalBackend`] fans dirty
 //!   units out on the in-process executor; the farm coordinator in
 //!   `cbv-serve` ships them to worker processes, the way the paper's
-//!   methodology leaned on a ~100-CPU farm (§1: 2×10⁹ cycles/day);
-//! - **prep source** — stages 1–3 built by this run, or answered from a
-//!   [`PrepCache`] another stream of the same service already filled.
+//!   methodology leaned on a ~100-CPU farm (§1: 2×10⁹ cycles/day).
 //!
 //! [`run_flow_incremental`] is the driver on an owned cache with the
-//! local backend and no shared prep; [`run_flow_shared`] exposes the
-//! other two seams. The cold [`run_flow`] is deliberately *not* this
+//! local backend; the service is its own tier and takes the backend
+//! from its caller. The cold [`run_flow`] is deliberately *not* this
 //! body: it verifies the whole design without the unit partition, which
 //! makes it the oracle the driver is compared against. The two share
 //! only the serial prep, the default schedule and the power + signoff
@@ -43,7 +44,7 @@
 //! [`Signoff`]: crate::signoff::Signoff
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -53,11 +54,8 @@ use cbv_cache::{
 };
 use cbv_everify::{CheckKind, CheckScope, EverifyConfig, Finding, Severity, Subject};
 use cbv_exec::{run_isolated, Executor};
-use cbv_extract::Extracted;
-use cbv_layout::Layout;
 use cbv_netlist::FlatNetlist;
 use cbv_obs::TraceCtx;
-use cbv_recognize::Recognition;
 use cbv_tech::{Process, Tolerance};
 use cbv_timing::{DelayCalc, Pessimism};
 
@@ -124,29 +122,16 @@ impl PreparedDesign {
         Self::from_prep(parts, process, config)
     }
 
-    /// Assembles a prepared design from already-computed prep artifacts,
-    /// deriving the unit partition, fingerprints and check config.
-    pub fn from_parts(
-        netlist: FlatNetlist,
-        recognition: Recognition,
-        layout: Layout,
-        extracted: Extracted,
-        process: &Process,
-        config: &FlowConfig,
-    ) -> Self {
-        let parts = Prep {
-            netlist,
-            recognition,
-            layout,
-            extracted,
-        };
-        Self::from_prep(parts, process, config)
-    }
-
-    fn from_prep(parts: Prep, process: &Process, config: &FlowConfig) -> Self {
+    /// The check config a run prepares under and its environment key.
+    fn env_of(process: &Process, config: &FlowConfig) -> (EverifyConfig, u64) {
         let mut everify_cfg = EverifyConfig::for_process(process);
         everify_cfg.tolerance = config.tolerance;
         let env = env_fingerprint(process, &config.tolerance, &config.pessimism, &everify_cfg);
+        (everify_cfg, env)
+    }
+
+    fn from_prep(parts: Prep, process: &Process, config: &FlowConfig) -> Self {
+        let (everify_cfg, env) = Self::env_of(process, config);
         let fps = fingerprint_design(&parts.netlist, &parts.recognition, &parts.extracted);
         let scopes = CheckScope::partition(&parts.netlist, &parts.recognition);
         debug_assert_eq!(scopes.len(), fps.units.len());
@@ -255,118 +240,6 @@ impl PreparedDesign {
     }
 }
 
-/// A bounded, single-flight cache of shared [`PreparedDesign`]s keyed
-/// by (environment fingerprint, raw netlist digest) — the coordinator
-/// counterpart of the unit tier: when W streams verify the same
-/// revision, the first builds the serial prep and every other stream
-/// reuses the artifact instead of rebuilding it. Entries are evicted
-/// FIFO past the capacity; the walk-shaped workloads this serves only
-/// ever need the newest revision or two.
-pub struct PrepCache {
-    state: Mutex<PrepState>,
-    cv: Condvar,
-    cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-pub(crate) struct PrepState {
-    /// Published preps, oldest first.
-    entries: Vec<((u64, u64), Arc<PreparedDesign>)>,
-    /// Keys some caller is building right now.
-    building: HashSet<(u64, u64)>,
-}
-
-/// What [`PrepCache::begin`] resolved a key to.
-pub enum PrepClaim<'a> {
-    /// Another caller already built and published this revision's prep.
-    Hit(Arc<PreparedDesign>),
-    /// The caller holds the build slot: build the prep, then
-    /// [`publish`](PrepBuild::publish). Dropping the slot without
-    /// publishing — including by panic — releases it so a waiter can
-    /// build instead; claims never wedge the cache.
-    Build(PrepBuild<'a>),
-}
-
-/// An exclusive build slot for one prep key (see [`PrepClaim::Build`]).
-pub struct PrepBuild<'a> {
-    cache: &'a PrepCache,
-    key: (u64, u64),
-}
-
-impl PrepBuild<'_> {
-    /// Publishes the built prep under the claimed key and wakes every
-    /// stream waiting on it.
-    pub fn publish(self, prep: Arc<PreparedDesign>) {
-        let mut st = self.cache.state();
-        st.entries.push((self.key, prep));
-        if st.entries.len() > self.cache.cap {
-            st.entries.remove(0);
-        }
-        // Dropping `self` (below) clears the building flag and notifies.
-    }
-}
-
-impl Drop for PrepBuild<'_> {
-    fn drop(&mut self) {
-        let mut st = self.cache.state();
-        st.building.remove(&self.key);
-        drop(st);
-        self.cache.cv.notify_all();
-    }
-}
-
-impl PrepCache {
-    /// A cache holding at most `cap` published preps.
-    pub fn new(cap: usize) -> PrepCache {
-        PrepCache {
-            state: Mutex::new(PrepState {
-                entries: Vec::new(),
-                building: HashSet::new(),
-            }),
-            cv: Condvar::new(),
-            cap: cap.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The published preps and build slots, recovered if a panicking
-    /// holder poisoned the lock: every update leaves both valid, and a
-    /// build slot is released from a `Drop` that must not panic.
-    pub(crate) fn state(&self) -> MutexGuard<'_, PrepState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Resolves `key` to a published prep or an exclusive build slot,
-    /// first waiting out any in-flight build of the same key.
-    pub fn begin(&self, key: (u64, u64)) -> PrepClaim<'_> {
-        let mut st = self.state();
-        loop {
-            if let Some((_, p)) = st.entries.iter().rev().find(|(k, _)| *k == key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return PrepClaim::Hit(Arc::clone(p));
-            }
-            if st.building.insert(key) {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return PrepClaim::Build(PrepBuild { cache: self, key });
-            }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Preps answered from the cache (including after waiting out a
-    /// concurrent build).
-    pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Preps that had to be built by the caller.
-    pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
 /// Where dirty units get verified. The contract: return exactly one
 /// outcome per requested unit (any order), each computed by
 /// [`PreparedDesign::verify_unit`] semantics on an identically prepared
@@ -412,26 +285,6 @@ impl UnitBackend for LocalBackend {
     }
 }
 
-/// The cached flow driver with its unit backend and prep source
-/// exposed. With a shared [`PrepCache`], the whole serial prep
-/// (recognition, layout, extraction, partition, fingerprints) is
-/// answered from the cache when another stream of the same service
-/// already built this exact revision under this environment — only DRC,
-/// a per-run report and not part of the prep artifact, re-runs. A cached
-/// prep was built from an identically-constructed netlist under an
-/// identical environment, so every downstream stage reads the same
-/// values and the signoff bytes cannot differ.
-pub fn run_flow_shared(
-    netlist: FlatNetlist,
-    process: &Process,
-    config: &FlowConfig,
-    cache: &mut VerifyCache,
-    backend: &dyn UnitBackend,
-    preps: Option<&PrepCache>,
-) -> FlowReport {
-    run_flow_tiered(netlist, process, config, cache, None, backend, preps)
-}
-
 /// Every key one run can look up, named once its prep is at hand — what
 /// a [`SharedTier`] is asked for.
 pub(crate) struct RunKeys {
@@ -441,22 +294,44 @@ pub(crate) struct RunKeys {
     pub timing: TimingKeys,
 }
 
+/// A prepared design's content address: the environment fingerprint and
+/// the raw digest of the netlist as it arrived, before recognition
+/// annotates it.
+pub(crate) type PrepKey = (u64, u64);
+
+/// A prep lookup's answer: the published prep, or this run's claim on
+/// building it.
+pub(crate) type PrepLookup<'a> = Result<Arc<PreparedDesign>, Claims<'a, PrepKey>>;
+
 /// The shared side of the flow's cache seam. A run against an *owned*
 /// cache looks up and primes it in place (an empty one is the cold
-/// flow); a run against a shared tier starts from an empty per-run
-/// overlay and asks the tier, once, for the entries its keys name. The
-/// overlay then receives the run's fresh results like an owned cache,
-/// and the tier's owner decides what to publish.
+/// flow) and builds its own prep; a run against a shared tier asks the
+/// tier for its prep first, then starts from an empty per-run overlay
+/// and asks the tier, once, for the entries its keys name. The overlay
+/// then receives the run's fresh results like an owned cache, and the
+/// tier's owner decides what to publish.
 ///
 /// A shared tier is raced for, so the seam also owns its *single-flight*
-/// rule — a unit two racing runs both miss is computed once: `fetch`
-/// claims, and the driver computes, `publish`es, drops the claims and
-/// then `await_units`, for whichever [`UnitBackend`] it was handed.
+/// rule, one [`Inflight`] ledger per key space — a prep or a unit two
+/// racing runs both miss is built once: the lookup claims, and the
+/// driver builds, publishes, drops the claims and only then waits on
+/// other runs' claims, for whichever [`UnitBackend`] it was handed.
 pub(crate) trait SharedTier {
+    /// Looks `key` up under the store's guard, [claiming](Inflight::claim)
+    /// it before the guard drops if it is missing. A key another run is
+    /// building is [waited](Inflight::wait) out (bounded by `by`) and
+    /// looked up once more; what is still missing then is this run's to
+    /// build — claimed, unless a stalled claimant still holds it.
+    fn prep(&self, key: PrepKey, by: Option<Instant>) -> PrepLookup<'_>;
+
+    /// Makes `prep` visible to every later lookup of `key`. An existing
+    /// entry wins.
+    fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>);
+
     /// One locked batch: copies whatever the tier holds under `keys`
-    /// into `overlay`, then [claims](Inflight::claim_missing) the unit
-    /// keys still missing before the tier's guards drop. Returns the
-    /// claims and *theirs*: missing keys another run is computing.
+    /// into `overlay`, then [claims](Inflight::claim) the unit keys still
+    /// missing before the tier's guards drop. Returns the claims and
+    /// *theirs*: missing keys another run is computing.
     fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>);
 
     /// Makes the unpoisoned `outcomes` visible to every later fetch under
@@ -475,24 +350,32 @@ pub(crate) trait SharedTier {
 /// duplicated work, never to a wedge.
 pub(crate) const CLAIM_WAIT: Duration = Duration::from_secs(10);
 
-/// A shared tier's single-flight ledger: the unit keys some run is
-/// computing right now. Never locked while computing.
-#[derive(Default)]
-pub(crate) struct Inflight {
-    keys: Mutex<HashSet<CacheKey>>,
+/// A shared tier's single-flight ledger: the keys (preps or units) some
+/// run is building right now. Never locked while building.
+pub(crate) struct Inflight<K = CacheKey> {
+    keys: Mutex<HashSet<K>>,
     released: Condvar,
 }
 
-/// The keys one run has claimed, released — and every waiter woken — on
-/// drop, so also when a backend unwinds through the driver. Claims are
-/// *advisory*: a waiter whose claimant released without publishing
-/// misses on its re-fetch and computes the unit itself.
-pub(crate) struct Claims<'a> {
-    ledger: &'a Inflight,
-    keys: Vec<CacheKey>,
+impl<K> Default for Inflight<K> {
+    fn default() -> Self {
+        Inflight {
+            keys: Mutex::new(HashSet::new()),
+            released: Condvar::new(),
+        }
+    }
 }
 
-impl Drop for Claims<'_> {
+/// The keys one run has claimed, released — and every waiter woken — on
+/// drop, so also when a build or a backend unwinds through the driver.
+/// Claims are *advisory*: a waiter whose claimant released without
+/// publishing misses on its second look and builds the key itself.
+pub(crate) struct Claims<'a, K: Copy + Eq + Hash = CacheKey> {
+    ledger: &'a Inflight<K>,
+    keys: Vec<K>,
+}
+
+impl<K: Copy + Eq + Hash> Drop for Claims<'_, K> {
     fn drop(&mut self) {
         let mut inflight = self.ledger.lock();
         for key in &self.keys {
@@ -503,35 +386,28 @@ impl Drop for Claims<'_> {
     }
 }
 
-impl Inflight {
+impl<K: Copy + Eq + Hash> Inflight<K> {
     /// The ledger, recovered if a panicking holder poisoned it: a set of
     /// keys is valid after any panic, and [`Claims`] lock it in `Drop`.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, HashSet<CacheKey>> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, HashSet<K>> {
         self.keys.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Claims every key of `units` that `overlay` lacks and no other run
-    /// holds, and returns the other missing keys as *theirs*. Call it
-    /// still holding the guards `overlay` was filled under (lock order:
-    /// tiers, then ledger): a run publishes under those guards *before*
-    /// it releases, so a key found in no tier is either still in flight
-    /// or free — there is no window between the two.
-    pub(crate) fn claim_missing(
-        &self,
-        units: &[CacheKey],
-        overlay: &VerifyCache,
-    ) -> (Claims<'_>, Vec<CacheKey>) {
+    /// Claims every key of `missing` no other run holds, and returns the
+    /// others as *theirs*. Call it still holding the guard of the store
+    /// `missing` was looked up in (lock order: store, then ledger): a run
+    /// publishes under that guard *before* it releases, so a key found
+    /// in no store is either still in flight or free — there is no
+    /// window between the two.
+    pub(crate) fn claim(&self, missing: impl IntoIterator<Item = K>) -> (Claims<'_, K>, Vec<K>) {
         let mut inflight = self.lock();
-        let (keys, theirs) = units
-            .iter()
-            .filter(|key| !overlay.contains(key))
-            .partition(|&&key| inflight.insert(key));
+        let (keys, theirs) = missing.into_iter().partition(|key| inflight.insert(*key));
         (Claims { ledger: self, keys }, theirs)
     }
 
     /// Blocks until none of `keys` is claimed, [`CLAIM_WAIT`] elapses or
     /// `by` — the waiting run's own deadline — passes.
-    pub(crate) fn wait(&self, keys: &[CacheKey], by: Option<Instant>) {
+    pub(crate) fn wait(&self, keys: &[K], by: Option<Instant>) {
         let bound = Instant::now() + CLAIM_WAIT;
         let deadline = by.map_or(bound, |by| by.min(bound));
         let mut inflight = self.lock();
@@ -545,22 +421,21 @@ impl Inflight {
     }
 }
 
-/// Where a run's stages 1–3 came from — the prep-source seam. One lives
-/// on the driver's stack per run, so the large variant is not boxed.
+/// Where a run's stages 1–3 came from. One lives on the driver's stack
+/// per run, so the large variant is not boxed.
 #[allow(clippy::large_enum_variant)]
-enum PrepSource<'a> {
+enum PrepSource {
     /// Another stream's published artifact, partition and fingerprints
     /// included.
     Shared(Arc<PreparedDesign>),
-    /// This run's own, with the slot to publish under when a
-    /// [`PrepCache`] is in play. Partition and fingerprints are still to
-    /// be built — inside the `fingerprint` row, so that row times them.
-    Built(Prep, Option<PrepBuild<'a>>),
+    /// This run's own. Partition and fingerprints are still to be built
+    /// — inside the `fingerprint` row, so that row times them.
+    Built(Prep),
 }
 
-/// The one cached-flow body (see the module docs). With a `tier`,
-/// `cache` is the run's overlay and is filled by one keyed fetch before
-/// the dirty closure reads it.
+/// The one cached-flow body (see the module docs). With a `tier`, the
+/// prep is looked up there first, and `cache` is the run's overlay,
+/// filled by one keyed fetch before the dirty closure reads it.
 pub(crate) fn run_flow_tiered(
     netlist: FlatNetlist,
     process: &Process,
@@ -568,7 +443,6 @@ pub(crate) fn run_flow_tiered(
     cache: &mut VerifyCache,
     tier: Option<&dyn SharedTier>,
     backend: &dyn UnitBackend,
-    preps: Option<&PrepCache>,
 ) -> FlowReport {
     let mut stages: Vec<StageReport> = Vec::new();
     let exec = Executor::threads(config.parallelism);
@@ -576,19 +450,20 @@ pub(crate) fn run_flow_tiered(
     let root = tracer.span_in(config.trace_parent, "flow");
     let flow = TraceCtx::under(tracer, &root);
 
-    // Content-address the incoming revision before any prep runs; the
-    // claim either hands back another stream's prep or an exclusive
-    // build slot (single-flight — concurrent streams of the same
-    // revision build once, not W times).
-    let claim = preps.map(|pc| {
-        let mut everify_cfg = EverifyConfig::for_process(process);
-        everify_cfg.tolerance = config.tolerance;
-        let env = env_fingerprint(process, &config.tolerance, &config.pessimism, &everify_cfg);
-        pc.begin((env, raw_netlist_digest(&netlist)))
+    // With a shared tier, content-address the incoming revision before
+    // any prep runs: the tier hands back another stream's prep or a
+    // claim on building it (single-flight — concurrent streams of the
+    // same revision build once, not W times).
+    let key = tier.map(|_| {
+        let (_, env) = PreparedDesign::env_of(process, config);
+        (env, raw_netlist_digest(&netlist))
     });
-    let (source, drc_violations) = match claim {
-        Some(PrepClaim::Hit(p)) => {
-            // 1–3 are cache hits: emit the same stage rows (with the
+    let found = tier
+        .zip(key)
+        .map(|(tier, key)| tier.prep(key, config.deadline));
+    let (source, drc_violations, claim) = match found {
+        Some(Ok(p)) => {
+            // 1–3 are hits: emit the same stage rows (with the
             // artifact's counts) so the report shape is stable, and
             // re-run DRC, which reports per-run rather than priming
             // the prep.
@@ -605,17 +480,17 @@ pub(crate) fn run_flow_tiered(
             timed(&mut stages, flow, "extract", |_| {
                 ((), parts.extracted.iter().count(), None)
             });
-            (PrepSource::Shared(p), drc_violations)
+            (PrepSource::Shared(p), drc_violations, None)
         }
-        claim => {
+        found => {
             // 1–3. Serial prep, identical to the cold flow's.
             let (parts, drc_violations) =
                 serial_prep(&mut stages, flow, netlist, process, config.check_drc);
-            let slot = match claim {
-                Some(PrepClaim::Build(slot)) => Some(slot),
-                _ => None,
-            };
-            (PrepSource::Built(parts, slot), drc_violations)
+            (
+                PrepSource::Built(parts),
+                drc_violations,
+                found.and_then(Result::err),
+            )
         }
     };
 
@@ -627,11 +502,13 @@ pub(crate) fn run_flow_tiered(
     let (prep, keys, mut dirty, held) = timed(&mut stages, flow, "fingerprint", |_| {
         let prep = match source {
             PrepSource::Shared(p) => p,
-            PrepSource::Built(parts, slot) => {
+            PrepSource::Built(parts) => {
                 let prep = Arc::new(PreparedDesign::from_prep(parts, process, config));
-                if let Some(slot) = slot {
-                    slot.publish(Arc::clone(&prep));
+                // Publish before releasing, as for units.
+                if let Some((tier, key)) = tier.zip(key) {
+                    tier.publish_prep(key, Arc::clone(&prep));
                 }
+                drop(claim);
                 prep
             }
         };
@@ -800,8 +677,8 @@ pub(crate) fn run_flow_tiered(
 
     let (netlist, recognition) = match Arc::try_unwrap(prep) {
         Ok(p) => (p.parts.netlist, p.parts.recognition),
-        // Another stream still holds this prep through the shared
-        // cache: the report gets its own copies.
+        // The shared tier still holds this prep for other streams: the
+        // report gets its own copies.
         Err(p) => (p.parts.netlist.clone(), p.parts.recognition.clone()),
     };
     FlowReport {
@@ -820,8 +697,12 @@ pub(crate) fn run_flow_tiered(
 mod tests {
     use super::*;
     use crate::flow::{run_flow, run_flow_incremental};
+    use crate::service::FlowService;
     use cbv_gen::adders::static_ripple_adder;
+    use cbv_gen::datapath::alu_slice;
     use cbv_gen::{inject, FaultKind};
+    use cbv_tech::{Farads, Ohms};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn signoff_json(r: &FlowReport) -> String {
         serde_json::to_string(&r.signoff).unwrap()
@@ -854,13 +735,13 @@ mod tests {
 
         // The cache one entry point primed answers the other: a warm
         // run through the backend seam is all hits and adds nothing.
-        let warm = run_flow_shared(
+        let warm = run_flow_tiered(
             static_ripple_adder(4, &p).netlist,
             &p,
             &cfg,
             &mut cache,
-            &LocalBackend,
             None,
+            &LocalBackend,
         );
         assert_eq!(signoff_json(&warm), cold_json);
         assert_eq!(warm.stages.len(), 7);
@@ -934,6 +815,63 @@ mod tests {
         assert!(!cache.is_empty());
     }
 
+    /// A service's prep store as a run's tier, and nothing else: units
+    /// are never shared, so runs through it differ in their prep source
+    /// alone. Counts the lookups answered with a published prep (`hits`)
+    /// and with a claim (`misses`).
+    struct PrepsOnly<'a> {
+        service: &'a FlowService,
+        units: Inflight,
+        hits: AtomicUsize,
+        misses: AtomicUsize,
+    }
+
+    impl<'a> PrepsOnly<'a> {
+        fn new(service: &'a FlowService) -> Self {
+            PrepsOnly {
+                service,
+                units: Inflight::default(),
+                hits: AtomicUsize::new(0),
+                misses: AtomicUsize::new(0),
+            }
+        }
+
+        fn run(&self, netlist: FlatNetlist, cache: &mut VerifyCache) -> FlowReport {
+            let (p, cfg) = (self.service.process(), self.service.flow_config());
+            run_flow_tiered(netlist, p, cfg, cache, Some(self), &LocalBackend)
+        }
+
+        fn counts(&self) -> (usize, usize) {
+            let load = |n: &AtomicUsize| n.load(Ordering::SeqCst);
+            (load(&self.hits), load(&self.misses))
+        }
+    }
+
+    impl SharedTier for PrepsOnly<'_> {
+        fn prep(&self, key: PrepKey, by: Option<Instant>) -> PrepLookup<'_> {
+            let found = self.service.prep(key, by);
+            let n = if found.is_ok() {
+                &self.hits
+            } else {
+                &self.misses
+            };
+            n.fetch_add(1, Ordering::SeqCst);
+            found
+        }
+
+        fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>) {
+            self.service.publish_prep(key, prep);
+        }
+
+        fn fetch(&self, _: &RunKeys, _: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
+            self.units.claim([])
+        }
+
+        fn publish(&self, _: &[CacheKey], _: &[UnitOutcome]) {}
+
+        fn await_units(&self, _: &[CacheKey], _: Option<Instant>, _: &mut VerifyCache) {}
+    }
+
     #[test]
     fn prep_hit_and_prep_miss_runs_report_alike_with_drc_off_and_on() {
         let p = Process::strongarm_035();
@@ -946,21 +884,13 @@ mod tests {
                 ..FlowConfig::default()
             };
             let cold = run_flow(static_ripple_adder(4, &p).netlist, &p, &cfg);
-            let preps = PrepCache::new(2);
+            let service = FlowService::new(p.clone(), cfg.clone());
+            let preps = PrepsOnly::new(&service);
             // Fresh caches on both sides, so the two runs differ in
             // their prep source and nothing else.
-            let run = || {
-                run_flow_shared(
-                    static_ripple_adder(4, &p).netlist,
-                    &p,
-                    &cfg,
-                    &mut VerifyCache::new(),
-                    &LocalBackend,
-                    Some(&preps),
-                )
-            };
+            let run = || preps.run(static_ripple_adder(4, &p).netlist, &mut VerifyCache::new());
             let (miss, hit) = (run(), run());
-            assert_eq!((preps.miss_count(), preps.hit_count()), (1, 1));
+            assert_eq!(preps.counts(), (1, 1));
             assert_eq!(rows(&miss), rows(&hit), "check_drc={check_drc}");
             assert_eq!(
                 rows(&miss).iter().any(|&(stage, _)| stage == "drc"),
@@ -985,117 +915,111 @@ mod tests {
         }
     }
 
+    /// A ripple adder's prep, shared as a tier publishes it.
+    fn built(bits: u32) -> Arc<PreparedDesign> {
+        let p = Process::strongarm_035();
+        let netlist = static_ripple_adder(bits, &p).netlist;
+        Arc::new(PreparedDesign::build(netlist, &p, &FlowConfig::default()))
+    }
+
+    /// The claim a prep lookup that must miss hands back, holding `key`.
+    fn claimed(service: &FlowService, key: PrepKey) -> Claims<'_, PrepKey> {
+        match service.prep(key, None) {
+            Ok(_) => panic!("{key:?} must miss"),
+            Err(claims) => {
+                assert_eq!(claims.keys, [key], "a claim, not a timed-out wait");
+                claims
+            }
+        }
+    }
+
     #[test]
     fn prep_cache_single_flight_builds_once() {
-        let p = Process::strongarm_035();
-        let cfg = FlowConfig::default();
-        let preps = PrepCache::new(4);
+        let service = FlowService::new(Process::strongarm_035(), FlowConfig::default());
         let key = (1u64, 2u64);
 
-        // First claim gets the build slot.
-        let slot = match preps.begin(key) {
-            PrepClaim::Build(s) => s,
-            PrepClaim::Hit(_) => panic!("empty cache cannot hit"),
-        };
-        // A concurrent claim of the same key blocks until publication,
+        // First lookup gets the claim.
+        let claims = claimed(&service, key);
+        // A concurrent lookup of the same key blocks until publication,
         // then resolves to a hit.
         let waiter = std::thread::scope(|scope| {
-            let h = scope.spawn(|| match preps.begin(key) {
-                PrepClaim::Hit(prep) => prep.n_units(),
-                PrepClaim::Build(_) => panic!("waiter must see the published prep"),
+            let h = scope.spawn(|| match service.prep(key, None) {
+                Ok(prep) => prep.n_units(),
+                Err(_) => panic!("waiter must see the published prep"),
             });
             std::thread::sleep(Duration::from_millis(20));
-            let prep = Arc::new(PreparedDesign::build(
-                static_ripple_adder(2, &p).netlist,
-                &p,
-                &cfg,
-            ));
+            let prep = built(2);
             let n = prep.n_units();
-            slot.publish(prep);
+            service.publish_prep(key, prep);
+            drop(claims);
             assert_eq!(h.join().expect("waiter thread"), n);
             n
         });
         assert!(waiter > 0);
-        assert_eq!(
-            (preps.hit_count(), preps.miss_count()),
-            (1, 1),
-            "the waiter hits; only the builder misses"
+        assert!(
+            service.prep(key, None).is_ok(),
+            "and so does every later one"
         );
 
-        // Dropping a slot without publishing (a panicked builder)
-        // releases the key so the next claimant builds instead of
+        // Dropping a claim without publishing (a panicked builder)
+        // releases the key so the next lookup claims instead of
         // wedging.
         let key2 = (3u64, 4u64);
-        match preps.begin(key2) {
-            PrepClaim::Build(s) => drop(s),
-            PrepClaim::Hit(_) => panic!("unpublished key cannot hit"),
-        }
+        drop(claimed(&service, key2));
+        let t0 = Instant::now();
+        claimed(&service, key2);
         assert!(
-            matches!(preps.begin(key2), PrepClaim::Build(_)),
-            "an abandoned build slot must be reclaimable"
+            t0.elapsed() < CLAIM_WAIT,
+            "an abandoned claim must be reclaimable"
         );
     }
 
     #[test]
     fn prep_eviction_wakes_waiters_with_the_published_prep() {
-        let p = Process::strongarm_035();
-        let cfg = FlowConfig::default();
-        // Capacity one: publishing the second key evicts the first in
-        // the same critical section that wakes the second's waiters.
-        let preps = PrepCache::new(1);
-        let k1 = (1u64, 1u64);
-        let k2 = (2u64, 2u64);
-
-        match preps.begin(k1) {
-            PrepClaim::Build(s) => s.publish(Arc::new(PreparedDesign::build(
-                static_ripple_adder(2, &p).netlist,
-                &p,
-                &cfg,
-            ))),
-            PrepClaim::Hit(_) => panic!("empty cache cannot hit"),
+        use crate::service::PREP_CAPACITY;
+        let service = FlowService::new(Process::strongarm_035(), FlowConfig::default());
+        // A full store: publishing one more key evicts the oldest in the
+        // same critical section whose release wakes the new key's
+        // waiters.
+        let old = built(2);
+        for k in 0..PREP_CAPACITY as u64 {
+            service.publish_prep((k, k), Arc::clone(&old));
         }
+        let newest = (9u64, 9u64);
 
-        // Hold k2's build slot while another stream waits on the key,
-        // then publish: the eviction of k1 and the wake-up race in one
-        // notify cycle.
-        let slot = match preps.begin(k2) {
-            PrepClaim::Build(s) => s,
-            PrepClaim::Hit(_) => panic!("unknown key cannot hit"),
-        };
+        // Hold the new key's claim while another stream waits on it,
+        // then publish: the eviction of the oldest and the wake-up race
+        // in one notify cycle.
+        let claims = claimed(&service, newest);
         let published = std::thread::scope(|scope| {
-            let h = scope.spawn(|| match preps.begin(k2) {
-                PrepClaim::Hit(prep) => prep.n_units(),
-                PrepClaim::Build(_) => panic!("waiter must see the published prep"),
+            let h = scope.spawn(|| match service.prep(newest, None) {
+                Ok(prep) => prep.n_units(),
+                Err(_) => panic!("waiter must see the published prep"),
             });
             std::thread::sleep(Duration::from_millis(20));
-            let prep = Arc::new(PreparedDesign::build(
-                static_ripple_adder(3, &p).netlist,
-                &p,
-                &cfg,
-            ));
+            let prep = built(3);
             let n = prep.n_units();
-            slot.publish(prep);
+            service.publish_prep(newest, prep);
+            drop(claims);
             assert_eq!(
                 h.join().expect("waiter thread"),
                 n,
-                "the waiter wakes with k2's prep, not k1's evicted one"
+                "the waiter wakes with the new key's prep, not an evicted one"
             );
             n
         });
-        assert!(published > 0);
+        assert_ne!(published, old.n_units());
 
-        // k2's publication pushed k1 out of the capacity-one window: a
-        // fresh claim of k1 must get a build slot again — not a stale
-        // hit, and not a wedge on a key nobody is building.
-        match preps.begin(k1) {
-            PrepClaim::Build(s) => drop(s),
-            PrepClaim::Hit(_) => panic!("evicted key must rebuild"),
+        // The publication pushed the oldest key out: a fresh lookup of
+        // it must claim again — not a stale hit, and not a wedge on a
+        // key nobody is building. The rest of the window still hits.
+        drop(claimed(&service, (0, 0)));
+        for k in 1..PREP_CAPACITY as u64 {
+            assert!(
+                service.prep((k, k), None).is_ok(),
+                "key {k} was not evicted"
+            );
         }
-        assert_eq!(
-            (preps.hit_count(), preps.miss_count()),
-            (1, 3),
-            "one waiter hit; k1, k2, and the re-claimed k1 all missed"
-        );
     }
 
     #[test]
@@ -1107,17 +1031,11 @@ mod tests {
             let r = run_flow_incremental(static_ripple_adder(4, &p).netlist, &p, &cfg, &mut cache);
             signoff_json(&r)
         };
-        let preps = PrepCache::new(4);
+        let service = FlowService::new(p.clone(), cfg);
+        let preps = PrepsOnly::new(&service);
         for round in 0..2 {
             let mut cache = VerifyCache::new();
-            let r = run_flow_shared(
-                static_ripple_adder(4, &p).netlist,
-                &p,
-                &cfg,
-                &mut cache,
-                &LocalBackend,
-                Some(&preps),
-            );
+            let r = preps.run(static_ripple_adder(4, &p).netlist, &mut cache);
             assert_eq!(
                 signoff_json(&r),
                 reference,
@@ -1129,9 +1047,76 @@ mod tests {
             );
         }
         assert_eq!(
-            (preps.hit_count(), preps.miss_count()),
+            preps.counts(),
             (1, 1),
             "the second identical revision reuses the first prep"
+        );
+    }
+
+    /// A NaN parasitic on the clock tree must fail signoff through the
+    /// capture-constraint path: skew bounds go NaN, the NaN reaches the
+    /// setup/hold checks (total_cmp discipline — `f64::min`/`max` would
+    /// silently swallow it), and the flow completes with a NaN-slack
+    /// violation instead of either crashing or signing off clean.
+    #[test]
+    fn nan_clock_parasitic_fails_signoff_through_capture_constraints() {
+        let p = Process::strongarm_035();
+        let cfg = FlowConfig::default();
+        let mut netlist = alu_slice(4, &p).netlist;
+        // The prep key addresses the raw revision, before recognition
+        // annotates it — digest now, like the driver does.
+        let raw = raw_netlist_digest(&netlist);
+
+        // Build the serial prep by hand and corrupt the extracted clock
+        // tree: a stub branch with a NaN resistor (always a spanning-tree
+        // edge, so its delay is NaN).
+        let recognition = cbv_recognize::recognize(&mut netlist);
+        assert!(
+            !recognition.clock_nets.is_empty(),
+            "the ALU slice has recognized clocks"
+        );
+        let layout = cbv_layout::synthesize(&mut netlist, &p);
+        let mut extracted = cbv_extract::extract(&layout, &netlist, &p);
+        // Poison every clock phase: constraints capture on whichever phase
+        // the storage elements picked, and a fault on any real tree must
+        // surface regardless of which one that is.
+        for &clock in &recognition.clock_nets {
+            let en = extracted
+                .net_mut(clock)
+                .expect("the clock net has extracted RC");
+            let root = en.rc.first_node();
+            let tip = en.rc.fresh_node();
+            en.rc.add_resistor(root, tip, Ohms::new(f64::NAN));
+            en.rc.add_cap(tip, Farads::new(1e-15));
+        }
+        let parts = Prep {
+            netlist,
+            recognition,
+            layout,
+            extracted,
+        };
+        let prep = PreparedDesign::from_prep(parts, &p, &cfg);
+
+        // Publish the poisoned prep so the full flow consumes it — the NaN
+        // travels extraction → skew bounds → capture checks end to end.
+        let service = FlowService::new(p.clone(), cfg);
+        service.publish_prep((prep.env(), raw), Arc::new(prep));
+        let preps = PrepsOnly::new(&service);
+        let r = preps.run(alu_slice(4, &p).netlist, &mut VerifyCache::new());
+        assert_eq!(
+            preps.counts(),
+            (1, 0),
+            "the flow must consume the poisoned prep"
+        );
+        assert!(
+            !r.signoff.clean(),
+            "a NaN clock parasitic must not sign off: {}",
+            r.signoff
+        );
+        assert!(
+            r.sta.violations.iter().any(|v| v.slack.seconds().is_nan()),
+            "the NaN must surface as a capture-check violation, not vanish: {:?}",
+            r.sta.violations
         );
     }
 

@@ -42,27 +42,30 @@
 //! # The driver's seams
 //!
 //! Every request is one run of the cached flow driver
-//! ([`crate::scatter`]) with all three of its seams set by the service:
-//! the *cache* is a per-run overlay this service fills as the driver's
-//! `SharedTier`, the *prep source* is the service's [`PrepCache`], and
-//! the *unit backend* is the caller's —
+//! ([`crate::scatter`]) with both of its seams set by the service: the
+//! *cache* is this service as the driver's `SharedTier` — its four
+//! newest prepared designs and a per-run overlay of its unit and timing
+//! tier — and the *unit backend* is the caller's —
 //! [`verify_with_backend`](FlowService::verify_with_backend) is the farm
 //! coordinator's entry point, [`verify`](FlowService::verify) uses
 //! [`LocalBackend`]. Signoff bytes are identical either way.
 //!
 //! # Single-flight
 //!
-//! Racing requests that miss the *same* unit would compute it twice —
-//! harmless for soundness (absorb is existing-entry-wins) but wasted
-//! work, and lockstep clients do exactly that. "Computed once" is the
-//! driver's cache seam's rule, not this service's callers': the fetch
-//! claims what the run will compute in the in-flight ledger, the driver
-//! publishes the results to the tier, releases, and only then awaits and
-//! re-fetches what other runs had claimed — for every backend,
-//! [`LocalBackend`] included. Claims are advisory with a bounded wait,
-//! so a crashed claimant degrades to duplicated work, never to a hang.
+//! Racing requests that miss the *same* prep or unit would build it
+//! twice — harmless for soundness (both stores are existing-entry-wins)
+//! but wasted work, and lockstep clients do exactly that. "Built once"
+//! is the driver's cache seam's rule, not this service's callers': the
+//! lookup claims what the run will build in that key space's in-flight
+//! ledger, the driver publishes the result, releases, and only then
+//! awaits and looks up again what other runs had claimed — for every
+//! backend, [`LocalBackend`] included. Claims are advisory and every
+//! wait is bounded (`scatter::CLAIM_WAIT`) and by the waiter's own
+//! deadline, so a stalled or crashed claimant degrades to duplicated
+//! work, never to a wedged request.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use cbv_cache::{CacheKey, CacheStats, VerifyCache};
@@ -71,9 +74,14 @@ use cbv_tech::Process;
 
 use crate::flow::{FlowConfig, FlowReport};
 use crate::scatter::{
-    run_flow_tiered, Claims, Inflight, LocalBackend, PrepCache, RunKeys, SharedTier, UnitBackend,
-    UnitOutcome,
+    run_flow_tiered, Claims, Inflight, LocalBackend, PrepKey, PrepLookup, PreparedDesign, RunKeys,
+    SharedTier, UnitBackend, UnitOutcome,
 };
+
+/// Prepared designs a service keeps, newest last: walk-shaped workloads
+/// only ever need the newest revision or two, and a sweep of three
+/// revisions stays warm.
+pub(crate) const PREP_CAPACITY: usize = 4;
 
 /// A shareable, cache-backed verification endpoint. `&FlowService` is
 /// `Send + Sync`; workers call [`verify`](FlowService::verify)
@@ -87,9 +95,12 @@ pub struct FlowService {
     /// Single-flight ledger: unit keys some run is computing right now.
     /// Lock order: after `cache` — a fetch claims under the tier's guard.
     inflight: Inflight,
-    /// Shared serial-prep artifacts, content-addressed by raw netlist
-    /// digest: W streams verifying the same revision prepare it once.
-    preps: PrepCache,
+    /// Shared serial-prep artifacts, oldest first, content-addressed by
+    /// raw netlist digest: W streams verifying the same revision prepare
+    /// it once.
+    preps: Mutex<VecDeque<(PrepKey, Arc<PreparedDesign>)>>,
+    /// Single-flight ledger for preps. Lock order: after `preps`.
+    prep_inflight: Inflight<PrepKey>,
 }
 
 /// What one verification request came back with: the signoff both as
@@ -121,7 +132,8 @@ impl FlowService {
             config,
             cache: Mutex::new(VerifyCache::new()),
             inflight: Inflight::default(),
-            preps: PrepCache::new(4),
+            preps: Mutex::default(),
+            prep_inflight: Inflight::default(),
         }
     }
 
@@ -168,21 +180,15 @@ impl FlowService {
         self.shared().evictions()
     }
 
-    /// Serial preps answered from the shared prep cache (another stream
-    /// of this service already built the identical revision).
-    pub fn prep_hits(&self) -> u64 {
-        self.preps.hit_count()
-    }
-
-    /// Serial preps this service had to build.
-    pub fn prep_misses(&self) -> u64 {
-        self.preps.miss_count()
-    }
-
     /// The shared tier, recovered if a panicking holder poisoned it (see
     /// the module docs: every update leaves the map valid).
     fn shared(&self) -> MutexGuard<'_, VerifyCache> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The published preps, recovered like the tier.
+    fn preps(&self) -> MutexGuard<'_, VecDeque<(PrepKey, Arc<PreparedDesign>)>> {
+        self.preps.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Verifies one netlist revision with per-unit work routed through
@@ -203,8 +209,8 @@ impl FlowService {
     }
 
     /// [`verify_with_backend`](FlowService::verify_with_backend) with
-    /// the overlay filled by `tier` — always `self` outside the tests,
-    /// which substitute the whole-clone oracle.
+    /// the prep and overlay answered by `tier` — always `self` outside
+    /// the tests, which substitute the whole-clone oracle and wrappers.
     fn verify_tiered(
         &self,
         netlist: FlatNetlist,
@@ -224,7 +230,6 @@ impl FlowService {
             &mut overlay,
             Some(tier),
             backend,
-            Some(&self.preps),
         );
         self.absorb(report, &overlay)
     }
@@ -248,9 +253,9 @@ impl FlowService {
             .count();
         // Timing-remainder artifacts ride the same tier, so every stream
         // of this service shares one set of inferred constraints, graph
-        // structure, clock skews and STA lineage (the `PrepCache`
-        // discipline, extended to the remainder). They are not counted:
-        // absorb accounting is unit-denominated throughout.
+        // structure, clock skews and STA lineage, as they share preps.
+        // They are not counted: absorb accounting is unit-denominated
+        // throughout.
         self.shared()
             .absorb_keys(overlay, &report.fresh, &report.fresh_timing);
         self.config.tracer.add("cache.absorb.batches", 1);
@@ -284,13 +289,42 @@ impl FlowService {
     }
 }
 
-/// The keyed fetch: one locked batch per request. The read refreshes
+/// A prep lookup reads the store of the newest preps, FIFO past
+/// `PREP_CAPACITY`. The keyed fetch is one locked batch per request: the
+/// read refreshes
 /// recency in the tier, so a bounded tier keeps what live sessions are
 /// walking; the STA key follows in the same batch once the artifacts it
 /// is derived from are in the overlay, and the run's claims last, before
 /// the guard drops. The overlay inherits the tier's bound, so a design
 /// larger than the bound is capped per run as it is per tier.
 impl SharedTier for FlowService {
+    fn prep(&self, key: PrepKey, by: Option<Instant>) -> PrepLookup<'_> {
+        let lookup = || {
+            let preps = self.preps();
+            match preps.iter().find(|(k, _)| *k == key) {
+                Some((_, prep)) => Ok(Arc::clone(prep)),
+                None => Err(self.prep_inflight.claim([key])),
+            }
+        };
+        match lookup() {
+            Err((_, theirs)) if !theirs.is_empty() => {
+                self.prep_inflight.wait(&theirs, by);
+                lookup().map_err(|(claims, _)| claims)
+            }
+            found => found.map_err(|(claims, _)| claims),
+        }
+    }
+
+    fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>) {
+        let mut preps = self.preps();
+        if !preps.iter().any(|(k, _)| *k == key) {
+            if preps.len() == PREP_CAPACITY {
+                preps.pop_front();
+            }
+            preps.push_back((key, prep));
+        }
+    }
+
     fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
         let shared = self.shared();
         overlay.set_capacity(shared.capacity());
@@ -298,7 +332,8 @@ impl SharedTier for FlowService {
         if let Some(sta) = keys.timing.sta(overlay) {
             copied += shared.fetch_into(&[], &[sta], overlay);
         }
-        let claimed = self.inflight.claim_missing(&keys.units, overlay);
+        let missing = keys.units.iter().filter(|key| !overlay.contains(key));
+        let claimed = self.inflight.claim(missing.copied());
         drop(shared);
         self.config.tracer.add("cache.fetch.batches", 1);
         self.config.tracer.add("cache.fetch.entries", copied as u64);
@@ -338,7 +373,7 @@ impl SharedTier for FlowService {
 mod tests {
     use super::*;
     use crate::flow::{run_flow, run_flow_incremental, schedule_of, serial_prep, TimingKeys};
-    use crate::scatter::{PrepClaim, PreparedDesign};
+    use cbv_everify::Severity;
     use cbv_exec::{run_isolated, Executor};
     use cbv_gen::adders::static_ripple_adder;
     use cbv_mutate::{MutationOp, Site};
@@ -347,7 +382,7 @@ mod tests {
     use cbv_tech::MosKind;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
+    use std::sync::{mpsc, Barrier};
     use std::time::Duration;
 
     /// The discipline the keyed fetch replaced, kept as its oracle: the
@@ -357,10 +392,19 @@ mod tests {
     struct WholeClone<'a>(&'a FlowService);
 
     impl SharedTier for WholeClone<'_> {
+        fn prep(&self, key: PrepKey, by: Option<Instant>) -> PrepLookup<'_> {
+            self.0.prep(key, by)
+        }
+
+        fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>) {
+            self.0.publish_prep(key, prep);
+        }
+
         fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
             let shared = self.0.shared();
             *overlay = shared.clone();
-            self.0.inflight.claim_missing(&keys.units, overlay)
+            let missing = keys.units.iter().filter(|key| !overlay.contains(key));
+            self.0.inflight.claim(missing.copied())
         }
 
         fn publish(&self, keys: &[CacheKey], outcomes: &[UnitOutcome]) {
@@ -525,13 +569,14 @@ mod tests {
         assert!(unbounded.cache_len() > 4 * units);
     }
 
-    /// The key of a prep build slot [`PoisoningBackend`] dies holding.
-    const ABANDONED_PREP: (u64, u64) = (0xdead, 0xdead);
+    /// The key of a prep claim [`PoisoningBackend`] dies holding.
+    const ABANDONED_PREP: PrepKey = (0xdead, 0xdead);
 
     /// A backend that dies between the fetch and the absorb while holding
-    /// every lock the service has — the tier, the single-flight ledger
-    /// (whose claims the driver holds for it) and the prep cache with a
-    /// build slot — the worst a panicking job can do to them.
+    /// every lock the service has — the tier, its single-flight ledger
+    /// (whose claims the driver holds for it), the prep store and the
+    /// prep ledger with a claim on it — the worst a panicking job can do
+    /// to them.
     struct PoisoningBackend<'a>(&'a FlowService);
 
     impl UnitBackend for PoisoningBackend<'_> {
@@ -543,9 +588,8 @@ mod tests {
             units: &[usize],
             _deadline: Option<Instant>,
         ) -> (Vec<UnitOutcome>, Duration) {
-            let _slot = match self.0.preps.begin(ABANDONED_PREP) {
-                PrepClaim::Build(slot) => slot,
-                PrepClaim::Hit(_) => panic!("nobody publishes this key"),
+            let Err(_claim) = self.0.prep(ABANDONED_PREP, None) else {
+                panic!("nobody publishes this key");
             };
             let _shared = self.0.cache.lock();
             let ledger = self.0.inflight.lock();
@@ -554,7 +598,8 @@ mod tests {
                 units.len(),
                 "the run claimed what it computes"
             );
-            let _preps = self.0.preps.state();
+            let _preps = self.0.preps.lock();
+            let _prep_ledger = self.0.prep_inflight.lock();
             panic!("job died holding the tier locks");
         }
     }
@@ -567,21 +612,30 @@ mod tests {
             serde_json::to_string(&run_flow(netlist.clone(), &p, &FlowConfig::default()).signoff)
                 .unwrap();
         let service = FlowService::new(p.clone(), FlowConfig::default());
-        // The slot and the claims are released from `Drop`s that run
-        // while the job unwinds through locks it has just poisoned: a
-        // panic there would abort the process, not fail this test.
+        // The claims are released from `Drop`s that run while the job
+        // unwinds through locks it has just poisoned: a panic there would
+        // abort the process, not fail this test.
         let died = run_isolated(0, || {
             service.verify_with_backend(netlist.clone(), None, None, &PoisoningBackend(&service))
         });
         assert!(died.is_err(), "the job must have panicked");
         assert!(service.cache.is_poisoned());
+        assert!(service.preps.is_poisoned());
         assert!(
             service.inflight.lock().is_empty(),
             "the claims were released"
         );
         assert!(
-            matches!(service.preps.begin(ABANDONED_PREP), PrepClaim::Build(_)),
-            "and so was the build slot"
+            service.prep_inflight.lock().is_empty(),
+            "and so was the prep claim"
+        );
+        let Err(reclaimed) = service.prep(ABANDONED_PREP, None) else {
+            panic!("nobody published this key");
+        };
+        drop(reclaimed);
+        assert!(
+            service.prep(service_prep_key(&netlist, &p), None).is_ok(),
+            "the recovered store still answers the job's published prep"
         );
 
         // The next identical request waits on nobody: it claims and
@@ -596,19 +650,100 @@ mod tests {
         assert_eq!(warm.cache.misses, 0, "and still answers");
     }
 
+    /// A revision's prep key under the default config.
+    fn service_prep_key(netlist: &FlatNetlist, p: &Process) -> PrepKey {
+        let env = PreparedDesign::build(netlist.clone(), p, &FlowConfig::default()).env();
+        (env, cbv_cache::raw_netlist_digest(netlist))
+    }
+
+    /// The service as its own tier, counting the prep lookups it answered
+    /// with a published prep (`.1`) and with a claim (`.2`).
+    struct PrepCounts<'a>(&'a FlowService, AtomicUsize, AtomicUsize);
+
+    impl SharedTier for PrepCounts<'_> {
+        fn prep(&self, key: PrepKey, by: Option<Instant>) -> PrepLookup<'_> {
+            let found = self.0.prep(key, by);
+            let n = if found.is_ok() { &self.1 } else { &self.2 };
+            n.fetch_add(1, Ordering::SeqCst);
+            found
+        }
+
+        fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>) {
+            self.0.publish_prep(key, prep);
+        }
+
+        fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
+            self.0.fetch(keys, overlay)
+        }
+
+        fn publish(&self, keys: &[CacheKey], outcomes: &[UnitOutcome]) {
+            self.0.publish(keys, outcomes);
+        }
+
+        fn await_units(&self, keys: &[CacheKey], by: Option<Instant>, o: &mut VerifyCache) {
+            self.0.await_units(keys, by, o);
+        }
+    }
+
     #[test]
     fn identical_revisions_share_one_prep() {
         let p = Process::strongarm_035();
         let svc = FlowService::new(p.clone(), FlowConfig::default());
+        let counts = PrepCounts(&svc, AtomicUsize::new(0), AtomicUsize::new(0));
         let netlist = static_ripple_adder(4, &p).netlist;
-        let a = svc.verify(netlist.clone(), None, None);
-        let b = svc.verify(netlist, None, None);
+        let verify = |n| svc.verify_tiered(n, None, None, &counts, &LocalBackend).1;
+        let a = verify(netlist.clone());
+        let b = verify(netlist);
         assert_eq!(a.signoff_json, b.signoff_json);
         assert_eq!(
-            (svc.prep_hits(), svc.prep_misses()),
+            (counts.1.into_inner(), counts.2.into_inner()),
             (1, 1),
             "the second verify must reuse the first verify's serial prep"
         );
+    }
+
+    #[test]
+    fn a_stalled_prep_build_does_not_wedge_a_request_of_the_same_revision() {
+        let p = Process::strongarm_035();
+        let netlist = static_ripple_adder(4, &p).netlist;
+        let key = service_prep_key(&netlist, &p);
+        let service = Arc::new(FlowService::new(p, FlowConfig::default()));
+        // Another stream claims the revision's prep and never publishes.
+        let Err(stalled) = service.prep(key, None) else {
+            panic!("an empty store cannot hit");
+        };
+        let (tx, rx) = mpsc::channel();
+        let request = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let by = Instant::now() + Duration::from_millis(200);
+                let (report, verdict) =
+                    service.verify_with_backend(netlist, Some(by), None, &LocalBackend);
+                let n_cccs = report.recognition.cccs.len();
+                let findings = report.everify.raw_findings();
+                let tool_errors = findings
+                    .iter()
+                    .filter(|f| f.severity == Severity::ToolError);
+                tx.send((verdict, tool_errors.count(), n_cccs)).ok();
+            })
+        };
+        // The request waits out its own deadline, not the claimant, then
+        // builds the prep itself: a stalled claim costs duplicated work.
+        let (verdict, tool_errors, n_cccs) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the request must return while the prep claim is held");
+        assert!(
+            service.prep_inflight.lock().contains(&key),
+            "the claim was held throughout"
+        );
+        assert!(
+            !verdict.clean,
+            "a request past its deadline never signs off"
+        );
+        assert_eq!(tool_errors, 2 * n_cccs + 1, "every unit half timed out");
+        assert_eq!(service.cache_len(), 0, "the tier holds no poisoned entry");
+        drop(stalled);
+        request.join().expect("request thread");
     }
 
     #[test]
@@ -784,6 +919,14 @@ mod tests {
     struct FetchThen<'a>(&'a dyn SharedTier, &'a Barrier);
 
     impl SharedTier for FetchThen<'_> {
+        fn prep(&self, key: PrepKey, by: Option<Instant>) -> PrepLookup<'_> {
+            self.0.prep(key, by)
+        }
+
+        fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>) {
+            self.0.publish_prep(key, prep);
+        }
+
         fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
             let fetched = self.0.fetch(keys, overlay);
             self.1.wait();

@@ -87,15 +87,15 @@ pub struct FarmConfig {
     /// Age after which another thread may re-dispatch an inflight
     /// batch, ms.
     pub steal_after_ms: u64,
-    /// Enables straggler stealing.
-    pub steal: bool,
     /// Queue-full retries per batch before the worker is declared dead
     /// (persistent backpressure means the worker is not keeping up;
     /// the units go to the survivors or the local fallback).
     pub busy_retry_limit: u32,
-    /// Seed for the per-worker backoff jitter (deterministic tests).
-    pub seed: u64,
 }
+
+/// Seed of the per-worker backoff jitter; worker `w` draws from its own
+/// offset of it.
+const BACKOFF_SEED: u64 = 0xcbf_a2e5;
 
 impl Default for FarmConfig {
     fn default() -> FarmConfig {
@@ -106,9 +106,7 @@ impl Default for FarmConfig {
             retry_cap_ms: 250,
             reply_timeout_ms: 10_000,
             steal_after_ms: 400,
-            steal: true,
             busy_retry_limit: 32,
-            seed: 0xcbf_a2e5,
         }
     }
 }
@@ -540,9 +538,7 @@ impl FarmBackend<'_> {
         let mut backoff = Backoff::new(
             farm.config.retry_base_ms,
             farm.config.retry_cap_ms,
-            farm.config
-                .seed
-                .wrapping_add((w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            BACKOFF_SEED.wrapping_add((w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
         );
         let steal_after = Duration::from_millis(farm.config.steal_after_ms);
 
@@ -569,16 +565,14 @@ impl FarmBackend<'_> {
                 if st.inflight.is_empty() {
                     return;
                 }
-                if farm.config.steal {
-                    if let Some(entry) = st
-                        .inflight
-                        .iter_mut()
-                        .find(|e| !e.stolen && e.since.elapsed() >= steal_after)
-                    {
-                        entry.stolen = true;
-                        Counters::add(&farm.counters.stolen_batches, 1);
-                        break (entry.id, entry.units.clone());
-                    }
+                if let Some(entry) = st
+                    .inflight
+                    .iter_mut()
+                    .find(|e| !e.stolen && e.since.elapsed() >= steal_after)
+                {
+                    entry.stolen = true;
+                    Counters::add(&farm.counters.stolen_batches, 1);
+                    break (entry.id, entry.units.clone());
                 }
                 let (g, _) = d
                     .cvar

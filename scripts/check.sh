@@ -23,12 +23,21 @@ echo "== perf/ and BENCHMARK.json unchanged by the build =="
 git diff --exit-code -- perf/ BENCHMARK.json
 
 # The cached flow driver's contract (scatter::run_flow_tiered, here
-# through run_flow_incremental: owned cache, local backend, built prep):
-# a signoff byte-identical to the cold run_flow oracle at every worker
-# count.
+# through run_flow_incremental: owned cache, local backend, the run
+# builds its own prep): a signoff byte-identical to the cold run_flow
+# oracle at every worker count.
 for threads in 1 2 8; do
   echo "== cached-driver byte-identity vs cold run_flow (CBV_THREADS=$threads) =="
   CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental
+done
+
+# The driver's shared-tier seam (scatter, and service as its tier): the
+# one claim ledger's single-flight for preps and units, shared preps,
+# the stalled-claimant bound and the NaN-prep signoff — at both ends of
+# the worker-count range.
+for threads in 1 8; do
+  echo "== shared-tier seam: scatter + service unit tests (CBV_THREADS=$threads) =="
+  CBV_THREADS=$threads cargo test -q -p cbv-core --lib -- scatter:: service::
 done
 
 echo "== E14 smoke (ECO walk soundness) =="

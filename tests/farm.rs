@@ -466,7 +466,7 @@ fn racing_streams_coalesce_through_the_shared_tier() {
         FarmConfig {
             workers: vec![slow],
             batch_units: 1024,
-            steal: false,
+            steal_after_ms: u64::MAX,
             ..FarmConfig::default()
         },
     );

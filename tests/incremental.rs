@@ -270,80 +270,3 @@ fn delay_only_eco_replays_sta_lineage_incrementally() {
         "exactly the refreshed STA lineage is re-inserted"
     );
 }
-
-/// A NaN parasitic on the clock tree must fail signoff through the
-/// capture-constraint path: skew bounds go NaN, the NaN reaches the
-/// setup/hold checks (total_cmp discipline — `f64::min`/`max` would
-/// silently swallow it), and the flow completes with a NaN-slack
-/// violation instead of either crashing or signing off clean.
-#[test]
-fn nan_clock_parasitic_fails_signoff_through_capture_constraints() {
-    use cbv_core::cache::raw_netlist_digest;
-    use cbv_core::scatter::{run_flow_shared, LocalBackend, PrepCache, PrepClaim, PreparedDesign};
-    use cbv_core::tech::{Farads, Ohms};
-    use std::sync::Arc;
-
-    let p = Process::strongarm_035();
-    let cfg = FlowConfig::default();
-    let mut netlist = alu_slice(4, &p).netlist;
-    // The prep key addresses the raw revision, before recognition
-    // annotates it — digest now, like `run_flow_shared` does.
-    let raw = raw_netlist_digest(&netlist);
-
-    // Build the serial prep by hand and corrupt the extracted clock
-    // tree: a stub branch with a NaN resistor (always a spanning-tree
-    // edge, so its delay is NaN).
-    let recognition = cbv_core::recognize::recognize(&mut netlist);
-    assert!(
-        !recognition.clock_nets.is_empty(),
-        "the ALU slice has recognized clocks"
-    );
-    let layout = cbv_core::layout::synthesize(&mut netlist, &p);
-    let mut extracted = cbv_core::extract::extract(&layout, &netlist, &p);
-    // Poison every clock phase: constraints capture on whichever phase
-    // the storage elements picked, and a fault on any real tree must
-    // surface regardless of which one that is.
-    for &clock in &recognition.clock_nets {
-        let en = extracted
-            .net_mut(clock)
-            .expect("the clock net has extracted RC");
-        let root = en.rc.first_node();
-        let tip = en.rc.fresh_node();
-        en.rc.add_resistor(root, tip, Ohms::new(f64::NAN));
-        en.rc.add_cap(tip, Farads::new(1e-15));
-    }
-    let prep = PreparedDesign::from_parts(netlist, recognition, layout, extracted, &p, &cfg);
-    let env = prep.env();
-
-    // Publish the poisoned prep so the full flow consumes it — the NaN
-    // travels extraction → skew bounds → capture checks end to end.
-    let preps = PrepCache::new(2);
-    match preps.begin((env, raw)) {
-        PrepClaim::Build(slot) => slot.publish(Arc::new(prep)),
-        PrepClaim::Hit(_) => panic!("fresh prep cache cannot hit"),
-    }
-    let mut cache = VerifyCache::new();
-    let r = run_flow_shared(
-        alu_slice(4, &p).netlist,
-        &p,
-        &cfg,
-        &mut cache,
-        &LocalBackend,
-        Some(&preps),
-    );
-    assert_eq!(
-        preps.hit_count(),
-        1,
-        "the flow must consume the poisoned prep"
-    );
-    assert!(
-        !r.signoff.clean(),
-        "a NaN clock parasitic must not sign off: {}",
-        r.signoff
-    );
-    assert!(
-        r.sta.violations.iter().any(|v| v.slack.seconds().is_nan()),
-        "the NaN must surface as a capture-check violation, not vanish: {:?}",
-        r.sta.violations
-    );
-}
