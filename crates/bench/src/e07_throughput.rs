@@ -5,12 +5,18 @@
 //! cycles/day needs ~100 CPUs. We measure our engines' cycles/sec on a
 //! generated design and on the CAM (native primitive vs gate expansion),
 //! then project the farm size for the paper's daily budget.
+//!
+//! The rates are printed, never asserted: they swing with the host. The
+//! tests hold the interpreter's work per cycle instead — a count that is
+//! a pure function of the elaborated design.
 
 use std::time::Instant;
 
+use cbv_core::csim::{compile as csim_compile, CSim};
 use cbv_core::gen::cam::{cam_rtl_expanded, cam_rtl_source};
+use cbv_core::rtl::design::{RtlDesign, WordOp};
 use cbv_core::rtl::{blast::blast, compile, interp::Interp};
-use cbv_core::sim::{GateSim, Logic, SwitchSim};
+use cbv_core::sim::{Logic, SwitchSim};
 use cbv_core::tech::Process;
 
 /// One engine's throughput measurement.
@@ -34,6 +40,22 @@ const CPU_RTL: &str = "module mini(clock ck, in op[2], in d[16], out acc[16], ou
     assign acc = r;\n\
     assign z = r == 0;\n\
 }";
+
+/// The interpreter's work per cycle on `design`: the nodes one settle
+/// evaluates, a CAM lookup counting one per entry it compares. Every
+/// E7 design commits on one edge, so one cycle is one settle.
+fn work_per_cycle(design: &RtlDesign) -> u64 {
+    design
+        .nodes
+        .iter()
+        .map(|n| match n.op {
+            WordOp::CamHit { cam, .. } | WordOp::CamIndex { cam, .. } => {
+                u64::from(design.cams[cam as usize].entries)
+            }
+            _ => 1,
+        })
+        .sum()
+}
 
 fn time_cycles(mut step: impl FnMut(u64), cycles: u64) -> f64 {
     let t0 = Instant::now();
@@ -63,24 +85,20 @@ pub fn run() -> Vec<ThroughputPoint> {
         cycles_per_sec: rate,
     });
 
-    // Gate-level event sim on the blasted mini CPU.
+    // Compiled gate-level sim on the blasted mini CPU, driven on lane 0:
+    // the rate is per step, not per lane-cycle.
     let net = blast(&cpu).expect("blasts");
-    let mut gsim = GateSim::new(&net);
+    let mut csim = CSim::new(csim_compile(&net).expect("acyclic"));
     let rate = time_cycles(
         |i| {
-            for b in 0..2 {
-                gsim.set_input_by_name(&format!("op[{b}]"), (i >> b) & 1 == 1);
-            }
-            let d = (i * 2654435761) & 0xFFFF;
-            for b in 0..16 {
-                gsim.set_input_by_name(&format!("d[{b}]"), (d >> b) & 1 == 1);
-            }
-            gsim.step(0);
+            csim.set_input(0, "op", i & 3);
+            csim.set_input(0, "d", (i * 2654435761) & 0xFFFF);
+            csim.step("ck");
         },
-        20_000,
+        200_000,
     );
     out.push(ThroughputPoint {
-        engine: "gate-level event sim".into(),
+        engine: "compiled gate sim (lane 0)".into(),
         cycles_per_sec: rate,
     });
 
@@ -157,34 +175,43 @@ pub fn print() {
          ... result in highly inefficient run-times, e.g. a 2000 port CAM\")",
         native / expanded
     );
+    let [cpu, native, expanded] = work_counts();
+    println!(
+        "work per cycle: mini cpu {cpu}; cam native {native} vs expanded {expanded} ({:.1}x)",
+        expanded as f64 / native as f64
+    );
+}
+
+/// Work per cycle of the mini CPU, the native CAM and the expanded CAM.
+fn work_counts() -> [u64; 3] {
+    [
+        compile(CPU_RTL, "mini").expect("compiles"),
+        compile(&cam_rtl_source(64, 16), "camq").expect("compiles"),
+        compile(&cam_rtl_expanded(64, 16), "camq").expect("compiles"),
+    ]
+    .map(|d| work_per_cycle(&d))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Ceiling on the mini CPU's work per cycle: a change to elaboration
+    /// or to the interpreter's node set must not grow it.
+    const MINI_CPU_WORK: u64 = 27;
+
     #[test]
     fn rtl_beats_the_paper_per_cpu_target() {
-        let points = run();
-        assert!(
-            points[0].cycles_per_sec > 200.0,
-            "must beat the 1997 farm per-CPU figure"
-        );
+        // The paper's target is a rate (>200 cycles/sec/CPU), printed by
+        // `cbv-bench e7_throughput`; what holds on any host is the work
+        // each of those cycles costs.
+        let [cpu, ..] = work_counts();
+        assert!(cpu <= MINI_CPU_WORK, "{cpu} > {MINI_CPU_WORK}");
     }
 
     #[test]
     fn native_cam_is_much_faster_than_expansion() {
-        let points = run();
-        let native = points
-            .iter()
-            .find(|p| p.engine.contains("native"))
-            .unwrap()
-            .cycles_per_sec;
-        let expanded = points
-            .iter()
-            .find(|p| p.engine.contains("expanded"))
-            .unwrap()
-            .cycles_per_sec;
-        assert!(native > 3.0 * expanded, "{native} vs {expanded}");
+        let [_, native, expanded] = work_counts();
+        assert!(native * 3 < expanded, "{native} vs {expanded}");
     }
 }

@@ -56,7 +56,7 @@ pub use cbv_rtl as rtl;
 /// Automatic circuit recognition.
 pub use cbv_recognize as recognize;
 
-/// Logic simulation (switch-level, gate-level, shadow mode).
+/// Logic simulation (switch-level, shadow mode).
 pub use cbv_sim as sim;
 
 /// Compiled 64-lane bit-parallel simulation backend.

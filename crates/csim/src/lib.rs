@@ -4,13 +4,13 @@
 //! efficient code" and sustains ">200 cycles/sec/CPU" on a full CPU
 //! model, because the inner loop is straight-line machine work with no
 //! interpretation overhead. This crate is that idea applied to the
-//! bit-blasted [`BoolNet`]: instead of walking the gate enum per cycle
-//! (the [`cbv_rtl::interp::Interp`] settle loop) or chasing events
-//! (`cbv-sim`'s `GateSim`), we *compile once* and then execute a flat
-//! program over machine words:
+//! bit-blasted [`BoolNet`]: instead of walking a node graph per cycle
+//! (the [`cbv_rtl::interp::Interp`] settle loop), we *compile once* and
+//! then execute a flat program over machine words. It is the toolkit's
+//! one gate-level engine, with [`BoolNet::eval`] as its reference:
 //!
-//! 1. [`compile`] levelizes the network (shared
-//!    [`cbv_rtl::level::levelize_cone`], dead branches dropped), assigns
+//! 1. [`compile`] levelizes the network
+//!    ([`cbv_rtl::level::levelize_cone`], dead branches dropped), assigns
 //!    every live gate a **slot** in a flat `u64` array, and emits a
 //!    threaded-bytecode [`Program`]: one contiguous [`Op`] per computed
 //!    gate — opcode plus input/output slot indices, no hash lookups, no
@@ -46,6 +46,7 @@
 //! end to end.
 //!
 //! [`BoolNet`]: cbv_rtl::boolnet::BoolNet
+//! [`BoolNet::eval`]: cbv_rtl::boolnet::BoolNet::eval
 
 pub mod exec;
 pub mod program;

@@ -1,10 +1,10 @@
 //! Compilation of a [`BoolNet`] into a flat threaded-bytecode program.
 //!
-//! The compiler runs once per network: levelize (shared
-//! [`cbv_rtl::level`] machinery, live cone only), assign slots, emit one
-//! [`Op`] per computed gate in schedule order. Everything the executor
-//! touches per cycle afterwards is a contiguous array — no `HashMap`, no
-//! enum-tree recursion, no allocation.
+//! The compiler runs once per network: levelize ([`cbv_rtl::level`],
+//! live cone only), assign slots, emit one [`Op`] per computed gate in
+//! schedule order. Everything the executor touches per cycle afterwards
+//! is a contiguous array — no `HashMap`, no enum-tree recursion, no
+//! allocation.
 
 use cbv_obs::Tracer;
 use cbv_rtl::ast::Edge;

@@ -3,7 +3,7 @@
 //! The bit-blasted form of a design: a DAG of 2-input gates over input
 //! bits and state bits, with per-state next functions. This is the shared
 //! representation consumed by the equivalence checker (`cbv-equiv`, which
-//! builds BDDs from it) and the gate-level event simulator in `cbv-sim`.
+//! builds BDDs from it) and the compiled gate-level simulator `cbv-csim`.
 
 use std::collections::HashMap;
 
@@ -206,7 +206,7 @@ impl BoolNet {
     /// is dropped and the new gate is **not** interned, so later
     /// [`BoolNet::mk`] calls may create a structural duplicate. The
     /// caller is responsible for keeping the network acyclic (use
-    /// [`crate::level::levelize`] to check).
+    /// [`crate::level::levelize_cone`] to check).
     ///
     /// # Panics
     ///

@@ -1,11 +1,10 @@
-//! Shared levelization of a [`BoolNet`].
+//! Levelization of a [`BoolNet`].
 //!
-//! Both the gate-level event simulator (`cbv-sim`) and the compiled
-//! simulation backend (`cbv-csim`) need the same structural facts about
-//! a bit-blasted network: a topological evaluation schedule, the level
-//! (longest combinational depth) of every gate, and — for the compiler —
-//! the *live* cone of the gates that actually feed an output or a
-//! next-state function, so dead branches never cost a per-cycle op.
+//! The compiled simulation backend (`cbv-csim`) needs three structural
+//! facts about a bit-blasted network: a topological evaluation
+//! schedule, its depth in levels, and the *live* cone of the gates that
+//! actually feed an output or a next-state function, so dead branches
+//! never cost a per-cycle op.
 //!
 //! [`BoolNet::mk`] builds networks whose gates only reference earlier
 //! ids, but [`crate::boolnet::BoolId`] is a public newtype: nothing stops
@@ -24,18 +23,16 @@ pub struct Levelization {
     /// Live gates in a valid evaluation order (every gate appears after
     /// all of its inputs), restricted to the requested cone.
     pub order: Vec<BoolId>,
-    /// Level per gate id: leaves (constants, inputs, state reads) are
-    /// level 0, every other live gate is `1 + max(level of inputs)`.
-    /// Dead gates keep [`DEAD`].
-    pub level: Vec<u32>,
     /// Whether each gate id is inside the requested cone.
     pub live: Vec<bool>,
-    /// Number of distinct levels among live gates (0 for an empty net).
+    /// Number of distinct levels among live gates (0 for an empty net):
+    /// leaves (constants, inputs, state reads) are level 0, every other
+    /// live gate is `1 + max(level of inputs)`.
     pub levels: u32,
 }
 
 /// Level marker for gates outside the live cone.
-pub const DEAD: u32 = u32::MAX;
+const DEAD: u32 = u32::MAX;
 
 impl Levelization {
     /// Count of live gates.
@@ -91,20 +88,11 @@ fn gate_inputs(g: &Gate) -> [Option<BoolId>; 3] {
     }
 }
 
-/// Levelizes the whole network (every gate is considered live).
-///
-/// # Errors
-///
-/// Returns [`LevelError`] on dangling operand ids or combinational
-/// cycles.
-pub fn levelize(net: &BoolNet) -> Result<Levelization, LevelError> {
-    let roots: Vec<BoolId> = (0..net.gate_count() as u32).map(BoolId).collect();
-    levelize_cone(net, &roots)
-}
-
 /// Levelizes only the cone of `roots`: the gates transitively feeding
-/// them. Gates outside the cone are reported dead ([`DEAD`] level,
-/// absent from the schedule) — the compiler's dead-branch elimination.
+/// them. Gates outside the cone are reported dead (not
+/// [`Levelization::live`], absent from the schedule) — the compiler's
+/// dead-branch elimination. Passing every gate as a root levelizes the
+/// whole network.
 ///
 /// # Errors
 ///
@@ -192,7 +180,6 @@ pub fn levelize_cone(net: &BoolNet, roots: &[BoolId]) -> Result<Levelization, Le
     let levels = if order.is_empty() { 0 } else { max_level + 1 };
     Ok(Levelization {
         order,
-        level,
         live,
         levels,
     })
@@ -203,6 +190,12 @@ mod tests {
     use super::*;
     use crate::boolnet::{BoolNet, Gate};
 
+    /// Levelizes the whole network: every gate is a root.
+    fn levelize_all(net: &BoolNet) -> Result<Levelization, LevelError> {
+        let roots: Vec<BoolId> = (0..net.gate_count() as u32).map(BoolId).collect();
+        levelize_cone(net, &roots)
+    }
+
     #[test]
     fn levels_follow_depth() {
         let mut n = BoolNet::new();
@@ -210,12 +203,13 @@ mod tests {
         let b = n.input("b");
         let x = n.mk(Gate::Xor(a, b));
         let y = n.mk(Gate::And(x, a));
-        let lv = levelize(&n).unwrap();
-        assert_eq!(lv.level[a.index()], 0);
-        assert_eq!(lv.level[x.index()], 1);
-        assert_eq!(lv.level[y.index()], 2);
+        let lv = levelize_all(&n).unwrap();
         assert_eq!(lv.levels, 3);
         assert_eq!(lv.live_gates(), n.gate_count());
+        // Each gate's depth is the level count of its own cone.
+        assert_eq!(levelize_cone(&n, &[a]).unwrap().levels, 1);
+        assert_eq!(levelize_cone(&n, &[x]).unwrap().levels, 2);
+        assert_eq!(levelize_cone(&n, &[y]).unwrap().levels, 3);
         // The schedule is a valid topological order.
         let pos: Vec<usize> = {
             let mut p = vec![0; n.gate_count()];
@@ -238,7 +232,6 @@ mod tests {
         let lv = levelize_cone(&n, &[used]).unwrap();
         assert!(lv.live[used.index()]);
         assert!(!lv.live[dead.index()]);
-        assert_eq!(lv.level[dead.index()], DEAD);
         assert!(!lv.order.contains(&dead));
     }
 
@@ -255,7 +248,7 @@ mod tests {
         // pretend gate 1 reads gate 2.
         let mut looped = n.clone();
         looped.replace_gate(x, Gate::And(y, a));
-        let err = levelize(&looped).unwrap_err();
+        let err = levelize_all(&looped).unwrap_err();
         assert!(matches!(err, LevelError::Cycle { .. }), "{err}");
         assert!(err.to_string().contains("combinational cycle"));
     }
@@ -267,14 +260,14 @@ mod tests {
         let x = n.mk(Gate::Not(a));
         let mut broken = n.clone();
         broken.replace_gate(x, Gate::Not(BoolId(999)));
-        let err = levelize(&broken).unwrap_err();
+        let err = levelize_all(&broken).unwrap_err();
         assert!(matches!(err, LevelError::DanglingInput { .. }), "{err}");
     }
 
     #[test]
     fn empty_net_levelizes() {
         let n = BoolNet::new();
-        let lv = levelize(&n).unwrap();
+        let lv = levelize_all(&n).unwrap();
         assert_eq!(lv.levels, 0);
         assert!(lv.order.is_empty());
     }

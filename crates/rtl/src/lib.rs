@@ -24,7 +24,7 @@
 //! * a cycle-accurate interpreter ([`interp::Interp`]);
 //! * bit-blasting ([`blast`]) to a shared gate-level boolean network
 //!   ([`boolnet::BoolNet`]) consumed by the equivalence checker and the
-//!   gate-level simulator.
+//!   compiled gate-level simulator (`cbv-csim`).
 //!
 //! # Example
 //!

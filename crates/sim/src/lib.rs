@@ -5,16 +5,15 @@
 //! RTL simulation, and RTL to schematic equivalence checking."
 //!
 //! The first level lives in `cbv-rtl` ([`cbv_rtl::interp::Interp`]);
-//! equivalence checking in `cbv-equiv`. This crate provides the middle
-//! two plus the supporting machinery:
+//! equivalence checking in `cbv-equiv`; gate-level simulation of the
+//! bit-blasted [`cbv_rtl::boolnet::BoolNet`] in `cbv-csim`. This crate
+//! provides the middle two plus the supporting machinery:
 //!
 //! * [`switch`] — a switch-level simulator over transistor netlists:
 //!   three-valued logic with charge retention on isolated nodes,
 //!   conductance-based strength resolution (ratioed fights, keepers) and
 //!   pessimistic X-propagation for unknown gates. This is "standalone
 //!   schematic simulation".
-//! * [`gatesim`] — an event-driven gate-level simulator over the
-//!   bit-blasted [`cbv_rtl::boolnet::BoolNet`].
 //! * [`shadow`] — **shadow-mode co-simulation**: "a mixed mode simulation
 //!   of full design Behavioral/RTL with a part of the circuit logic
 //!   shadowing (not replacing) the corresponding RTL description" — the
@@ -24,12 +23,10 @@
 //!   patterns, which are either manually generated or pseudo-random
 //!   sequences").
 
-pub mod gatesim;
 pub mod shadow;
 pub mod stimulus;
 pub mod switch;
 
-pub use gatesim::GateSim;
 pub use shadow::{BitBinding, Mismatch, ShadowSim};
 pub use stimulus::Stimulus;
 pub use switch::{Logic, SwitchSim};

@@ -40,6 +40,11 @@ for threads in 1 8; do
   CBV_THREADS=$threads cargo test -q -p cbv-core --lib -- scatter:: service::
 done
 
+# E7's rates are printed, never asserted; its tests hold work per
+# cycle, a count that repeats exactly on any host.
+echo "== E7 smoke (CAM primitive vs expansion, as counts) =="
+cargo test -q -p cbv-bench --lib e07
+
 echo "== E14 smoke (ECO walk soundness) =="
 cargo test -q -p cbv-bench e14_eco
 
@@ -66,10 +71,13 @@ cargo test -q -p cbv-bench --lib e17
 
 # The compiled 64-lane engine must stay bit-exact against the
 # reference engines regardless of worker count (compilation itself is
-# single-threaded, but the suite also exercises the flow paths).
+# single-threaded, but the suite also exercises the flow paths). The
+# property runs random pos/neg-edge pipelines on lane 0 against an
+# independent two-phase model.
 for threads in 1 8; do
   echo "== cross-engine compiled suite (CBV_THREADS=$threads) =="
   CBV_THREADS=$threads cargo test -q -p cbv-core --test cross_engine
+  CBV_THREADS=$threads cargo test -q -p cbv-core --test properties two_phase_pipeline_cross_engine
 done
 
 echo "== E18 smoke (compiled-engine op count + registry sweep) =="

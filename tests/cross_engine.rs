@@ -1,8 +1,8 @@
 //! Cross-engine consistency: the same function evaluated by the RTL
-//! interpreter, the bit-blasted gate simulator, the compiled 64-lane
-//! engine, the switch-level transistor simulator and the BDD
-//! equivalence checker must agree — §4.1's "thoroughly providing
-//! coverage of logic intent" as a test.
+//! interpreter, the compiled 64-lane engine on the bit-blasted network,
+//! the switch-level transistor simulator and the BDD equivalence
+//! checker must agree — §4.1's "thoroughly providing coverage of logic
+//! intent" as a test.
 
 use cbv_core::bdd::Bdd;
 use cbv_core::csim::{compile as csim_compile, CSim, LANES};
@@ -13,7 +13,7 @@ use cbv_core::gen::rtl_designs::rtl_design_registry;
 use cbv_core::recognize::recognize;
 use cbv_core::rtl::blast::blast;
 use cbv_core::rtl::{compile, interp::Interp};
-use cbv_core::sim::{GateSim, Logic, SwitchSim};
+use cbv_core::sim::{Logic, SwitchSim};
 use cbv_core::tech::Process;
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -31,18 +31,16 @@ const ADDER_RTL: &str = "module add4(in a[4], in b[4], in cin, out s[4], out cou
 }";
 
 #[test]
-fn five_engines_agree_on_addition() {
+fn four_engines_agree_on_addition() {
     let p = Process::strongarm_035();
     // Engine 1: RTL interpreter.
     let design = compile(ADDER_RTL, "add4").expect("rtl compiles");
     let mut interp = Interp::new(&design);
-    // Engine 2: gate-level event sim on the blasted network.
-    let net = blast(&design).expect("blasts");
-    let mut gates = GateSim::new(&net);
-    // Engine 3: the compiled 64-lane engine on the same network; the
+    // Engine 2: the compiled 64-lane engine on the blasted network; the
     // stimulus walks the lanes so every lane position gets exercised.
+    let net = blast(&design).expect("blasts");
     let mut csim = CSim::new(csim_compile(&net).expect("acyclic"));
-    // Engine 4: switch-level transistor sim on the generated adder.
+    // Engine 3: switch-level transistor sim on the generated adder.
     let g = static_ripple_adder(4, &p);
     let mut switch = SwitchSim::new(&g.netlist);
 
@@ -65,14 +63,6 @@ fn five_engines_agree_on_addition() {
                 assert_eq!(csim.output(lane, "cout"), want_c, "compiled cout");
 
                 for i in 0..4 {
-                    gates.set_input_by_name(&format!("a[{i}]"), (a >> i) & 1 == 1);
-                    gates.set_input_by_name(&format!("b[{i}]"), (b >> i) & 1 == 1);
-                }
-                gates.set_input_by_name("cin[0]", cin == 1);
-                assert_eq!(gates.output("s"), want_s, "gate sim s");
-                assert_eq!(gates.output("cout"), want_c, "gate sim cout");
-
-                for i in 0..4 {
                     switch.set_by_name(&format!("a[{i}]"), Logic::from_bool((a >> i) & 1 == 1));
                     switch.set_by_name(&format!("b[{i}]"), Logic::from_bool((b >> i) & 1 == 1));
                 }
@@ -92,7 +82,7 @@ fn five_engines_agree_on_addition() {
 
 #[test]
 fn transistor_adder_sum_bit_equals_rtl_by_bdd() {
-    // Engine 5: BDD equivalence between the transistor s[0] cone and the
+    // Engine 4: BDD equivalence between the transistor s[0] cone and the
     // RTL function a[0]^b[0]^cin.
     let p = Process::strongarm_035();
     let g = static_ripple_adder(2, &p);
@@ -192,7 +182,7 @@ fn transistor_adder_sum_bit_equals_rtl_by_bdd() {
 }
 
 #[test]
-fn sequential_rtl_vs_gatesim_long_run() {
+fn sequential_rtl_vs_csim_long_run() {
     let design = compile(
         "module lfsr(clock ck, in en, out v[8]) {\n\
            reg r[8] = 1;\n\
@@ -204,13 +194,13 @@ fn sequential_rtl_vs_gatesim_long_run() {
     .expect("compiles");
     let net = blast(&design).expect("blasts");
     let mut interp = Interp::new(&design);
-    let mut gates = GateSim::new(&net);
+    let mut csim = CSim::new(csim_compile(&net).expect("acyclic"));
     interp.set_input("en", 1);
-    gates.set_input_by_name("en[0]", true);
+    csim.set_input(0, "en", 1);
     for cycle in 0..500 {
-        assert_eq!(interp.output("v"), gates.output("v"), "cycle {cycle}");
+        assert_eq!(interp.output("v"), csim.output(0, "v"), "cycle {cycle}");
         interp.step("ck");
-        gates.step(0);
+        csim.step("ck");
     }
     // The LFSR actually cycles (not stuck).
     assert_ne!(interp.output("v"), 1);

@@ -238,15 +238,15 @@ proptest! {
 
     /// Two-phase clocking: a shift pipeline whose stages commit on a
     /// random mix of rising and falling edges of one clock must behave
-    /// identically in the word-level interpreter and the event-driven
-    /// gate-level simulator, and must match an independently written
-    /// reference model of the two-phase non-blocking semantics.
+    /// identically in the word-level interpreter and the compiled
+    /// gate-level engine (lane 0), and must match an independently
+    /// written reference model of the two-phase non-blocking semantics.
     #[test]
     fn two_phase_pipeline_cross_engine(
         edges in proptest::collection::vec(any::<bool>(), 1..6),
         stimulus in proptest::collection::vec(0u64..16, 12),
     ) {
-        use cbv_core::sim::GateSim;
+        use cbv_core::csim::{compile as csim_compile, CSim};
         // Build the HDL: one pos block and one neg block, stages chained.
         let k = edges.len();
         let mut decls = String::new();
@@ -268,15 +268,13 @@ proptest! {
         let design = compile(&src, "m").unwrap();
         let net = blast(&design).unwrap();
         let mut isim = Interp::new(&design);
-        let mut gsim = GateSim::new(&net);
+        let mut csim = CSim::new(csim_compile(&net).unwrap());
         // Independent reference: all pos stages sample pre-edge values
         // simultaneously, then all neg stages sample post-pos values.
         let mut model = vec![0u64; k];
         for (cycle, &d) in stimulus.iter().enumerate() {
             isim.set_input("d", d);
-            for b in 0..4 {
-                gsim.set_input_by_name(&format!("d[{b}]"), (d >> b) & 1 == 1);
-            }
+            csim.set_input(0, "d", d);
             let pre = model.clone();
             for i in 0..k {
                 if edges[i] {
@@ -290,9 +288,9 @@ proptest! {
                 }
             }
             isim.step("ck");
-            gsim.step(0);
+            csim.step("ck");
             prop_assert_eq!(isim.output("q"), model[k - 1], "interp vs model, cycle {}", cycle);
-            prop_assert_eq!(gsim.output("q"), model[k - 1], "gatesim vs model, cycle {}", cycle);
+            prop_assert_eq!(csim.output(0, "q"), model[k - 1], "csim vs model, cycle {}", cycle);
         }
     }
 }
