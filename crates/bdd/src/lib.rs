@@ -4,7 +4,7 @@
 //! needs canonical representations of boolean functions extracted from
 //! transistor topology and compiled from RTL. This crate provides a
 //! self-contained BDD manager with hash-consed nodes, a memoized `ite`
-//! core, quantification, composition and satisfy-count.
+//! core, existential quantification and composition.
 //!
 //! # Example
 //!
@@ -34,7 +34,7 @@ impl Ref {
     pub const TRUE: Ref = Ref(1);
 
     /// Whether this is one of the two constants.
-    pub fn is_const(self) -> bool {
+    fn is_const(self) -> bool {
         self.0 <= 1
     }
 
@@ -108,11 +108,6 @@ impl Bdd {
         self.nodes.len()
     }
 
-    /// Number of declared variables.
-    pub fn var_count(&self) -> usize {
-        self.level_to_var.len()
-    }
-
     fn level_of(&mut self, var: u32) -> u32 {
         if let Some(&l) = self.var_to_level.get(&var) {
             return l;
@@ -141,12 +136,6 @@ impl Bdd {
     pub fn var(&mut self, var: u32) -> Ref {
         let level = self.level_of(var);
         self.mk(level, Ref::FALSE, Ref::TRUE)
-    }
-
-    /// The negation of a single variable.
-    pub fn nvar(&mut self, var: u32) -> Ref {
-        let level = self.level_of(var);
-        self.mk(level, Ref::TRUE, Ref::FALSE)
     }
 
     /// A constant function.
@@ -220,17 +209,6 @@ impl Bdd {
         self.ite(f, ng, g)
     }
 
-    /// Logical XNOR (equivalence).
-    pub fn xnor(&mut self, f: Ref, g: Ref) -> Ref {
-        let x = self.xor(f, g);
-        self.not(x)
-    }
-
-    /// Logical implication `f → g`.
-    pub fn implies(&mut self, f: Ref, g: Ref) -> Ref {
-        self.ite(f, g, Ref::TRUE)
-    }
-
     /// AND over an iterator (true for empty input).
     pub fn and_all<I: IntoIterator<Item = Ref>>(&mut self, items: I) -> Ref {
         let mut acc = Ref::TRUE;
@@ -281,47 +259,11 @@ impl Bdd {
         self.or(lo, hi)
     }
 
-    /// Universal quantification over `var`.
-    pub fn forall(&mut self, f: Ref, var: u32) -> Ref {
-        let lo = self.restrict(f, var, false);
-        let hi = self.restrict(f, var, true);
-        self.and(lo, hi)
-    }
-
-    /// Existential quantification over many variables.
-    pub fn exists_many(&mut self, mut f: Ref, vars: &[u32]) -> Ref {
-        for &v in vars {
-            f = self.exists(f, v);
-        }
-        f
-    }
-
     /// Substitutes function `g` for variable `var` inside `f`.
     pub fn compose(&mut self, f: Ref, var: u32, g: Ref) -> Ref {
         let hi = self.restrict(f, var, true);
         let lo = self.restrict(f, var, false);
         self.ite(g, hi, lo)
-    }
-
-    /// Simultaneously substitutes each `(var, g)` pair into `f`: all
-    /// replacement functions are evaluated over the *original* variable
-    /// values, so swapping two variables works as expected.
-    pub fn compose_many(&mut self, f: Ref, subs: &[(u32, Ref)]) -> Ref {
-        // Rename targets to fresh temporaries first so that replacement
-        // functions mentioning replaced variables see original values.
-        let fresh_base = {
-            let max_var = self.level_to_var.iter().copied().max().unwrap_or(0);
-            max_var + 1
-        };
-        let mut cur = f;
-        for (i, (var, _)) in subs.iter().enumerate() {
-            let tmp = self.var(fresh_base + i as u32);
-            cur = self.compose(cur, *var, tmp);
-        }
-        for (i, (_, g)) in subs.iter().enumerate() {
-            cur = self.compose(cur, fresh_base + i as u32, *g);
-        }
-        cur
     }
 
     /// Evaluates `f` under an assignment (map from external var id to
@@ -360,13 +302,105 @@ impl Bdd {
         out
     }
 
+    /// One satisfying assignment, if any, as `(var, value)` pairs for the
+    /// variables along the chosen path.
+    pub fn any_sat(&self, f: Ref) -> Option<Vec<(u32, bool)>> {
+        if f == Ref::FALSE {
+            return None;
+        }
+        let mut path = Vec::new();
+        let mut cur = f;
+        while cur.as_const().is_none() {
+            let n = self.node(cur);
+            let var = self.level_to_var[n.level as usize];
+            if n.hi != Ref::FALSE {
+                path.push((var, true));
+                cur = n.hi;
+            } else {
+                path.push((var, false));
+                cur = n.lo;
+            }
+        }
+        debug_assert_eq!(cur, Ref::TRUE);
+        Some(path)
+    }
+
+    /// Declares variables in the given order (only meaningful on a fresh
+    /// manager, before any `var` calls).
+    fn declare_order(&mut self, order: &[u32]) {
+        for &v in order {
+            let _ = self.level_of(v);
+        }
+    }
+
+    /// The current variable order, top level first.
+    pub fn order(&self) -> Vec<u32> {
+        self.level_to_var.clone()
+    }
+
+    /// Rebuilds the given functions in a **new** manager whose variable
+    /// order is `order` (must cover every variable in the roots'
+    /// support). Returns the new manager and the mapped roots.
+    ///
+    /// Variable reordering can shrink a function's representation
+    /// dramatically (or blow it up).
+    pub fn rebuild(&self, roots: &[Ref], order: &[u32]) -> (Bdd, Vec<Ref>) {
+        let mut out = Bdd::new();
+        out.declare_order(order);
+        let mut memo: HashMap<Ref, Ref> = HashMap::new();
+        fn translate(src: &Bdd, dst: &mut Bdd, r: Ref, memo: &mut HashMap<Ref, Ref>) -> Ref {
+            if let Some(b) = r.as_const() {
+                return dst.constant(b);
+            }
+            if let Some(&m) = memo.get(&r) {
+                return m;
+            }
+            let n = src.node(r);
+            let var = src.level_to_var[n.level as usize];
+            let lo = translate(src, dst, n.lo, memo);
+            let hi = translate(src, dst, n.hi, memo);
+            let v = dst.var(var);
+            let out_ref = dst.ite(v, hi, lo);
+            memo.insert(r, out_ref);
+            out_ref
+        }
+        let mapped = roots
+            .iter()
+            .map(|&r| translate(self, &mut out, r, &mut memo))
+            .collect();
+        (out, mapped)
+    }
+
+    /// Size (node count) of the subgraph rooted at `f`.
+    pub fn size(&self, f: Ref) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![f];
+        let mut count = 0;
+        while let Some(r) = stack.pop() {
+            if r.is_const() || !seen.insert(r) {
+                continue;
+            }
+            count += 1;
+            let n = self.node(r);
+            stack.push(n.lo);
+            stack.push(n.hi);
+        }
+        count
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
     /// Number of satisfying assignments over a universe of `n_vars`
-    /// variables (levels `0..n_vars`). Returns `f64` since counts explode.
+    /// variables (levels `0..n_vars`): the oracle the counting tests
+    /// compare against. Returns `f64` since counts explode.
     ///
     /// # Panics
     ///
     /// Panics if `n_vars` is smaller than the number of levels `f` uses.
-    pub fn sat_count(&self, f: Ref, n_vars: u32) -> f64 {
+    fn sat_count(bdd: &Bdd, f: Ref, n_vars: u32) -> f64 {
         fn walk(bdd: &Bdd, r: Ref, memo: &mut HashMap<Ref, f64>, n_vars: u32) -> f64 {
             match r.as_const() {
                 Some(false) => return 0.0,
@@ -395,134 +429,10 @@ impl Bdd {
         if let Some(b) = f.as_const() {
             return if b { 2f64.powi(n_vars as i32) } else { 0.0 };
         }
-        let top_level = self.node(f).level;
+        let top_level = bdd.node(f).level;
         let mut memo = HashMap::new();
-        walk(self, f, &mut memo, n_vars) * 2f64.powi(top_level as i32)
+        walk(bdd, f, &mut memo, n_vars) * 2f64.powi(top_level as i32)
     }
-
-    /// One satisfying assignment, if any, as `(var, value)` pairs for the
-    /// variables along the chosen path.
-    pub fn any_sat(&self, f: Ref) -> Option<Vec<(u32, bool)>> {
-        if f == Ref::FALSE {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut cur = f;
-        while cur.as_const().is_none() {
-            let n = self.node(cur);
-            let var = self.level_to_var[n.level as usize];
-            if n.hi != Ref::FALSE {
-                path.push((var, true));
-                cur = n.hi;
-            } else {
-                path.push((var, false));
-                cur = n.lo;
-            }
-        }
-        debug_assert_eq!(cur, Ref::TRUE);
-        Some(path)
-    }
-
-    /// Declares variables in the given order (only meaningful on a fresh
-    /// manager, before any `var` calls).
-    pub fn declare_order(&mut self, order: &[u32]) {
-        for &v in order {
-            let _ = self.level_of(v);
-        }
-    }
-
-    /// The current variable order, top level first.
-    pub fn order(&self) -> Vec<u32> {
-        self.level_to_var.clone()
-    }
-
-    /// Rebuilds the given functions in a **new** manager whose variable
-    /// order is `order` (must cover every variable in the roots'
-    /// support). Returns the new manager and the mapped roots.
-    ///
-    /// Variable reordering can shrink a function's representation
-    /// dramatically (or blow it up) — see [`Bdd::reorder_greedy`].
-    pub fn rebuild(&self, roots: &[Ref], order: &[u32]) -> (Bdd, Vec<Ref>) {
-        let mut out = Bdd::new();
-        out.declare_order(order);
-        let mut memo: HashMap<Ref, Ref> = HashMap::new();
-        fn translate(src: &Bdd, dst: &mut Bdd, r: Ref, memo: &mut HashMap<Ref, Ref>) -> Ref {
-            if let Some(b) = r.as_const() {
-                return dst.constant(b);
-            }
-            if let Some(&m) = memo.get(&r) {
-                return m;
-            }
-            let n = src.node(r);
-            let var = src.level_to_var[n.level as usize];
-            let lo = translate(src, dst, n.lo, memo);
-            let hi = translate(src, dst, n.hi, memo);
-            let v = dst.var(var);
-            let out_ref = dst.ite(v, hi, lo);
-            memo.insert(r, out_ref);
-            out_ref
-        }
-        let mapped = roots
-            .iter()
-            .map(|&r| translate(self, &mut out, r, &mut memo))
-            .collect();
-        (out, mapped)
-    }
-
-    /// Greedy adjacent-swap reordering (a simple sifting pass): repeats
-    /// sweeps of adjacent variable swaps, keeping any swap that shrinks
-    /// the combined size of `roots`, until a sweep makes no progress.
-    ///
-    /// Intended for small-to-medium variable counts (each accepted or
-    /// rejected swap rebuilds the functions).
-    pub fn reorder_greedy(&self, roots: &[Ref]) -> (Bdd, Vec<Ref>) {
-        let total = |m: &Bdd, rs: &[Ref]| -> usize { rs.iter().map(|&r| m.size(r)).sum() };
-        let mut best_order = self.order();
-        let (mut best_mgr, mut best_roots) = self.rebuild(roots, &best_order);
-        let mut best_size = total(&best_mgr, &best_roots);
-        loop {
-            let mut improved = false;
-            for i in 0..best_order.len().saturating_sub(1) {
-                let mut candidate = best_order.clone();
-                candidate.swap(i, i + 1);
-                let (mgr, rs) = self.rebuild(roots, &candidate);
-                let size = total(&mgr, &rs);
-                if size < best_size {
-                    best_order = candidate;
-                    best_mgr = mgr;
-                    best_roots = rs;
-                    best_size = size;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        (best_mgr, best_roots)
-    }
-
-    /// Size (node count) of the subgraph rooted at `f`.
-    pub fn size(&self, f: Ref) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![f];
-        let mut count = 0;
-        while let Some(r) = stack.pop() {
-            if r.is_const() || !seen.insert(r) {
-                continue;
-            }
-            count += 1;
-            let n = self.node(r);
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        count
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn canonical_commutativity() {
@@ -585,9 +495,8 @@ mod tests {
         let b = m.var(1);
         let f = m.and(a, b);
         assert_eq!(m.exists(f, 0), b);
-        assert_eq!(m.forall(f, 0), Ref::FALSE);
         let g = m.or(a, b);
-        assert_eq!(m.forall(g, 0), b);
+        assert_eq!(m.exists(g, 0), Ref::TRUE);
     }
 
     #[test]
@@ -608,20 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn compose_many_is_simultaneous() {
-        let mut m = Bdd::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        // Swap a and b inside a & !b.
-        let nb = m.not(b);
-        let f = m.and(a, nb);
-        let swapped = m.compose_many(f, &[(0, b), (1, a)]);
-        let na = m.not(a);
-        let expect = m.and(b, na);
-        assert_eq!(swapped, expect);
-    }
-
-    #[test]
     fn sat_count_majority() {
         let mut m = Bdd::new();
         let a = m.var(0);
@@ -632,9 +527,9 @@ mod tests {
         let ac = m.and(a, c);
         let t = m.or(ab, bc);
         let maj = m.or(t, ac);
-        assert_eq!(m.sat_count(maj, 3), 4.0);
-        assert_eq!(m.sat_count(Ref::TRUE, 3), 8.0);
-        assert_eq!(m.sat_count(Ref::FALSE, 3), 0.0);
+        assert_eq!(sat_count(&m, maj, 3), 4.0);
+        assert_eq!(sat_count(&m, Ref::TRUE, 3), 8.0);
+        assert_eq!(sat_count(&m, Ref::FALSE, 3), 0.0);
     }
 
     #[test]
@@ -674,7 +569,7 @@ mod tests {
         }
         // Parity has exactly 2 nodes per level except the deepest.
         assert_eq!(m.size(f), 31);
-        assert_eq!(m.sat_count(f, 16), 32768.0);
+        assert_eq!(sat_count(&m, f, 16), 32768.0);
     }
 
     #[test]
@@ -682,22 +577,6 @@ mod tests {
         let mut m = Bdd::new();
         let a = m.var(0);
         assert!(!m.eval(a, &HashMap::new()));
-    }
-
-    #[test]
-    fn implies_truth_table() {
-        let mut m = Bdd::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let imp = m.implies(a, b);
-        let mut asn = HashMap::new();
-        asn.insert(0, false);
-        asn.insert(1, false);
-        assert!(m.eval(imp, &asn));
-        asn.insert(0, true);
-        assert!(!m.eval(imp, &asn));
-        asn.insert(1, true);
-        assert!(m.eval(imp, &asn));
     }
 
     #[test]
@@ -730,7 +609,8 @@ mod tests {
         for i in 0..N {
             let ai = m.var(i);
             let bi = m.var(N + i);
-            let eq = m.xnor(ai, bi);
+            let ne = m.xor(ai, bi);
+            let eq = m.not(ne);
             f = m.and(f, eq);
         }
         let bad = m.size(f);
@@ -742,12 +622,6 @@ mod tests {
             bad > 4 * good,
             "separated {bad} nodes vs interleaved {good}"
         );
-        // Greedy reordering must do at least as well as the bad start.
-        let (m3, roots3) = m.reorder_greedy(&[f]);
-        assert!(m3.size(roots3[0]) <= bad);
-        // Function preserved under greedy reordering.
-        let asn: HashMap<u32, bool> = (0..2 * N).map(|v| (v, v % 3 == 0)).collect();
-        assert_eq!(m.eval(f, &asn), m3.eval(roots3[0], &asn));
     }
 
     #[test]
@@ -755,9 +629,9 @@ mod tests {
         let mut m = Bdd::new();
         let vars: Vec<Ref> = (0..4).map(|i| m.var(i)).collect();
         let all = m.and_all(vars.iter().copied());
-        assert_eq!(m.sat_count(all, 4), 1.0);
+        assert_eq!(sat_count(&m, all, 4), 1.0);
         let any = m.or_all(vars.iter().copied());
-        assert_eq!(m.sat_count(any, 4), 15.0);
+        assert_eq!(sat_count(&m, any, 4), 15.0);
         assert_eq!(m.and_all(std::iter::empty()), Ref::TRUE);
         assert_eq!(m.or_all(std::iter::empty()), Ref::FALSE);
     }

@@ -127,7 +127,7 @@ fn battery(netlist: FlatNetlist, process: &Process, check: CheckKind, hold: Seco
 }
 
 /// Charge-share droop vs evaluate-stack depth.
-pub fn charge_share_sweep() -> Vec<NoisePoint> {
+fn charge_share_sweep() -> Vec<NoisePoint> {
     let p = Process::strongarm_035();
     (1..=6)
         .map(|depth| {
@@ -145,7 +145,7 @@ pub fn charge_share_sweep() -> Vec<NoisePoint> {
 
 /// Leakage droop vs channel lengthening (ΔL in nm) at a long gated-clock
 /// hold.
-pub fn leakage_sweep() -> Vec<NoisePoint> {
+fn leakage_sweep() -> Vec<NoisePoint> {
     let p = Process::strongarm_035();
     [0.0, 22.5, 45.0, 90.0]
         .into_iter()
@@ -164,7 +164,7 @@ pub fn leakage_sweep() -> Vec<NoisePoint> {
 }
 
 /// Coupling stress with and without a keeper on the dynamic node.
-pub fn keeper_coupling() -> Vec<(String, f64)> {
+fn keeper_coupling() -> Vec<(String, f64)> {
     let p = Process::strongarm_035();
     let mut out = Vec::new();
     for (name, w_keeper) in [("no keeper", None), ("weak keeper", Some(0.7e-6))] {

@@ -31,7 +31,7 @@ pub struct SetupPoint {
 }
 
 /// Part A: cycle-time sweep on the two-phase ALU.
-pub fn setup_sweep() -> Vec<SetupPoint> {
+fn setup_sweep() -> Vec<SetupPoint> {
     let p = Process::strongarm_035();
     let g = alu_slice(8, &p);
     let mut netlist = g.netlist;
@@ -127,7 +127,7 @@ fn race_chain(k: usize) -> (FlatNetlist, Vec<cbv_core::netlist::NetId>) {
 
 /// Part B: same-phase race counts vs buffering depth, correlated vs
 /// uncorrelated skew analysis.
-pub fn race_study() -> Vec<RacePoint> {
+fn race_study() -> Vec<RacePoint> {
     let p = Process::strongarm_035();
     [2usize, 4, 8, 16, 40]
         .into_iter()

@@ -87,7 +87,7 @@ pub fn run() -> Vec<RcPoint> {
 
 /// Gate-capacitance context window (min/max over logical context) vs
 /// device width — the other half of Fig 5.
-pub fn gate_context_window() -> Vec<(f64, f64, f64)> {
+fn gate_context_window() -> Vec<(f64, f64, f64)> {
     let p = Process::strongarm_035();
     let nmos = p.mos(MosKind::Nmos);
     let l = p.l_min().meters();

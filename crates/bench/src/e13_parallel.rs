@@ -38,7 +38,7 @@ pub struct ScalingPoint {
 
 impl ScalingPoint {
     /// Combined wall-clock of the two parallel stages.
-    pub fn parallel_wall(&self) -> f64 {
+    fn parallel_wall(&self) -> f64 {
         self.everify_wall + self.timing_wall
     }
 }
@@ -75,7 +75,7 @@ pub fn measure(width: u32, threads: usize) -> ScalingPoint {
 }
 
 /// Sweeps [`SWEEP`] over a `width`-bit adder.
-pub fn run_width(width: u32) -> Vec<ScalingPoint> {
+fn run_width(width: u32) -> Vec<ScalingPoint> {
     SWEEP.iter().map(|&t| measure(width, t)).collect()
 }
 

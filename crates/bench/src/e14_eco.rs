@@ -61,7 +61,7 @@ fn signoff_json(report: &FlowReport) -> String {
 /// The cache is primed once on the unedited design (the designer's
 /// first full run), then each step widens a different device by 5 % and
 /// re-verifies both ways.
-pub fn run_walk(width: u32, steps: usize) -> Vec<EcoPoint> {
+fn run_walk(width: u32, steps: usize) -> Vec<EcoPoint> {
     let process = Process::strongarm_035();
     let config = FlowConfig::default();
     let base = alu_slice(width, &process).netlist;

@@ -38,7 +38,7 @@ impl Overhead {
 
 /// Runs the flow over a `width`-bit ALU slice with a collecting tracer
 /// and returns the flow report plus the finished trace.
-pub fn trace_alu(width: u32, threads: usize) -> (FlowReport, Trace) {
+fn trace_alu(width: u32, threads: usize) -> (FlowReport, Trace) {
     let process = Process::strongarm_035();
     let design = alu_slice(width, &process);
     let (tracer, collector) = Tracer::collecting();
@@ -59,7 +59,7 @@ pub fn trace_alu(width: u32, threads: usize) -> (FlowReport, Trace) {
 /// EXPERIMENTS.md is defined over. Off/on runs are *interleaved* so a
 /// system-load drift during the measurement hits both modes equally
 /// instead of biasing whichever block ran second.
-pub fn measure_overhead(width: u32, reps: usize) -> Overhead {
+fn measure_overhead(width: u32, reps: usize) -> Overhead {
     let process = Process::strongarm_035();
     let run_one = |traced: bool| -> f64 {
         let netlist = manchester_domino_adder(width, &process).netlist;

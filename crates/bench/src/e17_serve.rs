@@ -117,7 +117,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 
 /// Runs one load point: a fresh daemon, `clients` threads each
 /// streaming `steps` ECOs over `design`.
-pub fn run_load(design: &str, clients: usize, steps: usize, workers: usize) -> ServePoint {
+fn run_load(design: &str, clients: usize, steps: usize, workers: usize) -> ServePoint {
     let server = serve(ServerConfig {
         workers,
         ..ServerConfig::default()

@@ -171,7 +171,7 @@ fn csim_rate(sim: &mut CSim, clock: Option<&str>, passes: u64) -> f64 {
 
 /// Measures every registry design at a cycle-count scale (`1.0` = the
 /// full counts used by the binary; tests pass a fraction).
-pub fn run_scaled(scale: f64) -> Vec<CompilePoint> {
+fn run_scaled(scale: f64) -> Vec<CompilePoint> {
     let n = |base: u64| ((base as f64 * scale) as u64).max(64);
     rtl_design_registry()
         .iter()

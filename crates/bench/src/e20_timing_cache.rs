@@ -52,13 +52,6 @@ pub struct RemainderPoint {
     pub byte_identical: bool,
 }
 
-impl RemainderPoint {
-    /// Remainder compute saved by the warm replay, as a ratio.
-    pub fn warm_speedup(&self) -> f64 {
-        self.cold_timing_cpu / self.warm_timing_cpu.max(1e-9)
-    }
-}
-
 fn timing_cpu(report: &FlowReport) -> f64 {
     report
         .stages
@@ -76,7 +69,7 @@ fn signoff_json(report: &FlowReport) -> String {
 /// replay of the unchanged design, then a delay-only ECO (device 0
 /// widened 5 %) that must replay structure and re-propagate
 /// incrementally.
-pub fn run_remainder(width: u32) -> RemainderPoint {
+fn run_remainder(width: u32) -> RemainderPoint {
     let process = Process::strongarm_035();
     let config = FlowConfig::default();
     let base = alu_slice(width, &process).netlist;

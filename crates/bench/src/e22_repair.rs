@@ -28,7 +28,7 @@ use cbv_core::tech::Process;
 use cbv_repair::{repair_warm, replay_plan, restore_target, RepairConfig};
 
 /// The E16 parametric operators at their canonical magnitudes.
-pub fn parametric_ops() -> Vec<MutationOp> {
+fn parametric_ops() -> Vec<MutationOp> {
     vec![
         MutationOp::WidthScale { factor: 12.0 },
         MutationOp::WidthScale { factor: 1.0 / 10.0 },
@@ -86,12 +86,12 @@ impl RepairCampaign {
     }
 
     /// Detected mutants repaired to a byte-identical baseline signoff.
-    pub fn byte_clean(&self) -> usize {
+    fn byte_clean(&self) -> usize {
         self.trials.iter().filter(|t| t.byte_clean).count()
     }
 
     /// Byte-clean repairs as a fraction of detected mutants.
-    pub fn repair_rate(&self) -> f64 {
+    fn repair_rate(&self) -> f64 {
         let d = self.detected();
         if d == 0 {
             return 0.0;
@@ -101,13 +101,13 @@ impl RepairCampaign {
 
     /// Accepted plans that introduced a new finding class (the
     /// no-regression guarantee demands zero).
-    pub fn regressions(&self) -> usize {
+    fn regressions(&self) -> usize {
         self.trials.iter().filter(|t| t.regression).count()
     }
 
     /// Accepted plans whose serialized form failed to replay to the
     /// same bytes (must be zero).
-    pub fn replay_failures(&self) -> usize {
+    fn replay_failures(&self) -> usize {
         self.trials
             .iter()
             .filter(|t| t.repaired && !t.replay_ok)
@@ -115,7 +115,7 @@ impl RepairCampaign {
     }
 
     /// Median oracle calls over the repaired trials (0 if none).
-    pub fn median_oracle_calls(&self) -> usize {
+    fn median_oracle_calls(&self) -> usize {
         let mut calls: Vec<usize> = self
             .trials
             .iter()

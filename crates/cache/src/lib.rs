@@ -214,11 +214,9 @@ struct TimingEntry {
 ///
 /// A fingerprint-keyed map. Entries are never invalidated in place — a
 /// stale entry simply stops being hit once its key no longer matches
-/// anything — so an unbounded store only grows; call
-/// [`VerifyCache::retain_env`] to drop entries from dead environments,
-/// or give the cache a [capacity](VerifyCache::with_capacity) and let
-/// least-recently-used eviction bound it (what a long-running daemon
-/// does). Every [`get`](VerifyCache::get) refreshes the entry's recency;
+/// anything — so an unbounded store only grows; give the cache a
+/// [capacity](VerifyCache::with_capacity) and let least-recently-used
+/// eviction bound it (what a long-running daemon does). Every [`get`](VerifyCache::get) refreshes the entry's recency;
 /// an insert past capacity evicts the stalest entry and bumps the
 /// [eviction counter](VerifyCache::evictions).
 #[derive(Debug, Clone, Default)]
@@ -338,7 +336,7 @@ impl VerifyCache {
     /// True when the timing key is stored, without refreshing its
     /// recency (the absorb-accounting probe, like
     /// [`VerifyCache::contains`]).
-    pub fn contains_timing(&self, key: &TimingKey) -> bool {
+    fn contains_timing(&self, key: &TimingKey) -> bool {
         self.timing.contains_key(key)
     }
 
@@ -462,13 +460,6 @@ impl VerifyCache {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.timing.clear();
-    }
-
-    /// Keeps only entries recorded under the given environment
-    /// fingerprint (garbage collection after a corner/config change).
-    pub fn retain_env(&mut self, env: u64) {
-        self.entries.retain(|k, _| k.env == env);
-        self.timing.retain(|k, _| k.env == env);
     }
 
     /// Serializes the cache to JSON. Entries are emitted in sorted key
@@ -1028,7 +1019,7 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(&key).unwrap().checked, 42);
         assert!(c.get(&CacheKey { env: 9, ..key }).is_none());
-        c.retain_env(9);
+        c.clear();
         assert!(c.is_empty());
     }
 
@@ -1268,8 +1259,8 @@ mod tests {
         assert_eq!(c.timing_evictions(), 1);
         assert!(c.get_timing(&tkey(TimingSpace::Skew, 1)).is_none());
         assert_eq!(c.evictions(), 0, "unit tier untouched");
-        // retain_env and clear cover the timing tier too.
-        c.retain_env(99);
+        // clear covers the timing tier too.
+        c.clear();
         assert_eq!(c.timing_len(), 0);
         assert!(c.is_empty());
     }

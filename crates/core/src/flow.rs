@@ -148,15 +148,6 @@ impl FlowReport {
     pub fn total_runtime(&self) -> Seconds {
         self.stages.iter().map(|s| s.runtime).sum()
     }
-
-    /// Total compute across stages, counting every worker's busy time.
-    /// With parallel stages this exceeds [`total_runtime`]; the gap is
-    /// the work the extra threads absorbed.
-    ///
-    /// [`total_runtime`]: FlowReport::total_runtime
-    pub fn total_cpu_time(&self) -> Seconds {
-        self.stages.iter().map(|s| s.cpu_time).sum()
-    }
 }
 
 /// Cooperative deadline check run at the top of each per-unit closure.
@@ -887,8 +878,9 @@ mod tests {
         assert!(r.signoff.clean(), "{}", r.signoff);
         assert_eq!(r.stages.len(), 6);
         assert!(r.total_runtime().seconds() > 0.0);
+        let cpu_time: f64 = r.stages.iter().map(|s| s.cpu_time.seconds()).sum();
         assert!(
-            r.total_cpu_time().seconds() >= r.total_runtime().seconds() * 0.5,
+            cpu_time >= r.total_runtime().seconds() * 0.5,
             "cpu time tracks wall time within measurement noise"
         );
         assert!(r.signoff.power.unwrap() > 0.0);

@@ -5,11 +5,11 @@
 //! Techniques"* (DAC 1997): it re-exports every subsystem and adds the
 //! three pieces that tie them together:
 //!
-//! * [`views`] — the multi-view design database of §2.1: RTL, schematic
-//!   and layout views whose hierarchies deliberately do **not** have to
+//! * [`views`] — the hierarchy-overlap metrics of §2.1 and Fig 1: RTL,
+//!   schematic and layout hierarchies deliberately do **not** have to
 //!   correspond ("the designer is free to move logic/circuit functions
 //!   physically ... without having to maintain strict correspondence to
-//!   the RTL description"), plus the overlap metrics of Fig 1;
+//!   the RTL description"), so their correspondence is measured;
 //! * [`flow`] — the ALPHA design flow of Fig 2 as an executable
 //!   pipeline: RTL → schematic recognition → layout → extraction → the
 //!   §4.2 electrical battery → §4.3 timing → §3 power → §4.1 logic

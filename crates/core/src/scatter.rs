@@ -537,9 +537,9 @@ pub(crate) fn run_flow_tiered(
         let (mut outcomes, mut busy) = verify(&dirty_units);
         let (claims, theirs) = held;
         if let Some(tier) = tier {
-            // Publish before releasing (see `Inflight::claim_missing`),
-            // and compute and release before waiting: two runs holding
-            // claims on each other's units cannot block each other.
+            // Publish before releasing (see `Inflight::claim`), and
+            // compute and release before waiting: two runs holding claims
+            // on each other's units cannot block each other.
             tier.publish(&keys.units, &outcomes);
             drop(claims);
             if !theirs.is_empty() {

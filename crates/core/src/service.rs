@@ -291,12 +291,12 @@ impl FlowService {
 
 /// A prep lookup reads the store of the newest preps, FIFO past
 /// `PREP_CAPACITY`. The keyed fetch is one locked batch per request: the
-/// read refreshes
-/// recency in the tier, so a bounded tier keeps what live sessions are
-/// walking; the STA key follows in the same batch once the artifacts it
-/// is derived from are in the overlay, and the run's claims last, before
-/// the guard drops. The overlay inherits the tier's bound, so a design
-/// larger than the bound is capped per run as it is per tier.
+/// read refreshes recency in the tier, so a bounded tier keeps what live
+/// sessions are walking; the STA key follows in the same batch once the
+/// artifacts it is derived from are in the overlay, and the run's claims
+/// last, before the guard drops. The overlay inherits the tier's bound,
+/// so a design larger than the bound is capped per run as it is per
+/// tier.
 impl SharedTier for FlowService {
     fn prep(&self, key: PrepKey, by: Option<Instant>) -> PrepLookup<'_> {
         let lookup = || {

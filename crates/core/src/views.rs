@@ -1,65 +1,17 @@
-//! The multi-view design database and hierarchy-correspondence metrics.
+//! Hierarchy-correspondence metrics between the views of one design.
 //!
 //! §2.1: "Our hierarchy may be significantly different between different
 //! views of the design (RTL, schematic, and layout). ... This causes
 //! irregular overlapping of schematic and RTL boundaries as shown in
 //! Figure 1."
 //!
-//! [`Design`] holds the three views side by side with *no* structural
-//! coupling — correspondence is measured, not mandated.
-//! [`partition_overlap`] quantifies Fig 1: given two groupings of the
-//! same elements (e.g. nets grouped by RTL block vs by schematic cell),
-//! it reports how irregularly the boundaries overlap.
+//! The views live side by side with *no* structural coupling —
+//! correspondence is measured, not mandated. [`partition_overlap`]
+//! quantifies Fig 1: given two groupings of the same elements (e.g. nets
+//! grouped by RTL block vs by schematic cell), it reports how irregularly
+//! the boundaries overlap.
 
 use std::collections::HashMap;
-
-use cbv_layout::Layout;
-use cbv_netlist::{FlatNetlist, Library};
-use cbv_rtl::RtlDesign;
-
-/// The three views of one design. Any view may be absent; nothing forces
-/// their hierarchies to match.
-#[derive(Debug, Default)]
-pub struct Design {
-    /// Design name.
-    pub name: String,
-    /// Behavioral/RTL view.
-    pub rtl: Option<RtlDesign>,
-    /// Hierarchical schematic view.
-    pub schematic: Option<Library>,
-    /// Flattened transistor view (what verification runs on).
-    pub flat: Option<FlatNetlist>,
-    /// Layout view.
-    pub layout: Option<Layout>,
-}
-
-impl Design {
-    /// An empty design shell.
-    pub fn new(name: impl Into<String>) -> Design {
-        Design {
-            name: name.into(),
-            ..Design::default()
-        }
-    }
-
-    /// Which views are populated, for flow reporting.
-    pub fn views_present(&self) -> Vec<&'static str> {
-        let mut v = Vec::new();
-        if self.rtl.is_some() {
-            v.push("rtl");
-        }
-        if self.schematic.is_some() {
-            v.push("schematic");
-        }
-        if self.flat.is_some() {
-            v.push("flat");
-        }
-        if self.layout.is_some() {
-            v.push("layout");
-        }
-        v
-    }
-}
 
 /// Overlap statistics between two partitions of the same element set.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,14 +137,6 @@ mod tests {
         let s = partition_overlap(&a, &b);
         assert!(s.mean_best_jaccard < 0.5);
         assert!(s.crossing_elements >= 2);
-    }
-
-    #[test]
-    fn design_views_tracking() {
-        let mut d = Design::new("chip");
-        assert!(d.views_present().is_empty());
-        d.flat = Some(FlatNetlist::new("chip"));
-        assert_eq!(d.views_present(), vec!["flat"]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use cbv_obs::Tracer;
 use cbv_rtl::ast::Edge;
-use cbv_rtl::lookup::LookupError;
+use cbv_rtl::lookup::missing;
 
 use crate::program::{OpKind, Program, SLOT_ONES};
 
@@ -99,40 +99,19 @@ impl CSim {
     /// Panics if the input does not exist, the lane is out of range or
     /// the value does not fit the input's width.
     pub fn set_input(&mut self, lane: usize, name: &str, value: u64) {
-        self.try_set_input(lane, name, value)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`CSim::set_input`] reporting an unknown name as a
-    /// [`LookupError`] with a near-miss suggestion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LookupError`] when the input word does not exist.
-    ///
-    /// # Panics
-    ///
-    /// Still panics on an out-of-range lane or oversized value — those
-    /// are value contracts, not lookup failures.
-    pub fn try_set_input(
-        &mut self,
-        lane: usize,
-        name: &str,
-        value: u64,
-    ) -> Result<(), LookupError> {
         assert!(lane < LANES, "lane {lane} out of range (LANES = {LANES})");
         let word = self
             .prog
             .input_words
             .iter()
             .position(|(n, _)| n == name)
-            .ok_or_else(|| {
-                LookupError::new(
+            .unwrap_or_else(|| {
+                missing(
                     "input",
                     name,
                     self.prog.input_words.iter().map(|(n, _)| &**n),
                 )
-            })?;
+            });
         let slots = &self.prog.input_words[word].1;
         let width = slots.len() as u32;
         let fits = width >= 64 || value < (1u64 << width);
@@ -149,7 +128,6 @@ impl CSim {
             }
         }
         self.dirty = true;
-        Ok(())
     }
 
     /// Sets one input bit-plane across all 64 lanes at once (packed
@@ -167,43 +145,29 @@ impl CSim {
     ///
     /// Panics if the output does not exist or the lane is out of range.
     pub fn output(&mut self, lane: usize, name: &str) -> u64 {
-        self.try_output(lane, name)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`CSim::output`] reporting an unknown name as a [`LookupError`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LookupError`] when the output does not exist.
-    pub fn try_output(&mut self, lane: usize, name: &str) -> Result<u64, LookupError> {
         assert!(lane < LANES, "lane {lane} out of range (LANES = {LANES})");
-        let word = self
-            .prog
-            .outputs
-            .iter()
-            .position(|(n, _)| n == name)
-            .ok_or_else(|| {
-                LookupError::new("output", name, self.prog.outputs.iter().map(|(n, _)| &**n))
-            })?;
+        let word = self.output_word(name);
         self.settle();
         let slots = &self.prog.outputs[word].1;
-        Ok(slots.iter().enumerate().fold(0u64, |v, (i, &s)| {
+        slots.iter().enumerate().fold(0u64, |v, (i, &s)| {
             v | ((lane_bit(self.slots[s as usize], lane) as u64) << i)
-        }))
+        })
     }
 
     /// Reads one output bit-plane across all lanes (packed form of
     /// [`CSim::output`]); `name` plus bit index within the word.
     pub fn output_plane(&mut self, name: &str, bit: usize) -> u64 {
-        let word = self
-            .prog
-            .outputs
-            .iter()
-            .position(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("no output named `{name}`"));
+        let word = self.output_word(name);
         self.settle();
         self.slots[self.prog.outputs[word].1[bit] as usize]
+    }
+
+    fn output_word(&self, name: &str) -> usize {
+        let outputs = &self.prog.outputs;
+        outputs
+            .iter()
+            .position(|(n, _)| n == name)
+            .unwrap_or_else(|| missing("output", name, outputs.iter().map(|(n, _)| &**n)))
     }
 
     /// One full cycle of the named clock on **every lane**: the rising
@@ -215,21 +179,11 @@ impl CSim {
     ///
     /// Panics if the clock does not exist.
     pub fn step(&mut self, clock: &str) {
-        self.try_step(clock).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`CSim::step`] reporting an unknown clock as a [`LookupError`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LookupError`] when the clock does not exist.
-    pub fn try_step(&mut self, clock: &str) -> Result<(), LookupError> {
-        let ck = self.clock_of(clock)?;
+        let ck = self.clock_of(clock);
         self.commit_edge(ck, Edge::Pos);
         if self.prog.negedge_clocks[ck as usize] {
             self.commit_edge(ck, Edge::Neg);
         }
-        Ok(())
     }
 
     /// One half-cycle: commits only the given edge of the named clock
@@ -239,29 +193,16 @@ impl CSim {
     ///
     /// Panics if the clock does not exist.
     pub fn step_edge(&mut self, clock: &str, edge: Edge) {
-        self.try_step_edge(clock, edge)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`CSim::step_edge`] reporting an unknown clock as a
-    /// [`LookupError`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LookupError`] when the clock does not exist.
-    pub fn try_step_edge(&mut self, clock: &str, edge: Edge) -> Result<(), LookupError> {
-        let ck = self.clock_of(clock)?;
+        let ck = self.clock_of(clock);
         self.commit_edge(ck, edge);
-        Ok(())
     }
 
-    fn clock_of(&self, clock: &str) -> Result<u32, LookupError> {
-        self.prog
-            .clocks
+    fn clock_of(&self, clock: &str) -> u32 {
+        let clocks = &self.prog.clocks;
+        clocks
             .iter()
             .position(|c| c == clock)
-            .map(|i| i as u32)
-            .ok_or_else(|| LookupError::new("clock", clock, self.prog.clocks.iter().map(|c| &**c)))
+            .unwrap_or_else(|| missing("clock", clock, clocks.iter().map(|c| &**c))) as u32
     }
 
     /// Runs the straight-line program once if any input or state plane
@@ -334,7 +275,7 @@ impl CSim {
             cycles * n_in,
             "stimulus must hold one plane per input bit per cycle"
         );
-        let ck = self.clock_of(clock).unwrap_or_else(|e| panic!("{e}"));
+        let ck = self.clock_of(clock);
         let n_out: usize = self.prog.outputs.iter().map(|(_, b)| b.len()).sum();
         outputs.clear();
         outputs.reserve(cycles * n_out);
@@ -546,12 +487,21 @@ mod tests {
     #[test]
     fn lookup_errors_suggest_near_misses() {
         let (_, mut sim) = build("module m(in abc[4], out y[4]) { assign y = abc; }");
-        let e = sim.try_set_input(0, "abd", 1).unwrap_err();
-        assert_eq!(e.suggestion.as_deref(), Some("abc"));
-        let e = sim.try_output(0, "z").unwrap_err();
-        assert_eq!(e.kind, "output");
-        let e = sim.try_step("ck").unwrap_err();
-        assert_eq!(e.kind, "clock");
+        let mut panics_with = |expected: &str, case: &dyn Fn(&mut CSim)| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut sim)))
+                .expect_err(expected);
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), expected);
+        };
+        panics_with("no input named `abd`; did you mean `abc`?", &|s| {
+            s.set_input(0, "abd", 1)
+        });
+        panics_with("no output named `z`; did you mean `y`?", &|s| {
+            s.output(0, "z");
+        });
+        panics_with("no output named `yy`; did you mean `y`?", &|s| {
+            s.output_plane("yy", 0);
+        });
+        panics_with("no clock named `ck`", &|s| s.step("ck"));
     }
 
     #[test]

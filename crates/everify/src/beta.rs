@@ -6,7 +6,7 @@ use cbv_recognize::{LogicFamily, Recognition};
 use cbv_tech::Process;
 
 use crate::report::{CheckKind, Report, Subject};
-use crate::EverifyConfig;
+use crate::{CheckScope, EverifyConfig};
 
 /// Conductance of one series path (S), from k'·W/L per device.
 fn path_conductance(netlist: &FlatNetlist, process: &Process, path: &[DeviceId]) -> f64 {
@@ -34,25 +34,13 @@ fn best_conductance(netlist: &FlatNetlist, process: &Process, paths: &[Vec<Devic
         .fold(0.0, f64::max)
 }
 
-/// Runs the beta-ratio and size checks.
+/// Runs the beta-ratio and size checks on one ownership scope.
 pub fn check(
     netlist: &FlatNetlist,
     recognition: &Recognition,
     process: &Process,
     config: &EverifyConfig,
-    report: &mut Report,
-) {
-    let scope = crate::CheckScope::full(netlist, recognition);
-    check_scoped(netlist, recognition, process, config, &scope, report);
-}
-
-/// Runs the beta-ratio and size checks on one ownership scope.
-pub fn check_scoped(
-    netlist: &FlatNetlist,
-    recognition: &Recognition,
-    process: &Process,
-    config: &EverifyConfig,
-    scope: &crate::CheckScope,
+    scope: &CheckScope,
     report: &mut Report,
 ) {
     // Device size sanity: drawn geometry below manufacturable minimum.
@@ -157,7 +145,14 @@ mod tests {
         let rec = recognize(f);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
-        check(f, &rec, &process, &cfg, &mut report);
+        check(
+            f,
+            &rec,
+            &process,
+            &cfg,
+            &CheckScope::full(f, &rec),
+            &mut report,
+        );
         report
     }
 

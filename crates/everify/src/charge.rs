@@ -11,27 +11,15 @@ use cbv_recognize::Recognition;
 use cbv_tech::Process;
 
 use crate::report::{CheckKind, Report, Subject};
-use crate::EverifyConfig;
+use crate::{CheckScope, EverifyConfig};
 
-/// Runs the charge-share check on every dynamic output.
+/// Runs the charge-share check on one ownership scope.
 pub fn check(
     netlist: &FlatNetlist,
     recognition: &Recognition,
     process: &Process,
     config: &EverifyConfig,
-    report: &mut Report,
-) {
-    let scope = crate::CheckScope::full(netlist, recognition);
-    check_scoped(netlist, recognition, process, config, &scope, report);
-}
-
-/// Runs the charge-share check on one ownership scope.
-pub fn check_scoped(
-    netlist: &FlatNetlist,
-    recognition: &Recognition,
-    process: &Process,
-    config: &EverifyConfig,
-    scope: &crate::CheckScope,
+    scope: &CheckScope,
     report: &mut Report,
 ) {
     for &ci in &scope.cccs {
@@ -210,7 +198,14 @@ mod tests {
         let rec = recognize(f);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
-        check(f, &rec, &process, &cfg, &mut report);
+        check(
+            f,
+            &rec,
+            &process,
+            &cfg,
+            &CheckScope::full(f, &rec),
+            &mut report,
+        );
         report
     }
 
@@ -243,7 +238,14 @@ mod tests {
                 let rec = recognize(&mut f);
                 let cfg = EverifyConfig::for_process(&process);
                 let mut report = Report::new(1e-6);
-                check(&f, &rec, &process, &cfg, &mut report);
+                check(
+                    &f,
+                    &rec,
+                    &process,
+                    &cfg,
+                    &CheckScope::full(&f, &rec),
+                    &mut report,
+                );
                 report.findings().first().map(|fi| fi.stress).unwrap_or(0.0)
             })
             .collect();

@@ -10,7 +10,7 @@ use cbv_recognize::Recognition;
 use cbv_tech::{Corner, Process};
 
 use crate::report::{CheckKind, Report, Subject};
-use crate::EverifyConfig;
+use crate::{CheckScope, EverifyConfig};
 
 fn weakest_path_resistance(
     netlist: &FlatNetlist,
@@ -48,35 +48,14 @@ fn weakest_path_resistance(
     })
 }
 
-/// Runs the edge-rate check on every driven output.
+/// Runs the edge-rate check on one ownership scope.
 pub fn check(
     netlist: &FlatNetlist,
     recognition: &Recognition,
     extracted: &Extracted,
     process: &Process,
     config: &EverifyConfig,
-    report: &mut Report,
-) {
-    let scope = crate::CheckScope::full(netlist, recognition);
-    check_scoped(
-        netlist,
-        recognition,
-        extracted,
-        process,
-        config,
-        &scope,
-        report,
-    );
-}
-
-/// Runs the edge-rate check on one ownership scope.
-pub fn check_scoped(
-    netlist: &FlatNetlist,
-    recognition: &Recognition,
-    extracted: &Extracted,
-    process: &Process,
-    config: &EverifyConfig,
-    scope: &crate::CheckScope,
+    scope: &CheckScope,
     report: &mut Report,
 ) {
     let slow = Corner::slow(process);
@@ -178,7 +157,15 @@ mod tests {
         let rec = recognize(&mut f);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
-        check(&f, &rec, &ex, &process, &cfg, &mut report);
+        check(
+            &f,
+            &rec,
+            &ex,
+            &process,
+            &cfg,
+            &CheckScope::full(&f, &rec),
+            &mut report,
+        );
         report
     }
 
@@ -236,7 +223,15 @@ mod tests {
         let rec = recognize(&mut f);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
-        check(&f, &rec, &ex, &process, &cfg, &mut report);
+        check(
+            &f,
+            &rec,
+            &ex,
+            &process,
+            &cfg,
+            &CheckScope::full(&f, &rec),
+            &mut report,
+        );
         assert!(
             report.violations().any(|v| v.check == CheckKind::EdgeRate),
             "600x fanout on a minimum driver must fail edge rate"

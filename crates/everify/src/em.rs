@@ -15,37 +15,16 @@ use cbv_recognize::{NetRole, Recognition};
 use cbv_tech::{Corner, Layer, Process};
 
 use crate::report::{CheckKind, Report, Subject};
-use crate::EverifyConfig;
+use crate::{CheckScope, EverifyConfig};
 
-/// Runs both EM checks on every driven net.
+/// Runs both EM checks on the nets one scope owns.
 pub fn check(
     netlist: &FlatNetlist,
     recognition: &Recognition,
     extracted: &Extracted,
     process: &Process,
     config: &EverifyConfig,
-    report: &mut Report,
-) {
-    let scope = crate::CheckScope::full(netlist, recognition);
-    check_scoped(
-        netlist,
-        recognition,
-        extracted,
-        process,
-        config,
-        &scope,
-        report,
-    );
-}
-
-/// Runs both EM checks on the nets one scope owns.
-pub fn check_scoped(
-    netlist: &FlatNetlist,
-    recognition: &Recognition,
-    extracted: &Extracted,
-    process: &Process,
-    config: &EverifyConfig,
-    scope: &crate::CheckScope,
+    scope: &CheckScope,
     report: &mut Report,
 ) {
     let m1 = process.wires().params(Layer::Metal1);
@@ -161,7 +140,15 @@ mod tests {
         let rec = recognize(&mut f);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
-        check(&f, &rec, &ex, &process, &cfg, &mut report);
+        check(
+            &f,
+            &rec,
+            &ex,
+            &process,
+            &cfg,
+            &CheckScope::full(&f, &rec),
+            &mut report,
+        );
         assert_eq!(report.violations().count(), 0, "{:?}", report.findings());
     }
 
@@ -199,7 +186,15 @@ mod tests {
         let rec = recognize(&mut f);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
-        check(&f, &rec, &ex, &process, &cfg, &mut report);
+        check(
+            &f,
+            &rec,
+            &ex,
+            &process,
+            &cfg,
+            &CheckScope::full(&f, &rec),
+            &mut report,
+        );
         assert!(
             report
                 .violations()
@@ -252,7 +247,15 @@ mod tests {
             let rec = recognize(&mut f);
             let cfg = EverifyConfig::for_process(&process);
             let mut report = Report::new(1e-6);
-            check(&f, &rec, &ex, &process, &cfg, &mut report);
+            check(
+                &f,
+                &rec,
+                &ex,
+                &process,
+                &cfg,
+                &CheckScope::full(&f, &rec),
+                &mut report,
+            );
             report
                 .of_check(CheckKind::Electromigration)
                 .filter(|fi| matches!(fi.subject, Subject::Net(n) if n == drv))

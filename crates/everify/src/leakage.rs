@@ -12,37 +12,16 @@ use cbv_recognize::Recognition;
 use cbv_tech::{Corner, Process};
 
 use crate::report::{CheckKind, Report, Subject};
-use crate::EverifyConfig;
+use crate::{CheckScope, EverifyConfig};
 
-/// Runs the dynamic-leakage check.
+/// Runs the dynamic-leakage check on one ownership scope.
 pub fn check(
     netlist: &FlatNetlist,
     recognition: &Recognition,
     extracted: &Extracted,
     process: &Process,
     config: &EverifyConfig,
-    report: &mut Report,
-) {
-    let scope = crate::CheckScope::full(netlist, recognition);
-    check_scoped(
-        netlist,
-        recognition,
-        extracted,
-        process,
-        config,
-        &scope,
-        report,
-    );
-}
-
-/// Runs the dynamic-leakage check on one ownership scope.
-pub fn check_scoped(
-    netlist: &FlatNetlist,
-    recognition: &Recognition,
-    extracted: &Extracted,
-    process: &Process,
-    config: &EverifyConfig,
-    scope: &crate::CheckScope,
+    scope: &CheckScope,
     report: &mut Report,
 ) {
     let fast = Corner::fast(process);
@@ -147,7 +126,15 @@ mod tests {
         let mut cfg = EverifyConfig::for_process(&process);
         cfg.dynamic_hold = Seconds::new(hold_ns * 1e-9);
         let mut report = Report::new(cfg.filter_threshold);
-        check(&f, &rec, &ex, &process, &cfg, &mut report);
+        check(
+            &f,
+            &rec,
+            &ex,
+            &process,
+            &cfg,
+            &CheckScope::full(&f, &rec),
+            &mut report,
+        );
         report
     }
 

@@ -42,6 +42,7 @@ pub mod stress;
 
 pub use report::{CheckKind, Finding, Report, Severity, Subject};
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use cbv_exec::Executor;
@@ -124,9 +125,103 @@ impl CheckScope {
     }
 }
 
+/// The inputs every check of the battery reads.
+#[derive(Clone, Copy)]
+struct Inputs<'a> {
+    netlist: &'a FlatNetlist,
+    recognition: &'a Recognition,
+    extracted: &'a Extracted,
+    layout: Option<&'a Layout>,
+    process: &'a Process,
+    config: &'a EverifyConfig,
+}
+
+type CheckFn = fn(&Inputs<'_>, &CheckScope, &mut Report);
+
+/// The §4.2 battery in the paper's fixed check order: each check's kind,
+/// whether it reads global structure and so runs only in the
+/// whole-design scope, and its body. Antenna analysis needs a layout and
+/// is skipped without one. [`battery`] and [`run_scoped`] both read this
+/// one list.
+const BATTERY: [(CheckKind, bool, CheckFn); 9] = [
+    (CheckKind::BetaRatio, false, |d, s, r| {
+        beta::check(d.netlist, d.recognition, d.process, d.config, s, r)
+    }),
+    (CheckKind::EdgeRate, false, |d, s, r| {
+        edges::check(
+            d.netlist,
+            d.recognition,
+            d.extracted,
+            d.process,
+            d.config,
+            s,
+            r,
+        )
+    }),
+    (CheckKind::Coupling, false, |d, s, r| {
+        coupling::check(
+            d.netlist,
+            d.recognition,
+            d.extracted,
+            d.process,
+            d.config,
+            s,
+            r,
+        )
+    }),
+    (CheckKind::ChargeShare, false, |d, s, r| {
+        charge::check(d.netlist, d.recognition, d.process, d.config, s, r)
+    }),
+    (CheckKind::Leakage, false, |d, s, r| {
+        leakage::check(
+            d.netlist,
+            d.recognition,
+            d.extracted,
+            d.process,
+            d.config,
+            s,
+            r,
+        )
+    }),
+    (CheckKind::Writability, true, |d, _, r| {
+        latch::check(d.netlist, d.recognition, d.process, d.config, r)
+    }),
+    (CheckKind::Electromigration, false, |d, s, r| {
+        em::check(
+            d.netlist,
+            d.recognition,
+            d.extracted,
+            d.process,
+            d.config,
+            s,
+            r,
+        )
+    }),
+    (CheckKind::Antenna, true, |d, _, r| {
+        if let Some(layout) = d.layout {
+            antenna::check(d.netlist, layout, d.config, r)
+        }
+    }),
+    (CheckKind::HotCarrier, false, |d, s, r| {
+        stress::check(d.netlist, d.process, d.config, &s.devices, r)
+    }),
+];
+
+impl Inputs<'_> {
+    /// The rows of [`BATTERY`] that apply to this design.
+    fn checks(self) -> impl Iterator<Item = &'static (CheckKind, bool, CheckFn)> {
+        let has_layout = self.layout.is_some();
+        BATTERY
+            .iter()
+            .filter(move |(kind, _, _)| *kind != CheckKind::Antenna || has_layout)
+    }
+}
+
 /// Runs the battery restricted to one ownership scope, in the fixed
-/// check order of the paper's list. Merging the reports of a full
-/// [`CheckScope::partition`] yields the same findings as [`run_all`].
+/// check order of the paper's list, inline on the calling thread (a
+/// panicking check unwinds to the caller). Merging the reports of a
+/// full [`CheckScope::partition`] yields the same findings as
+/// [`run_all`].
 pub fn run_scoped(
     netlist: &FlatNetlist,
     recognition: &Recognition,
@@ -136,54 +231,20 @@ pub fn run_scoped(
     config: &EverifyConfig,
     scope: &CheckScope,
 ) -> Report {
+    let inputs = Inputs {
+        netlist,
+        recognition,
+        extracted,
+        layout,
+        process,
+        config,
+    };
     let mut report = Report::new(config.filter_threshold);
-    beta::check_scoped(netlist, recognition, process, config, scope, &mut report);
-    edges::check_scoped(
-        netlist,
-        recognition,
-        extracted,
-        process,
-        config,
-        scope,
-        &mut report,
-    );
-    coupling::check_scoped(
-        netlist,
-        recognition,
-        extracted,
-        process,
-        config,
-        scope,
-        &mut report,
-    );
-    charge::check_scoped(netlist, recognition, process, config, scope, &mut report);
-    leakage::check_scoped(
-        netlist,
-        recognition,
-        extracted,
-        process,
-        config,
-        scope,
-        &mut report,
-    );
-    if scope.whole_design {
-        latch::check(netlist, recognition, process, config, &mut report);
-    }
-    em::check_scoped(
-        netlist,
-        recognition,
-        extracted,
-        process,
-        config,
-        scope,
-        &mut report,
-    );
-    if scope.whole_design {
-        if let Some(layout) = layout {
-            antenna::check(netlist, layout, config, &mut report);
+    for (_, whole_design_only, body) in inputs.checks() {
+        if scope.whole_design || !whole_design_only {
+            body(&inputs, scope, &mut report);
         }
     }
-    stress::check_scoped(netlist, process, config, scope, &mut report);
     report
 }
 
@@ -255,7 +316,7 @@ impl EverifyConfig {
 }
 
 /// Runs every check serially and aggregates the findings into one
-/// report. Equivalent to [`run_all_parallel`] on a single worker.
+/// report: [`run_battery`] over [`battery`] on one worker, untraced.
 pub fn run_all(
     netlist: &FlatNetlist,
     recognition: &Recognition,
@@ -264,14 +325,12 @@ pub fn run_all(
     process: &Process,
     config: &EverifyConfig,
 ) -> Report {
-    run_all_parallel(
-        netlist,
-        recognition,
-        extracted,
-        layout,
-        process,
-        config,
+    let checks = battery(netlist, recognition, extracted, layout, process, config);
+    run_battery(
+        checks,
+        config.filter_threshold,
         &Executor::serial(),
+        TraceCtx::disabled(),
     )
     .0
 }
@@ -300,7 +359,8 @@ impl<'a> BatteryCheck<'a> {
 }
 
 /// The full battery in the paper's fixed check order (antenna only when
-/// a layout is present). Feed this to [`run_battery`].
+/// a layout is present), each check over the whole design. Feed this to
+/// [`run_battery`].
 pub fn battery<'a>(
     netlist: &'a FlatNetlist,
     recognition: &'a Recognition,
@@ -309,38 +369,22 @@ pub fn battery<'a>(
     process: &'a Process,
     config: &'a EverifyConfig,
 ) -> Vec<BatteryCheck<'a>> {
-    let mut checks: Vec<BatteryCheck<'a>> = vec![
-        BatteryCheck::new(CheckKind::BetaRatio, |r| {
-            beta::check(netlist, recognition, process, config, r)
-        }),
-        BatteryCheck::new(CheckKind::EdgeRate, |r| {
-            edges::check(netlist, recognition, extracted, process, config, r)
-        }),
-        BatteryCheck::new(CheckKind::Coupling, |r| {
-            coupling::check(netlist, recognition, extracted, process, config, r)
-        }),
-        BatteryCheck::new(CheckKind::ChargeShare, |r| {
-            charge::check(netlist, recognition, process, config, r)
-        }),
-        BatteryCheck::new(CheckKind::Leakage, |r| {
-            leakage::check(netlist, recognition, extracted, process, config, r)
-        }),
-        BatteryCheck::new(CheckKind::Writability, |r| {
-            latch::check(netlist, recognition, process, config, r)
-        }),
-        BatteryCheck::new(CheckKind::Electromigration, |r| {
-            em::check(netlist, recognition, extracted, process, config, r)
-        }),
-    ];
-    if let Some(layout) = layout {
-        checks.push(BatteryCheck::new(CheckKind::Antenna, move |r| {
-            antenna::check(netlist, layout, config, r)
-        }));
-    }
-    checks.push(BatteryCheck::new(CheckKind::HotCarrier, |r| {
-        stress::check(netlist, process, config, r)
-    }));
-    checks
+    let inputs = Inputs {
+        netlist,
+        recognition,
+        extracted,
+        layout,
+        process,
+        config,
+    };
+    let scope = Arc::new(CheckScope::full(netlist, recognition));
+    inputs
+        .checks()
+        .map(|&(kind, _, body)| {
+            let scope = Arc::clone(&scope);
+            BatteryCheck::new(kind, move |r| body(&inputs, &scope, r))
+        })
+        .collect()
 }
 
 /// Runs a battery with the checks fanned out across `exec`'s workers,
@@ -406,24 +450,6 @@ pub fn finding_counters(report: &Report, ctx: TraceCtx<'_>) {
         .add("everify.checked", report.checked_count() as u64);
     ctx.tracer
         .add("everify.filtered", report.filtered_count() as u64);
-}
-
-/// Runs the battery with the nine checks fanned out across `exec`'s
-/// workers — [`run_battery`] over [`battery`] without tracing.
-///
-/// Every input is shared read-only — the netlist's connectivity index is
-/// maintained incrementally, so no check needs `&mut FlatNetlist`.
-pub fn run_all_parallel(
-    netlist: &FlatNetlist,
-    recognition: &Recognition,
-    extracted: &Extracted,
-    layout: Option<&Layout>,
-    process: &Process,
-    config: &EverifyConfig,
-    exec: &Executor,
-) -> (Report, Duration) {
-    let checks = battery(netlist, recognition, extracted, layout, process, config);
-    run_battery(checks, config.filter_threshold, exec, TraceCtx::disabled())
 }
 
 #[cfg(test)]

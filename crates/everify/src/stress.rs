@@ -17,29 +17,8 @@ use crate::EverifyConfig;
 /// Relative permittivity of SiO₂ × ε₀ (F/m).
 const EPS_OX: f64 = 3.9 * 8.854e-12;
 
-/// Runs hot-carrier and TDDB checks on every device.
+/// Runs hot-carrier and TDDB checks on the devices one scope owns.
 pub fn check(
-    netlist: &FlatNetlist,
-    process: &Process,
-    config: &EverifyConfig,
-    report: &mut Report,
-) {
-    let all: Vec<DeviceId> = (0..netlist.devices().len() as u32).map(DeviceId).collect();
-    check_devices(netlist, process, config, &all, report);
-}
-
-/// Runs hot-carrier and TDDB checks on one ownership scope.
-pub fn check_scoped(
-    netlist: &FlatNetlist,
-    process: &Process,
-    config: &EverifyConfig,
-    scope: &crate::CheckScope,
-    report: &mut Report,
-) {
-    check_devices(netlist, process, config, &scope.devices, report);
-}
-
-fn check_devices(
     netlist: &FlatNetlist,
     process: &Process,
     config: &EverifyConfig,
@@ -89,6 +68,10 @@ mod tests {
     use super::*;
     use cbv_netlist::{Device, NetKind};
 
+    fn all(f: &FlatNetlist) -> Vec<DeviceId> {
+        f.device_ids().collect()
+    }
+
     fn one_nmos(l: f64, process: &Process) -> (FlatNetlist, Report, EverifyConfig) {
         let mut f = FlatNetlist::new("d");
         let a = f.add_net("a", NetKind::Input);
@@ -97,7 +80,7 @@ mod tests {
         f.add_device(Device::mos(MosKind::Nmos, "n", a, y, gnd, gnd, 4e-6, l));
         let cfg = EverifyConfig::for_process(process);
         let mut report = Report::new(1e-6); // keep every record for inspection
-        check(&f, process, &cfg, &mut report);
+        check(&f, process, &cfg, &all(&f), &mut report);
         (f, report, cfg)
     }
 
@@ -120,7 +103,7 @@ mod tests {
         ));
         let cfg = EverifyConfig::for_process(&p);
         let mut report = Report::new(cfg.filter_threshold);
-        check(&f, &p, &cfg, &mut report);
+        check(&f, &p, &cfg, &all(&f), &mut report);
         assert_eq!(report.violations().count(), 0, "{:?}", report.findings());
     }
 
@@ -159,7 +142,7 @@ mod tests {
         ));
         let cfg = EverifyConfig::for_process(&p);
         let mut report = Report::new(1e-6);
-        check(&f, &p, &cfg, &mut report);
+        check(&f, &p, &cfg, &all(&f), &mut report);
         assert_eq!(report.of_check(CheckKind::HotCarrier).count(), 0);
         assert_eq!(report.of_check(CheckKind::Tddb).count(), 1);
     }

@@ -14,7 +14,7 @@
 //!   a parallel run produces the same `Vec` a serial run would. Work is
 //!   handed out dynamically (an atomic-free shared iterator), but every
 //!   result lands in its input's slot.
-//! * **Bounded** — at most [`Executor::thread_count`] workers exist at a
+//! * **Bounded** — at most the configured number of workers exist at a
 //!   time, and they live only for the duration of one `map` call.
 //! * **Configurable** — [`Executor::new`] honours the `CBV_THREADS`
 //!   environment variable; [`Executor::threads`] pins a count
@@ -32,7 +32,7 @@ use cbv_obs::TraceCtx;
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "CBV_THREADS";
 
-/// A task handed to [`Executor::try_map_timed`] panicked. Carries the
+/// A task handed to [`Executor::try_map_traced`] panicked. Carries the
 /// task's input index and the panic message so callers can convert the
 /// failure into a reviewable finding that *names the unit* instead of
 /// letting one bad check take down the whole battery.
@@ -114,11 +114,6 @@ impl Executor {
         Executor { threads: 1 }
     }
 
-    /// The configured worker count.
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
     /// Applies `f` to every item, in parallel, returning results in the
     /// input order. Items are scheduled dynamically so uneven work
     /// balances across workers.
@@ -128,27 +123,18 @@ impl Executor {
         T: Send,
         F: Fn(I) -> T + Sync,
     {
-        self.map_timed(items, f).0
-    }
-
-    /// [`map`](Executor::map), also returning the aggregate busy time
-    /// summed over all workers. With one worker this equals wall-clock;
-    /// with `n` busy workers it approaches `n ×` wall-clock — the
-    /// "worker-CPU" figure the flow's stage reports record.
-    pub fn map_timed<I, T, F>(&self, items: Vec<I>, f: F) -> (Vec<T>, Duration)
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
         self.map_traced(TraceCtx::disabled(), items, f, |_| String::new())
+            .0
     }
 
-    /// [`map_timed`](Executor::map_timed) with per-task tracing: each
-    /// task gets a span named by `label(index)` under `ctx`'s parent, so
-    /// queue skew across workers is visible in the trace. `label` is
-    /// only invoked when the tracer is enabled — untraced runs pay
-    /// nothing for it. A panicking task re-panics *after* all workers
+    /// [`map`](Executor::map) with per-task tracing, also returning the
+    /// aggregate busy time summed over all workers. With one worker this
+    /// equals wall-clock; with `n` busy workers it approaches `n ×`
+    /// wall-clock — the "worker-CPU" figure the flow's stage reports
+    /// record. Each task gets a span named by `label(index)` under
+    /// `ctx`'s parent, so queue skew across workers is visible in the
+    /// trace. `label` is only invoked when the tracer is enabled —
+    /// untraced runs pay nothing for it. A panicking task re-panics *after* all workers
     /// drain, with the [`TaskPanic`] message; use
     /// [`try_map_traced`](Executor::try_map_traced) to convert panics
     /// into values instead.
@@ -173,29 +159,14 @@ impl Executor {
         (out, busy)
     }
 
-    /// [`map_timed`](Executor::map_timed) with per-task panic
-    /// isolation: each task runs under [`catch_unwind`], so one
+    /// The full-featured map: per-task spans *and* per-task panic
+    /// isolation — each task runs under [`catch_unwind`], so one
     /// panicking check cannot take down the battery. The result slot of
     /// a panicking task carries a [`TaskPanic`] naming it; every other
-    /// task still completes and lands in order.
-    pub fn try_map_timed<I, T, F>(
-        &self,
-        items: Vec<I>,
-        f: F,
-    ) -> (Vec<Result<T, TaskPanic>>, Duration)
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        self.try_map_traced(TraceCtx::disabled(), items, f, |_| String::new())
-    }
-
-    /// The full-featured map: per-task spans *and* per-task panic
-    /// isolation. All other `map` flavours delegate here. The span of a
-    /// panicking task still closes (and is recorded) before the
-    /// [`TaskPanic`] is returned, so the failure is visible in the
-    /// trace at the unit that caused it.
+    /// task still completes and lands in order. The other `map` flavours
+    /// delegate here. The span of a panicking task still closes (and is
+    /// recorded) before the [`TaskPanic`] is returned, so the failure is
+    /// visible in the trace at the unit that caused it.
     pub fn try_map_traced<I, T, F, L>(
         &self,
         ctx: TraceCtx<'_>,
@@ -312,6 +283,14 @@ fn default_threads() -> usize {
 mod tests {
     use super::*;
 
+    fn untraced<T: Send>(
+        exec: &Executor,
+        items: Vec<u64>,
+        f: impl Fn(u64) -> T + Sync,
+    ) -> (Vec<T>, Duration) {
+        exec.map_traced(TraceCtx::disabled(), items, f, |_| String::new())
+    }
+
     #[test]
     fn map_preserves_order() {
         for threads in [1, 2, 8] {
@@ -338,10 +317,10 @@ mod tests {
 
     #[test]
     fn thread_count_resolution() {
-        assert_eq!(Executor::threads(3).thread_count(), 3);
-        assert_eq!(Executor::serial().thread_count(), 1);
-        assert!(Executor::threads(0).thread_count() >= 1);
-        assert!(Executor::new().thread_count() >= 1);
+        assert_eq!(Executor::threads(3).threads, 3);
+        assert_eq!(Executor::serial().threads, 1);
+        assert!(Executor::threads(0).threads >= 1);
+        assert!(Executor::new().threads >= 1);
     }
 
     #[test]
@@ -350,7 +329,7 @@ mod tests {
             let exec = Executor::threads(threads);
             let empty: Vec<u64> = exec.map(Vec::new(), |x: u64| x + 1);
             assert!(empty.is_empty(), "empty input yields empty output");
-            let (one, busy) = exec.map_timed(vec![41u64], |x| x + 1);
+            let (one, busy) = untraced(&exec, vec![41u64], |x| x + 1);
             assert_eq!(one, vec![42]);
             // A single item runs inline; busy time is still measured.
             assert!(busy >= Duration::ZERO);
@@ -372,19 +351,19 @@ mod tests {
         for (value, check) in checks {
             std::env::set_var(THREADS_ENV, value);
             let exec = Executor::new();
-            check(exec.thread_count());
+            check(exec.threads);
             // Whatever the resolution, mapping must not panic and must
             // preserve order.
             assert_eq!(exec.map(vec![1u64, 2, 3], |x| x * 2), vec![2, 4, 6]);
         }
         std::env::remove_var(THREADS_ENV);
-        assert!(Executor::new().thread_count() >= 1, "unset means auto");
+        assert!(Executor::new().threads >= 1, "unset means auto");
     }
 
     #[test]
     fn busy_time_accumulates() {
         let exec = Executor::threads(4);
-        let (out, busy) = exec.map_timed((0..16).collect::<Vec<u64>>(), |x| {
+        let (out, busy) = untraced(&exec, (0..16).collect::<Vec<u64>>(), |x| {
             std::thread::sleep(Duration::from_millis(2));
             x
         });
@@ -405,16 +384,21 @@ mod tests {
     fn try_map_isolates_panics_per_task() {
         for threads in [1, 2, 8] {
             let exec = Executor::threads(threads);
-            let (out, _busy) = exec.try_map_timed((0u64..16).collect(), |x| {
-                if x == 5 {
-                    panic!("unit {x} exploded");
-                }
-                if x == 9 {
-                    // Non-&str payload path.
-                    std::panic::panic_any(format!("unit {x} exploded loudly"));
-                }
-                x * 2
-            });
+            let (out, _busy) = exec.try_map_traced(
+                TraceCtx::disabled(),
+                (0u64..16).collect(),
+                |x| {
+                    if x == 5 {
+                        panic!("unit {x} exploded");
+                    }
+                    if x == 9 {
+                        // Non-&str payload path.
+                        std::panic::panic_any(format!("unit {x} exploded loudly"));
+                    }
+                    x * 2
+                },
+                |_| String::new(),
+            );
             assert_eq!(out.len(), 16);
             for (i, r) in out.iter().enumerate() {
                 match (i, r) {

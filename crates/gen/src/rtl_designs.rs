@@ -39,7 +39,7 @@ pub struct RtlDesignSpec {
 /// the Manchester domino adder datapath (§2's precharge/evaluate stage
 /// becomes the two-phase register pair). This is the E18 headline
 /// design at `width = 32`.
-pub fn manchester_class_adder_rtl(width: u32) -> String {
+fn manchester_class_adder_rtl(width: u32) -> String {
     let w2 = width + 2;
     let hi = width;
     format!(

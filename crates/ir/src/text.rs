@@ -23,7 +23,7 @@
 //! bytes and `load ∘ dump` is the identity. The `end` marker makes
 //! truncation detectable: a file without it is rejected.
 
-use cbv_netlist::{Device, FlatNetlist, NetId, NetKind, Passive, PassiveKind};
+use cbv_netlist::{valid_geometry, Device, FlatNetlist, NetId, NetKind, Passive, PassiveKind};
 use cbv_recognize::{LogicFamily, Recognition, StateKind};
 use cbv_tech::MosKind;
 use serde::write_json_string;
@@ -500,7 +500,7 @@ pub fn load(text: &str) -> Result<IrDesign, IrError> {
                 let w = parse_f64(keyed(&tokens, 8, "w", lineno)?, lineno, "width")?;
                 let l = parse_f64(keyed(&tokens, 9, "l", lineno)?, lineno, "length")?;
                 let m = parse_u32(keyed(&tokens, 10, "m", lineno)?, lineno, "finger count")?;
-                if w <= 0.0 || l <= 0.0 {
+                if !valid_geometry(w, l) {
                     return Err(parse_err(
                         lineno,
                         format!("non-positive geometry w={w:?} l={l:?}"),

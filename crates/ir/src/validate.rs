@@ -10,7 +10,7 @@
 //! text: SPICE uploads and Yosys imports pass through the same gate as
 //! `cbv-ir` files.
 
-use cbv_netlist::{FlatNetlist, NetKind};
+use cbv_netlist::{valid_geometry, FlatNetlist, NetKind};
 use cbv_recognize::recognize;
 
 use crate::error::{IrError, IrRule, IrViolation};
@@ -61,17 +61,16 @@ pub fn validate(netlist: &FlatNetlist) -> Vec<IrViolation> {
                 touch(net);
             }
         }
-        if !d.w.is_finite() || !d.l.is_finite() {
+        if !valid_geometry(d.w, d.l) {
+            let (rule, what) = if d.w.is_finite() && d.l.is_finite() {
+                (IrRule::IllTypedDevice, "non-positive")
+            } else {
+                (IrRule::NonFiniteGeometry, "non-finite")
+            };
             out.push(violation(
-                IrRule::NonFiniteGeometry,
+                rule,
                 subject.clone(),
-                format!("non-finite geometry w={:?} l={:?}", d.w, d.l),
-            ));
-        } else if d.w <= 0.0 || d.l <= 0.0 {
-            out.push(violation(
-                IrRule::IllTypedDevice,
-                subject.clone(),
-                format!("non-positive geometry w={:?} l={:?}", d.w, d.l),
+                format!("{what} geometry w={:?} l={:?}", d.w, d.l),
             ));
         }
         if d.fingers == 0 {

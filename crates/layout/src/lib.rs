@@ -97,15 +97,6 @@ impl Layout {
         self.shapes.iter().filter(move |s| s.net == Some(net))
     }
 
-    /// Total wire length (meters) on a net for a layer, counting the long
-    /// dimension of each shape.
-    pub fn wire_length(&self, net: NetId, layer: Layer) -> f64 {
-        self.shapes_on(net)
-            .filter(|s| s.layer == layer)
-            .map(|s| s.rect.width().max(s.rect.height()) as f64 * 1e-9)
-            .sum()
-    }
-
     /// The placement site of a device, if placed.
     pub fn site(&self, device: DeviceId) -> Option<&DeviceSite> {
         self.sites.iter().find(|s| s.device == device)
@@ -255,17 +246,5 @@ mod tests {
         ));
         let l2 = synthesize(&mut big, &Process::strongarm_035());
         assert!(l2.area() > l1.area());
-    }
-
-    #[test]
-    fn wire_length_accumulates() {
-        let mut f = nand2();
-        let l = synthesize(&mut f, &Process::strongarm_035());
-        let a = f.find_net("a").unwrap();
-        let total: f64 = cbv_tech::Layer::ALL
-            .iter()
-            .map(|&layer| l.wire_length(a, layer))
-            .sum();
-        assert!(total > 0.0);
     }
 }

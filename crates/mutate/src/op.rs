@@ -101,40 +101,6 @@ impl MutationOp {
         }
     }
 
-    /// The operator that *approximately* undoes this one when applied at
-    /// the same site: parametric operators return their reciprocal
-    /// magnitude, the self-inverse structural swaps return themselves,
-    /// and detach/append operators (whose exact inverse is the recorded
-    /// [`Mutation`] undo, not an operator) return `None`.
-    ///
-    /// This is a *hint*, not an exact inverse: `w * f * (1/f)` may differ
-    /// from `w` in the last ulp (the round-trip tolerance the unit tests
-    /// pin down), and `ClockPhaseSwap` only cycles back with two clock
-    /// phases. Repair search uses the hint to seed its magnitude ladder.
-    pub fn inverse_hint(&self) -> Option<MutationOp> {
-        match *self {
-            MutationOp::WidthScale { factor } => Some(MutationOp::WidthScale {
-                factor: 1.0 / factor,
-            }),
-            MutationOp::LengthScale { factor } => Some(MutationOp::LengthScale {
-                factor: 1.0 / factor,
-            }),
-            MutationOp::BetaSkew { factor } => Some(MutationOp::BetaSkew {
-                factor: 1.0 / factor,
-            }),
-            MutationOp::KeeperResize { w_factor, l_factor } => Some(MutationOp::KeeperResize {
-                w_factor: 1.0 / w_factor,
-                l_factor: 1.0 / l_factor,
-            }),
-            MutationOp::PolaritySwap => Some(MutationOp::PolaritySwap),
-            MutationOp::ClockPhaseSwap => Some(MutationOp::ClockPhaseSwap),
-            MutationOp::KeeperDelete
-            | MutationOp::NetBridge
-            | MutationOp::NetOpen
-            | MutationOp::PrechargeDrop => None,
-        }
-    }
-
     /// Candidate *repair* operators for one §4.2 finding class, at unit
     /// magnitude (the repair search owns the magnitude ladder). The map
     /// follows the physics of each check: writability fights the keeper,
@@ -802,75 +768,6 @@ mod tests {
         assert_eq!(nl.devices().len(), base.devices().len(), "ids stable");
         m.revert(&mut nl);
         assert_eq!(nl.devices(), base.devices());
-    }
-
-    #[test]
-    fn parametric_inverse_hints_round_trip_within_tolerance() {
-        let (base, rec) = recognized_domino();
-        let parametric = [
-            MutationOp::WidthScale { factor: 12.0 },
-            MutationOp::WidthScale { factor: 0.1 },
-            MutationOp::LengthScale { factor: 0.6 },
-            MutationOp::BetaSkew { factor: 12.0 },
-            MutationOp::KeeperResize {
-                w_factor: 25.0,
-                l_factor: 0.5,
-            },
-        ];
-        for op in parametric {
-            let inv = op.inverse_hint().expect("parametric ops have a hint");
-            let ss = sites(&op, &base, &rec);
-            assert!(!ss.is_empty(), "{op} found no site");
-            for &site in &ss {
-                let Site::Device(id) = site else {
-                    panic!("parametric site is a device")
-                };
-                let (w0, l0) = {
-                    let d = base.device(id);
-                    (d.w, d.l)
-                };
-                let mut nl = base.clone();
-                apply(&mut nl, &op, site).expect("forward applies");
-                apply(&mut nl, &inv, site).expect("hint applies");
-                let d = nl.device(id);
-                let tol = 1e-12;
-                assert!(
-                    (d.w - w0).abs() <= tol * w0.abs(),
-                    "{op} hint width round-trip: {} vs {}",
-                    d.w,
-                    w0
-                );
-                assert!(
-                    (d.l - l0).abs() <= tol * l0.abs(),
-                    "{op} hint length round-trip: {} vs {}",
-                    d.l,
-                    l0
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn structural_inverse_hints() {
-        // The polarity swap is exactly self-inverse.
-        let (base, rec) = recognized_domino();
-        let op = MutationOp::PolaritySwap;
-        let inv = op.inverse_hint().unwrap();
-        assert_eq!(inv, op);
-        let site = sites(&op, &base, &rec)[0];
-        let mut nl = base.clone();
-        apply(&mut nl, &op, site).unwrap();
-        apply(&mut nl, &inv, site).unwrap();
-        assert_eq!(nl.devices(), base.devices());
-        // Detach/append operators have no operator-shaped inverse.
-        for op in [
-            MutationOp::KeeperDelete,
-            MutationOp::NetBridge,
-            MutationOp::NetOpen,
-            MutationOp::PrechargeDrop,
-        ] {
-            assert_eq!(op.inverse_hint(), None, "{op}");
-        }
     }
 
     #[test]

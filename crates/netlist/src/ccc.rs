@@ -44,13 +44,6 @@ pub struct Ccc {
     pub outputs: Vec<NetId>,
 }
 
-impl Ccc {
-    /// True if the net is one of the component's channel nets.
-    pub fn contains_channel_net(&self, net: NetId) -> bool {
-        self.channel_nets.contains(&net)
-    }
-}
-
 /// Union–find over net indices.
 struct UnionFind {
     parent: Vec<u32>,

@@ -34,6 +34,15 @@ pub struct Device {
     pub fingers: u32,
 }
 
+/// Whether a drawn width and length are usable geometry: both finite
+/// and strictly positive. The one rule every path that accepts untrusted
+/// geometry checks (SPICE and IR loading, `cbv_ir::validate`, the
+/// daemon's ECO edits), so none of them can admit a device the device
+/// models would reject.
+pub fn valid_geometry(w: f64, l: f64) -> bool {
+    w.is_finite() && l.is_finite() && w > 0.0 && l > 0.0
+}
+
 impl Device {
     /// Creates a MOS device. `w` and `l` are meters.
     ///
@@ -80,7 +89,7 @@ impl Device {
         l: f64,
     ) -> Result<Device, NetlistError> {
         let name = name.into();
-        if !(w.is_finite() && l.is_finite() && w > 0.0 && l > 0.0) {
+        if !valid_geometry(w, l) {
             return Err(NetlistError::InvalidDevice {
                 name,
                 message: format!("geometry must be positive and finite, got w={w:?} l={l:?}"),

@@ -132,7 +132,7 @@ impl FlatNetlist {
                 });
             }
         }
-        if !(device.w.is_finite() && device.l.is_finite() && device.w > 0.0 && device.l > 0.0) {
+        if !crate::valid_geometry(device.w, device.l) {
             return Err(NetlistError::InvalidDevice {
                 name: device.name,
                 message: format!(
@@ -383,7 +383,7 @@ impl FlatNetlist {
     }
 
     /// Devices whose gate is on `net`.
-    pub fn gate_loads(&self, net: NetId) -> Vec<DeviceId> {
+    fn gate_loads(&self, net: NetId) -> Vec<DeviceId> {
         self.net_uses(net)
             .iter()
             .filter_map(|u| match u {
@@ -408,13 +408,6 @@ impl FlatNetlist {
     pub fn rails(&self) -> Vec<NetId> {
         self.net_ids()
             .filter(|&n| self.net_kind(n).is_rail())
-            .collect()
-    }
-
-    /// All primary input / clock nets.
-    pub fn external_drivers(&self) -> Vec<NetId> {
-        self.net_ids()
-            .filter(|&n| self.net_kind(n).is_driven_externally())
             .collect()
     }
 
@@ -506,7 +499,6 @@ mod tests {
     fn rails_and_externals() {
         let f = nand2();
         assert_eq!(f.rails().len(), 2);
-        assert_eq!(f.external_drivers().len(), 2);
     }
 
     #[test]

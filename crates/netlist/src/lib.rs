@@ -50,7 +50,7 @@ pub mod spice;
 pub use canon::CanonicalKeys;
 pub use ccc::{partition_cccs, Ccc, CccId};
 pub use cell::{Cell, CellId, Instance, Library};
-pub use device::{Device, Passive, PassiveKind};
+pub use device::{valid_geometry, Device, Passive, PassiveKind};
 pub use error::NetlistError;
 pub use flat::{FlatNetlist, NetUse, Term};
 

@@ -28,7 +28,7 @@ use crate::{NetId, NetKind};
 /// # Errors
 ///
 /// Returns a description of the malformed token.
-pub fn parse_value(token: &str) -> Result<f64, String> {
+fn parse_value(token: &str) -> Result<f64, String> {
     let t = token.trim().to_ascii_lowercase();
     if t.is_empty() {
         return Err("empty value".to_owned());

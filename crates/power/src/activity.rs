@@ -18,46 +18,6 @@ pub struct ActivityModel {
 }
 
 impl ActivityModel {
-    /// Builds a model from measured RTL toggle rates ([`measure_activity`])
-    /// by matching signal bit names (`sig[3]`) and whole-word names
-    /// against netlist net names. Unmatched nets use the mean measured
-    /// activity — a calibrated default instead of a guess.
-    pub fn from_measurements(
-        measurements: &[(String, f64)],
-        netlist: &mut cbv_netlist::FlatNetlist,
-    ) -> ActivityModel {
-        let mean = if measurements.is_empty() {
-            0.15
-        } else {
-            measurements.iter().map(|(_, a)| a).sum::<f64>() / measurements.len() as f64
-        };
-        let mut per_net = HashMap::new();
-        for (name, act) in measurements {
-            // Word-level match: every bit of the bus gets the word rate.
-            for bit in 0..64 {
-                let bit_name = format!("{name}[{bit}]");
-                match netlist.find_net(&bit_name) {
-                    Some(id) => {
-                        per_net.insert(id, *act);
-                    }
-                    None => {
-                        if bit > 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-            if let Some(id) = netlist.find_net(name) {
-                per_net.insert(id, *act);
-            }
-        }
-        ActivityModel {
-            default: mean,
-            per_net,
-            clock_gating_factor: 1.0,
-        }
-    }
-
     /// Uniform activity for every data net, free-running clocks.
     pub fn uniform(default: f64) -> ActivityModel {
         ActivityModel {
@@ -70,12 +30,6 @@ impl ActivityModel {
     /// The activity of a net.
     pub fn of(&self, net: NetId) -> f64 {
         self.per_net.get(&net).copied().unwrap_or(self.default)
-    }
-
-    /// Sets a per-net override (builder style).
-    pub fn with_net(mut self, net: NetId, activity: f64) -> ActivityModel {
-        self.per_net.insert(net, activity);
-        self
     }
 }
 
@@ -143,24 +97,9 @@ mod tests {
     use cbv_rtl::compile;
 
     #[test]
-    fn measurements_bind_to_netlist_nets() {
-        use cbv_netlist::{FlatNetlist, NetKind};
-        let mut f = FlatNetlist::new("t");
-        let a0 = f.add_net("acc[0]", NetKind::Signal);
-        let a1 = f.add_net("acc[1]", NetKind::Signal);
-        let z = f.add_net("z", NetKind::Output);
-        let other = f.add_net("unrelated", NetKind::Signal);
-        let m = ActivityModel::from_measurements(&[("acc".into(), 0.8), ("z".into(), 0.1)], &mut f);
-        assert_eq!(m.of(a0), 0.8);
-        assert_eq!(m.of(a1), 0.8);
-        assert_eq!(m.of(z), 0.1);
-        // Unmatched nets use the mean of the measurements.
-        assert!((m.of(other) - 0.45).abs() < 1e-12);
-    }
-
-    #[test]
     fn uniform_and_overrides() {
-        let m = ActivityModel::uniform(0.15).with_net(NetId(3), 0.9);
+        let mut m = ActivityModel::uniform(0.15);
+        m.per_net.insert(NetId(3), 0.9);
         assert_eq!(m.of(NetId(0)), 0.15);
         assert_eq!(m.of(NetId(3)), 0.9);
     }

@@ -35,7 +35,7 @@ pub enum RepairEdit {
 
 impl RepairEdit {
     /// The serve `Edit` JSON for this edit alone (no accounting fields).
-    pub fn edit_json(&self) -> String {
+    fn edit_json(&self) -> String {
         match self {
             RepairEdit::Resize { device, w, l } => format!(
                 "{{\"edit\":\"resize\",\"device\":{},\"w\":{w:?},\"l\":{l:?}}}",

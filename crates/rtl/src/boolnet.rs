@@ -271,17 +271,6 @@ impl BoolNet {
         self.next_states_edge(values, states, clock, Edge::Pos)
     }
 
-    /// [`BoolNet::next_states`] into a caller-owned buffer.
-    pub fn next_states_into(
-        &self,
-        values: &[bool],
-        states: &[bool],
-        clock: u32,
-        out: &mut Vec<bool>,
-    ) {
-        self.next_states_edge_into(values, states, clock, Edge::Pos, out);
-    }
-
     /// Next-state vector for one `(clock, edge)` domain from a value
     /// vector produced by [`BoolNet::eval`]. All other state bits hold.
     pub fn next_states_edge(
@@ -406,7 +395,7 @@ mod tests {
             let mut sbuf = Vec::new();
             n.next_states_edge_into(&fresh, &states, 0, Edge::Pos, &mut sbuf);
             assert_eq!(n.next_states(&fresh, &states, 0), sbuf);
-            n.next_states_into(&fresh, &states, 1, &mut sbuf);
+            n.next_states_edge_into(&fresh, &states, 1, Edge::Pos, &mut sbuf);
             assert_eq!(sbuf, states, "wrong clock holds");
         }
     }

@@ -8,7 +8,7 @@
 
 use crate::ast::Edge;
 use crate::design::{NodeId, RtlDesign, WordOp};
-use crate::lookup::LookupError;
+use crate::lookup::missing;
 
 #[inline]
 fn mask(width: u32) -> u64 {
@@ -67,27 +67,13 @@ impl<'d> Interp<'d> {
     ///
     /// # Panics
     ///
-    /// Panics if the input does not exist or the value does not fit.
+    /// Panics if the input does not exist (the message is a
+    /// [`LookupError`](crate::lookup::LookupError) with a near-miss
+    /// suggestion) or the value does not fit.
     pub fn set_input(&mut self, name: &str, value: u64) {
-        self.try_set_input(name, value)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Sets a primary input by name, reporting an unknown name as a
-    /// [`LookupError`] with a near-miss suggestion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LookupError`] when the input does not exist.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if the value does not fit the input's width — that
-    /// is a value contract, not a lookup failure.
-    pub fn try_set_input(&mut self, name: &str, value: u64) -> Result<(), LookupError> {
-        let idx = self.design.input_index(name).ok_or_else(|| {
-            LookupError::new("input", name, self.design.inputs.iter().map(|(n, _)| &**n))
-        })?;
+        let idx = self.design.input_index(name).unwrap_or_else(|| {
+            missing("input", name, self.design.inputs.iter().map(|(n, _)| &**n))
+        });
         let width = self.design.inputs[idx].1;
         assert!(
             value <= mask(width),
@@ -95,7 +81,6 @@ impl<'d> Interp<'d> {
         );
         self.inputs[idx] = value;
         self.dirty = true;
-        Ok(())
     }
 
     /// Evaluates the combinational network if inputs or state changed.
@@ -190,22 +175,11 @@ impl<'d> Interp<'d> {
     ///
     /// Panics if the clock does not exist.
     pub fn step(&mut self, clock: &str) {
-        self.try_step(clock).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Interp::step`] that reports an unknown clock as a
-    /// [`LookupError`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LookupError`] when the clock does not exist.
-    pub fn try_step(&mut self, clock: &str) -> Result<(), LookupError> {
-        let ck = self.try_clock_of(clock)?;
+        let ck = self.clock_of(clock);
         self.commit_edge(ck, Edge::Pos);
         if self.design.has_negedge(ck) {
             self.commit_edge(ck, Edge::Neg);
         }
-        Ok(())
     }
 
     /// One half-cycle: commits only the registers and CAM writes on the
@@ -216,29 +190,15 @@ impl<'d> Interp<'d> {
     ///
     /// Panics if the clock does not exist.
     pub fn step_edge(&mut self, clock: &str, edge: Edge) {
-        self.try_step_edge(clock, edge)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Interp::step_edge`] that reports an unknown clock as a
-    /// [`LookupError`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LookupError`] when the clock does not exist.
-    pub fn try_step_edge(&mut self, clock: &str, edge: Edge) -> Result<(), LookupError> {
-        let ck = self.try_clock_of(clock)?;
+        let ck = self.clock_of(clock);
         self.commit_edge(ck, edge);
-        Ok(())
     }
 
-    fn try_clock_of(&self, clock: &str) -> Result<u32, LookupError> {
+    fn clock_of(&self, clock: &str) -> u32 {
         self.design
             .clock_index(clock)
-            .map(|i| i as u32)
-            .ok_or_else(|| {
-                LookupError::new("clock", clock, self.design.clocks.iter().map(|c| &**c))
-            })
+            .unwrap_or_else(|| missing("clock", clock, self.design.clocks.iter().map(|c| &**c)))
+            as u32
     }
 
     /// Evaluates the combinational network with pre-edge state, then
@@ -277,25 +237,15 @@ impl<'d> Interp<'d> {
     ///
     /// Panics if the output does not exist.
     pub fn output(&mut self, name: &str) -> u64 {
-        self.try_output(name).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Reads a primary output, reporting an unknown name as a
-    /// [`LookupError`] with a near-miss suggestion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LookupError`] when the output does not exist.
-    pub fn try_output(&mut self, name: &str) -> Result<u64, LookupError> {
-        let id = self.design.output(name).ok_or_else(|| {
-            LookupError::new(
+        let id = self.design.output(name).unwrap_or_else(|| {
+            missing(
                 "output",
                 name,
                 self.design.outputs.iter().map(|(n, _)| &**n),
             )
-        })?;
+        });
         self.settle();
-        Ok(self.values[id.index()])
+        self.values[id.index()]
     }
 
     /// Reads a register by its hierarchical name.
@@ -304,64 +254,15 @@ impl<'d> Interp<'d> {
     ///
     /// Panics if the register does not exist.
     pub fn reg(&self, name: &str) -> u64 {
-        self.try_reg(name).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Reads a register by its hierarchical name, reporting an unknown
-    /// name as a [`LookupError`] with a near-miss suggestion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LookupError`] when the register does not exist.
-    pub fn try_reg(&self, name: &str) -> Result<u64, LookupError> {
         let idx = self
             .design
             .regs
             .iter()
             .position(|r| r.name == name)
-            .ok_or_else(|| {
-                LookupError::new("register", name, self.design.regs.iter().map(|r| &*r.name))
-            })?;
-        Ok(self.regs[idx])
-    }
-
-    /// Reads a CAM entry directly (debug/verification access).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the CAM or entry does not exist.
-    pub fn cam_entry(&self, name: &str, entry: usize) -> u64 {
-        self.try_cam_entry(name, entry)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Reads a CAM entry, reporting an unknown CAM name as a
-    /// [`LookupError`] with a near-miss suggestion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LookupError`] when the CAM does not exist.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if `entry` is out of range for an existing CAM.
-    pub fn try_cam_entry(&self, name: &str, entry: usize) -> Result<u64, LookupError> {
-        let idx = self
-            .design
-            .cams
-            .iter()
-            .position(|c| c.name == name)
-            .ok_or_else(|| {
-                LookupError::new("cam", name, self.design.cams.iter().map(|c| &*c.name))
-            })?;
-        Ok(self.cams[idx][entry])
-    }
-
-    /// The value of an arbitrary node after settling (for shadow-mode
-    /// probes and tests).
-    pub fn node_value(&mut self, id: NodeId) -> u64 {
-        self.settle();
-        self.values[id.index()]
+            .unwrap_or_else(|| {
+                missing("register", name, self.design.regs.iter().map(|r| &*r.name))
+            });
+        self.regs[idx]
     }
 
     /// Snapshot of all register values in declaration order (used by the
@@ -379,12 +280,6 @@ impl<'d> Interp<'d> {
         assert_eq!(state.len(), self.regs.len(), "state length mismatch");
         self.regs.copy_from_slice(state);
         self.dirty = true;
-    }
-
-    /// Whether the design contains CAM arrays (which the explicit-state
-    /// equivalence checker does not enumerate).
-    pub fn has_cams(&self) -> bool {
-        !self.design.cams.is_empty()
     }
 }
 
@@ -470,7 +365,7 @@ mod tests {
         // read(k[3:0]) with k low nibble = 7 returns the stored word.
         sim.set_input("k", 7);
         assert_eq!(sim.output("rd"), 0xBEEF);
-        assert_eq!(sim.cam_entry("t", 7), 0xBEEF);
+        assert_eq!(sim.cams[0][7], 0xBEEF);
     }
 
     #[test]
@@ -565,27 +460,24 @@ mod tests {
         )
         .unwrap();
         let mut sim = Interp::new(&d);
-        let e = sim.try_set_input("rest", 1).unwrap_err();
-        assert_eq!(
-            e.to_string(),
-            "no input named `rest`; did you mean `reset`?"
-        );
-        let e = sim.try_step("clk").unwrap_err();
-        assert_eq!(e.to_string(), "no clock named `clk`; did you mean `ck`?");
-        let e = sim.try_step_edge("kc", Edge::Pos).unwrap_err();
-        assert_eq!(e.kind, "clock");
-        let e = sim.try_output("tck").unwrap_err();
-        assert_eq!(e.suggestion.as_deref(), Some("tick"));
-        let e = sim.try_reg("cnt2").unwrap_err();
-        assert_eq!(e.suggestion.as_deref(), Some("cnt"));
-        let e = sim.try_cam_entry("tags", 0).unwrap_err();
-        assert_eq!(e.suggestion, None, "no cams to suggest");
-        // The panicking wrappers carry the same message.
-        let msg =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.set_input("rest", 1)))
-                .unwrap_err();
-        let msg = msg.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("did you mean `reset`?"), "{msg}");
+        let mut panics_with = |expected: &str, case: &dyn Fn(&mut Interp)| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut sim)))
+                .expect_err(expected);
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), expected);
+        };
+        panics_with("no input named `rest`; did you mean `reset`?", &|s| {
+            s.set_input("rest", 1)
+        });
+        panics_with("no clock named `clk`; did you mean `ck`?", &|s| {
+            s.step("clk")
+        });
+        panics_with("no clock named `kc`", &|s| s.step_edge("kc", Edge::Pos));
+        panics_with("no output named `tck`; did you mean `tick`?", &|s| {
+            s.output("tck");
+        });
+        panics_with("no register named `cnt2`; did you mean `cnt`?", &|s| {
+            s.reg("cnt2");
+        });
     }
 
     #[test]

@@ -34,13 +34,6 @@ pub struct Levelization {
 /// Level marker for gates outside the live cone.
 const DEAD: u32 = u32::MAX;
 
-impl Levelization {
-    /// Count of live gates.
-    pub fn live_gates(&self) -> usize {
-        self.order.len()
-    }
-}
-
 /// Why a network could not be levelized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LevelError {
@@ -205,7 +198,7 @@ mod tests {
         let y = n.mk(Gate::And(x, a));
         let lv = levelize_all(&n).unwrap();
         assert_eq!(lv.levels, 3);
-        assert_eq!(lv.live_gates(), n.gate_count());
+        assert_eq!(lv.order.len(), n.gate_count());
         // Each gate's depth is the level count of its own cone.
         assert_eq!(levelize_cone(&n, &[a]).unwrap().levels, 1);
         assert_eq!(levelize_cone(&n, &[x]).unwrap().levels, 2);

@@ -4,10 +4,10 @@
 //! that designers drive interactively from testbenches; a raw panic with
 //! no hint is hostile there. [`LookupError`] carries the kind of thing
 //! that was looked up, the name that missed, and — when a candidate is
-//! close in edit distance — a "did you mean" suggestion. The `try_*`
-//! simulator entry points return it; the panicking convenience wrappers
-//! format it into their message, so even the panic path names the
-//! nearest candidate.
+//! close in edit distance — a "did you mean" suggestion. The switch
+//! simulator's `try_*` entry points return it; the word- and gate-level
+//! simulators and the shadow co-simulator panic with it ([`missing`]),
+//! so even the panic path names the nearest candidate.
 
 use std::error::Error;
 use std::fmt;
@@ -51,8 +51,17 @@ impl fmt::Display for LookupError {
 
 impl Error for LookupError {}
 
+/// Panics with the [`LookupError`] for a name that missed.
+pub fn missing<'a>(
+    kind: &'static str,
+    name: &str,
+    candidates: impl IntoIterator<Item = &'a str>,
+) -> ! {
+    panic!("{}", LookupError::new(kind, name, candidates))
+}
+
 /// Levenshtein edit distance (insertions, deletions, substitutions).
-pub fn edit_distance(a: &str, b: &str) -> usize {
+fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() {

@@ -20,7 +20,9 @@
 
 use cbv_core::gen;
 use cbv_core::mutate::{self, MutationOp, Site, UndoRecord};
-use cbv_core::netlist::{spice, Device, DeviceId, FlatNetlist, NetId, NetKind, Term};
+use cbv_core::netlist::{
+    spice, valid_geometry, Device, DeviceId, FlatNetlist, NetId, NetKind, Term,
+};
 use cbv_core::tech::{MosKind, Process};
 use serde_json::Value;
 
@@ -364,9 +366,19 @@ impl Session {
         match edit {
             Edit::Op { op, site } => {
                 self.check_site(*site)?;
-                mutate::apply(&mut self.netlist, op, *site)
-                    .map(|m| UndoAction::Mutation(m.into_undo()))
-                    .ok_or_else(|| format!("operator {} not applicable at site", op.name()))
+                let m = mutate::apply(&mut self.netlist, op, *site)
+                    .ok_or_else(|| format!("operator {} not applicable at site", op.name()))?;
+                // Only device-site operators rescale geometry, and only
+                // the site's device: a factor of 0, a negative one or an
+                // overflow to infinity is undone and rejected here.
+                if let Site::Device(d) = *site {
+                    let d = self.netlist.device(d);
+                    if let Err(e) = check_geometry(d.w, d.l) {
+                        m.revert(&mut self.netlist);
+                        return Err(e);
+                    }
+                }
+                Ok(UndoAction::Mutation(m.into_undo()))
             }
             Edit::AddNet(net) => {
                 self.netlist.add_net(&net.name, net.kind);
@@ -376,9 +388,7 @@ impl Session {
                 for n in [d.gate, d.drain, d.source, d.bulk] {
                     self.check_net(n)?;
                 }
-                if !(d.w > 0.0 && d.l > 0.0) {
-                    return Err("device geometry must be positive".into());
-                }
+                check_geometry(d.w, d.l)?;
                 self.netlist.add_device(Device::mos(
                     d.kind,
                     d.name.clone(),
@@ -393,9 +403,7 @@ impl Session {
             }
             Edit::Resize { device, w, l } => {
                 self.check_device(*device)?;
-                if !(*w > 0.0 && *l > 0.0) {
-                    return Err("device geometry must be positive".into());
-                }
+                check_geometry(*w, *l)?;
                 let d = self.netlist.device_mut(*device);
                 let undo = UndoAction::Resize {
                     device: *device,
@@ -417,6 +425,18 @@ impl Session {
                 })
             }
         }
+    }
+}
+
+/// The session's geometry gate: the [`valid_geometry`] rule every
+/// loader and `ir::validate` apply, as an edit error.
+fn check_geometry(w: f64, l: f64) -> Result<(), String> {
+    if valid_geometry(w, l) {
+        Ok(())
+    } else {
+        Err(format!(
+            "device geometry must be positive and finite, got w={w:?} l={l:?}"
+        ))
     }
 }
 
@@ -712,6 +732,39 @@ mod tests {
             let v = serde_json::from_str(bad).unwrap();
             assert!(edit_from_json(&v).is_err(), "{bad} must not parse");
         }
+    }
+
+    #[test]
+    fn ops_that_leave_bad_geometry_are_rejected_and_reverted() {
+        let mut s = Session::open("dcvsl", &process()).unwrap();
+        let before = s.netlist().clone();
+        let at0 = |op| Edit::Op {
+            op,
+            site: Site::Device(DeviceId(0)),
+        };
+        let huge = at0(MutationOp::WidthScale { factor: 1e300 });
+        let batches = [
+            vec![at0(MutationOp::WidthScale { factor: -1.0 })],
+            vec![at0(MutationOp::WidthScale { factor: 0.0 })],
+            vec![at0(MutationOp::KeeperResize {
+                w_factor: 1.0,
+                l_factor: -2.0,
+            })],
+            // The first edit is still finite; the second overflows.
+            vec![huge.clone(), huge],
+        ];
+        for batch in batches {
+            let err = s.apply_batch(&batch).unwrap_err();
+            assert!(
+                err.contains("geometry must be positive and finite"),
+                "{err}"
+            );
+            assert_eq!(s.revision(), 0, "{batch:?}");
+            assert!(same_netlist(s.netlist(), &before), "{batch:?} reverted");
+        }
+        // A valid op at the same site still applies.
+        let ok = at0(MutationOp::WidthScale { factor: 1.25 });
+        assert_eq!(s.apply_batch(&[ok]).unwrap(), 1);
     }
 
     #[test]

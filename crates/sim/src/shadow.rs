@@ -12,7 +12,7 @@
 //! designer's intent.
 
 use cbv_netlist::{FlatNetlist, NetId};
-use cbv_rtl::{interp::Interp, lookup::LookupError, RtlDesign};
+use cbv_rtl::{interp::Interp, lookup::missing, RtlDesign};
 
 use crate::switch::{Logic, SwitchSim};
 
@@ -95,12 +95,17 @@ impl<'d, 'n> ShadowSim<'d, 'n> {
     ///
     /// `inputs` bind RTL values → circuit input nets; `outputs` bind
     /// circuit output nets → RTL values for comparison; `clock_nets` are
-    /// the circuit's clock nets, toggled around each golden step.
+    /// the circuit's clock nets, toggled around each golden step. Every
+    /// binding is validated up front: each net name must exist in the
+    /// netlist and each signal must be an RTL output, input or register.
+    /// Names resolve to ids *once* here, so the per-cycle loops in
+    /// [`ShadowSim::step`] do no string lookups (or clones) at all.
     ///
     /// # Panics
     ///
-    /// Panics when a binding names an unknown net or RTL signal; use
-    /// [`ShadowSim::try_new`] for a recoverable error.
+    /// Panics with a [`LookupError`](cbv_rtl::lookup::LookupError) (with a
+    /// near-miss suggestion) naming the first binding that does not
+    /// resolve.
     pub fn new(
         design: &'d RtlDesign,
         netlist: &'n FlatNetlist,
@@ -108,30 +113,9 @@ impl<'d, 'n> ShadowSim<'d, 'n> {
         outputs: Vec<BitBinding>,
         clock_nets: Vec<String>,
     ) -> ShadowSim<'d, 'n> {
-        Self::try_new(design, netlist, inputs, outputs, clock_nets)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ShadowSim::new`] with every binding validated up front: each
-    /// net name must exist in the netlist and each signal must be an
-    /// RTL output, input or register. Names resolve to ids *once* here,
-    /// so the per-cycle loops in [`ShadowSim::step`] do no string
-    /// lookups (or clones) at all.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`LookupError`] (with a near-miss suggestion) naming
-    /// the first binding that does not resolve.
-    pub fn try_new(
-        design: &'d RtlDesign,
-        netlist: &'n FlatNetlist,
-        inputs: Vec<BitBinding>,
-        outputs: Vec<BitBinding>,
-        clock_nets: Vec<String>,
-    ) -> Result<ShadowSim<'d, 'n>, LookupError> {
         let find_net = |name: &str| {
-            netlist.find_net(name).ok_or_else(|| {
-                LookupError::new(
+            netlist.find_net(name).unwrap_or_else(|| {
+                missing(
                     "net",
                     name,
                     netlist.net_ids().map(|id| netlist.net_name(id)),
@@ -141,7 +125,7 @@ impl<'d, 'n> ShadowSim<'d, 'n> {
         // `allow_input`: input bindings may name an RTL primary input
         // (the testbench drives it); output bindings must name something
         // readable back from the golden model — an output or a register.
-        let resolve = |b: &BitBinding, allow_input: bool| -> Result<ResolvedBinding, LookupError> {
+        let resolve = |b: &BitBinding, allow_input: bool| -> ResolvedBinding {
             let is_input = design.input_index(&b.signal).is_some();
             let readable = design.output(&b.signal).is_some()
                 || design.regs.iter().any(|r| r.name == b.signal);
@@ -152,41 +136,31 @@ impl<'d, 'n> ShadowSim<'d, 'n> {
                 } else {
                     ("rtl output or register", &[][..])
                 };
-                let candidates: Vec<&str> = design
+                let candidates = design
                     .outputs
                     .iter()
                     .map(|(n, _)| &**n)
                     .chain(design.regs.iter().map(|r| &*r.name))
-                    .chain(inputs_too.iter().map(|(n, _)| &**n))
-                    .collect();
-                return Err(LookupError::new(kind, &b.signal, candidates));
+                    .chain(inputs_too.iter().map(|(n, _)| &**n));
+                missing(kind, &b.signal, candidates);
             }
-            Ok(ResolvedBinding {
+            ResolvedBinding {
                 signal: b.signal.clone(),
                 bit: b.bit,
-                net: find_net(&b.net)?,
+                net: find_net(&b.net),
                 is_input,
-            })
+            }
         };
-        Ok(ShadowSim {
+        ShadowSim {
             golden: Interp::new(design),
             circuit: SwitchSim::new(netlist),
             design,
-            inputs: inputs
-                .iter()
-                .map(|b| resolve(b, true))
-                .collect::<Result<_, _>>()?,
-            outputs: outputs
-                .iter()
-                .map(|b| resolve(b, false))
-                .collect::<Result<_, _>>()?,
-            clock_nets: clock_nets
-                .iter()
-                .map(|n| find_net(n))
-                .collect::<Result<_, _>>()?,
+            inputs: inputs.iter().map(|b| resolve(b, true)).collect(),
+            outputs: outputs.iter().map(|b| resolve(b, false)).collect(),
+            clock_nets: clock_nets.iter().map(|n| find_net(n)).collect(),
             mismatches: Vec::new(),
             cycle: 0,
-        })
+        }
     }
 
     /// Sets an RTL primary input (propagated to bound circuit inputs on
@@ -340,58 +314,56 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_bad_bindings_with_suggestions() {
+    fn new_rejects_bad_bindings_with_suggestions() {
         let d = rtl();
         let n = inverter_netlist();
-        // Misspelled circuit net.
-        let e = ShadowSim::try_new(
-            &d,
-            &n,
-            vec![BitBinding::new("q", 0, "q_inn")],
-            vec![],
-            vec![],
-        )
-        .err()
-        .unwrap();
-        assert_eq!(e.to_string(), "no net named `q_inn`; did you mean `q_in`?");
-        // Misspelled RTL signal.
-        let e = ShadowSim::try_new(
-            &d,
-            &n,
-            vec![],
-            vec![BitBinding::new("qm", 0, "qn_out")],
-            vec![],
-        )
-        .err()
-        .unwrap();
-        assert_eq!(e.kind, "rtl output or register");
-        assert_eq!(e.suggestion.as_deref(), Some("q"));
-        // Output bindings may not name a primary input (nothing to read
-        // back from the golden model).
-        let e = ShadowSim::try_new(
-            &d,
-            &n,
-            vec![],
-            vec![BitBinding::new("d", 0, "qn_out")],
-            vec![],
-        )
-        .err()
-        .unwrap();
-        assert_eq!(e.kind, "rtl output or register");
-        // Misspelled clock net.
-        let e = ShadowSim::try_new(&d, &n, vec![], vec![], vec!["cck".into()])
-            .err()
-            .unwrap();
-        assert_eq!(e.suggestion.as_deref(), Some("ck"));
+        let bit = |signal: &str, net: &str| vec![BitBinding::new(signal, 0, net)];
+        let cases = [
+            // Misspelled circuit net.
+            (
+                "no net named `q_inn`; did you mean `q_in`?",
+                bit("q", "q_inn"),
+                vec![],
+                vec![],
+            ),
+            // Misspelled RTL signal.
+            (
+                "no rtl output or register named `qm`; did you mean `q`?",
+                vec![],
+                bit("qm", "qn_out"),
+                vec![],
+            ),
+            // Output bindings may not name a primary input (nothing to
+            // read back from the golden model).
+            (
+                "no rtl output or register named `d`; did you mean `q`?",
+                vec![],
+                bit("d", "qn_out"),
+                vec![],
+            ),
+            // Misspelled clock net.
+            (
+                "no net named `cck`; did you mean `ck`?",
+                vec![],
+                vec![],
+                vec!["cck".to_string()],
+            ),
+        ];
+        for (expected, inputs, outputs, clocks) in cases {
+            let payload = std::panic::catch_unwind(|| {
+                ShadowSim::new(&d, &n, inputs, outputs, clocks);
+            })
+            .expect_err(expected);
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), expected);
+        }
         // And the valid setup still constructs.
-        assert!(ShadowSim::try_new(
+        ShadowSim::new(
             &d,
             &n,
-            vec![BitBinding::new("q", 0, "q_in")],
-            vec![BitBinding::new("qn", 0, "qn_out")],
+            bit("q", "q_in"),
+            bit("qn", "qn_out"),
             vec!["ck".into()],
-        )
-        .is_ok());
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ratio (a 3× stronger side wins, else X), which models ratioed logic
 //! and keepers without a full strength lattice.
 
-use cbv_netlist::{DeviceId, FlatNetlist, NetId};
+use cbv_netlist::{FlatNetlist, NetId};
 use cbv_rtl::lookup::LookupError;
 use cbv_tech::MosKind;
 
@@ -384,23 +384,10 @@ impl<'n> SwitchSim<'n> {
     }
 }
 
-/// A map of device ids to conduction state (exposed for debug tooling).
-pub fn conducting_devices(sim: &SwitchSim<'_>, netlist: &FlatNetlist) -> Vec<(DeviceId, bool)> {
-    netlist
-        .devices()
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let on = conducts(d.kind, sim.value(d.gate)).unwrap_or(false);
-            (DeviceId(i as u32), on)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbv_netlist::{Device, NetKind};
+    use cbv_netlist::{Device, DeviceId, NetKind};
 
     fn add_inverter(f: &mut FlatNetlist, name: &str, a: NetId, y: NetId, vdd: NetId, gnd: NetId) {
         f.add_device(Device::mos(

@@ -150,16 +150,6 @@ impl Tolerance {
             miller_max: 1.0,
         }
     }
-
-    /// Validates that every min bound is ≤ its max bound.
-    pub fn is_well_formed(&self) -> bool {
-        self.cap_min <= self.cap_max
-            && self.res_min <= self.res_max
-            && self.miller_min <= self.miller_max
-            && self.cap_min > 0.0
-            && self.res_min > 0.0
-            && self.miller_min >= 0.0
-    }
 }
 
 impl Default for Tolerance {
@@ -200,16 +190,26 @@ mod tests {
         }
     }
 
+    /// Every min bound is ≤ its max bound, and the bounds are physical.
+    fn is_well_formed(t: &Tolerance) -> bool {
+        t.cap_min <= t.cap_max
+            && t.res_min <= t.res_max
+            && t.miller_min <= t.miller_max
+            && t.cap_min > 0.0
+            && t.res_min > 0.0
+            && t.miller_min >= 0.0
+    }
+
     #[test]
     fn tolerance_well_formed() {
-        assert!(Tolerance::conservative().is_well_formed());
-        assert!(Tolerance::nominal().is_well_formed());
+        assert!(is_well_formed(&Tolerance::conservative()));
+        assert!(is_well_formed(&Tolerance::nominal()));
         let bad = Tolerance {
             cap_min: 1.2,
             cap_max: 0.8,
             ..Tolerance::conservative()
         };
-        assert!(!bad.is_well_formed());
+        assert!(!is_well_formed(&bad));
     }
 
     #[test]

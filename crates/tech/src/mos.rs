@@ -75,7 +75,7 @@ pub const PHI_T_300K: f64 = 0.02585;
 impl MosModel {
     /// Effective threshold voltage at a given drawn length, drain bias and
     /// corner: `Vt0 + rolloff·(L−Lnom) − DIBL·Vds + corner shift`.
-    pub fn vt_effective(&self, l: f64, vds: Volts, corner: &Corner) -> Volts {
+    fn vt_effective(&self, l: f64, vds: Volts, corner: &Corner) -> Volts {
         let rolloff = self.vt_rolloff * (l - self.l_nominal);
         Volts::new(self.vt0.volts() + rolloff - self.dibl * vds.volts().abs()) + corner.vt_shift
     }

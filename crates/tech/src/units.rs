@@ -301,14 +301,6 @@ impl Mul<Seconds> for Watts {
     }
 }
 
-impl Farads {
-    /// Switching energy `½·C·V²` of charging this capacitance to `v`.
-    #[inline]
-    pub fn energy(self, v: Volts) -> Joules {
-        Joules::new(0.5 * self.farads() * v.volts() * v.volts())
-    }
-}
-
 impl Hertz {
     /// The period `1/f`.
     ///
@@ -333,24 +325,6 @@ impl Seconds {
         assert!(self.seconds() != 0.0, "zero period has no frequency");
         Hertz::new(1.0 / self.seconds())
     }
-}
-
-/// Convenience constructor: microns to [`Meters`].
-#[inline]
-pub fn microns(um: f64) -> Meters {
-    Meters::new(um * 1e-6)
-}
-
-/// Convenience constructor: picofarads to [`Farads`].
-#[inline]
-pub fn picofarads(pf: f64) -> Farads {
-    Farads::new(pf * 1e-12)
-}
-
-/// Convenience constructor: femtofarads to [`Farads`].
-#[inline]
-pub fn femtofarads(ff: f64) -> Farads {
-    Farads::new(ff * 1e-15)
 }
 
 /// Convenience constructor: picoseconds to [`Seconds`].
@@ -407,13 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn switching_energy() {
-        let c = picofarads(1.0);
-        let e = c.energy(Volts::new(2.0));
-        assert!((e.joules() - 2e-12).abs() < 1e-24);
-    }
-
-    #[test]
     fn charge_algebra() {
         let q = Farads::new(1e-12) * Volts::new(1.5);
         assert!((q.coulombs() - 1.5e-12).abs() < 1e-24);
@@ -445,7 +412,7 @@ mod tests {
 
     #[test]
     fn sum_of_units() {
-        let caps = [femtofarads(1.0), femtofarads(2.0), femtofarads(3.0)];
+        let caps = [Farads::new(1e-15), Farads::new(2e-15), Farads::new(3e-15)];
         let total: Farads = caps.iter().copied().sum();
         assert!((total.farads() - 6e-15).abs() < 1e-27);
     }

@@ -126,11 +126,6 @@ impl WireStack {
             .unwrap_or_else(|| panic!("layer {layer:?} not present in wire stack"))
     }
 
-    /// Whether the stack includes the given layer.
-    pub fn has_layer(&self, layer: Layer) -> bool {
-        self.layers.iter().any(|(l, _)| *l == layer)
-    }
-
     /// Iterate over `(layer, params)` bottom-up.
     pub fn iter(&self) -> impl Iterator<Item = (Layer, &WireParams)> {
         self.layers.iter().map(|(l, p)| (*l, p))

@@ -80,22 +80,6 @@ pub fn clock_skew_bounds(
     })
 }
 
-/// Per-node insertion delays (node index, delay), for reporting.
-pub fn insertion_delays(extracted: &Extracted, net: NetId, r_driver: Ohms) -> Vec<(u32, Seconds)> {
-    let Some(en) = extracted.net(net) else {
-        return Vec::new();
-    };
-    let root = en.rc.first_node();
-    let Some(delays) = en.rc.elmore_all(root, r_driver) else {
-        return Vec::new();
-    };
-    delays
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, t)| t.map(|t| (i as u32, t)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +193,5 @@ mod tests {
             .expect("clock net extracted");
         assert!(wide.spread().seconds() > tight.spread().seconds());
         assert!(wide.max.seconds() > tight.max.seconds());
-        let delays = insertion_delays(&ex, ck, Ohms::new(200.0));
-        assert!(delays.len() >= 2, "node-by-node report");
     }
 }

@@ -46,7 +46,7 @@ pub struct Constraint {
 /// The characteristic time constant of a minimum inverter in this
 /// process at a corner — the physical basis for inferred constraint
 /// magnitudes.
-pub fn characteristic_tau(process: &Process, corner: &Corner) -> Seconds {
+fn characteristic_tau(process: &Process, corner: &Corner) -> Seconds {
     let l = process.l_min().meters();
     let w = 4.0 * l;
     let n = process.mos(MosKind::Nmos);

@@ -167,36 +167,27 @@ pub fn build_graph(
     extracted: &Extracted,
     calc: &DelayCalc<'_>,
 ) -> TimingGraph {
-    build_graph_parallel(netlist, recognition, extracted, calc, &Executor::serial()).0
+    build_graph_traced(
+        netlist,
+        recognition,
+        extracted,
+        calc,
+        &Executor::serial(),
+        TraceCtx::disabled(),
+    )
+    .0
 }
 
 /// [`build_graph`] with the per-CCC arc/delay computation — the hot part
 /// of timing verification — partitioned into chunks processed across
 /// `exec`'s workers. Arcs are reassembled in CCC order, so the graph is
 /// identical to a serial build. Also returns aggregate worker busy time.
-pub fn build_graph_parallel(
-    netlist: &FlatNetlist,
-    recognition: &Recognition,
-    extracted: &Extracted,
-    calc: &DelayCalc<'_>,
-    exec: &Executor,
-) -> (TimingGraph, Duration) {
-    build_graph_traced(
-        netlist,
-        recognition,
-        extracted,
-        calc,
-        exec,
-        TraceCtx::disabled(),
-    )
-}
-
-/// [`build_graph_parallel`] with per-chunk tracing: each CCC chunk gets
-/// a `cccs:<start>..<end>` span under `ctx`, and the finished arc count
-/// lands in the `timing.arcs` counter. Chunk boundaries are independent
-/// of the worker count, so the span tree for a given design is
-/// identical at any `CBV_THREADS` (only thread indices and timestamps
-/// differ) — the obs determinism contract.
+///
+/// Each CCC chunk gets a `cccs:<start>..<end>` span under `ctx`, and the
+/// finished arc count lands in the `timing.arcs` counter. Chunk
+/// boundaries are independent of the worker count, so the span tree for
+/// a given design is identical at any `CBV_THREADS` (only thread indices
+/// and timestamps differ) — the obs determinism contract.
 pub fn build_graph_traced(
     netlist: &FlatNetlist,
     recognition: &Recognition,

@@ -58,7 +58,7 @@ fn stage_resistance(
 
 /// Estimates chain delay: each stage drives the next stage's input
 /// capacitance, the last drives `c_load`.
-pub fn chain_delay(
+fn chain_delay(
     netlist: &FlatNetlist,
     stages: &[Vec<DeviceId>],
     c_load: Farads,

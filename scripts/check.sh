@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every public fn has a caller in another file (or an allowlisted
+# reason): an uncalled one is deleted, an own-file-only one made private.
+echo "== public-surface inventory (pub fn named by no other file) =="
+scripts/pub_inventory.sh
+
 echo "== cargo build --release =="
 cargo build --release
 

@@ -4,7 +4,7 @@
 //! signoff artifacts — a report that depends on thread scheduling is a
 //! report nobody can trust or diff.
 
-use cbv_core::everify::{run_all_parallel, EverifyConfig};
+use cbv_core::everify::{battery, run_battery, EverifyConfig};
 use cbv_core::exec::Executor;
 use cbv_core::extract::{extract, Extracted};
 use cbv_core::flow::{run_flow, FlowConfig};
@@ -12,9 +12,10 @@ use cbv_core::gen::adders::manchester_domino_adder;
 use cbv_core::gen::{inject, FaultKind};
 use cbv_core::layout::{synthesize, Layout};
 use cbv_core::netlist::FlatNetlist;
+use cbv_core::obs::TraceCtx;
 use cbv_core::recognize::{recognize, Recognition};
 use cbv_core::tech::{Process, Tolerance};
-use cbv_core::timing::graph::build_graph_parallel;
+use cbv_core::timing::graph::build_graph_traced;
 use cbv_core::timing::{analyze, ClockSchedule, DelayCalc, Pessimism};
 
 /// A representative design: dynamic manchester chains, keepers, static
@@ -40,14 +41,19 @@ fn everify_battery_is_deterministic_across_thread_counts() {
         let (netlist, layout, extracted, recognition, process) = testcase(faulty);
         let cfg = EverifyConfig::for_process(&process);
         let fingerprint = |threads: usize| {
-            let (report, _busy) = run_all_parallel(
+            let checks = battery(
                 &netlist,
                 &recognition,
                 &extracted,
                 Some(&layout),
                 &process,
                 &cfg,
+            );
+            let (report, _busy) = run_battery(
+                checks,
+                cfg.filter_threshold,
                 &Executor::threads(threads),
+                TraceCtx::disabled(),
             );
             format!(
                 "checked={} filtered={} findings={:?}",
@@ -84,12 +90,13 @@ fn timing_graph_and_sta_are_deterministic_across_thread_counts() {
         &process,
         &Pessimism::signoff(),
     );
-    let (serial_graph, _) = build_graph_parallel(
+    let (serial_graph, _) = build_graph_traced(
         &netlist,
         &recognition,
         &extracted,
         &calc,
         &Executor::serial(),
+        TraceCtx::disabled(),
     );
     let serial_sta = analyze(
         &netlist,
@@ -100,12 +107,13 @@ fn timing_graph_and_sta_are_deterministic_across_thread_counts() {
         &[],
     );
     for threads in [2, 8] {
-        let (graph, _) = build_graph_parallel(
+        let (graph, _) = build_graph_traced(
             &netlist,
             &recognition,
             &extracted,
             &calc,
             &Executor::threads(threads),
+            TraceCtx::disabled(),
         );
         assert_eq!(
             serial_graph.arcs, graph.arcs,

@@ -160,6 +160,32 @@ fn rollback_then_signoff_reproduces_the_seed_signoff() {
     server.shutdown();
 }
 
+#[test]
+fn eco_leaving_bad_geometry_is_rejected_and_the_revision_holds() {
+    let server = default_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.open("dcvsl").expect("open");
+    assert_eq!(client.eco(ECO_STREAM[0], None).expect("eco").revision, 1);
+    let negative = r#"{"edit":"op","op":{"op":"width-scale","factor":-1.0},"site":{"site":"device","device":0}}"#;
+    match client.eco(negative, None) {
+        Err(ClientError::Rejected {
+            error,
+            retry_after_ms: None,
+        }) => assert!(error.contains("geometry must be positive"), "{error}"),
+        other => panic!("expected a geometry rejection, got {other:?}"),
+    }
+    let after = client.signoff(None).expect("signoff after the rejection");
+    assert_eq!(
+        after.revision, 1,
+        "a rejected edit does not move the revision"
+    );
+    assert_eq!(
+        after.signoff_raw,
+        in_process_signoff("dcvsl", &ECO_STREAM[..1])
+    );
+    server.shutdown();
+}
+
 /// Sends raw bytes, then checks the daemon still serves a fresh client.
 fn poke_and_verify_daemon_survives(addr: std::net::SocketAddr, poke: impl FnOnce(&mut TcpStream)) {
     let mut stream = TcpStream::connect(addr).expect("connect raw");
