@@ -18,7 +18,8 @@
 //! the cold baseline — the ratio that makes a 500-mutant campaign
 //! affordable at all).
 
-use cbv_core::flow::FlowConfig;
+use cbv_core::cache::VerifyCache;
+use cbv_core::flow::{run_flow_incremental, FlowConfig};
 use cbv_core::gen::adders::manchester_domino_adder;
 use cbv_core::gen::datapath::alu_slice;
 use cbv_core::mutate::report::{render_full, render_matrix};
@@ -26,15 +27,17 @@ use cbv_core::mutate::{
     default_ops, default_sensitivity, run_campaign, CampaignConfig, CampaignReport,
 };
 use cbv_core::netlist::FlatNetlist;
-use cbv_core::oracle::IncrementalOracle;
+use cbv_core::oracle::observe;
 use cbv_core::tech::Process;
 
 /// Runs the campaign over `netlist` with every default operator capped
 /// at `max_sites_per_op` sites (0 = exhaustive), optionally with the
 /// default sensitivity ladders.
 pub fn run(netlist: &FlatNetlist, max_sites_per_op: usize, sweep: bool) -> CampaignReport {
-    let process = Process::strongarm_035();
-    let mut oracle = IncrementalOracle::new(&process, FlowConfig::default());
+    let (p, cfg) = (Process::strongarm_035(), FlowConfig::default());
+    let mut cache = VerifyCache::new();
+    let mut oracle =
+        move |n: &FlatNetlist| observe(&run_flow_incremental(n.clone(), &p, &cfg, &mut cache));
     let config = CampaignConfig {
         ops: default_ops(),
         max_sites_per_op,

@@ -1,28 +1,17 @@
-//! Flow-backed [`FlowOracle`] adapters for the E16 mutation campaign.
+//! Reading a [`FlowReport`] for the E16 mutation campaign and repair.
 //!
-//! `cbv-mutate` deliberately knows nothing about the flow (the
-//! dependency runs the other way: this crate and `cbv-gen` build on the
-//! operator taxonomy). These adapters close the loop: they run the full
-//! Fig 2 pipeline over each mutant and reduce the [`FlowReport`] to the
-//! detector counts the campaign compares.
-//!
-//! Two oracles exist so the campaign itself can measure the claim that
-//! incremental verification makes mutation testing affordable:
-//!
-//! * [`IncrementalOracle`] owns a [`VerifyCache`]; the campaign's
-//!   baseline run primes it, and every mutant then re-verifies only its
-//!   dirty closure (the one-device ECO path of `run_flow_incremental`).
-//! * [`ColdOracle`] runs the full flow from scratch every time — the
-//!   reference cost, and the cross-check that caching never changes a
-//!   verdict.
+//! `cbv-mutate` knows nothing about the flow. A campaign oracle is a
+//! closure that runs the flow over a mutant — cold `run_flow`, or
+//! `run_flow_incremental` on a cache it owns, so each mutant after the
+//! baseline re-verifies only its dirty closure — and reduces the report
+//! with [`observe`]. The resolvers below map a §4.2 finding onto the
+//! recognized design.
 
-use cbv_cache::VerifyCache;
 use cbv_everify::{CheckKind, Finding, Severity, Subject};
-use cbv_mutate::{FlowObservation, FlowOracle};
-use cbv_netlist::{CccId, DeviceId, FlatNetlist};
-use cbv_tech::Process;
+use cbv_mutate::FlowObservation;
+use cbv_netlist::{CccId, DeviceId};
 
-use crate::flow::{run_flow, run_flow_incremental, FlowConfig, FlowReport};
+use crate::flow::FlowReport;
 
 /// Reduces one flow run to the campaign's detector counts.
 ///
@@ -144,75 +133,19 @@ pub fn site_unit(report: &FlowReport, site: SiteRef) -> Option<CccId> {
     }
 }
 
-/// The production campaign oracle: `run_flow_incremental` over a cache
-/// that persists across calls, so every mutant after the first (the
-/// baseline) is verified as a one-site ECO.
-#[derive(Debug)]
-pub struct IncrementalOracle {
-    process: Process,
-    config: FlowConfig,
-    cache: VerifyCache,
-}
-
-impl IncrementalOracle {
-    /// A fresh oracle with an empty cache; the campaign's baseline call
-    /// primes it.
-    pub fn new(process: &Process, config: FlowConfig) -> IncrementalOracle {
-        IncrementalOracle {
-            process: process.clone(),
-            config,
-            cache: VerifyCache::new(),
-        }
-    }
-}
-
-impl FlowOracle for IncrementalOracle {
-    fn verify(&mut self, netlist: &FlatNetlist) -> FlowObservation {
-        let report = run_flow_incremental(
-            netlist.clone(),
-            &self.process,
-            &self.config,
-            &mut self.cache,
-        );
-        observe(&report)
-    }
-}
-
-/// The reference oracle: a cold full flow per mutant. Expensive — it
-/// exists to price the incremental path and to confirm verdicts match.
-#[derive(Debug)]
-pub struct ColdOracle {
-    process: Process,
-    config: FlowConfig,
-}
-
-impl ColdOracle {
-    /// A cold-flow oracle.
-    pub fn new(process: &Process, config: FlowConfig) -> ColdOracle {
-        ColdOracle {
-            process: process.clone(),
-            config,
-        }
-    }
-}
-
-impl FlowOracle for ColdOracle {
-    fn verify(&mut self, netlist: &FlatNetlist) -> FlowObservation {
-        let report = run_flow(netlist.clone(), &self.process, &self.config);
-        observe(&report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbv_mutate::{apply, MutationOp, Site};
-    use cbv_netlist::NetId;
+    use crate::flow::{run_flow, run_flow_incremental, FlowConfig};
+    use cbv_cache::VerifyCache;
+    use cbv_mutate::{apply, FlowOracle, MutationOp, Site};
+    use cbv_netlist::{FlatNetlist, NetId};
+    use cbv_tech::Process;
 
     fn domino_report() -> FlowReport {
         let p = Process::strongarm_035();
         let nl = crate::gen::latches::keeper_domino(&p, 1e-6).netlist;
-        crate::flow::run_flow(nl, &p, &FlowConfig::default())
+        run_flow(nl, &p, &FlowConfig::default())
     }
 
     fn finding(check: CheckKind, subject: Subject) -> Finding {
@@ -297,8 +230,11 @@ mod tests {
     fn cold_and_incremental_oracles_agree_on_the_domino_cell() {
         let p = Process::strongarm_035();
         let base = crate::gen::latches::keeper_domino(&p, 1e-6).netlist;
-        let mut cold = ColdOracle::new(&p, FlowConfig::default());
-        let mut inc = IncrementalOracle::new(&p, FlowConfig::default());
+        let cfg = FlowConfig::default();
+        let mut cache = VerifyCache::new();
+        let mut cold = |n: &FlatNetlist| observe(&run_flow(n.clone(), &p, &cfg));
+        let mut inc =
+            |n: &FlatNetlist| observe(&run_flow_incremental(n.clone(), &p, &cfg, &mut cache));
         let cold_base = cold.verify(&base);
         let inc_base = inc.verify(&base);
         assert_eq!(cold_base.check_violations, inc_base.check_violations);

@@ -113,6 +113,14 @@ pub trait FlowOracle {
     fn verify(&mut self, netlist: &FlatNetlist) -> FlowObservation;
 }
 
+/// A closure is an oracle: cold `run_flow` plus `observe`, or
+/// `run_flow_incremental` on a cache the closure owns.
+impl<F: FnMut(&FlatNetlist) -> FlowObservation> FlowOracle for F {
+    fn verify(&mut self, netlist: &FlatNetlist) -> FlowObservation {
+        self(netlist)
+    }
+}
+
 /// Campaign knobs.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {

@@ -76,22 +76,21 @@ pub struct FarmConfig {
     /// Units per dispatched batch (min 1). Smaller batches spread
     /// better and steal cheaper; larger batches amortize the wire.
     pub batch_units: usize,
-    /// Decorrelated-jitter floor for queue-full retries, ms. The
-    /// worker's own `retry_after_ms` hint raises the floor per retry.
-    pub retry_base_ms: u64,
-    /// Decorrelated-jitter cap, ms.
-    pub retry_cap_ms: u64,
     /// Per-reply read timeout, ms. A worker that stalls longer is
     /// treated as dead and its batch requeued.
     pub reply_timeout_ms: u64,
     /// Age after which another thread may re-dispatch an inflight
     /// batch, ms.
     pub steal_after_ms: u64,
-    /// Queue-full retries per batch before the worker is declared dead
-    /// (persistent backpressure means the worker is not keeping up;
-    /// the units go to the survivors or the local fallback).
-    pub busy_retry_limit: u32,
 }
+
+/// Queue-full retries sleep a decorrelated jitter from a floor (ms;
+/// raised by the worker's `retry_after_ms` hint) to a cap, at most
+/// `BUSY_RETRY_LIMIT` times per batch; then the worker is declared dead
+/// and its units go to the survivors or the local fallback.
+const RETRY_BASE_MS: u64 = 5;
+const RETRY_CAP_MS: u64 = 250;
+const BUSY_RETRY_LIMIT: u32 = 32;
 
 /// Seed of the per-worker backoff jitter; worker `w` draws from its own
 /// offset of it.
@@ -102,11 +101,8 @@ impl Default for FarmConfig {
         FarmConfig {
             workers: Vec::new(),
             batch_units: 8,
-            retry_base_ms: 5,
-            retry_cap_ms: 250,
             reply_timeout_ms: 10_000,
             steal_after_ms: 400,
-            busy_retry_limit: 32,
         }
     }
 }
@@ -536,8 +532,8 @@ impl FarmBackend<'_> {
         }
 
         let mut backoff = Backoff::new(
-            farm.config.retry_base_ms,
-            farm.config.retry_cap_ms,
+            RETRY_BASE_MS,
+            RETRY_CAP_MS,
             BACKOFF_SEED.wrapping_add((w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
         );
         let steal_after = Duration::from_millis(farm.config.steal_after_ms);
@@ -609,7 +605,7 @@ impl FarmBackend<'_> {
                     match self.send_batch(conn, prep, &batch_units) {
                         Ok(outcomes) => break Ok(outcomes),
                         Err(WireError::Busy(hint)) => {
-                            if retries >= farm.config.busy_retry_limit {
+                            if retries >= BUSY_RETRY_LIMIT {
                                 break Err(format!(
                                     "persistent backpressure: {retries} queue-full rejections"
                                 ));

@@ -46,7 +46,7 @@ pub use protocol::{
     extract_raw_field, read_frame, write_frame, FRAME_MAGIC, MAX_FRAME, PROTO_VERSION,
 };
 pub use queue::{JobQueue, PushError};
-pub use server::{serve, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig, ServerHandle, RETRY_AFTER_MS};
 pub use session::{
     design_from_name, edit_from_json, edit_to_json, edits_from_json, Edit, NewDevice, NewNet,
     Session, SessionSeed, DESIGN_NAMES,

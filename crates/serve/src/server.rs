@@ -52,6 +52,10 @@ use crate::queue::{JobQueue, PushError};
 use crate::session::{edits_from_json, Edit, Session, SessionSeed};
 use crate::state::{state_from_json, state_to_json, write_state_atomic, SavedSession};
 
+/// Suggested client back-off, milliseconds, attached to queue-full
+/// rejections.
+pub const RETRY_AFTER_MS: u64 = 25;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -76,9 +80,6 @@ pub struct ServerConfig {
     /// Write a `cbv-trace/1` JSONL trace of every request/flow span to
     /// this path (the line-atomic shared sink).
     pub trace_path: Option<String>,
-    /// Suggested client back-off, milliseconds, attached to queue-full
-    /// rejections.
-    pub retry_after_ms: u64,
     /// Persist saved sessions and the shared cache tier to this
     /// `cbv-state/1` file: loaded (strictly) at startup, rewritten
     /// atomically on every `save` request. `None` keeps saves
@@ -95,7 +96,6 @@ impl Default for ServerConfig {
             cache_capacity: Some(4096),
             parallelism: 0,
             trace_path: None,
-            retry_after_ms: 25,
             state_path: None,
         }
     }
@@ -139,7 +139,6 @@ struct Shared {
     tracer: Tracer,
     shutting_down: AtomicBool,
     addr: SocketAddr,
-    retry_after_ms: u64,
     workers: usize,
     /// Live connection streams (clones), shut down on drain so blocked
     /// readers unwind.
@@ -272,7 +271,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         tracer,
         shutting_down: AtomicBool::new(false),
         addr,
-        retry_after_ms: config.retry_after_ms,
         workers,
         conns: Mutex::new(Vec::new()),
         handlers: Mutex::new(Vec::new()),
@@ -380,9 +378,9 @@ fn error_reply(id: u64, message: &str) -> String {
     )
 }
 
-fn busy_reply(id: u64, retry_after_ms: u64) -> String {
+fn busy_reply(id: u64) -> String {
     format!(
-        "{{\"ok\":false,\"id\":{id},\"error\":\"queue full\",\"retry_after_ms\":{retry_after_ms}}}"
+        "{{\"ok\":false,\"id\":{id},\"error\":\"queue full\",\"retry_after_ms\":{RETRY_AFTER_MS}}}"
     )
 }
 
@@ -678,7 +676,7 @@ fn batch(shared: &Shared, state: &mut ConnState, value: &Value, id: u64) -> Stri
         Ok(()) => {}
         Err(PushError::Full) => {
             shared.tracer.add("serve.reject.queue_full", 1);
-            return busy_reply(id, shared.retry_after_ms);
+            return busy_reply(id);
         }
         Err(PushError::Closed) => return error_reply(id, "daemon is draining"),
     }
@@ -789,7 +787,7 @@ fn eco(
             // Undo the batch so a client retry replays the identical
             // edit stream against the identical revision.
             let _ = session.rollback_to(before);
-            busy_reply(id, shared.retry_after_ms)
+            busy_reply(id)
         }
         Submit::Draining => {
             let _ = session.rollback_to(before);
@@ -811,7 +809,7 @@ fn signoff(
     };
     match submit_and_wait(shared, session, request_deadline(value), span) {
         Submit::Done(v) => verdict_reply(id, session.revision(), &v),
-        Submit::Busy => busy_reply(id, shared.retry_after_ms),
+        Submit::Busy => busy_reply(id),
         Submit::Draining => error_reply(id, "daemon is draining"),
         Submit::Failed(e) => error_reply(id, &e),
     }

@@ -27,14 +27,15 @@ cargo test --offline --manifest-path perf/Cargo.toml
 echo "== perf/ and BENCHMARK.json unchanged by the build =="
 git diff --exit-code -- perf/ BENCHMARK.json
 
-# The cached flow driver's contract (scatter::run_flow_tiered, here
-# through run_flow_incremental: owned cache, local backend, the run
-# builds its own prep): a signoff byte-identical to the cold run_flow
-# oracle at every worker count.
-for threads in 1 2 8; do
-  echo "== cached-driver byte-identity vs cold run_flow (CBV_THREADS=$threads) =="
-  CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental
-done
+# The equality matrix: every path that must equal cold run_flow (owned
+# cache, shared tier, farm, daemon, restored daemon) at every prefix of
+# every row, at explicit parallelism 1, 2 and 8 in-process. The second
+# run puts CBV_THREADS=8 behind the reference's auto-parallelism run
+# (`parallelism: 0`) in a separate process.
+echo "== equality matrix vs cold run_flow =="
+cargo test -q -p cbv-serve --test equality
+echo "== equality matrix vs cold run_flow (CBV_THREADS=8) =="
+CBV_THREADS=8 cargo test -q -p cbv-serve --test equality
 
 # The driver's shared-tier seam (scatter, and service as its tier): the
 # one claim ledger's single-flight for preps and units, shared preps,
@@ -90,14 +91,6 @@ cargo test -q -p cbv-bench --lib e18
 
 echo "== E20 smoke (timing remainder replays warm, delay-ECO incremental) =="
 cargo test -q -p cbv-bench --lib e20
-
-# The daemon's byte-identity contract: K racing clients, hostile
-# frames, queue-full and deadline rejections — at several flow worker
-# counts (the daemon honours CBV_THREADS through FlowConfig).
-for threads in 1 2 8; do
-  echo "== serve end-to-end (CBV_THREADS=$threads) =="
-  CBV_THREADS=$threads cargo test -q -p cbv-serve --test serve
-done
 
 echo "== daemon loopback smoke (cbv eco vs cbv replay, cmp) =="
 SMOKE_DIR=$(mktemp -d)

@@ -6,10 +6,10 @@
 //! from JSON; and after a one-device ECO on a many-CCC design it
 //! re-verifies a handful of units and replays the rest.
 //!
-//! `scripts/check.sh` re-runs the byte-identity tests under
-//! `CBV_THREADS=1,2,8` — the flows here use `parallelism: 0`, which
-//! honours that variable, so the identity is also exercised across
-//! worker counts.
+//! The tests here pin that promise on the ALU slices with
+//! `parallelism: 0`; the owned column of `tests/equality.rs` sweeps it
+//! across every registry family and ECO stream at explicit worker
+//! counts 1, 2 and 8, and also checks findings and STA.
 
 use cbv_core::cache::VerifyCache;
 use cbv_core::flow::{run_flow, run_flow_incremental, FlowConfig, FlowReport};

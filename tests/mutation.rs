@@ -3,12 +3,14 @@
 //! across the cold/incremental oracles — and the campaign actually
 //! catches what the §4.2 battery promises to catch.
 
-use cbv_core::flow::FlowConfig;
+use cbv_core::cache::VerifyCache;
+use cbv_core::flow::{run_flow, run_flow_incremental, FlowConfig};
 use cbv_core::gen::adders::manchester_domino_adder;
 use cbv_core::gen::datapath::alu_slice;
 use cbv_core::mutate::report::render_matrix;
 use cbv_core::mutate::{default_ops, run_campaign, CampaignConfig, CampaignReport};
-use cbv_core::oracle::{ColdOracle, IncrementalOracle};
+use cbv_core::netlist::FlatNetlist;
+use cbv_core::oracle::observe;
 use cbv_core::tech::Process;
 
 fn config(cap: usize) -> CampaignConfig {
@@ -30,15 +32,26 @@ fn flow_config(parallelism: usize) -> FlowConfig {
 }
 
 fn incremental_matrix(
-    netlist: &cbv_core::netlist::FlatNetlist,
+    netlist: &FlatNetlist,
     parallelism: usize,
     cap: usize,
 ) -> (CampaignReport, String) {
     let p = Process::strongarm_035();
-    let mut oracle = IncrementalOracle::new(&p, flow_config(parallelism));
+    let cfg = flow_config(parallelism);
+    let mut cache = VerifyCache::new();
+    let mut oracle =
+        |n: &FlatNetlist| observe(&run_flow_incremental(n.clone(), &p, &cfg, &mut cache));
     let report = run_campaign(netlist, &mut oracle, &config(cap));
     let text = render_matrix(&report);
     (report, text)
+}
+
+/// The campaign's detection matrix through a cold `run_flow` per mutant.
+fn cold_matrix(netlist: &FlatNetlist, parallelism: usize, cap: usize) -> String {
+    let p = Process::strongarm_035();
+    let cfg = flow_config(parallelism);
+    let mut oracle = |n: &FlatNetlist| observe(&run_flow(n.clone(), &p, &cfg));
+    render_matrix(&run_campaign(netlist, &mut oracle, &config(cap)))
 }
 
 #[test]
@@ -85,11 +98,9 @@ fn alu16_matrix_matches_cold_oracle() {
     let p = Process::strongarm_035();
     let design = alu_slice(16, &p).netlist;
     let (_, inc) = incremental_matrix(&design, 2, 1);
-    let mut cold = ColdOracle::new(&p, flow_config(2));
-    let cold_report = run_campaign(&design, &mut cold, &config(1));
     assert_eq!(
         inc,
-        render_matrix(&cold_report),
+        cold_matrix(&design, 2, 1),
         "caching must never change a verdict"
     );
 }
@@ -103,9 +114,7 @@ fn manchester32_matrix_is_thread_count_and_oracle_invariant() {
     let (_, t8) = incremental_matrix(&design, 8, 1);
     assert_eq!(t1, t8, "1 vs 8 threads");
 
-    let mut cold = ColdOracle::new(&p, flow_config(8));
-    let cold_report = run_campaign(&design, &mut cold, &config(1));
-    assert_eq!(t1, render_matrix(&cold_report), "cold vs incremental");
+    assert_eq!(t1, cold_matrix(&design, 8, 1), "cold vs incremental");
 
     // A domino design exercises the dynamic-logic operators: both must
     // have sites and zero escapes.

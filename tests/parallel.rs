@@ -1,6 +1,7 @@
 //! Determinism of the parallel execution layer: the §4.2 battery, the
 //! timing-graph build and the whole flow must produce byte-identical
-//! results at every worker count. The CBV methodology treats reports as
+//! results at every worker count (the equality matrix in
+//! `tests/equality.rs` holds every cached path to that cold flow). The CBV methodology treats reports as
 //! signoff artifacts — a report that depends on thread scheduling is a
 //! report nobody can trust or diff.
 
