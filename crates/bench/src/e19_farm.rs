@@ -101,7 +101,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 
 /// Runs one load point: `workers` daemons, `workers` streams, `steps`
 /// ECOs each, one shared cache tier.
-pub fn run_farm_load(design: &str, workers: usize, steps: usize) -> FarmPoint {
+fn run_farm_load(design: &str, workers: usize, steps: usize) -> FarmPoint {
     let daemons: Vec<_> = (0..workers)
         .map(|_| serve(ServerConfig::default()).expect("bind worker daemon"))
         .collect();
@@ -197,13 +197,13 @@ pub fn run_farm_load(design: &str, workers: usize, steps: usize) -> FarmPoint {
 /// Amdahl fit from two measured points: the serial (coordinator-side)
 /// fraction `s` such that `speedup(w) = 1 / (s + (1 - s) / w)` matches
 /// the measured W-vs-1 throughput ratio.
-pub fn serial_fraction(speedup: f64, workers: f64) -> f64 {
+fn serial_fraction(speedup: f64, workers: f64) -> f64 {
     // speedup = 1 / (s + (1-s)/w)  =>  s = (w/speedup - 1) / (w - 1)
     ((workers / speedup - 1.0) / (workers - 1.0)).clamp(0.0, 1.0)
 }
 
 /// The projected speedup at `n` workers under the fitted fraction.
-pub fn amdahl(s: f64, n: f64) -> f64 {
+fn amdahl(s: f64, n: f64) -> f64 {
     1.0 / (s + (1.0 - s) / n)
 }
 

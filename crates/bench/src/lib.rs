@@ -26,7 +26,6 @@ pub mod e16_mutation;
 pub mod e17_serve;
 pub mod e18_compile;
 pub mod e19_farm;
-pub mod e20_timing_cache;
 pub mod e22_repair;
 
 /// Prints a uniform experiment header.

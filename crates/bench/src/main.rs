@@ -27,7 +27,6 @@ const EXPERIMENTS: &[(&str, fn())] = &[
     ("e17_serve", e17_serve::print),
     ("e18_compile", e18_compile::print),
     ("e19_farm", e19_farm::print),
-    ("e20_timing", e20_timing_cache::print),
     ("e22_repair", e22_repair::print),
 ];
 

@@ -31,9 +31,9 @@ use cbv_everify::EverifyConfig;
 use cbv_extract::Extracted;
 use cbv_netlist::canon::{fnv1a, FNV_OFFSET};
 use cbv_netlist::{CanonicalKeys, FlatNetlist, NetId};
-use cbv_recognize::{NetRole, Recognition};
+use cbv_recognize::Recognition;
 use cbv_tech::{Process, Tolerance};
-use cbv_timing::{ClockSchedule, ClockSkew, Constraint, LaunchPoint, Pessimism};
+use cbv_timing::Pessimism;
 
 /// Folds one `u64` into an FNV accumulator.
 #[inline]
@@ -67,13 +67,6 @@ pub struct UnitFingerprint {
     pub content: u64,
     /// Id-sensitive binding digest (payload replay validity).
     pub binding: u64,
-}
-
-impl UnitFingerprint {
-    /// Folds the pair into one `u64` for compact lineage storage.
-    pub fn digest(self) -> u64 {
-        fold_u64(fold_u64(FNV_OFFSET, self.content), self.binding)
-    }
 }
 
 /// Fingerprints for every verification unit of one design: one per CCC
@@ -394,116 +387,6 @@ pub fn raw_netlist_digest(netlist: &FlatNetlist) -> u64 {
         h = fold_u64(h, p.a.0 as u64);
         h = fold_u64(h, p.b.0 as u64);
         h = fold_f64(h, p.value);
-    }
-    h
-}
-
-/// Digest of everything the serial timing remainder's *recognition-fed*
-/// stages read: `infer_constraints` (state elements, class dynamic
-/// outputs/clock gates, pessimism and process live in the environment
-/// fingerprint) and `graph_from_arcs` (input-role nets, state storage
-/// nets, dynamic nodes). Two runs with equal env fingerprints and equal
-/// values of this digest infer identical constraints and identical
-/// launch/cut structure, so both replay from the timing cache.
-///
-/// Deliberately order- and id-sensitive, like [`raw_netlist_digest`]:
-/// the cached payloads carry raw [`NetId`]s, so an id shift must miss.
-pub fn recognition_timing_digest(netlist: &FlatNetlist, recognition: &Recognition) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, b"rec-timing");
-    h = fold_u64(h, netlist.net_count() as u64);
-    for net in netlist.net_ids() {
-        if recognition.role(net) == NetRole::Input {
-            h = fold_u64(h, net.index() as u64);
-        }
-    }
-    h = fold_u64(h, recognition.clock_nets.len() as u64);
-    for &c in &recognition.clock_nets {
-        h = fold_u64(h, c.index() as u64);
-    }
-    h = fold_u64(h, recognition.state_elements.len() as u64);
-    for se in &recognition.state_elements {
-        h = fold_debug(h, &se.kind);
-        h = fold_u64(h, se.storage_nets.len() as u64);
-        for &n in &se.storage_nets {
-            h = fold_u64(h, n.index() as u64);
-        }
-        h = fold_u64(h, se.clocks.first().map_or(0, |c| c.index() as u64 + 1));
-    }
-    h = fold_u64(h, recognition.classes.len() as u64);
-    for class in &recognition.classes {
-        h = fold_u64(h, class.dynamic_outputs.len() as u64);
-        for &n in &class.dynamic_outputs {
-            h = fold_u64(h, n.index() as u64);
-        }
-        h = fold_u64(
-            h,
-            class
-                .clock_inputs
-                .first()
-                .map_or(0, |c| c.index() as u64 + 1),
-        );
-    }
-    h
-}
-
-/// Content address of one clock tree's skew computation: the clock net,
-/// the electrical content of its extracted RC network, and the driver
-/// resistance the bounds were computed with (tolerance lives in the
-/// environment fingerprint).
-pub fn clock_tree_digest(net: NetId, rc_content: u64, r_driver_ohms: f64) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, b"cktree");
-    h = fold_u64(h, net.index() as u64);
-    h = fold_u64(h, rc_content);
-    fold_f64(h, r_driver_ohms)
-}
-
-/// Digest of the delay-independent STA propagation structure: launches,
-/// cuts, constraints, schedule and skews — everything `analyze` reads
-/// *except* the arc delays. Arc delays are deliberately excluded so a
-/// delay-only ECO still hits the cached lineage and replays
-/// incrementally (the lineage's per-unit arc digests localize what
-/// changed); any structural change misses and falls back to a full
-/// propagation.
-pub fn sta_structure_digest(
-    net_count: usize,
-    launches: &[LaunchPoint],
-    cut_nets: &[NetId],
-    constraints: &[Constraint],
-    schedule: &ClockSchedule,
-    skews: &[ClockSkew],
-) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, b"sta-struct");
-    h = fold_u64(h, net_count as u64);
-    h = fold_u64(h, launches.len() as u64);
-    for l in launches {
-        h = fold_u64(h, l.net.index() as u64);
-        h = fold_u64(h, l.clock.map_or(0, |c| c.index() as u64 + 1));
-    }
-    h = fold_u64(h, cut_nets.len() as u64);
-    for &n in cut_nets {
-        h = fold_u64(h, n.index() as u64);
-    }
-    h = fold_u64(h, constraints.len() as u64);
-    for c in constraints {
-        h = fold_u64(h, c.net.index() as u64);
-        h = fold_debug(h, &c.kind);
-        h = fold_u64(h, c.clock.map_or(0, |k| k.index() as u64 + 1));
-        h = fold_f64(h, c.setup.seconds());
-        h = fold_f64(h, c.hold.seconds());
-    }
-    h = fold_f64(h, schedule.period.seconds());
-    h = fold_u64(h, schedule.phases.len() as u64);
-    for p in &schedule.phases {
-        h = fold_u64(h, p.net_name.len() as u64);
-        h = fnv1a(h, p.net_name.as_bytes());
-        h = fold_f64(h, p.rise.seconds());
-        h = fold_f64(h, p.fall.seconds());
-    }
-    h = fold_u64(h, skews.len() as u64);
-    for s in skews {
-        h = fold_u64(h, s.net.index() as u64);
-        h = fold_f64(h, s.min.seconds());
-        h = fold_f64(h, s.max.seconds());
     }
     h
 }

@@ -15,20 +15,17 @@
 
 use std::time::{Duration, Instant};
 
-use cbv_cache::{
-    clock_tree_digest, recognition_timing_digest, sta_structure_digest, CacheKey, CacheStats,
-    StaLineage, TimingKey, TimingPayload, TimingSpace, UnitFingerprint, UnitResult, VerifyCache,
-};
+use cbv_cache::{CacheKey, CacheStats, UnitResult, VerifyCache};
 use cbv_everify::EverifyConfig;
 use cbv_exec::Executor;
 use cbv_extract::Extracted;
 use cbv_layout::Layout;
-use cbv_netlist::{FlatNetlist, NetId};
+use cbv_netlist::FlatNetlist;
 use cbv_obs::{TraceCtx, Tracer};
 use cbv_power::ActivityModel;
 use cbv_recognize::Recognition;
 use cbv_tech::{Process, Seconds, Tolerance};
-use cbv_timing::{ClockSchedule, ClockSkew, DelayCalc, Pessimism, TimingGraph};
+use cbv_timing::{ClockSchedule, DelayCalc, Pessimism, TimingGraph};
 
 use crate::scatter::{run_flow_tiered, LocalBackend};
 use crate::signoff::Signoff;
@@ -134,12 +131,6 @@ pub struct FlowReport {
     /// The write-back half of a shared-tier discipline reads this to
     /// know which entries the run contributed.
     pub fresh: Vec<CacheKey>,
-    /// Timing-remainder artifacts (constraints, graph structure, clock
-    /// skews, STA lineage) this run computed and inserted into its
-    /// cache's timing tier — the serial-remainder counterpart of
-    /// [`fresh`](FlowReport::fresh), and empty for the cold flow or any
-    /// run with a poisoned unit (a degraded remainder is never cached).
-    pub fresh_timing: Vec<TimingKey>,
 }
 
 impl FlowReport {
@@ -255,7 +246,6 @@ pub fn run_flow(netlist: FlatNetlist, process: &Process, config: &FlowConfig) ->
     });
 
     // 5. Timing verification (§4.3).
-    let schedule = schedule_of(config, &prep, process);
     let calc = DelayCalc::new(process, config.tolerance, config.pessimism);
     let (sta, n_constraints) = timed(&mut stages, flow, "timing", |ctx| {
         let (graph, graph_busy) = cbv_timing::graph::build_graph_traced(
@@ -267,38 +257,9 @@ pub fn run_flow(netlist: FlatNetlist, process: &Process, config: &FlowConfig) ->
             ctx,
         );
         let serial_start = Instant::now();
-        let constraints =
-            cbv_timing::infer_constraints(netlist, recognition, process, &config.pessimism);
-        let skews: Vec<_> = recognition
-            .clock_nets
-            .iter()
-            .filter_map(|&c| {
-                cbv_timing::clock_skew_bounds(
-                    extracted,
-                    c,
-                    cbv_tech::Ohms::new(200.0),
-                    &config.tolerance,
-                )
-            })
-            .collect();
-        let r = {
-            let _sta_span = ctx.span("sta");
-            cbv_timing::analyze(
-                netlist,
-                &graph,
-                &constraints,
-                &schedule,
-                &config.pessimism,
-                &skews,
-            )
-        };
-        ctx.tracer
-            .add("timing.constraints", constraints.len() as u64);
-        ctx.tracer
-            .add("timing.violations", r.violations.len() as u64);
+        let (r, n) = analyze_graph(&prep, &graph, process, config, ctx);
         ctx.tracer
             .gauge("timing.graph_busy_s", graph_busy.as_secs_f64());
-        let n = constraints.len();
         // Stage compute = parallel graph build (all workers) + the
         // serial constraint/skew/propagation remainder.
         let cpu = graph_busy + serial_start.elapsed();
@@ -329,7 +290,6 @@ pub fn run_flow(netlist: FlatNetlist, process: &Process, config: &FlowConfig) ->
         sta,
         netlist: prep.netlist,
         fresh: Vec::new(),
-        fresh_timing: Vec::new(),
     }
 }
 
@@ -401,7 +361,7 @@ pub(crate) fn drc_row(
 /// The schedule timing verifies against: the configured one, else a
 /// single-phase schedule at the process target frequency on the design's
 /// first recognized clock.
-pub(crate) fn schedule_of(config: &FlowConfig, prep: &Prep, process: &Process) -> ClockSchedule {
+fn schedule_of(config: &FlowConfig, prep: &Prep, process: &Process) -> ClockSchedule {
     config.schedule.clone().unwrap_or_else(|| {
         let name = prep
             .recognition
@@ -487,352 +447,70 @@ pub(crate) fn dirty_closure(
     dirty
 }
 
-/// Driver resistance the clock-RC skew bounds are computed (and keyed)
-/// with.
-const CLOCK_DRIVER_OHMS: f64 = 200.0;
-
-/// The timing-tier keys a run can name from its prep alone, before any
-/// lookup: constraints and graph structure (both keyed by the
-/// recognition-relevant digest) and one skew key per extracted clock
-/// tree. The STA key is derived from those artifacts' *payloads*, so it
-/// is named in a second step ([`TimingKeys::sta`]) once they are at
-/// hand — which is what lets a shared tier answer the whole timing
-/// remainder in the same locked batch as the unit keys.
-pub(crate) struct TimingKeys {
-    env: u64,
-    constraints: TimingKey,
-    graph: TimingKey,
-    /// Per recognized clock net, in `clock_nets` order; `None` for a
-    /// clock net with no extracted RC (no bounds, nothing to cache).
-    skews: Vec<Option<TimingKey>>,
-    net_count: usize,
-    schedule: ClockSchedule,
+/// The timing stage after its graph is built: constraint inference,
+/// clock-RC skew bounds and STA over `graph` against the flow's
+/// schedule. Returns the STA report and the inferred constraint count
+/// (the signoff's timing denominator).
+fn analyze_graph(
+    prep: &Prep,
+    graph: &TimingGraph,
+    process: &Process,
+    config: &FlowConfig,
+    ctx: TraceCtx<'_>,
+) -> (cbv_timing::StaReport, usize) {
+    let constraints =
+        cbv_timing::infer_constraints(&prep.netlist, &prep.recognition, process, &config.pessimism);
+    let skews: Vec<_> = prep
+        .recognition
+        .clock_nets
+        .iter()
+        .filter_map(|&c| {
+            cbv_timing::clock_skew_bounds(
+                &prep.extracted,
+                c,
+                cbv_tech::Ohms::new(200.0),
+                &config.tolerance,
+            )
+        })
+        .collect();
+    let schedule = schedule_of(config, prep, process);
+    let r = {
+        let _sta_span = ctx.span("sta");
+        cbv_timing::analyze(
+            &prep.netlist,
+            graph,
+            &constraints,
+            &schedule,
+            &config.pessimism,
+            &skews,
+        )
+    };
+    ctx.tracer
+        .add("timing.constraints", constraints.len() as u64);
+    ctx.tracer
+        .add("timing.violations", r.violations.len() as u64);
+    (r, constraints.len())
 }
 
-impl TimingKeys {
-    pub(crate) fn of(prep: &Prep, env: u64, schedule: ClockSchedule) -> TimingKeys {
-        let rec_digest = recognition_timing_digest(&prep.netlist, &prep.recognition);
-        let key = |space, digest| TimingKey { env, space, digest };
-        TimingKeys {
-            env,
-            net_count: prep.netlist.net_count(),
-            schedule,
-            constraints: key(TimingSpace::Constraints, rec_digest),
-            graph: key(TimingSpace::Graph, rec_digest),
-            skews: prep
-                .recognition
-                .clock_nets
-                .iter()
-                .map(|&c| {
-                    prep.extracted.net(c).map(|en| {
-                        let tree = clock_tree_digest(c, en.rc.content_digest(), CLOCK_DRIVER_OHMS);
-                        key(TimingSpace::Skew, tree)
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    /// The keys nameable before any lookup, in lookup order.
-    pub(crate) fn known(&self) -> Vec<TimingKey> {
-        [self.constraints, self.graph]
-            .into_iter()
-            .chain(self.skews.iter().flatten().copied())
-            .collect()
-    }
-
-    /// The STA key `cache`'s copies of the [`known`](TimingKeys::known)
-    /// artifacts lead to, or `None` unless it holds every one of them
-    /// (the run will then compute the missing ones, and with them a
-    /// structure no tier has seen).
-    pub(crate) fn sta(&self, cache: &VerifyCache) -> Option<TimingKey> {
-        let Some(TimingPayload::Constraints(constraints)) = cache.get_timing(&self.constraints)
-        else {
-            return None;
-        };
-        let Some(TimingPayload::Graph { launches, cut_nets }) = cache.get_timing(&self.graph)
-        else {
-            return None;
-        };
-        let mut skews: Vec<ClockSkew> = Vec::new();
-        for key in self.skews.iter().flatten() {
-            let Some(TimingPayload::Skew(skew)) = cache.get_timing(key) else {
-                return None;
-            };
-            skews.extend(skew.clone());
-        }
-        Some(self.sta_key(launches, cut_nets, constraints, &skews))
-    }
-
-    /// Keyed by everything `analyze` reads except the arc delays, so a
-    /// delay-only ECO lands on the cached lineage and replays
-    /// incrementally from the changed units' endpoints.
-    fn sta_key(
-        &self,
-        launches: &[cbv_timing::LaunchPoint],
-        cut_nets: &[NetId],
-        constraints: &[cbv_timing::Constraint],
-        skews: &[ClockSkew],
-    ) -> TimingKey {
-        TimingKey {
-            env: self.env,
-            space: TimingSpace::Sta,
-            digest: sta_structure_digest(
-                self.net_count,
-                launches,
-                cut_nets,
-                constraints,
-                &self.schedule,
-                skews,
-            ),
-        }
-    }
-}
-
-/// What the cached serial timing remainder came back with.
-pub(crate) struct TimingRemainder {
-    /// The STA report — byte-identical to a full cold propagation over
-    /// the same spliced arcs (the soundness contract).
-    pub sta: cbv_timing::StaReport,
-    /// Inferred constraint count (the signoff's timing denominator).
-    pub n_constraints: usize,
-    /// Spliced arc count (the stage's artifact tally).
-    pub n_arcs: usize,
-    /// Remainder lookups answered from the cache's timing tier.
-    pub hits: usize,
-    /// Remainder lookups that had to compute (and, on a clean run, get
-    /// inserted by the caller).
-    pub misses: usize,
-    /// Entries this run computed, plus a refreshed STA lineage after an
-    /// incremental replay. The caller inserts them into its cache —
-    /// unless any unit is poisoned, in which case the remainder ran over
-    /// degraded arcs and must leave no residue behind.
-    pub fresh: Vec<(TimingKey, TimingPayload)>,
-}
-
-/// The serial timing remainder — splice, graph assembly, constraint
-/// inference, clock-RC skew, STA — with every artifact content-addressed
-/// against `cache`'s timing tier:
-///
-/// - constraints and the graph's launch/cut structure are keyed by the
-///   recognition-relevant content digest (they never read arc delays);
-/// - each clock tree's skew bounds are keyed by that tree's RC content
-///   and driver resistance;
-/// - the converged STA state is keyed by the delay-independent
-///   propagation structure, and carries a per-unit fingerprint lineage:
-///   a delay-only ECO hits, diffs the lineage against the unit
-///   fingerprints the flow already computed to find which units' arcs
-///   moved, and re-propagates only from those endpoints
-///   ([`cbv_timing::analyze_incremental`]); any structural change — or
-///   a NaN anywhere — falls back to the full propagation oracle.
-///
-/// `units` are the per-CCC unit results in CCC order with their arcs
-/// already spliced in; `unit_fps` their content+binding fingerprints in
-/// the same order (within one `env` a fingerprint determines the arcs,
-/// so the lineage diff costs nothing beyond comparisons). Lookups
-/// refresh LRU recency through the shared reference; insertion is the
-/// caller's (it owns the `&mut` and decides based on poisoning).
-#[allow(clippy::too_many_arguments)]
+/// The cached driver's timing stage: splices the per-CCC unit arcs (in
+/// CCC order, the cold graph's exact arc sequence), assembles the graph
+/// around them and runs [`analyze_graph`] — the same remainder cold
+/// [`run_flow`] runs after its parallel graph build, recomputed on every
+/// run because it costs a fraction of a millisecond. Returns the STA
+/// report, the inferred constraint count and the spliced arc count.
 pub(crate) fn timing_remainder(
     prep: &Prep,
     process: &Process,
     config: &FlowConfig,
-    keys: &TimingKeys,
     units: &[UnitResult],
-    unit_fps: &[UnitFingerprint],
-    cache: &VerifyCache,
     ctx: TraceCtx<'_>,
-) -> TimingRemainder {
-    debug_assert_eq!(units.len(), unit_fps.len());
-    let unit_fps: Vec<u64> = unit_fps.iter().map(|f| f.digest()).collect();
-    let mut hits = 0usize;
-    let mut misses = 0usize;
-    let mut fresh: Vec<(TimingKey, TimingPayload)> = Vec::new();
+) -> (cbv_timing::StaReport, usize, usize) {
     let arcs: Vec<cbv_timing::Arc> = units.iter().flat_map(|u| u.arcs.iter().copied()).collect();
     let n_arcs = arcs.len();
-
-    // Inferred capture constraints: pure function of recognition content
-    // (pessimism and process live in the environment fingerprint).
-    let cons_key = keys.constraints;
-    let constraints = match cache.get_timing(&cons_key) {
-        Some(TimingPayload::Constraints(c)) => {
-            hits += 1;
-            c.clone()
-        }
-        _ => {
-            misses += 1;
-            let c = cbv_timing::infer_constraints(
-                &prep.netlist,
-                &prep.recognition,
-                process,
-                &config.pessimism,
-            );
-            fresh.push((cons_key, TimingPayload::Constraints(c.clone())));
-            c
-        }
-    };
-
-    // Launch/cut structure of the spliced graph: also arc-independent,
-    // so a cached structure is reassembled around this run's arcs.
-    let graph_key = keys.graph;
-    let graph = match cache.get_timing(&graph_key) {
-        Some(TimingPayload::Graph { launches, cut_nets }) => {
-            hits += 1;
-            TimingGraph {
-                arcs,
-                launches: launches.clone(),
-                cut_nets: cut_nets.clone(),
-            }
-        }
-        _ => {
-            misses += 1;
-            let g = cbv_timing::graph_from_arcs(&prep.netlist, &prep.recognition, arcs);
-            fresh.push((
-                graph_key,
-                TimingPayload::Graph {
-                    launches: g.launches.clone(),
-                    cut_nets: g.cut_nets.clone(),
-                },
-            ));
-            g
-        }
-    };
-
-    // Clock-RC skew bounds, one entry per extracted clock tree. A clock
-    // net with no extracted RC yields no bounds and nothing to cache.
-    // `None` bounds on an extracted tree (degenerate single-node net)
-    // are cached too — the negative result costs the same walk.
-    let r_driver = cbv_tech::Ohms::new(CLOCK_DRIVER_OHMS);
-    let mut skews: Vec<ClockSkew> = Vec::new();
-    for (&c, key) in prep.recognition.clock_nets.iter().zip(&keys.skews) {
-        let skew = match *key {
-            None => None,
-            Some(key) => match cache.get_timing(&key) {
-                Some(TimingPayload::Skew(s)) => {
-                    hits += 1;
-                    s.clone()
-                }
-                _ => {
-                    misses += 1;
-                    let s = cbv_timing::clock_skew_bounds(
-                        &prep.extracted,
-                        c,
-                        r_driver,
-                        &config.tolerance,
-                    );
-                    fresh.push((key, TimingPayload::Skew(s.clone())));
-                    s
-                }
-            },
-        };
-        skews.extend(skew);
-    }
-
-    let schedule = &keys.schedule;
-    let sta_key = keys.sta_key(&graph.launches, &graph.cut_nets, &constraints, &skews);
-    // Endpoint nets of one unit's arcs — computed only for units whose
-    // fingerprint moved (and once for everything on a structure miss);
-    // the clean majority's nets replay from the lineage.
-    let unit_nets = |u: &UnitResult| {
-        let mut nets: Vec<NetId> = u.arcs.iter().flat_map(|a| [a.from, a.to]).collect();
-        nets.sort_unstable();
-        nets.dedup();
-        nets
-    };
-    let _sta_span = ctx.span("sta");
-    let mut replayed: Option<cbv_timing::StaReport> = None;
-    if let Some(TimingPayload::Sta(lineage)) = cache.get_timing(&sta_key) {
-        // A lineage from a different unit partition cannot be diffed;
-        // fall through to the full propagation (which overwrites it).
-        if lineage.unit_digests.len() == unit_fps.len() {
-            let mut dirty: Vec<NetId> = Vec::new();
-            for i in 0..unit_fps.len() {
-                if lineage.unit_digests[i] != unit_fps[i] {
-                    dirty.extend(lineage.unit_arc_nets[i].iter().copied());
-                    dirty.extend(unit_nets(&units[i]));
-                }
-            }
-            dirty.sort_unstable();
-            dirty.dedup();
-            let stale = !dirty.is_empty();
-            if let Some((report, snapshot)) = cbv_timing::analyze_incremental(
-                &prep.netlist,
-                &graph,
-                &constraints,
-                schedule,
-                &config.pessimism,
-                &skews,
-                &lineage.snapshot,
-                &dirty,
-            ) {
-                if stale {
-                    // Same structure key, moved delays: refresh the
-                    // lineage so the *next* ECO diffs against this run.
-                    let nets: Vec<Vec<NetId>> = units
-                        .iter()
-                        .enumerate()
-                        .map(|(i, u)| {
-                            if lineage.unit_digests[i] == unit_fps[i] {
-                                lineage.unit_arc_nets[i].clone()
-                            } else {
-                                unit_nets(u)
-                            }
-                        })
-                        .collect();
-                    fresh.push((
-                        sta_key,
-                        TimingPayload::Sta(StaLineage {
-                            unit_digests: unit_fps.to_vec(),
-                            unit_arc_nets: nets,
-                            snapshot,
-                        }),
-                    ));
-                }
-                replayed = Some(report);
-            }
-        }
-    }
-    let sta = match replayed {
-        Some(r) => {
-            hits += 1;
-            r
-        }
-        None => {
-            misses += 1;
-            let (report, snapshot) = cbv_timing::analyze_with_snapshot(
-                &prep.netlist,
-                &graph,
-                &constraints,
-                schedule,
-                &config.pessimism,
-                &skews,
-            );
-            fresh.push((
-                sta_key,
-                TimingPayload::Sta(StaLineage {
-                    unit_digests: unit_fps.to_vec(),
-                    unit_arc_nets: units.iter().map(unit_nets).collect(),
-                    snapshot,
-                }),
-            ));
-            report
-        }
-    };
-    drop(_sta_span);
-
     ctx.tracer.add("timing.arcs", n_arcs as u64);
-    ctx.tracer
-        .add("timing.constraints", constraints.len() as u64);
-    ctx.tracer
-        .add("timing.violations", sta.violations.len() as u64);
-    TimingRemainder {
-        sta,
-        n_constraints: constraints.len(),
-        n_arcs,
-        hits,
-        misses,
-        fresh,
-    }
+    let graph = cbv_timing::graph_from_arcs(&prep.netlist, &prep.recognition, arcs);
+    let (sta, n_constraints) = analyze_graph(prep, &graph, process, config, ctx);
+    (sta, n_constraints, n_arcs)
 }
 
 /// Runs the verification flow incrementally against a [`VerifyCache`]:

@@ -23,8 +23,8 @@
 //! from its caller. The cold [`run_flow`] is deliberately *not* this
 //! body: it verifies the whole design without the unit partition, which
 //! makes it the oracle the driver is compared against. The two share
-//! only the serial prep, the default schedule and the power + signoff
-//! roll-up.
+//! only the serial prep, the timing stage after graph assembly
+//! (constraints, skew, STA) and the power + signoff roll-up.
 //!
 //! # Stage rows and determinism
 //!
@@ -60,8 +60,8 @@ use cbv_tech::{Process, Tolerance};
 use cbv_timing::{DelayCalc, Pessimism};
 
 use crate::flow::{
-    check_deadline, dirty_closure, drc_row, power_and_signoff, schedule_of, serial_prep, timed,
-    timing_remainder, FlowConfig, FlowReport, Prep, StageReport, TimingKeys,
+    check_deadline, dirty_closure, drc_row, power_and_signoff, serial_prep, timed,
+    timing_remainder, FlowConfig, FlowReport, Prep, StageReport,
 };
 
 /// Everything a worker needs to verify any unit of one design revision:
@@ -285,15 +285,6 @@ impl UnitBackend for LocalBackend {
     }
 }
 
-/// Every key one run can look up, named once its prep is at hand — what
-/// a [`SharedTier`] is asked for.
-pub(crate) struct RunKeys {
-    /// Unit keys in fixed unit order.
-    pub units: Vec<CacheKey>,
-    /// The timing tier's keys (see [`TimingKeys`] for the two steps).
-    pub timing: TimingKeys,
-}
-
 /// A prepared design's content address: the environment fingerprint and
 /// the raw digest of the netlist as it arrived, before recognition
 /// annotates it.
@@ -328,11 +319,11 @@ pub(crate) trait SharedTier {
     /// entry wins.
     fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>);
 
-    /// One locked batch: copies whatever the tier holds under `keys`
-    /// into `overlay`, then [claims](Inflight::claim) the unit keys still
-    /// missing before the tier's guards drop. Returns the claims and
-    /// *theirs*: missing keys another run is computing.
-    fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>);
+    /// One locked batch: copies whatever the tier holds under the run's
+    /// unit `keys` into `overlay`, then [claims](Inflight::claim) the
+    /// keys still missing before the tier's guards drop. Returns the
+    /// claims and *theirs*: missing keys another run is computing.
+    fn fetch(&self, keys: &[CacheKey], overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>);
 
     /// Makes the unpoisoned `outcomes` visible to every later fetch under
     /// `keys[unit]`, before the run ends. An existing entry wins.
@@ -512,11 +503,7 @@ pub(crate) fn run_flow_tiered(
                 prep
             }
         };
-        let schedule = schedule_of(config, &prep.parts, process);
-        let keys = RunKeys {
-            units: (0..prep.n_units()).map(|i| prep.unit_key(i)).collect(),
-            timing: TimingKeys::of(&prep.parts, prep.env, schedule),
-        };
+        let keys: Vec<CacheKey> = (0..prep.n_units()).map(|i| prep.unit_key(i)).collect();
         let (claims, theirs) = tier.map(|tier| tier.fetch(&keys, cache)).unzip();
         let theirs: Vec<CacheKey> = theirs.unwrap_or_default();
         let dirty = dirty_closure(cache, prep.env, &prep.fps, &prep.parts.recognition, &theirs);
@@ -540,7 +527,7 @@ pub(crate) fn run_flow_tiered(
             // Publish before releasing (see `Inflight::claim`), and
             // compute and release before waiting: two runs holding claims
             // on each other's units cannot block each other.
-            tier.publish(&keys.units, &outcomes);
+            tier.publish(&keys, &outcomes);
             drop(claims);
             if !theirs.is_empty() {
                 tier.await_units(&theirs, config.deadline, cache);
@@ -597,25 +584,18 @@ pub(crate) fn run_flow_tiered(
 
     // 6. Timing: arcs arrived with the unit outcomes; what remains is
     // the serial splice (CCC index order — the cold graph's exact arc
-    // sequence), constraints, skew and STA.
-    let remainder = timed(&mut stages, flow, "timing", |ctx| {
-        let rem = timing_remainder(
-            &prep.parts,
-            process,
-            config,
-            &keys.timing,
-            &per_unit[..n_cccs],
-            &prep.fps.units[..n_cccs],
-            cache,
-            ctx,
-        );
-        let n_arcs = rem.n_arcs;
-        (rem, n_arcs, None)
+    // sequence), constraints, skew and STA, recomputed every run. The
+    // row's stats count CCC arcs: replayed for a clean CCC, computed
+    // for a dirty one.
+    let (sta, n_constraints) = timed(&mut stages, flow, "timing", |ctx| {
+        let (sta, n_constraints, n_arcs) =
+            timing_remainder(&prep.parts, process, config, &per_unit[..n_cccs], ctx);
+        ((sta, n_constraints), n_arcs, None)
     });
     let dirty_cccs = dirty[..n_cccs].iter().filter(|&&d| d).count();
-    let mut timing_stats = CacheStats {
-        hits: n_cccs - dirty_cccs + remainder.hits,
-        misses: dirty_cccs + remainder.misses,
+    let timing_stats = CacheStats {
+        hits: n_cccs - dirty_cccs,
+        misses: dirty_cccs,
         ..CacheStats::default()
     };
     tracer.add("cache.timing.hits", timing_stats.hits as u64);
@@ -639,20 +619,6 @@ pub(crate) fn run_flow_tiered(
     everify_stats.evictions = cache.evictions() - evictions_before;
     tracer.add("cache.evictions", everify_stats.evictions as u64);
 
-    // Prime the timing tier with the remainder artifacts — but only on
-    // an unpoisoned run: a poisoned run's remainder was computed over
-    // degraded arcs (dropped units), and a timed-out or crashed flow
-    // must leave the cache exactly as it found it.
-    let mut fresh_timing_keys: Vec<cbv_cache::TimingKey> = Vec::new();
-    if !poisoned.iter().any(|&p| p) {
-        let tevict_before = cache.timing_evictions();
-        for (key, payload) in remainder.fresh {
-            cache.insert_timing(key, payload);
-            fresh_timing_keys.push(key);
-        }
-        timing_stats.evictions = cache.timing_evictions() - tevict_before;
-        tracer.add("cache.timing.evictions", timing_stats.evictions as u64);
-    }
     for (stage, stats) in [("everify", everify_stats), ("timing", timing_stats)] {
         let row = stages.iter_mut().find(|s| s.stage == stage);
         row.expect("cached stage row").cache = Some(stats);
@@ -667,8 +633,8 @@ pub(crate) fn run_flow_tiered(
         config,
         drc_violations,
         &ereport,
-        &remainder.sta,
-        remainder.n_constraints,
+        &sta,
+        n_constraints,
     );
     cbv_everify::finding_counters(&ereport, flow);
 
@@ -686,10 +652,9 @@ pub(crate) fn run_flow_tiered(
         recognition,
         signoff,
         everify: ereport,
-        sta: remainder.sta,
+        sta,
         netlist,
         fresh: fresh_keys,
-        fresh_timing: fresh_timing_keys,
     }
 }
 
@@ -863,7 +828,7 @@ mod tests {
             self.service.publish_prep(key, prep);
         }
 
-        fn fetch(&self, _: &RunKeys, _: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
+        fn fetch(&self, _: &[CacheKey], _: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
             self.units.claim([])
         }
 

@@ -13,10 +13,10 @@
 //! A verification run can take arbitrarily long, so the shared cache is
 //! never held across one. [`FlowService::verify`] instead:
 //!
-//! 1. **fetches** by key: once the run's prep has named its unit keys
-//!    and timing-tier keys, one locked batch copies exactly those
-//!    entries (refreshing their LRU recency) into a per-run overlay,
-//!    and claims the unit keys still missing (*Single-flight*, below).
+//! 1. **fetches** by key: once the run's prep has named its unit keys,
+//!    one locked batch copies exactly those entries (refreshing their
+//!    LRU recency) into a per-run overlay, and claims the keys still
+//!    missing (*Single-flight*, below).
 //!    A request therefore costs O(design) in time and memory however
 //!    large the tier has grown, and a bounded tier never evicts the
 //!    revision a session is walking;
@@ -44,8 +44,8 @@
 //! Every request is one run of the cached flow driver
 //! ([`crate::scatter`]) with both of its seams set by the service: the
 //! *cache* is this service as the driver's `SharedTier` — its four
-//! newest prepared designs and a per-run overlay of its unit and timing
-//! tier — and the *unit backend* is the caller's —
+//! newest prepared designs and a per-run overlay of its unit entries —
+//! and the *unit backend* is the caller's —
 //! [`verify_with_backend`](FlowService::verify_with_backend) is the farm
 //! coordinator's entry point, [`verify`](FlowService::verify) uses
 //! [`LocalBackend`]. Signoff bytes are identical either way.
@@ -74,7 +74,7 @@ use cbv_tech::Process;
 
 use crate::flow::{FlowConfig, FlowReport};
 use crate::scatter::{
-    run_flow_tiered, Claims, Inflight, LocalBackend, PrepKey, PrepLookup, PreparedDesign, RunKeys,
+    run_flow_tiered, Claims, Inflight, LocalBackend, PrepKey, PrepLookup, PreparedDesign,
     SharedTier, UnitBackend, UnitOutcome,
 };
 
@@ -251,13 +251,7 @@ impl FlowService {
             .iter()
             .filter(|key| overlay.contains(key))
             .count();
-        // Timing-remainder artifacts ride the same tier, so every stream
-        // of this service shares one set of inferred constraints, graph
-        // structure, clock skews and STA lineage, as they share preps.
-        // They are not counted: absorb accounting is unit-denominated
-        // throughout.
-        self.shared()
-            .absorb_keys(overlay, &report.fresh, &report.fresh_timing);
+        self.shared().absorb_keys(overlay, &report.fresh);
         self.config.tracer.add("cache.absorb.batches", 1);
         self.config
             .tracer
@@ -292,11 +286,9 @@ impl FlowService {
 /// A prep lookup reads the store of the newest preps, FIFO past
 /// `PREP_CAPACITY`. The keyed fetch is one locked batch per request: the
 /// read refreshes recency in the tier, so a bounded tier keeps what live
-/// sessions are walking; the STA key follows in the same batch once the
-/// artifacts it is derived from are in the overlay, and the run's claims
-/// last, before the guard drops. The overlay inherits the tier's bound,
-/// so a design larger than the bound is capped per run as it is per
-/// tier.
+/// sessions are walking, and the run's claims follow before the guard
+/// drops. The overlay inherits the tier's bound, so a design larger than
+/// the bound is capped per run as it is per tier.
 impl SharedTier for FlowService {
     fn prep(&self, key: PrepKey, by: Option<Instant>) -> PrepLookup<'_> {
         let lookup = || {
@@ -325,14 +317,11 @@ impl SharedTier for FlowService {
         }
     }
 
-    fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
+    fn fetch(&self, keys: &[CacheKey], overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
         let shared = self.shared();
         overlay.set_capacity(shared.capacity());
-        let mut copied = shared.fetch_into(&keys.units, &keys.timing.known(), overlay);
-        if let Some(sta) = keys.timing.sta(overlay) {
-            copied += shared.fetch_into(&[], &[sta], overlay);
-        }
-        let missing = keys.units.iter().filter(|key| !overlay.contains(key));
+        let copied = shared.fetch_into(keys, overlay);
+        let missing = keys.iter().filter(|key| !overlay.contains(key));
         let claimed = self.inflight.claim(missing.copied());
         drop(shared);
         self.config.tracer.add("cache.fetch.batches", 1);
@@ -364,7 +353,7 @@ impl SharedTier for FlowService {
     /// second batch.
     fn await_units(&self, keys: &[CacheKey], by: Option<Instant>, overlay: &mut VerifyCache) {
         self.inflight.wait(keys, by);
-        let copied = self.shared().fetch_into(keys, &[], overlay);
+        let copied = self.shared().fetch_into(keys, overlay);
         self.config.tracer.add("cache.fetch.entries", copied as u64);
     }
 }
@@ -372,7 +361,7 @@ impl SharedTier for FlowService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{run_flow, run_flow_incremental, schedule_of, serial_prep, TimingKeys};
+    use crate::flow::{run_flow, run_flow_incremental};
     use cbv_everify::Severity;
     use cbv_exec::{run_isolated, Executor};
     use cbv_gen::adders::static_ripple_adder;
@@ -400,10 +389,14 @@ mod tests {
             self.0.publish_prep(key, prep);
         }
 
-        fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
+        fn fetch(
+            &self,
+            keys: &[CacheKey],
+            overlay: &mut VerifyCache,
+        ) -> (Claims<'_>, Vec<CacheKey>) {
             let shared = self.0.shared();
             *overlay = shared.clone();
-            let missing = keys.units.iter().filter(|key| !overlay.contains(key));
+            let missing = keys.iter().filter(|key| !overlay.contains(key));
             self.0.inflight.claim(missing.copied())
         }
 
@@ -672,7 +665,11 @@ mod tests {
             self.0.publish_prep(key, prep);
         }
 
-        fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
+        fn fetch(
+            &self,
+            keys: &[CacheKey],
+            overlay: &mut VerifyCache,
+        ) -> (Claims<'_>, Vec<CacheKey>) {
             self.0.fetch(keys, overlay)
         }
 
@@ -810,17 +807,6 @@ mod tests {
         assert!(retry.clean, "a later request re-verifies cleanly");
     }
 
-    /// `units` as a run's keys. The timing half is a real design's: a
-    /// fresh service's tier answers none of it.
-    fn run_keys(units: Vec<CacheKey>) -> RunKeys {
-        let p = Process::strongarm_035();
-        let netlist = static_ripple_adder(2, &p).netlist;
-        let (prep, _) = serial_prep(&mut Vec::new(), TraceCtx::disabled(), netlist, &p, false);
-        let schedule = schedule_of(&FlowConfig::default(), &prep, &p);
-        let timing = TimingKeys::of(&prep, 0, schedule);
-        RunKeys { units, timing }
-    }
-
     /// Unit 0's outcome, as a claimant delivers it.
     fn delivered() -> UnitOutcome {
         UnitOutcome {
@@ -836,7 +822,7 @@ mod tests {
         let service = FlowService::new(p.clone(), FlowConfig::default());
         let fp = |content, binding| cbv_cache::UnitFingerprint { content, binding };
         let key = CacheKey::new(1, fp(2, 3));
-        let keys = run_keys(vec![key]);
+        let keys = [key];
         let mut overlay = VerifyCache::new();
 
         let (claims, theirs) = service.fetch(&keys, &mut overlay);
@@ -927,7 +913,11 @@ mod tests {
             self.0.publish_prep(key, prep);
         }
 
-        fn fetch(&self, keys: &RunKeys, overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
+        fn fetch(
+            &self,
+            keys: &[CacheKey],
+            overlay: &mut VerifyCache,
+        ) -> (Claims<'_>, Vec<CacheKey>) {
             let fetched = self.0.fetch(keys, overlay);
             self.1.wait();
             fetched

@@ -257,30 +257,6 @@ impl RcNet {
         Some((parent, order))
     }
 
-    /// Order-sensitive digest of the network's electrical content: node
-    /// count, the resistor list (endpoints plus bit-exact resistance)
-    /// and the per-node grounded capacitance, in construction order.
-    /// Node positions are excluded — they are geometric lookup keys, not
-    /// electrical facts — so a re-extracted but electrically identical
-    /// network collides (the point of content addressing), while any
-    /// R/C change, including a NaN, produces a different digest.
-    pub fn content_digest(&self) -> u64 {
-        use cbv_netlist::canon::{fnv1a, FNV_OFFSET};
-        let fold = |h: u64, v: u64| fnv1a(h, &v.to_le_bytes());
-        let mut h = fnv1a(FNV_OFFSET, b"rcnet");
-        h = fold(h, self.net.0 as u64);
-        h = fold(h, self.positions.len() as u64);
-        for &(a, b, r) in &self.resistors {
-            h = fold(h, a.0 as u64);
-            h = fold(h, b.0 as u64);
-            h = fold(h, r.ohms().to_bits());
-        }
-        for c in &self.caps {
-            h = fold(h, c.farads().to_bits());
-        }
-        h
-    }
-
     /// The far-end node of a network built with [`RcNet::line`].
     pub fn last_node(&self) -> RcNodeId {
         RcNodeId((self.positions.len() - 1) as u32)
@@ -429,37 +405,6 @@ mod tests {
         assert_eq!(a, b);
         let c = rc.node_at(10, 21);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn content_digest_tracks_electrical_content_only() {
-        let a = RcNet::line(NET, 4, Ohms::new(400.0), Farads::new(1e-13));
-        let b = RcNet::line(NET, 4, Ohms::new(400.0), Farads::new(1e-13));
-        assert_eq!(a.content_digest(), b.content_digest());
-        // Any R change misses, including NaN.
-        let mut c = RcNet::line(NET, 4, Ohms::new(400.0), Farads::new(1e-13));
-        c.resistors[1].2 = Ohms::new(401.0);
-        assert_ne!(a.content_digest(), c.content_digest());
-        let mut d = RcNet::line(NET, 4, Ohms::new(400.0), Farads::new(1e-13));
-        d.resistors[1].2 = Ohms::new(f64::NAN);
-        assert_ne!(a.content_digest(), d.content_digest());
-        // A cap change misses too.
-        let mut e = RcNet::line(NET, 4, Ohms::new(400.0), Farads::new(1e-13));
-        e.add_cap(RcNodeId(2), Farads::new(1e-15));
-        assert_ne!(a.content_digest(), e.content_digest());
-        // Positions are not part of the digest: same electrical build
-        // through explicit coordinates collides with synthetic nodes.
-        let mut f = RcNet::new(NET);
-        let mut g = RcNet::new(NET);
-        let f0 = f.node_at(0, 0);
-        let f1 = f.node_at(100, 0);
-        let g0 = g.fresh_node();
-        let g1 = g.fresh_node();
-        f.add_resistor(f0, f1, Ohms::new(7.0));
-        g.add_resistor(g0, g1, Ohms::new(7.0));
-        f.add_cap(f1, Farads::new(2e-15));
-        g.add_cap(g1, Farads::new(2e-15));
-        assert_eq!(f.content_digest(), g.content_digest());
     }
 
     #[test]

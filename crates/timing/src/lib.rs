@@ -38,8 +38,7 @@ pub use delay::{DelayCalc, Pessimism};
 pub use graph::{ccc_arcs, graph_from_arcs, Arc, LaunchPoint, TimingGraph};
 pub use sizing::{size_path, SizingResult};
 pub use sta::{
-    analyze, analyze_incremental, analyze_with_snapshot, find_min_period, ArrivalWindow, PathStep,
-    StaReport, StaSnapshot, Violation, ViolationKind,
+    analyze, find_min_period, ArrivalWindow, PathStep, StaReport, Violation, ViolationKind,
 };
 
 use cbv_tech::Seconds;

@@ -1,8 +1,6 @@
 //! Min/max static timing analysis with critical-path and race reporting.
 //!
-//! The analysis is split into three phases so the whole-design remainder
-//! can be replayed incrementally (§4.3's "only CCCs whose inputs changed
-//! are re-analyzed", lifted to the flow level):
+//! The analysis runs in three phases:
 //!
 //! 1. **seed** — launch windows from the clock schedule and skews;
 //! 2. **relax** — bounded fixpoint propagation of arrival windows (the
@@ -10,16 +8,6 @@
 //! 3. **finalize** — one deterministic pass over the arcs, *from the
 //!    final fixpoint*, deriving capture windows, path predecessors and
 //!    the capture checks.
-//!
-//! Because the fixpoint of monotone window propagation is unique (max
-//! over launch-to-net paths / min over them), any route to it — full
-//! relaxation or [`analyze_incremental`]'s restricted re-propagation
-//! from dirty-fanin nodes — yields the same windows, and the shared
-//! deterministic finalize pass then yields byte-identical reports. Full
-//! propagation stays the byte-identity oracle; the incremental path
-//! declines (returns `None`) whenever replay could be history-dependent:
-//! an unconverged prior fixpoint (cycles that never settled) or any NaN
-//! in the inputs or the saved windows.
 
 use cbv_netlist::{FlatNetlist, NetId};
 use cbv_tech::Seconds;
@@ -106,29 +94,9 @@ impl StaReport {
     }
 }
 
-/// The propagation fixpoint of one full (or incrementally replayed)
-/// analysis: per-net arrival windows and the clock-launched minima the
-/// race checks read. Saved by [`analyze_with_snapshot`] and replayed by
-/// [`analyze_incremental`], which re-propagates only the fanout closure
-/// of dirty nets and reuses everything else.
-///
-/// `converged` records whether relaxation reached a true fixpoint within
-/// its iteration bound. An unconverged snapshot (cyclic graph that never
-/// settled, or NaN windows that compare unequal to themselves forever)
-/// is never a valid replay base.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StaSnapshot {
-    /// Arrival window per net (None = unreached).
-    pub arrivals: Vec<Option<ArrivalWindow>>,
-    /// Earliest clock-launched arrival per net (race analysis).
-    pub clocked_min: Vec<Option<Seconds>>,
-    /// True when relaxation reached a fixpoint within its bound.
-    pub converged: bool,
-}
-
 /// Launch seeds: the windows the relaxation starts from. Kept separate
-/// from the relaxed state because the finalize pass and the incremental
-/// re-seed both need the *unpropagated* values.
+/// from the relaxed state because the finalize pass needs the
+/// *unpropagated* values.
 struct SeedState {
     arrivals: Vec<Option<ArrivalWindow>>,
     clocked_min: Vec<Option<Seconds>>,
@@ -199,18 +167,14 @@ fn seed_launches(
 /// Relaxes arrival windows to a fixpoint: bounded iteration handles any
 /// residual cycles (pass loops) conservatively. Arcs into cut nets do
 /// not propagate — their capture windows are derived in the finalize
-/// pass from the final fixpoint. (The incremental re-propagation in
-/// `analyze_incremental` uses the worklist form over `relax_arc`
-/// instead of this sweep.)
-///
-/// Returns true when a fixpoint was reached within the bound. NaN
-/// windows never settle (`NaN != NaN` keeps `changed` set), so a
-/// NaN-poisoned propagation honestly reports non-convergence.
+/// pass from the final fixpoint. NaN windows never settle (`NaN != NaN`
+/// keeps `changed` set), so a NaN-poisoned propagation runs to the
+/// bound.
 fn relax(
     graph: &TimingGraph,
     arrivals: &mut [Option<ArrivalWindow>],
     clocked_min: &mut [Option<Seconds>],
-) -> bool {
+) {
     let max_iters = graph.arcs.len() + 2;
     for _ in 0..max_iters {
         let mut changed = false;
@@ -253,69 +217,15 @@ fn relax(
             }
         }
         if !changed {
-            return true;
+            return;
         }
     }
-    false
-}
-
-/// One arc's relaxation step, restricted to targets inside `affected` —
-/// the exact body of `relax`'s inner loop, factored out so the
-/// incremental worklist and the sweep merge candidates identically
-/// (same skips, same comparison order, same `Option` semantics).
-/// Returns whether the target's window or clocked-min moved.
-fn relax_arc(
-    arc: &crate::Arc,
-    graph: &TimingGraph,
-    affected: &[bool],
-    arrivals: &mut [Option<ArrivalWindow>],
-    clocked_min: &mut [Option<Seconds>],
-) -> bool {
-    if graph.is_cut(arc.to) || !affected[arc.to.index()] {
-        return false;
-    }
-    let Some(src) = arrivals[arc.from.index()] else {
-        return false;
-    };
-    let mut changed = false;
-    let cand = ArrivalWindow {
-        min: src.min + arc.min,
-        max: src.max + arc.max,
-    };
-    let slot = &mut arrivals[arc.to.index()];
-    let merged = match *slot {
-        Some(prev) => {
-            let mut m = prev;
-            if cand.max.seconds() > prev.max.seconds() {
-                m.max = cand.max;
-            }
-            if cand.min.seconds() < prev.min.seconds() {
-                m.min = cand.min;
-            }
-            m
-        }
-        None => cand,
-    };
-    if *slot != Some(merged) {
-        *slot = Some(merged);
-        changed = true;
-    }
-    if let Some(cm) = clocked_min[arc.from.index()].map(|m| m + arc.min) {
-        let slot = &mut clocked_min[arc.to.index()];
-        let better = slot.map(|p| cm.seconds() < p.seconds()).unwrap_or(true);
-        if better {
-            *slot = Some(cm);
-            changed = true;
-        }
-    }
-    changed
 }
 
 /// Derives capture windows, path predecessors and the capture-check
 /// violations from the propagation fixpoint, in one deterministic pass
-/// over the arcs. Both the full and the incremental analysis end here,
-/// which is what makes their reports byte-identical: every output is a
-/// pure function of (graph, constraints, schedule, skews, fixpoint).
+/// over the arcs: every output is a pure function of (graph,
+/// constraints, schedule, skews, fixpoint).
 ///
 /// During relaxation maxima only grow and minima only shrink, so the
 /// capture merges over the relaxation history equal the merges over the
@@ -575,25 +485,12 @@ pub fn analyze(
     pessimism: &Pessimism,
     skews: &[ClockSkew],
 ) -> StaReport {
-    analyze_with_snapshot(netlist, graph, constraints, schedule, pessimism, skews).0
-}
-
-/// [`analyze`], additionally returning the propagation fixpoint as a
-/// [`StaSnapshot`] a later [`analyze_incremental`] can replay from.
-pub fn analyze_with_snapshot(
-    netlist: &FlatNetlist,
-    graph: &TimingGraph,
-    constraints: &[Constraint],
-    schedule: &ClockSchedule,
-    pessimism: &Pessimism,
-    skews: &[ClockSkew],
-) -> (StaReport, StaSnapshot) {
     let n = netlist.net_count();
     let seeds = seed_launches(netlist, graph, schedule, skews, n);
     let mut arrivals = seeds.arrivals.clone();
     let mut clocked_min = seeds.clocked_min.clone();
-    let converged = relax(graph, &mut arrivals, &mut clocked_min);
-    let report = finalize(
+    relax(graph, &mut arrivals, &mut clocked_min);
+    finalize(
         netlist,
         graph,
         constraints,
@@ -603,191 +500,7 @@ pub fn analyze_with_snapshot(
         &seeds,
         &arrivals,
         &clocked_min,
-    );
-    (
-        report,
-        StaSnapshot {
-            arrivals,
-            clocked_min,
-            converged,
-        },
     )
-}
-
-/// Incremental STA: re-propagates only the fanout closure of
-/// `dirty_nets` (every endpoint of a changed/added/removed arc) on top
-/// of a previous fixpoint, then runs the same deterministic finalize
-/// pass as the full analysis — so a `Some` result is byte-identical to
-/// what [`analyze_with_snapshot`] would produce on the same inputs.
-///
-/// The caller guarantees that launches, cut nets, constraints, schedule
-/// and skews are unchanged since `prev` was taken (the flow keys the
-/// snapshot by a digest over exactly those), and that `dirty_nets`
-/// covers both endpoints of every arc whose delay differs. Unlisted
-/// nets must have identical fanin arcs, which makes their fixpoint
-/// values provably unchanged.
-///
-/// Returns `None` — fall back to a full analysis — whenever replay
-/// could diverge from the oracle: the previous propagation never
-/// converged, the net count changed, any input or saved window is NaN
-/// (NaN merges are history-dependent), or the restricted re-propagation
-/// itself fails to settle.
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_incremental(
-    netlist: &FlatNetlist,
-    graph: &TimingGraph,
-    constraints: &[Constraint],
-    schedule: &ClockSchedule,
-    pessimism: &Pessimism,
-    skews: &[ClockSkew],
-    prev: &StaSnapshot,
-    dirty_nets: &[NetId],
-) -> Option<(StaReport, StaSnapshot)> {
-    let n = netlist.net_count();
-    if !prev.converged || prev.arrivals.len() != n || prev.clocked_min.len() != n {
-        return None;
-    }
-    if dirty_nets.iter().any(|d| d.index() >= n) {
-        return None;
-    }
-    let bad = |s: Seconds| s.seconds().is_nan();
-    if skews.iter().any(|s| bad(s.min) || bad(s.max))
-        || bad(schedule.period)
-        || schedule.phases.iter().any(|p| bad(p.rise) || bad(p.fall))
-        || constraints.iter().any(|c| bad(c.setup) || bad(c.hold))
-        || prev
-            .arrivals
-            .iter()
-            .flatten()
-            .any(|w| bad(w.min) || bad(w.max))
-        || prev.clocked_min.iter().flatten().any(|&m| bad(m))
-    {
-        return None;
-    }
-
-    // One pass over the arcs does double duty: the NaN guard (a NaN
-    // delay declines the replay so the full-propagation oracle handles
-    // it) and a counting-sort CSR fanout — two flat arrays instead of a
-    // Vec-per-net, since this rebuilds on every replay.
-    let mut fan_start: Vec<u32> = vec![0; n + 1];
-    for arc in &graph.arcs {
-        if bad(arc.min) || bad(arc.max) {
-            return None;
-        }
-        fan_start[arc.from.index() + 1] += 1;
-    }
-    for i in 0..n {
-        fan_start[i + 1] += fan_start[i];
-    }
-    let mut fan_arc: Vec<u32> = vec![0; graph.arcs.len()];
-    let mut cursor = fan_start.clone();
-    for (i, arc) in graph.arcs.iter().enumerate() {
-        let c = &mut cursor[arc.from.index()];
-        fan_arc[*c as usize] = i as u32;
-        *c += 1;
-    }
-
-    // Affected closure: forward BFS from the dirty nets along non-cut
-    // arcs. Propagation stops at cut nets (their windows are launch
-    // seeds, not accumulations), so the closure does too; any changed
-    // arc *out of* a cut net has its target in `dirty_nets` directly.
-    let mut affected = vec![false; n];
-    let mut queue: Vec<NetId> = Vec::new();
-    for &d in dirty_nets {
-        if !affected[d.index()] {
-            affected[d.index()] = true;
-            queue.push(d);
-        }
-    }
-    while let Some(u) = queue.pop() {
-        let (lo, hi) = (
-            fan_start[u.index()] as usize,
-            fan_start[u.index() + 1] as usize,
-        );
-        for &ai in &fan_arc[lo..hi] {
-            let to = graph.arcs[ai as usize].to;
-            if graph.is_cut(to) || affected[to.index()] {
-                continue;
-            }
-            affected[to.index()] = true;
-            queue.push(to);
-        }
-    }
-
-    // Re-seed the affected region and relax only it; everything outside
-    // keeps its previous fixpoint values (all of its fanin is outside
-    // too, with unchanged delays, so those values are still the
-    // fixpoint).
-    let seeds = seed_launches(netlist, graph, schedule, skews, n);
-    let mut arrivals = prev.arrivals.clone();
-    let mut clocked_min = prev.clocked_min.clone();
-    for i in 0..n {
-        if affected[i] {
-            arrivals[i] = seeds.arrivals[i];
-            clocked_min[i] = seeds.clocked_min[i];
-        }
-    }
-    // Worklist relaxation over the affected region: one sweep of the
-    // arc list seeds it (every arc into a re-seeded target must be
-    // tried once; sources outside the region hold their prior fixpoint
-    // values), then changes propagate along the CSR fanout until quiet.
-    // The merges are monotone, so this reaches the same unique fixpoint
-    // as the sweep-based `relax` — byte-identity against a cold run is
-    // pinned by the tests — while re-touching only the region the ECO
-    // moved. A per-net pop budget declines the replay on divergence
-    // (cyclic positive-delay regions), mirroring the sweep's iteration
-    // cap.
-    let mut queued = vec![false; n];
-    let mut work: Vec<u32> = Vec::new();
-    for arc in &graph.arcs {
-        if relax_arc(arc, graph, &affected, &mut arrivals, &mut clocked_min) {
-            let t = arc.to.index();
-            if !queued[t] {
-                queued[t] = true;
-                work.push(t as u32);
-            }
-        }
-    }
-    let cap = (graph.arcs.len() + 2) as u32;
-    let mut pops: Vec<u32> = vec![0; n];
-    while let Some(u) = work.pop() {
-        let u = u as usize;
-        queued[u] = false;
-        pops[u] += 1;
-        if pops[u] > cap {
-            return None;
-        }
-        let (lo, hi) = (fan_start[u] as usize, fan_start[u + 1] as usize);
-        for &ai in &fan_arc[lo..hi] {
-            let arc = &graph.arcs[ai as usize];
-            if relax_arc(arc, graph, &affected, &mut arrivals, &mut clocked_min) {
-                let t = arc.to.index();
-                if !queued[t] {
-                    queued[t] = true;
-                    work.push(t as u32);
-                }
-            }
-        }
-    }
-    let report = finalize(
-        netlist,
-        graph,
-        constraints,
-        schedule,
-        pessimism,
-        skews,
-        &seeds,
-        &arrivals,
-        &clocked_min,
-    );
-    Some((
-        report,
-        StaSnapshot {
-            arrivals,
-            clocked_min,
-            converged: true,
-        },
-    ))
 }
 
 /// Finds the shortest single-phase cycle time (within `resolution`) at
@@ -1086,75 +799,5 @@ mod tests {
             .expect("NaN hold must not vanish without a racer");
         assert!(v.slack.seconds().is_nan());
         assert_eq!(v.net, f.find_net("b").unwrap());
-    }
-
-    /// The tentpole identity: an incremental replay from a previous
-    /// snapshot is bit-for-bit the full analysis of the new graph.
-    #[test]
-    fn incremental_replay_matches_full_bit_for_bit() {
-        let (f, g, cons) = fixture(600.0);
-        let sched = ClockSchedule::single("ck", nanoseconds(2.0));
-        let pess = Pessimism::none();
-        let (_, snap) = analyze_with_snapshot(&f, &g, &cons, &sched, &pess, &[]);
-        assert!(snap.converged);
-
-        // Delay-only ECO on the second arc: both endpoints dirty.
-        let mut g2 = g.clone();
-        g2.arcs[1].max = picoseconds(250.0);
-        g2.arcs[1].min = picoseconds(40.0);
-        let dirty = [g2.arcs[1].from, g2.arcs[1].to];
-        let (full, full_snap) = analyze_with_snapshot(&f, &g2, &cons, &sched, &pess, &[]);
-        let (inc, inc_snap) =
-            analyze_incremental(&f, &g2, &cons, &sched, &pess, &[], &snap, &dirty)
-                .expect("clean finite replay must not decline");
-        assert_eq!(full, inc, "reports must be identical");
-        assert_eq!(full_snap, inc_snap, "fixpoints must be identical");
-
-        // And a no-op replay (nothing dirty) reproduces the original.
-        let (full0, _) = analyze_with_snapshot(&f, &g, &cons, &sched, &pess, &[]);
-        let (inc0, _) = analyze_incremental(&f, &g, &cons, &sched, &pess, &[], &snap, &[])
-            .expect("no-op replay must not decline");
-        assert_eq!(full0, inc0);
-    }
-
-    /// Incremental replay must refuse NaN anywhere — inputs or the saved
-    /// snapshot — because NaN merges are history-dependent.
-    #[test]
-    fn incremental_declines_on_nan_and_shape_mismatch() {
-        let (f, g, cons) = fixture(100.0);
-        let sched = ClockSchedule::single("ck", nanoseconds(2.0));
-        let pess = Pessimism::none();
-        let (_, snap) = analyze_with_snapshot(&f, &g, &cons, &sched, &pess, &[]);
-
-        let mut g_nan = g.clone();
-        g_nan.arcs[0].max = Seconds::new(f64::NAN);
-        assert!(
-            analyze_incremental(&f, &g_nan, &cons, &sched, &pess, &[], &snap, &[]).is_none(),
-            "NaN arc must force a full run"
-        );
-
-        let mut snap_nan = snap.clone();
-        snap_nan.arrivals[1] = Some(ArrivalWindow {
-            min: Seconds::new(f64::NAN),
-            max: Seconds::ZERO,
-        });
-        assert!(
-            analyze_incremental(&f, &g, &cons, &sched, &pess, &[], &snap_nan, &[]).is_none(),
-            "NaN residue in the snapshot must force a full run"
-        );
-
-        let mut stale = snap.clone();
-        stale.arrivals.pop();
-        assert!(
-            analyze_incremental(&f, &g, &cons, &sched, &pess, &[], &stale, &[]).is_none(),
-            "net-count mismatch must force a full run"
-        );
-
-        let mut unconverged = snap.clone();
-        unconverged.converged = false;
-        assert!(
-            analyze_incremental(&f, &g, &cons, &sched, &pess, &[], &unconverged, &[]).is_none(),
-            "an unconverged fixpoint is not a replay base"
-        );
     }
 }

@@ -89,9 +89,6 @@ done
 echo "== E18 smoke (compiled-engine op count + registry sweep) =="
 cargo test -q -p cbv-bench --lib e18
 
-echo "== E20 smoke (timing remainder replays warm, delay-ECO incremental) =="
-cargo test -q -p cbv-bench --lib e20
-
 echo "== daemon loopback smoke (cbv eco vs cbv replay, cmp) =="
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"; for pid in "${SERVED_PID:-}" "${W1_PID:-}" "${W2_PID:-}"; do [ -n "$pid" ] && kill "$pid" 2>/dev/null || true; done' EXIT

@@ -9,7 +9,7 @@
 //!
 //! * the shared tier stays within the default capacity;
 //! * a request copies out of the tier at most the entries its own design
-//!   names (units + timing keys), however large the tier has grown;
+//!   names (one per unit), however large the tier has grown;
 //! * a session's revision history stays under 100 bytes per step.
 //!
 //! The signoff the walk ends on must still be byte-identical to the
@@ -88,17 +88,13 @@ fn a_long_lockstep_session_keeps_a_flat_footprint() {
         .expect("clients");
 
     // The in-process mirror of the sessions, and from it the most a
-    // request may copy: one entry per unit, constraints, graph, STA, and
-    // one skew per clock tree.
+    // request may copy: one entry per unit.
     let process = Process::strongarm_035();
     let mut mirror = Session::open(DESIGN, &process).expect("registry design");
     let per_request = {
-        let mut netlist = mirror.netlist().clone();
-        let clocks = cbv_core::recognize::recognize(&mut netlist)
-            .clock_nets
-            .len();
+        let netlist = mirror.netlist().clone();
         let prep = PreparedDesign::build(netlist, &process, &FlowConfig::default());
-        (prep.n_units() + 3 + clocks) as u64
+        prep.n_units() as u64
     };
 
     let mut drift = vec![0i32; devices];

@@ -149,23 +149,23 @@ fn eco_rerun_reverifies_a_handful_of_units_with_identical_signoff() {
     );
     assert!(estats.hits >= estats.total() - 8);
 
-    // The timing row's misses are the dirty CCCs' arc recomputes plus
-    // any remainder artifact that failed to replay; a delay-only ECO
-    // replays all of them and refreshes exactly one STA lineage.
+    // The timing row counts CCC arcs: a dirty CCC's are recomputed, a
+    // clean one's replay from its unit entry.
     let tstats = stats("timing");
+    assert_eq!(tstats.total(), warm.recognition.cccs.len());
     assert!(
         tstats.misses <= 8,
-        "timing re-did {} of {} lookups",
+        "timing recomputed the arcs of {} of {} CCCs",
         tstats.misses,
         tstats.total()
     );
-    assert_eq!(warm.fresh_timing.len(), 1, "the refreshed STA lineage");
 }
 
-/// The timing-remainder tier (PR 8): constraints, graph structure,
-/// clock skews and the converged STA state are content-addressed like
-/// unit results, and replaying them keeps the signoff byte-identical —
-/// cold, warm, and after a JSON round-trip of the cache.
+/// The timing remainder — constraints, graph structure, clock skews and
+/// STA — is recomputed on every run over the CCC arcs the unit entries
+/// replay, and keeps the signoff byte-identical: cold, warm, and after a
+/// JSON round-trip of the cache. The timing row counts one lookup per
+/// CCC.
 #[test]
 fn timing_remainder_cache_replays_byte_identical_and_reloads() {
     let p = Process::strongarm_035();
@@ -176,41 +176,37 @@ fn timing_remainder_cache_replays_byte_identical_and_reloads() {
     let mut cache = VerifyCache::new();
     let first = run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
     assert_eq!(signoff_json(&first), cold_json, "cold cache run");
-    assert!(
-        cache.timing_len() >= 3,
-        "constraints, graph structure and STA lineage are cached, got {}",
-        cache.timing_len()
-    );
-    assert_eq!(
-        first.fresh_timing.len(),
-        cache.timing_len(),
-        "every remainder artifact the run computed is cached"
-    );
+    let one_per_ccc = |r: &FlowReport| {
+        let tstats = timing_stats(r);
+        assert_eq!(tstats.hits + tstats.misses, r.recognition.cccs.len());
+    };
+    one_per_ccc(&first);
 
-    // Warm rerun: the whole timing stage — per-unit arcs *and* the
-    // serial remainder — answers from cache and contributes nothing.
+    // Warm rerun: every CCC's arcs answer from cache.
     let warm = run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
     assert_eq!(signoff_json(&warm), cold_json, "warm cache run");
-    let tstats = warm
-        .stages
+    assert_eq!(timing_stats(&warm).misses, 0, "warm arcs must be all hits");
+    one_per_ccc(&warm);
+
+    // JSON round-trip: the unit entries survive bit-exactly (floats as
+    // raw bits), so a reloaded daemon replays the same bytes.
+    let mut reloaded = VerifyCache::from_json(&cache.to_json()).expect("cache parses back");
+    let replay = run_flow_incremental(netlist, &p, &cfg, &mut reloaded);
+    assert_eq!(signoff_json(&replay), cold_json, "reloaded cache run");
+    one_per_ccc(&replay);
+}
+
+/// The timing row's cache stats.
+fn timing_stats(r: &FlowReport) -> cbv_core::cache::CacheStats {
+    r.stages
         .iter()
         .find(|s| s.stage == "timing")
         .and_then(|s| s.cache)
-        .expect("timing stage reports cache stats");
-    assert_eq!(tstats.misses, 0, "warm remainder must be all hits");
-    assert!(warm.fresh_timing.is_empty(), "warm run inserts nothing");
-
-    // JSON round-trip: the timing tier survives bit-exactly (floats as
-    // raw bits), so a reloaded daemon replays the same bytes.
-    let mut reloaded = VerifyCache::from_json(&cache.to_json()).expect("cache parses back");
-    assert_eq!(reloaded.timing_len(), cache.timing_len());
-    let replay = run_flow_incremental(netlist, &p, &cfg, &mut reloaded);
-    assert_eq!(signoff_json(&replay), cold_json, "reloaded cache run");
-    assert!(replay.fresh_timing.is_empty());
+        .expect("timing stage reports cache stats")
 }
 
-/// Same contract on a broken design: cached remainder replay must not
-/// mask a violation.
+/// Same contract on a broken design: replayed arcs must not mask a
+/// violation.
 #[test]
 fn timing_remainder_cache_is_sound_on_faulty_designs() {
     let p = Process::strongarm_035();
@@ -225,48 +221,7 @@ fn timing_remainder_cache_is_sound_on_faulty_designs() {
     let warm = run_flow_incremental(netlist, &p, &cfg, &mut cache);
     assert_eq!(signoff_json(&first), signoff_json(&cold), "cold cache");
     assert_eq!(signoff_json(&warm), signoff_json(&cold), "warm cache");
-    let tstats = warm
-        .stages
-        .iter()
-        .find(|s| s.stage == "timing")
-        .and_then(|s| s.cache)
-        .expect("timing stage reports cache stats");
+    let tstats = timing_stats(&warm);
     assert_eq!(tstats.misses, 0, "a cached violation still replays");
-}
-
-/// A delay-only ECO keeps the STA structure key stable, so the lineage
-/// entry *hits* and the propagation replays incrementally from the
-/// changed units' endpoints — observable as the timing tier refreshing
-/// in place (same key set, one re-inserted lineage) rather than growing
-/// a new full-propagation entry.
-#[test]
-fn delay_only_eco_replays_sta_lineage_incrementally() {
-    let p = Process::strongarm_035();
-    let cfg = FlowConfig::default();
-    let base = alu_slice(8, &p).netlist;
-
-    let mut cache = VerifyCache::new();
-    run_flow_incremental(base.clone(), &p, &cfg, &mut cache);
-    let keys_before = cache.timing_len();
-
-    let mut eco: FlatNetlist = base;
-    eco.device_mut(DeviceId(0)).w *= 1.05;
-    let cold = run_flow(eco.clone(), &p, &cfg);
-    let warm = run_flow_incremental(eco, &p, &cfg, &mut cache);
-    assert_eq!(
-        signoff_json(&warm),
-        signoff_json(&cold),
-        "incremental STA replay must be byte-identical to full propagation"
-    );
-    assert_eq!(
-        cache.timing_len(),
-        keys_before,
-        "a delay-only ECO refreshes lineage in place; a new key would mean \
-         the structure digest moved and the replay fell back to a full pass"
-    );
-    assert_eq!(
-        warm.fresh_timing.len(),
-        1,
-        "exactly the refreshed STA lineage is re-inserted"
-    );
+    assert_eq!(tstats.hits + tstats.misses, warm.recognition.cccs.len());
 }
