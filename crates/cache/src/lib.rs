@@ -67,16 +67,21 @@ impl CacheKey {
 /// Cached verification payload of one unit: the §4.2 findings the unit's
 /// scoped check battery produced (with its checked/filtered tallies) and
 /// the timing arcs its CCC contributes to the §4.3 graph.
+///
+/// Compact in flight — the lists are boxed slices (no spare capacity,
+/// and an empty one allocates nothing) and the tallies `u32`, 40 bytes
+/// before the lists' contents — and stored in a [`VerifyCache`] as one
+/// encoded block.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UnitResult {
     /// Findings in the order the checks emitted them.
-    pub findings: Vec<Finding>,
+    pub findings: Box<[Finding]>,
     /// Values inspected by the unit's checks.
-    pub checked: usize,
+    pub checked: u32,
     /// Values silently filtered (below the review threshold).
-    pub filtered: usize,
+    pub filtered: u32,
     /// Timing arcs of the unit's CCC (empty for the residue unit).
-    pub arcs: Vec<Arc>,
+    pub arcs: Box<[Arc]>,
 }
 
 /// Hit/miss tally of one incremental stage, reported to the user so ECO
@@ -113,64 +118,79 @@ impl CacheStats {
     }
 }
 
-/// One stored unit result plus its recency stamp (interior-mutable so a
-/// shared-reference lookup can refresh it).
-#[derive(Debug, Clone, Default)]
+/// One stored unit result, kept as its [`encode`]d bytes, plus its
+/// recency stamp (interior-mutable so a shared-reference lookup can
+/// refresh it). A `UnitResult` spreads over a findings block, an arcs
+/// block and one block per finding message; at a few thousand entries
+/// those blocks and their allocator headers were most of the cache, so
+/// an entry is one block instead.
+#[derive(Debug, Clone)]
 struct Entry {
-    result: UnitResult,
+    bytes: Box<[u8]>,
     used: Cell<u64>,
 }
 
+/// Entries a [`VerifyCache::new`] cache holds before it evicts: room for
+/// a few thousand units of recent revisions, about half a megabyte
+/// resident.
+const DEFAULT_CAPACITY: usize = 2_048;
+
 /// The verification result store.
 ///
-/// A fingerprint-keyed map. Entries are never invalidated in place — a
-/// stale entry simply stops being hit once its key no longer matches
-/// anything — so an unbounded store only grows; give the cache a
-/// [capacity](VerifyCache::with_capacity) and let least-recently-used
-/// eviction bound it (what a long-running daemon does). Every [`get`](VerifyCache::get) refreshes the entry's recency;
-/// an insert past capacity evicts the stalest entry and bumps the
-/// [eviction counter](VerifyCache::evictions).
-#[derive(Debug, Clone, Default)]
+/// A fingerprint-keyed map with one bound. Entries are never
+/// invalidated in place — a stale entry simply stops being hit once its
+/// key no longer matches anything — so every cache is bounded, and
+/// least-recently-used eviction keeps it at its
+/// [capacity](VerifyCache::capacity). An evicted entry only costs a
+/// recompute. Every [`get`](VerifyCache::get) refreshes the entry's
+/// recency; an insert past capacity evicts the stalest entry and bumps
+/// the [eviction counter](VerifyCache::evictions).
+#[derive(Debug, Clone)]
 pub struct VerifyCache {
     entries: HashMap<CacheKey, Entry>,
     tick: Cell<u64>,
-    capacity: Option<usize>,
+    capacity: usize,
     evictions: usize,
 }
 
+impl Default for VerifyCache {
+    fn default() -> VerifyCache {
+        VerifyCache::new()
+    }
+}
+
 impl VerifyCache {
-    /// An empty, unbounded cache.
+    /// An empty cache at the default bound of 2,048 entries.
     pub fn new() -> VerifyCache {
-        VerifyCache::default()
+        VerifyCache::with_capacity(DEFAULT_CAPACITY)
     }
 
     /// An empty cache holding at most `capacity` entries (LRU beyond).
     pub fn with_capacity(capacity: usize) -> VerifyCache {
         VerifyCache {
-            capacity: Some(capacity.max(1)),
-            ..VerifyCache::default()
+            entries: HashMap::new(),
+            tick: Cell::new(0),
+            capacity: capacity.max(1),
+            evictions: 0,
         }
     }
 
-    /// The entry cap, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
+    /// The entry cap.
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Re-bounds the cache. Shrinking below the current population
-    /// evicts least-recently-used entries immediately; `None` removes
-    /// the cap.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity.map(|c| c.max(1));
+    /// evicts least-recently-used entries immediately.
+    pub fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity.max(1);
         self.trim();
     }
 
     /// Evicts down to the capacity bound in one pass.
     fn trim(&mut self) {
-        if let Some(cap) = self.capacity {
-            let over = self.entries.len().saturating_sub(cap);
-            self.evictions += evict_oldest(&mut self.entries, over);
-        }
+        let over = self.entries.len().saturating_sub(self.capacity);
+        self.evictions += evict_oldest(&mut self.entries, over);
     }
 
     /// Entries evicted over the cache's lifetime (a cumulative counter;
@@ -202,27 +222,54 @@ impl VerifyCache {
         self.entries.contains_key(key)
     }
 
-    /// Looks up a unit result, refreshing its LRU recency.
-    pub fn get(&self, key: &CacheKey) -> Option<&UnitResult> {
-        let entry = self.entries.get(key)?;
-        entry.used.set(self.next_tick());
-        Some(&entry.result)
+    /// True when the key is stored, refreshing its LRU recency as
+    /// [`get`](VerifyCache::get) does, without decoding the result.
+    pub fn touch(&self, key: &CacheKey) -> bool {
+        self.stored(key).is_some()
     }
 
-    /// Stores a unit result. On a bounded cache, storing a *new* key at
-    /// capacity first evicts the least-recently-used entry (stamp ties
-    /// cannot occur: stamps are unique).
+    /// Looks up a unit result, refreshing its LRU recency.
+    pub fn get(&self, key: &CacheKey) -> Option<UnitResult> {
+        self.stored(key).map(decode)
+    }
+
+    /// The stored bytes of a key, its recency refreshed.
+    fn stored(&self, key: &CacheKey) -> Option<&[u8]> {
+        let entry = self.entries.get(key)?;
+        entry.used.set(self.next_tick());
+        Some(&entry.bytes)
+    }
+
+    /// Stores a unit result. Storing a *new* key at capacity first
+    /// evicts the least-recently-used entry (stamp ties cannot occur:
+    /// stamps are unique).
     pub fn insert(&mut self, key: CacheKey, result: UnitResult) {
+        self.insert_bytes(key, encode(&result));
+    }
+
+    fn insert_bytes(&mut self, key: CacheKey, bytes: Box<[u8]>) {
         let used = Cell::new(self.next_tick());
         if let Some(slot) = self.entries.get_mut(&key) {
-            *slot = Entry { result, used };
+            *slot = Entry { bytes, used };
             return;
         }
-        if let Some(cap) = self.capacity {
-            let over = (self.entries.len() + 1).saturating_sub(cap);
-            self.evictions += evict_oldest(&mut self.entries, over);
+        let over = (self.entries.len() + 1).saturating_sub(self.capacity);
+        self.evictions += evict_oldest(&mut self.entries, over);
+        self.entries.insert(key, Entry { bytes, used });
+    }
+
+    /// Stores a batch of unit results in the order given and trims back
+    /// to capacity once. The survivors are the newest stamps either
+    /// way, so the result and the eviction tally equal one
+    /// [`insert`](VerifyCache::insert) per entry, at one O(capacity)
+    /// pass per batch instead of per entry.
+    pub fn insert_batch(&mut self, batch: impl IntoIterator<Item = (CacheKey, UnitResult)>) {
+        for (key, result) in batch {
+            let used = Cell::new(self.next_tick());
+            let bytes = encode(&result);
+            self.entries.insert(key, Entry { bytes, used });
         }
-        self.entries.insert(key, Entry { result, used });
+        self.trim();
     }
 
     /// Merges entries this cache lacks from `other` (a snapshot another
@@ -256,8 +303,8 @@ impl VerifyCache {
         keys.dedup();
         for &key in &keys {
             let used = Cell::new(self.next_tick());
-            let result = other.entries[key].result.clone();
-            self.entries.insert(*key, Entry { result, used });
+            let bytes = other.entries[key].bytes.clone();
+            self.entries.insert(*key, Entry { bytes, used });
         }
         self.trim();
         keys.len()
@@ -273,8 +320,8 @@ impl VerifyCache {
         let mut copied = 0;
         for key in units {
             if !overlay.contains(key) {
-                if let Some(result) = self.get(key) {
-                    overlay.insert(*key, result.clone());
+                if let Some(bytes) = self.stored(key) {
+                    overlay.insert_bytes(*key, bytes.into());
                     copied += 1;
                 }
             }
@@ -302,7 +349,7 @@ impl VerifyCache {
             if i > 0 {
                 out.push(',');
             }
-            write_unit_entry(key, &self.entries[key].result, &mut out);
+            write_unit_entry(key, &decode(&self.entries[key].bytes), &mut out);
         }
         out.push_str("]}");
         out
@@ -310,9 +357,12 @@ impl VerifyCache {
 
     /// Parses a cache from [`VerifyCache::to_json`] output. Any
     /// structural problem — bad JSON, unknown format tag, missing
-    /// field, unknown enum string — is an error; a corrupt cache file
-    /// must never half-load. Fields the reader does not read are
-    /// ignored, among them the `timing` array that files written by
+    /// field, unknown enum string, a tally past `u32::MAX` — is an
+    /// error; a corrupt cache file must never half-load. Every entry
+    /// the file holds is kept: the cache is bounded at the default or
+    /// at the entry count, whichever is larger, so a tier saved at a
+    /// larger bound comes back whole. Fields the reader does not read
+    /// are ignored, among them the `timing` array that files written by
     /// versions with a timing-remainder tier carry.
     pub fn from_json(text: &str) -> Result<VerifyCache, CacheFormatError> {
         let root = serde_json::from_str(text)
@@ -323,12 +373,128 @@ impl VerifyCache {
                 "unsupported cache format {format:?}"
             )));
         }
-        let mut cache = VerifyCache::new();
-        for entry in root.req_array("entries")? {
+        let entries = root.req_array("entries")?;
+        let mut cache = VerifyCache::with_capacity(entries.len().max(DEFAULT_CAPACITY));
+        for entry in entries {
             let (key, result) = read_unit_entry(entry)?;
             cache.insert(key, result);
         }
         Ok(cache)
+    }
+}
+
+/// The stored form of a [`UnitResult`], exact like the JSON form:
+/// little-endian `checked`, `filtered` and the finding count; per
+/// finding its check (index in [`CheckKind::ALL`]), subject (tag and
+/// id), severity, stress bits and message (length, UTF-8); then the arc
+/// count and per arc its endpoints, bound bits and CCC.
+fn encode(r: &UnitResult) -> Box<[u8]> {
+    let findings: usize = r.findings.iter().map(|f| 19 + f.message.len()).sum();
+    let mut out = Vec::with_capacity(16 + findings + 28 * r.arcs.len());
+    let word = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
+    let len = |n: usize| u32::try_from(n).expect("fewer than 2^32 items");
+    word(&mut out, r.checked);
+    word(&mut out, r.filtered);
+    word(&mut out, len(r.findings.len()));
+    for f in r.findings.iter() {
+        let check = CheckKind::ALL.iter().position(|&k| k == f.check);
+        out.push(check.expect("CheckKind::ALL lists every check") as u8);
+        let (tag, id) = match f.subject {
+            Subject::Net(n) => (0, n.0),
+            Subject::Device(d) => (1, d.0),
+            Subject::Unit(u) => (2, u),
+        };
+        out.push(tag);
+        word(&mut out, id);
+        out.push(match f.severity {
+            Severity::Review => 0,
+            Severity::Violation => 1,
+            Severity::ToolError => 2,
+        });
+        out.extend_from_slice(&f.stress.to_bits().to_le_bytes());
+        word(&mut out, len(f.message.len()));
+        out.extend_from_slice(f.message.as_bytes());
+    }
+    word(&mut out, len(r.arcs.len()));
+    for a in r.arcs.iter() {
+        word(&mut out, a.from.0);
+        word(&mut out, a.to.0);
+        out.extend_from_slice(&a.min.seconds().to_bits().to_le_bytes());
+        out.extend_from_slice(&a.max.seconds().to_bits().to_le_bytes());
+        word(&mut out, a.ccc.0);
+    }
+    out.into_boxed_slice()
+}
+
+/// The inverse of [`encode`]. Entries are only ever written by it, so a
+/// short or malformed buffer is a bug, not bad input.
+fn decode(bytes: &[u8]) -> UnitResult {
+    let mut r = Reader(bytes);
+    let (checked, filtered) = (r.u32(), r.u32());
+    let findings = (0..r.u32())
+        .map(|_| {
+            let check = CheckKind::ALL[r.u8() as usize];
+            let subject = match (r.u8(), r.u32()) {
+                (0, n) => Subject::Net(NetId(n)),
+                (1, d) => Subject::Device(DeviceId(d)),
+                (_, u) => Subject::Unit(u),
+            };
+            let severity = match r.u8() {
+                0 => Severity::Review,
+                1 => Severity::Violation,
+                _ => Severity::ToolError,
+            };
+            let stress = r.f64();
+            let len = r.u32() as usize;
+            let message = std::str::from_utf8(r.take(len)).expect("encoded from a String");
+            Finding {
+                check,
+                subject,
+                severity,
+                stress,
+                message: message.to_owned(),
+            }
+        })
+        .collect();
+    let arcs = (0..r.u32())
+        .map(|_| Arc {
+            from: NetId(r.u32()),
+            to: NetId(r.u32()),
+            min: Seconds::new(r.f64()),
+            max: Seconds::new(r.f64()),
+            ccc: CccId(r.u32()),
+        })
+        .collect();
+    UnitResult {
+        findings,
+        checked,
+        filtered,
+        arcs,
+    }
+}
+
+/// A cursor over [`encode`]d bytes.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        head
+    }
+
+    fn u8(&mut self) -> u8 {
+        self.take(1)[0]
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take(4).try_into().expect("4 bytes"))
+    }
+
+    fn f64(&mut self) -> f64 {
+        f64::from_bits(u64::from_le_bytes(
+            self.take(8).try_into().expect("8 bytes"),
+        ))
     }
 }
 
@@ -498,13 +664,17 @@ pub fn read_unit_entry(entry: &Value) -> Result<(CacheKey, UnitResult), CacheFor
             ccc: CccId(a.req_u32("ccc")?),
         });
     }
+    let tally = |field: &str| -> Result<u32, CacheFormatError> {
+        u32::try_from(entry.req_u64(field)?)
+            .map_err(|_| CacheFormatError::new(format!("{field} exceeds u32::MAX")))
+    };
     Ok((
         key,
         UnitResult {
-            findings,
-            checked: entry.req_u64("checked")? as usize,
-            filtered: entry.req_u64("filtered")? as usize,
-            arcs,
+            findings: findings.into(),
+            checked: tally("checked")?,
+            filtered: tally("filtered")?,
+            arcs: arcs.into(),
         },
     ))
 }
@@ -515,7 +685,7 @@ mod tests {
 
     fn sample_result() -> UnitResult {
         UnitResult {
-            findings: vec![
+            findings: Box::new([
                 Finding {
                     check: CheckKind::Coupling,
                     subject: Subject::Net(NetId(7)),
@@ -538,16 +708,16 @@ mod tests {
                     stress: f64::NAN,
                     message: "check edge-rate panicked: boom".into(),
                 },
-            ],
+            ]),
             checked: 42,
             filtered: 40,
-            arcs: vec![Arc {
+            arcs: Box::new([Arc {
                 from: NetId(1),
                 to: NetId(2),
                 min: Seconds::new(1.234_567_890_123e-10),
                 max: Seconds::new(4.321e-10),
                 ccc: CccId(5),
-            }],
+            }]),
         }
     }
 
@@ -584,8 +754,8 @@ mod tests {
         let json = c.to_json();
         let back = VerifyCache::from_json(&json).unwrap();
         assert_eq!(back.len(), c.len());
-        for (k, v) in c.entries.iter().map(|(k, e)| (k, &e.result)) {
-            let r = back.get(k).expect("entry survives");
+        for k in c.entries.keys() {
+            let (r, v) = (back.get(k).expect("entry survives"), c.get(k).unwrap());
             // Bit-exact comparison finding by finding (PartialEq on the
             // whole struct would reject the NaN-stress tool error even
             // though it round-trips exactly).
@@ -620,7 +790,7 @@ mod tests {
     #[test]
     fn capacity_evicts_least_recently_used() {
         let mut c = VerifyCache::with_capacity(3);
-        assert_eq!(c.capacity(), Some(3));
+        assert_eq!(c.capacity(), 3);
         for i in 0..3 {
             c.insert(key(i), sample_result());
         }
@@ -647,13 +817,49 @@ mod tests {
         }
         // Recency order is insertion order; refresh 0 before shrinking.
         assert!(c.get(&key(0)).is_some());
-        c.set_capacity(Some(2));
+        c.set_capacity(2);
         assert_eq!(c.len(), 2);
         assert_eq!(c.evictions(), 3);
         assert!(c.get(&key(0)).is_some());
         assert!(c.get(&key(4)).is_some());
-        c.set_capacity(None);
-        assert_eq!(c.capacity(), None);
+        assert_eq!(c.capacity(), 2);
+    }
+
+    #[test]
+    fn an_entry_is_compact() {
+        // A result in flight is 40 bytes before its lists; stored, it is
+        // one block of exactly its encoded length behind a 48-byte slot.
+        assert_eq!(std::mem::size_of::<UnitResult>(), 40);
+        assert_eq!(std::mem::size_of::<(CacheKey, Entry)>(), 48);
+        let r = sample_result();
+        let bytes = encode(&r);
+        let messages: usize = r.findings.iter().map(|f| f.message.len()).sum();
+        assert_eq!(bytes.len(), 16 + 19 * 3 + messages + 28);
+        // Exact, NaN stress included (the JSON round trip compares the
+        // rest field by field).
+        assert_eq!(encode(&decode(&bytes)), bytes);
+        let mut c = VerifyCache::new();
+        c.insert(key(0), r.clone());
+        assert!(c.touch(&key(0)) && !c.touch(&key(1)));
+        assert_eq!(c.get(&key(0)).unwrap().arcs, r.arcs);
+    }
+
+    #[test]
+    fn every_cache_is_bounded_and_a_batch_trims_once() {
+        let mut c = VerifyCache::new();
+        assert_eq!(c.capacity(), DEFAULT_CAPACITY);
+        for i in 0..DEFAULT_CAPACITY as u64 + 5 {
+            c.insert(key(i), UnitResult::default());
+        }
+        assert_eq!((c.len(), c.evictions()), (DEFAULT_CAPACITY, 5));
+        assert!(!c.contains(&key(4)) && c.contains(&key(5)));
+        // A batch of three new keys and one resident: three go, oldest
+        // first, and the resident one is refreshed, not duplicated.
+        let resident = key(5);
+        c.insert_batch([900_000, 900_001, 5, 900_002].map(|i| (key(i), UnitResult::default())));
+        assert_eq!((c.len(), c.evictions()), (DEFAULT_CAPACITY, 8));
+        assert!(c.contains(&resident), "refreshed by the batch");
+        assert!(!c.contains(&key(6)) && !c.contains(&key(8)) && c.contains(&key(9)));
     }
 
     #[test]
@@ -685,7 +891,7 @@ mod tests {
         assert_eq!(shared.absorb_keys(&source, &named), 2);
         assert!(!shared.contains(&key(8)), "an unnamed key stays behind");
         assert_eq!((shared.len(), shared.evictions()), (4, 2));
-        shared.set_capacity(Some(1));
+        shared.set_capacity(1);
         assert!(
             shared.contains(&key(7)),
             "the last key merged is the newest"
@@ -725,6 +931,47 @@ mod tests {
         let corrupt = legacy.replacen("\"checked\":42", "\"checked\":\"x\"", 1);
         assert_ne!(corrupt, legacy);
         assert!(VerifyCache::from_json(&corrupt).is_err());
+    }
+
+    #[test]
+    fn a_file_past_the_default_bound_loads_whole() {
+        let n = DEFAULT_CAPACITY as u64 + 100;
+        let mut c = VerifyCache::with_capacity(n as usize);
+        for i in 0..n {
+            c.insert(key(i), sample_result());
+        }
+        let json = c.to_json();
+        let back = VerifyCache::from_json(&json).unwrap();
+        assert_eq!((back.len(), back.evictions()), (n as usize, 0));
+        assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn tallies_past_u32_are_corrupt_not_truncated() {
+        let mut c = VerifyCache::new();
+        c.insert(key(0), sample_result());
+        let json = c.to_json();
+        let past = u64::from(u32::MAX) + 1;
+        for field in ["checked", "filtered"] {
+            let value = if field == "checked" { 42 } else { 40 };
+            let at_max = json.replacen(
+                &format!("\"{field}\":{value}"),
+                &format!("\"{field}\":{}", u32::MAX),
+                1,
+            );
+            assert_ne!(at_max, json);
+            assert!(
+                VerifyCache::from_json(&at_max).is_ok(),
+                "{field} at u32::MAX loads"
+            );
+            let over = json.replacen(
+                &format!("\"{field}\":{value}"),
+                &format!("\"{field}\":{past}"),
+                1,
+            );
+            let err = VerifyCache::from_json(&over).unwrap_err();
+            assert!(err.to_string().contains(field), "{err}");
+        }
     }
 
     #[test]

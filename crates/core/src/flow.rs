@@ -427,7 +427,7 @@ pub(crate) fn dirty_closure(
         .units
         .iter()
         .map(|&u| CacheKey::new(env, u))
-        .map(|key| cache.get(&key).is_none() && !pending.contains(&key))
+        .map(|key| !cache.touch(&key) && !pending.contains(&key))
         .collect();
     let fp_dirty: Vec<usize> = (0..n_cccs).filter(|&i| dirty[i]).collect();
     for (j, d) in dirty.iter_mut().enumerate().take(n_cccs) {

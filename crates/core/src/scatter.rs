@@ -188,9 +188,9 @@ impl PreparedDesign {
             extracted,
         } = &self.parts;
         let mut poisoned = false;
-        let mut result = match run_isolated(i, || {
+        let (mut findings, checked, filtered) = match run_isolated(i, || {
             check_deadline(deadline);
-            cbv_everify::run_scoped(
+            let r = cbv_everify::run_scoped(
                 netlist,
                 recognition,
                 extracted,
@@ -198,43 +198,42 @@ impl PreparedDesign {
                 &self.process,
                 &self.everify_cfg,
                 &self.scopes[i],
+            );
+            let tally = |n: usize| u32::try_from(n).expect("a unit checks under 2^32 values");
+            (
+                r.raw_findings().to_vec(),
+                tally(r.checked_count()),
+                tally(r.filtered_count()),
             )
         }) {
-            Ok(r) => UnitResult {
-                findings: r.raw_findings().to_vec(),
-                checked: r.checked_count(),
-                filtered: r.filtered_count(),
-                arcs: Vec::new(),
-            },
+            Ok(tallied) => tallied,
             Err(p) => {
                 poisoned = true;
-                UnitResult {
-                    findings: vec![tool_error(i, "everify unit", &p)],
-                    checked: 0,
-                    filtered: 0,
-                    arcs: Vec::new(),
-                }
+                (vec![tool_error(i, "everify unit", &p)], 0, 0)
             }
         };
+        let mut arcs = Vec::new();
         if i < self.n_cccs() {
             let calc = DelayCalc::new(&self.process, self.tolerance, self.pessimism);
             match run_isolated(i, || {
                 check_deadline(deadline);
                 cbv_timing::graph::ccc_arcs(netlist, recognition, extracted, &calc, i)
             }) {
-                Ok(arcs) => result.arcs = arcs,
+                Ok(ccc_arcs) => arcs = ccc_arcs,
                 Err(p) => {
                     poisoned = true;
-                    result.arcs = Vec::new();
-                    result
-                        .findings
-                        .push(tool_error(i, "timing arcs for CCC", &p));
+                    findings.push(tool_error(i, "timing arcs for CCC", &p));
                 }
             }
         }
         UnitOutcome {
             unit: i,
-            result,
+            result: UnitResult {
+                findings: findings.into(),
+                checked,
+                filtered,
+                arcs: arcs.into(),
+            },
             poisoned,
         }
     }
@@ -557,15 +556,17 @@ pub(crate) fn run_flow_tiered(
                     cache
                         .get(&prep.unit_key(i))
                         .expect("clean unit has a cache entry")
-                        .clone()
                 }
             })
             .collect();
         let merged = cbv_everify::Report::from_parts(
             prep.everify_cfg.filter_threshold,
-            per_unit.iter().flat_map(|u| u.findings.clone()).collect(),
-            per_unit.iter().map(|u| u.checked).sum(),
-            per_unit.iter().map(|u| u.filtered).sum(),
+            per_unit
+                .iter()
+                .flat_map(|u| u.findings.iter().cloned())
+                .collect(),
+            per_unit.iter().map(|u| u.checked as usize).sum(),
+            per_unit.iter().map(|u| u.filtered as usize).sum(),
         );
         let n = merged.checked_count();
         ((merged, per_unit), n, Some(busy))
@@ -604,9 +605,8 @@ pub(crate) fn run_flow_tiered(
     // Prime the cache with the re-verified units. Poisoned units
     // (battery or arc panic) are *not* cached: their stored payload
     // would be the failure artifact, and a later run must re-attempt
-    // them. On a bounded cache these inserts may evict; the delta lands
-    // in the everify stage's stats so a daemon's flow summaries show
-    // cache pressure.
+    // them. These inserts may evict; the delta lands in the everify
+    // stage's stats so a daemon's flow summaries show cache pressure.
     let evictions_before = cache.evictions();
     let mut fresh_keys = Vec::new();
     for i in 0..per_unit.len() {
@@ -1099,7 +1099,7 @@ mod tests {
             let o = prep.verify_unit(i, None);
             assert!(!o.poisoned);
             assert_eq!(
-                Some(&o.result),
+                Some(o.result),
                 cache.get(&prep.unit_key(i)),
                 "unit {i} recomputed off-flow must match its cache entry"
             );

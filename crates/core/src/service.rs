@@ -140,7 +140,7 @@ impl FlowService {
     /// Bounds the shared cache (LRU eviction past `capacity` entries) —
     /// what a long-running daemon does so memory stays flat.
     pub fn with_cache_capacity(self, capacity: usize) -> FlowService {
-        self.shared().set_capacity(Some(capacity));
+        self.shared().set_capacity(capacity);
         self
     }
 
@@ -331,9 +331,8 @@ impl SharedTier for FlowService {
 
     /// Into the tier in sorted key order (a backend may deliver in any
     /// order; eviction must not depend on it), where a waiter's re-fetch
-    /// finds them at once. The batch is stored unbounded and the bound
-    /// put back — [`VerifyCache::absorb_keys`]' one trim a batch, not
-    /// one O(capacity) eviction an entry; the survivors are the same.
+    /// finds them at once — one [`VerifyCache::insert_batch`], so one
+    /// trim a batch, not one O(capacity) eviction an entry.
     fn publish(&self, keys: &[CacheKey], outcomes: &[UnitOutcome]) {
         let mut shared = self.shared();
         let mut fresh: Vec<&UnitOutcome> = outcomes
@@ -341,12 +340,7 @@ impl SharedTier for FlowService {
             .filter(|o| !o.poisoned && !shared.contains(&keys[o.unit]))
             .collect();
         fresh.sort_unstable_by_key(|o| keys[o.unit]);
-        let bound = shared.capacity();
-        shared.set_capacity(None);
-        for o in fresh {
-            shared.insert(keys[o.unit], o.result.clone());
-        }
-        shared.set_capacity(bound);
+        shared.insert_batch(fresh.into_iter().map(|o| (keys[o.unit], o.result.clone())));
     }
 
     /// Its copies count as the request's fetched entries, not as a
@@ -524,10 +518,10 @@ mod tests {
     #[test]
     fn a_tier_at_capacity_never_evicts_the_revision_being_walked() {
         // 500 steps through a tier of four revisions' worth of entries,
-        // against an unbounded tier. The keyed fetch refreshes what it
-        // reads, so eviction only ever takes entries no live revision
-        // names: the bounded tier answers exactly what the unbounded one
-        // does. The one thing it may forget is a unit that returns to a
+        // against a tier at the default 2,048-entry bound. The keyed
+        // fetch refreshes what it reads, so eviction only ever takes
+        // entries no live revision names: the small tier answers exactly
+        // what the large one does. The one thing it may forget is a unit that returns to a
         // fingerprint it left several revisions ago (layout quantizes,
         // so a neighbour's edit can flip a unit back) — those steps are
         // told apart by their keys and must be rare.
@@ -535,7 +529,7 @@ mod tests {
         let config = FlowConfig::default();
         let seed = static_ripple_adder(2, &p).netlist;
         let units = PreparedDesign::build(seed.clone(), &p, &config).n_units();
-        let unbounded = FlowService::new(p.clone(), config.clone());
+        let large = FlowService::new(p.clone(), config.clone());
         let bounded = FlowService::new(p.clone(), config.clone()).with_cache_capacity(4 * units);
         let mut seen: HashSet<CacheKey> = HashSet::new();
         let mut previous: Vec<CacheKey> = Vec::new();
@@ -547,7 +541,7 @@ mod tests {
                 .iter()
                 .any(|k| seen.contains(k) && !previous.contains(k));
             let b = bounded.verify(netlist.clone(), None, None).cache;
-            let u = unbounded.verify(netlist, None, None).cache;
+            let u = large.verify(netlist, None, None).cache;
             if returned {
                 returns += 1;
             } else {
@@ -559,7 +553,7 @@ mod tests {
         assert!(returns <= 10, "{returns} steps returned to an old unit");
         assert_eq!(bounded.cache_len(), 4 * units, "the walk filled the tier");
         assert!(bounded.cache_evictions() > 0);
-        assert!(unbounded.cache_len() > 4 * units);
+        assert!(large.cache_len() > 4 * units);
     }
 
     /// The key of a prep claim [`PoisoningBackend`] dies holding.
@@ -842,7 +836,7 @@ mod tests {
             let waiter = s.spawn(|| {
                 let mut overlay = VerifyCache::new();
                 service.await_units(&[key], None, &mut overlay);
-                overlay.get(&key).cloned()
+                overlay.get(&key)
             });
             service.publish(&[key], &[delivered()]);
             drop(claims);

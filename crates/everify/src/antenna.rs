@@ -13,9 +13,9 @@ use crate::EverifyConfig;
 /// Runs the antenna check for every net with gate connections.
 pub fn check(netlist: &FlatNetlist, layout: &Layout, config: &EverifyConfig, report: &mut Report) {
     let uses = netlist.uses_table();
-    // Collector area per net in one pass over the shape list —
-    // `shapes_on` filters the whole layout per call, which made this
-    // check O(nets × shapes) on full designs.
+    // Collector area per net in one pass over the shape list — a
+    // per-net filter of the whole layout made this check
+    // O(nets × shapes) on full designs.
     let mut collector = vec![0.0f64; netlist.net_count()];
     for s in &layout.shapes {
         if let Some(net) = s.net {

@@ -6,6 +6,8 @@
 //! spanning tree from the driver (extracted wire networks are trees up to
 //! deliberate zero-ohm ties, which the traversal handles).
 
+use std::collections::HashMap;
+
 use cbv_netlist::NetId;
 use cbv_tech::{Farads, Ohms, Seconds};
 
@@ -29,10 +31,8 @@ impl RcNodeId {
 pub struct RcNet {
     /// The net this network models.
     pub net: NetId,
-    /// Node coordinates (nm) for geometric lookup; synthetic nodes use
-    /// sequence numbers.
-    positions: Vec<(i64, i64)>,
     resistors: Vec<(RcNodeId, RcNodeId, Ohms)>,
+    /// Grounded capacitance per node; its length is the node count.
     caps: Vec<Farads>,
 }
 
@@ -41,7 +41,6 @@ impl RcNet {
     pub fn new(net: NetId) -> RcNet {
         RcNet {
             net,
-            positions: Vec::new(),
             resistors: Vec::new(),
             caps: Vec::new(),
         }
@@ -77,26 +76,31 @@ impl RcNet {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.positions.len()
+        self.caps.len()
     }
 
-    /// Node at an exact coordinate, creating it on first use.
-    pub fn node_at(&mut self, x: i64, y: i64) -> RcNodeId {
-        if let Some(i) = self.positions.iter().position(|&p| p == (x, y)) {
-            return RcNodeId(i as u32);
-        }
-        self.fresh_node_with((x, y))
+    /// Node at an exact coordinate, creating it on first use. `index`
+    /// maps every coordinate this network has placed a node at to that
+    /// node — the network itself keeps no coordinates — so the lookup is
+    /// O(1) however many nodes the net has.
+    pub(crate) fn node_at(
+        &mut self,
+        index: &mut HashMap<(i64, i64), RcNodeId>,
+        x: i64,
+        y: i64,
+    ) -> RcNodeId {
+        *index.entry((x, y)).or_insert_with(|| self.fresh_node())
     }
 
-    /// A new node with a synthetic position.
+    /// Drops the spare capacity the network grew while being built.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.resistors.shrink_to_fit();
+        self.caps.shrink_to_fit();
+    }
+
+    /// A new node.
     pub fn fresh_node(&mut self) -> RcNodeId {
-        let seq = self.positions.len() as i64;
-        self.fresh_node_with((i64::MIN + seq, i64::MIN))
-    }
-
-    fn fresh_node_with(&mut self, pos: (i64, i64)) -> RcNodeId {
-        let id = RcNodeId(self.positions.len() as u32);
-        self.positions.push(pos);
+        let id = RcNodeId(self.caps.len() as u32);
         self.caps.push(Farads::ZERO);
         id
     }
@@ -110,7 +114,7 @@ impl RcNet {
     /// checks (which report it as a failed signoff), not crash the
     /// extractor mid-flow.
     pub fn add_resistor(&mut self, a: RcNodeId, b: RcNodeId, r: Ohms) {
-        assert!(a.index() < self.positions.len() && b.index() < self.positions.len());
+        assert!(a.index() < self.caps.len() && b.index() < self.caps.len());
         assert!(r.ohms() >= 0.0 || r.ohms().is_nan(), "negative resistance");
         self.resistors.push((a, b, r));
     }
@@ -157,7 +161,7 @@ impl RcNet {
             return None;
         }
         // Path from driver to sink as a set of (node, edge R).
-        let mut on_path = vec![false; self.positions.len()];
+        let mut on_path = vec![false; self.caps.len()];
         {
             let mut cur = sink;
             on_path[cur.index()] = true;
@@ -209,7 +213,7 @@ impl RcNet {
         // Walking the tree in BFS order, each node's delay is its
         // parent's plus the edge term — the shared-resistance sum of the
         // classic formula unrolls into this prefix recurrence.
-        let mut delays: Vec<Option<Seconds>> = vec![None; self.positions.len()];
+        let mut delays: Vec<Option<Seconds>> = vec![None; self.caps.len()];
         delays[driver.index()] = Some(Seconds::new(
             r_drive.ohms() * down_cap[driver.index()].farads(),
         ));
@@ -229,10 +233,10 @@ impl RcNet {
     /// BFS spanning tree from a root: per-node `(parent, edge R)` plus
     /// visitation order. Returns `None` for an empty network.
     fn spanning_tree(&self, root: RcNodeId) -> Option<(ParentTable, Vec<RcNodeId>)> {
-        if root.index() >= self.positions.len() {
+        if root.index() >= self.caps.len() {
             return None;
         }
-        let n = self.positions.len();
+        let n = self.caps.len();
         let mut adj: Vec<Vec<(RcNodeId, Ohms)>> = vec![Vec::new(); n];
         for &(a, b, r) in &self.resistors {
             adj[a.index()].push((b, r));
@@ -259,7 +263,7 @@ impl RcNet {
 
     /// The far-end node of a network built with [`RcNet::line`].
     pub fn last_node(&self) -> RcNodeId {
-        RcNodeId((self.positions.len() - 1) as u32)
+        RcNodeId((self.caps.len() - 1) as u32)
     }
 
     /// The near-end node of a network built with [`RcNet::line`].
@@ -400,11 +404,13 @@ mod tests {
     #[test]
     fn node_at_dedups_positions() {
         let mut rc = RcNet::new(NET);
-        let a = rc.node_at(10, 20);
-        let b = rc.node_at(10, 20);
+        let mut index = HashMap::new();
+        let a = rc.node_at(&mut index, 10, 20);
+        let b = rc.node_at(&mut index, 10, 20);
         assert_eq!(a, b);
-        let c = rc.node_at(10, 21);
+        let c = rc.node_at(&mut index, 10, 21);
         assert_ne!(a, c);
+        assert_eq!(rc.node_count(), 2);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Layout {
         (b.width() as f64 * 1e-9) * (b.height() as f64 * 1e-9)
     }
 
-    /// All shapes on a given net.
-    pub fn shapes_on(&self, net: NetId) -> impl Iterator<Item = &Shape> {
-        self.shapes.iter().filter(move |s| s.net == Some(net))
-    }
-
     /// The placement site of a device, if placed.
     pub fn site(&self, device: DeviceId) -> Option<&DeviceSite> {
         self.sites.iter().find(|s| s.device == device)
@@ -189,7 +184,10 @@ mod tests {
         let l = synthesize(&mut f, &Process::strongarm_035());
         for name in ["a", "b", "y"] {
             let n = f.find_net(name).unwrap();
-            assert!(l.shapes_on(n).count() > 0, "net `{name}` has no geometry");
+            assert!(
+                l.shapes.iter().any(|s| s.net == Some(n)),
+                "net `{name}` has no geometry"
+            );
         }
     }
 

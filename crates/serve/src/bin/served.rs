@@ -55,7 +55,7 @@ fn main() -> ExitCode {
                 .map_err(|_| ()),
             "--cache-capacity" => value
                 .parse()
-                .map(|n| config.cache_capacity = Some(n))
+                .map(|n| config.cache_capacity = n)
                 .map_err(|_| ()),
             "--parallelism" => value
                 .parse()

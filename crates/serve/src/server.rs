@@ -68,12 +68,11 @@ pub struct ServerConfig {
     /// rejected with `retry_after_ms`, which pins the backpressure path
     /// for deterministic tests.
     pub queue_capacity: usize,
-    /// Shared verification cache entry cap, per tier (unit results and
-    /// timing artifacts each). Bounded by default — a daemon that runs
-    /// for weeks must not grow per ECO; a resident entry costs a few
-    /// hundred bytes, so the default 4,096 is about a megabyte. `None`
-    /// removes the bound.
-    pub cache_capacity: Option<usize>,
+    /// Entry cap of the shared verification cache tier (unit results).
+    /// Always bounded — a daemon that runs for weeks must not grow per
+    /// ECO; a resident entry costs a few hundred bytes, so the default
+    /// 4,096 is about a megabyte. Least-recently-used entries go first.
+    pub cache_capacity: usize,
     /// `FlowConfig::parallelism` for each verification job (0 = auto,
     /// honouring `CBV_THREADS`).
     pub parallelism: usize,
@@ -93,7 +92,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 2,
             queue_capacity: 16,
-            cache_capacity: Some(4096),
+            cache_capacity: 4096,
             parallelism: 0,
             trace_path: None,
             state_path: None,
@@ -239,10 +238,8 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         tracer: tracer.clone(),
         ..FlowConfig::default()
     };
-    let mut service = FlowService::new(Process::strongarm_035(), flow);
-    if let Some(cap) = config.cache_capacity {
-        service = service.with_cache_capacity(cap);
-    }
+    let service =
+        FlowService::new(Process::strongarm_035(), flow).with_cache_capacity(config.cache_capacity);
     // Strict state restore: a missing file is a fresh daemon, a corrupt
     // one fails startup loudly — persistence must never half-load.
     let mut saved = BTreeMap::new();

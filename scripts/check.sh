@@ -54,6 +54,14 @@ cargo test -q -p cbv-bench --lib e07
 echo "== E14 smoke (ECO walk soundness) =="
 cargo test -q -p cbv-bench e14_eco
 
+# The benchmark's traced eco_walk section, replayed in-process: its four
+# per-op cache counts are pure functions of the seed, so they must
+# repeat to the digit at either end of the worker-count range.
+for threads in 1 8; do
+  echo "== eco_walk traced counts (CBV_THREADS=$threads) =="
+  CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental eco_walk_traced_counts_repeat_to_the_digit
+done
+
 echo "== E15 smoke (trace waterfall + observer-effect contract) =="
 cargo test -q -p cbv-bench --lib e15
 cargo test -q -p cbv-core --test obs

@@ -73,9 +73,7 @@ fn stats(ctl: &mut Client) -> Value {
 
 #[test]
 fn a_long_lockstep_session_keeps_a_flat_footprint() {
-    let capacity = ServerConfig::default()
-        .cache_capacity
-        .expect("the daemon's tier is bounded by default") as u64;
+    let capacity = ServerConfig::default().cache_capacity as u64;
     let server = serve(ServerConfig::default()).expect("bind loopback daemon");
     let mut ctl = Client::connect(server.addr()).expect("connect control client");
     let mut clients: Vec<Client> = (0..CLIENTS)
@@ -160,7 +158,7 @@ fn a_long_lockstep_session_keeps_a_flat_footprint() {
 #[test]
 fn a_saturated_queue_keeps_the_tier_within_its_bound() {
     let config = ServerConfig {
-        cache_capacity: Some(SATURATED_CAPACITY),
+        cache_capacity: SATURATED_CAPACITY,
         ..ServerConfig::default()
     };
     assert!(

@@ -15,6 +15,7 @@ use cbv_core::cache::VerifyCache;
 use cbv_core::flow::{run_flow, run_flow_incremental, FlowConfig, FlowReport};
 use cbv_core::gen::datapath::alu_slice;
 use cbv_core::gen::{inject, FaultKind};
+use cbv_core::mutate::{self, MutationOp, Site};
 use cbv_core::netlist::{DeviceId, FlatNetlist};
 use cbv_core::tech::Process;
 
@@ -224,4 +225,91 @@ fn timing_remainder_cache_is_sound_on_faulty_designs() {
     let tstats = timing_stats(&warm);
     assert_eq!(tstats.misses, 0, "a cached violation still replays");
     assert_eq!(tstats.hits + tstats.misses, warm.recognition.cccs.len());
+}
+
+/// SplitMix64, as in `perf/src/walk.rs`.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+}
+
+/// The seeded width-scale walk of `perf/src/walk.rs`, copied because
+/// `perf/` is a workspace of its own: one device per step, scaled by a
+/// few percent and steered back once it drifts far from its width.
+struct Walk {
+    rng: SplitMix64,
+    drift: Vec<f64>,
+}
+
+impl Walk {
+    fn new(seed: u64, stream: u64, devices: usize) -> Walk {
+        let mut mix = SplitMix64(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F));
+        Walk {
+            rng: SplitMix64(mix.next_u64()),
+            drift: vec![1.0; devices],
+        }
+    }
+
+    /// Applies the next step to `netlist`.
+    fn step(&mut self, netlist: &mut FlatNetlist) {
+        const FACTORS: [f64; 6] = [0.96, 0.97, 0.98, 1.02, 1.03, 1.04];
+        let device = self.rng.below(self.drift.len());
+        let pick = self.rng.below(3);
+        let factor = match self.drift[device] {
+            d if d > 1.25 => FACTORS[pick],
+            d if d < 0.80 => FACTORS[3 + pick],
+            _ => FACTORS[self.rng.below(FACTORS.len())],
+        };
+        self.drift[device] *= factor;
+        let op = MutationOp::WidthScale { factor };
+        mutate::apply(netlist, &op, Site::Device(DeviceId(device as u32)))
+            .expect("width-scale applies at every device site");
+    }
+}
+
+/// `cbv-perf`'s traced `eco_walk` section, replayed (`perf/src/eco_walk.rs`):
+/// prime an owned cache on alu8, run 8 warm-up ops, then tally unit and
+/// timing-row hits and misses over 16 ops of the seed-1 walk. The four
+/// per-op counts are pure functions of the seed, so a cache change that
+/// moves them fails here rather than in the benchmark's prose.
+#[test]
+fn eco_walk_traced_counts_repeat_to_the_digit() {
+    let p = Process::strongarm_035();
+    let cfg = FlowConfig::default();
+    let mut netlist = alu_slice(8, &p).netlist;
+    let mut cache = VerifyCache::new();
+    run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
+    let mut walk = Walk::new(1, 3, netlist.devices().len());
+    for _ in 0..8 {
+        walk.step(&mut netlist);
+        run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
+    }
+    let mut tally = [0usize; 4];
+    for _ in 0..16 {
+        walk.step(&mut netlist);
+        let report = run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
+        for (k, stage) in ["everify", "timing"].into_iter().enumerate() {
+            let stats = report
+                .stages
+                .iter()
+                .find(|s| s.stage == stage)
+                .and_then(|s| s.cache)
+                .expect("incremental stages report cache stats");
+            tally[2 * k] += stats.hits;
+            tally[2 * k + 1] += stats.misses;
+        }
+    }
+    let per_op = tally.map(|n| n as f64 / 16.0);
+    assert_eq!(per_op, [79.125, 9.875, 79.125, 8.875]);
 }

@@ -803,7 +803,7 @@ proptest! {
                     }
                 }
                 _ => {
-                    cache.set_capacity(Some(n));
+                    cache.set_capacity(n);
                     model.1 = n;
                     while model.0.len() > n {
                         model.0.remove(0);

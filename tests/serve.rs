@@ -414,6 +414,62 @@ fn corrupt_state_file_fails_daemon_startup() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// A restart must bring the whole tier back. Every fresh cache starts
+/// at a 2,048-entry bound, while the daemon's tier holds 4,096: a state
+/// file saved from a tier filled past 2,048 has to load in full, and
+/// the next save has to write every entry back byte for byte.
+#[test]
+fn a_tier_filled_past_2048_survives_a_restart_whole() {
+    use cbv_core::cache::{CacheKey, UnitResult, VerifyCache};
+    use cbv_serve::{state_from_json, state_to_json};
+
+    const ENTRIES: u64 = 3_000;
+    let capacity = ServerConfig::default().cache_capacity;
+    assert!(ENTRIES as usize > VerifyCache::new().capacity() && ENTRIES as usize <= capacity);
+    let mut tier = VerifyCache::with_capacity(capacity);
+    for i in 0..ENTRIES {
+        let key = CacheKey {
+            env: 7,
+            content: i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            binding: i,
+        };
+        let result = UnitResult {
+            checked: i as u32,
+            filtered: (i / 2) as u32,
+            ..UnitResult::default()
+        };
+        tier.insert(key, result);
+    }
+    let tier_json = tier.to_json();
+
+    let dir = std::env::temp_dir().join(format!("cbv-serve-bigtier-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let state_path = dir.join("big.state").to_str().expect("utf8").to_owned();
+    std::fs::write(&state_path, state_to_json(&Default::default(), &tier_json)).expect("write");
+
+    let server = start(ServerConfig {
+        state_path: Some(state_path.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let stats: Value = serde_json::from_str(&client.stats().expect("stats")).expect("stats json");
+    assert_eq!(
+        stats.get("cache_entries").and_then(Value::as_u64),
+        Some(ENTRIES)
+    );
+    // Saving rewrites the state file from the live tier.
+    client.open("dcvsl").expect("open");
+    client.save("s").expect("save");
+    server.shutdown();
+
+    let text = std::fs::read_to_string(&state_path).expect("read state");
+    let (_, restored) = state_from_json(&text).expect("state parses");
+    let restored = restored.expect("the state carries the tier");
+    assert_eq!(restored.len(), ENTRIES as usize);
+    assert_eq!(restored.to_json(), tier_json, "every entry's bytes");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 #[test]
 fn remote_shutdown_drains_and_joins() {
     let server = default_server();
