@@ -74,7 +74,8 @@ impl CacheKey {
 /// encoded block.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UnitResult {
-    /// Findings in the order the checks emitted them.
+    /// Findings, in the unit report's canonical order (replay re-sorts,
+    /// so an entry written in another order replays the same).
     pub findings: Box<[Finding]>,
     /// Values inspected by the unit's checks.
     pub checked: u32,

@@ -82,15 +82,18 @@ pub enum SiteRef {
 /// against the report's own netlist and recognition (a stale or
 /// out-of-range subject resolves to `None` rather than panicking — the
 /// report may describe a netlist the caller has since edited).
+/// Only a [`CheckKind::Tool`] finding names a CCC through
+/// [`Subject::Unit`]; a cold battery check that panicked puts its battery
+/// position there, which resolves to `None`.
 pub fn finding_site(report: &FlowReport, finding: &Finding) -> Option<SiteRef> {
     match finding.subject {
         Subject::Device(d) => {
             (d.index() < report.netlist.devices().len()).then_some(SiteRef::Device(d))
         }
         Subject::Net(n) => (n.index() < report.netlist.net_count()).then_some(SiteRef::Net(n)),
-        Subject::Unit(u) => {
-            ((u as usize) < report.recognition.cccs.len()).then_some(SiteRef::Unit(CccId(u)))
-        }
+        Subject::Unit(u) => (finding.check == CheckKind::Tool
+            && (u as usize) < report.recognition.cccs.len())
+        .then_some(SiteRef::Unit(CccId(u))),
     }
 }
 
@@ -224,6 +227,63 @@ mod tests {
         ] {
             assert_eq!(finding_site(&report, &f), None);
         }
+    }
+
+    /// A whole-design check that panics in the cold battery reports its
+    /// battery position as `Subject::Unit`; that is no CCC, so it must
+    /// not resolve to one. A per-unit `Tool` finding still does.
+    #[test]
+    fn only_a_per_unit_tool_finding_resolves_to_its_ccc() {
+        let p = Process::strongarm_035();
+        let adder = || cbv_gen::adders::static_ripple_adder(4, &p).netlist;
+        let mut report = run_flow(adder(), &p, &FlowConfig::default());
+        assert!(report.recognition.cccs.len() > 3, "unit 3 is a real CCC");
+        let mut netlist = report.netlist.clone();
+        let layout = cbv_layout::synthesize(&mut netlist, &p);
+        let extracted = cbv_extract::extract(&layout, &netlist, &p);
+        let cfg = cbv_everify::EverifyConfig::for_process(&p);
+        let mut checks = cbv_everify::battery(
+            &netlist,
+            &report.recognition,
+            &extracted,
+            Some(&layout),
+            &p,
+            &cfg,
+        );
+        checks.insert(
+            3,
+            cbv_everify::BatteryCheck::new(CheckKind::Coupling, |_| panic!("injected")),
+        );
+        let (everify, _) = cbv_everify::run_battery(
+            checks,
+            cfg.filter_threshold,
+            &cbv_exec::Executor::serial(),
+            cbv_obs::TraceCtx::disabled(),
+        );
+        report.everify = everify;
+        let panicked: Vec<&Finding> = report.everify.tool_errors().collect();
+        assert_eq!(panicked.len(), 1);
+        assert_eq!(panicked[0].subject, Subject::Unit(3));
+        assert_eq!(finding_site(&report, panicked[0]), None);
+
+        // An expired deadline makes every unit report a `Tool` finding
+        // naming itself: each CCC's resolves to that CCC.
+        let cfg = FlowConfig {
+            deadline: Some(std::time::Instant::now()),
+            ..FlowConfig::default()
+        };
+        let timed_out = run_flow_incremental(adder(), &p, &cfg, &mut VerifyCache::new());
+        let n_cccs = timed_out.recognition.cccs.len() as u32;
+        let mut resolved = 0;
+        for f in timed_out.everify.tool_errors() {
+            let Subject::Unit(u) = f.subject else {
+                panic!("a timed-out unit names itself: {f:?}");
+            };
+            let want = (u < n_cccs).then_some(SiteRef::Unit(CccId(u)));
+            assert_eq!(finding_site(&timed_out, f), want);
+            resolved += usize::from(want.is_some());
+        }
+        assert!(resolved > 3, "every CCC's findings resolved: {resolved}");
     }
 
     #[test]

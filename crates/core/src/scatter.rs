@@ -201,7 +201,7 @@ impl PreparedDesign {
             );
             let tally = |n: usize| u32::try_from(n).expect("a unit checks under 2^32 values");
             (
-                r.raw_findings().to_vec(),
+                r.findings().to_vec(),
                 tally(r.checked_count()),
                 tally(r.filtered_count()),
             )
@@ -754,7 +754,7 @@ mod tests {
         assert!(!r.signoff.clean(), "timed-out flow must not sign off");
         let tool_errors = r
             .everify
-            .raw_findings()
+            .findings()
             .iter()
             .filter(|f| f.severity == Severity::ToolError)
             .count();

@@ -711,7 +711,7 @@ mod tests {
                 let (report, verdict) =
                     service.verify_with_backend(netlist, Some(by), None, &LocalBackend);
                 let n_cccs = report.recognition.cccs.len();
-                let findings = report.everify.raw_findings();
+                let findings = report.everify.findings();
                 let tool_errors = findings
                     .iter()
                     .filter(|f| f.severity == Severity::ToolError);

@@ -13,6 +13,7 @@
 //! * ratio in `[threshold, 1)` → `Review` (might have a problem);
 //! * ratio ≥ 1 → `Violation`.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use cbv_netlist::{DeviceId, NetId};
@@ -85,8 +86,9 @@ impl fmt::Display for CheckKind {
     }
 }
 
-/// What a finding is about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a finding is about. `Ord` follows declaration order (Net <
+/// Device < Unit), the same order as the cache codec's subject tags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Subject {
     /// A net.
     Net(NetId),
@@ -125,7 +127,20 @@ pub struct Finding {
     pub message: String,
 }
 
-/// The aggregated, probability-filtered report.
+/// The canonical finding order: most severe first, then highest stress
+/// ([`f64::total_cmp`], so a NaN sorts above `+inf`), then check,
+/// subject and message. Only identical findings tie.
+fn order(a: &Finding, b: &Finding) -> Ordering {
+    b.severity
+        .cmp(&a.severity)
+        .then(b.stress.total_cmp(&a.stress))
+        .then(a.check.cmp(&b.check))
+        .then(a.subject.cmp(&b.subject))
+        .then(a.message.cmp(&b.message))
+}
+
+/// The aggregated, probability-filtered report. Its findings are always
+/// in the canonical order, whichever path built it.
 #[derive(Debug, Clone)]
 pub struct Report {
     threshold: f64,
@@ -166,7 +181,7 @@ impl Report {
     ) {
         self.checked += 1;
         if stress.is_nan() {
-            self.findings.push(Finding {
+            self.insert(Finding {
                 check,
                 subject,
                 severity: Severity::ToolError,
@@ -184,7 +199,7 @@ impl Report {
         } else {
             Severity::Review
         };
-        self.findings.push(Finding {
+        self.insert(Finding {
             check,
             subject,
             severity,
@@ -198,7 +213,7 @@ impl Report {
     /// [`Report::record`] this does not bump the checked count: nothing
     /// was actually examined.
     pub fn tool_error(&mut self, check: CheckKind, unit: u32, message: impl Into<String>) {
-        self.findings.push(Finding {
+        self.insert(Finding {
             check,
             subject: Subject::Unit(unit),
             severity: Severity::ToolError,
@@ -207,17 +222,18 @@ impl Report {
         });
     }
 
-    /// All surviving findings, most severe first, highest stress first.
-    /// NaN stresses (tool errors) sort via [`f64::total_cmp`] — above
-    /// `+inf`, never a panic.
-    pub fn findings(&self) -> Vec<&Finding> {
-        let mut v: Vec<&Finding> = self.findings.iter().collect();
-        v.sort_by(|a, b| {
-            b.severity
-                .cmp(&a.severity)
-                .then(b.stress.total_cmp(&a.stress))
-        });
-        v
+    /// Inserts one finding at its place in the canonical order.
+    fn insert(&mut self, finding: Finding) {
+        let at = self
+            .findings
+            .partition_point(|f| order(f, &finding) != Ordering::Greater);
+        self.findings.insert(at, finding);
+    }
+
+    /// All surviving findings in the canonical order: most severe first,
+    /// highest stress first, ties by check, subject and message.
+    pub fn findings(&self) -> &[Finding] {
+        &self.findings
     }
 
     /// Only the violations.
@@ -260,6 +276,7 @@ impl Report {
     /// Merges another report into this one (threshold stays).
     pub fn merge(&mut self, other: Report) {
         self.findings.extend(other.findings);
+        self.findings.sort_by(order);
         self.checked += other.checked;
         self.filtered += other.filtered;
     }
@@ -269,15 +286,11 @@ impl Report {
         self.threshold
     }
 
-    /// The surviving findings in insertion order, unsorted — the raw
-    /// payload a verification cache stores and replays.
-    pub fn raw_findings(&self) -> &[Finding] {
-        &self.findings
-    }
-
     /// Reassembles a report from cached parts — the inverse of reading
-    /// [`Report::raw_findings`], [`Report::checked_count`] and
-    /// [`Report::filtered_count`] back out.
+    /// [`Report::findings`], [`Report::checked_count`] and
+    /// [`Report::filtered_count`] back out. The findings may come in any
+    /// order (per unit, or as an older cache stored them) and are sorted
+    /// here, once.
     ///
     /// # Panics
     ///
@@ -285,11 +298,12 @@ impl Report {
     /// [`Report::new`]).
     pub fn from_parts(
         threshold: f64,
-        findings: Vec<Finding>,
+        mut findings: Vec<Finding>,
         checked: usize,
         filtered: usize,
     ) -> Report {
         assert!(threshold > 0.0 && threshold <= 1.0, "threshold in (0, 1]");
+        findings.sort_by(order);
         Report {
             threshold,
             findings,
@@ -386,6 +400,84 @@ mod tests {
         assert_eq!(f[0].message, "leakage produced NaN stress: nan");
         assert_eq!(f[1].message, "v");
         assert_eq!(f[2].message, "rev");
+    }
+
+    /// Findings tied on severity and stress, recorded scrambled, come
+    /// out in the one canonical order, and so do the same findings
+    /// reassembled in reverse or merged from two halves.
+    #[test]
+    fn findings_hold_one_total_order() {
+        let mut r = Report::new(0.5);
+        let violation = [
+            (CheckKind::Coupling, Subject::Net(NetId(2)), "b"),
+            (CheckKind::Coupling, Subject::Device(DeviceId(1)), "z"),
+            (CheckKind::Coupling, Subject::Net(NetId(2)), "a"),
+            (CheckKind::BetaRatio, Subject::Device(DeviceId(0)), "x"),
+            (CheckKind::Coupling, Subject::Net(NetId(1)), "q"),
+        ];
+        r.record(CheckKind::EdgeRate, Subject::Net(NetId(0)), 0.8, || {
+            "rev".into()
+        });
+        r.tool_error(CheckKind::Tool, 3, "unit 3");
+        for (check, subject, message) in violation {
+            r.record(check, subject, 1.5, || message.into());
+        }
+        r.tool_error(CheckKind::Tool, 1, "unit 1");
+        r.record(CheckKind::Leakage, Subject::Net(NetId(0)), f64::NAN, || {
+            "nan".into()
+        });
+        let seen: Vec<(Severity, u64, CheckKind, Subject, &str)> = r
+            .findings()
+            .iter()
+            .map(|f| {
+                (
+                    f.severity,
+                    f.stress.to_bits(),
+                    f.check,
+                    f.subject,
+                    f.message.as_str(),
+                )
+            })
+            .collect();
+        let (nan, inf) = (f64::NAN.to_bits(), f64::INFINITY.to_bits());
+        let (v, rev) = (1.5f64.to_bits(), 0.8f64.to_bits());
+        use CheckKind::*;
+        use Severity::*;
+        use Subject::*;
+        assert_eq!(
+            seen,
+            [
+                (
+                    ToolError,
+                    nan,
+                    Leakage,
+                    Net(NetId(0)),
+                    "leakage produced NaN stress: nan"
+                ),
+                (ToolError, inf, Tool, Unit(1), "unit 1"),
+                (ToolError, inf, Tool, Unit(3), "unit 3"),
+                (Violation, v, BetaRatio, Device(DeviceId(0)), "x"),
+                (Violation, v, Coupling, Net(NetId(1)), "q"),
+                (Violation, v, Coupling, Net(NetId(2)), "a"),
+                (Violation, v, Coupling, Net(NetId(2)), "b"),
+                (Violation, v, Coupling, Device(DeviceId(1)), "z"),
+                (Review, rev, EdgeRate, Net(NetId(0)), "rev"),
+            ]
+        );
+
+        let mut reversed = r.findings().to_vec();
+        reversed.reverse();
+        let rebuilt = Report::from_parts(0.5, reversed, r.checked_count(), r.filtered_count());
+        let (head, tail) = rebuilt.findings().split_at(4);
+        let mut merged = Report::from_parts(0.5, tail.to_vec(), 0, 0);
+        merged.merge(Report::from_parts(0.5, head.to_vec(), 0, 0));
+        for other in [&rebuilt, &merged] {
+            let same = other.findings().iter().zip(r.findings());
+            assert_eq!(other.findings().len(), r.findings().len());
+            for (a, b) in same {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            }
+        }
     }
 
     #[test]

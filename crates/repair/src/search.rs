@@ -285,10 +285,10 @@ fn candidates(work: &FlatNetlist, report: &FlowReport, base: &FlowObservation) -
     // bounded aims. A dirty baseline can hold more pre-existing
     // violations of a fired class than MAX_AIMS, and report order would
     // waste every aim on them; within one class the freshly broken
-    // device usually posts the extreme stress. So: sort each class's
-    // findings by stress (highest first), then round-robin across the
-    // fired classes — every fired class gets its most-stressed finding
-    // aimed before any class gets its second.
+    // device usually posts the extreme stress. The report's canonical
+    // order already puts each class's findings highest stress first, so
+    // round-robin across the fired classes — every fired class gets its
+    // most-stressed finding aimed before any class gets its second.
     let ranked: Vec<&cbv_core::everify::Finding> = {
         let mut per_class: Vec<Vec<(usize, &cbv_core::everify::Finding)>> =
             vec![Vec::new(); CheckKind::ALL.len()];
@@ -301,9 +301,6 @@ fn candidates(work: &FlatNetlist, report: &FlowReport, base: &FlowObservation) -
                 .position(|c| *c == f.check)
                 .expect("canonical check");
             per_class[k].push((i, f));
-        }
-        for v in &mut per_class {
-            v.sort_by(|(i, a), (j, b)| b.stress.total_cmp(&a.stress).then(i.cmp(j)));
         }
         let mut ranked = Vec::new();
         let mut depth = 0usize;

@@ -8,11 +8,12 @@
 //! A **column** is one path and one `#[test]`, run at each parallelism
 //! through `FlowConfig` or `ServerConfig`: owned cache, shared tier,
 //! farm, daemon, and a daemon restored from its state file. Every cell
-//! asserts the signoff bytes; the in-process columns also assert
-//! `findings()`, the STA violations and the arrivals (not
-//! `raw_findings()`, which is per check when cold and per unit when
-//! cached). `scripts/check.sh` reruns the suite under `CBV_THREADS=8`,
-//! so the reference's auto run takes the environment path too.
+//! asserts the signoff bytes; the in-process columns also assert the
+//! STA violations, the arrivals and `findings()` element by element —
+//! a report holds its findings in one canonical order, so the cached
+//! paths must store exactly cold's sequence. `scripts/check.sh` reruns
+//! the suite under `CBV_THREADS=8`, so the reference's auto run takes
+//! the environment path too.
 
 use std::sync::{Arc, OnceLock};
 
@@ -151,7 +152,7 @@ fn cell(row: &Row, prefix: usize, column: &str, parallelism: usize) -> String {
 struct Verdict {
     signoff: String,
     clean: bool,
-    findings: String,
+    findings: Vec<String>,
     violations: String,
     arrivals: String,
 }
@@ -161,7 +162,12 @@ impl Verdict {
         Verdict {
             signoff: serde_json::to_string(&r.signoff).expect("signoff serializes"),
             clean: r.signoff.clean(),
-            findings: format!("{:?}", r.everify.findings()),
+            findings: r
+                .everify
+                .findings()
+                .iter()
+                .map(|f| format!("{f:?}"))
+                .collect(),
             violations: format!("{:?}", r.sta.violations),
             arrivals: format!("{:?}", r.sta.arrivals),
         }
@@ -207,11 +213,15 @@ fn check(cell: &str, report: &FlowReport, want: &Verdict) {
     let got = Verdict::of(report);
     for (what, g, w) in [
         ("signoff bytes", &got.signoff, &want.signoff),
-        ("findings()", &got.findings, &want.findings),
         ("STA violations", &got.violations, &want.violations),
         ("STA arrivals", &got.arrivals, &want.arrivals),
     ] {
         assert!(g == w, "{cell}: {what}\n got: {g}\nwant: {w}");
+    }
+    let (g, w) = (&got.findings, &want.findings);
+    assert_eq!(g.len(), w.len(), "{cell}: findings() length");
+    for (i, (g, w)) in g.iter().zip(w).enumerate() {
+        assert!(g == w, "{cell}: findings()[{i}]\n got: {g}\nwant: {w}");
     }
 }
 

@@ -13,6 +13,7 @@
 
 use cbv_core::cache::VerifyCache;
 use cbv_core::flow::{run_flow, run_flow_incremental, FlowConfig, FlowReport};
+use cbv_core::gen::adders::manchester_domino_adder;
 use cbv_core::gen::datapath::alu_slice;
 use cbv_core::gen::{inject, FaultKind};
 use cbv_core::mutate::{self, MutationOp, Site};
@@ -102,6 +103,40 @@ fn cache_json_reload_preserves_byte_identity() {
                 stage.stage
             );
         }
+    }
+}
+
+/// A cache written before reports held one finding order may store a
+/// unit's findings in any order. Replayed, they must still assemble into
+/// cold's canonical sequence: reverse every unit's findings in place and
+/// the warm report is unchanged, finding for finding.
+#[test]
+fn reordered_cache_entries_replay_to_the_canonical_report() {
+    let p = Process::strongarm_035();
+    let cfg = FlowConfig::default();
+    let netlist = manchester_domino_adder(4, &p).netlist;
+    let cold = run_flow(netlist.clone(), &p, &cfg);
+
+    let mut cache = VerifyCache::new();
+    let primed = run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
+    let mut reversed = 0;
+    for key in &primed.fresh {
+        let mut entry = cache.get(key).expect("a fresh key is cached");
+        if entry.findings.len() > 1 {
+            entry.findings.reverse();
+            reversed += 1;
+        }
+        cache.insert(*key, entry);
+    }
+    assert!(reversed > 0, "some unit holds two or more findings");
+
+    let warm = run_flow_incremental(netlist, &p, &cfg, &mut cache);
+    assert!(warm.fresh.is_empty(), "every unit replayed from the cache");
+    assert_eq!(signoff_json(&warm), signoff_json(&cold));
+    let (got, want) = (warm.everify.findings(), cold.everify.findings());
+    assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(format!("{g:?}"), format!("{w:?}"), "finding {i}");
     }
 }
 
