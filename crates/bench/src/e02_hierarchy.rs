@@ -35,8 +35,8 @@ fn rtl_block_of(name: &str) -> u32 {
 pub fn run() -> HierarchyResult {
     let p = Process::strongarm_035();
     let g = alu_slice(8, &p);
-    let mut netlist = g.netlist;
-    let rec = recognize(&mut netlist);
+    let netlist = g.netlist;
+    let rec = recognize(&netlist);
 
     // Element universe: every net driven by some CCC.
     let mut rtl_labels = Vec::new();

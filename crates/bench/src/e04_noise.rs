@@ -96,9 +96,8 @@ fn domino_stack(depth: usize, w: f64, process: &Process) -> FlatNetlist {
 }
 
 fn battery(netlist: FlatNetlist, process: &Process, check: CheckKind, hold: Seconds) -> NoisePoint {
-    let mut netlist = netlist;
-    let rec = recognize(&mut netlist);
-    let layout = synthesize(&mut netlist, process);
+    let rec = recognize(&netlist);
+    let layout = synthesize(&netlist, process);
     let ex = extract(&layout, &netlist, process);
     let mut cfg = EverifyConfig::for_process(process);
     cfg.dynamic_hold = hold;
@@ -168,7 +167,7 @@ fn keeper_coupling() -> Vec<(String, f64)> {
     let p = Process::strongarm_035();
     let mut out = Vec::new();
     for (name, w_keeper) in [("no keeper", None), ("weak keeper", Some(0.7e-6))] {
-        let mut netlist = match w_keeper {
+        let netlist = match w_keeper {
             Some(w) => keeper_domino(&p, w).netlist,
             None => {
                 let mut g = keeper_domino(&p, 0.7e-6);
@@ -195,8 +194,8 @@ fn keeper_coupling() -> Vec<(String, f64)> {
                 g.netlist
             }
         };
-        let rec = recognize(&mut netlist);
-        let layout = synthesize(&mut netlist, &p);
+        let rec = recognize(&netlist);
+        let layout = synthesize(&netlist, &p);
         let ex = extract(&layout, &netlist, &p);
         let mut cfg = EverifyConfig::for_process(&p);
         cfg.filter_threshold = 1e-6;

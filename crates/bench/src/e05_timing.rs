@@ -34,9 +34,9 @@ pub struct SetupPoint {
 fn setup_sweep() -> Vec<SetupPoint> {
     let p = Process::strongarm_035();
     let g = alu_slice(8, &p);
-    let mut netlist = g.netlist;
-    let rec = recognize(&mut netlist);
-    let layout = synthesize(&mut netlist, &p);
+    let netlist = g.netlist;
+    let rec = recognize(&netlist);
+    let layout = synthesize(&netlist, &p);
     let ex = extract(&layout, &netlist, &p);
     let pess = Pessimism::signoff();
     let calc = DelayCalc::new(&p, Tolerance::conservative(), pess);
@@ -132,9 +132,9 @@ fn race_study() -> Vec<RacePoint> {
     [2usize, 4, 8, 16, 40]
         .into_iter()
         .map(|k| {
-            let (mut netlist, clocks) = race_chain(k);
-            let rec = recognize(&mut netlist);
-            let layout = synthesize(&mut netlist, &p);
+            let (netlist, clocks) = race_chain(k);
+            let rec = recognize(&netlist);
+            let layout = synthesize(&netlist, &p);
             let ex = extract(&layout, &netlist, &p);
             let skews: Vec<ClockSkew> = clocks
                 .iter()

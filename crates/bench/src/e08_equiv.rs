@@ -106,7 +106,7 @@ pub fn run() -> EquivResult {
         6e-6,
         0.35e-6,
     ));
-    let rec = recognize(&mut f);
+    let rec = recognize(&f);
     let golden_rtl = compile(
         "module g(in i0, in i1, in i2, out y) { assign y = i0 & i1 & i2; }",
         "g",

@@ -28,9 +28,9 @@ pub struct CoverageRow {
     pub detected: bool,
 }
 
-fn violations_of(mut netlist: FlatNetlist, p: &Process, cfg: &EverifyConfig) -> Vec<CheckKind> {
-    let rec = recognize(&mut netlist);
-    let layout = synthesize(&mut netlist, p);
+fn violations_of(netlist: FlatNetlist, p: &Process, cfg: &EverifyConfig) -> Vec<CheckKind> {
+    let rec = recognize(&netlist);
+    let layout = synthesize(&netlist, p);
     let ex = extract(&layout, &netlist, p);
     let report = run_all(&netlist, &rec, &ex, Some(&layout), p, cfg);
     let mut fired: Vec<CheckKind> = report.violations().map(|f| f.check).collect();

@@ -91,8 +91,8 @@ pub fn print() {
     println!("{}", render_matrix(&domino));
 
     println!("(each mutant is one ECO on the campaign-long verification");
-    println!(" cache; `speedup vs cold` compares its everify+timing compute");
-    println!(" to the cold baseline run that primed the cache. detection is");
+    println!(" cache; `fewer than cold` divides the units the cold baseline");
+    println!(" run verified by the units a mutant re-verified. detection is");
     println!(" differential: a check fires only when its violation count");
     println!(" strictly exceeds the unmutated design's.)");
 }

@@ -149,14 +149,11 @@ pub fn run(baseline: &FlatNetlist, max_sites_per_op: usize) -> RepairCampaign {
     let mut cache = VerifyCache::new();
     let (base_obs, base_signoff) = restore_target(baseline, &process, &flow, &mut cache);
 
-    // Recognition on a clone (it promotes net kinds in place); ids are
-    // stable, so sites enumerated here apply to pristine clones.
-    let mut recognized = baseline.clone();
-    let recognition = cbv_core::recognize::recognize(&mut recognized);
+    let recognition = cbv_core::recognize::recognize(baseline);
 
     let mut trials = Vec::new();
     for (op_index, op) in parametric_ops().iter().enumerate() {
-        let found = sites(op, &recognized, &recognition);
+        let found = sites(op, baseline, &recognition);
         for site in spread(&found, max_sites_per_op) {
             let mut nl = baseline.clone();
             let Some(m) = mutate::apply(&mut nl, op, site) else {

@@ -526,10 +526,10 @@ mod tests {
     #[test]
     fn parasitics_enter_the_fingerprint() {
         let process = cbv_tech::Process::strongarm_035();
-        let mut a = chain(&[0, 1, 2]);
-        let layout = synthesize(&mut a, &process);
+        let a = chain(&[0, 1, 2]);
+        let layout = synthesize(&a, &process);
         let ex = cbv_extract::extract(&layout, &a, &process);
-        let rec = recognize(&mut a);
+        let rec = recognize(&a);
         let with = fingerprint_design(&a, &rec, &ex);
         let without = fingerprint_design(&a, &rec, &Extracted::default());
         assert_ne!(

@@ -22,6 +22,7 @@
 //! save/load round-trip is *exact* — a reloaded cache produces the same
 //! bytes of signoff as the live one.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::error::Error;
@@ -146,12 +147,35 @@ const DEFAULT_CAPACITY: usize = 2_048;
 /// recompute. Every [`get`](VerifyCache::get) refreshes the entry's
 /// recency; an insert past capacity evicts the stalest entry and bumps
 /// the [eviction counter](VerifyCache::evictions).
-#[derive(Debug, Clone)]
+///
+/// The cache also keeps one *prep* — the recognized, laid-out and
+/// extracted design of the last run against it — so the next run can
+/// splice its own prep from it instead of building one. The slot is
+/// opaque here (the prep's type belongs to the flow), is never
+/// persisted and is not an entry: [`len`](VerifyCache::len) does not
+/// count it.
+#[derive(Clone)]
 pub struct VerifyCache {
     entries: HashMap<CacheKey, Entry>,
     tick: Cell<u64>,
     capacity: usize,
     evictions: usize,
+    prep: Option<PrepSlot>,
+}
+
+/// What [`VerifyCache`] keeps of the last run's prep.
+pub type PrepSlot = std::sync::Arc<dyn Any + Send + Sync>;
+
+impl fmt::Debug for VerifyCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("VerifyCache")
+            .field("entries", &self.entries)
+            .field("tick", &self.tick)
+            .field("capacity", &self.capacity)
+            .field("evictions", &self.evictions)
+            .field("prep", &self.prep.is_some())
+            .finish()
+    }
 }
 
 impl Default for VerifyCache {
@@ -173,6 +197,7 @@ impl VerifyCache {
             tick: Cell::new(0),
             capacity: capacity.max(1),
             evictions: 0,
+            prep: None,
         }
     }
 
@@ -256,7 +281,24 @@ impl VerifyCache {
         }
         let over = (self.entries.len() + 1).saturating_sub(self.capacity);
         self.evictions += evict_oldest(&mut self.entries, over);
+        self.make_room(1);
         self.entries.insert(key, Entry { bytes, used });
+    }
+
+    /// Makes room in the map's table for `incoming` more entries without
+    /// letting it grow past what its entries need. At the bound a cache
+    /// holds as many entries as ever, but every eviction can leave a
+    /// tombstone that eats the table's headroom, and a table that runs
+    /// out doubles: a 2,048-entry cache's 4,096-bucket table went to
+    /// 8,192 (about 200 KB more) after a few thousand LRU evictions. A
+    /// table rebuilt at its entries' size has its headroom back.
+    fn make_room(&mut self, incoming: usize) {
+        let needed = self.entries.len() + incoming;
+        if self.entries.capacity() < needed {
+            let mut table = HashMap::with_capacity(needed);
+            table.extend(self.entries.drain());
+            self.entries = table;
+        }
     }
 
     /// Stores a batch of unit results in the order given and trims back
@@ -265,6 +307,8 @@ impl VerifyCache {
     /// [`insert`](VerifyCache::insert) per entry, at one O(capacity)
     /// pass per batch instead of per entry.
     pub fn insert_batch(&mut self, batch: impl IntoIterator<Item = (CacheKey, UnitResult)>) {
+        let batch = batch.into_iter();
+        self.make_room(batch.size_hint().0);
         for (key, result) in batch {
             let used = Cell::new(self.next_tick());
             let bytes = encode(&result);
@@ -302,6 +346,7 @@ impl VerifyCache {
             .collect();
         keys.sort_unstable();
         keys.dedup();
+        self.make_room(keys.len());
         for &key in &keys {
             let used = Cell::new(self.next_tick());
             let bytes = other.entries[key].bytes.clone();
@@ -330,10 +375,22 @@ impl VerifyCache {
         copied
     }
 
-    /// Drops everything (the eviction counter survives: it is a
-    /// lifetime tally, not a population count).
+    /// Drops everything, the kept prep too (the eviction counter
+    /// survives: it is a lifetime tally, not a population count).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.prep = None;
+    }
+
+    /// Takes the prep the last run [kept](VerifyCache::keep_prep),
+    /// leaving the slot empty.
+    pub fn take_prep(&mut self) -> Option<PrepSlot> {
+        self.prep.take()
+    }
+
+    /// Keeps `prep` for the next run, in place of any earlier one.
+    pub fn keep_prep(&mut self, prep: PrepSlot) {
+        self.prep = Some(prep);
     }
 
     /// Serializes the cache to JSON. Entries are emitted in sorted key
@@ -404,6 +461,7 @@ fn encode(r: &UnitResult) -> Box<[u8]> {
             Subject::Net(n) => (0, n.0),
             Subject::Device(d) => (1, d.0),
             Subject::Unit(u) => (2, u),
+            Subject::Design => (3, 0),
         };
         out.push(tag);
         word(&mut out, id);
@@ -438,7 +496,8 @@ fn decode(bytes: &[u8]) -> UnitResult {
             let subject = match (r.u8(), r.u32()) {
                 (0, n) => Subject::Net(NetId(n)),
                 (1, d) => Subject::Device(DeviceId(d)),
-                (_, u) => Subject::Unit(u),
+                (2, u) => Subject::Unit(u),
+                _ => Subject::Design,
             };
             let severity = match r.u8() {
                 0 => Severity::Review,
@@ -595,6 +654,7 @@ pub fn write_unit_entry(key: &CacheKey, result: &UnitResult, out: &mut String) {
             Subject::Net(n) => ("net", n.index()),
             Subject::Device(d) => ("dev", d.index()),
             Subject::Unit(u) => ("unit", u as usize),
+            Subject::Design => ("design", 0),
         };
         out.push_str(&format!(
             "{{\"check\":\"{}\",\"{}\":{},\"severity\":\"{}\",\"stress\":{},\"message\":",
@@ -642,6 +702,8 @@ pub fn read_unit_entry(entry: &Value) -> Result<(CacheKey, UnitResult), CacheFor
             Subject::Net(NetId(f.req_u32("net")?))
         } else if f.get("dev").is_some() {
             Subject::Device(DeviceId(f.req_u32("dev")?))
+        } else if f.get("design").is_some() {
+            Subject::Design
         } else {
             Subject::Unit(f.req_u32("unit")?)
         };
@@ -707,6 +769,13 @@ mod tests {
                     subject: Subject::Unit(9),
                     severity: Severity::ToolError,
                     stress: f64::NAN,
+                    message: "unit 9 panicked: boom".into(),
+                },
+                Finding {
+                    check: CheckKind::EdgeRate,
+                    subject: Subject::Design,
+                    severity: Severity::ToolError,
+                    stress: f64::INFINITY,
                     message: "check edge-rate panicked: boom".into(),
                 },
             ]),
@@ -737,6 +806,25 @@ mod tests {
         assert!(c.get(&CacheKey { env: 9, ..key }).is_none());
         c.clear();
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn a_file_written_before_the_design_subject_still_loads() {
+        let json = concat!(
+            r#"{"format":"cbv-cache/1","entries":[{"env":1,"content":2,"binding":3,"#,
+            r#""checked":4,"filtered":0,"findings":["#,
+            r#"{"check":"tool","unit":5,"severity":"tool-error","stress":9218868437227405312,"#,
+            r#""message":"unit 5 panicked"}],"arcs":[]}]}"#
+        );
+        let cache = VerifyCache::from_json(json).expect("an older file loads");
+        let key = CacheKey {
+            env: 1,
+            content: 2,
+            binding: 3,
+        };
+        let entry = cache.get(&key).expect("its entry survives");
+        assert_eq!(entry.findings[0].subject, Subject::Unit(5));
+        assert_eq!(cache.to_json(), json, "and writes back byte for byte");
     }
 
     #[test]
@@ -835,7 +923,7 @@ mod tests {
         let r = sample_result();
         let bytes = encode(&r);
         let messages: usize = r.findings.iter().map(|f| f.message.len()).sum();
-        assert_eq!(bytes.len(), 16 + 19 * 3 + messages + 28);
+        assert_eq!(bytes.len(), 16 + 19 * 4 + messages + 28);
         // Exact, NaN stress included (the JSON round trip compares the
         // rest field by field).
         assert_eq!(encode(&decode(&bytes)), bytes);
@@ -843,6 +931,36 @@ mod tests {
         c.insert(key(0), r.clone());
         assert!(c.touch(&key(0)) && !c.touch(&key(1)));
         assert_eq!(c.get(&key(0)).unwrap().arcs, r.arcs);
+    }
+
+    /// A cache at its bound churns through evictions, one insert at a
+    /// time and in batches, without its table outgrowing what its
+    /// entries need (it once doubled after a few thousand evictions).
+    #[test]
+    fn churn_at_the_bound_never_grows_the_table() {
+        let mut c = VerifyCache::new();
+        let small = UnitResult::default();
+        let bound = c.capacity();
+        for i in 0..bound as u64 {
+            c.insert(key(i), small.clone());
+        }
+        let settled = c.entries.capacity();
+        for round in 0..6_000u64 {
+            let base = bound as u64 + round * 10;
+            if round % 2 == 0 {
+                for i in base..base + 10 {
+                    c.insert(key(i), small.clone());
+                }
+            } else {
+                c.insert_batch((base..base + 10).map(|i| (key(i), small.clone())));
+            }
+            assert_eq!(c.len(), bound);
+            assert!(
+                c.entries.capacity() <= settled,
+                "round {round}: the table grew from {settled} to {}",
+                c.entries.capacity()
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! timing with inferred constraints, and §3 power — producing per-stage
 //! timings and the aggregated [`Signoff`].
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cbv_cache::{CacheKey, CacheStats, UnitResult, VerifyCache};
@@ -114,8 +115,9 @@ pub struct StageReport {
 pub struct FlowReport {
     /// Per-stage breakdown in execution order.
     pub stages: Vec<StageReport>,
-    /// The recognition result (kept for downstream tools).
-    pub recognition: Recognition,
+    /// The recognition result (kept for downstream tools), shared with
+    /// the prep it came from.
+    pub recognition: Arc<Recognition>,
     /// The aggregated signoff.
     pub signoff: Signoff,
     /// The merged §4.2 electrical report — kept whole (not just the
@@ -124,8 +126,9 @@ pub struct FlowReport {
     pub everify: cbv_everify::Report,
     /// The §4.3 static timing report, for the same reason.
     pub sta: cbv_timing::StaReport,
-    /// The final netlist (flow takes ownership).
-    pub netlist: FlatNetlist,
+    /// The final netlist (flow takes ownership), shared with the prep it
+    /// came from.
+    pub netlist: Arc<FlatNetlist>,
     /// Cache keys of the units this run freshly verified and inserted
     /// into its cache (empty for the cold flow, which has no cache).
     /// The write-back half of a shared-tier discipline reads this to
@@ -293,11 +296,13 @@ pub fn run_flow(netlist: FlatNetlist, process: &Process, config: &FlowConfig) ->
     }
 }
 
-/// What stages 1–3 leave behind: the annotated netlist and the three
-/// representations every later stage reads.
+/// What stages 1–3 leave behind: the netlist and the three
+/// representations every later stage reads. The netlist and the
+/// recognition are shared with the run's [`FlowReport`] (and, for a
+/// splice, the recognition with the base prep too).
 pub(crate) struct Prep {
-    pub netlist: FlatNetlist,
-    pub recognition: Recognition,
+    pub netlist: Arc<FlatNetlist>,
+    pub recognition: Arc<Recognition>,
     pub layout: Layout,
     pub extracted: Extracted,
 }
@@ -305,23 +310,23 @@ pub(crate) struct Prep {
 /// Stages 1–3 of Fig 2, one row each: circuit recognition (§2.3), layout
 /// assistance (§2.2), optional geometric DRC over the assisted layout,
 /// extraction (the §4.3 inputs). The one definition of the serial prep —
-/// the cold flow, the cached driver's prep-miss branch and
-/// [`PreparedDesign::build`](crate::scatter::PreparedDesign::build) all
-/// run this. Returns the DRC violation count when DRC ran.
+/// the cold flow, the cached driver's prep-miss branch when it cannot
+/// splice, and [`PreparedDesign::build`](crate::scatter::PreparedDesign::build)
+/// all run this. Returns the DRC violation count when DRC ran.
 pub(crate) fn serial_prep(
     stages: &mut Vec<StageReport>,
     flow: TraceCtx<'_>,
-    mut netlist: FlatNetlist,
+    netlist: FlatNetlist,
     process: &Process,
     check_drc: bool,
 ) -> (Prep, Option<usize>) {
     let recognition = timed(stages, flow, "recognize", |_| {
-        let r = cbv_recognize::recognize(&mut netlist);
+        let r = cbv_recognize::recognize(&netlist);
         let n = r.cccs.len();
         (r, n, None)
     });
     let layout = timed(stages, flow, "layout", |_| {
-        let l = cbv_layout::synthesize(&mut netlist, process);
+        let l = cbv_layout::synthesize(&netlist, process);
         let n = l.shapes.len();
         (l, n, None)
     });
@@ -332,8 +337,8 @@ pub(crate) fn serial_prep(
         (e, n, None)
     });
     let prep = Prep {
-        netlist,
-        recognition,
+        netlist: Arc::new(netlist),
+        recognition: Arc::new(recognition),
         layout,
         extracted,
     };
@@ -517,14 +522,17 @@ pub(crate) fn timing_remainder(
 /// the cached flow driver ([`crate::scatter`]) on an owned cache, with
 /// the in-process unit backend and no shared prep.
 ///
-/// The ECO loop of §2.3: recognition, layout and extraction always run
-/// (they are the inputs the fingerprints are computed *from*), then each
-/// verification unit — one per CCC plus the whole-design residue — is
-/// looked up by its content fingerprint. Units that hit replay their
-/// cached §4.2 findings and §4.3 timing arcs; only *dirty* units
-/// (fingerprint miss, or a CCC whose fanin boundary crosses a
-/// fingerprint-dirty CCC — a conservative one-step closure) are
-/// re-verified on the executor. Cached and fresh results are merged in
+/// The ECO loop of §2.3: the prep (recognition, layout, extraction) is
+/// built first — it is what the fingerprints are computed *from*. The
+/// cache keeps each run's prep, and a revision that only resizes
+/// devices of the last one splices its prep from it: recognition is
+/// reused, the layout rebuilt and only the nets the edit reaches are
+/// re-extracted. Then each verification unit — one per CCC plus the
+/// whole-design residue — is looked up by its content fingerprint.
+/// Units that hit replay their cached §4.2 findings and §4.3 timing
+/// arcs; only *dirty* units (fingerprint miss, or a CCC whose fanin
+/// boundary crosses a fingerprint-dirty CCC — a conservative one-step
+/// closure) are re-verified on the executor. Cached and fresh results are merged in
 /// fixed unit order, so the resulting [`Signoff`] is byte-identical to
 /// a cold [`run_flow`] — the soundness contract `tests/incremental.rs`
 /// enforces.

@@ -82,18 +82,18 @@ pub enum SiteRef {
 /// against the report's own netlist and recognition (a stale or
 /// out-of-range subject resolves to `None` rather than panicking — the
 /// report may describe a netlist the caller has since edited).
-/// Only a [`CheckKind::Tool`] finding names a CCC through
-/// [`Subject::Unit`]; a cold battery check that panicked puts its battery
-/// position there, which resolves to `None`.
+/// A whole-design check that panicked names [`Subject::Design`], which
+/// no CCC owns, and resolves to `None`.
 pub fn finding_site(report: &FlowReport, finding: &Finding) -> Option<SiteRef> {
     match finding.subject {
         Subject::Device(d) => {
             (d.index() < report.netlist.devices().len()).then_some(SiteRef::Device(d))
         }
         Subject::Net(n) => (n.index() < report.netlist.net_count()).then_some(SiteRef::Net(n)),
-        Subject::Unit(u) => (finding.check == CheckKind::Tool
-            && (u as usize) < report.recognition.cccs.len())
-        .then_some(SiteRef::Unit(CccId(u))),
+        Subject::Unit(u) => {
+            ((u as usize) < report.recognition.cccs.len()).then_some(SiteRef::Unit(CccId(u)))
+        }
+        Subject::Design => None,
     }
 }
 
@@ -198,6 +198,7 @@ mod tests {
                 Subject::Device(d) => assert_eq!(site, SiteRef::Device(d)),
                 Subject::Net(n) => assert_eq!(site, SiteRef::Net(n)),
                 Subject::Unit(u) => assert_eq!(site, SiteRef::Unit(CccId(u))),
+                Subject::Design => unreachable!("no case names the whole design"),
             }
             let devs = site_devices(&report, site);
             assert!(!devs.is_empty(), "{check} site implicates devices");
@@ -229,17 +230,17 @@ mod tests {
         }
     }
 
-    /// A whole-design check that panics in the cold battery reports its
-    /// battery position as `Subject::Unit`; that is no CCC, so it must
-    /// not resolve to one. A per-unit `Tool` finding still does.
+    /// A whole-design check that panics in the cold battery reports
+    /// `Subject::Design`, which no CCC owns, so it must not resolve to
+    /// one. A per-unit `Tool` finding still does.
     #[test]
     fn only_a_per_unit_tool_finding_resolves_to_its_ccc() {
         let p = Process::strongarm_035();
         let adder = || cbv_gen::adders::static_ripple_adder(4, &p).netlist;
         let mut report = run_flow(adder(), &p, &FlowConfig::default());
         assert!(report.recognition.cccs.len() > 3, "unit 3 is a real CCC");
-        let mut netlist = report.netlist.clone();
-        let layout = cbv_layout::synthesize(&mut netlist, &p);
+        let netlist = report.netlist.clone();
+        let layout = cbv_layout::synthesize(&netlist, &p);
         let extracted = cbv_extract::extract(&layout, &netlist, &p);
         let cfg = cbv_everify::EverifyConfig::for_process(&p);
         let mut checks = cbv_everify::battery(
@@ -263,7 +264,7 @@ mod tests {
         report.everify = everify;
         let panicked: Vec<&Finding> = report.everify.tool_errors().collect();
         assert_eq!(panicked.len(), 1);
-        assert_eq!(panicked[0].subject, Subject::Unit(3));
+        assert_eq!(panicked[0].subject, Subject::Design);
         assert_eq!(finding_site(&report, panicked[0]), None);
 
         // An expired deadline makes every unit report a `Tool` finding

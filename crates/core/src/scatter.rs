@@ -54,8 +54,11 @@ use cbv_cache::{
 };
 use cbv_everify::{CheckKind, CheckScope, EverifyConfig, Finding, Severity, Subject};
 use cbv_exec::{run_isolated, Executor};
+use cbv_extract::{Extracted, PackedExtraction};
+use cbv_layout::{Layout, PackedLayout};
 use cbv_netlist::FlatNetlist;
 use cbv_obs::TraceCtx;
+use cbv_recognize::Recognition;
 use cbv_tech::{Process, Tolerance};
 use cbv_timing::{DelayCalc, Pessimism};
 
@@ -145,6 +148,21 @@ impl PreparedDesign {
             tolerance: config.tolerance,
             pessimism: config.pessimism,
         }
+    }
+
+    /// The design's recognition.
+    pub fn recognition(&self) -> &Recognition {
+        &self.parts.recognition
+    }
+
+    /// The design's assisted layout.
+    pub fn layout(&self) -> &Layout {
+        &self.parts.layout
+    }
+
+    /// The design's extraction.
+    pub fn extracted(&self) -> &Extracted {
+        &self.parts.extracted
     }
 
     /// Environment fingerprint (process/corner/config/tool version).
@@ -285,8 +303,7 @@ impl UnitBackend for LocalBackend {
 }
 
 /// A prepared design's content address: the environment fingerprint and
-/// the raw digest of the netlist as it arrived, before recognition
-/// annotates it.
+/// the raw digest of the netlist as it arrived.
 pub(crate) type PrepKey = (u64, u64);
 
 /// A prep lookup's answer: the published prep, or this run's claim on
@@ -317,6 +334,10 @@ pub(crate) trait SharedTier {
     /// Makes `prep` visible to every later lookup of `key`. An existing
     /// entry wins.
     fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>);
+
+    /// The published preps of environment `env`, newest first: the bases
+    /// a run that missed its own prep may splice from.
+    fn prep_bases(&self, env: u64) -> Vec<Arc<PreparedDesign>>;
 
     /// One locked batch: copies whatever the tier holds under the run's
     /// unit `keys` into `overlay`, then [claims](Inflight::claim) the
@@ -423,6 +444,162 @@ enum PrepSource {
     Built(Prep),
 }
 
+/// What an owned [`VerifyCache`] keeps of a run's prep for the next run
+/// to splice from: the netlist and the recognition (shared with the
+/// run's report), and the layout and the extraction, each packed into
+/// one block. Unpacked, those two are some 0.4 MB in a thousand
+/// allocations for `alu_slice(8)`; packed, about 0.2 MB in two blocks.
+/// The partition and fingerprints are not kept: a splice rebuilds them.
+#[derive(Clone)]
+pub struct KeptPrep {
+    env: u64,
+    netlist: Arc<FlatNetlist>,
+    recognition: Arc<Recognition>,
+    layout: PackedLayout,
+    extracted: PackedExtraction,
+}
+
+impl KeptPrep {
+    /// What a cache keeps of `prep`.
+    fn new(prep: &PreparedDesign) -> KeptPrep {
+        KeptPrep {
+            env: prep.env,
+            netlist: Arc::clone(&prep.parts.netlist),
+            recognition: Arc::clone(&prep.parts.recognition),
+            layout: prep.parts.layout.pack(),
+            extracted: prep.parts.extracted.pack(),
+        }
+    }
+
+    /// The prep of `netlist` built from this one, as a run against the
+    /// cache that kept it builds it: spliced when `netlist` only resizes
+    /// devices of this prep's netlist under the same environment, else
+    /// [built](PreparedDesign::build) in full.
+    pub fn splice(
+        &self,
+        netlist: FlatNetlist,
+        process: &Process,
+        config: &FlowConfig,
+    ) -> PreparedDesign {
+        let (_, env) = PreparedDesign::env_of(process, config);
+        let base = (self.env == env).then(|| Base::Kept(self.clone()));
+        let (parts, _) = build_prep(
+            &mut Vec::new(),
+            TraceCtx::disabled(),
+            netlist,
+            process,
+            false,
+            base.into_iter().collect(),
+        );
+        PreparedDesign::from_prep(parts, process, config)
+    }
+}
+
+/// A prep a revision may be spliced from.
+enum Base {
+    /// One a shared tier published, and still holds.
+    Published(Arc<PreparedDesign>),
+    /// The one an owned cache kept, taken out of it: once unpacked, its
+    /// blocks are freed before the layout is rebuilt.
+    Kept(KeptPrep),
+}
+
+impl Base {
+    fn netlist(&self) -> &FlatNetlist {
+        match self {
+            Base::Published(p) => &p.parts.netlist,
+            Base::Kept(k) => &k.netlist,
+        }
+    }
+
+    /// The recognition, layout and extraction a splice starts from.
+    fn into_parts(self) -> (Arc<Recognition>, Layout, Extracted) {
+        match self {
+            Base::Published(p) => (
+                Arc::clone(&p.parts.recognition),
+                p.parts.layout.clone(),
+                p.parts.extracted.clone(),
+            ),
+            Base::Kept(k) => (k.recognition, k.layout.unpack(), k.extracted.unpack()),
+        }
+    }
+}
+
+/// Stages 1–3 of a run that missed its prep: spliced from the first of
+/// `bases` whose netlist `netlist` only resizes devices of (all of them
+/// are of the run's environment), else the cold flow's [`serial_prep`].
+/// A splice reuses the base's recognition — it never reads `w` or `l` —
+/// rebuilds the layout whole and re-extracts only the nets the edit
+/// reaches ([`cbv_extract::extract_spliced`]), moving every other net
+/// over from the base. When the edit moves a placement row (the
+/// NMOS row's height sets where every shape above it lands, so nearly
+/// every net is reached) extraction runs whole. Each representation
+/// equals the serial prep's.
+fn build_prep(
+    stages: &mut Vec<StageReport>,
+    flow: TraceCtx<'_>,
+    netlist: FlatNetlist,
+    process: &Process,
+    check_drc: bool,
+    bases: Vec<Base>,
+) -> (Prep, Option<usize>) {
+    let tracer = flow.tracer;
+    let edit = bases.into_iter().find_map(|base| {
+        let resized = netlist.resized_devices(base.netlist())?;
+        Some((base, resized))
+    });
+    let Some((base, resized)) = edit else {
+        tracer.add("prep.fallbacks", 1);
+        return serial_prep(stages, flow, netlist, process, check_drc);
+    };
+    let (recognition, old_layout, old_extracted) = base.into_parts();
+    let recognition = timed(stages, flow, "recognize", |_| {
+        let n = recognition.cccs.len();
+        (recognition, n, None)
+    });
+    let layout = timed(stages, flow, "layout", |_| {
+        let l = cbv_layout::synthesize(&netlist, process);
+        let n = l.shapes.len();
+        (l, n, None)
+    });
+    let drc_violations = check_drc.then(|| drc_row(stages, flow, &layout, &netlist, process));
+    let extracted = timed(stages, flow, "extract", |_| {
+        let rows = |l: &Layout| l.sites.iter().map(|s| s.row_y).collect::<Vec<_>>();
+        let spliced = (rows(&old_layout) == rows(&layout))
+            .then(|| {
+                cbv_extract::extract_spliced(
+                    old_extracted,
+                    &old_layout,
+                    &layout,
+                    &netlist,
+                    process,
+                    &resized,
+                )
+            })
+            .flatten();
+        let e = match spliced {
+            Some((e, redone)) => {
+                tracer.add("prep.splices", 1);
+                tracer.add("extract.nets_reextracted", redone as u64);
+                e
+            }
+            None => {
+                tracer.add("prep.fallbacks", 1);
+                cbv_extract::extract(&layout, &netlist, process)
+            }
+        };
+        let n = e.iter().count();
+        (e, n, None)
+    });
+    let prep = Prep {
+        netlist: Arc::new(netlist),
+        recognition,
+        layout,
+        extracted,
+    };
+    (prep, drc_violations)
+}
+
 /// The one cached-flow body (see the module docs). With a `tier`, the
 /// prep is looked up there first, and `cache` is the run's overlay,
 /// filled by one keyed fetch before the dirty closure reads it.
@@ -444,10 +621,8 @@ pub(crate) fn run_flow_tiered(
     // any prep runs: the tier hands back another stream's prep or a
     // claim on building it (single-flight — concurrent streams of the
     // same revision build once, not W times).
-    let key = tier.map(|_| {
-        let (_, env) = PreparedDesign::env_of(process, config);
-        (env, raw_netlist_digest(&netlist))
-    });
+    let (_, env) = PreparedDesign::env_of(process, config);
+    let key = tier.map(|_| (env, raw_netlist_digest(&netlist)));
     let found = tier
         .zip(key)
         .map(|(tier, key)| tier.prep(key, config.deadline));
@@ -473,9 +648,27 @@ pub(crate) fn run_flow_tiered(
             (PrepSource::Shared(p), drc_violations, None)
         }
         found => {
-            // 1–3. Serial prep, identical to the cold flow's.
+            // 1–3. Spliced from an earlier revision's prep — the one an
+            // owned cache kept, or one the tier published — when this
+            // one only resizes its devices; else the cold flow's serial
+            // prep.
+            let bases: Vec<Base> = match tier {
+                Some(tier) => tier
+                    .prep_bases(env)
+                    .into_iter()
+                    .map(Base::Published)
+                    .collect(),
+                None => cache
+                    .take_prep()
+                    .and_then(|kept| kept.downcast::<KeptPrep>().ok())
+                    .map(Arc::unwrap_or_clone)
+                    .filter(|kept| kept.env == env)
+                    .map(Base::Kept)
+                    .into_iter()
+                    .collect(),
+            };
             let (parts, drc_violations) =
-                serial_prep(&mut stages, flow, netlist, process, config.check_drc);
+                build_prep(&mut stages, flow, netlist, process, config.check_drc, bases);
             (
                 PrepSource::Built(parts),
                 drc_violations,
@@ -641,12 +834,16 @@ pub(crate) fn run_flow_tiered(
     drop(root);
     tracer.flush();
 
-    let (netlist, recognition) = match Arc::try_unwrap(prep) {
-        Ok(p) => (p.parts.netlist, p.parts.recognition),
-        // The shared tier still holds this prep for other streams: the
-        // report gets its own copies.
-        Err(p) => (p.parts.netlist.clone(), p.parts.recognition.clone()),
-    };
+    // The report shares the prep's netlist and recognition: an owned
+    // cache keeps the prep for the next run to splice from, and a shared
+    // tier holds it for other streams.
+    let (netlist, recognition) = (
+        Arc::clone(&prep.parts.netlist),
+        Arc::clone(&prep.parts.recognition),
+    );
+    if tier.is_none() {
+        cache.keep_prep(Arc::new(KeptPrep::new(&prep)));
+    }
     FlowReport {
         stages,
         recognition,
@@ -826,6 +1023,10 @@ mod tests {
 
         fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>) {
             self.service.publish_prep(key, prep);
+        }
+
+        fn prep_bases(&self, env: u64) -> Vec<Arc<PreparedDesign>> {
+            self.service.prep_bases(env)
         }
 
         fn fetch(&self, _: &[CacheKey], _: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
@@ -1027,20 +1228,20 @@ mod tests {
     fn nan_clock_parasitic_fails_signoff_through_capture_constraints() {
         let p = Process::strongarm_035();
         let cfg = FlowConfig::default();
-        let mut netlist = alu_slice(4, &p).netlist;
-        // The prep key addresses the raw revision, before recognition
-        // annotates it — digest now, like the driver does.
+        let netlist = alu_slice(4, &p).netlist;
+        // The prep key addresses the revision as it arrives — digest
+        // now, like the driver does.
         let raw = raw_netlist_digest(&netlist);
 
         // Build the serial prep by hand and corrupt the extracted clock
         // tree: a stub branch with a NaN resistor (always a spanning-tree
         // edge, so its delay is NaN).
-        let recognition = cbv_recognize::recognize(&mut netlist);
+        let recognition = cbv_recognize::recognize(&netlist);
         assert!(
             !recognition.clock_nets.is_empty(),
             "the ALU slice has recognized clocks"
         );
-        let layout = cbv_layout::synthesize(&mut netlist, &p);
+        let layout = cbv_layout::synthesize(&netlist, &p);
         let mut extracted = cbv_extract::extract(&layout, &netlist, &p);
         // Poison every clock phase: constraints capture on whichever phase
         // the storage elements picked, and a fault on any real tree must
@@ -1055,8 +1256,8 @@ mod tests {
             en.rc.add_cap(tip, Farads::new(1e-15));
         }
         let parts = Prep {
-            netlist,
-            recognition,
+            netlist: Arc::new(netlist),
+            recognition: Arc::new(recognition),
             layout,
             extracted,
         };

@@ -317,6 +317,12 @@ impl SharedTier for FlowService {
         }
     }
 
+    fn prep_bases(&self, env: u64) -> Vec<Arc<PreparedDesign>> {
+        let preps = self.preps();
+        let same_env = preps.iter().rev().filter(|((e, _), _)| *e == env);
+        same_env.map(|(_, prep)| Arc::clone(prep)).collect()
+    }
+
     fn fetch(&self, keys: &[CacheKey], overlay: &mut VerifyCache) -> (Claims<'_>, Vec<CacheKey>) {
         let shared = self.shared();
         overlay.set_capacity(shared.capacity());
@@ -381,6 +387,10 @@ mod tests {
 
         fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>) {
             self.0.publish_prep(key, prep);
+        }
+
+        fn prep_bases(&self, env: u64) -> Vec<Arc<PreparedDesign>> {
+            self.0.prep_bases(env)
         }
 
         fn fetch(
@@ -659,6 +669,10 @@ mod tests {
             self.0.publish_prep(key, prep);
         }
 
+        fn prep_bases(&self, env: u64) -> Vec<Arc<PreparedDesign>> {
+            self.0.prep_bases(env)
+        }
+
         fn fetch(
             &self,
             keys: &[CacheKey],
@@ -905,6 +919,10 @@ mod tests {
 
         fn publish_prep(&self, key: PrepKey, prep: Arc<PreparedDesign>) {
             self.0.publish_prep(key, prep);
+        }
+
+        fn prep_bases(&self, env: u64) -> Vec<Arc<PreparedDesign>> {
+            self.0.prep_bases(env)
         }
 
         fn fetch(

@@ -308,7 +308,7 @@ mod tests {
             4e-6,
             0.35e-6,
         ));
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
 
         let golden_rtl =
             compile("module g(in a, in b, out y) { assign y = ~(a & b); }", "g").unwrap();
@@ -383,7 +383,7 @@ mod tests {
             2e-6,
             0.35e-6,
         ));
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let golden_rtl =
             compile("module g(in a, in b, out y) { assign y = ~(a & b); }", "g").unwrap();
         let gnet = blast(&golden_rtl).unwrap();
@@ -464,7 +464,7 @@ mod tests {
             6e-6,
             0.35e-6,
         ));
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let golden_rtl = compile("module g(in a, in b, out y) { assign y = a & b; }", "g").unwrap();
         let gnet = blast(&golden_rtl).unwrap();
         let mut mgr = Bdd::new();

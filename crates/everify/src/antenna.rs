@@ -92,7 +92,7 @@ mod tests {
             0.35e-6,
         ));
         let process = Process::strongarm_035();
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
         check(&f, &layout, &cfg, &mut report);
@@ -117,7 +117,7 @@ mod tests {
             0.35e-6,
         ));
         let process = Process::strongarm_035();
-        let mut layout = synthesize(&mut f, &process);
+        let mut layout = synthesize(&f, &process);
         // Weld a 1 mm x 1 mm metal plate onto the gate net.
         layout.shapes.push(Shape {
             layer: Layer::Metal2,

@@ -233,9 +233,9 @@ mod tests {
         let stresses: Vec<f64> = [1usize, 3, 5]
             .iter()
             .map(|&depth| {
-                let mut f = domino(depth, 6e-6, 4e-6);
+                let f = domino(depth, 6e-6, 4e-6);
                 let process = Process::strongarm_035();
-                let rec = recognize(&mut f);
+                let rec = recognize(&f);
                 let cfg = EverifyConfig::for_process(&process);
                 let mut report = Report::new(1e-6);
                 check(

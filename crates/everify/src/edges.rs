@@ -145,7 +145,7 @@ mod tests {
             f.add_passive(Passive::capacitor("cl", y, gnd, c_load_f));
         }
         let process = Process::strongarm_035();
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let mut ex = cbv_extract::extract(&layout, &f, &process);
         // Fold the explicit load into the extraction by adding it as
         // coupling-free ground cap; the extractor does not read passives,
@@ -154,7 +154,7 @@ mod tests {
             // Reach into nothing: instead attach many receiver gates.
             let _ = &mut ex;
         }
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
         check(
@@ -218,9 +218,9 @@ mod tests {
             ));
         }
         let process = Process::strongarm_035();
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
         check(

@@ -135,9 +135,9 @@ mod tests {
             0.35e-6,
         ));
         let process = Process::strongarm_035();
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
         check(
@@ -181,9 +181,9 @@ mod tests {
             0.35e-6,
         ));
         let process = Process::strongarm_035();
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let cfg = EverifyConfig::for_process(&process);
         let mut report = Report::new(cfg.filter_threshold);
         check(
@@ -242,9 +242,9 @@ mod tests {
                 ));
             }
             let process = Process::strongarm_035();
-            let layout = synthesize(&mut f, &process);
+            let layout = synthesize(&f, &process);
             let ex = cbv_extract::extract(&layout, &f, &process);
-            let rec = recognize(&mut f);
+            let rec = recognize(&f);
             let cfg = EverifyConfig::for_process(&process);
             let mut report = Report::new(1e-6);
             check(

@@ -120,9 +120,9 @@ mod tests {
             0.35e-6,
         ));
         let process = Process::strongarm_035();
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let mut cfg = EverifyConfig::for_process(&process);
         cfg.dynamic_hold = Seconds::new(hold_ns * 1e-9);
         let mut report = Report::new(cfg.filter_threshold);

@@ -396,7 +396,8 @@ pub fn battery<'a>(
 /// Robustness and observability:
 ///
 /// * a panicking check is *isolated* ([`cbv_exec::TaskPanic`]) and
-///   surfaces as a [`Severity::ToolError`] finding naming the check —
+///   surfaces as a [`Severity::ToolError`] finding naming the check, on
+///   [`Subject::Design`] (a whole-design check belongs to no unit) —
 ///   every other check still completes and the merged report stays
 ///   deterministic;
 /// * with an enabled tracer, each check gets a `check:<kind>` span
@@ -426,7 +427,7 @@ pub fn run_battery(
             Ok(report) => merged.merge(report),
             Err(panic) => merged.tool_error(
                 kinds[i],
-                i as u32,
+                Subject::Design,
                 format!("check {} panicked: {}", kinds[i], panic.message),
             ),
         }
@@ -492,9 +493,9 @@ mod tests {
             ));
             prev = out;
         }
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let cfg = EverifyConfig::for_process(&process);
         let report = run_all(&f, &rec, &ex, Some(&layout), &process, &cfg);
         assert_eq!(
@@ -596,9 +597,9 @@ mod tests {
             2e-6,
             0.35e-6,
         ));
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let cfg = EverifyConfig::for_process(&process);
 
         let whole = run_all(&f, &rec, &ex, Some(&layout), &process, &cfg);
@@ -655,9 +656,9 @@ mod tests {
             2.4e-6,
             0.35e-6,
         ));
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let cfg = EverifyConfig::for_process(&process);
         let clean = run_all(&f, &rec, &ex, Some(&layout), &process, &cfg);
 
@@ -678,7 +679,7 @@ mod tests {
             assert_eq!(report.checked_count(), clean.checked_count());
             let errors: Vec<_> = report.tool_errors().collect();
             assert_eq!(errors.len(), 1, "exactly one tool error");
-            assert_eq!(errors[0].subject, Subject::Unit(3));
+            assert_eq!(errors[0].subject, Subject::Design);
             assert!(
                 errors[0].message.contains("injected tool failure"),
                 "{}",
@@ -724,9 +725,9 @@ mod tests {
             2.4e-6,
             0.35e-6,
         ));
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let cfg = EverifyConfig::for_process(&process);
         let whole = run_all(&f, &rec, &ex, Some(&layout), &process, &cfg);
         let scope = CheckScope::full(&f, &rec);

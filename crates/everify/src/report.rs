@@ -87,7 +87,8 @@ impl fmt::Display for CheckKind {
 }
 
 /// What a finding is about. `Ord` follows declaration order (Net <
-/// Device < Unit), the same order as the cache codec's subject tags.
+/// Device < Unit < Design), the same order as the cache codec's subject
+/// tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Subject {
     /// A net.
@@ -97,6 +98,9 @@ pub enum Subject {
     /// A verification scope unit (CCC partition index) — used when the
     /// failure is the tool's, not a particular net's or device's.
     Unit(u32),
+    /// The whole design: a whole-design check that failed itself, which
+    /// no unit owns.
+    Design,
 }
 
 /// How serious a reported finding is.
@@ -208,14 +212,14 @@ impl Report {
         });
     }
 
-    /// Records that a check *itself* failed over some scope unit — the
-    /// unit is unverified, which is never signoff-clean. Unlike
-    /// [`Report::record`] this does not bump the checked count: nothing
-    /// was actually examined.
-    pub fn tool_error(&mut self, check: CheckKind, unit: u32, message: impl Into<String>) {
+    /// Records that a check *itself* failed over `subject` — a scope
+    /// unit, or the whole design — which is then unverified, and never
+    /// signoff-clean. Unlike [`Report::record`] this does not bump the
+    /// checked count: nothing was actually examined.
+    pub fn tool_error(&mut self, check: CheckKind, subject: Subject, message: impl Into<String>) {
         self.insert(Finding {
             check,
-            subject: Subject::Unit(unit),
+            subject,
             severity: Severity::ToolError,
             stress: f64::INFINITY,
             message: message.into(),
@@ -418,11 +422,11 @@ mod tests {
         r.record(CheckKind::EdgeRate, Subject::Net(NetId(0)), 0.8, || {
             "rev".into()
         });
-        r.tool_error(CheckKind::Tool, 3, "unit 3");
+        r.tool_error(CheckKind::Tool, Subject::Unit(3), "unit 3");
         for (check, subject, message) in violation {
             r.record(check, subject, 1.5, || message.into());
         }
-        r.tool_error(CheckKind::Tool, 1, "unit 1");
+        r.tool_error(CheckKind::Tool, Subject::Unit(1), "unit 1");
         r.record(CheckKind::Leakage, Subject::Net(NetId(0)), f64::NAN, || {
             "nan".into()
         });
@@ -483,7 +487,7 @@ mod tests {
     #[test]
     fn tool_error_names_the_unit() {
         let mut r = Report::new(0.6);
-        r.tool_error(CheckKind::Tool, 7, "unit 7 panicked: boom");
+        r.tool_error(CheckKind::Tool, Subject::Unit(7), "unit 7 panicked: boom");
         assert_eq!(r.checked_count(), 0);
         let f = r.findings();
         assert_eq!(f.len(), 1);

@@ -18,6 +18,10 @@
 //!   sheet resistance along each shape, area/fringe capacitance to
 //!   ground, and coupling capacitance between parallel same-layer shapes
 //!   of different nets;
+//! * [`extract_spliced`] — the same extraction after a sizing edit,
+//!   re-extracting only the nets the edit reaches and moving the rest
+//!   over from the extraction before it ([`PackedExtraction`] is the
+//!   one-block form an extraction waits in between runs);
 //! * [`Extracted`] — the queryable result, including **min/max bounded**
 //!   total net capacitance under a [`Tolerance`] (manufacturing spread ×
 //!   Miller factor), and device loading (gate + diffusion) computed from
@@ -30,8 +34,8 @@ pub use rc::{RcNet, RcNodeId};
 use std::collections::HashMap;
 
 use cbv_layout::{Layout, Rect, Shape};
-use cbv_netlist::{FlatNetlist, NetId, NetUse};
-use cbv_tech::{Farads, Layer, Process, Tolerance};
+use cbv_netlist::{DeviceId, FlatNetlist, NetId, NetUse};
+use cbv_tech::{Farads, Layer, Ohms, Process, Tolerance};
 
 /// Extraction result for one net.
 #[derive(Debug, Clone)]
@@ -111,6 +115,128 @@ impl Extracted {
     }
 }
 
+/// An [`Extracted`] packed into one block of bytes, floats as their bit
+/// patterns: the form an extraction takes while it waits between runs.
+/// Unpacked, an extraction is a few allocations per net; held across
+/// runs while the nets around them come and go, those scatter through
+/// the heap, and one block does not.
+#[derive(Debug, Clone)]
+pub struct PackedExtraction(Box<[u8]>);
+
+impl Extracted {
+    /// Packs the extraction; [`PackedExtraction::unpack`] restores it bit
+    /// for bit.
+    pub fn pack(&self) -> PackedExtraction {
+        let size = 4 + self
+            .nets
+            .iter()
+            .map(|slot| {
+                slot.as_ref().map_or(1, |n| {
+                    let (resistors, caps) = n.rc.parts();
+                    let lists = 12 * n.couplings.len() + 16 * resistors.len() + 8 * caps.len();
+                    1 + 8 + 5 * 8 + 12 + lists
+                })
+            })
+            .sum::<usize>();
+        let mut out = Vec::with_capacity(size);
+        put_word(&mut out, self.nets.len());
+        for slot in &self.nets {
+            let Some(n) = slot else {
+                out.push(0);
+                continue;
+            };
+            out.push(1);
+            put_word(&mut out, n.net.index());
+            put_word(&mut out, n.rc.net.index());
+            let (lo, hi) = n.gate_cap_bounds;
+            for c in [n.wire_cap, n.gate_cap, lo, hi, n.diff_cap] {
+                put_float(&mut out, c.farads());
+            }
+            put_word(&mut out, n.couplings.len());
+            for &(other, c) in &n.couplings {
+                put_word(&mut out, other.index());
+                put_float(&mut out, c.farads());
+            }
+            let (resistors, caps) = n.rc.parts();
+            put_word(&mut out, resistors.len());
+            for &(a, b, r) in resistors {
+                put_word(&mut out, a.index());
+                put_word(&mut out, b.index());
+                put_float(&mut out, r.ohms());
+            }
+            put_word(&mut out, caps.len());
+            for c in caps {
+                put_float(&mut out, c.farads());
+            }
+        }
+        debug_assert_eq!(out.len(), size);
+        PackedExtraction(out.into())
+    }
+}
+
+impl PackedExtraction {
+    /// The extraction [`Extracted::pack`] packed.
+    pub fn unpack(&self) -> Extracted {
+        let mut r = Reader(&self.0);
+        let nets = (0..r.word())
+            .map(|_| {
+                if r.take::<1>() == [0] {
+                    return None;
+                }
+                let (net, rc_net) = (NetId(r.word()), NetId(r.word()));
+                let [wire_cap, gate_cap, lo, hi, diff_cap] =
+                    [(); 5].map(|_| Farads::new(r.float()));
+                let couplings = (0..r.word())
+                    .map(|_| (NetId(r.word()), Farads::new(r.float())))
+                    .collect();
+                let resistors = (0..r.word())
+                    .map(|_| (RcNodeId(r.word()), RcNodeId(r.word()), Ohms::new(r.float())))
+                    .collect();
+                let caps = (0..r.word()).map(|_| Farads::new(r.float())).collect();
+                Some(ExtractedNet {
+                    net,
+                    wire_cap,
+                    couplings,
+                    gate_cap,
+                    gate_cap_bounds: (lo, hi),
+                    diff_cap,
+                    rc: RcNet::from_parts(rc_net, resistors, caps),
+                })
+            })
+            .collect();
+        Extracted { nets }
+    }
+}
+
+fn put_word(out: &mut Vec<u8>, n: usize) {
+    let n = u32::try_from(n).expect("fewer than 2^32 items");
+    out.extend_from_slice(&n.to_le_bytes());
+}
+
+fn put_float(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// Reads what [`Extracted::pack`] wrote. The bytes only ever come
+/// from it, so a short block is a bug, not bad input.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let (head, rest) = self.0.split_at(N);
+        self.0 = rest;
+        head.try_into().expect("split at N")
+    }
+
+    fn word(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
+
+    fn float(&mut self) -> f64 {
+        f64::from_bits(u64::from_le_bytes(self.take()))
+    }
+}
+
 /// Runs geometric + device extraction over a layout and its netlist.
 ///
 /// Every geometric question is answered from an index (`ShapeIndex`),
@@ -126,6 +252,120 @@ pub fn extract(layout: &Layout, netlist: &FlatNetlist, process: &Process) -> Ext
         netlist,
         process,
     )
+}
+
+/// Extraction of `layout` spliced from `base`, the extraction of `old`,
+/// where `old` and `layout` are the layouts of `netlist` before and
+/// after a sizing edit: only device `w`/`l` changed, on the `resized`
+/// devices.
+///
+/// The two layouts are compared as multisets of `(layer, rect, net)`;
+/// a shape whose key occurs a different number of times in the two is
+/// *changed*. A net is re-extracted when a changed shape carries it,
+/// when a resized device's gate, source or drain is on it, or when one
+/// of its shapes lies within its layer's coupling reach of a changed
+/// shape on both axes. Every other net reads the same shapes, the same
+/// neighbours and shields (in the same order) and the same device
+/// sizes as before, so its `base` entry is moved over unchanged.
+/// Returns the extraction and the number of nets re-extracted.
+///
+/// `None` when the unchanged shapes do not keep their relative order
+/// (a moved-over net's floating-point sums would then be taken in a
+/// different order), or `base` covers another net count.
+pub fn extract_spliced(
+    base: Extracted,
+    old: &Layout,
+    layout: &Layout,
+    netlist: &FlatNetlist,
+    process: &Process,
+    resized: &[DeviceId],
+) -> Option<(Extracted, usize)> {
+    let n_nets = netlist.net_count();
+    if base.nets.len() != n_nets {
+        return None;
+    }
+    // Shapes are counted by a hash of their key. A collision can only
+    // hide a change from the count, and then the exact comparison of the
+    // unchanged shapes below turns the splice down.
+    let unbalanced = unbalanced_keys(&old.shapes, &layout.shapes);
+    let changed = |s: &&Shape| unbalanced.binary_search(&shape_key(s)).is_ok();
+    let kept_old = old.shapes.iter().filter(|s| !changed(s));
+    if !kept_old.eq(layout.shapes.iter().filter(|s| !changed(s))) {
+        return None;
+    }
+
+    let mut dirty = vec![false; n_nets];
+    let mut mark = |net: Option<NetId>| {
+        if let Some(n) = net.filter(|n| n.index() < n_nets) {
+            dirty[n.index()] = true;
+        }
+    };
+    for &d in resized {
+        let dev = netlist.device(d);
+        for net in [dev.gate, dev.source, dev.drain] {
+            mark(Some(net));
+        }
+    }
+    let index = ShapeIndex::new(layout, n_nets, process);
+    for s in old.shapes.iter().chain(&layout.shapes).filter(changed) {
+        mark(s.net);
+        index.near(s.layer, s.rect, |i| mark(layout.shapes[i as usize].net));
+    }
+
+    let mut nets = base.nets;
+    let mut scratch = Scratch::default();
+    let mut redone = 0;
+    for (id, slot) in nets.iter_mut().enumerate() {
+        if dirty[id] {
+            let net = NetId(id as u32);
+            *slot = extract_net(&index, layout, netlist, process, net, &mut scratch);
+            redone += 1;
+        }
+    }
+    Some((Extracted { nets }, redone))
+}
+
+/// A hash of a shape's `(layer, rect, net)`.
+fn shape_key(s: &Shape) -> u64 {
+    let Rect { x0, y0, x1, y1 } = s.rect;
+    let net = s.net.map_or(u64::MAX, |n| u64::from(n.0));
+    [
+        layer_slot(s.layer) as u64,
+        x0 as u64,
+        y0 as u64,
+        x1 as u64,
+        y1 as u64,
+        net,
+    ]
+    .into_iter()
+    .fold(0xcbf2_9ce4_8422_2325, |h: u64, v| {
+        (h ^ v).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(29)
+    })
+}
+
+/// The [keys](shape_key) that occur a different number of times in `a`
+/// and in `b`, ascending.
+fn unbalanced_keys(a: &[Shape], b: &[Shape]) -> Vec<u64> {
+    let sorted = |shapes: &[Shape]| {
+        let mut keys: Vec<u64> = shapes.iter().map(shape_key).collect();
+        keys.sort_unstable();
+        keys
+    };
+    let (a, b) = (sorted(a), sorted(b));
+    let (mut i, mut j, mut out) = (0, 0, Vec::new());
+    while let Some(&k) = a.get(i).into_iter().chain(b.get(j)).min() {
+        let (i0, j0) = (i, j);
+        while a.get(i) == Some(&k) {
+            i += 1;
+        }
+        while b.get(j) == Some(&k) {
+            j += 1;
+        }
+        if i - i0 != j - j0 {
+            out.push(k);
+        }
+    }
+    out
 }
 
 /// The geometric queries extraction asks of a layout: [`ShapeIndex`]
@@ -150,129 +390,170 @@ fn extract_with(
     netlist: &FlatNetlist,
     process: &Process,
 ) -> Extracted {
-    let mut nets: Vec<Option<ExtractedNet>> = (0..netlist.net_count()).map(|_| None).collect();
-    let uses = netlist.uses_table();
-    let (mut shapes, mut ties, mut candidates) = (Vec::new(), Vec::new(), Vec::new());
-    let mut nodes = HashMap::new();
-
-    for id in 0..netlist.net_count() as u32 {
-        let net = NetId(id);
-        q.net_shapes(net, &mut shapes);
-        let has_devices = !uses[net.index()].is_empty();
-        if shapes.is_empty() && !has_devices {
-            continue;
-        }
-
-        // --- Wire ground capacitance and RC network ---
-        let mut wire_cap = Farads::ZERO;
-        let mut rc = RcNet::new(net);
-        nodes.clear();
-        for &i in &shapes {
-            let s = &layout.shapes[i as usize];
-            let p = process.wires().params(s.layer);
-            let len = s.rect.width().max(s.rect.height()) as f64 * 1e-9;
-            let wid = (s.rect.width().min(s.rect.height()) as f64 * 1e-9).max(p.width_min);
-            wire_cap += p.ground_capacitance(len, wid);
-            // One RC segment per shape between its two far corners.
-            let (a, b) = if s.rect.is_vertical() {
-                (
-                    (s.rect.center().x, s.rect.y0),
-                    (s.rect.center().x, s.rect.y1),
-                )
-            } else {
-                (
-                    (s.rect.x0, s.rect.center().y),
-                    (s.rect.x1, s.rect.center().y),
-                )
-            };
-            let na = rc.node_at(&mut nodes, a.0, a.1);
-            let nb = rc.node_at(&mut nodes, b.0, b.1);
-            let r = p.resistance(len, wid);
-            let c = p.ground_capacitance(len, wid);
-            rc.add_resistor(na, nb, r);
-            rc.add_cap(na, c / 2.0);
-            rc.add_cap(nb, c / 2.0);
-        }
-        // Merge nodes of touching shapes: node_at dedups exact points;
-        // additionally tie together shapes that intersect.
-        q.ties(&shapes, &mut ties);
-        for &(a, b) in &ties {
-            let c1 = layout.shapes[shapes[a as usize] as usize].rect.center();
-            let c2 = layout.shapes[shapes[b as usize] as usize].rect.center();
-            let n1 = rc.node_at(&mut nodes, c1.x, c1.y);
-            let n2 = rc.node_at(&mut nodes, c2.x, c2.y);
-            // Zero-ohm tie approximated by a tiny resistor.
-            rc.add_resistor(n1, n2, cbv_tech::Ohms::new(1e-3));
-        }
-        rc.shrink_to_fit();
-
-        // --- Coupling to parallel neighbors ---
-        let mut couplings: Vec<(NetId, Farads)> = Vec::new();
-        for &vi in &shapes {
-            let s = &layout.shapes[vi as usize];
-            let p = process.wires().params(s.layer);
-            q.aggressors(vi, &mut candidates);
-            for &oi in &candidates {
-                let other = &layout.shapes[oi as usize];
-                let Some(onet) = other.net else { continue };
-                if onet == net || other.layer != s.layer {
-                    continue;
-                }
-                let Some((run, gap)) = parallel_run(s.rect, other.rect) else {
-                    continue;
-                };
-                let gap_m = gap as f64 * 1e-9;
-                // Beyond a few pitches coupling is negligible.
-                if gap_m > 5.0 * p.spacing_min {
-                    continue;
-                }
-                if q.shielded(vi, oi, run) {
-                    continue;
-                }
-                // Sub-minimum gaps are DRC errors, not infinite
-                // capacitors: clamp at the minimum-spacing coupling.
-                let cc = p.coupling_capacitance(run as f64 * 1e-9, gap_m.max(p.spacing_min));
-                match couplings.iter_mut().find(|(n, _)| *n == onet) {
-                    Some((_, acc)) => *acc += cc,
-                    None => couplings.push((onet, cc)),
-                }
-            }
-        }
-        couplings.shrink_to_fit();
-
-        // --- Device loading ---
-        let mut gate_cap = Farads::ZERO;
-        let mut gate_min = Farads::ZERO;
-        let mut gate_max = Farads::ZERO;
-        let mut diff_cap = Farads::ZERO;
-        for u in &uses[net.index()] {
-            let d = netlist.device(u.device());
-            let model = process.mos(d.kind);
-            match u {
-                NetUse::Gate(_) => {
-                    gate_cap += model.gate_capacitance(d.w, d.l);
-                    let (lo, hi) = model.gate_capacitance_bounds(d.w, d.l);
-                    gate_min += lo;
-                    gate_max += hi;
-                }
-                NetUse::Channel(_) => {
-                    diff_cap += model.diffusion_capacitance(d.w, d.l);
-                }
-                NetUse::Bulk(_) => {}
-            }
-        }
-
-        nets[net.index()] = Some(ExtractedNet {
-            net,
-            wire_cap,
-            couplings,
-            gate_cap,
-            gate_cap_bounds: (gate_min, gate_max),
-            diff_cap,
-            rc,
-        });
-    }
+    let mut scratch = Scratch::default();
+    let nets = (0..netlist.net_count() as u32)
+        .map(|id| extract_net(q, layout, netlist, process, NetId(id), &mut scratch))
+        .collect();
     Extracted { nets }
+}
+
+/// Buffers one net's extraction reuses for the next.
+#[derive(Default)]
+struct Scratch {
+    shapes: Vec<u32>,
+    ties: Vec<(u32, u32)>,
+    candidates: Vec<u32>,
+    nodes: HashMap<(i64, i64), RcNodeId>,
+}
+
+/// One net's extraction: a function of the net's own shapes, the shapes
+/// within coupling reach of them and the sizes of the devices on its
+/// gate and channel terminals. `None` for a net with neither shapes nor
+/// devices.
+fn extract_net(
+    q: &impl ShapeQueries,
+    layout: &Layout,
+    netlist: &FlatNetlist,
+    process: &Process,
+    net: NetId,
+    scratch: &mut Scratch,
+) -> Option<ExtractedNet> {
+    let Scratch {
+        shapes,
+        ties,
+        candidates,
+        nodes,
+    } = scratch;
+    q.net_shapes(net, shapes);
+    let uses = netlist.net_uses(net);
+    if shapes.is_empty() && uses.is_empty() {
+        return None;
+    }
+
+    // --- Wire ground capacitance and RC network ---
+    let mut wire_cap = Farads::ZERO;
+    let mut rc = RcNet::new(net);
+    nodes.clear();
+    for &i in shapes.iter() {
+        let s = &layout.shapes[i as usize];
+        let p = process.wires().params(s.layer);
+        let len = s.rect.width().max(s.rect.height()) as f64 * 1e-9;
+        let wid = (s.rect.width().min(s.rect.height()) as f64 * 1e-9).max(p.width_min);
+        wire_cap += p.ground_capacitance(len, wid);
+        // One RC segment per shape between its two far corners.
+        let (a, b) = if s.rect.is_vertical() {
+            (
+                (s.rect.center().x, s.rect.y0),
+                (s.rect.center().x, s.rect.y1),
+            )
+        } else {
+            (
+                (s.rect.x0, s.rect.center().y),
+                (s.rect.x1, s.rect.center().y),
+            )
+        };
+        let na = rc.node_at(nodes, a.0, a.1);
+        let nb = rc.node_at(nodes, b.0, b.1);
+        let r = p.resistance(len, wid);
+        let c = p.ground_capacitance(len, wid);
+        rc.add_resistor(na, nb, r);
+        rc.add_cap(na, c / 2.0);
+        rc.add_cap(nb, c / 2.0);
+    }
+    // Merge nodes of touching shapes: node_at dedups exact points;
+    // additionally tie together shapes that intersect.
+    q.ties(shapes, ties);
+    for &(a, b) in ties.iter() {
+        let c1 = layout.shapes[shapes[a as usize] as usize].rect.center();
+        let c2 = layout.shapes[shapes[b as usize] as usize].rect.center();
+        let n1 = rc.node_at(nodes, c1.x, c1.y);
+        let n2 = rc.node_at(nodes, c2.x, c2.y);
+        // Zero-ohm tie approximated by a tiny resistor.
+        rc.add_resistor(n1, n2, cbv_tech::Ohms::new(1e-3));
+    }
+    rc.shrink_to_fit();
+
+    // --- Coupling to parallel neighbors ---
+    let couplings = coupling_pass(q, layout, process, net, shapes, candidates);
+
+    // --- Device loading ---
+    let mut gate_cap = Farads::ZERO;
+    let mut gate_min = Farads::ZERO;
+    let mut gate_max = Farads::ZERO;
+    let mut diff_cap = Farads::ZERO;
+    for u in uses {
+        let d = netlist.device(u.device());
+        let model = process.mos(d.kind);
+        match u {
+            NetUse::Gate(_) => {
+                gate_cap += model.gate_capacitance(d.w, d.l);
+                let (lo, hi) = model.gate_capacitance_bounds(d.w, d.l);
+                gate_min += lo;
+                gate_max += hi;
+            }
+            NetUse::Channel(_) => {
+                diff_cap += model.diffusion_capacitance(d.w, d.l);
+            }
+            NetUse::Bulk(_) => {}
+        }
+    }
+
+    Some(ExtractedNet {
+        net,
+        wire_cap,
+        couplings,
+        gate_cap,
+        gate_cap_bounds: (gate_min, gate_max),
+        diff_cap,
+        rc,
+    })
+}
+
+/// A net's couplings: every same-layer shape of another net running
+/// parallel to one of the net's `shapes` within a few pitches, unless a
+/// third shape screens it, summed per aggressor net in the order the
+/// victims and their candidates come.
+fn coupling_pass(
+    q: &impl ShapeQueries,
+    layout: &Layout,
+    process: &Process,
+    net: NetId,
+    shapes: &[u32],
+    candidates: &mut Vec<u32>,
+) -> Vec<(NetId, Farads)> {
+    let mut couplings: Vec<(NetId, Farads)> = Vec::new();
+    for &vi in shapes {
+        let s = &layout.shapes[vi as usize];
+        let p = process.wires().params(s.layer);
+        q.aggressors(vi, candidates);
+        for &oi in candidates.iter() {
+            let other = &layout.shapes[oi as usize];
+            let Some(onet) = other.net else { continue };
+            if onet == net || other.layer != s.layer {
+                continue;
+            }
+            let Some((run, gap)) = parallel_run(s.rect, other.rect) else {
+                continue;
+            };
+            let gap_m = gap as f64 * 1e-9;
+            // Beyond a few pitches coupling is negligible.
+            if gap_m > 5.0 * p.spacing_min {
+                continue;
+            }
+            if q.shielded(vi, oi, run) {
+                continue;
+            }
+            // Sub-minimum gaps are DRC errors, not infinite
+            // capacitors: clamp at the minimum-spacing coupling.
+            let cc = p.coupling_capacitance(run as f64 * 1e-9, gap_m.max(p.spacing_min));
+            match couplings.iter_mut().find(|(n, _)| *n == onet) {
+                Some((_, acc)) => *acc += cc,
+                None => couplings.push((onet, cc)),
+            }
+        }
+    }
+    couplings.shrink_to_fit();
+    couplings
 }
 
 /// Parallel run length and gap of two same-orientation rectangles —
@@ -456,6 +737,28 @@ impl<'a> ShapeIndex<'a> {
     }
 }
 
+impl ShapeIndex<'_> {
+    /// Calls `f` with every shape on `layer` within the layer's coupling
+    /// reach of `rect` along both axes: a superset of the shapes that
+    /// can couple to `rect` or shield it.
+    fn near(&self, layer: Layer, rect: Rect, mut f: impl FnMut(u32)) {
+        let shapes = &self.layout.shapes;
+        let layer = &self.layers[layer_slot(layer)];
+        let index = &layer.by_x0;
+        let from = rect
+            .x0
+            .saturating_sub(layer.reach)
+            .saturating_sub(index.max_extent);
+        let to = rect.x1.saturating_add(layer.reach);
+        for &i in index.window(shapes, from, to) {
+            let r = shapes[i as usize].rect;
+            if r.x_gap(rect) <= layer.reach && r.y_gap(rect) <= layer.reach {
+                f(i);
+            }
+        }
+    }
+}
+
 impl ShapeQueries for ShapeIndex<'_> {
     fn net_shapes(&self, net: NetId, out: &mut Vec<u32>) {
         out.clear();
@@ -535,7 +838,7 @@ impl ShapeQueries for ShapeIndex<'_> {
 mod tests {
     use super::*;
     use cbv_layout::synthesize;
-    use cbv_netlist::{Device, NetKind};
+    use cbv_netlist::{Device, DeviceId, NetKind};
     use cbv_tech::{MosKind, Process};
     use proptest::prelude::*;
 
@@ -613,52 +916,218 @@ mod tests {
             cam_match_line(16, &p),
         ];
         for design in designs {
-            let mut netlist = design.netlist;
-            let layout = synthesize(&mut netlist, &p);
+            let netlist = design.netlist;
+            let layout = synthesize(&netlist, &p);
             assert_matches_all_pairs(&layout, &netlist, &p);
         }
     }
 
+    /// A random layout on all five layers from `draws`: dense and sparse
+    /// (`scale` spreads the same draw out past the coupling reach), thin
+    /// wires both ways, duplicated rectangles, zero-extent ones, net-less
+    /// shapes (which shield but never couple) and shapes on net 5, which
+    /// a five-net netlist lacks (an aggressor, never a victim).
+    fn random_layout(scale: u32, draws: &[(usize, u32, u32, u32, u32, u8)]) -> Layout {
+        let mut shapes: Vec<cbv_layout::Shape> = Vec::new();
+        for &(layer, x, y, long, short, kind) in draws {
+            let (x, y) = (i64::from(x * scale), i64::from(y * scale));
+            let (long, short) = (i64::from(long), i64::from(short));
+            let rect = match kind {
+                // A copy of the previous rectangle on another net.
+                8 if !shapes.is_empty() => shapes[shapes.len() - 1].rect,
+                9 => Rect::new(x, y, x, y + long),
+                10 => Rect::new(x, y, x, y),
+                _ if short % 2 == 0 => Rect::new(x, y, x + long, y + short / 4),
+                _ => Rect::new(x, y, x + short / 4, y + long),
+            };
+            let net = match kind {
+                0..=5 => Some(NetId(u32::from(kind))),
+                6 => None,
+                _ => Some(NetId(u32::from(kind) % 5)),
+            };
+            shapes.push(cbv_layout::Shape {
+                layer: Layer::ALL[layer],
+                rect,
+                net,
+            });
+        }
+        Layout {
+            name: "random".into(),
+            shapes,
+            sites: Vec::new(),
+        }
+    }
+
+    /// The draw strategy of the random-layout properties.
+    fn draws() -> impl Strategy<Value = Vec<(usize, u32, u32, u32, u32, u8)>> {
+        proptest::collection::vec(
+            (
+                0usize..5,
+                0u32..900,
+                0u32..900,
+                0u32..700,
+                0u32..160,
+                0u8..11,
+            ),
+            0..140,
+        )
+    }
+
+    /// Five signal nets and three devices wired across them, so nets
+    /// carry gate and diffusion load as well as geometry.
+    fn random_netlist() -> FlatNetlist {
+        let mut netlist = FlatNetlist::new("random");
+        for n in 0..5 {
+            netlist.add_net(&format!("n{n}"), NetKind::Signal);
+        }
+        for (i, (g, d, s)) in [(0, 1, 2), (3, 2, 4), (1, 4, 0)].into_iter().enumerate() {
+            netlist.add_device(Device::mos(
+                MosKind::Nmos,
+                format!("m{i}"),
+                NetId(g),
+                NetId(d),
+                NetId(s),
+                NetId(4),
+                1e-6,
+                0.35e-6,
+            ));
+        }
+        netlist
+    }
+
     proptest! {
-        /// Random layouts on all five layers: dense and sparse (`scale`
-        /// spreads the same draw out past the coupling reach), thin
-        /// wires both ways, duplicated rectangles, zero-extent ones,
-        /// net-less shapes (which shield but never couple) and shapes
-        /// on a net the netlist lacks (an aggressor, never a victim).
         #[test]
         fn indexed_extraction_equals_the_all_pairs_scan_on_random_layouts(
             scale in 1u32..40,
-            draws in proptest::collection::vec(
-                (0usize..5, 0u32..900, 0u32..900, 0u32..700, 0u32..160, 0u8..11),
-                0..140,
-            ),
+            draws in draws(),
         ) {
             let process = Process::strongarm_035();
-            let mut netlist = FlatNetlist::new("random");
-            for n in 0..5 {
-                netlist.add_net(&format!("n{n}"), NetKind::Signal);
+            let layout = random_layout(scale, &draws);
+            assert_matches_all_pairs(&layout, &random_netlist(), &process);
+        }
+
+        /// Perturbs shapes of a random layout (moved, stretched, dropped,
+        /// inserted) and resizes devices: a splice from the old layout's
+        /// extraction equals a full extraction of the new one, bit for
+        /// bit, whenever the unchanged shapes kept their order.
+        #[test]
+        fn spliced_extraction_equals_a_full_one_on_perturbed_layouts(
+            scale in 1u32..40,
+            draws in draws(),
+            edits in proptest::collection::vec(
+                (0usize..1000, 0u8..4, 0u32..400, 0u32..400, 0u8..11),
+                1..6,
+            ),
+            resize in 0u8..8,
+        ) {
+            let process = Process::strongarm_035();
+            let old_netlist = random_netlist();
+            let old = random_layout(scale, &draws);
+            let base = extract(&old, &old_netlist, &process);
+
+            let mut layout = old.clone();
+            for &(at, action, dx, dy, kind) in &edits {
+                let n = layout.shapes.len();
+                let (dx, dy) = (i64::from(dx) - 200, i64::from(dy) - 200);
+                match action {
+                    0 if n > 0 => {
+                        let r = &mut layout.shapes[at % n].rect;
+                        *r = r.translate(dx, dy);
+                    }
+                    1 if n > 0 => {
+                        let r = &mut layout.shapes[at % n].rect;
+                        *r = Rect::new(r.x0, r.y0, r.x1, r.y1 + dy.abs());
+                    }
+                    2 if n > 0 => {
+                        layout.shapes.remove(at % n);
+                    }
+                    _ => {
+                        let fresh = random_layout(scale, &[(at % 5, dx.unsigned_abs() as u32,
+                            dy.unsigned_abs() as u32, 300, 40, kind)]);
+                        layout.shapes.insert(at % (n + 1), fresh.shapes[0].clone());
+                    }
+                }
             }
-            let mut shapes: Vec<cbv_layout::Shape> = Vec::new();
-            for &(layer, x, y, long, short, kind) in &draws {
-                let (x, y) = (i64::from(x * scale), i64::from(y * scale));
-                let (long, short) = (i64::from(long), i64::from(short));
-                let rect = match kind {
-                    // A copy of the previous rectangle on another net.
-                    8 if !shapes.is_empty() => shapes[shapes.len() - 1].rect,
-                    9 => Rect::new(x, y, x, y + long),
-                    10 => Rect::new(x, y, x, y),
-                    _ if short % 2 == 0 => Rect::new(x, y, x + long, y + short / 4),
-                    _ => Rect::new(x, y, x + short / 4, y + long),
-                };
-                let net = match kind {
-                    0..=5 => Some(NetId(u32::from(kind))),
-                    6 => None,
-                    _ => Some(NetId(u32::from(kind) % 5)),
-                };
-                shapes.push(cbv_layout::Shape { layer: Layer::ALL[layer], rect, net });
+            let mut netlist = old_netlist.clone();
+            let resized: Vec<DeviceId> = (0..3u32)
+                .filter(|d| resize & (1 << d) != 0)
+                .map(DeviceId)
+                .collect();
+            for &d in &resized {
+                netlist.device_mut(d).w *= 1.5;
             }
-            let layout = Layout { name: "random".into(), shapes, sites: Vec::new() };
-            assert_matches_all_pairs(&layout, &netlist, &process);
+
+            let full = extract(&layout, &netlist, &process);
+            if let Some((spliced, redone)) =
+                extract_spliced(base, &old, &layout, &netlist, &process, &resized)
+            {
+                prop_assert!(redone <= netlist.net_count());
+                prop_assert_eq!(format!("{spliced:?}"), format!("{full:?}"));
+            }
+        }
+    }
+
+    /// Packing is exact: every net, coupling, resistor and capacitance
+    /// comes back bit for bit, a NaN resistor and an absent net too.
+    #[test]
+    fn a_packed_extraction_unpacks_bit_for_bit() {
+        let p = Process::strongarm_035();
+        let netlist = cbv_gen::datapath::alu_slice(8, &p).netlist;
+        let layout = synthesize(&netlist, &p);
+        let mut extracted = extract(&layout, &netlist, &p);
+        let en = extracted.net_mut(NetId(3)).expect("net 3 is extracted");
+        let tip = en.rc.fresh_node();
+        en.rc
+            .add_resistor(en.rc.first_node(), tip, Ohms::new(f64::NAN));
+        extracted.nets.push(None);
+        let unpacked = extracted.pack().unpack();
+        assert_eq!(format!("{unpacked:?}"), format!("{extracted:?}"));
+        let bits = |e: &Extracted| -> Vec<u64> {
+            e.iter()
+                .flat_map(|n| n.rc.parts().0.iter().map(|r| r.2.ohms().to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&unpacked), bits(&extracted), "NaN payloads too");
+    }
+
+    /// Resizes devices of generated designs one at a time and rebuilds
+    /// the layout: every edit splices, re-extracts a small share of the
+    /// nets and equals a full extraction bit for bit.
+    #[test]
+    fn spliced_extraction_equals_a_full_one_after_each_resize() {
+        use cbv_gen::adders::manchester_domino_adder;
+        use cbv_gen::datapath::alu_slice;
+        let p = Process::strongarm_035();
+        for design in [alu_slice(8, &p), manchester_domino_adder(8, &p)] {
+            let mut netlist = design.netlist;
+            let mut layout = synthesize(&netlist, &p);
+            let mut extracted = extract(&layout, &netlist, &p);
+            let n_devices = netlist.devices().len() as u32;
+            let mut redone_total = 0;
+            for step in 0..24u32 {
+                let d = DeviceId(step * 7919 % n_devices);
+                let factor = if step % 2 == 0 { 0.97 } else { 1.02 };
+                netlist.device_mut(d).w *= factor;
+                let next = synthesize(&netlist, &p);
+                let (spliced, redone) =
+                    extract_spliced(extracted, &layout, &next, &netlist, &p, &[d])
+                        .expect("a resize keeps the unchanged shapes in order");
+                let full = extract(&next, &netlist, &p);
+                assert_eq!(
+                    format!("{spliced:?}"),
+                    format!("{full:?}"),
+                    "{} step {step}: spliced extraction differs",
+                    netlist.name()
+                );
+                redone_total += redone;
+                (layout, extracted) = (next, spliced);
+            }
+            assert!(
+                redone_total < 24 * netlist.net_count() / 4,
+                "{}: {redone_total} nets re-extracted over 24 resizes of {} nets",
+                netlist.name(),
+                netlist.net_count()
+            );
         }
     }
 
@@ -711,7 +1180,7 @@ mod tests {
             0.35e-6,
         ));
         let process = Process::strongarm_035();
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = extract(&layout, &f, &process);
         (f, ex)
     }
@@ -792,7 +1261,7 @@ mod tests {
         let mut f = FlatNetlist::new("lonely");
         let n = f.add_net("n", NetKind::Signal);
         let process = Process::strongarm_035();
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = extract(&layout, &f, &process);
         assert!(ex.net(n).is_none());
         assert_eq!(ex.total_cap(n), Farads::ZERO);

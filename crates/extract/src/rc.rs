@@ -92,6 +92,24 @@ impl RcNet {
         *index.entry((x, y)).or_insert_with(|| self.fresh_node())
     }
 
+    /// The resistors and the per-node capacitances.
+    pub(crate) fn parts(&self) -> (&[(RcNodeId, RcNodeId, Ohms)], &[Farads]) {
+        (&self.resistors, &self.caps)
+    }
+
+    /// The network with exactly these resistors and node capacitances.
+    pub(crate) fn from_parts(
+        net: NetId,
+        resistors: Vec<(RcNodeId, RcNodeId, Ohms)>,
+        caps: Vec<Farads>,
+    ) -> RcNet {
+        RcNet {
+            net,
+            resistors,
+            caps,
+        }
+    }
+
     /// Drops the spare capacity the network grew while being built.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.resistors.shrink_to_fit();

@@ -225,8 +225,8 @@ mod tests {
     #[test]
     fn match_line_is_recognized_dynamic_with_keeper() {
         let p = Process::strongarm_035();
-        let mut g = cam_match_line(4, &p);
-        let rec = recognize(&mut g.netlist);
+        let g = cam_match_line(4, &p);
+        let rec = recognize(&g.netlist);
         let ml = g.netlist.find_net("ml").unwrap();
         // Precharged at the component level...
         assert!(

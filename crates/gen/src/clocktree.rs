@@ -77,8 +77,8 @@ mod tests {
     #[test]
     fn every_stage_is_a_derived_clock_phase() {
         let p = Process::strongarm_035();
-        let mut g = clock_trunk(2, 3.0, 8, &p);
-        let rec = recognize(&mut g.netlist);
+        let g = clock_trunk(2, 3.0, 8, &p);
+        let rec = recognize(&g.netlist);
         let leaf = g.netlist.find_net("clk_leaf").unwrap();
         assert!(
             rec.clock_nets.contains(&leaf),

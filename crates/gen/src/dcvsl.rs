@@ -141,8 +141,8 @@ mod tests {
 
     #[test]
     fn recognized_as_dcvsl() {
-        let mut g = dcvsl_and2(&Process::strongarm_035());
-        let rec = recognize(&mut g.netlist);
+        let g = dcvsl_and2(&Process::strongarm_035());
+        let rec = recognize(&g.netlist);
         assert!(
             rec.classes.iter().any(|c| c.family == LogicFamily::Dcvsl),
             "{:?}",

@@ -199,8 +199,8 @@ mod tests {
     #[test]
     fn jam_latch_recognized_as_level_latch() {
         let p = Process::strongarm_035();
-        let mut g = jam_latch(&p, 8e-6, 1e-6);
-        let rec = recognize(&mut g.netlist);
+        let g = jam_latch(&p, 8e-6, 1e-6);
+        let rec = recognize(&g.netlist);
         assert!(rec
             .state_elements
             .iter()
@@ -245,7 +245,7 @@ mod tests {
         // With the keeper, the floating node is actively held high (not
         // merely stored charge).
         assert_eq!(sim.value(dyn_n), Logic::One);
-        let rec = recognize(&mut g.netlist.clone());
+        let rec = recognize(&g.netlist);
         assert!(rec
             .state_elements
             .iter()

@@ -298,8 +298,8 @@ mod tests {
     #[test]
     fn recognition_finds_the_cell_array() {
         let p = Process::strongarm_035();
-        let mut g = register_file(4, 2, &p);
-        let rec = cbv_recognize::recognize(&mut g.netlist);
+        let g = register_file(4, 2, &p);
+        let rec = cbv_recognize::recognize(&g.netlist);
         // The shared bit line channel-merges a column's cells into one
         // component, so count storage *nets*: one per cell.
         let storage: usize = rec

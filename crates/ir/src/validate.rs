@@ -139,8 +139,7 @@ pub fn ensure_valid(netlist: &FlatNetlist) -> Result<(), IrError> {
 /// state elements describe a *different* design — the "inconsistent
 /// CCC ownership" failure mode.
 pub fn check_annotations(netlist: &FlatNetlist, annotations: &IrAnnotations) -> Vec<IrViolation> {
-    let mut scratch = netlist.clone();
-    let recognition = recognize(&mut scratch);
+    let recognition = recognize(netlist);
     let fresh = annotations_from(&recognition);
     let mut out = Vec::new();
     if annotations.cccs.len() != fresh.cccs.len() {

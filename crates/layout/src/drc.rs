@@ -156,7 +156,7 @@ mod tests {
         ));
         let p = Process::strongarm_035();
         let rules = Rules::for_process(&p);
-        let layout = synthesize(&mut f, &p);
+        let layout = synthesize(&f, &p);
         (f, layout, rules)
     }
 

@@ -16,7 +16,9 @@
 //! * [`drc`] — lambda-rule width/spacing checking over the result
 //!   (correct-by-verification applies to the assist tools' own output);
 //! * [`Layout`] — the resulting geometry, each shape tagged with its net,
-//!   ready for parasitic extraction by `cbv-extract`.
+//!   ready for parasitic extraction by `cbv-extract`;
+//! * [`PackedLayout`] — a layout packed into one block, the form a cache
+//!   keeps it in between runs.
 //!
 //! # Example
 //!
@@ -33,18 +35,20 @@
 //! f.add_device(Device::mos(MosKind::Pmos, "p", a, y, vdd, vdd, 4e-6, 0.35e-6));
 //! f.add_device(Device::mos(MosKind::Nmos, "n", a, y, gnd, gnd, 2e-6, 0.35e-6));
 //!
-//! let layout = synthesize(&mut f, &Process::strongarm_035());
+//! let layout = synthesize(&f, &Process::strongarm_035());
 //! assert!(layout.area() > 0.0);
 //! ```
 
 pub mod drc;
 pub mod geom;
+mod pack;
 pub mod place;
 pub mod route;
 pub mod rules;
 
 pub use drc::{check_drc, DrcViolation};
 pub use geom::{Point, Rect};
+pub use pack::PackedLayout;
 pub use place::{place_rows, DeviceSite, Placement};
 pub use route::route_channel;
 pub use rules::Rules;
@@ -100,17 +104,18 @@ impl Layout {
 
 /// Synthesizes a macrocell layout for a flat netlist: row placement then
 /// channel routing.
-pub fn synthesize(netlist: &mut FlatNetlist, process: &Process) -> Layout {
+pub fn synthesize(netlist: &FlatNetlist, process: &Process) -> Layout {
     let rules = Rules::for_process(process);
     let placement = place_rows(netlist, &rules);
-    let mut layout = Layout {
-        name: netlist.name().to_owned(),
-        shapes: placement.shapes.clone(),
-        sites: placement.sites.clone(),
-    };
     let routed = route_channel(netlist, &placement, &rules);
-    layout.shapes.extend(routed);
-    layout
+    let mut shapes = Vec::with_capacity(placement.shapes.len() + routed.len());
+    shapes.extend(placement.shapes);
+    shapes.extend(routed);
+    Layout {
+        name: netlist.name().to_owned(),
+        shapes,
+        sites: placement.sites,
+    }
 }
 
 #[cfg(test)]
@@ -172,16 +177,16 @@ mod tests {
 
     #[test]
     fn synthesized_layout_has_positive_area() {
-        let mut f = nand2();
-        let l = synthesize(&mut f, &Process::strongarm_035());
+        let f = nand2();
+        let l = synthesize(&f, &Process::strongarm_035());
         assert!(l.area() > 0.0);
         assert_eq!(l.sites.len(), 4, "all four devices placed");
     }
 
     #[test]
     fn every_signal_net_gets_geometry() {
-        let mut f = nand2();
-        let l = synthesize(&mut f, &Process::strongarm_035());
+        let f = nand2();
+        let l = synthesize(&f, &Process::strongarm_035());
         for name in ["a", "b", "y"] {
             let n = f.find_net(name).unwrap();
             assert!(
@@ -193,8 +198,8 @@ mod tests {
 
     #[test]
     fn wider_devices_make_bigger_cells() {
-        let mut small = nand2();
-        let l1 = synthesize(&mut small, &Process::strongarm_035());
+        let small = nand2();
+        let l1 = synthesize(&small, &Process::strongarm_035());
         let mut big = FlatNetlist::new("nand2w");
         let a = big.add_net("a", NetKind::Input);
         let b = big.add_net("b", NetKind::Input);
@@ -242,7 +247,7 @@ mod tests {
             20e-6,
             0.35e-6,
         ));
-        let l2 = synthesize(&mut big, &Process::strongarm_035());
+        let l2 = synthesize(&big, &Process::strongarm_035());
         assert!(l2.area() > l1.area());
     }
 }

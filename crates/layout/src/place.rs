@@ -73,7 +73,7 @@ fn order_row(netlist: &FlatNetlist, devices: &[DeviceId]) -> Vec<DeviceId> {
 }
 
 /// Places all devices of a netlist into two rows.
-pub fn place_rows(netlist: &mut FlatNetlist, rules: &Rules) -> Placement {
+pub fn place_rows(netlist: &FlatNetlist, rules: &Rules) -> Placement {
     let nmos: Vec<DeviceId> = netlist
         .device_ids()
         .filter(|&d| netlist.device(d).kind == MosKind::Nmos)
@@ -235,7 +235,7 @@ mod tests {
             4e-6,
             0.35e-6,
         ));
-        let p = place_rows(&mut f, &rules());
+        let p = place_rows(&f, &rules());
         assert_eq!(p.sites.len(), 2);
         // Shared: second gate is one finger pitch away, no diff_space gap.
         let dx = (p.sites[1].gate_x - p.sites[0].gate_x).abs();
@@ -266,7 +266,7 @@ mod tests {
             4e-6,
             0.35e-6,
         ));
-        let p2 = place_rows(&mut f2, &rules());
+        let p2 = place_rows(&f2, &rules());
         let dx2 = (p2.sites[1].gate_x - p2.sites[0].gate_x).abs();
         // Both share gnd so ordering may still chain them; ensure layout
         // never gets *smaller* for the unshared-signal case.
@@ -300,7 +300,7 @@ mod tests {
             2e-6,
             0.35e-6,
         ));
-        let p = place_rows(&mut f, &rules());
+        let p = place_rows(&f, &rules());
         let (cb, ct) = p.channel;
         assert!(ct > cb);
         let psite = p.sites.iter().find(|s| s.kind == MosKind::Pmos).unwrap();
@@ -336,7 +336,7 @@ mod tests {
             2e-6,
             0.35e-6,
         ));
-        let p = place_rows(&mut f, &rules());
+        let p = place_rows(&f, &rules());
         for net in [a, y, vdd, gnd] {
             assert!(
                 p.terminals.iter().any(|t| t.net == net),

@@ -15,11 +15,7 @@ use crate::rules::Rules;
 use crate::Shape;
 
 /// Routes the channel of a placement; returns the wiring shapes.
-pub fn route_channel(
-    netlist: &mut FlatNetlist,
-    placement: &Placement,
-    rules: &Rules,
-) -> Vec<Shape> {
+pub fn route_channel(netlist: &FlatNetlist, placement: &Placement, rules: &Rules) -> Vec<Shape> {
     // Gather net extents.
     struct Span {
         net: NetId,
@@ -264,8 +260,8 @@ mod tests {
             0.35e-6,
         ));
         let rules = Rules::for_process(&Process::strongarm_035());
-        let p = place_rows(&mut f, &rules);
-        let shapes = route_channel(&mut f, &p, &rules);
+        let p = place_rows(&f, &rules);
+        let shapes = route_channel(&f, &p, &rules);
         (f, shapes)
     }
 

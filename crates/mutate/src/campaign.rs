@@ -311,64 +311,35 @@ impl CampaignReport {
         }
     }
 
-    /// Cold-baseline verify compute ÷ mean per-mutant verify compute —
-    /// what the ECO treatment of mutants buys (the baseline run fills
-    /// the cache from empty, so its cost is the cold reference).
-    pub fn verify_speedup(&self) -> f64 {
-        Self::ratio(self.baseline.verify_cpu, self.mean_mutant_verify_cpu())
-    }
-
-    /// [`verify_speedup`](Self::verify_speedup) restricted to the
-    /// parametric (sizing) mutants — the per-mutant ECO economics.
-    pub fn parametric_speedup(&self) -> f64 {
-        Self::ratio(self.baseline.verify_cpu, self.mean_parametric_verify_cpu())
-    }
-
-    /// 0.0 instead of inf/NaN when a class is empty, so the JSON stays
-    /// parseable.
-    fn ratio(num: f64, den: f64) -> f64 {
-        if den > 0.0 {
-            num / den
-        } else {
-            0.0
-        }
-    }
-
-    /// Geometric mean over the parametric mutants of each mutant's own
-    /// `baseline / verify_cpu` ratio — the same metric E14 reports for
-    /// its ECO walk, and the right average for per-mutant speedups (the
-    /// arithmetic mean of costs is dominated by the few extreme
-    /// magnitudes that flip recognition roles and widen the dirty
-    /// closure). Mutants with an unmeasurably small cost are skipped.
-    pub fn geomean_parametric_speedup(&self) -> f64 {
-        let (log_sum, n) = self
-            .mutants
-            .iter()
-            .filter(|m| m.op.magnitude().is_some() && m.verify_cpu > 0.0)
-            .fold((0.0, 0usize), |(s, n), m| {
-                (s + (self.baseline.verify_cpu / m.verify_cpu).ln(), n + 1)
-            });
-        if n == 0 {
-            0.0
-        } else {
-            (log_sum / n as f64).exp()
-        }
-    }
-
-    /// Mean number of re-verified (cache-missed) units per mutant in a
-    /// class: `parametric` selects the sizing ops, `!parametric` the
-    /// structural ones. The owning CCC, its one-step fanout closure,
-    /// and the always-dirty residue unit miss; everything else replays.
-    pub fn mean_dirty_units(&self, parametric: bool) -> f64 {
+    /// Mean number of re-verified (cache-missed) units per mutant of a
+    /// class: `Some(true)` the parametric (sizing) ops, `Some(false)` the
+    /// structural ones, `None` every mutant. The owning CCC, its one-step
+    /// fanout closure, and the always-dirty residue unit miss;
+    /// everything else replays.
+    pub fn mean_dirty_units(&self, class: Option<bool>) -> f64 {
         let (sum, n) = self
             .mutants
             .iter()
-            .filter(|m| m.op.magnitude().is_some() == parametric)
+            .filter(|m| class.is_none_or(|parametric| m.op.magnitude().is_some() == parametric))
             .fold((0usize, 0usize), |(s, n), m| (s + m.cache_misses, n + 1));
         if n == 0 {
             0.0
         } else {
             sum as f64 / n as f64
+        }
+    }
+
+    /// Units the cold baseline verified (it primed the cache from empty,
+    /// so it missed every unit) ÷ the [mean units](Self::mean_dirty_units)
+    /// a mutant of the class re-verified: what the ECO treatment of
+    /// mutants saves, as a count that repeats on any host — a ratio of
+    /// cpu times swings with the host's load. 0.0 for an empty class.
+    pub fn cold_units_ratio(&self, class: Option<bool>) -> f64 {
+        let dirty = self.mean_dirty_units(class);
+        if dirty > 0.0 {
+            self.baseline.cache_misses as f64 / dirty
+        } else {
+            0.0
         }
     }
 
@@ -404,17 +375,14 @@ pub fn run_campaign(
     oracle: &mut dyn FlowOracle,
     config: &CampaignConfig,
 ) -> CampaignReport {
-    // Recognition runs on a clone (it promotes net kinds in place); ids
-    // are stable, so sites enumerated here apply to pristine clones.
-    let mut recognized = baseline.clone();
-    let recognition = cbv_recognize::recognize(&mut recognized);
+    let recognition = cbv_recognize::recognize(baseline);
 
     let base_obs = oracle.verify(baseline);
 
     let mut rows = Vec::with_capacity(config.ops.len());
     let mut mutants = Vec::new();
     for (op_index, op) in config.ops.iter().enumerate() {
-        let found = sites(op, &recognized, &recognition);
+        let found = sites(op, baseline, &recognition);
         let run: Vec<Site> = take_spread(&found, config.max_sites_per_op);
         let mut detected = 0usize;
         let mut by_detector: Vec<(Detector, usize)> =
@@ -464,7 +432,7 @@ pub fn run_campaign(
     // Sensitivity sweeps: walk each ladder at the operator's first site.
     let mut sensitivity = Vec::new();
     for (proto, ladder) in &config.sensitivity {
-        let found = sites(proto, &recognized, &recognition);
+        let found = sites(proto, baseline, &recognition);
         let Some(&site) = found.first() else {
             continue;
         };
@@ -577,7 +545,11 @@ mod tests {
         assert_eq!(th.len(), 1);
         assert_eq!(th[0], (Detector::Check(CheckKind::BetaRatio), 1.5));
         assert!(report.total_mutants() >= 5);
-        assert!(report.verify_speedup() > 0.0);
+        assert_eq!(
+            report.cold_units_ratio(None),
+            1.0,
+            "one unit cold, one per mutant"
+        );
         assert!((report.cache_hit_fraction() - 0.75).abs() < 1e-12);
     }
 

@@ -653,8 +653,8 @@ mod tests {
 
     fn recognized_domino() -> (FlatNetlist, Recognition) {
         let p = Process::strongarm_035();
-        let mut nl = keeper_domino(&p, 1e-6).netlist;
-        let rec = recognize(&mut nl);
+        let nl = keeper_domino(&p, 1e-6).netlist;
+        let rec = recognize(&nl);
         (nl, rec)
     }
 

@@ -4,8 +4,8 @@
 //! Two text renderings exist on purpose: [`render_matrix`] contains *no
 //! timings or cache counters*, so it is byte-stable across thread counts
 //! and cold/incremental oracles and can be golden-snapshotted, while
-//! [`render_full`] appends the performance epilogue (verify CPU, ECO
-//! speedup, cache reuse) for experiment logs.
+//! [`render_full`] appends the performance epilogue (units re-verified
+//! against the cold run, verify CPU, cache reuse) for experiment logs.
 
 use std::fmt::Write;
 
@@ -123,37 +123,36 @@ pub fn render_full(report: &CampaignReport) -> String {
     out.push('\n');
     let _ = writeln!(
         out,
-        "baseline verify cpu: {:.3}s (cold)",
-        report.baseline.verify_cpu
+        "baseline: {} units verified cold, {:.3}s verify cpu",
+        report.baseline.cache_misses, report.baseline.verify_cpu
     );
     let _ = writeln!(
         out,
-        "mean mutant verify cpu: {:.4}s  speedup vs cold: {:.1}x",
-        report.mean_mutant_verify_cpu(),
-        report.verify_speedup()
+        "mean mutant: {:.1} units re-verified, {:.1}x fewer than cold, {:.4}s verify cpu",
+        report.mean_dirty_units(None),
+        report.cold_units_ratio(None),
+        report.mean_mutant_verify_cpu()
     );
-    let parametric = report.mean_parametric_verify_cpu();
-    if parametric > 0.0 {
-        let _ = writeln!(
-            out,
-            "  parametric class (sizing ECOs): {:.4}s mean  {:.1} units re-verified  \
-             speedup vs cold: {:.1}x mean / {:.1}x geomean",
-            parametric,
-            report.mean_dirty_units(true),
-            report.parametric_speedup(),
-            report.geomean_parametric_speedup()
-        );
-    }
-    let structural = report.mean_structural_verify_cpu();
-    if structural > 0.0 {
-        let _ = writeln!(
-            out,
-            "  structural class (role-moving): {:.4}s mean  {:.1} units re-verified  \
-             speedup vs cold: {:.1}x mean",
-            structural,
-            report.mean_dirty_units(false),
-            report.baseline.verify_cpu / structural
-        );
+    for (class, parametric, cpu) in [
+        (
+            "parametric class (sizing ECOs)",
+            true,
+            report.mean_parametric_verify_cpu(),
+        ),
+        (
+            "structural class (role-moving)",
+            false,
+            report.mean_structural_verify_cpu(),
+        ),
+    ] {
+        if report.cold_units_ratio(Some(parametric)) > 0.0 {
+            let _ = writeln!(
+                out,
+                "  {class}: {:.1} units re-verified, {:.1}x fewer than cold, {cpu:.4}s mean",
+                report.mean_dirty_units(Some(parametric)),
+                report.cold_units_ratio(Some(parametric)),
+            );
+        }
     }
     let _ = writeln!(
         out,
@@ -258,11 +257,10 @@ impl Serialize for CampaignReport {
             "mean_parametric_verify_cpu",
             &self.mean_parametric_verify_cpu(),
         );
-        w.field("verify_speedup", &self.verify_speedup());
-        w.field("parametric_speedup", &self.parametric_speedup());
+        w.field("cold_units_ratio", &self.cold_units_ratio(None));
         w.field(
-            "geomean_parametric_speedup",
-            &self.geomean_parametric_speedup(),
+            "parametric_cold_units_ratio",
+            &self.cold_units_ratio(Some(true)),
         );
         w.field("cache_hit_fraction", &self.cache_hit_fraction());
         w.end();
@@ -334,7 +332,8 @@ mod tests {
         );
         let full = render_full(&report);
         assert!(full.starts_with(&matrix));
-        assert!(full.contains("speedup vs cold"));
+        assert!(full.contains("9 units verified cold"));
+        assert!(full.contains("1.0 units re-verified, 9.0x fewer than cold"));
         assert!(full.contains("cache reuse"));
     }
 

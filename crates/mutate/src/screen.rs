@@ -151,15 +151,14 @@ pub fn run_func_screen(
     oracle: &mut dyn FuncOracle,
     config: &FuncScreenConfig,
 ) -> FuncScreenReport {
-    let mut recognized = baseline.clone();
-    let recognition = cbv_recognize::recognize(&mut recognized);
+    let recognition = cbv_recognize::recognize(baseline);
 
     let base_verdict = oracle.screen(baseline);
 
     let mut rows = Vec::with_capacity(config.ops.len());
     let mut mutants = Vec::new();
     for (op_index, op) in config.ops.iter().enumerate() {
-        let found = sites(op, &recognized, &recognition);
+        let found = sites(op, baseline, &recognition);
         let run: Vec<Site> = take_spread(&found, config.max_sites_per_op);
         let mut detected = 0usize;
         let mut unresolved = 0usize;

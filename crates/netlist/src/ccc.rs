@@ -80,7 +80,7 @@ impl UnionFind {
 /// form singleton components keyed by the device itself.
 ///
 /// Returns the components plus a device→component map.
-pub fn partition_cccs(netlist: &mut FlatNetlist) -> (Vec<Ccc>, Vec<CccId>) {
+pub fn partition_cccs(netlist: &FlatNetlist) -> (Vec<Ccc>, Vec<CccId>) {
     let n_nets = netlist.net_count();
     let n_devs = netlist.devices().len();
     let mut uf = UnionFind::new(n_nets + n_devs);
@@ -219,8 +219,8 @@ mod tests {
 
     #[test]
     fn inverter_chain_splits_at_gates() {
-        let mut f = two_inverters();
-        let (cccs, dev_map) = partition_cccs(&mut f);
+        let f = two_inverters();
+        let (cccs, dev_map) = partition_cccs(&f);
         assert_eq!(cccs.len(), 2);
         assert_ne!(dev_map[0], dev_map[2]);
         assert_eq!(dev_map[0], dev_map[1]);
@@ -280,7 +280,7 @@ mod tests {
             4e-6,
             0.35e-6,
         ));
-        let (cccs, _) = partition_cccs(&mut f);
+        let (cccs, _) = partition_cccs(&f);
         assert_eq!(cccs.len(), 1);
         let y_id = f.find_net("y").unwrap();
         let x_id = f.find_net("x").unwrap();
@@ -308,7 +308,7 @@ mod tests {
             2e-6,
             0.35e-6,
         ));
-        let (cccs, _) = partition_cccs(&mut f);
+        let (cccs, _) = partition_cccs(&f);
         assert_eq!(cccs.len(), 1);
         assert!(cccs[0].channel_nets.contains(&a));
         assert!(cccs[0].channel_nets.contains(&b));
@@ -331,7 +331,7 @@ mod tests {
             10e-6,
             1e-6,
         ));
-        let (cccs, _) = partition_cccs(&mut f);
+        let (cccs, _) = partition_cccs(&f);
         assert_eq!(cccs.len(), 1);
         assert!(cccs[0].channel_nets.is_empty());
     }
@@ -340,17 +340,17 @@ mod tests {
     fn empty_netlist_has_no_cccs() {
         let mut f = FlatNetlist::new("empty");
         f.add_net("a", NetKind::Input);
-        let (cccs, map) = partition_cccs(&mut f);
+        let (cccs, map) = partition_cccs(&f);
         assert!(cccs.is_empty());
         assert!(map.is_empty());
     }
 
     #[test]
     fn deterministic_ordering() {
-        let mut f1 = two_inverters();
-        let mut f2 = two_inverters();
-        let (c1, _) = partition_cccs(&mut f1);
-        let (c2, _) = partition_cccs(&mut f2);
+        let f1 = two_inverters();
+        let f2 = two_inverters();
+        let (c1, _) = partition_cccs(&f1);
+        let (c2, _) = partition_cccs(&f2);
         assert_eq!(c1, c2);
     }
 }

@@ -254,6 +254,48 @@ impl FlatNetlist {
         &mut self.devices[id.index()]
     }
 
+    /// The devices whose drawn `w` or `l` differ from `base`'s, ascending,
+    /// when this netlist is a *sizing edit* of `base`: equal to it in
+    /// everything else — name, nets, every device's name, kind,
+    /// terminals and fingers, the connectivity index and the passives.
+    /// `None` when anything else differs. Sizes compare by bit pattern.
+    pub fn resized_devices(&self, base: &FlatNetlist) -> Option<Vec<DeviceId>> {
+        let same_shape = self.name == base.name
+            && self.net_names == base.net_names
+            && self.net_kinds == base.net_kinds
+            && self.devices.len() == base.devices.len()
+            && self.uses == base.uses
+            && self.passives == base.passives;
+        if !same_shape {
+            return None;
+        }
+        let mut resized = Vec::new();
+        for (i, (d, b)) in self.devices.iter().zip(&base.devices).enumerate() {
+            let Device {
+                name,
+                kind,
+                gate,
+                source,
+                drain,
+                bulk,
+                w,
+                l,
+                fingers,
+            } = d;
+            let same_but_size = *name == b.name
+                && *kind == b.kind
+                && (*gate, *source, *drain, *bulk) == (b.gate, b.source, b.drain, b.bulk)
+                && *fingers == b.fingers;
+            if !same_but_size {
+                return None;
+            }
+            if w.to_bits() != b.w.to_bits() || l.to_bits() != b.l.to_bits() {
+                resized.push(DeviceId(i as u32));
+            }
+        }
+        Some(resized)
+    }
+
     /// Moves one terminal of a device to another net, keeping the
     /// connectivity index current. Returns the net the terminal was on.
     ///
@@ -475,6 +517,33 @@ mod tests {
             0.35e-6,
         ));
         f
+    }
+
+    #[test]
+    fn resized_devices_names_a_sizing_edit_and_nothing_else() {
+        let base = nand2();
+        assert_eq!(base.resized_devices(&base), Some(vec![]));
+
+        let mut sized = base.clone();
+        sized.device_mut(DeviceId(2)).w *= 1.5;
+        sized.device_mut(DeviceId(0)).l *= 2.0;
+        assert_eq!(
+            sized.resized_devices(&base),
+            Some(vec![DeviceId(0), DeviceId(2)])
+        );
+
+        let mut rewired = base.clone();
+        rewired.rewire(DeviceId(1), Term::Gate, NetId(0));
+        assert_eq!(rewired.resized_devices(&base), None);
+        let mut fingered = base.clone();
+        fingered.device_mut(DeviceId(1)).fingers = 2;
+        assert_eq!(fingered.resized_devices(&base), None);
+        let mut grown = base.clone();
+        grown.add_net("spare", NetKind::Signal);
+        assert_eq!(grown.resized_devices(&base), None);
+        let mut retyped = base.clone();
+        retyped.set_net_kind(NetId(3), NetKind::Output);
+        assert_eq!(retyped.resized_devices(&base), None);
     }
 
     #[test]

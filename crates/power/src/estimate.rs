@@ -120,9 +120,9 @@ mod tests {
             ));
             prev = out;
         }
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         (f, ex, rec, process)
     }
 
@@ -191,9 +191,9 @@ mod tests {
                 0.35e-6,
             ));
         }
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let mut act = ActivityModel::uniform(0.2);
         let free_running = dynamic_power(&f, &rec, &ex, &process, megahertz(160.0), &act);
         act.clock_gating_factor = 0.6;

@@ -119,7 +119,7 @@ mod tests {
     fn declared_clock_found() {
         let mut f = FlatNetlist::new("t");
         let ck = f.add_net("ck", NetKind::Clock);
-        let (cccs, _) = partition_cccs(&mut f);
+        let (cccs, _) = partition_cccs(&f);
         assert_eq!(infer_clocks(&f, &cccs), vec![ck]);
     }
 
@@ -163,7 +163,7 @@ mod tests {
             6e-6,
             0.35e-6,
         ));
-        let (cccs, _) = partition_cccs(&mut f);
+        let (cccs, _) = partition_cccs(&f);
         let clocks = infer_clocks(&f, &cccs);
         assert!(
             clocks.contains(&clk),
@@ -198,7 +198,7 @@ mod tests {
             2e-6,
             0.35e-6,
         ));
-        let (cccs, _) = partition_cccs(&mut f);
+        let (cccs, _) = partition_cccs(&f);
         assert!(infer_clocks(&f, &cccs).is_empty());
     }
 
@@ -275,7 +275,7 @@ mod tests {
             0.35e-6,
         ));
         let _ = dummy2;
-        let (cccs, _) = partition_cccs(&mut f);
+        let (cccs, _) = partition_cccs(&f);
         let clocks = infer_clocks(&f, &cccs);
         assert!(clocks.contains(&ck));
         assert!(clocks.contains(&ckb), "first derived phase");

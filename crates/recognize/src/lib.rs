@@ -114,7 +114,7 @@ impl Recognition {
 }
 
 /// Runs the full recognition pipeline on a netlist.
-pub fn recognize(netlist: &mut FlatNetlist) -> Recognition {
+pub fn recognize(netlist: &FlatNetlist) -> Recognition {
     let (cccs, device_ccc) = partition_cccs(netlist);
     // Clocks first: the family classifier needs to know which gate inputs
     // are clocks to tell a domino stage from a NAND with a clock input.
@@ -261,8 +261,8 @@ mod tests {
 
     #[test]
     fn domino_pipeline_roles() {
-        let mut f = domino_and2();
-        let r = recognize(&mut f);
+        let f = domino_and2();
+        let r = recognize(&f);
         let dyn_n = f.find_net("dyn").unwrap();
         let out = f.find_net("out").unwrap();
         let clk = f.find_net("clk").unwrap();
@@ -276,8 +276,8 @@ mod tests {
 
     #[test]
     fn driver_class_lookup() {
-        let mut f = domino_and2();
-        let r = recognize(&mut f);
+        let f = domino_and2();
+        let r = recognize(&f);
         let dyn_n = f.find_net("dyn").unwrap();
         let class = r.driver_class(dyn_n).unwrap();
         assert!(matches!(class.family, LogicFamily::Dynamic { .. }));
@@ -288,8 +288,8 @@ mod tests {
 
     #[test]
     fn inputs_and_rails_classified() {
-        let mut f = domino_and2();
-        let r = recognize(&mut f);
+        let f = domino_and2();
+        let r = recognize(&f);
         assert_eq!(r.role(f.find_net("a").unwrap()), NetRole::Input);
         assert_eq!(r.role(f.find_net("vdd").unwrap()), NetRole::Rail);
         assert_eq!(r.role(f.find_net("gnd").unwrap()), NetRole::Rail);

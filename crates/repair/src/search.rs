@@ -1087,8 +1087,7 @@ mod tests {
     fn broken_domino() -> (FlatNetlist, FlatNetlist) {
         let p = process();
         let clean = cbv_core::gen::latches::keeper_domino(&p, 1e-6).netlist;
-        let mut rec_nl = clean.clone();
-        let rec = cbv_core::recognize::recognize(&mut rec_nl);
+        let rec = cbv_core::recognize::recognize(&clean);
         let keeper = keeper_devices(&clean, &rec)[0];
         let mut broken = clean.clone();
         mutate::apply(

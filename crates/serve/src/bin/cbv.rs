@@ -541,8 +541,8 @@ fn ir_command(args: &[String]) -> ExitCode {
                     {
                         return fail(path, v);
                     }
-                    let mut netlist = design.netlist;
-                    let recognition = cbv_core::recognize::recognize(&mut netlist);
+                    let netlist = design.netlist;
+                    let recognition = cbv_core::recognize::recognize(&netlist);
                     print!("{}", ir::dump(&netlist, Some(&recognition)));
                 } else {
                     print!("{}", ir::dump(&design.netlist, None));

@@ -185,7 +185,7 @@ mod tests {
             ));
         }
         let p = Process::strongarm_035();
-        let layout = synthesize(&mut f, &p);
+        let layout = synthesize(&f, &p);
         let ex = cbv_extract::extract(&layout, &f, &p);
         let tight = clock_skew_bounds(&ex, ck, Ohms::new(200.0), &Tolerance::nominal())
             .expect("clock net extracted");

@@ -165,7 +165,7 @@ mod tests {
             6e-6,
             0.35e-6,
         ));
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let p = Process::strongarm_035();
         let cons = infer_constraints(&f, &rec, &p, &Pessimism::signoff());
         let c = cons
@@ -229,7 +229,7 @@ mod tests {
             1e-6,
             0.7e-6,
         ));
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         let p = Process::strongarm_035();
         let base = infer_constraints(&f, &rec, &p, &Pessimism::none());
         let padded = infer_constraints(&f, &rec, &p, &Pessimism::signoff());

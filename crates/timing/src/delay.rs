@@ -281,9 +281,9 @@ mod tests {
             0.35e-6,
         ));
         let process = Process::strongarm_035();
-        let layout = synthesize(&mut f, &process);
+        let layout = synthesize(&f, &process);
         let ex = cbv_extract::extract(&layout, &f, &process);
-        let rec = recognize(&mut f);
+        let rec = recognize(&f);
         (f, ex, rec.classes)
     }
 

@@ -23,9 +23,9 @@ fn main() {
 
     // Build a two-phase datapath and run timing at several cycle times.
     let design = alu_slice(8, &process);
-    let mut netlist = design.netlist;
-    let recognition = recognize(&mut netlist);
-    let layout = synthesize(&mut netlist, &process);
+    let netlist = design.netlist;
+    let recognition = recognize(&netlist);
+    let layout = synthesize(&netlist, &process);
     let extracted = extract(&layout, &netlist, &process);
 
     println!(
@@ -95,8 +95,8 @@ fn main() {
 
     // Correlated vs uncorrelated race analysis under clock skew.
     println!("\ncorrelated vs uncorrelated min/max race analysis:");
-    let mut trunk = clock_trunk(4, 3.0, 64, &process);
-    let tlayout = synthesize(&mut trunk.netlist, &process);
+    let trunk = clock_trunk(4, 3.0, 64, &process);
+    let tlayout = synthesize(&trunk.netlist, &process);
     let textract = extract(&tlayout, &trunk.netlist, &process);
     let root = trunk.clocks[0];
     let skew = clock_skew_bounds(

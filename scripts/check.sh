@@ -62,6 +62,15 @@ for threads in 1 8; do
   CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental eco_walk_traced_counts_repeat_to_the_digit
 done
 
+# The splice oracle: a 500-step seeded sizing walk on an owned cache,
+# each step's spliced prep Debug-equal to a full build, with its
+# splice/fallback/re-extraction counts — at both ends of the
+# worker-count range.
+for threads in 1 8; do
+  echo "== spliced prep equals a full build (CBV_THREADS=$threads) =="
+  CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk
+done
+
 echo "== E15 smoke (trace waterfall + observer-effect contract) =="
 cargo test -q -p cbv-bench --lib e15
 cargo test -q -p cbv-core --test obs

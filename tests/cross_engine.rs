@@ -86,8 +86,8 @@ fn transistor_adder_sum_bit_equals_rtl_by_bdd() {
     // RTL function a[0]^b[0]^cin.
     let p = Process::strongarm_035();
     let g = static_ripple_adder(2, &p);
-    let mut netlist = g.netlist;
-    let rec = recognize(&mut netlist);
+    let netlist = g.netlist;
+    let rec = recognize(&netlist);
 
     let golden_rtl = compile(
         "module s0(in a0, in b0, in cin, out y) { assign y = a0 ^ b0 ^ cin; }",
@@ -404,8 +404,8 @@ fn polarity_and_bridge_mutants_fail_equivalence() {
     };
 
     // Sanity: the unmutated rails verify.
-    let mut clean = base.clone();
-    let rec = recognize(&mut clean);
+    let clean = base.clone();
+    let rec = recognize(&clean);
     let s = specs(&mut mgr);
     let results = check_circuit_outputs(&clean, &rec, &s, &mut mgr, &mut vars).expect("runs");
     assert!(results.iter().all(|(_, r)| *r == CombResult::Equivalent));
@@ -427,7 +427,7 @@ fn polarity_and_bridge_mutants_fail_equivalence() {
         Site::Device(victim),
     )
     .expect("applies");
-    let rec = recognize(&mut swapped);
+    let rec = recognize(&swapped);
     let s = specs(&mut mgr);
     let caught = match check_circuit_outputs(&swapped, &rec, &s, &mut mgr, &mut vars) {
         // Either the check disproves equivalence...
@@ -443,7 +443,7 @@ fn polarity_and_bridge_mutants_fail_equivalence() {
     let bn = base.find_net("xp0_bn").expect("bn rail");
     let mut bridged = base.clone();
     apply(&mut bridged, &MutationOp::NetBridge, Site::Bridge(an, bn)).expect("applies");
-    let rec = recognize(&mut bridged);
+    let rec = recognize(&bridged);
     let s = specs(&mut mgr);
     let caught = match check_circuit_outputs(&bridged, &rec, &s, &mut mgr, &mut vars) {
         Ok(results) => results.iter().any(|(_, r)| *r != CombResult::Equivalent),

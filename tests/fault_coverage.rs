@@ -12,9 +12,9 @@ use cbv_core::netlist::FlatNetlist;
 use cbv_core::recognize::recognize;
 use cbv_core::tech::Process;
 
-fn everify_violations(mut netlist: FlatNetlist, p: &Process) -> Vec<(CheckKind, String)> {
-    let rec = recognize(&mut netlist);
-    let layout = synthesize(&mut netlist, p);
+fn everify_violations(netlist: FlatNetlist, p: &Process) -> Vec<(CheckKind, String)> {
+    let rec = recognize(&netlist);
+    let layout = synthesize(&netlist, p);
     let ex = extract(&layout, &netlist, p);
     let cfg = EverifyConfig::for_process(p);
     let report = run_all(&netlist, &rec, &ex, Some(&layout), p, &cfg);
@@ -129,9 +129,9 @@ fn leaky_dynamic_detected_by_leakage_check() {
     // Make the hold requirement realistic for a gated clock, then widen
     // the eval stack into a sieve.
     inject(&mut g.netlist, FaultKind::LeakyDynamic).expect("injects");
-    let mut netlist = g.netlist;
-    let rec = recognize(&mut netlist);
-    let layout = synthesize(&mut netlist, &p);
+    let netlist = g.netlist;
+    let rec = recognize(&netlist);
+    let layout = synthesize(&netlist, &p);
     let ex = extract(&layout, &netlist, &p);
     let mut cfg = EverifyConfig::for_process(&p);
     cfg.dynamic_hold = cbv_core::tech::Seconds::new(3e-6); // 3 µs gated-clock hold

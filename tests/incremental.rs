@@ -18,7 +18,9 @@ use cbv_core::gen::datapath::alu_slice;
 use cbv_core::gen::{inject, FaultKind};
 use cbv_core::mutate::{self, MutationOp, Site};
 use cbv_core::netlist::{DeviceId, FlatNetlist};
-use cbv_core::tech::Process;
+use cbv_core::obs::{JsonlSink, Tracer};
+use cbv_core::scatter::{KeptPrep, PreparedDesign};
+use cbv_core::tech::{MosKind, Process};
 
 fn signoff_json(r: &FlowReport) -> String {
     serde_json::to_string(&r.signoff).expect("signoff serializes")
@@ -347,4 +349,94 @@ fn eco_walk_traced_counts_repeat_to_the_digit() {
     }
     let per_op = tally.map(|n| n as f64 / 16.0);
     assert_eq!(per_op, [79.125, 9.875, 79.125, 8.875]);
+}
+
+/// The NMOS row's height as placement sets it: the widest NMOS device,
+/// in whole nanometres. Every shape above the row moves when it does.
+fn nmos_row_height(netlist: &FlatNetlist) -> Option<i64> {
+    let nmos = netlist.devices().iter().filter(|d| d.kind == MosKind::Nmos);
+    nmos.map(|d| (d.w * 1e9).round() as i64).max()
+}
+
+/// The splice oracle. The seeded `eco_walk` stream runs 500 steps
+/// through `run_flow_incremental` on one owned cache, which splices each
+/// revision's prep from the one it kept for the last. On every step the
+/// prep spliced from that same kept base must `Debug`-equal a full
+/// build's recognition, layout and extraction. The walk holds
+/// row-height steps, which extract whole, and steps whose router gains
+/// or drops a jog, which shift every later shape. Counted: a spliced op
+/// re-extracts at most 22 of alu8's 222 nets on average, after 64 steps
+/// and after 500, and the fallbacks past the priming run are the
+/// row-height steps.
+#[test]
+fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
+    let p = Process::strongarm_035();
+    let cfg = FlowConfig {
+        tracer: Tracer::new(JsonlSink::new(std::io::sink())),
+        ..FlowConfig::default()
+    };
+    let count = |name: &str| cfg.tracer.counter_value(name);
+    let mean_redone = || count("extract.nets_reextracted") as f64 / count("prep.splices") as f64;
+    let mut netlist = alu_slice(8, &p).netlist;
+    let mut cache = VerifyCache::new();
+    run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
+    assert_eq!(count("prep.fallbacks"), 1, "the priming run has no base");
+    assert_eq!(netlist.net_count(), 222);
+
+    let mut walk = Walk::new(1, 3, netlist.devices().len());
+    let (mut row_steps, mut jog_steps, mut mean_at_64) = (0, 0, 0.0);
+    let mut shapes = None;
+    for step in 1..=500 {
+        let rows = nmos_row_height(&netlist);
+        walk.step(&mut netlist);
+        row_steps += usize::from(nmos_row_height(&netlist) != rows);
+
+        let kept = cache
+            .take_prep()
+            .expect("an owned cache keeps its run's prep");
+        cache.keep_prep(kept.clone());
+        let base = kept
+            .downcast::<KeptPrep>()
+            .expect("the kept prep is a KeptPrep");
+        run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
+        let spliced = base.splice(netlist.clone(), &p, &cfg);
+        let full = PreparedDesign::build(netlist.clone(), &p, &cfg);
+        let pairs = [
+            (
+                "recognition",
+                format!("{:?}", spliced.recognition()),
+                format!("{:?}", full.recognition()),
+            ),
+            (
+                "layout",
+                format!("{:?}", spliced.layout()),
+                format!("{:?}", full.layout()),
+            ),
+            (
+                "extraction",
+                format!("{:?}", spliced.extracted()),
+                format!("{:?}", full.extracted()),
+            ),
+        ];
+        for (what, got, want) in pairs {
+            assert!(got == want, "step {step}: the spliced {what} differs");
+        }
+        let n_shapes = full.layout().shapes.len();
+        jog_steps += usize::from(shapes.is_some_and(|n| n != n_shapes));
+        shapes = Some(n_shapes);
+        if step == 64 {
+            mean_at_64 = mean_redone();
+        }
+    }
+
+    assert!(row_steps > 0, "the walk moves the NMOS row");
+    assert!(jog_steps > 0, "the walk changes the shape count");
+    assert_eq!(count("prep.fallbacks"), 1 + row_steps as u64);
+    assert_eq!(count("prep.splices"), 500 - row_steps as u64);
+    for (steps, mean) in [(64, mean_at_64), (500, mean_redone())] {
+        assert!(
+            mean <= 22.0,
+            "{steps} steps: a spliced op re-extracted {mean:.2} of 222 nets"
+        );
+    }
 }

@@ -58,8 +58,8 @@ fn dump_load_round_trips_registry_designs() {
 
 #[test]
 fn dump_load_round_trips_recognition_annotations() {
-    for mut netlist in designs() {
-        let recognition = recognize(&mut netlist);
+    for netlist in designs() {
+        let recognition = recognize(&netlist);
         let text = ir::dump(&netlist, Some(&recognition));
         let design = ir::load(&text).expect("annotated dump loads");
         assert_eq!(design.netlist, netlist, "{}", netlist.name());
@@ -74,8 +74,8 @@ fn dump_load_round_trips_recognition_annotations() {
 
 #[test]
 fn load_is_invariant_under_line_reordering() {
-    let mut netlist = cbv_core::gen::adders::static_ripple_adder(2, &process()).netlist;
-    let recognition = recognize(&mut netlist);
+    let netlist = cbv_core::gen::adders::static_ripple_adder(2, &process()).netlist;
+    let recognition = recognize(&netlist);
     let text = ir::dump(&netlist, Some(&recognition));
     let reference = ir::load(&text).expect("reference load");
 
@@ -578,8 +578,8 @@ fn try_run_flow_gates_malformed_netlists() {
 
 #[test]
 fn tampered_annotations_are_detected() {
-    let mut netlist = cbv_core::gen::dcvsl::dcvsl_and2(&process()).netlist;
-    let recognition = recognize(&mut netlist);
+    let netlist = cbv_core::gen::dcvsl::dcvsl_and2(&process()).netlist;
+    let recognition = recognize(&netlist);
     let mut ann = ir::annotations_from(&recognition);
     assert!(ir::check_annotations(&netlist, &ann).is_empty());
 

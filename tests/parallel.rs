@@ -29,10 +29,10 @@ fn testcase(faulty: bool) -> (FlatNetlist, Layout, Extracted, Recognition, Proce
         inject(&mut g.netlist, FaultKind::LeakyDynamic).expect("inject leak");
         inject(&mut g.netlist, FaultKind::BetaSkew).expect("inject skew");
     }
-    let mut netlist = g.netlist;
-    let layout = synthesize(&mut netlist, &process);
+    let netlist = g.netlist;
+    let layout = synthesize(&netlist, &process);
     let extracted = extract(&layout, &netlist, &process);
-    let recognition = recognize(&mut netlist);
+    let recognition = recognize(&netlist);
     (netlist, layout, extracted, recognition, process)
 }
 

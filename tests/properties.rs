@@ -117,7 +117,7 @@ proptest! {
             ));
         }
         let n_devices = f.devices().len();
-        let (cccs, map) = partition_cccs(&mut f);
+        let (cccs, map) = partition_cccs(&f);
         prop_assert_eq!(map.len(), n_devices);
         let total: usize = cccs.iter().map(|c| c.devices.len()).sum();
         prop_assert_eq!(total, n_devices, "every device in exactly one ccc");
@@ -311,9 +311,9 @@ proptest! {
         use cbv_core::recognize::recognize;
 
         let p = Process::strongarm_035();
-        let mut base = cbv_core::gen::adders::static_ripple_adder(bits, &p).netlist;
+        let base = cbv_core::gen::adders::static_ripple_adder(bits, &p).netlist;
         let mut edited = base.clone();
-        let rec = recognize(&mut base);
+        let rec = recognize(&base);
         let before = fingerprint_design(&base, &rec, &Extracted::default());
 
         let d = cbv_core::netlist::DeviceId((dev_sel % base.devices().len() as u64) as u32);
@@ -337,7 +337,7 @@ proptest! {
                 edited.device_mut(d).gate = other;
             }
         }
-        let rec2 = recognize(&mut edited);
+        let rec2 = recognize(&edited);
         prop_assert_eq!(rec.cccs.len(), rec2.cccs.len(), "partition is stable");
         let after = fingerprint_design(&edited, &rec2, &Extracted::default());
 
@@ -425,10 +425,10 @@ proptest! {
         let mut permuted = natural.clone();
         permuted.sort_by_key(|&i| keys[i % keys.len()].wrapping_add(i as u64));
 
-        let mut a = build(&natural);
-        let mut b = build(&permuted);
-        let ra = recognize(&mut a);
-        let rb = recognize(&mut b);
+        let a = build(&natural);
+        let b = build(&permuted);
+        let ra = recognize(&a);
+        let rb = recognize(&b);
         let fa = fingerprint_design(&a, &ra, &Extracted::default());
         let fb = fingerprint_design(&b, &rb, &Extracted::default());
 
@@ -461,8 +461,8 @@ proptest! {
         use cbv_core::recognize::recognize;
 
         let p = Process::strongarm_035();
-        let mut base = cbv_core::gen::adders::static_ripple_adder(bits, &p).netlist;
-        let rec = recognize(&mut base);
+        let base = cbv_core::gen::adders::static_ripple_adder(bits, &p).netlist;
+        let rec = recognize(&base);
         let before = fingerprint_design(&base, &rec, &Extracted::default());
 
         let d = cbv_core::netlist::DeviceId((dev_sel % base.devices().len() as u64) as u32);
@@ -477,7 +477,7 @@ proptest! {
 
         let mut work = base.clone();
         let m = apply(&mut work, &op, Site::Device(d)).expect("device site applies");
-        let rec1 = recognize(&mut work);
+        let rec1 = recognize(&work);
         prop_assert_eq!(rec.cccs.len(), rec1.cccs.len(), "sizing keeps the partition");
         let after = fingerprint_design(&work, &rec1, &Extracted::default());
 
@@ -498,7 +498,7 @@ proptest! {
 
         // Un-applying restores every fingerprint bit-exactly.
         m.revert(&mut work);
-        let rec2 = recognize(&mut work);
+        let rec2 = recognize(&work);
         let restored = fingerprint_design(&work, &rec2, &Extracted::default());
         for i in 0..before.units.len() {
             prop_assert_eq!(before.units[i].content, restored.units[i].content);
@@ -523,8 +523,8 @@ proptest! {
         // The domino cell has keepers, precharges and clocked devices, so
         // every operator class enumerates at least one site (except
         // clock-phase-swap when the cell has a single clock — skipped).
-        let mut base = cbv_core::gen::latches::keeper_domino(&p, 1e-6).netlist;
-        let rec = recognize(&mut base);
+        let base = cbv_core::gen::latches::keeper_domino(&p, 1e-6).netlist;
+        let rec = recognize(&base);
         let before = fingerprint_design(&base, &rec, &Extracted::default());
 
         let op = default_ops()[op_sel];
@@ -540,8 +540,8 @@ proptest! {
         // the netlist we revert.
         let mut work = base.clone();
         let m = apply(&mut work, &op, site).expect("enumerated site applies");
-        let mut mutant_view = work.clone();
-        let rec1 = recognize(&mut mutant_view);
+        let mutant_view = work.clone();
+        let rec1 = recognize(&mutant_view);
         let after = fingerprint_design(&mutant_view, &rec1, &Extracted::default());
         prop_assert!(
             before.residue().content != after.residue().content,
@@ -549,7 +549,7 @@ proptest! {
         );
 
         m.revert(&mut work);
-        let rec2 = recognize(&mut work);
+        let rec2 = recognize(&work);
         let restored = fingerprint_design(&work, &rec2, &Extracted::default());
         prop_assert_eq!(before.units.len(), restored.units.len());
         for i in 0..before.units.len() {
@@ -693,8 +693,8 @@ proptest! {
         use cbv_core::recognize::recognize;
 
         let p = Process::strongarm_035();
-        let mut netlist = cbv_core::gen::adders::static_ripple_adder(bits, &p).netlist;
-        let recognition = recognize(&mut netlist);
+        let netlist = cbv_core::gen::adders::static_ripple_adder(bits, &p).netlist;
+        let recognition = recognize(&netlist);
         let text = ir::dump(&netlist, Some(&recognition));
         let reference = ir::load(&text).expect("reference load");
 
