@@ -192,7 +192,7 @@ pub fn run(baseline: &FlatNetlist, max_sites_per_op: usize) -> RepairCampaign {
                     // the repaired design must not violate any class
                     // the mutant and baseline were both free of.
                     let mut fixed = nl.clone();
-                    trial.replay_ok = replay_plan(&mut fixed, &plan).is_some() && {
+                    trial.replay_ok = replay_plan(&mut fixed, &plan).is_ok() && {
                         let r = cbv_core::flow::run_flow_incremental(
                             fixed, &process, &flow, &mut cache,
                         );

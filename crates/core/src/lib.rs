@@ -89,7 +89,7 @@ pub use cbv_cache as cache;
 /// Structured tracing and metrics (spans, counters, waterfall render).
 pub use cbv_obs as obs;
 
-/// Synthetic design generators and fault injectors.
+/// Synthetic design generators.
 pub use cbv_gen as gen;
 
 /// Mutation-operator taxonomy and campaign runner (E16).

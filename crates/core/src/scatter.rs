@@ -862,7 +862,7 @@ mod tests {
     use crate::service::FlowService;
     use cbv_gen::adders::static_ripple_adder;
     use cbv_gen::datapath::alu_slice;
-    use cbv_gen::{inject, FaultKind};
+    use cbv_mutate::{Edit, MutationOp};
     use cbv_tech::{Farads, Ohms};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -927,7 +927,8 @@ mod tests {
         let p = Process::strongarm_035();
         let cfg = FlowConfig::default();
         let mut g = static_ripple_adder(4, &p);
-        inject(&mut g.netlist, FaultKind::SubMinLength).unwrap();
+        let sub_min_length = MutationOp::LengthScale { factor: 0.6 };
+        Edit::plant(&mut g.netlist, sub_min_length, 1, "xp0_ia_n").unwrap();
         let netlist = g.netlist;
         let cold = run_flow(netlist.clone(), &p, &cfg);
         assert!(!cold.signoff.clean());

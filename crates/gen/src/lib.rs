@@ -20,10 +20,11 @@
 //! * [`regfile`] — decoder + latch-cell register files with pass read
 //!   ports;
 //! * [`clocktree`] — buffered clock distribution chains;
-//! * [`mod@inject`] — **fault injectors** that plant each §4.2 hazard class
-//!   into a clean design, for the detection-coverage experiments;
 //! * [`rtl_designs`] — the named word-level RTL design registry the
 //!   cross-engine suites and the E18 compiled-simulation benchmark sweep.
+//!
+//! Faults are not generated here: a test or experiment plants one as a
+//! `cbv_mutate::Edit` at a fixed device of a generated design.
 
 pub mod adders;
 pub mod cam;
@@ -31,12 +32,9 @@ pub mod clocktree;
 pub mod datapath;
 pub mod dcvsl;
 pub mod gates;
-pub mod inject;
 pub mod latches;
 pub mod regfile;
 pub mod rtl_designs;
-
-pub use inject::{inject, FaultKind};
 
 use cbv_netlist::{FlatNetlist, NetId};
 

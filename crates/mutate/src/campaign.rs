@@ -146,8 +146,8 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Every operator at its legacy-injector-equivalent magnitude — the
-/// canonical E16 operator set.
+/// Every operator at its default magnitude (E12's seeded-fault
+/// magnitudes where E12 plants it) — the canonical E16 operator set.
 pub fn default_ops() -> Vec<MutationOp> {
     vec![
         MutationOp::WidthScale { factor: 12.0 },

@@ -3,9 +3,8 @@
 //! Every operator is a *single-site* edit with an explicit magnitude
 //! knob where one applies, a deterministic site enumerator ([`sites`]),
 //! an applier that records an undo ([`apply`]), and an exact inverse
-//! ([`Mutation::revert`]). The legacy `cbv_gen::inject::FaultKind`
-//! classes are all expressible as one of these operators at a specific
-//! magnitude and site — the generalization E16 measures exhaustively.
+//! ([`Mutation::revert`]). A seeded fault is one of these operators at
+//! a fixed magnitude and site, written as an [`Edit::Op`](crate::Edit).
 
 use std::fmt;
 
@@ -55,8 +54,7 @@ pub enum MutationOp {
 }
 
 impl MutationOp {
-    /// Every operator at its default (legacy-injector-equivalent)
-    /// magnitude, in canonical order.
+    /// The number of operators (see `campaign::default_ops`).
     pub const COUNT: usize = 10;
 
     /// Short kebab-case operator name (stable across magnitudes).
@@ -173,8 +171,7 @@ impl Site {
 
 /// NMOS devices whose channel lies entirely between non-rail nets — the
 /// internal stack positions where widening provokes charge sharing.
-/// (The legacy `ChargeShare` injector widens all of these at once.)
-pub fn stack_internal_nmos(netlist: &FlatNetlist) -> Vec<DeviceId> {
+fn stack_internal_nmos(netlist: &FlatNetlist) -> Vec<DeviceId> {
     netlist
         .device_ids()
         .filter(|&id| {
@@ -224,7 +221,7 @@ pub fn keeper_devices(netlist: &FlatNetlist, recognition: &Recognition) -> Vec<D
 
 /// Precharge devices: a PMOS gated by a clock whose channel restores a
 /// recognized dynamic node from the power rail.
-pub fn precharge_devices(netlist: &FlatNetlist, recognition: &Recognition) -> Vec<DeviceId> {
+fn precharge_devices(netlist: &FlatNetlist, recognition: &Recognition) -> Vec<DeviceId> {
     netlist
         .device_ids()
         .filter(|&id| {
@@ -352,9 +349,9 @@ pub fn sites(op: &MutationOp, netlist: &FlatNetlist, recognition: &Recognition) 
     }
 }
 
-/// The undo record of one applied mutation.
+/// The undo record of one applied edit.
 #[derive(Debug, Clone)]
-enum Undo {
+pub(crate) enum Undo {
     /// Restore a device's geometry/polarity.
     Geometry {
         device: DeviceId,
@@ -381,8 +378,10 @@ enum Undo {
         term: Term,
         old: NetId,
     },
-    /// Pop the appended bridge device.
-    Bridge,
+    /// Pop the appended device (a bridge, or an added device).
+    PopDevice,
+    /// Pop the appended net.
+    PopNet,
 }
 
 /// One applied mutation, holding everything needed to undo it exactly.
@@ -406,22 +405,22 @@ impl Mutation {
     }
 
     /// Keeps only the undo record, dropping the report-facing fields.
-    pub fn into_undo(self) -> UndoRecord {
+    pub(crate) fn into_undo(self) -> UndoRecord {
         UndoRecord(self.undo)
     }
 }
 
-/// The slim undo of one applied mutation: exactly what reverting reads,
-/// so a long edit history (a daemon session's undo stack) can keep one
-/// per edit without the [`Mutation`]'s operator, site and description.
-/// Only [`Mutation::into_undo`] makes one, so a record always matches an
-/// edit that was really applied.
+/// The slim undo of one applied edit: exactly what reverting reads, so
+/// a long edit history (a daemon session's undo stack) can keep one per
+/// edit without the operator, site and description. Only
+/// [`Edit::apply`](crate::Edit::apply) hands one out, so a record always
+/// matches an edit that was really applied.
 #[derive(Debug, Clone)]
-pub struct UndoRecord(Undo);
+pub struct UndoRecord(pub(crate) Undo);
 
 impl UndoRecord {
-    /// Un-applies the mutation this record was taken from (see
-    /// [`Mutation::revert`]).
+    /// Un-applies the edit this record was taken from, restoring the
+    /// netlist exactly (see [`Mutation::revert`]).
     pub fn revert(self, netlist: &mut FlatNetlist) {
         self.0.revert(netlist);
     }
@@ -454,9 +453,11 @@ impl Undo {
                 let name = netlist.pop_net();
                 debug_assert!(name.starts_with("mutopen"), "unexpected scratch net {name}");
             }
-            Undo::Bridge => {
-                let d = netlist.pop_device();
-                debug_assert_eq!(d.name, "mutbridge");
+            Undo::PopDevice => {
+                netlist.pop_device();
+            }
+            Undo::PopNet => {
+                netlist.pop_net();
             }
         }
     }
@@ -577,7 +578,7 @@ pub fn apply(netlist: &mut FlatNetlist, op: &MutationOp, site: Site) -> Option<M
                 2e-6,
                 0.35e-6,
             ));
-            Some(mutation(desc, Undo::Bridge))
+            Some(mutation(desc, Undo::PopDevice))
         }
         (MutationOp::NetOpen, Site::Open(id, term)) => {
             let scratch = netlist.add_net("mutopen", NetKind::Signal);
@@ -613,28 +614,7 @@ pub fn apply(netlist: &mut FlatNetlist, op: &MutationOp, site: Site) -> Option<M
     }
 }
 
-/// Sets a device's geometry to exact absolute values, reversibly. This
-/// is the repair-side companion of the multiplicative geometry operators:
-/// a repair engine that wants to *undo* `w *= f` exactly computes
-/// `w / f` itself (division round-trips where multiplying by `1/f` does
-/// not) and applies the result here. The returned [`Mutation`] records
-/// the effective width factor as its operator and reverts exactly, so
-/// probe/revert cycles keep cache bindings valid like every other op.
-pub fn apply_resize(netlist: &mut FlatNetlist, id: DeviceId, w: f64, l: f64) -> Mutation {
-    let undo = geometry_undo(netlist, id);
-    let d = netlist.device_mut(id);
-    let factor = if d.w == 0.0 { 1.0 } else { w / d.w };
-    d.w = w;
-    d.l = l;
-    Mutation {
-        op: MutationOp::WidthScale { factor },
-        site: Site::Device(id),
-        description: format!("resize `{}` to w={w:?} l={l:?}", d.name),
-        undo,
-    }
-}
-
-fn geometry_undo(netlist: &FlatNetlist, id: DeviceId) -> Undo {
+pub(crate) fn geometry_undo(netlist: &FlatNetlist, id: DeviceId) -> Undo {
     let d = netlist.device(id);
     Undo::Geometry {
         device: id,

@@ -1,63 +1,42 @@
-//! Wire (de)serialization for the operator taxonomy.
+//! Wire (de)serialization for the edit vocabulary.
 //!
-//! The verification daemon (`cbv-serve`) streams ECO requests whose edit
-//! vocabulary *is* [`MutationOp`] × [`Site`]: a remote designer names the
-//! same single-site edits the campaign enumerates locally. This module
-//! gives both halves one stable JSON encoding:
+//! The verification daemon (`cbv-serve`) streams ECO requests, its state
+//! file keeps session histories, and a repair plan lists its steps, all
+//! as [`Edit`] objects: a remote designer names the same single-site
+//! edits the campaign enumerates locally. This module gives them one
+//! stable JSON encoding; the `"edit"` field discriminates, and `"op"`
+//! edits nest an operator and a site:
 //!
 //! ```text
-//! {"op":"width-scale","factor":1.5}
+//! {"edit":"op","op":{"op":"width-scale","factor":1.5},"site":{"site":"device","device":3}}
+//! {"edit":"add-net","name":"n","kind":"signal"}
+//! {"edit":"add-device","name":"m","kind":"nmos","gate":0,"drain":1,"source":2,"bulk":3,"w":1e-6,"l":3.5e-7}
+//! {"edit":"resize","device":1,"w":1e-6,"l":3.5e-7}
+//! {"edit":"rewire","device":0,"term":"gate","net":1}
+//!
 //! {"op":"keeper-resize","w_factor":2.0,"l_factor":1.0}
 //! {"op":"keeper-delete"}
-//!
-//! {"site":"device","device":3}
 //! {"site":"rewire","device":3,"term":"gate","net":7}
 //! {"site":"bridge","a":1,"b":2}
 //! {"site":"open","device":3,"term":"gate"}
 //! ```
 //!
-//! Magnitudes are plain JSON decimals; Rust's shortest-round-trip float
-//! formatting guarantees `parse(format(x)) == x` bit-exactly, so an edit
-//! applied remotely and the same edit applied in-process produce
-//! fingerprint-identical netlists — the daemon's byte-identity contract
-//! rests on this. Parsing rejects non-finite and missing magnitudes.
+//! Magnitudes and geometry are plain JSON decimals; Rust's
+//! shortest-round-trip float formatting guarantees `parse(format(x)) ==
+//! x` bit-exactly, so an edit applied remotely and the same edit applied
+//! in-process produce fingerprint-identical netlists — the daemon's
+//! byte-identity contract rests on this, and so does its
+//! `save`/`restore`. Parsing rejects non-finite and missing magnitudes;
+//! ids are checked against a netlist only by
+//! [`Edit::apply`](crate::Edit::apply).
 
-use std::error::Error;
-use std::fmt;
+use cbv_netlist::{DeviceId, NetId, NetKind, Term};
+use cbv_tech::MosKind;
+use serde::{write_json_string, JsonWriter, Serialize};
+use serde_json::Value;
 
-use cbv_netlist::{DeviceId, NetId, Term};
-use serde::{JsonWriter, Serialize};
-use serde_json::{FieldError, Value};
-
+use crate::edit::{Edit, NewDevice, NewNet};
 use crate::op::{MutationOp, Site};
-
-/// A structurally invalid wire encoding of an op or site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError {
-    message: String,
-}
-
-impl WireError {
-    fn new(message: impl Into<String>) -> WireError {
-        WireError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "wire format error: {}", self.message)
-    }
-}
-
-impl Error for WireError {}
-
-impl From<FieldError> for WireError {
-    fn from(e: FieldError) -> WireError {
-        WireError::new(e.to_string())
-    }
-}
 
 impl Serialize for MutationOp {
     fn serialize_json(&self, out: &mut String) {
@@ -114,7 +93,7 @@ impl Serialize for Site {
 }
 
 /// Stable wire name of a terminal.
-pub fn term_name(term: Term) -> &'static str {
+fn term_name(term: Term) -> &'static str {
     match term {
         Term::Gate => "gate",
         Term::Source => "source",
@@ -124,18 +103,18 @@ pub fn term_name(term: Term) -> &'static str {
 }
 
 /// Parses a terminal name emitted by [`term_name`].
-pub fn parse_term(name: &str) -> Result<Term, WireError> {
+fn parse_term(name: &str) -> Result<Term, String> {
     match name {
         "gate" => Ok(Term::Gate),
         "source" => Ok(Term::Source),
         "drain" => Ok(Term::Drain),
         "bulk" => Ok(Term::Bulk),
-        other => Err(WireError::new(format!("unknown terminal {other:?}"))),
+        other => Err(format!("unknown terminal {other:?}")),
     }
 }
 
 /// Parses a [`MutationOp`] from its wire object.
-pub fn op_from_json(v: &Value) -> Result<MutationOp, WireError> {
+fn op_from_json(v: &Value) -> Result<MutationOp, String> {
     match v.req_str("op")? {
         "width-scale" => Ok(MutationOp::WidthScale {
             factor: v.req_f64("factor")?,
@@ -156,13 +135,12 @@ pub fn op_from_json(v: &Value) -> Result<MutationOp, WireError> {
         "net-open" => Ok(MutationOp::NetOpen),
         "precharge-drop" => Ok(MutationOp::PrechargeDrop),
         "clock-phase-swap" => Ok(MutationOp::ClockPhaseSwap),
-        other => Err(WireError::new(format!("unknown operator {other:?}"))),
+        other => Err(format!("unknown operator {other:?}")),
     }
 }
 
-/// Parses a [`Site`] from its wire object. Ids are *not* validated
-/// against any netlist here — the applier rejects out-of-range ids.
-pub fn site_from_json(v: &Value) -> Result<Site, WireError> {
+/// Parses a [`Site`] from its wire object.
+fn site_from_json(v: &Value) -> Result<Site, String> {
     match v.req_str("site")? {
         "device" => Ok(Site::Device(DeviceId(v.req_u32("device")?))),
         "rewire" => Ok(Site::Rewire(
@@ -175,7 +153,126 @@ pub fn site_from_json(v: &Value) -> Result<Site, WireError> {
             DeviceId(v.req_u32("device")?),
             parse_term(v.req_str("term")?)?,
         )),
-        other => Err(WireError::new(format!("unknown site kind {other:?}"))),
+        other => Err(format!("unknown site kind {other:?}")),
+    }
+}
+
+/// Wire names of net and device kinds; each table serves both directions.
+const NET_KINDS: [(NetKind, &str); 7] = [
+    (NetKind::Signal, "signal"),
+    (NetKind::Power, "power"),
+    (NetKind::Ground, "ground"),
+    (NetKind::Input, "input"),
+    (NetKind::Output, "output"),
+    (NetKind::Inout, "inout"),
+    (NetKind::Clock, "clock"),
+];
+const MOS_KINDS: [(MosKind, &str); 2] = [(MosKind::Nmos, "nmos"), (MosKind::Pmos, "pmos")];
+
+fn kind_name<K: PartialEq>(table: &[(K, &'static str)], kind: &K) -> &'static str {
+    table
+        .iter()
+        .find(|(k, _)| k == kind)
+        .expect("every kind has a name")
+        .1
+}
+
+fn parse_kind<K: Copy>(table: &[(K, &str)], name: &str, what: &str) -> Result<K, String> {
+    match table.iter().find(|(_, n)| *n == name) {
+        Some(&(k, _)) => Ok(k),
+        None => Err(format!("unknown {what} kind {name:?}")),
+    }
+}
+
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(s, &mut out);
+    out
+}
+
+/// Serializes one edit to the exact wire form [`edit_from_json`]
+/// parses. Floats use shortest-round-trip formatting, so a serialized
+/// history replays with bit-identical geometry — the `save`/`restore`
+/// byte-identity contract rests on this inverse pair.
+pub fn edit_to_json(edit: &Edit) -> String {
+    match edit {
+        Edit::Op { op, site } => format!(
+            "{{\"edit\":\"op\",\"op\":{},\"site\":{}}}",
+            serde_json::to_string(op).expect("op serialization is infallible"),
+            serde_json::to_string(site).expect("site serialization is infallible"),
+        ),
+        Edit::AddNet(net) => format!(
+            "{{\"edit\":\"add-net\",\"name\":{},\"kind\":\"{}\"}}",
+            quoted(&net.name),
+            kind_name(&NET_KINDS, &net.kind)
+        ),
+        Edit::AddDevice(d) => format!(
+            "{{\"edit\":\"add-device\",\"name\":{},\"kind\":\"{}\",\
+             \"gate\":{},\"drain\":{},\"source\":{},\"bulk\":{},\"w\":{:?},\"l\":{:?}}}",
+            quoted(&d.name),
+            kind_name(&MOS_KINDS, &d.kind),
+            d.gate.index(),
+            d.drain.index(),
+            d.source.index(),
+            d.bulk.index(),
+            d.w,
+            d.l,
+        ),
+        Edit::Resize { device, w, l } => format!(
+            "{{\"edit\":\"resize\",\"device\":{},\"w\":{w:?},\"l\":{l:?}}}",
+            device.index()
+        ),
+        Edit::Rewire { device, term, net } => format!(
+            "{{\"edit\":\"rewire\",\"device\":{},\"term\":\"{}\",\"net\":{}}}",
+            device.index(),
+            term_name(*term),
+            net.index()
+        ),
+    }
+}
+
+/// Parses one edit object off the wire. The `"edit"` field
+/// discriminates; `"op"` edits nest the operator and site encodings.
+pub fn edit_from_json(v: &Value) -> Result<Edit, String> {
+    match v.req_str("edit")? {
+        "op" => Ok(Edit::Op {
+            op: op_from_json(v.req("op")?)?,
+            site: site_from_json(v.req("site")?)?,
+        }),
+        "add-net" => Ok(Edit::AddNet(Box::new(NewNet {
+            name: v.req_str("name")?.to_owned(),
+            kind: parse_kind(&NET_KINDS, v.req_str("kind")?, "net")?,
+        }))),
+        "add-device" => Ok(Edit::AddDevice(Box::new(NewDevice {
+            name: v.req_str("name")?.to_owned(),
+            kind: parse_kind(&MOS_KINDS, v.req_str("kind")?, "device")?,
+            gate: NetId(v.req_u32("gate")?),
+            drain: NetId(v.req_u32("drain")?),
+            source: NetId(v.req_u32("source")?),
+            bulk: NetId(v.req_u32("bulk")?),
+            w: v.req_f64("w")?,
+            l: v.req_f64("l")?,
+        }))),
+        "resize" => Ok(Edit::Resize {
+            device: DeviceId(v.req_u32("device")?),
+            w: v.req_f64("w")?,
+            l: v.req_f64("l")?,
+        }),
+        "rewire" => Ok(Edit::Rewire {
+            device: DeviceId(v.req_u32("device")?),
+            term: parse_term(v.req_str("term")?)?,
+            net: NetId(v.req_u32("net")?),
+        }),
+        other => Err(format!("unknown edit kind {other:?}")),
+    }
+}
+
+/// Parses an ECO payload: a single edit object or an array of them
+/// (one batch either way).
+pub fn edits_from_json(v: &Value) -> Result<Vec<Edit>, String> {
+    match v.as_array() {
+        Some(items) => items.iter().map(edit_from_json).collect(),
+        None => Ok(vec![edit_from_json(v)?]),
     }
 }
 

@@ -10,14 +10,14 @@
 //! structural classes get targeted rewires), then searches the
 //! magnitude × site space under the incremental oracle — greedy per
 //! finding, with a bounded beam over interacting findings. Every
-//! candidate is applied and reverted through the reversible
-//! [`cbv_core::mutate::Mutation`] API, so the verification cache's
-//! bindings survive and each probe costs one warm ECO re-verify, not a
-//! cold flow.
+//! candidate is an [`Edit`](cbv_core::mutate::Edit), applied and
+//! reverted through [`Edit::apply`](cbv_core::mutate::Edit::apply) and
+//! its exact undo record, so the verification cache's bindings survive
+//! and each probe costs one warm ECO re-verify, not a cold flow.
 //!
-//! The output is a [`RepairPlan`]: a verified minimal ECO batch in the
-//! `cbv-serve` wire vocabulary (each step is a `{"edit":"op",...}`
-//! object the daemon's `eco` request accepts verbatim), with per-step
+//! The output is a [`RepairPlan`]: a verified minimal ECO batch of
+//! edits (each step is an `{"edit":...}` object the daemon's `eco`
+//! request accepts verbatim), with per-step
 //! oracle cost accounting and a replayable transcript. A plan is
 //! *rejected* rather than emitted if it would introduce a finding class
 //! the broken design did not already have — the no-regression
@@ -26,5 +26,5 @@
 pub mod plan;
 pub mod search;
 
-pub use plan::{RepairEdit, RepairPlan, RepairStep};
+pub use plan::{RepairPlan, RepairStep};
 pub use search::{repair, repair_warm, replay_plan, restore_target, RepairConfig};

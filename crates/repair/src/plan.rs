@@ -1,60 +1,19 @@
-//! The repair plan: a verified ECO batch in the `cbv-serve` wire
-//! vocabulary, with per-step oracle cost accounting and a replayable
-//! transcript.
+//! The repair plan: a verified ECO batch of [`Edit`]s, with per-step
+//! oracle cost accounting and a replayable transcript.
 //!
-//! Every step's JSON object is a strict superset of a serve `Edit`
-//! object (`{"edit":"resize",...}` or `{"edit":"op",...}` plus the
-//! accounting fields), so a daemon — or a designer with `cbv eco` — can
-//! feed the steps array back verbatim. Floats print with shortest
+//! Every step's JSON object is its edit's [`edit_to_json`] object plus
+//! the accounting fields, so a daemon — or a designer with `cbv eco` —
+//! can feed the steps array back verbatim. Floats print with shortest
 //! round-trip formatting, the workspace-wide guarantee that wire replay
 //! is bit-exact.
 
-use cbv_core::mutate::{MutationOp, Site};
-use cbv_core::netlist::DeviceId;
-
-/// One edit of a repair plan, in the serve wire vocabulary.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RepairEdit {
-    /// Set a device's geometry to exact absolute values.
-    Resize {
-        /// The device.
-        device: DeviceId,
-        /// New drawn width.
-        w: f64,
-        /// New drawn length.
-        l: f64,
-    },
-    /// A mutation operator at a site (structural repairs).
-    Op {
-        /// The operator.
-        op: MutationOp,
-        /// Where it applies.
-        site: Site,
-    },
-}
-
-impl RepairEdit {
-    /// The serve `Edit` JSON for this edit alone (no accounting fields).
-    fn edit_json(&self) -> String {
-        match self {
-            RepairEdit::Resize { device, w, l } => format!(
-                "{{\"edit\":\"resize\",\"device\":{},\"w\":{w:?},\"l\":{l:?}}}",
-                device.index()
-            ),
-            RepairEdit::Op { op, site } => format!(
-                "{{\"edit\":\"op\",\"op\":{},\"site\":{}}}",
-                serde_json::to_string(op).expect("op serialization is infallible"),
-                serde_json::to_string(site).expect("site serialization is infallible"),
-            ),
-        }
-    }
-}
+use cbv_core::mutate::{edit_to_json, Edit};
 
 /// One verified repair step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairStep {
-    /// The edit, in wire vocabulary.
-    pub edit: RepairEdit,
+    /// The edit.
+    pub edit: Edit,
     /// What the step does, in design-name terms.
     pub description: String,
     /// Oracle calls spent searching for (and verifying) this step.
@@ -68,8 +27,8 @@ pub struct RepairStep {
 impl RepairStep {
     fn to_json(&self) -> String {
         // Splice the accounting fields into the edit object so the step
-        // stays parseable as a serve `Edit`.
-        let edit = self.edit.edit_json();
+        // stays parseable as an `Edit`.
+        let edit = edit_to_json(&self.edit);
         let body = &edit[..edit.len() - 1]; // strip trailing '}'
         format!(
             "{body},\"description\":{},\"oracle_calls\":{},\"units_reverified\":{},\"violations_after\":{}}}",
@@ -171,6 +130,8 @@ impl RepairPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbv_core::mutate::{MutationOp, Site};
+    use cbv_core::netlist::DeviceId;
     use serde_json::{raw_field, Value};
 
     fn sample_plan() -> RepairPlan {
@@ -180,7 +141,7 @@ mod tests {
             byte_identical: Some(true),
             steps: vec![
                 RepairStep {
-                    edit: RepairEdit::Resize {
+                    edit: Edit::Resize {
                         device: DeviceId(73),
                         w: 1.25e-6,
                         l: 3.5e-7,
@@ -191,7 +152,7 @@ mod tests {
                     violations_after: 0,
                 },
                 RepairStep {
-                    edit: RepairEdit::Op {
+                    edit: Edit::Op {
                         op: MutationOp::PolaritySwap,
                         site: Site::Device(DeviceId(3)),
                     },
@@ -225,9 +186,10 @@ mod tests {
         assert_eq!(steps.len(), plan.steps.len());
         for (got, want) in steps.iter().zip(&plan.steps) {
             // The step object is the edit object plus accounting fields.
-            let (Value::Object(fields), Value::Object(edit)) =
-                (got, serde_json::from_str(&want.edit.edit_json()).unwrap())
-            else {
+            let (Value::Object(fields), Value::Object(edit)) = (
+                got,
+                serde_json::from_str(&edit_to_json(&want.edit)).unwrap(),
+            ) else {
                 panic!("steps and edits are objects");
             };
             assert_eq!(fields[..edit.len()], edit[..]);
@@ -275,8 +237,8 @@ mod tests {
 
     #[test]
     fn steps_are_valid_serve_edits() {
-        // Each step object must parse as a serve `Edit` — here just
-        // check the edit discriminant and wire-shape fields survive.
+        // Each step object must parse as an `Edit` — here just check
+        // the edit discriminant and wire-shape fields survive.
         let plan = sample_plan();
         let json = plan.to_json();
         let v: Value = serde_json::from_str(&json).unwrap();

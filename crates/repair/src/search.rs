@@ -16,9 +16,9 @@
 //!    `w * (1/g)`, because division round-trips the mutant's own
 //!    multiplication exactly — the repaired design can be bit-identical
 //!    to the pre-mutation baseline.
-//! 4. Probe candidates under the oracle, applying and reverting through
-//!    the reversible [`Mutation`](cbv_core::mutate::Mutation) API so
-//!    cache bindings survive. A candidate that silences every detector
+//! 4. Probe candidates under the oracle, applying each [`Edit`] and
+//!    reverting it through its exact undo record so cache bindings
+//!    survive. A candidate that silences every detector
 //!    is accepted immediately; otherwise the best strict improvement
 //!    wins. When no single candidate improves, a bounded beam tries
 //!    two-step combinations (interacting findings).
@@ -34,13 +34,15 @@
 use cbv_core::cache::VerifyCache;
 use cbv_core::everify::{CheckKind, Severity};
 use cbv_core::flow::{run_flow_incremental, FlowConfig, FlowReport};
-use cbv_core::mutate::{self, check_site_devices, FlowObservation, Mutation, MutationOp, Site};
+use cbv_core::mutate::{
+    self, check_site_devices, Edit, FlowObservation, MutationOp, Site, UndoRecord,
+};
 use cbv_core::netlist::{DeviceId, FlatNetlist, NetId};
 use cbv_core::oracle::{finding_site, observe, site_devices, site_unit};
 use cbv_core::tech::{Farads, Process};
 use cbv_core::timing::{size_path, ViolationKind};
 
-use crate::plan::{RepairEdit, RepairPlan, RepairStep};
+use crate::plan::{RepairPlan, RepairStep};
 
 /// What the search restores toward.
 #[derive(Debug, Clone, Default)]
@@ -49,8 +51,6 @@ pub struct RepairConfig {
     pub max_steps: usize,
     /// Oracle-call budget for the whole search (0 = default 120).
     pub max_oracle_calls: usize,
-    /// Beam width over interacting findings (0 = default 3).
-    pub beam_width: usize,
     /// The known-good observation to restore toward. `None` means
     /// "repair to a clean signoff" (an all-zero baseline).
     pub baseline: Option<FlowObservation>,
@@ -75,13 +75,6 @@ impl RepairConfig {
             self.max_oracle_calls
         }
     }
-    fn beam_width(&self) -> usize {
-        if self.beam_width == 0 {
-            3
-        } else {
-            self.beam_width
-        }
-    }
 }
 
 /// Division ladders: candidate geometry is `current / g`. Ordered with
@@ -100,22 +93,45 @@ const K_LADDER: [(f64, f64); 8] = [
     (0.1, 1.0),
 ];
 
+/// Beam width over interacting findings.
+const BEAM_WIDTH: usize = 3;
+
 /// Caps keeping one step's candidate list bounded.
 const MAX_AIMS: usize = 6;
 const MAX_DEVICES_PER_AIM: usize = 4;
 const MAX_PATH_DEVICES: usize = 12;
 const MAX_BEAM_FOLLOWUPS: usize = 16;
 
-#[derive(Debug, Clone, PartialEq)]
-enum Probe {
-    Resize { device: DeviceId, w: f64, l: f64 },
-    Op { op: MutationOp, site: Site },
-}
-
 #[derive(Debug, Clone)]
 struct Candidate {
-    probes: Vec<Probe>,
+    edits: Vec<Edit>,
     why: String,
+}
+
+/// One step's candidate list. A single-edit candidate is dropped when
+/// an earlier single-edit candidate made the same edit.
+#[derive(Default)]
+struct Candidates {
+    list: Vec<Candidate>,
+    seen: Vec<Edit>,
+}
+
+impl Candidates {
+    fn push(&mut self, c: Candidate) {
+        if let [e] = c.edits.as_slice() {
+            if self.seen.contains(e) {
+                return;
+            }
+            self.seen.push(e.clone());
+        }
+        self.list.push(c);
+    }
+
+    /// Adds the one-edit candidate that resizes `device` to `w` × `l`.
+    fn resize(&mut self, device: DeviceId, w: f64, l: f64, why: String) {
+        let edits = vec![Edit::Resize { device, w, l }];
+        self.push(Candidate { edits, why });
+    }
 }
 
 /// Lexicographic distance from the goal: fired detectors, then excess
@@ -218,19 +234,12 @@ fn total_violations(obs: &FlowObservation) -> usize {
     obs.check_violations.iter().sum::<usize>() + obs.timing_violations
 }
 
-fn apply_probe(netlist: &mut FlatNetlist, probe: &Probe) -> Option<Mutation> {
-    match probe {
-        Probe::Resize { device, w, l } => Some(mutate::apply_resize(netlist, *device, *w, *l)),
-        Probe::Op { op, site } => mutate::apply(netlist, op, *site),
-    }
-}
-
-fn apply_candidate(netlist: &mut FlatNetlist, cand: &Candidate) -> Option<Vec<Mutation>> {
-    let mut applied = Vec::with_capacity(cand.probes.len());
-    for p in &cand.probes {
-        match apply_probe(netlist, p) {
-            Some(m) => applied.push(m),
-            None => {
+fn apply_candidate(netlist: &mut FlatNetlist, cand: &Candidate) -> Option<Vec<UndoRecord>> {
+    let mut applied = Vec::with_capacity(cand.edits.len());
+    for e in &cand.edits {
+        match e.apply(netlist) {
+            Ok(u) => applied.push(u),
+            Err(_) => {
                 revert_all(netlist, applied);
                 return None;
             }
@@ -239,43 +248,21 @@ fn apply_candidate(netlist: &mut FlatNetlist, cand: &Candidate) -> Option<Vec<Mu
     Some(applied)
 }
 
-fn revert_all(netlist: &mut FlatNetlist, mutations: Vec<Mutation>) {
-    for m in mutations.into_iter().rev() {
-        m.revert(netlist);
-    }
-}
-
-fn probe_key(p: &Probe) -> (u64, u64, u64) {
-    match p {
-        Probe::Resize { device, w, l } => (device.index() as u64, w.to_bits(), l.to_bits()),
-        Probe::Op { op, site } => {
-            // Structural probes: hash the wire form (stable, cheap).
-            let text = format!("{op:?}@{site:?}");
-            let mut h: u64 = 0xcbf29ce484222325;
-            for b in text.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            (u64::MAX, h, 0)
-        }
+fn revert_all(netlist: &mut FlatNetlist, applied: Vec<UndoRecord>) {
+    for u in applied.into_iter().rev() {
+        u.revert(netlist);
     }
 }
 
 /// The step-local candidate generator: aims at the worst differential
 /// findings and the worst timing path, deterministically.
-fn candidates(work: &FlatNetlist, report: &FlowReport, base: &FlowObservation) -> Vec<Candidate> {
-    let mut out: Vec<Candidate> = Vec::new();
-    let mut seen: Vec<(u64, u64, u64)> = Vec::new();
-    let mut push = |out: &mut Vec<Candidate>, seen: &mut Vec<(u64, u64, u64)>, c: Candidate| {
-        if c.probes.len() == 1 {
-            let k = probe_key(&c.probes[0]);
-            if seen.contains(&k) {
-                return;
-            }
-            seen.push(k);
-        }
-        out.push(c);
-    };
+fn candidates(
+    work: &FlatNetlist,
+    report: &FlowReport,
+    base: &FlowObservation,
+    process: &Process,
+) -> Vec<Candidate> {
+    let mut out = Candidates::default();
 
     // Which electrical classes fire against the restore target? Aim only
     // at those; on a dirty baseline the pre-existing findings are noise.
@@ -374,53 +361,21 @@ fn candidates(work: &FlatNetlist, report: &FlowReport, base: &FlowObservation) -
         for op in MutationOp::repair_ops_for_check(f.check) {
             for &dev in &aimed {
                 let d = work.device(dev);
+                let why = |what: &str, g: f64| format!("{}: {what} `{}` /{g}", f.check, d.name);
                 match op {
                     MutationOp::WidthScale { .. } | MutationOp::BetaSkew { .. } => {
                         for g in W_LADDER {
-                            push(
-                                &mut out,
-                                &mut seen,
-                                Candidate {
-                                    probes: vec![Probe::Resize {
-                                        device: dev,
-                                        w: d.w / g,
-                                        l: d.l,
-                                    }],
-                                    why: format!("{}: width of `{}` /{g}", f.check, d.name),
-                                },
-                            );
+                            out.resize(dev, d.w / g, d.l, why("width of", g));
                         }
                     }
                     MutationOp::LengthScale { .. } => {
                         for g in L_LADDER {
-                            push(
-                                &mut out,
-                                &mut seen,
-                                Candidate {
-                                    probes: vec![Probe::Resize {
-                                        device: dev,
-                                        w: d.w,
-                                        l: d.l / g,
-                                    }],
-                                    why: format!("{}: length of `{}` /{g}", f.check, d.name),
-                                },
-                            );
+                            out.resize(dev, d.w, d.l / g, why("length of", g));
                         }
                     }
                     MutationOp::KeeperResize { .. } => {
                         for (gw, gl) in K_LADDER {
-                            push(
-                                &mut out,
-                                &mut seen,
-                                Candidate {
-                                    probes: vec![Probe::Resize {
-                                        device: dev,
-                                        w: d.w / gw,
-                                        l: d.l / gl,
-                                    }],
-                                    why: format!("{}: keeper `{}` /{gw}", f.check, d.name),
-                                },
-                            );
+                            out.resize(dev, d.w / gw, d.l / gl, why("keeper", gw));
                         }
                     }
                     _ => {}
@@ -431,27 +386,23 @@ fn candidates(work: &FlatNetlist, report: &FlowReport, base: &FlowObservation) -
         // self-inverse, and a floating gate can be rewired back onto a
         // unit input.
         for &dev in &aimed {
-            push(
-                &mut out,
-                &mut seen,
-                Candidate {
-                    probes: vec![Probe::Op {
-                        op: MutationOp::PolaritySwap,
-                        site: Site::Device(dev),
-                    }],
-                    why: format!("{}: polarity of `{}`", f.check, work.device(dev).name),
-                },
-            );
+            out.push(Candidate {
+                edits: vec![Edit::Op {
+                    op: MutationOp::PolaritySwap,
+                    site: Site::Device(dev),
+                }],
+                why: format!("{}: polarity of `{}`", f.check, work.device(dev).name),
+            });
         }
     }
 
     // Timing: the worst setup path, sized with the §2.2 machinery, plus
     // division probes on the path's stage devices.
-    if report.sta.timing_fires(base) {
-        timing_candidates(work, report, &mut out, &mut seen, &mut push);
+    if report.sta.violations.len() > base.timing_violations {
+        timing_candidates(work, report, process, &mut out);
     }
 
-    out
+    out.list
 }
 
 /// Order an aim's candidate devices so geometry outliers probe first,
@@ -493,24 +444,11 @@ fn report_fired_checks(report: &FlowReport, base: &FlowObservation) -> Vec<Check
         .collect()
 }
 
-trait TimingFires {
-    fn timing_fires(&self, base: &FlowObservation) -> bool;
-}
-
-impl TimingFires for cbv_core::timing::StaReport {
-    fn timing_fires(&self, base: &FlowObservation) -> bool {
-        self.violations.len() > base.timing_violations
-    }
-}
-
-type PushFn<'a> = dyn FnMut(&mut Vec<Candidate>, &mut Vec<(u64, u64, u64)>, Candidate) + 'a;
-
 fn timing_candidates(
     work: &FlatNetlist,
     report: &FlowReport,
-    out: &mut Vec<Candidate>,
-    seen: &mut Vec<(u64, u64, u64)>,
-    push: &mut PushFn<'_>,
+    process: &Process,
+    out: &mut Candidates,
 ) {
     let Some(worst) = report.sta.of_kind(ViolationKind::Setup).next() else {
         return;
@@ -532,16 +470,15 @@ fn timing_candidates(
     if stages.is_empty() {
         return;
     }
-    let process = &report_process(report);
     // Composite candidate: logical-effort sizing of the whole chain.
     let c_load = capture_load(work, worst.net, process);
     let mut sized = work.clone();
     let result = size_path(&mut sized, &stages, c_load, process);
-    let mut probes = Vec::new();
+    let mut edits = Vec::new();
     for stage in &stages {
         for &d in stage {
             if sized.device(d).w != work.device(d).w {
-                probes.push(Probe::Resize {
+                edits.push(Edit::Resize {
                     device: d,
                     w: sized.device(d).w,
                     l: sized.device(d).l,
@@ -549,9 +486,9 @@ fn timing_candidates(
             }
         }
     }
-    if !probes.is_empty() {
-        out.push(Candidate {
-            probes,
+    if !edits.is_empty() {
+        out.list.push(Candidate {
+            edits,
             why: format!(
                 "timing: size worst path ({} stages, {:.0} ps -> {:.0} ps)",
                 stages.len(),
@@ -567,32 +504,12 @@ fn timing_candidates(
     for dev in path_devs.into_iter().take(MAX_PATH_DEVICES) {
         let d = work.device(dev);
         for g in [0.1, 12.0, 0.5, 2.0, 0.25] {
-            push(
-                out,
-                seen,
-                Candidate {
-                    probes: vec![Probe::Resize {
-                        device: dev,
-                        w: d.w / g,
-                        l: d.l,
-                    }],
-                    why: format!("timing: width of `{}` /{g}", d.name),
-                },
-            );
+            let why = format!("timing: width of `{}` /{g}", d.name);
+            out.resize(dev, d.w / g, d.l, why);
         }
         for g in [0.6, 2.0] {
-            push(
-                out,
-                seen,
-                Candidate {
-                    probes: vec![Probe::Resize {
-                        device: dev,
-                        w: d.w,
-                        l: d.l / g,
-                    }],
-                    why: format!("timing: length of `{}` /{g}", d.name),
-                },
-            );
+            let why = format!("timing: length of `{}` /{g}", d.name);
+            out.resize(dev, d.w, d.l / g, why);
         }
     }
 }
@@ -626,41 +543,17 @@ fn capture_load(work: &FlatNetlist, net: NetId, process: &Process) -> Farads {
     }
 }
 
-// The flow report does not carry the process; thread it through a
-// thread-local would be overkill — the search stores it in the oracle
-// and candidates re-derive from there. This helper exists so
-// `timing_candidates` stays testable; it reads the process the search
-// stashed.
-thread_local! {
-    static ACTIVE_PROCESS: std::cell::RefCell<Option<Process>> = const { std::cell::RefCell::new(None) };
-}
-
-fn report_process(_report: &FlowReport) -> Process {
-    ACTIVE_PROCESS.with(|p| {
-        p.borrow()
-            .clone()
-            .expect("repair search sets the active process")
-    })
-}
-
 /// Applies a plan's steps to a netlist (the in-process replay used by
-/// determinism tests and the daemon's byte-identity check). Returns
-/// `None` if any step fails to apply.
-pub fn replay_plan(netlist: &mut FlatNetlist, plan: &RepairPlan) -> Option<()> {
-    for step in &plan.steps {
-        match &step.edit {
-            RepairEdit::Resize { device, w, l } => {
-                if device.index() >= netlist.devices().len() {
-                    return None;
-                }
-                mutate::apply_resize(netlist, *device, *w, *l);
-            }
-            RepairEdit::Op { op, site } => {
-                mutate::apply(netlist, op, *site)?;
-            }
-        }
+/// determinism tests and the daemon's byte-identity check). Stops at
+/// the first step [`Edit::apply`] rejects and returns its error; the
+/// steps before it stay applied.
+pub fn replay_plan(netlist: &mut FlatNetlist, plan: &RepairPlan) -> Result<(), String> {
+    for (k, step) in plan.steps.iter().enumerate() {
+        step.edit
+            .apply(netlist)
+            .map_err(|e| format!("step {k}: {e}"))?;
     }
-    Some(())
+    Ok(())
 }
 
 /// Verifies a known-good netlist through `cache` and returns its
@@ -706,19 +599,6 @@ pub fn repair_warm(
     cfg: &RepairConfig,
     cache: &mut VerifyCache,
 ) -> RepairPlan {
-    ACTIVE_PROCESS.with(|p| *p.borrow_mut() = Some(process.clone()));
-    let plan = repair_inner(netlist, process, flow, cfg, cache);
-    ACTIVE_PROCESS.with(|p| *p.borrow_mut() = None);
-    plan
-}
-
-fn repair_inner(
-    netlist: &FlatNetlist,
-    process: &Process,
-    flow: &FlowConfig,
-    cfg: &RepairConfig,
-    cache: &mut VerifyCache,
-) -> RepairPlan {
     let base = cfg.baseline.clone().unwrap_or_else(zero_baseline);
     let mut oracle = Oracle {
         process: process.clone(),
@@ -752,7 +632,7 @@ fn repair_inner(
     ));
 
     let mut steps: Vec<RepairStep> = Vec::new();
-    let mut mutations: Vec<Mutation> = Vec::new();
+    let mut mutations: Vec<UndoRecord> = Vec::new();
     let mut rejected: Option<String> = None;
 
     let matches_target =
@@ -763,7 +643,7 @@ fn repair_inner(
             rejected = Some("oracle budget exhausted".into());
             break;
         }
-        let cands = candidates(&work, &report, &base);
+        let cands = candidates(&work, &report, &base, &oracle.process);
         if cands.is_empty() {
             rejected = Some("no candidate repairs for the open findings".into());
             break;
@@ -878,7 +758,7 @@ fn repair_inner(
                 a.0.cmp(&b.0)
             }
         });
-        for &(i, _) in scored.iter().take(cfg.beam_width()) {
+        for &(i, _) in scored.iter().take(BEAM_WIDTH) {
             if oracle.calls >= cfg.max_oracle_calls() {
                 break;
             }
@@ -893,7 +773,7 @@ fn repair_inner(
                 revert_all(&mut work, applied);
                 continue;
             }
-            let followups = candidates(&work, &mid_report, &base);
+            let followups = candidates(&work, &mid_report, &base, &oracle.process);
             for f in followups.iter().take(MAX_BEAM_FOLLOWUPS) {
                 if oracle.calls >= cfg.max_oracle_calls() {
                     break;
@@ -972,18 +852,10 @@ fn repair_inner(
                 current = score;
             } else {
                 // Re-apply and restore the verified state.
-                let probe = match &steps[idx].edit {
-                    RepairEdit::Resize { device, w, l } => Probe::Resize {
-                        device: *device,
-                        w: *w,
-                        l: *l,
-                    },
-                    RepairEdit::Op { op, site } => Probe::Op {
-                        op: *op,
-                        site: *site,
-                    },
-                };
-                mutations[idx] = apply_probe(&mut work, &probe).expect("accepted step re-applies");
+                mutations[idx] = steps[idx]
+                    .edit
+                    .apply(&mut work)
+                    .expect("accepted step re-applies");
                 let (r, o) = oracle.verify(&work);
                 report = r;
                 current = Score::of(&o, &base);
@@ -1036,29 +908,18 @@ fn repair_inner(
 #[allow(clippy::too_many_arguments)]
 fn accept_step(
     steps: &mut Vec<RepairStep>,
-    mutations: &mut Vec<Mutation>,
+    mutations: &mut Vec<UndoRecord>,
     transcript: &mut Vec<String>,
     cand: &Candidate,
-    applied: Vec<Mutation>,
+    applied: Vec<UndoRecord>,
     obs: &FlowObservation,
     oracle_calls: usize,
     units_reverified: usize,
 ) {
     let violations_after = total_violations(obs);
-    for (p, m) in cand.probes.iter().zip(applied) {
-        let edit = match p {
-            Probe::Resize { device, w, l } => RepairEdit::Resize {
-                device: *device,
-                w: *w,
-                l: *l,
-            },
-            Probe::Op { op, site } => RepairEdit::Op {
-                op: *op,
-                site: *site,
-            },
-        };
+    for (edit, m) in cand.edits.iter().zip(applied) {
         steps.push(RepairStep {
-            edit,
+            edit: edit.clone(),
             description: cand.why.clone(),
             oracle_calls,
             units_reverified,

@@ -45,8 +45,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use cbv_serve::client::Client;
-use cbv_serve::session::{edits_from_json, Session};
-use cbv_serve::{Farm, FarmConfig};
+use cbv_serve::{edits_from_json, Farm, FarmConfig, Session};
 use serde_json::Value;
 
 use cbv_core::flow::{try_run_flow, FlowConfig};

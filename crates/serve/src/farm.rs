@@ -63,8 +63,9 @@ use cbv_core::service::{FlowService, ServiceVerdict};
 use serde_json::Value;
 
 use crate::client::ClientError;
+use crate::edits_from_json;
 use crate::protocol::{exchange, json_escaped, PROTO_VERSION};
-use crate::session::{edits_from_json, Session};
+use crate::session::Session;
 
 /// Farm coordinator configuration.
 #[derive(Debug, Clone)]

@@ -10,10 +10,10 @@
 //! * **sessions** against named designs, seeded from the `cbv-gen`
 //!   registry or an uploaded SPICE deck, each with an exactly-reversible
 //!   revision history ([`session`]);
-//! * streamed **ECO requests** reusing the `cbv-mutate` operator wire
-//!   vocabulary plus raw device/net edits, answered with incremental
-//!   signoffs from a shared, bounded verification cache
-//!   (`cbv_core::service::FlowService`);
+//! * streamed **ECO requests** in the `cbv-mutate` edit vocabulary
+//!   ([`Edit`]: an operator at a site, or a raw device/net edit),
+//!   answered with incremental signoffs from a shared, bounded
+//!   verification cache (`cbv_core::service::FlowService`);
 //! * a bounded **job queue** with explicit backpressure — a full queue
 //!   rejects with `retry_after_ms`, it never blocks the accept loop
 //!   ([`queue`]);
@@ -40,6 +40,9 @@ pub mod server;
 pub mod session;
 pub mod state;
 
+pub use cbv_core::mutate::{
+    edit_from_json, edit_to_json, edits_from_json, Edit, NewDevice, NewNet,
+};
 pub use client::{Client, ClientError, Verdict};
 pub use farm::{Backoff, Farm, FarmConfig, FarmStats};
 pub use protocol::{
@@ -47,8 +50,5 @@ pub use protocol::{
 };
 pub use queue::{JobQueue, PushError};
 pub use server::{serve, ServerConfig, ServerHandle, RETRY_AFTER_MS};
-pub use session::{
-    design_from_name, edit_from_json, edit_to_json, edits_from_json, Edit, NewDevice, NewNet,
-    Session, SessionSeed, DESIGN_NAMES,
-};
+pub use session::{design_from_name, Session, SessionSeed, DESIGN_NAMES};
 pub use state::{state_from_json, state_to_json, write_state_atomic, SavedSession};

@@ -49,8 +49,9 @@ use serde_json::Value;
 
 use crate::protocol::{json_escaped, read_frame, write_frame, PROTO_VERSION};
 use crate::queue::{JobQueue, PushError};
-use crate::session::{edits_from_json, Edit, Session, SessionSeed};
+use crate::session::{Session, SessionSeed};
 use crate::state::{state_from_json, state_to_json, write_state_atomic, SavedSession};
+use crate::{edits_from_json, Edit};
 
 /// Suggested client back-off, milliseconds, attached to queue-full
 /// rejections.
@@ -886,21 +887,7 @@ fn repair_request(shared: &Shared, state: &mut ConnState, value: &Value, id: u64
     let mut revision = session.revision();
     if plan.repaired && !plan.steps.is_empty() {
         shared.tracer.add("repair.accepted", 1);
-        let edits: Vec<Edit> = plan
-            .steps
-            .iter()
-            .map(|s| match &s.edit {
-                cbv_repair::RepairEdit::Resize { device, w, l } => Edit::Resize {
-                    device: *device,
-                    w: *w,
-                    l: *l,
-                },
-                cbv_repair::RepairEdit::Op { op, site } => Edit::Op {
-                    op: *op,
-                    site: *site,
-                },
-            })
-            .collect();
+        let edits: Vec<Edit> = plan.steps.iter().map(|s| s.edit.clone()).collect();
         if commit {
             revision = match session.apply_batch(&edits) {
                 Ok(r) => r,

@@ -21,7 +21,8 @@ use cbv_core::cache::VerifyCache;
 use serde_json::Value;
 
 use crate::protocol::json_escaped;
-use crate::session::{edit_to_json, edits_from_json, SessionSeed};
+use crate::session::SessionSeed;
+use crate::{edit_to_json, edits_from_json, Edit};
 
 /// One saved session snapshot: enough to replay it exactly.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +32,7 @@ pub struct SavedSession {
     /// How revision 0 was produced.
     pub seed: SessionSeed,
     /// The accepted edit batches, one per revision.
-    pub steps: Vec<Vec<crate::session::Edit>>,
+    pub steps: Vec<Vec<Edit>>,
 }
 
 /// Serializes the full daemon state. Sessions are emitted in sorted
@@ -165,7 +166,9 @@ pub fn write_state_atomic(path: &str, json: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{Edit, NewNet, Session};
+    use crate::session::Session;
+    use crate::NewNet;
+    use cbv_core::flow::{run_flow, FlowConfig};
     use cbv_core::netlist::{DeviceId, NetKind};
     use cbv_core::tech::Process;
 
@@ -240,6 +243,24 @@ mod tests {
         let replayed = Session::replay(&saved.design, &saved.seed, &saved.steps, &p).unwrap();
         assert_eq!(replayed.netlist(), live.netlist());
         assert_eq!(replayed.revision(), live.revision());
+    }
+
+    /// A state file written before the edit codec moved into
+    /// `cbv-mutate`: one edit of each kind over `dcvsl`, with
+    /// shortest-round-trip floats and an escaped name. It loads, replays
+    /// to the signoff bytes that build produced, and re-serialises byte
+    /// for byte.
+    #[test]
+    fn golden_state_loads_replays_and_reserialises() {
+        const GOLDEN: &str = r#"{"format":"cbv-state/1","sessions":[{"name":"golden","design":"dcvsl","seed":{"kind":"registry"},"steps":[[{"edit":"op","op":{"op":"width-scale","factor":1.1},"site":{"site":"device","device":0}},{"edit":"resize","device":1,"w":1.2345678901234567e-6,"l":3.5e-7}],[{"edit":"add-net","name":"spur \"q\"\\é\n","kind":"signal"},{"edit":"add-device","name":"m\"spur\"","kind":"nmos","gate":10,"drain":1,"source":2,"bulk":3,"w":1e-6,"l":3.5e-7},{"edit":"rewire","device":2,"term":"gate","net":10}]]}],"cache":{"format":"cbv-cache/1","entries":[]}}"#;
+        const SIGNOFF: &str = r#"{"categories":[{"category":"electrical","checked":59,"filtered":59,"reviews":0,"violations":0},{"category":"timing","checked":2,"filtered":2,"reviews":0,"violations":0}],"worst_setup_slack":0,"races":0,"power":0.000006831054786372028}"#;
+        let (sessions, cache) = state_from_json(GOLDEN).unwrap();
+        assert_eq!(state_to_json(&sessions, &cache.unwrap().to_json()), GOLDEN);
+        let saved = &sessions["golden"];
+        let p = Process::strongarm_035();
+        let s = Session::replay(&saved.design, &saved.seed, &saved.steps, &p).unwrap();
+        let r = run_flow(s.netlist().clone(), &p, &FlowConfig::default());
+        assert_eq!(serde_json::to_string(&r.signoff).unwrap(), SIGNOFF);
     }
 
     #[test]

@@ -83,6 +83,22 @@ for threads in 1 8; do
   CBV_THREADS=$threads cargo test -q -p cbv-core --test mutation
 done
 
+# E12's faults are cbv-mutate edits at fixed, name-checked devices: its
+# tests and the fault-coverage suite must pass at either end of the
+# worker-count range, and the printed matrix (six detected rows) must
+# not depend on the worker count.
+E12_DIR=$(mktemp -d)
+for threads in 1 8; do
+  echo "== E12 + fault coverage (CBV_THREADS=$threads) =="
+  CBV_THREADS=$threads cargo test -q -p cbv-bench --lib e12
+  CBV_THREADS=$threads cargo test -q -p cbv-core --test fault_coverage
+  CBV_THREADS=$threads ./target/release/cbv-bench e12_matrix > "$E12_DIR/e12.$threads"
+  [ "$(grep -c ' DETECTED ' "$E12_DIR/e12.$threads")" = 6 ] \
+    || { echo "e12_matrix did not print its six detected rows"; exit 1; }
+done
+cmp "$E12_DIR/e12.1" "$E12_DIR/e12.8"
+rm -rf "$E12_DIR"
+
 echo "== E16 smoke (campaign detects, amortizes, and round-trips JSON) =="
 cargo test -q -p cbv-bench --lib e16
 

@@ -454,12 +454,14 @@ fn polarity_and_bridge_mutants_fail_equivalence() {
 
 #[test]
 fn shadow_catches_injected_functional_bug() {
-    use cbv_core::gen::{inject, FaultKind};
+    use cbv_core::mutate::{Edit, MutationOp};
     use cbv_core::sim::{BitBinding, ShadowSim};
 
     let p = Process::strongarm_035();
     let mut circuit = static_ripple_adder(4, &p);
-    inject(&mut circuit.netlist, FaultKind::WrongPolarity).expect("injects");
+    // A wrong polarity: the first NMOS turned PMOS.
+    let swap = MutationOp::PolaritySwap;
+    Edit::plant(&mut circuit.netlist, swap, 1, "xp0_ia_n").expect("swap plants");
     let golden = compile(
         "module add4(clock ck, in a[4], in b[4], in cin, out s[4], out cout) {\n\
            reg ra[4]; reg rb[4]; reg rc;\n\

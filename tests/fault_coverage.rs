@@ -1,14 +1,16 @@
 //! Fault-injection coverage: every §4.2 hazard class planted into a
 //! clean design must be caught by the corresponding verifier — the test
-//! form of experiment E12's detection matrix.
+//! form of experiment E12's detection matrix. Each fault is one
+//! `cbv-mutate` operator at fixed devices, checked by name so a
+//! generator change fails loudly instead of moving the fault.
 
 use cbv_core::everify::{run_all, CheckKind, EverifyConfig};
 use cbv_core::extract::extract;
 use cbv_core::gen::adders::manchester_domino_adder;
 use cbv_core::gen::latches::keeper_domino;
-use cbv_core::gen::{inject, FaultKind};
 use cbv_core::layout::synthesize;
-use cbv_core::netlist::FlatNetlist;
+use cbv_core::mutate::{Edit, MutationOp};
+use cbv_core::netlist::{DeviceId, FlatNetlist};
 use cbv_core::recognize::recognize;
 use cbv_core::tech::Process;
 
@@ -24,6 +26,13 @@ fn everify_violations(netlist: FlatNetlist, p: &Process) -> Vec<(CheckKind, Stri
         .collect()
 }
 
+/// Plants `op` at each `(id, name)` device.
+fn plant(netlist: &mut FlatNetlist, op: MutationOp, victims: &[(u32, &str)]) {
+    for &(id, name) in victims {
+        Edit::plant(netlist, op, id, name).expect("fault plants");
+    }
+}
+
 #[test]
 fn clean_baselines_are_clean() {
     let p = Process::strongarm_035();
@@ -31,35 +40,65 @@ fn clean_baselines_are_clean() {
     assert!(everify_violations(manchester_domino_adder(2, &p).netlist, &p).is_empty());
 }
 
-/// Injects each fault into the keeper-domino block and asserts the right
+/// Plants each fault into the keeper-domino block and asserts the right
 /// check fires.
 #[test]
 fn detection_matrix() {
     let p = Process::strongarm_035();
-    let cases: Vec<(FaultKind, Vec<CheckKind>)> = vec![
+    let cases = [
         (
-            FaultKind::SubMinLength,
+            MutationOp::LengthScale { factor: 0.6 },
+            (1, "eval"),
             vec![CheckKind::BetaRatio, CheckKind::HotCarrier],
         ),
-        (FaultKind::MonsterKeeper, vec![CheckKind::Writability]),
+        (
+            MutationOp::KeeperResize {
+                w_factor: 25.0,
+                l_factor: 0.5,
+            },
+            (5, "keep"),
+            vec![CheckKind::Writability],
+        ),
     ];
-    for (fault, expected) in cases {
+    for (op, victim, expected) in cases {
         let mut g = keeper_domino(&p, 1e-6);
-        let desc = inject(&mut g.netlist, fault).expect("injects");
+        plant(&mut g.netlist, op, &[victim]);
         let violations = everify_violations(g.netlist, &p);
         assert!(
             violations.iter().any(|(k, _)| expected.contains(k)),
-            "{fault:?} ({desc}) must trip one of {expected:?}; got {violations:?}"
+            "{op} must trip one of {expected:?}; got {violations:?}"
         );
     }
     // Charge sharing needs a stack deep enough for the widened internal
-    // nodes to dwarf the output node — the Manchester generate stacks.
+    // nodes to dwarf the output node — the Manchester generate stacks:
+    // every NMOS whose channel touches no rail.
     let mut g = manchester_domino_adder(2, &p);
-    let desc = inject(&mut g.netlist, FaultKind::ChargeShare).expect("injects");
+    let stack = [
+        (8, "xp0_pd1a"),
+        (10, "xp0_pd2a"),
+        (20, "xp1_pd1a"),
+        (22, "xp1_pd2a"),
+        (25, "cin_g"),
+        (28, "gen_a0"),
+        (29, "gen_b0"),
+        (31, "prop0"),
+        (33, "gen_a1"),
+        (34, "gen_b1"),
+        (36, "prop1"),
+        (48, "xs0_pd1a"),
+        (50, "xs0_pd2a"),
+        (63, "xs1_pd1a"),
+        (65, "xs1_pd2a"),
+    ];
+    plant(
+        &mut g.netlist,
+        MutationOp::WidthScale { factor: 10.0 },
+        &stack,
+    );
     let violations = everify_violations(g.netlist, &p);
     assert!(
         violations.iter().any(|(k, _)| *k == CheckKind::ChargeShare),
-        "ChargeShare ({desc}) must trip; got {violations:?}"
+        "ChargeShare must trip; got {violations:?}"
     );
 }
 
@@ -67,11 +106,15 @@ fn detection_matrix() {
 fn beta_skew_detected_on_static_logic() {
     let p = Process::strongarm_035();
     let mut g = cbv_core::gen::adders::static_ripple_adder(2, &p);
-    let desc = inject(&mut g.netlist, FaultKind::BetaSkew).expect("injects");
+    plant(
+        &mut g.netlist,
+        MutationOp::BetaSkew { factor: 12.0 },
+        &[(0, "xp0_ia_p")],
+    );
     let violations = everify_violations(g.netlist, &p);
     assert!(
         violations.iter().any(|(k, _)| *k == CheckKind::BetaRatio),
-        "{desc}: got {violations:?}"
+        "got {violations:?}"
     );
 }
 
@@ -79,11 +122,21 @@ fn beta_skew_detected_on_static_logic() {
 fn weak_driver_detected_by_edge_rate() {
     let p = Process::strongarm_035();
     let mut g = cbv_core::gen::clocktree::clock_trunk(3, 3.0, 256, &p);
-    let desc = inject(&mut g.netlist, FaultKind::WeakDriver).expect("injects");
+    // `b2b_p` drives the most heavily gate-loaded net; shrink it 10x.
+    let nl = &g.netlist;
+    let out = nl.device(DeviceId(10)).drain;
+    assert!(nl
+        .net_ids()
+        .all(|n| nl.gate_width_on(n) <= nl.gate_width_on(out)));
+    plant(
+        &mut g.netlist,
+        MutationOp::WidthScale { factor: 0.1 },
+        &[(10, "b2b_p")],
+    );
     let violations = everify_violations(g.netlist, &p);
     assert!(
         violations.iter().any(|(k, _)| *k == CheckKind::EdgeRate),
-        "{desc}: got {violations:?}"
+        "got {violations:?}"
     );
 }
 
@@ -93,7 +146,11 @@ fn wrong_polarity_caught_functionally_by_switch_sim() {
     let p = Process::strongarm_035();
     let clean = cbv_core::gen::adders::static_ripple_adder(2, &p);
     let mut buggy = cbv_core::gen::adders::static_ripple_adder(2, &p);
-    inject(&mut buggy.netlist, FaultKind::WrongPolarity).expect("injects");
+    plant(
+        &mut buggy.netlist,
+        MutationOp::PolaritySwap,
+        &[(1, "xp0_ia_n")],
+    );
 
     // Exhaustive compare: the functional bug must show somewhere.
     let mut diverged = false;
@@ -128,7 +185,11 @@ fn leaky_dynamic_detected_by_leakage_check() {
     let mut g = keeper_domino(&p, 1e-6);
     // Make the hold requirement realistic for a gated clock, then widen
     // the eval stack into a sieve.
-    inject(&mut g.netlist, FaultKind::LeakyDynamic).expect("injects");
+    plant(
+        &mut g.netlist,
+        MutationOp::WidthScale { factor: 15.0 },
+        &[(1, "eval")],
+    );
     let netlist = g.netlist;
     let rec = recognize(&netlist);
     let layout = synthesize(&netlist, &p);

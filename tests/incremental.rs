@@ -15,8 +15,7 @@ use cbv_core::cache::VerifyCache;
 use cbv_core::flow::{run_flow, run_flow_incremental, FlowConfig, FlowReport};
 use cbv_core::gen::adders::manchester_domino_adder;
 use cbv_core::gen::datapath::alu_slice;
-use cbv_core::gen::{inject, FaultKind};
-use cbv_core::mutate::{self, MutationOp, Site};
+use cbv_core::mutate::{self, Edit, MutationOp, Site};
 use cbv_core::netlist::{DeviceId, FlatNetlist};
 use cbv_core::obs::{JsonlSink, Tracer};
 use cbv_core::scatter::{KeptPrep, PreparedDesign};
@@ -24,6 +23,13 @@ use cbv_core::tech::{MosKind, Process};
 
 fn signoff_json(r: &FlowReport) -> String {
     serde_json::to_string(&r.signoff).expect("signoff serializes")
+}
+
+/// `alu_slice(4)` with `op` planted at device `id`, named `name`.
+fn faulted_alu4(p: &Process, op: MutationOp, id: u32, name: &str) -> FlatNetlist {
+    let mut netlist = alu_slice(4, p).netlist;
+    Edit::plant(&mut netlist, op, id, name).expect("fault plants");
+    netlist
 }
 
 #[test]
@@ -55,15 +61,14 @@ fn incremental_signoff_byte_identical_on_clean_design() {
 fn incremental_signoff_byte_identical_on_faulty_design() {
     let p = Process::strongarm_035();
     let cfg = FlowConfig::default();
-    for kind in [
-        FaultKind::BetaSkew,
-        FaultKind::SubMinLength,
-        FaultKind::WeakDriver,
+    for (kind, id, name) in [
+        (MutationOp::BetaSkew { factor: 12.0 }, 0, "xp0_ia_p"),
+        (MutationOp::LengthScale { factor: 0.6 }, 1, "xp0_ia_n"),
+        (MutationOp::WidthScale { factor: 0.1 }, 5, "xp0_pu1b"),
     ] {
-        let mut netlist = alu_slice(4, &p).netlist;
-        inject(&mut netlist, kind).expect("fault injects");
+        let netlist = faulted_alu4(&p, kind, id, name);
         let cold = run_flow(netlist.clone(), &p, &cfg);
-        assert!(!cold.signoff.clean(), "{kind:?} must break signoff");
+        assert!(!cold.signoff.clean(), "{kind} must break signoff");
 
         let mut cache = VerifyCache::new();
         let first = run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
@@ -71,12 +76,12 @@ fn incremental_signoff_byte_identical_on_faulty_design() {
         assert_eq!(
             signoff_json(&first),
             signoff_json(&cold),
-            "{kind:?} cold cache"
+            "{kind} cold cache"
         );
         assert_eq!(
             signoff_json(&second),
             signoff_json(&cold),
-            "{kind:?} warm cache"
+            "{kind} warm cache"
         );
     }
 }
@@ -249,8 +254,7 @@ fn timing_stats(r: &FlowReport) -> cbv_core::cache::CacheStats {
 fn timing_remainder_cache_is_sound_on_faulty_designs() {
     let p = Process::strongarm_035();
     let cfg = FlowConfig::default();
-    let mut netlist = alu_slice(4, &p).netlist;
-    inject(&mut netlist, FaultKind::BetaSkew).expect("fault injects");
+    let netlist = faulted_alu4(&p, MutationOp::BetaSkew { factor: 12.0 }, 0, "xp0_ia_p");
     let cold = run_flow(netlist.clone(), &p, &cfg);
     assert!(!cold.signoff.clean(), "beta skew must break signoff");
 

@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 
 use cbv_core::flow::{run_flow, run_flow_incremental, FlowConfig, FlowReport};
 use cbv_core::gen::adders::manchester_domino_adder;
-use cbv_core::gen::{inject, FaultKind};
+use cbv_core::mutate::{Edit, MutationOp};
 use cbv_core::netlist::{DeviceId, FlatNetlist};
 use cbv_core::obs::{JsonlSink, Trace, Tracer};
 use cbv_core::tech::Process;
@@ -27,7 +27,9 @@ fn testcase(faulty: bool) -> (FlatNetlist, Process) {
     let process = Process::strongarm_035();
     let mut g = manchester_domino_adder(8, &process);
     if faulty {
-        inject(&mut g.netlist, FaultKind::LeakyDynamic).expect("inject leak");
+        // A leaky evaluate device: the first generate device, 15x wide.
+        let leak = MutationOp::WidthScale { factor: 15.0 };
+        Edit::plant(&mut g.netlist, leak, 100, "gen_a0").expect("leak plants");
     }
     (g.netlist, process)
 }

@@ -10,8 +10,8 @@ use cbv_core::exec::Executor;
 use cbv_core::extract::{extract, Extracted};
 use cbv_core::flow::{run_flow, FlowConfig};
 use cbv_core::gen::adders::manchester_domino_adder;
-use cbv_core::gen::{inject, FaultKind};
 use cbv_core::layout::{synthesize, Layout};
+use cbv_core::mutate::{Edit, MutationOp};
 use cbv_core::netlist::FlatNetlist;
 use cbv_core::obs::TraceCtx;
 use cbv_core::recognize::{recognize, Recognition};
@@ -19,15 +19,20 @@ use cbv_core::tech::{Process, Tolerance};
 use cbv_core::timing::graph::build_graph_traced;
 use cbv_core::timing::{analyze, ClockSchedule, DelayCalc, Pessimism};
 
+/// A leaky evaluate device: the first generate device, 15x wide.
+const LEAK: (MutationOp, u32, &str) = (MutationOp::WidthScale { factor: 15.0 }, 100, "gen_a0");
+
 /// A representative design: dynamic manchester chains, keepers, static
-/// logic. `faulty` plants a leaky evaluate device so the battery has
-/// real violations to order and merge.
+/// logic. `faulty` plants a leaky evaluate device and a 12x pull-up so
+/// the battery has real violations to order and merge.
 fn testcase(faulty: bool) -> (FlatNetlist, Layout, Extracted, Recognition, Process) {
     let process = Process::strongarm_035();
     let mut g = manchester_domino_adder(8, &process);
     if faulty {
-        inject(&mut g.netlist, FaultKind::LeakyDynamic).expect("inject leak");
-        inject(&mut g.netlist, FaultKind::BetaSkew).expect("inject skew");
+        let (op, id, name) = LEAK;
+        Edit::plant(&mut g.netlist, op, id, name).expect("leak plants");
+        let skew = MutationOp::BetaSkew { factor: 12.0 };
+        Edit::plant(&mut g.netlist, skew, 0, "xp0_ia_p").expect("skew plants");
     }
     let netlist = g.netlist;
     let layout = synthesize(&netlist, &process);
@@ -143,7 +148,8 @@ fn full_flow_report_is_byte_identical_across_thread_counts() {
             let process = Process::strongarm_035();
             let mut g = manchester_domino_adder(8, &process);
             if faulty {
-                inject(&mut g.netlist, FaultKind::LeakyDynamic).expect("inject leak");
+                let (op, id, name) = LEAK;
+                Edit::plant(&mut g.netlist, op, id, name).expect("leak plants");
             }
             let config = FlowConfig {
                 parallelism: threads,
