@@ -380,7 +380,8 @@ trait ShapeQueries {
     /// Shapes that may couple to `victim`: a superset of those
     /// [`parallel_run`] and the reach cut accept.
     fn aggressors(&self, victim: u32, out: &mut Vec<u32>);
-    /// Whether some third shape [`screens`] `victim` from `aggressor`.
+    /// Whether some third shape [`screens`] `victim` from `aggressor`,
+    /// the two running parallel for `run` > 0.
     fn shielded(&self, victim: u32, aggressor: u32, run: i64) -> bool;
 }
 
@@ -599,61 +600,206 @@ fn between(s0: i64, s1: i64, o0: i64, o1: i64) -> (i64, i64) {
 ///
 /// * Net → shapes as CSR: `net_ids[net_start[n]..net_start[n + 1]]`
 ///   are net `n`'s shapes, ascending.
-/// * Per layer, four `u32` arrays of shape indices sorted by one edge:
-///   the net-carrying vertical wires by `x0` and horizontal ones by
-///   `y0` (coupling aggressors run parallel, so their cross-axis edge
-///   bounds the gap), and every shape on the layer by `x0` and by `y0`
-///   (any shape, net-less fill included, can shield).
+/// * Per layer, four [`BandedIndex`]es: the net-carrying vertical wires
+///   by `x0` and horizontal ones by `y0` (coupling aggressors run
+///   parallel, so their cross-axis edge bounds the gap), and every shape
+///   on the layer by `x0` and by `y0` (any shape, net-less fill
+///   included, can shield).
 struct ShapeIndex<'a> {
     layout: &'a Layout,
     net_start: Vec<u32>,
     net_ids: Vec<u32>,
     layers: Vec<LayerIndex>,
+    /// Ids the aggressor and shield windows have handed out.
+    #[cfg(test)]
+    scanned: std::cell::Cell<usize>,
 }
 
 struct LayerIndex {
     /// Gaps beyond this many nm never couple on this layer.
     reach: i64,
-    vertical: EdgeIndex,
-    horizontal: EdgeIndex,
-    by_x0: EdgeIndex,
-    by_y0: EdgeIndex,
+    vertical: BandedIndex,
+    horizontal: BandedIndex,
+    by_x0: BandedIndex,
+    by_y0: BandedIndex,
 }
 
-/// Shape indices sorted by the low end of one axis (ties by index),
-/// with the widest extent along that axis among them.
-struct EdgeIndex {
+/// Band width at the lowest level, in median run lengths of the indexed
+/// shapes.
+const BAND_MEDIANS: i64 = 8;
+/// A shape whose run extent touches this many bands of a level sits a
+/// level up, whose bands are this many times wider.
+const LEVEL_RATIO: i64 = 4;
+
+/// Shape indices split into bands along one axis, the *run* axis, and
+/// sorted within each band by their low edge on the other, the *gap*
+/// axis (ties by index). The bands come in levels, each [`LEVEL_RATIO`]
+/// times wider than the one below, up to a level of fewer than
+/// [`LEVEL_RATIO`] bands. A shape sits at the lowest level where its
+/// run extent touches fewer than [`LEVEL_RATIO`] bands, in every band
+/// it touches there; so a rail across the layout sits in the few top
+/// bands, which most queries scan, and a short wire in one or two
+/// narrow ones.
+///
+/// One CSR: band `k`'s entries are `start[k]..start[k + 1]` of `lows`
+/// and `ids`, level by level, each band with the widest gap-axis extent
+/// among its shapes. The lowest bands are [`BAND_MEDIANS`] median run
+/// lengths wide, and never so narrow that there are more of them than
+/// shapes.
+struct BandedIndex {
+    /// The gap axis: a rectangle's `(low, high)` edges on it.
+    gap: fn(&Rect) -> (i64, i64),
+    /// The run axis.
+    run: fn(&Rect) -> (i64, i64),
+    /// The run extent the bands cover, from the first band's low edge.
+    origin: i64,
+    end: i64,
+    /// Each level's band width and first band, lowest level first.
+    levels: Vec<(i64, u32)>,
+    start: Vec<u32>,
+    /// Each entry's low gap edge and shape index.
+    lows: Vec<i64>,
     ids: Vec<u32>,
-    /// The axis: a rectangle's `(low, high)` edges on it.
-    edges: fn(&Rect) -> (i64, i64),
-    max_extent: i64,
+    max_extent: Vec<i64>,
 }
 
-impl EdgeIndex {
-    fn new(shapes: &[Shape], mut ids: Vec<u32>, edges: fn(&Rect) -> (i64, i64)) -> EdgeIndex {
-        ids.sort_unstable_by_key(|&i| (edges(&shapes[i as usize].rect).0, i));
-        ids.shrink_to_fit();
-        let max_extent = ids
-            .iter()
-            .map(|&i| {
-                let (lo, hi) = edges(&shapes[i as usize].rect);
-                hi - lo
-            })
-            .max()
-            .unwrap_or(0);
-        EdgeIndex {
-            ids,
-            edges,
-            max_extent,
+impl BandedIndex {
+    fn new(
+        shapes: &[Shape],
+        members: impl Iterator<Item = u32>,
+        gap: fn(&Rect) -> (i64, i64),
+        run: fn(&Rect) -> (i64, i64),
+    ) -> BandedIndex {
+        let rect = |i: u32| &shapes[i as usize].rect;
+        let mut sorted: Vec<(i64, u32)> = members.map(|i| (gap(rect(i)).0, i)).collect();
+        sorted.sort_unstable();
+        let (origin, end) = sorted.iter().fold((i64::MAX, i64::MIN), |(o, e), &(_, i)| {
+            let (lo, hi) = run(rect(i));
+            (o.min(lo), e.max(hi))
+        });
+        let mut index = BandedIndex {
+            gap,
+            run,
+            origin,
+            end,
+            levels: Vec::new(),
+            start: vec![0],
+            lows: Vec::new(),
+            ids: Vec::new(),
+            max_extent: Vec::new(),
+        };
+        let n = sorted.len();
+        if n == 0 {
+            return index;
         }
+        let mut lengths: Vec<i64> = sorted
+            .iter()
+            .map(|&(_, i)| {
+                let (lo, hi) = run(rect(i));
+                hi.saturating_sub(lo)
+            })
+            .collect();
+        let median = *lengths.select_nth_unstable(n / 2).1;
+        drop(lengths);
+        let mut width = median
+            .saturating_mul(BAND_MEDIANS)
+            .max(end.saturating_sub(origin) / n as i64 + 1);
+        let mut bands = 0;
+        loop {
+            index.levels.push((width, bands as u32));
+            let level_bands = index.band(index.levels.len() - 1, end) + 1;
+            bands += level_bands;
+            if level_bands < LEVEL_RATIO as usize {
+                break;
+            }
+            width = width.saturating_mul(LEVEL_RATIO);
+        }
+
+        // Count each band's entries, prefix-sum, then fill in sorted
+        // order, which keeps every band sorted.
+        let mut start = vec![0u32; bands + 1];
+        for &(_, i) in &sorted {
+            for k in index.home(run(rect(i))) {
+                start[k + 1] += 1;
+            }
+        }
+        for k in 0..bands {
+            start[k + 1] += start[k];
+        }
+        let mut fill = start.clone();
+        let mut lows = vec![0; start[bands] as usize];
+        let mut ids = vec![0; start[bands] as usize];
+        let mut max_extent = vec![0i64; bands];
+        for &(lo, i) in &sorted {
+            let (g0, g1) = gap(rect(i));
+            for k in index.home(run(rect(i))) {
+                let at = fill[k] as usize;
+                (lows[at], ids[at]) = (lo, i);
+                fill[k] += 1;
+                max_extent[k] = max_extent[k].max(g1 - g0);
+            }
+        }
+        index.start = start;
+        index.lows = lows;
+        index.ids = ids;
+        index.max_extent = max_extent;
+        index
     }
 
-    /// The indexed shapes whose low edge lies in `[lo, hi]`.
-    fn window(&self, shapes: &[Shape], lo: i64, hi: i64) -> &[u32] {
-        let key = |&i: &u32| (self.edges)(&shapes[i as usize].rect).0;
-        let from = self.ids.partition_point(|i| key(i) < lo);
-        let to = self.ids.partition_point(|i| key(i) <= hi);
-        &self.ids[from..to.max(from)]
+    /// The band of `level` holding run coordinate `v`, counted from the
+    /// level's first; `v` is clamped to the covered extent, so the
+    /// offset divided is never negative.
+    fn band(&self, level: usize, v: i64) -> usize {
+        let width = self.levels[level].0;
+        (v.clamp(self.origin, self.end).saturating_sub(self.origin) / width) as usize
+    }
+
+    /// The bands of `level` the closed run extent `[lo, hi]` touches.
+    fn touched(&self, level: usize, (lo, hi): (i64, i64)) -> std::ops::Range<usize> {
+        let first = self.levels[level].1 as usize;
+        first + self.band(level, lo)..first + self.band(level, hi) + 1
+    }
+
+    /// The bands a shape with run extent `run` sits in: those it
+    /// touches on the lowest level where it touches few enough.
+    fn home(&self, run: (i64, i64)) -> std::ops::Range<usize> {
+        (0..self.levels.len())
+            .map(|level| self.touched(level, run))
+            .find(|bands| bands.len() < LEVEL_RATIO as usize)
+            .expect("the top level has fewer bands")
+    }
+
+    /// The entries of every band the closed run extent `run` touches,
+    /// on every level, whose low gap edge lies in `[from, to]` — or,
+    /// with `overlapping`, whose gap extent may reach into it, i.e.
+    /// whose low edge lies up to the band's widest extent before
+    /// `from`. A shape sitting in several of the bands comes once per
+    /// band.
+    fn windows(
+        &self,
+        run: (i64, i64),
+        from: i64,
+        to: i64,
+        overlapping: bool,
+    ) -> impl Iterator<Item = &[u32]> {
+        let levels = if run.0 <= self.end && run.1 >= self.origin {
+            0..self.levels.len()
+        } else {
+            0..0
+        };
+        levels
+            .flat_map(move |level| self.touched(level, run))
+            .map(move |k| {
+                let (a, b) = (self.start[k] as usize, self.start[k + 1] as usize);
+                let from = if overlapping {
+                    from.saturating_sub(self.max_extent[k])
+                } else {
+                    from
+                };
+                let a = a + self.lows[a..b].partition_point(|&lo| lo < from);
+                let len = self.lows[a..b].iter().take_while(|&&lo| lo <= to).count();
+                &self.ids[a..a + len]
+            })
     }
 }
 
@@ -701,14 +847,11 @@ impl<'a> ShapeIndex<'a> {
                 let on: Vec<u32> = (0..shapes.len() as u32)
                     .filter(|&i| shapes[i as usize].layer == layer)
                     .collect();
-                let wires = |vertical: bool| -> Vec<u32> {
-                    on.iter()
-                        .copied()
-                        .filter(|&i| {
-                            let s = &shapes[i as usize];
-                            s.net.is_some() && s.rect.is_vertical() == vertical
-                        })
-                        .collect()
+                let wires = |vertical: bool| {
+                    on.iter().copied().filter(move |&i| {
+                        let s = &shapes[i as usize];
+                        s.net.is_some() && s.rect.is_vertical() == vertical
+                    })
                 };
                 // One nm past the `5 · spacing_min` cut, so rounding can
                 // only widen the window; a non-finite cut (no such
@@ -719,12 +862,13 @@ impl<'a> ShapeIndex<'a> {
                 } else {
                     i64::MAX / 4
                 };
+                let all = || on.iter().copied();
                 LayerIndex {
                     reach,
-                    vertical: EdgeIndex::new(shapes, wires(true), x_edges),
-                    horizontal: EdgeIndex::new(shapes, wires(false), y_edges),
-                    by_x0: EdgeIndex::new(shapes, on.clone(), x_edges),
-                    by_y0: EdgeIndex::new(shapes, on, y_edges),
+                    vertical: BandedIndex::new(shapes, wires(true), x_edges, y_edges),
+                    horizontal: BandedIndex::new(shapes, wires(false), y_edges, x_edges),
+                    by_x0: BandedIndex::new(shapes, all(), x_edges, y_edges),
+                    by_y0: BandedIndex::new(shapes, all(), y_edges, x_edges),
                 }
             })
             .collect();
@@ -733,27 +877,34 @@ impl<'a> ShapeIndex<'a> {
             net_start,
             net_ids,
             layers,
+            #[cfg(test)]
+            scanned: Default::default(),
         }
     }
-}
 
-impl ShapeIndex<'_> {
+    /// `window`, counted into the ids scanned.
+    fn scan<'w>(&self, window: &'w [u32]) -> &'w [u32] {
+        #[cfg(test)]
+        self.scanned.set(self.scanned.get() + window.len());
+        window
+    }
+
     /// Calls `f` with every shape on `layer` within the layer's coupling
     /// reach of `rect` along both axes: a superset of the shapes that
-    /// can couple to `rect` or shield it.
+    /// can couple to `rect` or shield it. A shape may come more than
+    /// once.
     fn near(&self, layer: Layer, rect: Rect, mut f: impl FnMut(u32)) {
         let shapes = &self.layout.shapes;
         let layer = &self.layers[layer_slot(layer)];
-        let index = &layer.by_x0;
-        let from = rect
-            .x0
-            .saturating_sub(layer.reach)
-            .saturating_sub(index.max_extent);
-        let to = rect.x1.saturating_add(layer.reach);
-        for &i in index.window(shapes, from, to) {
-            let r = shapes[i as usize].rect;
-            if r.x_gap(rect) <= layer.reach && r.y_gap(rect) <= layer.reach {
-                f(i);
+        let reach = layer.reach;
+        let run = (rect.y0.saturating_sub(reach), rect.y1.saturating_add(reach));
+        let (from, to) = (rect.x0.saturating_sub(reach), rect.x1.saturating_add(reach));
+        for window in layer.by_x0.windows(run, from, to, true) {
+            for &i in window {
+                let r = shapes[i as usize].rect;
+                if r.x_gap(rect) <= reach && r.y_gap(rect) <= reach {
+                    f(i);
+                }
             }
         }
     }
@@ -786,10 +937,9 @@ impl ShapeQueries for ShapeIndex<'_> {
         out.sort_unstable();
     }
 
-    /// Aggressors run parallel to the victim on its layer, so their low
-    /// cross-axis edge lies within `reach` past the victim's far edge,
-    /// or within `reach` plus the widest indexed extent before its near
-    /// edge.
+    /// Aggressors run parallel to the victim on its layer: they overlap
+    /// its run extent, and their cross-axis extent reaches within
+    /// `reach` of its own.
     fn aggressors(&self, victim: u32, out: &mut Vec<u32>) {
         out.clear();
         let shapes = &self.layout.shapes;
@@ -800,22 +950,25 @@ impl ShapeQueries for ShapeIndex<'_> {
         } else {
             &layer.horizontal
         };
-        let (lo, hi) = (index.edges)(&s.rect);
-        let from = lo
-            .saturating_sub(layer.reach)
-            .saturating_sub(index.max_extent);
-        let to = hi.saturating_add(layer.reach);
-        out.extend(
-            index
-                .window(shapes, from, to)
-                .iter()
-                .copied()
-                .filter(|&i| parallel_run(s.rect, shapes[i as usize].rect).is_some()),
+        let (lo, hi) = (index.gap)(&s.rect);
+        let (from, to) = (
+            lo.saturating_sub(layer.reach),
+            hi.saturating_add(layer.reach),
         );
+        for window in index.windows((index.run)(&s.rect), from, to, true) {
+            out.extend(
+                self.scan(window)
+                    .iter()
+                    .copied()
+                    .filter(|&i| parallel_run(s.rect, shapes[i as usize].rect).is_some()),
+            );
+        }
         out.sort_unstable();
+        out.dedup();
     }
 
-    /// A shield lies wholly inside the gap, so its low edge does too.
+    /// A shield lies wholly inside the gap, so its low edge does too,
+    /// and it overlaps the run the victim and aggressor share.
     fn shielded(&self, victim: u32, aggressor: u32, run: i64) -> bool {
         let shapes = &self.layout.shapes;
         let (s, other) = (
@@ -828,8 +981,12 @@ impl ShapeQueries for ShapeIndex<'_> {
         } else {
             (&layer.by_y0, between(s.y0, s.y1, other.y0, other.y1))
         };
-        index.window(shapes, lo, hi).iter().any(|&m| {
-            m != victim && m != aggressor && screens(shapes[m as usize].rect, s, other, run)
+        let ((s0, s1), (o0, o1)) = ((index.run)(&s), (index.run)(&other));
+        let shared = (s0.max(o0), s1.min(o1));
+        index.windows(shared, lo, hi, false).any(|window| {
+            self.scan(window).iter().any(|&m| {
+                m != victim && m != aggressor && screens(shapes[m as usize].rect, s, other, run)
+            })
         })
     }
 }
@@ -898,58 +1055,97 @@ mod tests {
         );
     }
 
+    /// Entries the index's bands hold, and the distinct
+    /// shapes they index (a shape in two indexes counts twice).
+    fn entries_and_shapes(index: &ShapeIndex) -> (usize, usize) {
+        let (mut entries, mut shapes) = (0, 0);
+        for layer in &index.layers {
+            for banded in [
+                &layer.vertical,
+                &layer.horizontal,
+                &layer.by_x0,
+                &layer.by_y0,
+            ] {
+                let mut ids = banded.ids.clone();
+                ids.sort_unstable();
+                ids.dedup();
+                entries += banded.ids.len();
+                shapes += ids.len();
+            }
+        }
+        (entries, shapes)
+    }
+
+    /// The oracle on ten generated designs, and the work gate on them
+    /// and on alu64, the top of the ladder (too big for the quadratic
+    /// oracle): the aggressor and shield windows hand out at most 30 ids
+    /// per shape, flat from alu8 to alu32 (a strip across the datapath
+    /// grows with the bit count), from at most two index entries per
+    /// indexed shape.
     #[test]
     fn indexed_extraction_equals_the_all_pairs_scan_on_generated_designs() {
         use cbv_gen::adders::{manchester_domino_adder, static_ripple_adder};
         use cbv_gen::{cam::cam_match_line, datapath::alu_slice, regfile::register_file};
         let p = Process::strongarm_035();
         let designs = [
-            alu_slice(4, &p),
-            alu_slice(8, &p),
-            alu_slice(16, &p),
-            alu_slice(32, &p),
-            manchester_domino_adder(4, &p),
-            manchester_domino_adder(32, &p),
-            manchester_domino_adder(64, &p),
-            static_ripple_adder(8, &p),
-            register_file(8, 8, &p),
-            cam_match_line(16, &p),
+            (alu_slice(4, &p), true),
+            (alu_slice(8, &p), true),
+            (alu_slice(16, &p), true),
+            (alu_slice(32, &p), true),
+            (alu_slice(64, &p), false),
+            (manchester_domino_adder(4, &p), true),
+            (manchester_domino_adder(32, &p), true),
+            (manchester_domino_adder(64, &p), true),
+            (static_ripple_adder(8, &p), true),
+            (register_file(8, 8, &p), true),
+            (cam_match_line(16, &p), true),
         ];
-        for design in designs {
+        let mut per_shape = HashMap::new();
+        for (design, oracle) in designs {
             let netlist = design.netlist;
             let layout = synthesize(&netlist, &p);
-            assert_matches_all_pairs(&layout, &netlist, &p);
+            if oracle {
+                assert_matches_all_pairs(&layout, &netlist, &p);
+            }
+            let index = ShapeIndex::new(&layout, netlist.net_count(), &p);
+            extract_with(&index, &layout, &netlist, &p);
+            let scanned = index.scanned.get() as f64 / layout.shapes.len() as f64;
+            let (entries, shapes) = entries_and_shapes(&index);
+            assert!(
+                scanned <= 30.0,
+                "{}: {scanned:.1} ids scanned per shape",
+                netlist.name()
+            );
+            assert!(
+                entries <= 2 * shapes,
+                "{}: {entries} index entries for {shapes} indexed shapes",
+                netlist.name()
+            );
+            per_shape.insert(netlist.name().to_string(), scanned);
         }
+        let growth = per_shape["alu32"] / per_shape["alu8"];
+        assert!(
+            growth <= 1.25,
+            "ids scanned per shape grew {growth:.2}x from alu8 to alu32"
+        );
     }
+
+    /// One shape of a random layout: layer, position, long and short
+    /// side, and kind.
+    type Draw = (usize, u32, u32, u32, u32, u8);
 
     /// A random layout on all five layers from `draws`: dense and sparse
     /// (`scale` spreads the same draw out past the coupling reach), thin
-    /// wires both ways, duplicated rectangles, zero-extent ones, net-less
-    /// shapes (which shield but never couple) and shapes on net 5, which
-    /// a five-net netlist lacks (an aggressor, never a victim).
-    fn random_layout(scale: u32, draws: &[(usize, u32, u32, u32, u32, u8)]) -> Layout {
-        let mut shapes: Vec<cbv_layout::Shape> = Vec::new();
-        for &(layer, x, y, long, short, kind) in draws {
-            let (x, y) = (i64::from(x * scale), i64::from(y * scale));
-            let (long, short) = (i64::from(long), i64::from(short));
-            let rect = match kind {
-                // A copy of the previous rectangle on another net.
-                8 if !shapes.is_empty() => shapes[shapes.len() - 1].rect,
-                9 => Rect::new(x, y, x, y + long),
-                10 => Rect::new(x, y, x, y),
-                _ if short % 2 == 0 => Rect::new(x, y, x + long, y + short / 4),
-                _ => Rect::new(x, y, x + short / 4, y + long),
-            };
-            let net = match kind {
-                0..=5 => Some(NetId(u32::from(kind))),
-                6 => None,
-                _ => Some(NetId(u32::from(kind) % 5)),
-            };
-            shapes.push(cbv_layout::Shape {
-                layer: Layer::ALL[layer],
-                rect,
-                net,
-            });
+    /// wires both ways, wires across the whole drawn extent (as a power
+    /// rail runs across a datapath), duplicated rectangles, zero-extent
+    /// ones, net-less shapes (which shield but never couple) and shapes
+    /// on net 5, which a five-net netlist lacks (an aggressor, never a
+    /// victim). Every shape is moved by `shift` on both axes.
+    fn random_layout(scale: u32, shift: i64, draws: &[Draw]) -> Layout {
+        let extent = drawn_extent(scale, draws);
+        let mut shapes: Vec<Shape> = Vec::new();
+        for &draw in draws {
+            shapes.push(random_shape(scale, shift, extent, shapes.last(), draw));
         }
         Layout {
             name: "random".into(),
@@ -958,8 +1154,56 @@ mod tests {
         }
     }
 
+    /// The box the draws cover before the shift.
+    fn drawn_extent(scale: u32, draws: &[Draw]) -> Rect {
+        draws
+            .iter()
+            .map(|&(_, x, y, long, _, _)| {
+                let (x, y) = (i64::from(x * scale), i64::from(y * scale));
+                Rect::new(x, y, x + i64::from(long), y + i64::from(long))
+            })
+            .reduce(|a, b| a.union(b))
+            .unwrap_or_default()
+    }
+
+    /// The shape one draw makes; kind 8 copies `prev`'s rectangle onto
+    /// another net, kind 11 spans `extent`.
+    fn random_shape(
+        scale: u32,
+        shift: i64,
+        extent: Rect,
+        prev: Option<&Shape>,
+        (layer, x, y, long, short, kind): Draw,
+    ) -> Shape {
+        let (x, y) = (i64::from(x * scale), i64::from(y * scale));
+        let (long, thin) = (i64::from(long), i64::from(short / 4));
+        let rect = match (kind, prev) {
+            (8, Some(prev)) => prev.rect,
+            _ => match kind {
+                9 => Rect::new(x, y, x, y + long),
+                10 => Rect::new(x, y, x, y),
+                11 if short % 2 == 0 => Rect::new(extent.x0, y, extent.x1, y + thin),
+                11 => Rect::new(x, extent.y0, x + thin, extent.y1),
+                _ if short % 2 == 0 => Rect::new(x, y, x + long, y + thin),
+                _ => Rect::new(x, y, x + thin, y + long),
+            }
+            .translate(shift, shift),
+        };
+        let net = match kind {
+            0..=5 => Some(NetId(u32::from(kind))),
+            6 => None,
+            11 => Some(NetId(short % 6)),
+            _ => Some(NetId(u32::from(kind) % 5)),
+        };
+        Shape {
+            layer: Layer::ALL[layer],
+            rect,
+            net,
+        }
+    }
+
     /// The draw strategy of the random-layout properties.
-    fn draws() -> impl Strategy<Value = Vec<(usize, u32, u32, u32, u32, u8)>> {
+    fn draws() -> impl Strategy<Value = Vec<Draw>> {
         proptest::collection::vec(
             (
                 0usize..5,
@@ -967,10 +1211,21 @@ mod tests {
                 0u32..900,
                 0u32..700,
                 0u32..160,
-                0u8..11,
+                0u8..12,
             ),
             0..140,
         )
+    }
+
+    /// No shift in half the cases; in the other half one of up to the
+    /// drawn extent below zero, so coordinates fall on both sides of it
+    /// and so do band edges.
+    fn shift(scale: u32, (moved, by): (u8, u32)) -> i64 {
+        if moved == 0 {
+            0
+        } else {
+            -i64::from(by % (1000 * scale))
+        }
     }
 
     /// Five signal nets and three devices wired across them, so nets
@@ -999,10 +1254,11 @@ mod tests {
         #[test]
         fn indexed_extraction_equals_the_all_pairs_scan_on_random_layouts(
             scale in 1u32..40,
+            moved in (0u8..2, 0u32..40_000),
             draws in draws(),
         ) {
             let process = Process::strongarm_035();
-            let layout = random_layout(scale, &draws);
+            let layout = random_layout(scale, shift(scale, moved), &draws);
             assert_matches_all_pairs(&layout, &random_netlist(), &process);
         }
 
@@ -1013,16 +1269,18 @@ mod tests {
         #[test]
         fn spliced_extraction_equals_a_full_one_on_perturbed_layouts(
             scale in 1u32..40,
+            moved in (0u8..2, 0u32..40_000),
             draws in draws(),
             edits in proptest::collection::vec(
-                (0usize..1000, 0u8..4, 0u32..400, 0u32..400, 0u8..11),
+                (0usize..1000, 0u8..4, 0u32..400, 0u32..400, 0u8..12),
                 1..6,
             ),
             resize in 0u8..8,
         ) {
             let process = Process::strongarm_035();
             let old_netlist = random_netlist();
-            let old = random_layout(scale, &draws);
+            let shift = shift(scale, moved);
+            let old = random_layout(scale, shift, &draws);
             let base = extract(&old, &old_netlist, &process);
 
             let mut layout = old.clone();
@@ -1042,9 +1300,11 @@ mod tests {
                         layout.shapes.remove(at % n);
                     }
                     _ => {
-                        let fresh = random_layout(scale, &[(at % 5, dx.unsigned_abs() as u32,
-                            dy.unsigned_abs() as u32, 300, 40, kind)]);
-                        layout.shapes.insert(at % (n + 1), fresh.shapes[0].clone());
+                        let draw = (at % 5, dx.unsigned_abs() as u32, dy.unsigned_abs() as u32,
+                            300, 40, kind);
+                        let extent = drawn_extent(scale, &draws);
+                        let fresh = random_shape(scale, shift, extent, None, draw);
+                        layout.shapes.insert(at % (n + 1), fresh);
                     }
                 }
             }

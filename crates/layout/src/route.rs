@@ -24,19 +24,26 @@ pub fn route_channel(netlist: &FlatNetlist, placement: &Placement, rules: &Rules
         terminals: Vec<(i64, i64)>, // (x, y) pickup points
     }
     let mut spans: Vec<Span> = Vec::new();
+    // Each net's span by net id; the spans are sorted by a total order
+    // below, so the order they are first met in does not matter.
+    let mut span_of: Vec<Option<usize>> = vec![None; netlist.net_count()];
     for t in &placement.terminals {
-        match spans.iter_mut().find(|s| s.net == t.net) {
-            Some(s) => {
+        match span_of[t.net.index()] {
+            Some(si) => {
+                let s = &mut spans[si];
                 s.x_min = s.x_min.min(t.at.x);
                 s.x_max = s.x_max.max(t.at.x);
                 s.terminals.push((t.at.x, t.at.y));
             }
-            None => spans.push(Span {
-                net: t.net,
-                x_min: t.at.x,
-                x_max: t.at.x,
-                terminals: vec![(t.at.x, t.at.y)],
-            }),
+            None => {
+                span_of[t.net.index()] = Some(spans.len());
+                spans.push(Span {
+                    net: t.net,
+                    x_min: t.at.x,
+                    x_max: t.at.x,
+                    terminals: vec![(t.at.x, t.at.y)],
+                });
+            }
         }
     }
     // Rails route on dedicated rails outside the channel; skip them here.
@@ -49,26 +56,23 @@ pub fn route_channel(netlist: &FlatNetlist, placement: &Placement, rules: &Rules
     let mut shapes = Vec::new();
     // Left-edge: sort by left extent.
     spans.sort_by_key(|s| (s.x_min, s.x_max, s.net));
-    // tracks[i] = list of occupied (x_min, x_max) intervals.
-    let mut tracks: Vec<Vec<(i64, i64)>> = Vec::new();
+    // tracks[i] = the last (x_min, x_max) interval packed into track i.
+    // Spans come in x_min order, and a track takes a span only when it
+    // starts a margin (positive) past the track's intervals, so its last
+    // interval reaches furthest right and is the only one a later span
+    // can collide with.
+    let mut tracks: Vec<(i64, i64)> = Vec::new();
     let mut assignment: Vec<(usize, usize)> = Vec::new(); // span -> track
     let margin = rules.m2_space;
     for (si, s) in spans.iter().enumerate() {
-        let mut placed = None;
-        for (ti, track) in tracks.iter_mut().enumerate() {
-            let collides = track
-                .iter()
-                .any(|&(a, b)| s.x_min - margin < b && a < s.x_max + margin);
-            if !collides {
-                track.push((s.x_min, s.x_max));
-                placed = Some(ti);
-                break;
+        let clear = |&(a, b): &(i64, i64)| !(s.x_min - margin < b && a < s.x_max + margin);
+        let ti = match tracks.iter().position(clear) {
+            Some(ti) => {
+                tracks[ti] = (s.x_min, s.x_max);
+                ti
             }
-        }
-        let ti = match placed {
-            Some(t) => t,
             None => {
-                tracks.push(vec![(s.x_min, s.x_max)]);
+                tracks.push((s.x_min, s.x_max));
                 tracks.len() - 1
             }
         };

@@ -62,6 +62,14 @@ for threads in 1 8; do
   CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental eco_walk_traced_counts_repeat_to_the_digit
 done
 
+# The extraction oracle and work gate: the banded index's extraction
+# Debug-equal to the all-pairs scan on generated designs and random
+# layouts (negative coordinates and rails across the extent included),
+# spliced extraction equal to a full one, and the windows' ids scanned
+# per shape at most 30 and flat from alu8 to alu32.
+echo "== extraction index equals the all-pairs scan, and scans flat =="
+cargo test -q --release -p cbv-extract
+
 # The splice oracle: a 500-step seeded sizing walk on an owned cache,
 # each step's spliced prep Debug-equal to a full build, with its
 # splice/fallback/re-extraction counts — at both ends of the

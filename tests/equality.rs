@@ -64,9 +64,9 @@ const ECO_STREAM: &[&str] = &[
 
 // Electrical faults, each one operator at a fixed site: a sub-minimum
 // width; a domino keeper shrunk to a quarter (device 73 is the first
-// carry chain's keeper); and `gen::inject`'s SubMinLength, BetaSkew and
-// LeakyDynamic at their legacy magnitudes (device 52 is domino4's first
-// `gen_` evaluate device).
+// carry chain's keeper); a gate length scaled to 0.6, a beta ratio
+// skewed 12×, and a dynamic evaluate device widened 15× so it leaks
+// (device 52 is domino4's first `gen_` evaluate device).
 const WIDTH_X0_05: &str =
     r#"{"edit":"op","op":{"op":"width-scale","factor":0.05},"site":{"site":"device","device":0}}"#;
 const KEEPER_SHRINK: &str = r#"{"edit":"op","op":{"op":"keeper-resize","w_factor":0.25,"l_factor":1.0},"site":{"site":"device","device":73}}"#;
