@@ -30,7 +30,7 @@ use std::fmt::Debug;
 use cbv_everify::EverifyConfig;
 use cbv_extract::Extracted;
 use cbv_netlist::canon::{fnv1a, FNV_OFFSET};
-use cbv_netlist::{CanonicalKeys, FlatNetlist, NetId};
+use cbv_netlist::{CanonicalKeys, DeviceId, FlatNetlist, NetId};
 use cbv_recognize::Recognition;
 use cbv_tech::{Process, Tolerance};
 use cbv_timing::Pessimism;
@@ -145,7 +145,7 @@ fn device_digest(
     netlist: &FlatNetlist,
     recognition: &Recognition,
     keys: &CanonicalKeys,
-    id: cbv_netlist::DeviceId,
+    id: DeviceId,
 ) -> u64 {
     let d = netlist.device(id);
     let mut h = fnv1a(FNV_OFFSET, b"dev");
@@ -206,107 +206,208 @@ pub fn fingerprint_design(
     recognition: &Recognition,
     extracted: &Extracted,
 ) -> DesignFingerprints {
+    fold_units(netlist, recognition, extracted, None)
+}
+
+impl DesignFingerprints {
+    /// The fingerprints of a design after a sizing edit, spliced from
+    /// `self`, the design's fingerprints before it. The edit changed
+    /// only the `w`/`l` of the `resized` devices, `recognition` is the
+    /// one `self` was folded over, and `extracted` differs from the
+    /// extraction before the edit only on the `reextracted` nets.
+    ///
+    /// Names, ids, topology, passives and recognition are then all
+    /// unchanged, so no binding moves, and a CCC unit's content reads
+    /// something new only when the CCC holds a resized device (the
+    /// device digest folds `w` and `l`) or one of its channel nets was
+    /// re-extracted (their parasitics are folded in). Those units are
+    /// re-folded, every other one is copied, and the residue's content
+    /// is re-folded from the unit contents and the unowned nets. Equal
+    /// to [`fingerprint_design`] over the edited design; returns the
+    /// fingerprints and the number of CCC units re-folded.
+    pub fn spliced(
+        &self,
+        netlist: &FlatNetlist,
+        recognition: &Recognition,
+        extracted: &Extracted,
+        resized: &[DeviceId],
+        reextracted: &[NetId],
+    ) -> (DesignFingerprints, usize) {
+        debug_assert_eq!(self.ccc_count(), recognition.cccs.len());
+        let mut touched_device = vec![false; netlist.devices().len()];
+        for &d in resized {
+            touched_device[d.index()] = true;
+        }
+        let mut touched_net = vec![false; netlist.net_count()];
+        for &n in reextracted {
+            touched_net[n.index()] = true;
+        }
+        let stale: Vec<bool> = recognition
+            .cccs
+            .iter()
+            .map(|ccc| {
+                ccc.devices.iter().any(|d| touched_device[d.index()])
+                    || ccc.channel_nets.iter().any(|n| touched_net[n.index()])
+            })
+            .collect();
+        let refolded = stale.iter().filter(|&&s| s).count();
+        let fps = fold_units(netlist, recognition, extracted, Some((self, &stale)));
+        (fps, refolded)
+    }
+}
+
+/// The one fold behind [`fingerprint_design`] and
+/// [`DesignFingerprints::spliced`]. Without a base every unit is folded.
+/// With `(base, stale)`, CCC unit `i` is folded only when `stale[i]` and
+/// copied from `base` otherwise; the residue's content is folded either
+/// way, and its binding copied from `base`.
+fn fold_units(
+    netlist: &FlatNetlist,
+    recognition: &Recognition,
+    extracted: &Extracted,
+    base: Option<(&DesignFingerprints, &[bool])>,
+) -> DesignFingerprints {
     let keys = CanonicalKeys::new(netlist);
-    let n = recognition.cccs.len();
-    let mut owned = vec![false; netlist.net_count()];
-    // Which state elements / passives touch which CCC (by channel nets).
     let se_digests: Vec<u64> = recognition
         .state_elements
         .iter()
         .map(|se| state_element_digest(recognition, &keys, se))
         .collect();
+    let mut units: Vec<UnitFingerprint> = (0..recognition.cccs.len())
+        .map(|i| match base {
+            Some((base, stale)) if !stale[i] => base.units[i],
+            _ => UnitFingerprint {
+                content: ccc_content(netlist, recognition, extracted, &keys, &se_digests, i),
+                binding: base.map_or_else(
+                    || ccc_binding(netlist, recognition, i),
+                    |(base, _)| base.units[i].binding,
+                ),
+            },
+        })
+        .collect();
+    let content = residue_content(netlist, recognition, extracted, &keys, se_digests, &units);
+    let binding = match base {
+        Some((base, _)) => base.residue().binding,
+        None => residue_binding(netlist),
+    };
+    units.push(UnitFingerprint { content, binding });
+    DesignFingerprints { units }
+}
 
-    let mut units = Vec::with_capacity(n + 1);
-    for (i, ccc) in recognition.cccs.iter().enumerate() {
-        let class = &recognition.classes[i];
+/// Content digest of CCC unit `i`: its devices, boundary nets, class,
+/// touching state elements and passives, and its owned nets'
+/// parasitics. `se_digests` holds every state element's digest.
+fn ccc_content(
+    netlist: &FlatNetlist,
+    recognition: &Recognition,
+    extracted: &Extracted,
+    keys: &CanonicalKeys,
+    se_digests: &[u64],
+    i: usize,
+) -> u64 {
+    let ccc = &recognition.cccs[i];
+    let class = &recognition.classes[i];
+    let mut content = fnv1a(FNV_OFFSET, b"ccc");
+    content = fold_sorted(
+        content,
+        ccc.devices
+            .iter()
+            .map(|&d| device_digest(netlist, recognition, keys, d))
+            .collect(),
+    );
+    content = fold_sorted(
+        content,
+        ccc.channel_nets
+            .iter()
+            .chain(&ccc.inputs)
+            .map(|&n| net_digest(netlist, recognition, keys, n))
+            .collect(),
+    );
+    content = fold_sorted(content, ccc.outputs.iter().map(|&n| keys.net(n)).collect());
+    // Recognized class: family plus which outputs are dynamic and
+    // which inputs clock the stage.
+    content = fold_debug(content, &class.family);
+    content = fold_sorted(
+        content,
+        class.dynamic_outputs.iter().map(|&n| keys.net(n)).collect(),
+    );
+    content = fold_sorted(
+        content,
+        class.clock_inputs.iter().map(|&n| keys.net(n)).collect(),
+    );
+    // State elements storing on a net this unit touches (keeper
+    // detection, same-element arc suppression).
+    let touching: Vec<u64> = recognition
+        .state_elements
+        .iter()
+        .zip(se_digests)
+        .filter(|(se, _)| {
+            se.cccs.iter().any(|&ci| ci.index() == i)
+                || se
+                    .storage_nets
+                    .iter()
+                    .any(|&sn| ccc.channel_nets.contains(&sn) || ccc.inputs.contains(&sn))
+        })
+        .map(|(_, &d)| d)
+        .collect();
+    content = fold_sorted(content, touching);
+    // Passives on owned nets (they shape CCC outputs and loading).
+    let passives: Vec<u64> = netlist
+        .passives()
+        .iter()
+        .filter(|p| ccc.channel_nets.contains(&p.a) || ccc.channel_nets.contains(&p.b))
+        .map(|p| passive_digest(keys, p))
+        .collect();
+    content = fold_sorted(content, passives);
+    // Parasitics of the owned nets — the only extraction data the
+    // unit's checks and arcs read.
+    fold_sorted(
+        content,
+        ccc.channel_nets
+            .iter()
+            .map(|&net| parasitic_digest(extracted, keys, net))
+            .collect(),
+    )
+}
+
+/// Binding digest of CCC unit `i`: raw ids and names, in order, plus
+/// the unit's own CCC index (cached arcs carry it).
+fn ccc_binding(netlist: &FlatNetlist, recognition: &Recognition, i: usize) -> u64 {
+    let ccc = &recognition.cccs[i];
+    let mut binding = fold_u64(fnv1a(FNV_OFFSET, b"bind"), i as u64);
+    for &d in &ccc.devices {
+        binding = fold_u64(binding, d.index() as u64);
+        binding = fnv1a(binding, netlist.device(d).name.as_bytes());
+    }
+    for &net in ccc
+        .channel_nets
+        .iter()
+        .chain(&ccc.inputs)
+        .chain(&ccc.outputs)
+    {
+        binding = fold_u64(binding, net.index() as u64);
+        binding = fnv1a(binding, netlist.net_name(net).as_bytes());
+    }
+    binding
+}
+
+/// Content digest of the residue unit: every CCC unit's content hash,
+/// the unowned nets with their parasitics, every state element and the
+/// passives on no owned net.
+fn residue_content(
+    netlist: &FlatNetlist,
+    recognition: &Recognition,
+    extracted: &Extracted,
+    keys: &CanonicalKeys,
+    se_digests: Vec<u64>,
+    units: &[UnitFingerprint],
+) -> u64 {
+    let mut owned = vec![false; netlist.net_count()];
+    for ccc in &recognition.cccs {
         for &net in &ccc.channel_nets {
             owned[net.index()] = true;
         }
-
-        let mut content = fnv1a(FNV_OFFSET, b"ccc");
-        content = fold_sorted(
-            content,
-            ccc.devices
-                .iter()
-                .map(|&d| device_digest(netlist, recognition, &keys, d))
-                .collect(),
-        );
-        content = fold_sorted(
-            content,
-            ccc.channel_nets
-                .iter()
-                .chain(&ccc.inputs)
-                .map(|&n| net_digest(netlist, recognition, &keys, n))
-                .collect(),
-        );
-        content = fold_sorted(content, ccc.outputs.iter().map(|&n| keys.net(n)).collect());
-        // Recognized class: family plus which outputs are dynamic and
-        // which inputs clock the stage.
-        content = fold_debug(content, &class.family);
-        content = fold_sorted(
-            content,
-            class.dynamic_outputs.iter().map(|&n| keys.net(n)).collect(),
-        );
-        content = fold_sorted(
-            content,
-            class.clock_inputs.iter().map(|&n| keys.net(n)).collect(),
-        );
-        // State elements storing on a net this unit touches (keeper
-        // detection, same-element arc suppression).
-        let touching: Vec<u64> = recognition
-            .state_elements
-            .iter()
-            .zip(&se_digests)
-            .filter(|(se, _)| {
-                se.cccs.iter().any(|&ci| ci.index() == i)
-                    || se
-                        .storage_nets
-                        .iter()
-                        .any(|&sn| ccc.channel_nets.contains(&sn) || ccc.inputs.contains(&sn))
-            })
-            .map(|(_, &d)| d)
-            .collect();
-        content = fold_sorted(content, touching);
-        // Passives on owned nets (they shape CCC outputs and loading).
-        let passives: Vec<u64> = netlist
-            .passives()
-            .iter()
-            .filter(|p| ccc.channel_nets.contains(&p.a) || ccc.channel_nets.contains(&p.b))
-            .map(|p| passive_digest(&keys, p))
-            .collect();
-        content = fold_sorted(content, passives);
-        // Parasitics of the owned nets — the only extraction data the
-        // unit's checks and arcs read.
-        content = fold_sorted(
-            content,
-            ccc.channel_nets
-                .iter()
-                .map(|&net| parasitic_digest(extracted, &keys, net))
-                .collect(),
-        );
-
-        // Binding: raw ids and names, in order, plus the unit's own CCC
-        // index (cached arcs carry it).
-        let mut binding = fold_u64(fnv1a(FNV_OFFSET, b"bind"), i as u64);
-        for &d in &ccc.devices {
-            binding = fold_u64(binding, d.index() as u64);
-            binding = fnv1a(binding, netlist.device(d).name.as_bytes());
-        }
-        for &net in ccc
-            .channel_nets
-            .iter()
-            .chain(&ccc.inputs)
-            .chain(&ccc.outputs)
-        {
-            binding = fold_u64(binding, net.index() as u64);
-            binding = fnv1a(binding, netlist.net_name(net).as_bytes());
-        }
-        units.push(UnitFingerprint { content, binding });
     }
-
-    // Residue unit: all CCC content hashes + unowned nets + all state
-    // elements + stray passives. Binding covers the whole netlist (its
-    // payload may reference any id).
     let mut content = fnv1a(FNV_OFFSET, b"residue");
     content = fold_sorted(content, units.iter().map(|u| u.content).collect());
     content = fold_sorted(
@@ -316,22 +417,27 @@ pub fn fingerprint_design(
             .filter(|n| !owned[n.index()])
             .map(|n| {
                 fold_u64(
-                    net_digest(netlist, recognition, &keys, n),
-                    parasitic_digest(extracted, &keys, n),
+                    net_digest(netlist, recognition, keys, n),
+                    parasitic_digest(extracted, keys, n),
                 )
             })
             .collect(),
     );
     content = fold_sorted(content, se_digests);
-    content = fold_sorted(
+    fold_sorted(
         content,
         netlist
             .passives()
             .iter()
             .filter(|p| !owned[p.a.index()] && !owned[p.b.index()])
-            .map(|p| passive_digest(&keys, p))
+            .map(|p| passive_digest(keys, p))
             .collect(),
-    );
+    )
+}
+
+/// Binding digest of the residue unit: the whole netlist's ids, names
+/// and net kinds (its payload may reference any id).
+fn residue_binding(netlist: &FlatNetlist) -> u64 {
     let mut binding = fnv1a(FNV_OFFSET, b"bind-all");
     for net in netlist.net_ids() {
         binding = fold_u64(binding, net.index() as u64);
@@ -342,9 +448,7 @@ pub fn fingerprint_design(
         binding = fold_u64(binding, i as u64);
         binding = fnv1a(binding, d.name.as_bytes());
     }
-    units.push(UnitFingerprint { content, binding });
-
-    DesignFingerprints { units }
+    binding
 }
 
 /// Exact digest of a raw (pre-recognition) netlist: the content
@@ -535,6 +639,126 @@ mod tests {
         assert_ne!(
             with.units[0].content, without.units[0].content,
             "extraction data must be part of the content hash"
+        );
+    }
+
+    /// Seeded resizes of alu8, man8 and ripple8, each design's
+    /// fingerprints spliced from the ones before the edit: equal to a
+    /// full fingerprint of the edited design on every step. Every third
+    /// resize hits a device on a rail and every third one a device in a
+    /// state element's (keeper or latch) CCC; half scale `w`, half `l`.
+    /// Each step splices three times: over the nets the spliced
+    /// extraction redid, over only those whose extraction actually
+    /// changed, and over no extraction at all — the last two are the
+    /// least the contract allows, and in the last a resized device's CCC
+    /// is reached through the device alone.
+    #[test]
+    fn spliced_fingerprints_equal_full_ones_over_seeded_resizes() {
+        use cbv_extract::{extract, extract_spliced};
+        use cbv_gen::adders::{manchester_domino_adder, static_ripple_adder};
+        use cbv_gen::datapath::alu_slice;
+
+        let p = Process::strongarm_035();
+        let (mut on_rail, mut in_state) = (0, 0);
+        for design in [
+            alu_slice(8, &p),
+            manchester_domino_adder(8, &p),
+            static_ripple_adder(8, &p),
+        ] {
+            let mut netlist = design.netlist;
+            let rec = recognize(&netlist);
+            let rails: Vec<DeviceId> = (0..netlist.devices().len() as u32)
+                .map(DeviceId)
+                .filter(|&d| {
+                    let dev = netlist.device(d);
+                    [dev.source, dev.drain]
+                        .iter()
+                        .any(|&n| netlist.net_kind(n).is_rail())
+                })
+                .collect();
+            let stateful: Vec<DeviceId> = rec
+                .state_elements
+                .iter()
+                .flat_map(|se| &se.cccs)
+                .flat_map(|ci| &rec.cccs[ci.index()].devices)
+                .copied()
+                .collect();
+            let mut layout = synthesize(&netlist, &p);
+            let mut extracted = extract(&layout, &netlist, &p);
+            let mut fps = fingerprint_design(&netlist, &rec, &extracted);
+            let bare = Extracted::default();
+            let mut bare_fps = fingerprint_design(&netlist, &rec, &bare);
+            let (mut refolded, mut splices) = (0, 0);
+            let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+            for step in 0..24 {
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let pick = (seed >> 33) as usize;
+                let d = match step % 3 {
+                    0 => rails[pick % rails.len()],
+                    1 if !stateful.is_empty() => stateful[pick % stateful.len()],
+                    _ => DeviceId((pick % netlist.devices().len()) as u32),
+                };
+                on_rail += usize::from(rails.contains(&d));
+                in_state += usize::from(stateful.contains(&d));
+                let factor = if step % 4 < 2 { 0.97 } else { 1.02 };
+                if step % 2 == 0 {
+                    netlist.device_mut(d).w *= factor;
+                } else {
+                    netlist.device_mut(d).l *= factor;
+                }
+
+                let next = synthesize(&netlist, &p);
+                let full = extract(&next, &netlist, &p);
+                let rec_full = recognize(&netlist);
+                let want = fingerprint_design(&netlist, &rec_full, &full);
+                let bare_want = fingerprint_design(&netlist, &rec_full, &bare);
+                let (got, _) = bare_fps.spliced(&netlist, &rec, &bare, &[d], &[]);
+                assert_eq!(
+                    got.units,
+                    bare_want.units,
+                    "{} step {step}: fingerprints spliced over no extraction differ",
+                    netlist.name()
+                );
+                bare_fps = bare_want;
+                let before = extracted.clone();
+                let spliced = extract_spliced(extracted, &layout, &next, &netlist, &p, &[d]);
+                let Some((spliced, redone)) = spliced else {
+                    (layout, extracted, fps) = (next, full, want);
+                    continue;
+                };
+                let changed: Vec<NetId> = netlist
+                    .net_ids()
+                    .filter(|&n| format!("{:?}", before.net(n)) != format!("{:?}", full.net(n)))
+                    .collect();
+                for (how, nets) in [("redone", &redone), ("changed", &changed)] {
+                    let (got, n) = fps.spliced(&netlist, &rec, &spliced, &[d], nets);
+                    assert_eq!(
+                        got.units,
+                        want.units,
+                        "{} step {step}: fingerprints spliced over the {how} nets differ",
+                        netlist.name()
+                    );
+                    refolded += n;
+                }
+                splices += 1;
+                (layout, extracted, fps) = (next, spliced, want);
+            }
+            assert!(
+                splices >= 20,
+                "{}: {splices} of 24 steps spliced",
+                netlist.name()
+            );
+            assert!(
+                refolded <= 2 * splices * fps.ccc_count() / 4,
+                "{}: {refolded} CCC units re-folded over {splices} splices of {}",
+                netlist.name(),
+                fps.ccc_count()
+            );
+        }
+        assert!(on_rail >= 24, "{on_rail} resizes on a rail");
+        assert!(
+            in_state >= 16,
+            "{in_state} resizes in a state element's CCC"
         );
     }
 

@@ -43,6 +43,7 @@
 //! [`run_flow_incremental`]: crate::flow::run_flow_incremental
 //! [`Signoff`]: crate::signoff::Signoff
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -56,8 +57,8 @@ use cbv_everify::{CheckKind, CheckScope, EverifyConfig, Finding, Severity, Subje
 use cbv_exec::{run_isolated, Executor};
 use cbv_extract::{Extracted, PackedExtraction};
 use cbv_layout::{Layout, PackedLayout};
-use cbv_netlist::FlatNetlist;
-use cbv_obs::TraceCtx;
+use cbv_netlist::{DeviceId, FlatNetlist, NetId};
+use cbv_obs::{TraceCtx, Tracer};
 use cbv_recognize::Recognition;
 use cbv_tech::{Process, Tolerance};
 use cbv_timing::{DelayCalc, Pessimism};
@@ -122,7 +123,7 @@ impl PreparedDesign {
             process,
             false,
         );
-        Self::from_prep(parts, process, config)
+        Self::from_prep(parts, None, process, config, &Tracer::disabled())
     }
 
     /// The check config a run prepares under and its environment key.
@@ -133,10 +134,34 @@ impl PreparedDesign {
         (everify_cfg, env)
     }
 
-    fn from_prep(parts: Prep, process: &Process, config: &FlowConfig) -> Self {
+    /// Partitions and fingerprints `parts`: spliced from the base's
+    /// fingerprints when `parts` was spliced, counting the CCC units
+    /// re-folded on `tracer`, else in full.
+    fn from_prep(
+        parts: Prep,
+        splice: Option<Splice>,
+        process: &Process,
+        config: &FlowConfig,
+        tracer: &Tracer,
+    ) -> Self {
         let (everify_cfg, env) = Self::env_of(process, config);
-        let fps = fingerprint_design(&parts.netlist, &parts.recognition, &parts.extracted);
-        let scopes = CheckScope::partition(&parts.netlist, &parts.recognition);
+        let Prep {
+            netlist,
+            recognition,
+            extracted,
+            ..
+        } = &parts;
+        let fps = match splice {
+            Some(s) => {
+                let (fps, refolded) =
+                    s.base
+                        .spliced(netlist, recognition, extracted, &s.resized, &s.reextracted);
+                tracer.add("fingerprint.units_refolded", refolded as u64);
+                fps
+            }
+            None => fingerprint_design(netlist, recognition, extracted),
+        };
+        let scopes = CheckScope::partition(netlist, recognition);
         debug_assert_eq!(scopes.len(), fps.units.len());
         PreparedDesign {
             parts,
@@ -439,17 +464,31 @@ enum PrepSource {
     /// Another stream's published artifact, partition and fingerprints
     /// included.
     Shared(Arc<PreparedDesign>),
-    /// This run's own. Partition and fingerprints are still to be built
-    /// — inside the `fingerprint` row, so that row times them.
-    Built(Prep),
+    /// This run's own, and what its splice changed when it was spliced.
+    /// Partition and fingerprints are still to be built — inside the
+    /// `fingerprint` row, so that row times them.
+    Built(Prep, Option<Splice>),
+}
+
+/// What a spliced prep changed of its base: what
+/// [`DesignFingerprints::spliced`] needs to splice the fingerprints too.
+struct Splice {
+    /// The base's fingerprints.
+    base: DesignFingerprints,
+    /// The devices the edit resized.
+    resized: Vec<DeviceId>,
+    /// The nets extraction redid.
+    reextracted: Vec<NetId>,
 }
 
 /// What an owned [`VerifyCache`] keeps of a run's prep for the next run
 /// to splice from: the netlist and the recognition (shared with the
-/// run's report), and the layout and the extraction, each packed into
-/// one block. Unpacked, those two are some 0.4 MB in a thousand
-/// allocations for `alu_slice(8)`; packed, about 0.2 MB in two blocks.
-/// The partition and fingerprints are not kept: a splice rebuilds them.
+/// run's report), the layout and the extraction, each packed into one
+/// block, and the unit fingerprints. Unpacked, the layout and the
+/// extraction are some 0.4 MB in a thousand allocations for
+/// `alu_slice(8)`; packed, about 0.2 MB in two blocks. The fingerprints
+/// are 16 bytes a unit; a splice copies those of the units its edit does
+/// not reach. The partition is not kept: a splice rebuilds it.
 #[derive(Clone)]
 pub struct KeptPrep {
     env: u64,
@@ -457,6 +496,7 @@ pub struct KeptPrep {
     recognition: Arc<Recognition>,
     layout: PackedLayout,
     extracted: PackedExtraction,
+    fps: DesignFingerprints,
 }
 
 impl KeptPrep {
@@ -468,6 +508,7 @@ impl KeptPrep {
             recognition: Arc::clone(&prep.parts.recognition),
             layout: prep.parts.layout.pack(),
             extracted: prep.parts.extracted.pack(),
+            fps: prep.fps.clone(),
         }
     }
 
@@ -483,7 +524,7 @@ impl KeptPrep {
     ) -> PreparedDesign {
         let (_, env) = PreparedDesign::env_of(process, config);
         let base = (self.env == env).then(|| Base::Kept(self.clone()));
-        let (parts, _) = build_prep(
+        let (parts, splice, _) = build_prep(
             &mut Vec::new(),
             TraceCtx::disabled(),
             netlist,
@@ -491,7 +532,7 @@ impl KeptPrep {
             false,
             base.into_iter().collect(),
         );
-        PreparedDesign::from_prep(parts, process, config)
+        PreparedDesign::from_prep(parts, splice, process, config, &Tracer::disabled())
     }
 }
 
@@ -511,18 +552,6 @@ impl Base {
             Base::Kept(k) => &k.netlist,
         }
     }
-
-    /// The recognition, layout and extraction a splice starts from.
-    fn into_parts(self) -> (Arc<Recognition>, Layout, Extracted) {
-        match self {
-            Base::Published(p) => (
-                Arc::clone(&p.parts.recognition),
-                p.parts.layout.clone(),
-                p.parts.extracted.clone(),
-            ),
-            Base::Kept(k) => (k.recognition, k.layout.unpack(), k.extracted.unpack()),
-        }
-    }
 }
 
 /// Stages 1–3 of a run that missed its prep: spliced from the first of
@@ -531,10 +560,14 @@ impl Base {
 /// A splice reuses the base's recognition — it never reads `w` or `l` —
 /// rebuilds the layout whole and re-extracts only the nets the edit
 /// reaches ([`cbv_extract::extract_spliced`]), moving every other net
-/// over from the base. When the edit moves a placement row (the
-/// NMOS row's height sets where every shape above it lands, so nearly
-/// every net is reached) extraction runs whole. Each representation
-/// equals the serial prep's.
+/// over from the base; a published base lends its layout to that diff
+/// rather than cloning it. It returns the [`Splice`] facts with the
+/// prep, for the fingerprints to be spliced from the base's in turn.
+/// When the edit moves a placement row (the NMOS row's height sets where
+/// every shape above it lands, so nearly every net is reached)
+/// extraction runs whole, and so do the fingerprints. Each
+/// representation equals the serial prep's. Also returns the DRC
+/// violation count when DRC ran.
 fn build_prep(
     stages: &mut Vec<StageReport>,
     flow: TraceCtx<'_>,
@@ -542,7 +575,7 @@ fn build_prep(
     process: &Process,
     check_drc: bool,
     bases: Vec<Base>,
-) -> (Prep, Option<usize>) {
+) -> (Prep, Option<Splice>, Option<usize>) {
     let tracer = flow.tracer;
     let edit = bases.into_iter().find_map(|base| {
         let resized = netlist.resized_devices(base.netlist())?;
@@ -550,9 +583,30 @@ fn build_prep(
     });
     let Some((base, resized)) = edit else {
         tracer.add("prep.fallbacks", 1);
-        return serial_prep(stages, flow, netlist, process, check_drc);
+        let (prep, drc_violations) = serial_prep(stages, flow, netlist, process, check_drc);
+        return (prep, None, drc_violations);
     };
-    let (recognition, old_layout, old_extracted) = base.into_parts();
+    // A published base outlives the run and lends its layout; a kept
+    // one is unpacked, and its blocks freed, before the layout is
+    // rebuilt.
+    let published;
+    let (recognition, fps, old_extracted, old_layout) = match base {
+        Base::Published(p) => {
+            published = p;
+            (
+                Arc::clone(&published.parts.recognition),
+                published.fps.clone(),
+                published.parts.extracted.clone(),
+                Cow::Borrowed(&published.parts.layout),
+            )
+        }
+        Base::Kept(k) => (
+            k.recognition,
+            k.fps,
+            k.extracted.unpack(),
+            Cow::Owned(k.layout.unpack()),
+        ),
+    };
     let recognition = timed(stages, flow, "recognize", |_| {
         let n = recognition.cccs.len();
         (recognition, n, None)
@@ -563,7 +617,7 @@ fn build_prep(
         (l, n, None)
     });
     let drc_violations = check_drc.then(|| drc_row(stages, flow, &layout, &netlist, process));
-    let extracted = timed(stages, flow, "extract", |_| {
+    let (extracted, reextracted) = timed(stages, flow, "extract", |_| {
         let rows = |l: &Layout| l.sites.iter().map(|s| s.row_y).collect::<Vec<_>>();
         let spliced = (rows(&old_layout) == rows(&layout))
             .then(|| {
@@ -577,19 +631,24 @@ fn build_prep(
                 )
             })
             .flatten();
-        let e = match spliced {
+        let (e, redone) = match spliced {
             Some((e, redone)) => {
                 tracer.add("prep.splices", 1);
-                tracer.add("extract.nets_reextracted", redone as u64);
-                e
+                tracer.add("extract.nets_reextracted", redone.len() as u64);
+                (e, Some(redone))
             }
             None => {
                 tracer.add("prep.fallbacks", 1);
-                cbv_extract::extract(&layout, &netlist, process)
+                (cbv_extract::extract(&layout, &netlist, process), None)
             }
         };
         let n = e.iter().count();
-        (e, n, None)
+        ((e, redone), n, None)
+    });
+    let splice = reextracted.map(|reextracted| Splice {
+        base: fps,
+        resized,
+        reextracted,
     });
     let prep = Prep {
         netlist: Arc::new(netlist),
@@ -597,7 +656,7 @@ fn build_prep(
         layout,
         extracted,
     };
-    (prep, drc_violations)
+    (prep, splice, drc_violations)
 }
 
 /// The one cached-flow body (see the module docs). With a `tier`, the
@@ -667,10 +726,10 @@ pub(crate) fn run_flow_tiered(
                     .into_iter()
                     .collect(),
             };
-            let (parts, drc_violations) =
+            let (parts, splice, drc_violations) =
                 build_prep(&mut stages, flow, netlist, process, config.check_drc, bases);
             (
-                PrepSource::Built(parts),
+                PrepSource::Built(parts, splice),
                 drc_violations,
                 found.and_then(Result::err),
             )
@@ -682,11 +741,12 @@ pub(crate) fn run_flow_tiered(
     // one batch, before the closure reads the overlay. The batch also
     // claims the unit keys it did not answer; one another run holds is
     // *pending* — not this run's to compute.
-    let (prep, keys, mut dirty, held) = timed(&mut stages, flow, "fingerprint", |_| {
+    let (prep, keys, mut dirty, held) = timed(&mut stages, flow, "fingerprint", |ctx| {
         let prep = match source {
             PrepSource::Shared(p) => p,
-            PrepSource::Built(parts) => {
-                let prep = Arc::new(PreparedDesign::from_prep(parts, process, config));
+            PrepSource::Built(parts, splice) => {
+                let prep = PreparedDesign::from_prep(parts, splice, process, config, ctx.tracer);
+                let prep = Arc::new(prep);
                 // Publish before releasing, as for units.
                 if let Some((tier, key)) = tier.zip(key) {
                     tier.publish_prep(key, Arc::clone(&prep));
@@ -1262,7 +1322,7 @@ mod tests {
             layout,
             extracted,
         };
-        let prep = PreparedDesign::from_prep(parts, &p, &cfg);
+        let prep = PreparedDesign::from_prep(parts, None, &p, &cfg, &Tracer::disabled());
 
         // Publish the poisoned prep so the full flow consumes it — the NaN
         // travels extraction → skew bounds → capture checks end to end.

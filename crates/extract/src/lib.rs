@@ -267,7 +267,7 @@ pub fn extract(layout: &Layout, netlist: &FlatNetlist, process: &Process) -> Ext
 /// shape on both axes. Every other net reads the same shapes, the same
 /// neighbours and shields (in the same order) and the same device
 /// sizes as before, so its `base` entry is moved over unchanged.
-/// Returns the extraction and the number of nets re-extracted.
+/// Returns the extraction and the nets re-extracted, ascending.
 ///
 /// `None` when the unchanged shapes do not keep their relative order
 /// (a moved-over net's floating-point sums would then be taken in a
@@ -279,7 +279,7 @@ pub fn extract_spliced(
     netlist: &FlatNetlist,
     process: &Process,
     resized: &[DeviceId],
-) -> Option<(Extracted, usize)> {
+) -> Option<(Extracted, Vec<NetId>)> {
     let n_nets = netlist.net_count();
     if base.nets.len() != n_nets {
         return None;
@@ -314,12 +314,12 @@ pub fn extract_spliced(
 
     let mut nets = base.nets;
     let mut scratch = Scratch::default();
-    let mut redone = 0;
+    let mut redone = Vec::new();
     for (id, slot) in nets.iter_mut().enumerate() {
         if dirty[id] {
             let net = NetId(id as u32);
             *slot = extract_net(&index, layout, netlist, process, net, &mut scratch);
-            redone += 1;
+            redone.push(net);
         }
     }
     Some((Extracted { nets }, redone))
@@ -1321,7 +1321,7 @@ mod tests {
             if let Some((spliced, redone)) =
                 extract_spliced(base, &old, &layout, &netlist, &process, &resized)
             {
-                prop_assert!(redone <= netlist.net_count());
+                prop_assert!(redone.len() <= netlist.net_count());
                 prop_assert_eq!(format!("{spliced:?}"), format!("{full:?}"));
             }
         }
@@ -1379,7 +1379,7 @@ mod tests {
                     "{} step {step}: spliced extraction differs",
                     netlist.name()
                 );
-                redone_total += redone;
+                redone_total += redone.len();
                 (layout, extracted) = (next, spliced);
             }
             assert!(

@@ -91,29 +91,46 @@ pub fn route_channel(netlist: &FlatNetlist, placement: &Placement, rules: &Rules
     // raw terminal x) so different nets never share a vertical lane;
     // short m2 jogs connect terminals to their columns.
     let col_pitch = rules.m1_width + rules.m1_space;
-    let mut columns: std::collections::HashMap<i64, Vec<(NetId, i64, i64)>> =
-        std::collections::HashMap::new();
-    // Seed the column occupancy with the placement's own metal1 (device
-    // contacts): stubs must keep their distance from those too.
-    for ps in &placement.shapes {
-        if ps.layer != Layer::Metal1 {
-            continue;
-        }
-        let Some(net) = ps.net else { continue };
-        // Block exactly the columns whose stub rect would come within
-        // m1 spacing of this shape (the availability check below adds
-        // the vertical margin; adding it here too would double-count).
-        let a = ps.rect.x0 - rules.m1_space - rules.m1_width;
-        let b = ps.rect.x1 + rules.m1_space;
-        let c_lo = a.div_euclid(col_pitch);
-        let c_hi = b.div_euclid(col_pitch) + 1;
+    // The placement's own metal1 (device contacts): stubs must keep
+    // their distance from those too. Each blocks exactly the columns
+    // strictly inside `a..b`, those whose stub rect would come within m1
+    // spacing of it (the availability check below adds the vertical
+    // margin; adding it here too would double-count); `c_lo..=c_hi`
+    // holds them.
+    let contacts = placement
+        .shapes
+        .iter()
+        .filter(|ps| ps.layer == Layer::Metal1)
+        .filter_map(|ps| {
+            let a = ps.rect.x0 - rules.m1_space - rules.m1_width;
+            let b = ps.rect.x1 + rules.m1_space;
+            let (c_lo, c_hi) = (a.div_euclid(col_pitch), b.div_euclid(col_pitch) + 1);
+            Some((ps.net?, ps.rect, a, b, c_lo, c_hi))
+        });
+    // A stub's column search starts at its terminal's home column and
+    // probes within `REACH` columns of it.
+    const REACH: i64 = 32;
+    let home_of = |tx: i64| (tx - rules.m1_width / 2).div_euclid(col_pitch);
+    // The column occupancy is one array, from the leftmost column a
+    // contact blocks or a stub probes to the rightmost.
+    let (c_min, c_max) = contacts
+        .clone()
+        .map(|(.., c_lo, c_hi)| (c_lo, c_hi))
+        .chain(
+            spans
+                .iter()
+                .flat_map(|s| &s.terminals)
+                .map(|&(tx, _)| (home_of(tx) - REACH, home_of(tx) + REACH)),
+        )
+        .reduce(|(lo, hi), (c_lo, c_hi)| (lo.min(c_lo), hi.max(c_hi)))
+        .unwrap_or((0, -1));
+    let mut columns: Vec<Vec<(NetId, i64, i64)>> = vec![Vec::new(); (c_max - c_min + 1) as usize];
+    let slot = |c: i64| (c - c_min) as usize;
+    for (net, rect, a, b, c_lo, c_hi) in contacts {
         for c in c_lo..=c_hi {
             let col_x = c * col_pitch;
             if col_x > a && col_x < b {
-                columns
-                    .entry(c)
-                    .or_default()
-                    .push((net, ps.rect.y0, ps.rect.y1));
+                columns[slot(c)].push((net, rect.y0, rect.y1));
             }
         }
     }
@@ -136,8 +153,8 @@ pub fn route_channel(netlist: &FlatNetlist, placement: &Placement, rules: &Rules
             };
             y1 = y1.max(y0 + rules.m1_width);
             // Claim the nearest free column for this stub's y extent.
-            let home = (tx - rules.m1_width / 2).div_euclid(col_pitch);
-            let col = (0..64)
+            let home = home_of(tx);
+            let col = (0..2 * REACH)
                 .map(|k| {
                     if k % 2 == 0 {
                         home + k / 2
@@ -145,15 +162,13 @@ pub fn route_channel(netlist: &FlatNetlist, placement: &Placement, rules: &Rules
                         home - (k + 1) / 2
                     }
                 })
-                .find(|c| {
-                    columns.get(c).is_none_or(|occ| {
-                        occ.iter().all(|&(n, oy0, oy1)| {
-                            n == s.net || y1 + rules.m1_space <= oy0 || oy1 + rules.m1_space <= y0
-                        })
+                .find(|&c| {
+                    columns[slot(c)].iter().all(|&(n, oy0, oy1)| {
+                        n == s.net || y1 + rules.m1_space <= oy0 || oy1 + rules.m1_space <= y0
                     })
                 })
                 .unwrap_or(home);
-            columns.entry(col).or_default().push((s.net, y0, y1));
+            columns[slot(col)].push((s.net, y0, y1));
             let col_x = col * col_pitch;
             shapes.push(Shape {
                 layer: Layer::Metal1,

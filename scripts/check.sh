@@ -70,10 +70,18 @@ done
 echo "== extraction index equals the all-pairs scan, and scans flat =="
 cargo test -q --release -p cbv-extract
 
+# Spliced fingerprints equal full ones: seeded resizes of alu8, man8
+# and ripple8 (rails and state-element CCCs included), each spliced
+# over the nets extraction redid, over the nets whose extraction
+# changed, and over no extraction at all.
+echo "== spliced fingerprints equal full ones (cbv-cache) =="
+cargo test -q --release -p cbv-cache
+
 # The splice oracle: a 500-step seeded sizing walk on an owned cache,
-# each step's spliced prep Debug-equal to a full build, with its
-# splice/fallback/re-extraction counts — at both ends of the
-# worker-count range.
+# each step's spliced prep Debug-equal to a full build and its unit
+# fingerprints equal to the full build's, with its splice/fallback,
+# re-extraction and re-fold counts — at both ends of the worker-count
+# range.
 for threads in 1 8; do
   echo "== spliced prep equals a full build (CBV_THREADS=$threads) =="
   CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk

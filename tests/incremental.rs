@@ -366,12 +366,13 @@ fn nmos_row_height(netlist: &FlatNetlist) -> Option<i64> {
 /// through `run_flow_incremental` on one owned cache, which splices each
 /// revision's prep from the one it kept for the last. On every step the
 /// prep spliced from that same kept base must `Debug`-equal a full
-/// build's recognition, layout and extraction. The walk holds
-/// row-height steps, which extract whole, and steps whose router gains
-/// or drops a jog, which shift every later shape. Counted: a spliced op
-/// re-extracts at most 22 of alu8's 222 nets on average, after 64 steps
-/// and after 500, and the fallbacks past the priming run are the
-/// row-height steps.
+/// build's recognition, layout and extraction, and its unit
+/// fingerprints must equal the full build's. The walk holds row-height
+/// steps, which extract whole, and steps whose router gains or drops a
+/// jog, which shift every later shape. Counted: a spliced op re-extracts
+/// at most 22 of alu8's 222 nets and re-folds at most 12 of its 88 CCC
+/// units on average, after 64 steps and after 500, and the fallbacks
+/// past the priming run are the row-height steps.
 #[test]
 fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
     let p = Process::strongarm_035();
@@ -380,7 +381,7 @@ fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
         ..FlowConfig::default()
     };
     let count = |name: &str| cfg.tracer.counter_value(name);
-    let mean_redone = || count("extract.nets_reextracted") as f64 / count("prep.splices") as f64;
+    let per_splice = |name: &str| count(name) as f64 / count("prep.splices") as f64;
     let mut netlist = alu_slice(8, &p).netlist;
     let mut cache = VerifyCache::new();
     run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
@@ -388,7 +389,7 @@ fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
     assert_eq!(netlist.net_count(), 222);
 
     let mut walk = Walk::new(1, 3, netlist.devices().len());
-    let (mut row_steps, mut jog_steps, mut mean_at_64) = (0, 0, 0.0);
+    let (mut row_steps, mut jog_steps, mut means_at_64) = (0, 0, (0.0, 0.0));
     let mut shapes = None;
     for step in 1..=500 {
         let rows = nmos_row_height(&netlist);
@@ -425,11 +426,18 @@ fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
         for (what, got, want) in pairs {
             assert!(got == want, "step {step}: the spliced {what} differs");
         }
+        assert!(
+            spliced.unit_fingerprints() == full.unit_fingerprints(),
+            "step {step}: the spliced fingerprints differ"
+        );
         let n_shapes = full.layout().shapes.len();
         jog_steps += usize::from(shapes.is_some_and(|n| n != n_shapes));
         shapes = Some(n_shapes);
         if step == 64 {
-            mean_at_64 = mean_redone();
+            means_at_64 = (
+                per_splice("extract.nets_reextracted"),
+                per_splice("fingerprint.units_refolded"),
+            );
         }
     }
 
@@ -437,10 +445,18 @@ fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
     assert!(jog_steps > 0, "the walk changes the shape count");
     assert_eq!(count("prep.fallbacks"), 1 + row_steps as u64);
     assert_eq!(count("prep.splices"), 500 - row_steps as u64);
-    for (steps, mean) in [(64, mean_at_64), (500, mean_redone())] {
+    let at_500 = (
+        per_splice("extract.nets_reextracted"),
+        per_splice("fingerprint.units_refolded"),
+    );
+    for (steps, (nets, units)) in [(64, means_at_64), (500, at_500)] {
         assert!(
-            mean <= 22.0,
-            "{steps} steps: a spliced op re-extracted {mean:.2} of 222 nets"
+            nets <= 22.0,
+            "{steps} steps: a spliced op re-extracted {nets:.2} of 222 nets"
+        );
+        assert!(
+            units <= 12.0,
+            "{steps} steps: a spliced op re-folded {units:.2} of 88 CCC units"
         );
     }
 }
