@@ -26,6 +26,7 @@
 //! change invalidating an object cache.
 
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use cbv_everify::EverifyConfig;
 use cbv_extract::Extracted;
@@ -76,6 +77,12 @@ pub struct UnitFingerprint {
 pub struct DesignFingerprints {
     /// Per-unit fingerprints; `units.len() == cccs + 1`.
     pub units: Vec<UnitFingerprint>,
+    /// The canonical keys the units were folded under. A sizing splice
+    /// keeps every name and id, so it folds under the same keys.
+    keys: Arc<CanonicalKeys>,
+    /// The residue's digest of each net no CCC owns, in net order. A
+    /// splice re-digests only the nets extraction redid.
+    unowned: Vec<u64>,
 }
 
 impl DesignFingerprints {
@@ -222,9 +229,11 @@ impl DesignFingerprints {
     /// device digest folds `w` and `l`) or one of its channel nets was
     /// re-extracted (their parasitics are folded in). Those units are
     /// re-folded, every other one is copied, and the residue's content
-    /// is re-folded from the unit contents and the unowned nets. Equal
-    /// to [`fingerprint_design`] over the edited design; returns the
-    /// fingerprints and the number of CCC units re-folded.
+    /// is re-folded from the unit contents and the unowned nets, of
+    /// which only those re-extracted are digested again. The canonical
+    /// keys are `self`'s. Equal to [`fingerprint_design`] over the
+    /// edited design; returns the fingerprints and the number of CCC
+    /// units re-folded.
     pub fn spliced(
         &self,
         netlist: &FlatNetlist,
@@ -251,47 +260,80 @@ impl DesignFingerprints {
             })
             .collect();
         let refolded = stale.iter().filter(|&&s| s).count();
-        let fps = fold_units(netlist, recognition, extracted, Some((self, &stale)));
+        let base = Base {
+            fps: self,
+            stale,
+            redone: touched_net,
+        };
+        let fps = fold_units(netlist, recognition, extracted, Some(base));
         (fps, refolded)
     }
 }
 
+/// What a spliced fold reuses: the fingerprints before the edit, the
+/// CCC units to re-fold, and the nets extraction redid.
+struct Base<'a> {
+    fps: &'a DesignFingerprints,
+    stale: Vec<bool>,
+    redone: Vec<bool>,
+}
+
 /// The one fold behind [`fingerprint_design`] and
 /// [`DesignFingerprints::spliced`]. Without a base every unit is folded.
-/// With `(base, stale)`, CCC unit `i` is folded only when `stale[i]` and
-/// copied from `base` otherwise; the residue's content is folded either
-/// way, and its binding copied from `base`.
+/// With one, CCC unit `i` is folded only when `stale[i]` and copied
+/// from the base otherwise, under the base's canonical keys; the
+/// residue's content is folded either way, over the base's digests of
+/// the unowned nets extraction did not redo, and its binding copied
+/// from the base.
 fn fold_units(
     netlist: &FlatNetlist,
     recognition: &Recognition,
     extracted: &Extracted,
-    base: Option<(&DesignFingerprints, &[bool])>,
+    base: Option<Base>,
 ) -> DesignFingerprints {
-    let keys = CanonicalKeys::new(netlist);
+    let keys = base.as_ref().map_or_else(
+        || Arc::new(CanonicalKeys::new(netlist)),
+        |base| Arc::clone(&base.fps.keys),
+    );
     let se_digests: Vec<u64> = recognition
         .state_elements
         .iter()
         .map(|se| state_element_digest(recognition, &keys, se))
         .collect();
     let mut units: Vec<UnitFingerprint> = (0..recognition.cccs.len())
-        .map(|i| match base {
-            Some((base, stale)) if !stale[i] => base.units[i],
+        .map(|i| match &base {
+            Some(base) if !base.stale[i] => base.fps.units[i],
             _ => UnitFingerprint {
                 content: ccc_content(netlist, recognition, extracted, &keys, &se_digests, i),
-                binding: base.map_or_else(
+                binding: base.as_ref().map_or_else(
                     || ccc_binding(netlist, recognition, i),
-                    |(base, _)| base.units[i].binding,
+                    |base| base.fps.units[i].binding,
                 ),
             },
         })
         .collect();
-    let content = residue_content(netlist, recognition, extracted, &keys, se_digests, &units);
-    let binding = match base {
-        Some((base, _)) => base.residue().binding,
+    let reuse = base
+        .as_ref()
+        .map(|base| (&base.fps.unowned[..], &base.redone[..]));
+    let (content, unowned) = residue_content(
+        netlist,
+        recognition,
+        extracted,
+        &keys,
+        se_digests,
+        &units,
+        reuse,
+    );
+    let binding = match &base {
+        Some(base) => base.fps.residue().binding,
         None => residue_binding(netlist),
     };
     units.push(UnitFingerprint { content, binding });
-    DesignFingerprints { units }
+    DesignFingerprints {
+        units,
+        keys,
+        unowned,
+    }
 }
 
 /// Content digest of CCC unit `i`: its devices, boundary nets, class,
@@ -393,7 +435,10 @@ fn ccc_binding(netlist: &FlatNetlist, recognition: &Recognition, i: usize) -> u6
 
 /// Content digest of the residue unit: every CCC unit's content hash,
 /// the unowned nets with their parasitics, every state element and the
-/// passives on no owned net.
+/// passives on no owned net. Returns it with the unowned nets' digests,
+/// in net order. With `reuse`, the digests of a splice's base and the
+/// nets its extraction redid, an unowned net that was not redone takes
+/// its digest from the base's.
 fn residue_content(
     netlist: &FlatNetlist,
     recognition: &Recognition,
@@ -401,30 +446,31 @@ fn residue_content(
     keys: &CanonicalKeys,
     se_digests: Vec<u64>,
     units: &[UnitFingerprint],
-) -> u64 {
+    reuse: Option<(&[u64], &[bool])>,
+) -> (u64, Vec<u64>) {
     let mut owned = vec![false; netlist.net_count()];
     for ccc in &recognition.cccs {
         for &net in &ccc.channel_nets {
             owned[net.index()] = true;
         }
     }
+    let unowned: Vec<u64> = netlist
+        .net_ids()
+        .filter(|n| !owned[n.index()])
+        .enumerate()
+        .map(|(k, n)| match reuse {
+            Some((digests, redone)) if !redone[n.index()] => digests[k],
+            _ => fold_u64(
+                net_digest(netlist, recognition, keys, n),
+                parasitic_digest(extracted, keys, n),
+            ),
+        })
+        .collect();
     let mut content = fnv1a(FNV_OFFSET, b"residue");
     content = fold_sorted(content, units.iter().map(|u| u.content).collect());
-    content = fold_sorted(
-        content,
-        netlist
-            .net_ids()
-            .filter(|n| !owned[n.index()])
-            .map(|n| {
-                fold_u64(
-                    net_digest(netlist, recognition, keys, n),
-                    parasitic_digest(extracted, keys, n),
-                )
-            })
-            .collect(),
-    );
+    content = fold_sorted(content, unowned.clone());
     content = fold_sorted(content, se_digests);
-    fold_sorted(
+    let content = fold_sorted(
         content,
         netlist
             .passives()
@@ -432,7 +478,8 @@ fn residue_content(
             .filter(|p| !owned[p.a.index()] && !owned[p.b.index()])
             .map(|p| passive_digest(keys, p))
             .collect(),
-    )
+    );
+    (content, unowned)
 }
 
 /// Binding digest of the residue unit: the whole netlist's ids, names
@@ -654,7 +701,7 @@ mod tests {
     /// is reached through the device alone.
     #[test]
     fn spliced_fingerprints_equal_full_ones_over_seeded_resizes() {
-        use cbv_extract::{extract, extract_spliced};
+        use cbv_extract::{extract, extract_spliced, ShapeIndex};
         use cbv_gen::adders::{manchester_domino_adder, static_ripple_adder};
         use cbv_gen::datapath::alu_slice;
 
@@ -684,7 +731,8 @@ mod tests {
                 .copied()
                 .collect();
             let mut layout = synthesize(&netlist, &p);
-            let mut extracted = extract(&layout, &netlist, &p);
+            let mut index = ShapeIndex::new(&layout, netlist.net_count(), &p);
+            let mut extracted = index.extract(&layout, &netlist, &p);
             let mut fps = fingerprint_design(&netlist, &rec, &extracted);
             let bare = Extracted::default();
             let mut bare_fps = fingerprint_design(&netlist, &rec, &bare);
@@ -721,11 +769,14 @@ mod tests {
                 );
                 bare_fps = bare_want;
                 let before = extracted.clone();
-                let spliced = extract_spliced(extracted, &layout, &next, &netlist, &p, &[d]);
-                let Some((spliced, redone)) = spliced else {
+                let spliced = extract_spliced(extracted, index, &layout, &next, &netlist, &p, &[d]);
+                let Some(spliced) = spliced else {
+                    index = ShapeIndex::new(&next, netlist.net_count(), &p);
                     (layout, extracted, fps) = (next, full, want);
                     continue;
                 };
+                let (redone, spliced_index, spliced) =
+                    (spliced.redone, spliced.index, spliced.extracted);
                 let changed: Vec<NetId> = netlist
                     .net_ids()
                     .filter(|&n| format!("{:?}", before.net(n)) != format!("{:?}", full.net(n)))
@@ -741,7 +792,7 @@ mod tests {
                     refolded += n;
                 }
                 splices += 1;
-                (layout, extracted, fps) = (next, spliced, want);
+                (layout, index, extracted, fps) = (next, spliced_index, spliced, want);
             }
             assert!(
                 splices >= 20,

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use cbv_cache::{CacheKey, CacheStats, UnitResult, VerifyCache};
 use cbv_everify::EverifyConfig;
 use cbv_exec::Executor;
-use cbv_extract::Extracted;
+use cbv_extract::{Extracted, ShapeIndex};
 use cbv_layout::Layout;
 use cbv_netlist::FlatNetlist;
 use cbv_obs::{TraceCtx, Tracer};
@@ -220,7 +220,9 @@ pub fn run_flow(netlist: FlatNetlist, process: &Process, config: &FlowConfig) ->
     let flow = TraceCtx::under(tracer, &root);
 
     // 1–3. Recognition, layout assistance, optional DRC, extraction.
-    let (prep, drc_violations) = serial_prep(&mut stages, flow, netlist, process, config.check_drc);
+    // The shape index is dropped here: a cold run never splices.
+    let (prep, _, drc_violations) =
+        serial_prep(&mut stages, flow, netlist, process, config.check_drc);
     let Prep {
         netlist,
         recognition,
@@ -312,14 +314,16 @@ pub(crate) struct Prep {
 /// extraction (the §4.3 inputs). The one definition of the serial prep —
 /// the cold flow, the cached driver's prep-miss branch when it cannot
 /// splice, and [`PreparedDesign::build`](crate::scatter::PreparedDesign::build)
-/// all run this. Returns the DRC violation count when DRC ran.
+/// all run this. Returns the prep, the shape index the extraction was
+/// taken through (a cached run keeps it for the next splice to patch)
+/// and the DRC violation count when DRC ran.
 pub(crate) fn serial_prep(
     stages: &mut Vec<StageReport>,
     flow: TraceCtx<'_>,
     netlist: FlatNetlist,
     process: &Process,
     check_drc: bool,
-) -> (Prep, Option<usize>) {
+) -> (Prep, ShapeIndex, Option<usize>) {
     let recognition = timed(stages, flow, "recognize", |_| {
         let r = cbv_recognize::recognize(&netlist);
         let n = r.cccs.len();
@@ -331,10 +335,11 @@ pub(crate) fn serial_prep(
         (l, n, None)
     });
     let drc_violations = check_drc.then(|| drc_row(stages, flow, &layout, &netlist, process));
-    let extracted = timed(stages, flow, "extract", |_| {
-        let e = cbv_extract::extract(&layout, &netlist, process);
+    let (extracted, index) = timed(stages, flow, "extract", |_| {
+        let index = ShapeIndex::new(&layout, netlist.net_count(), process);
+        let e = index.extract(&layout, &netlist, process);
         let n = e.iter().count();
-        (e, n, None)
+        ((e, index), n, None)
     });
     let prep = Prep {
         netlist: Arc::new(netlist),
@@ -342,7 +347,7 @@ pub(crate) fn serial_prep(
         layout,
         extracted,
     };
-    (prep, drc_violations)
+    (prep, index, drc_violations)
 }
 
 /// The `drc` row: geometric DRC over the assisted layout, returning the

@@ -55,7 +55,7 @@ use cbv_cache::{
 };
 use cbv_everify::{CheckKind, CheckScope, EverifyConfig, Finding, Severity, Subject};
 use cbv_exec::{run_isolated, Executor};
-use cbv_extract::{Extracted, PackedExtraction};
+use cbv_extract::{Extracted, PackedExtraction, ShapeIndex};
 use cbv_layout::{Layout, PackedLayout};
 use cbv_netlist::{DeviceId, FlatNetlist, NetId};
 use cbv_obs::{TraceCtx, Tracer};
@@ -75,6 +75,9 @@ use crate::flow::{
 /// or in another process that rebuilt the identical netlist.
 pub struct PreparedDesign {
     parts: Prep,
+    /// The shape index `parts`' extraction was taken through: a prep
+    /// spliced from this one patches it.
+    index: Arc<ShapeIndex>,
     scopes: Vec<CheckScope>,
     fps: DesignFingerprints,
     env: u64,
@@ -116,14 +119,14 @@ impl PreparedDesign {
     /// worker-side entry: no tracing, no stage reports, no DRC — the
     /// coordinator's driver reports those for the run.
     pub fn build(netlist: FlatNetlist, process: &Process, config: &FlowConfig) -> Self {
-        let (parts, _) = serial_prep(
+        let (parts, index, _) = serial_prep(
             &mut Vec::new(),
             TraceCtx::disabled(),
             netlist,
             process,
             false,
         );
-        Self::from_prep(parts, None, process, config, &Tracer::disabled())
+        Self::from_prep(parts, index, None, process, config, &Tracer::disabled())
     }
 
     /// The check config a run prepares under and its environment key.
@@ -139,6 +142,7 @@ impl PreparedDesign {
     /// re-folded on `tracer`, else in full.
     fn from_prep(
         parts: Prep,
+        index: ShapeIndex,
         splice: Option<Splice>,
         process: &Process,
         config: &FlowConfig,
@@ -165,6 +169,7 @@ impl PreparedDesign {
         debug_assert_eq!(scopes.len(), fps.units.len());
         PreparedDesign {
             parts,
+            index: Arc::new(index),
             scopes,
             fps,
             env,
@@ -188,6 +193,12 @@ impl PreparedDesign {
     /// The design's extraction.
     pub fn extracted(&self) -> &Extracted {
         &self.parts.extracted
+    }
+
+    /// The index over the design's layout that its extraction was taken
+    /// through, patched from the base's when the prep was spliced.
+    pub fn shape_index(&self) -> &ShapeIndex {
+        &self.index
     }
 
     /// Environment fingerprint (process/corner/config/tool version).
@@ -464,10 +475,11 @@ enum PrepSource {
     /// Another stream's published artifact, partition and fingerprints
     /// included.
     Shared(Arc<PreparedDesign>),
-    /// This run's own, and what its splice changed when it was spliced.
+    /// This run's own with its shape index, and what its splice changed
+    /// when it was spliced.
     /// Partition and fingerprints are still to be built — inside the
     /// `fingerprint` row, so that row times them.
-    Built(Prep, Option<Splice>),
+    Built(Prep, ShapeIndex, Option<Splice>),
 }
 
 /// What a spliced prep changed of its base: what
@@ -482,13 +494,15 @@ struct Splice {
 }
 
 /// What an owned [`VerifyCache`] keeps of a run's prep for the next run
-/// to splice from: the netlist and the recognition (shared with the
-/// run's report), the layout and the extraction, each packed into one
-/// block, and the unit fingerprints. Unpacked, the layout and the
-/// extraction are some 0.4 MB in a thousand allocations for
-/// `alu_slice(8)`; packed, about 0.2 MB in two blocks. The fingerprints
-/// are 16 bytes a unit; a splice copies those of the units its edit does
-/// not reach. The partition is not kept: a splice rebuilds it.
+/// to splice from: the netlist, the recognition and the shape index
+/// (shared with the run's prep), the layout and the extraction, each
+/// packed into one block, and the unit fingerprints. Unpacked, the
+/// layout and the extraction are some 0.4 MB in a thousand allocations
+/// for `alu_slice(8)`; packed, about 0.2 MB in two blocks. The index is
+/// about 140 KB in flat arrays, and the next splice patches it rather
+/// than building its own. The fingerprints are 16 bytes a unit;
+/// a splice copies those of the units its edit does not reach. The
+/// partition is not kept: a splice rebuilds it.
 #[derive(Clone)]
 pub struct KeptPrep {
     env: u64,
@@ -496,6 +510,7 @@ pub struct KeptPrep {
     recognition: Arc<Recognition>,
     layout: PackedLayout,
     extracted: PackedExtraction,
+    index: Arc<ShapeIndex>,
     fps: DesignFingerprints,
 }
 
@@ -508,6 +523,7 @@ impl KeptPrep {
             recognition: Arc::clone(&prep.parts.recognition),
             layout: prep.parts.layout.pack(),
             extracted: prep.parts.extracted.pack(),
+            index: Arc::clone(&prep.index),
             fps: prep.fps.clone(),
         }
     }
@@ -524,7 +540,7 @@ impl KeptPrep {
     ) -> PreparedDesign {
         let (_, env) = PreparedDesign::env_of(process, config);
         let base = (self.env == env).then(|| Base::Kept(self.clone()));
-        let (parts, splice, _) = build_prep(
+        let (parts, index, splice, _) = build_prep(
             &mut Vec::new(),
             TraceCtx::disabled(),
             netlist,
@@ -532,7 +548,7 @@ impl KeptPrep {
             false,
             base.into_iter().collect(),
         );
-        PreparedDesign::from_prep(parts, splice, process, config, &Tracer::disabled())
+        PreparedDesign::from_prep(parts, index, splice, process, config, &Tracer::disabled())
     }
 }
 
@@ -560,9 +576,9 @@ impl Base {
 /// A splice reuses the base's recognition — it never reads `w` or `l` —
 /// rebuilds the layout whole and re-extracts only the nets the edit
 /// reaches ([`cbv_extract::extract_spliced`]), moving every other net
-/// over from the base; a published base lends its layout to that diff
-/// rather than cloning it. It returns the [`Splice`] facts with the
-/// prep, for the fingerprints to be spliced from the base's in turn.
+/// over from the base and patching the base's shape index; a published
+/// base lends its layout to that rather than cloning it. It returns the [`Splice`] facts with the prep, for the
+/// fingerprints to be spliced from the base's in turn.
 /// When the edit moves a placement row (the NMOS row's height sets where
 /// every shape above it lands, so nearly every net is reached)
 /// extraction runs whole, and so do the fingerprints. Each
@@ -575,7 +591,7 @@ fn build_prep(
     process: &Process,
     check_drc: bool,
     bases: Vec<Base>,
-) -> (Prep, Option<Splice>, Option<usize>) {
+) -> (Prep, ShapeIndex, Option<Splice>, Option<usize>) {
     let tracer = flow.tracer;
     let edit = bases.into_iter().find_map(|base| {
         let resized = netlist.resized_devices(base.netlist())?;
@@ -583,14 +599,15 @@ fn build_prep(
     });
     let Some((base, resized)) = edit else {
         tracer.add("prep.fallbacks", 1);
-        let (prep, drc_violations) = serial_prep(stages, flow, netlist, process, check_drc);
-        return (prep, None, drc_violations);
+        let (prep, index, drc_violations) = serial_prep(stages, flow, netlist, process, check_drc);
+        return (prep, index, None, drc_violations);
     };
-    // A published base outlives the run and lends its layout; a kept
-    // one is unpacked, and its blocks freed, before the layout is
-    // rebuilt.
+    // A published base outlives the run and lends its layout, and its
+    // index is copied for the splice to patch; a kept one is unpacked,
+    // and its blocks freed, before the layout is rebuilt, and its index
+    // is patched in place.
     let published;
-    let (recognition, fps, old_extracted, old_layout) = match base {
+    let (recognition, fps, old_extracted, old_layout, old_index) = match base {
         Base::Published(p) => {
             published = p;
             (
@@ -598,6 +615,7 @@ fn build_prep(
                 published.fps.clone(),
                 published.parts.extracted.clone(),
                 Cow::Borrowed(&published.parts.layout),
+                ShapeIndex::clone(&published.index),
             )
         }
         Base::Kept(k) => (
@@ -605,6 +623,7 @@ fn build_prep(
             k.fps,
             k.extracted.unpack(),
             Cow::Owned(k.layout.unpack()),
+            Arc::unwrap_or_clone(k.index),
         ),
     };
     let recognition = timed(stages, flow, "recognize", |_| {
@@ -617,12 +636,13 @@ fn build_prep(
         (l, n, None)
     });
     let drc_violations = check_drc.then(|| drc_row(stages, flow, &layout, &netlist, process));
-    let (extracted, reextracted) = timed(stages, flow, "extract", |_| {
+    let (extracted, index, reextracted) = timed(stages, flow, "extract", |_| {
         let rows = |l: &Layout| l.sites.iter().map(|s| s.row_y).collect::<Vec<_>>();
         let spliced = (rows(&old_layout) == rows(&layout))
             .then(|| {
                 cbv_extract::extract_spliced(
                     old_extracted,
+                    old_index,
                     &old_layout,
                     &layout,
                     &netlist,
@@ -631,19 +651,21 @@ fn build_prep(
                 )
             })
             .flatten();
-        let (e, redone) = match spliced {
-            Some((e, redone)) => {
+        let (e, index, redone) = match spliced {
+            Some(s) => {
                 tracer.add("prep.splices", 1);
-                tracer.add("extract.nets_reextracted", redone.len() as u64);
-                (e, Some(redone))
+                tracer.add("extract.nets_reextracted", s.redone.len() as u64);
+                tracer.add("extract.index_rebuilds", u64::from(s.index_rebuilt));
+                (s.extracted, s.index, Some(s.redone))
             }
             None => {
                 tracer.add("prep.fallbacks", 1);
-                (cbv_extract::extract(&layout, &netlist, process), None)
+                let index = ShapeIndex::new(&layout, netlist.net_count(), process);
+                (index.extract(&layout, &netlist, process), index, None)
             }
         };
         let n = e.iter().count();
-        ((e, redone), n, None)
+        ((e, index, redone), n, None)
     });
     let splice = reextracted.map(|reextracted| Splice {
         base: fps,
@@ -656,7 +678,7 @@ fn build_prep(
         layout,
         extracted,
     };
-    (prep, splice, drc_violations)
+    (prep, index, splice, drc_violations)
 }
 
 /// The one cached-flow body (see the module docs). With a `tier`, the
@@ -726,10 +748,10 @@ pub(crate) fn run_flow_tiered(
                     .into_iter()
                     .collect(),
             };
-            let (parts, splice, drc_violations) =
+            let (parts, index, splice, drc_violations) =
                 build_prep(&mut stages, flow, netlist, process, config.check_drc, bases);
             (
-                PrepSource::Built(parts, splice),
+                PrepSource::Built(parts, index, splice),
                 drc_violations,
                 found.and_then(Result::err),
             )
@@ -744,8 +766,9 @@ pub(crate) fn run_flow_tiered(
     let (prep, keys, mut dirty, held) = timed(&mut stages, flow, "fingerprint", |ctx| {
         let prep = match source {
             PrepSource::Shared(p) => p,
-            PrepSource::Built(parts, splice) => {
-                let prep = PreparedDesign::from_prep(parts, splice, process, config, ctx.tracer);
+            PrepSource::Built(parts, index, splice) => {
+                let prep =
+                    PreparedDesign::from_prep(parts, index, splice, process, config, ctx.tracer);
                 let prep = Arc::new(prep);
                 // Publish before releasing, as for units.
                 if let Some((tier, key)) = tier.zip(key) {
@@ -1303,7 +1326,8 @@ mod tests {
             "the ALU slice has recognized clocks"
         );
         let layout = cbv_layout::synthesize(&netlist, &p);
-        let mut extracted = cbv_extract::extract(&layout, &netlist, &p);
+        let index = ShapeIndex::new(&layout, netlist.net_count(), &p);
+        let mut extracted = index.extract(&layout, &netlist, &p);
         // Poison every clock phase: constraints capture on whichever phase
         // the storage elements picked, and a fault on any real tree must
         // surface regardless of which one that is.
@@ -1322,7 +1346,7 @@ mod tests {
             layout,
             extracted,
         };
-        let prep = PreparedDesign::from_prep(parts, None, &p, &cfg, &Tracer::disabled());
+        let prep = PreparedDesign::from_prep(parts, index, None, &p, &cfg, &Tracer::disabled());
 
         // Publish the poisoned prep so the full flow consumes it — the NaN
         // travels extraction → skew bounds → capture checks end to end.

@@ -65,8 +65,11 @@ done
 # The extraction oracle and work gate: the banded index's extraction
 # Debug-equal to the all-pairs scan on generated designs and random
 # layouts (negative coordinates and rails across the extent included),
-# spliced extraction equal to a full one, and the windows' ids scanned
-# per shape at most 30 and flat from alu8 to alu32.
+# spliced extraction equal to a full one, and so every net re-extracted
+# through the patched index; the windows' ids scanned per shape at most
+# 30 and flat from alu8 to alu32, on a fresh index and on one patched
+# over 24 resizes (never rebuilt there); `near`'s ids per call at most
+# 30; and each coupling pair judged once (4,477 shield queries on alu8).
 echo "== extraction index equals the all-pairs scan, and scans flat =="
 cargo test -q --release -p cbv-extract
 
@@ -78,10 +81,11 @@ echo "== spliced fingerprints equal full ones (cbv-cache) =="
 cargo test -q --release -p cbv-cache
 
 # The splice oracle: a 500-step seeded sizing walk on an owned cache,
-# each step's spliced prep Debug-equal to a full build and its unit
-# fingerprints equal to the full build's, with its splice/fallback,
-# re-extraction and re-fold counts — at both ends of the worker-count
-# range.
+# each step's spliced prep Debug-equal to a full build, its unit
+# fingerprints equal to the full build's, and every net re-extracted
+# through its patched shape index equal to the full extraction, with
+# its splice/fallback, re-extraction and re-fold counts and no index
+# rebuild — at both ends of the worker-count range.
 for threads in 1 8; do
   echo "== spliced prep equals a full build (CBV_THREADS=$threads) =="
   CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk

@@ -366,13 +366,17 @@ fn nmos_row_height(netlist: &FlatNetlist) -> Option<i64> {
 /// through `run_flow_incremental` on one owned cache, which splices each
 /// revision's prep from the one it kept for the last. On every step the
 /// prep spliced from that same kept base must `Debug`-equal a full
-/// build's recognition, layout and extraction, and its unit
-/// fingerprints must equal the full build's. The walk holds row-height
-/// steps, which extract whole, and steps whose router gains or drops a
-/// jog, which shift every later shape. Counted: a spliced op re-extracts
-/// at most 22 of alu8's 222 nets and re-folds at most 12 of its 88 CCC
-/// units on average, after 64 steps and after 500, and the fallbacks
-/// past the priming run are the row-height steps.
+/// build's recognition, layout and extraction, its unit fingerprints
+/// must equal the full build's, and re-extracting every net through its
+/// shape index — patched from the base's, step after step — must equal
+/// the full extraction too. The walk holds row-height steps, which
+/// extract whole, and steps whose router gains or drops a jog, which
+/// shift every later shape. Counted: a spliced op re-extracts at most
+/// 22 of alu8's 222 nets and re-folds at most 12 of its 88 CCC units on
+/// average, after 64 steps and after 500, the fallbacks past the
+/// priming run are the row-height steps, and no splice rebuilds the
+/// index (`cbv-extract`'s tests hold the patched windows to at most 30
+/// ids scanned per shape).
 #[test]
 fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
     let p = Process::strongarm_035();
@@ -406,6 +410,9 @@ fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
         run_flow_incremental(netlist.clone(), &p, &cfg, &mut cache);
         let spliced = base.splice(netlist.clone(), &p, &cfg);
         let full = PreparedDesign::build(netlist.clone(), &p, &cfg);
+        let through = spliced
+            .shape_index()
+            .extract(spliced.layout(), &netlist, &p);
         let pairs = [
             (
                 "recognition",
@@ -420,6 +427,11 @@ fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
             (
                 "extraction",
                 format!("{:?}", spliced.extracted()),
+                format!("{:?}", full.extracted()),
+            ),
+            (
+                "index's extraction of every net",
+                format!("{through:?}"),
                 format!("{:?}", full.extracted()),
             ),
         ];
@@ -445,6 +457,7 @@ fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
     assert!(jog_steps > 0, "the walk changes the shape count");
     assert_eq!(count("prep.fallbacks"), 1 + row_steps as u64);
     assert_eq!(count("prep.splices"), 500 - row_steps as u64);
+    assert_eq!(count("extract.index_rebuilds"), 0, "index rebuilds");
     let at_500 = (
         per_splice("extract.nets_reextracted"),
         per_splice("fingerprint.units_refolded"),
