@@ -4,13 +4,16 @@
 //! fingerprint matches a cached result. Two hashes guard each unit:
 //!
 //! * **content** — an id-invariant FNV-1a digest of everything the
-//!   unit's checks and timing arcs can read: member devices (kind, size,
-//!   canonically-keyed connectivity), boundary nets with their kinds and
-//!   recognized roles, the recognized logic family, touching state
-//!   elements, touching passives, and the extracted parasitics of the
-//!   nets the unit owns. Per-element digests are sorted before folding,
-//!   so reordering devices or nets of an unchanged design leaves the
-//!   content hash untouched.
+//!   unit's checks and timing arcs can read: member devices (key, kind,
+//!   size, canonically-keyed connectivity), boundary nets with their
+//!   kinds and recognized roles, the recognized logic family, which of
+//!   its nets are clocks, the sizes of the gates its dynamic outputs
+//!   drive, touching state elements, touching passives, and the
+//!   extracted parasitics of the nets the unit owns. Per-element digests
+//!   are sorted before folding, so reordering devices or nets of an
+//!   unchanged design leaves the content hash untouched (a reorder among
+//!   a dynamic output's receivers excepted: their sum is taken in device
+//!   order).
 //! * **binding** — an id-*sensitive* digest of the raw ids and names the
 //!   cached payload mentions. Cached findings and arcs store concrete
 //!   [`NetId`]s/[`DeviceId`]s; replaying them is only valid when those
@@ -31,7 +34,7 @@ use std::sync::Arc;
 use cbv_everify::EverifyConfig;
 use cbv_extract::Extracted;
 use cbv_netlist::canon::{fnv1a, FNV_OFFSET};
-use cbv_netlist::{CanonicalKeys, DeviceId, FlatNetlist, NetId};
+use cbv_netlist::{CanonicalKeys, DeviceId, FlatNetlist, NetId, NetUse};
 use cbv_recognize::Recognition;
 use cbv_tech::{Process, Tolerance};
 use cbv_timing::Pessimism;
@@ -146,8 +149,10 @@ fn net_digest(
     fold_debug(h, &recognition.role(net))
 }
 
-/// Digest of one device: polarity, drawn geometry, finger count, and the
-/// canonical identity plus kind/role of each terminal net.
+/// Digest of one device: its canonical key, polarity, drawn geometry,
+/// finger count, and the canonical identity plus kind/role of each
+/// terminal net. The key keeps two devices on the same nets apart, so
+/// swapping their sizes misses: device findings name the device.
 fn device_digest(
     netlist: &FlatNetlist,
     recognition: &Recognition,
@@ -155,7 +160,7 @@ fn device_digest(
     id: DeviceId,
 ) -> u64 {
     let d = netlist.device(id);
-    let mut h = fnv1a(FNV_OFFSET, b"dev");
+    let mut h = fold_u64(fnv1a(FNV_OFFSET, b"dev"), keys.device(id));
     h = fold_debug(h, &d.kind);
     h = fold_f64(h, d.w);
     h = fold_f64(h, d.l);
@@ -167,8 +172,9 @@ fn device_digest(
 }
 
 /// Digest of one state element: kind, storage and clock nets by
-/// canonical key, and a representative key per member CCC (so loop
-/// membership changes register even when the storage nets survive).
+/// canonical key, and per member CCC a representative key and its
+/// outputs (so loop membership changes register even when the storage
+/// nets survive; the arcs' same-element test reads the outputs).
 fn state_element_digest(
     recognition: &Recognition,
     keys: &CanonicalKeys,
@@ -182,12 +188,10 @@ fn state_element_digest(
         .cccs
         .iter()
         .map(|&ci| {
-            recognition.cccs[ci.index()]
-                .devices
-                .iter()
-                .map(|&d| keys.device(d))
-                .min()
-                .unwrap_or(0)
+            let ccc = &recognition.cccs[ci.index()];
+            let rep = ccc.devices.iter().map(|&d| keys.device(d)).min();
+            let outputs = ccc.outputs.iter().map(|&n| keys.net(n)).collect();
+            fold_sorted(fold_u64(FNV_OFFSET, rep.unwrap_or(0)), outputs)
         })
         .collect();
     fold_sorted(h, members)
@@ -226,14 +230,15 @@ impl DesignFingerprints {
     /// Names, ids, topology, passives and recognition are then all
     /// unchanged, so no binding moves, and a CCC unit's content reads
     /// something new only when the CCC holds a resized device (the
-    /// device digest folds `w` and `l`) or one of its channel nets was
-    /// re-extracted (their parasitics are folded in). Those units are
-    /// re-folded, every other one is copied, and the residue's content
-    /// is re-folded from the unit contents and the unowned nets, of
-    /// which only those re-extracted are digested again. The canonical
-    /// keys are `self`'s. Equal to [`fingerprint_design`] over the
-    /// edited design; returns the fingerprints and the number of CCC
-    /// units re-folded.
+    /// device digest folds `w` and `l`), drives a resized device's gate
+    /// (a dynamic output folds its receivers' sizes) or one of its
+    /// channel nets was re-extracted (their parasitics are folded in).
+    /// Those units are re-folded, every other one is copied, and the
+    /// residue's content is re-folded from the unit contents and the
+    /// unowned nets, of which only those re-extracted (or on a resized
+    /// gate) are digested again. The canonical keys are `self`'s. Equal
+    /// to [`fingerprint_design`] over the edited design; returns the
+    /// fingerprints and the number of CCC units re-folded.
     pub fn spliced(
         &self,
         netlist: &FlatNetlist,
@@ -244,10 +249,12 @@ impl DesignFingerprints {
     ) -> (DesignFingerprints, usize) {
         debug_assert_eq!(self.ccc_count(), recognition.cccs.len());
         let mut touched_device = vec![false; netlist.devices().len()];
+        let mut touched_net = vec![false; netlist.net_count()];
         for &d in resized {
             touched_device[d.index()] = true;
+            // A dynamic output folds the sizes of the gates it drives.
+            touched_net[netlist.device(d).gate.index()] = true;
         }
-        let mut touched_net = vec![false; netlist.net_count()];
         for &n in reextracted {
             touched_net[n.index()] = true;
         }
@@ -300,11 +307,23 @@ fn fold_units(
         .iter()
         .map(|se| state_element_digest(recognition, &keys, se))
         .collect();
+    let mut clocks = vec![false; netlist.net_count()];
+    for &n in &recognition.clock_nets {
+        clocks[n.index()] = true;
+    }
     let mut units: Vec<UnitFingerprint> = (0..recognition.cccs.len())
         .map(|i| match &base {
             Some(base) if !base.stale[i] => base.fps.units[i],
             _ => UnitFingerprint {
-                content: ccc_content(netlist, recognition, extracted, &keys, &se_digests, i),
+                content: ccc_content(
+                    netlist,
+                    recognition,
+                    extracted,
+                    &keys,
+                    &se_digests,
+                    &clocks,
+                    i,
+                ),
                 binding: base.as_ref().map_or_else(
                     || ccc_binding(netlist, recognition, i),
                     |base| base.fps.units[i].binding,
@@ -338,13 +357,15 @@ fn fold_units(
 
 /// Content digest of CCC unit `i`: its devices, boundary nets, class,
 /// touching state elements and passives, and its owned nets'
-/// parasitics. `se_digests` holds every state element's digest.
+/// parasitics. `se_digests` holds every state element's digest, and
+/// `clocks` marks every clock net.
 fn ccc_content(
     netlist: &FlatNetlist,
     recognition: &Recognition,
     extracted: &Extracted,
     keys: &CanonicalKeys,
     se_digests: &[u64],
+    clocks: &[bool],
     i: usize,
 ) -> u64 {
     let ccc = &recognition.cccs[i];
@@ -366,8 +387,10 @@ fn ccc_content(
             .collect(),
     );
     content = fold_sorted(content, ccc.outputs.iter().map(|&n| keys.net(n)).collect());
-    // Recognized class: family plus which outputs are dynamic and
-    // which inputs clock the stage.
+    // Recognized class: family plus which outputs are dynamic. Then
+    // which of the unit's nets are clocks: its inputs (the class's
+    // clock inputs) and its channel nets (the arcs skip an output that
+    // is a clock, and a storage net's role hides that it is one).
     content = fold_debug(content, &class.family);
     content = fold_sorted(
         content,
@@ -375,7 +398,24 @@ fn ccc_content(
     );
     content = fold_sorted(
         content,
-        class.clock_inputs.iter().map(|&n| keys.net(n)).collect(),
+        ccc.inputs
+            .iter()
+            .chain(&ccc.channel_nets)
+            .filter(|n| clocks[n.index()])
+            .map(|&n| keys.net(n))
+            .collect(),
+    );
+    // The gates each dynamic output drives — devices of other CCCs —
+    // in device order, the order charge sharing sums their capacitance
+    // in: a reorder among them misses rather than replay a sum rounded
+    // differently.
+    content = fold_sorted(
+        content,
+        class
+            .dynamic_outputs
+            .iter()
+            .map(|&n| receivers_digest(netlist, keys, n))
+            .collect(),
     );
     // State elements storing on a net this unit touches (keeper
     // detection, same-element arc suppression).
@@ -410,6 +450,26 @@ fn ccc_content(
             .map(|&net| parasitic_digest(extracted, keys, net))
             .collect(),
     )
+}
+
+/// Digest of the gates on `net`: the kind, `w` and `l` of each device
+/// whose gate it is, in device order.
+fn receivers_digest(netlist: &FlatNetlist, keys: &CanonicalKeys, net: NetId) -> u64 {
+    let mut gates: Vec<DeviceId> = netlist
+        .net_uses(net)
+        .iter()
+        .filter_map(|u| match u {
+            NetUse::Gate(d) => Some(*d),
+            _ => None,
+        })
+        .collect();
+    gates.sort_unstable();
+    gates
+        .iter()
+        .fold(fold_u64(FNV_OFFSET, keys.net(net)), |h, &d| {
+            let d = netlist.device(d);
+            fold_f64(fold_f64(fold_debug(h, &d.kind), d.w), d.l)
+        })
 }
 
 /// Binding digest of CCC unit `i`: raw ids and names, in order, plus
@@ -672,6 +732,27 @@ mod tests {
         // Exactly the owning CCC and the residue change.
         assert_eq!(changed.len(), 2);
         assert_eq!(changed[1], fa.units.len() - 1, "residue always dirties");
+    }
+
+    #[test]
+    fn swapping_the_sizes_of_parallel_devices_rekeys_their_unit() {
+        // A second NMOS beside `n0`, on the same four nets: swapping the
+        // two lengths leaves the multiset of kinds, sizes and terminals
+        // as it was, but device findings name the device.
+        let build = |l_n0: f64, l_twin: f64| {
+            let mut f = chain(&[0, 1, 2]);
+            let n0 = f.devices()[1].clone();
+            f.device_mut(DeviceId(1)).l = l_n0;
+            f.add_device(Device::mos(
+                n0.kind, "n0_twin", n0.gate, n0.drain, n0.source, n0.bulk, n0.w, l_twin,
+            ));
+            f
+        };
+        let (short, long) = (0.3e-6, 0.35e-6);
+        let mut a = build(short, long);
+        let mut b = build(long, short);
+        let owner = recognize(&a).device_ccc[1].index();
+        assert_ne!(prints(&mut a).units[owner], prints(&mut b).units[owner]);
     }
 
     #[test]

@@ -419,44 +419,6 @@ pub(crate) fn power_and_signoff(
     signoff
 }
 
-/// Fingerprint lookup plus the conservative one-step fanout closure: a
-/// unit is dirty when its fingerprint misses `cache`, or it is a clean
-/// CCC whose fanin boundary crosses a fingerprint-dirty CCC. A lookup
-/// also refreshes the entry's recency on a bounded cache. A `pending`
-/// key — another run is computing it right now — is neither dirty nor a
-/// fanout seed: what a run arriving after that claimant would see.
-pub(crate) fn dirty_closure(
-    cache: &VerifyCache,
-    env: u64,
-    fps: &cbv_cache::DesignFingerprints,
-    recognition: &Recognition,
-    pending: &[CacheKey],
-) -> Vec<bool> {
-    let n_cccs = recognition.cccs.len();
-    let mut dirty: Vec<bool> = fps
-        .units
-        .iter()
-        .map(|&u| CacheKey::new(env, u))
-        .map(|key| !cache.touch(&key) && !pending.contains(&key))
-        .collect();
-    let fp_dirty: Vec<usize> = (0..n_cccs).filter(|&i| dirty[i]).collect();
-    for (j, d) in dirty.iter_mut().enumerate().take(n_cccs) {
-        if *d {
-            continue;
-        }
-        let inputs = &recognition.cccs[j].inputs;
-        if fp_dirty.iter().any(|&i| {
-            recognition.cccs[i]
-                .outputs
-                .iter()
-                .any(|o| inputs.binary_search(o).is_ok())
-        }) {
-            *d = true;
-        }
-    }
-    dirty
-}
-
 /// The timing stage after its graph is built: constraint inference,
 /// clock-RC skew bounds and STA over `graph` against the flow's
 /// schedule. Returns the STA report and the inferred constraint count
@@ -535,9 +497,9 @@ pub(crate) fn timing_remainder(
 /// re-extracted. Then each verification unit — one per CCC plus the
 /// whole-design residue — is looked up by its content fingerprint.
 /// Units that hit replay their cached §4.2 findings and §4.3 timing
-/// arcs; only *dirty* units (fingerprint miss, or a CCC whose fanin
-/// boundary crosses a fingerprint-dirty CCC — a conservative one-step
-/// closure) are re-verified on the executor. Cached and fresh results are merged in
+/// arcs; only units whose key misses are re-verified on the executor —
+/// a key folds everything its unit's checks and arcs read, the
+/// neighbours' facts included. Cached and fresh results are merged in
 /// fixed unit order, so the resulting [`Signoff`] is byte-identical to
 /// a cold [`run_flow`] — the soundness contract `tests/incremental.rs`
 /// enforces.

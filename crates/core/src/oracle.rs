@@ -3,9 +3,9 @@
 //! `cbv-mutate` knows nothing about the flow. A campaign oracle is a
 //! closure that runs the flow over a mutant — cold `run_flow`, or
 //! `run_flow_incremental` on a cache it owns, so each mutant after the
-//! baseline re-verifies only its dirty closure — and reduces the report
-//! with [`observe`]. The resolvers below map a §4.2 finding onto the
-//! recognized design.
+//! baseline re-verifies only the units whose keys it changes — and
+//! reduces the report with [`observe`]. The resolvers below map a §4.2
+//! finding onto the recognized design.
 
 use cbv_everify::{CheckKind, Finding, Severity, Subject};
 use cbv_mutate::FlowObservation;

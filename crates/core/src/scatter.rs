@@ -64,8 +64,8 @@ use cbv_tech::{Process, Tolerance};
 use cbv_timing::{DelayCalc, Pessimism};
 
 use crate::flow::{
-    check_deadline, dirty_closure, drc_row, power_and_signoff, serial_prep, timed,
-    timing_remainder, FlowConfig, FlowReport, Prep, StageReport,
+    check_deadline, drc_row, power_and_signoff, serial_prep, timed, timing_remainder, FlowConfig,
+    FlowReport, Prep, StageReport,
 };
 
 /// Everything a worker needs to verify any unit of one design revision:
@@ -683,7 +683,7 @@ fn build_prep(
 
 /// The one cached-flow body (see the module docs). With a `tier`, the
 /// prep is looked up there first, and `cache` is the run's overlay,
-/// filled by one keyed fetch before the dirty closure reads it.
+/// filled by one keyed fetch before the unit keys are looked up in it.
 pub(crate) fn run_flow_tiered(
     netlist: FlatNetlist,
     process: &Process,
@@ -758,11 +758,12 @@ pub(crate) fn run_flow_tiered(
         }
     };
 
-    // 4. Fingerprints and the dirty closure. The prep names every key
-    // the run can look up, so a shared tier is asked for them here, in
-    // one batch, before the closure reads the overlay. The batch also
-    // claims the unit keys it did not answer; one another run holds is
-    // *pending* — not this run's to compute.
+    // 4. Fingerprints and lookup. The prep names every key the run can
+    // look up, so a shared tier is asked for them here, in one batch,
+    // before the overlay is read. The batch also claims the unit keys it
+    // did not answer; one another run holds is *theirs* — not this run's
+    // to compute. A unit is dirty when its key misses and is not theirs
+    // (a lookup also refreshes the entry's recency on a bounded cache).
     let (prep, keys, mut dirty, held) = timed(&mut stages, flow, "fingerprint", |ctx| {
         let prep = match source {
             PrepSource::Shared(p) => p,
@@ -781,7 +782,10 @@ pub(crate) fn run_flow_tiered(
         let keys: Vec<CacheKey> = (0..prep.n_units()).map(|i| prep.unit_key(i)).collect();
         let (claims, theirs) = tier.map(|tier| tier.fetch(&keys, cache)).unzip();
         let theirs: Vec<CacheKey> = theirs.unwrap_or_default();
-        let dirty = dirty_closure(cache, prep.env, &prep.fps, &prep.parts.recognition, &theirs);
+        let dirty: Vec<bool> = keys
+            .iter()
+            .map(|key| !cache.touch(key) && !theirs.contains(key))
+            .collect();
         let n_units = prep.n_units();
         ((prep, keys, dirty, (claims, theirs)), n_units, None)
     });
@@ -807,15 +811,17 @@ pub(crate) fn run_flow_tiered(
             if !theirs.is_empty() {
                 tier.await_units(&theirs, config.deadline, cache);
                 coalesced = theirs.iter().filter(|key| cache.contains(key)).count();
-                // Whatever a claimant did not deliver is dirty now, with
-                // its fanout: a second, normally empty, batch.
-                let settled =
-                    dirty_closure(cache, prep.env, &prep.fps, &prep.parts.recognition, &[]);
-                let late: Vec<usize> = (0..n_units).filter(|&i| settled[i] && !dirty[i]).collect();
+                // Whatever a claimant did not deliver is this run's to
+                // compute: a second, normally empty, batch.
+                let late: Vec<usize> = (0..n_units)
+                    .filter(|&i| !dirty[i] && !cache.contains(&keys[i]))
+                    .collect();
                 let (more, more_busy) = verify(&late);
                 outcomes.extend(more);
                 busy += more_busy;
-                dirty = settled;
+                for &i in &late {
+                    dirty[i] = true;
+                }
             }
         }
         ctx.tracer.gauge("everify.busy_s", busy.as_secs_f64());

@@ -1012,7 +1012,7 @@ mod tests {
     #[test]
     fn racing_runs_of_one_revision_compute_each_unit_once() {
         let race = lockstep_race(false, None);
-        assert!(race.missing > 0 && race.owned_misses > race.missing);
+        assert!(race.missing > 0 && race.owned_misses == race.missing);
         assert_eq!(
             race.a.cache.misses + race.b.cache.misses,
             race.owned_misses,

@@ -6,12 +6,35 @@
 //! precharged output redistributes its charge onto the (possibly
 //! discharged) internal nodes: `ΔV = Vdd · C_int / (C_int + C_out)`.
 
-use cbv_netlist::{FlatNetlist, NetId};
+use cbv_netlist::{DeviceId, FlatNetlist, NetId, NetUse};
 use cbv_recognize::Recognition;
 use cbv_tech::Process;
 
 use crate::report::{CheckKind, Report, Subject};
 use crate::{CheckScope, EverifyConfig};
+
+/// The devices with a channel terminal on `net`, each once, in device
+/// order — the order every sum below is taken in.
+fn channel_devices(netlist: &FlatNetlist, net: NetId) -> Vec<DeviceId> {
+    let mut ids = netlist.channel_devices(net);
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// The devices whose gate is on `net`, in device order.
+fn gate_devices(netlist: &FlatNetlist, net: NetId) -> Vec<DeviceId> {
+    let mut ids: Vec<DeviceId> = netlist
+        .net_uses(net)
+        .iter()
+        .filter_map(|u| match u {
+            NetUse::Gate(d) => Some(*d),
+            _ => None,
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
+}
 
 /// Runs the charge-share check on one ownership scope.
 pub fn check(
@@ -35,17 +58,16 @@ pub fn check(
                 // Manchester chain) sit at the same potential and cannot
                 // steal charge — and the stack hanging off *them* is their
                 // own gate's problem, so collection truncates there.
+                // Every net the walk meets is a channel net of this CCC,
+                // so it is no other class's dynamic output.
                 let precharged = |net: NetId| {
-                    recognition
-                        .classes
-                        .iter()
-                        .any(|c| c.dynamic_outputs.contains(&net))
+                    class.dynamic_outputs.contains(&net)
                         // Secondary prechargers on internal stack nodes
                         // (clock-gated PMOS from power) count too.
-                        || netlist.devices().iter().any(|d| {
+                        || channel_devices(netlist, net).into_iter().any(|id| {
+                            let d = netlist.device(id);
                             d.kind == cbv_tech::MosKind::Pmos
                                 && recognition.clock_nets.contains(&d.gate)
-                                && d.channel_touches(net)
                                 && (netlist.net_kind(d.source)
                                     == cbv_netlist::NetKind::Power
                                     || netlist.net_kind(d.drain)
@@ -75,20 +97,18 @@ pub fn check(
             }
             // Capacitances from device geometry (diffusion on each node).
             let diff_cap_of = |net: NetId| -> f64 {
-                netlist
-                    .devices()
-                    .iter()
-                    .filter(|d| d.channel_touches(net))
+                channel_devices(netlist, net)
+                    .into_iter()
+                    .map(|id| netlist.device(id))
                     .map(|d| process.mos(d.kind).diffusion_capacitance(d.w, d.l).farads())
                     .sum()
             };
             let c_int: f64 = internal.iter().map(|&n| diff_cap_of(n)).sum();
             // Output node: diffusion plus the receiving gates.
             let mut c_out = diff_cap_of(dyn_net);
-            for d in netlist.devices() {
-                if d.gate == dyn_net {
-                    c_out += process.mos(d.kind).gate_capacitance(d.w, d.l).farads();
-                }
+            for id in gate_devices(netlist, dyn_net) {
+                let d = netlist.device(id);
+                c_out += process.mos(d.kind).gate_capacitance(d.w, d.l).farads();
             }
             let droop = c_int / (c_int + c_out).max(1e-21);
             // A keeper on the node replenishes shared charge; its margin

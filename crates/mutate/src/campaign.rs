@@ -105,8 +105,8 @@ pub fn all_detectors() -> Vec<Detector> {
 /// The campaign's window onto the verification flow. The oracle owns
 /// whatever state makes repeated verification cheap (in practice a
 /// `VerifyCache` primed on the baseline, so each mutant re-verifies only
-/// its dirty closure); the campaign only ever hands it a netlist and
-/// reads back counts.
+/// the units whose keys it changes); the campaign only ever hands it a
+/// netlist and reads back counts.
 pub trait FlowOracle {
     /// Runs the full verification flow over `netlist` and reports what
     /// the detectors saw.
@@ -291,8 +291,8 @@ impl CampaignReport {
     /// Mean everify+timing compute over the *parametric* mutants only
     /// (width/length/beta/keeper sizing). These are the true one-CCC
     /// ECOs; the structural operators (polarity, bridge, open, clock)
-    /// move recognition roles across the design and legitimately dirty
-    /// wide cache closures, so their cost is closer to a cold run.
+    /// move recognition roles across the design and legitimately re-key
+    /// many units, so their cost is closer to a cold run.
     pub fn mean_parametric_verify_cpu(&self) -> f64 {
         Self::mean_cpu(self.mutants.iter().filter(|m| m.op.magnitude().is_some()))
     }
@@ -313,8 +313,9 @@ impl CampaignReport {
 
     /// Mean number of re-verified (cache-missed) units per mutant of a
     /// class: `Some(true)` the parametric (sizing) ops, `Some(false)` the
-    /// structural ones, `None` every mutant. The owning CCC, its one-step
-    /// fanout closure, and the always-dirty residue unit miss;
+    /// structural ones, `None` every mutant. For a sizing op the owning
+    /// CCC, the CCC driving the resized gate, any CCC whose parasitics
+    /// the resize moves and the always-dirty residue unit miss;
     /// everything else replays.
     pub fn mean_dirty_units(&self, class: Option<bool>) -> f64 {
         let (sum, n) = self

@@ -18,7 +18,7 @@
 //!    absorb cache discipline *is* the *shared content-addressed
 //!    cache tier*: every worker's unit results land there keyed by
 //!    `(env, content, binding)` fingerprint, and the next revision's
-//!    dirty closure is computed against it, so unchanged units are
+//!    unit keys are looked up in it, so unchanged units are
 //!    never dispatched at all — nor are units a racing stream already
 //!    has in flight: the driver's cache seam claims, publishes and
 //!    awaits (single-flight), and this backend is pure dispatch.

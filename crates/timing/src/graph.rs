@@ -57,11 +57,6 @@ impl TimingGraph {
         self.arcs.iter().filter(move |a| a.from == net)
     }
 
-    /// Arcs into a net.
-    pub fn fanin(&self, net: NetId) -> impl Iterator<Item = &Arc> {
-        self.arcs.iter().filter(move |a| a.to == net)
-    }
-
     /// Whether propagation is cut at this net.
     pub fn is_cut(&self, net: NetId) -> bool {
         self.cut_nets.contains(&net)
@@ -321,7 +316,7 @@ mod tests {
         let (_, g) = build(&mut f);
         assert_eq!(g.arcs.len(), 2);
         assert_eq!(g.fanout(a).count(), 1);
-        assert_eq!(g.fanin(y).count(), 1);
+        assert_eq!(g.arcs.iter().filter(|arc| arc.to == y).count(), 1);
         assert_eq!(g.launches.len(), 1, "one primary input");
         assert!(g.cut_nets.is_empty());
         for arc in &g.arcs {

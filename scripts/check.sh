@@ -56,10 +56,20 @@ cargo test -q -p cbv-bench e14_eco
 
 # The benchmark's traced eco_walk section, replayed in-process: its four
 # per-op cache counts are pure functions of the seed, so they must
-# repeat to the digit at either end of the worker-count range.
+# repeat to the digit at either end of the worker-count range. A unit
+# re-verifies only when its key misses (no fanout closure), so they read
+# [84.375, 4.625, 84.375, 3.625] unit/timing hits and misses per op.
+# Beside them, what makes that sound: every hit equal, bit for bit, to a
+# fresh verification of its unit (7,135 hits over seeded walks on alu8
+# and man8 and 18 planted E16 mutants), and a neighbour edit, an
+# unrelated edit and a revert byte-identical to cold run_flow on an
+# owned cache and on a FlowService.
 for threads in 1 8; do
-  echo "== eco_walk traced counts (CBV_THREADS=$threads) =="
-  CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental eco_walk_traced_counts_repeat_to_the_digit
+  echo "== eco_walk traced counts and hit soundness (CBV_THREADS=$threads) =="
+  CBV_THREADS=$threads cargo test -q -p cbv-core --test incremental -- \
+    eco_walk_traced_counts_repeat_to_the_digit \
+    every_hit_replays_what_a_fresh_verification_computes \
+    neighbour_edit_unrelated_edit_and_revert_stay_byte_identical
 done
 
 # The extraction oracle and work gate: the banded index's extraction

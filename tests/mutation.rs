@@ -137,8 +137,9 @@ fn campaign_runs_mutants_as_ecos_on_the_primed_cache() {
     let design = alu_slice(16, &p).netlist;
     let (report, _) = incremental_matrix(&design, 2, 1);
     assert_eq!(report.baseline.cache_hits, 0, "baseline run is cold");
-    // Single-site geometry mutants dirty one CCC (+ fanout + residue);
-    // everything else replays from cache.
+    // Single-site geometry mutants re-key the owning CCC, the CCC
+    // driving the resized gate and the residue; everything else replays
+    // from cache.
     let geometry: Vec<_> = report
         .mutants
         .iter()

@@ -447,7 +447,7 @@ proptest! {
     /// *exactly* the owning CCC's content fingerprint plus the
     /// whole-design residue — no more, no less. This is what makes
     /// campaign mutants cheap: the incremental flow re-verifies only the
-    /// dirty closure around one component.
+    /// units whose keys change around one component.
     #[test]
     fn sizing_mutation_dirties_exactly_the_owning_ccc(
         bits in 2u32..4,
