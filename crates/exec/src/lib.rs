@@ -4,9 +4,10 @@
 //! high performance workstations" because verification throughput *is*
 //! the methodology — Correct-by-Verification only works when every check
 //! can run over every transistor on every iteration. This crate is the
-//! single-machine analogue: a zero-dependency, bounded worker pool built
-//! on [`std::thread::scope`], so borrowed netlists, extractions and
-//! recognitions can be shared read-only across workers without `Arc`.
+//! single-machine analogue: a zero-dependency, bounded worker pool whose
+//! helper threads are started once and parked between maps, so borrowed
+//! netlists, extractions and recognitions can be shared read-only across
+//! workers without `Arc`, and a map pays no thread start-up.
 //!
 //! Design rules the rest of the workspace relies on:
 //!
@@ -14,16 +15,21 @@
 //!   a parallel run produces the same `Vec` a serial run would. Work is
 //!   handed out dynamically (an atomic-free shared iterator), but every
 //!   result lands in its input's slot.
-//! * **Bounded** — at most the configured number of workers exist at a
-//!   time, and they live only for the duration of one `map` call.
+//! * **Bounded** — at most the configured number of workers run one
+//!   `map`: the caller plus up to `threads − 1` helpers from one
+//!   process-wide pool. Helpers are spawned on first need, never more
+//!   than the largest `threads − 1` any map has asked for, and park on a
+//!   condition variable between maps. A map returns only after every
+//!   helper that joined it has left, and a nested or concurrent map
+//!   drains its own queue, so busy helpers never block it.
 //! * **Configurable** — [`Executor::new`] honours the `CBV_THREADS`
 //!   environment variable; [`Executor::threads`] pins a count
 //!   programmatically (the `FlowConfig::parallelism` knob feeds this).
 
 use std::any::Any;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -75,10 +81,12 @@ pub fn run_isolated<T>(task: usize, f: impl FnOnce() -> T) -> Result<T, TaskPani
     })
 }
 
-/// A bounded scoped-thread worker pool.
+/// A bounded worker pool: the caller plus up to `threads − 1` parked
+/// helpers of the process-wide pool run each map.
 ///
-/// Cheap to construct (two words, no threads until [`map`] runs) and
-/// freely clonable; treat it as a configuration value.
+/// Cheap to construct (one word; no thread starts until a [`map`] first
+/// needs a helper) and freely clonable; treat it as a configuration
+/// value.
 ///
 /// [`map`]: Executor::map
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,6 +188,26 @@ impl Executor {
         F: Fn(I) -> T + Sync,
         L: Fn(usize) -> String + Sync,
     {
+        self.try_map_on(&POOL, ctx, items, f, label)
+    }
+
+    /// [`try_map_traced`](Executor::try_map_traced) with its helpers
+    /// drawn from `pool`: the caller drains the queue itself and up to
+    /// `threads − 1` of the pool's helpers join it.
+    fn try_map_on<I, T, F, L>(
+        &self,
+        pool: &'static Pool,
+        ctx: TraceCtx<'_>,
+        items: Vec<I>,
+        f: F,
+        label: L,
+    ) -> (Vec<Result<T, TaskPanic>>, Duration)
+    where
+        I: Send,
+        T: Send,
+        F: Fn(I) -> T + Sync,
+        L: Fn(usize) -> String + Sync,
+    {
         let run_one = |index: usize, item: I| -> Result<T, TaskPanic> {
             let _span = if ctx.is_enabled() {
                 Some(ctx.tracer.span_in(ctx.parent, &label(index)))
@@ -192,7 +220,8 @@ impl Executor {
             })
         };
         let n = items.len();
-        if self.threads <= 1 || n <= 1 {
+        let workers = self.threads.min(n);
+        if workers <= 1 {
             let start = Instant::now();
             let out: Vec<Result<T, TaskPanic>> = items
                 .into_iter()
@@ -205,23 +234,19 @@ impl Executor {
         let slots: Vec<Mutex<Option<Result<T, TaskPanic>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let busy = Mutex::new(Duration::ZERO);
-        let workers = self.threads.min(n);
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let started = Instant::now();
-                    loop {
-                        // Take the lock only to pull the next item; the
-                        // work itself runs unlocked.
-                        let next = queue.lock().expect("queue lock").next();
-                        let Some((index, item)) = next else { break };
-                        let value = run_one(index, item);
-                        *slots[index].lock().expect("slot lock") = Some(value);
-                    }
-                    *busy.lock().expect("busy lock") += started.elapsed();
-                });
+        let drain = || {
+            let started = Instant::now();
+            loop {
+                // Take the lock only to pull the next item; the work
+                // itself runs unlocked.
+                let next = queue.lock().expect("queue lock").next();
+                let Some((index, item)) = next else { break };
+                let value = run_one(index, item);
+                *slots[index].lock().expect("slot lock") = Some(value);
             }
-        });
+            *busy.lock().expect("busy lock") += started.elapsed();
+        };
+        pool.run(workers - 1, &drain);
         let out = slots
             .into_iter()
             .map(|slot| {
@@ -273,10 +298,226 @@ where
     })
 }
 
+/// The machine's available parallelism, asked once per process: the
+/// query reads cgroup files, and every flow builds an [`Executor`].
 fn default_threads() -> usize {
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// The helper pool every [`Executor`] map runs on.
+static POOL: Pool = Pool::new();
+
+/// Helper threads that join posted maps and park between them.
+///
+/// A map's caller posts its drain loop as a [`Job`] that at most
+/// `threads − 1` helpers may join, runs the loop itself, then withdraws
+/// the job: no helper may join it any more, and the caller waits until
+/// every helper that did has left. A helper joins whichever open job
+/// was posted first, so concurrent and nested maps share the helpers;
+/// each caller drains its own queue, so none waits on a busy helper to
+/// make progress.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Signalled when a job is posted; parked helpers wait on it.
+    posted: Condvar,
+    /// Signalled when a job's last helper leaves it; its caller may be
+    /// waiting to withdraw it.
+    left: Condvar,
+}
+
+struct PoolState {
+    jobs: Vec<Job>,
+    next_id: u64,
+    /// Helpers started so far. They run until the process exits.
+    spawned: usize,
+    /// Helpers parked on [`Pool::posted`].
+    idle: usize,
+    /// Helpers running some job's body now.
+    #[cfg(test)]
+    inside: usize,
+}
+
+/// One posted map.
+struct Job {
+    id: u64,
+    /// The caller's drain loop, its lifetime erased by [`Pool::run`].
+    body: &'static (dyn Fn() + Sync),
+    /// How many more helpers may join.
+    seats: usize,
+    /// Helpers running `body` now.
+    inside: usize,
+    /// The first panic that escaped `body` on a helper; the caller
+    /// re-raises it.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Pool {
+    const fn new() -> Pool {
+        Pool {
+            state: Mutex::new(PoolState {
+                jobs: Vec::new(),
+                next_id: 0,
+                spawned: 0,
+                idle: 0,
+                #[cfg(test)]
+                inside: 0,
+            }),
+            posted: Condvar::new(),
+            left: Condvar::new(),
+        }
+    }
+
+    /// The pool's bookkeeping runs no user code under the lock and
+    /// leaves it consistent after every update, so a poisoned lock
+    /// still guards valid state.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `body` on the calling thread while up to `helpers` pool
+    /// threads may run it alongside; returns once every helper that
+    /// joined has left. A panic that escaped `body` on a helper is
+    /// re-raised here.
+    fn run(&'static self, helpers: usize, body: &(dyn Fn() + Sync)) {
+        // SAFETY: only the lifetime changes; the reference itself is
+        // valid for this whole call. The erased copy is reachable only
+        // through the job posted below, and a helper calls it only while
+        // counted in that job's `inside`. `posted` withdraws the job
+        // before this frame is left, on return and on unwind alike (its
+        // `Drop`): withdrawing closes the job's seats, waits until
+        // `inside` is 0 and removes the job, so no helper calls `body`
+        // after this function returns.
+        let erased =
+            unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(body) };
+        let mut posted = Posted {
+            pool: self,
+            id: self.post(helpers, erased),
+            open: true,
+        };
+        body();
+        if let Some(payload) = posted.withdraw() {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Opens a job with `helpers` seats, spawning helpers until there
+    /// are `helpers` of them, and wakes as many parked ones as it has
+    /// seats for.
+    fn post(&'static self, helpers: usize, body: &'static (dyn Fn() + Sync)) -> u64 {
+        let mut state = self.lock();
+        while state.spawned < helpers {
+            let started = thread::Builder::new()
+                .name("cbv-exec".to_owned())
+                .spawn(move || self.serve());
+            // A caller that cannot get a helper drains its queue alone.
+            if started.is_err() {
+                break;
+            }
+            state.spawned += 1;
+        }
+        let id = state.next_id;
+        state.next_id += 1;
+        state.jobs.push(Job {
+            id,
+            body,
+            seats: helpers,
+            inside: 0,
+            panic: None,
+        });
+        for _ in 0..helpers.min(state.idle) {
+            self.posted.notify_one();
+        }
+        id
+    }
+
+    /// A helper's life: join the first open job, run its body, leave,
+    /// and park while no job has a free seat. Panics escaping a body are
+    /// caught and handed to the job's caller, so a helper never exits
+    /// and its thread is never joined.
+    fn serve(&self) {
+        let mut state = self.lock();
+        loop {
+            let Some(job) = state.jobs.iter_mut().find(|job| job.seats > 0) else {
+                state.idle += 1;
+                state = self
+                    .posted
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                state.idle -= 1;
+                continue;
+            };
+            job.seats -= 1;
+            job.inside += 1;
+            let (id, body) = (job.id, job.body);
+            #[cfg(test)]
+            {
+                state.inside += 1;
+            }
+            drop(state);
+            let outcome = catch_unwind(AssertUnwindSafe(body));
+            state = self.lock();
+            #[cfg(test)]
+            {
+                state.inside -= 1;
+            }
+            let job = state
+                .jobs
+                .iter_mut()
+                .find(|job| job.id == id)
+                .expect("a job stays posted until its helpers have left");
+            job.inside -= 1;
+            if let Err(payload) = outcome {
+                job.panic.get_or_insert(payload);
+            }
+            if job.inside == 0 {
+                self.left.notify_all();
+            }
+        }
+    }
+}
+
+/// A posted job, withdrawn when its caller finishes or unwinds.
+struct Posted {
+    pool: &'static Pool,
+    id: u64,
+    open: bool,
+}
+
+impl Posted {
+    /// Closes the job to new helpers, waits until every helper that
+    /// joined it has left, and removes it. Returns the first panic that
+    /// escaped it on a helper.
+    fn withdraw(&mut self) -> Option<Box<dyn Any + Send>> {
+        self.open = false;
+        let mut state = self.pool.lock();
+        loop {
+            let at = state.jobs.iter().position(|job| job.id == self.id)?;
+            let job = &mut state.jobs[at];
+            job.seats = 0;
+            if job.inside == 0 {
+                return state.jobs.remove(at).panic;
+            }
+            state = self
+                .pool
+                .left
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Drop for Posted {
+    fn drop(&mut self) {
+        if self.open {
+            // Unwinding already: a helper's panic payload is dropped.
+            self.withdraw();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -289,6 +530,126 @@ mod tests {
         f: impl Fn(u64) -> T + Sync,
     ) -> (Vec<T>, Duration) {
         exec.map_traced(TraceCtx::disabled(), items, f, |_| String::new())
+    }
+
+    /// A pool of its own, so the counts a test reads are not moved by
+    /// tests running alongside on the process-wide one. Its parked
+    /// helpers live until the test process exits.
+    fn private_pool() -> &'static Pool {
+        Box::leak(Box::new(Pool::new()))
+    }
+
+    fn map_on<T: Send>(
+        exec: &Executor,
+        pool: &'static Pool,
+        items: Vec<u64>,
+        f: impl Fn(u64) -> T + Sync,
+    ) -> Vec<Result<T, TaskPanic>> {
+        exec.try_map_on(pool, TraceCtx::disabled(), items, f, |_| String::new())
+            .0
+    }
+
+    /// Helpers still running some job's body: 0 whenever no map is open.
+    fn inside(pool: &Pool) -> usize {
+        pool.lock().inside
+    }
+
+    fn unwrap_all<T: fmt::Debug>(results: Vec<Result<T, TaskPanic>>) -> Vec<T> {
+        results
+            .into_iter()
+            .map(|r| r.expect("no task panics"))
+            .collect()
+    }
+
+    #[test]
+    fn nested_maps_equal_a_serial_map() {
+        let expected: Vec<u64> = (0u64..12)
+            .map(|i| (0u64..12).map(|j| i * 100 + j).sum())
+            .collect();
+        for threads in [2, 8] {
+            let pool = private_pool();
+            let exec = Executor::threads(threads);
+            let out = map_on(&exec, pool, (0u64..12).collect(), |i| {
+                let inner = map_on(&exec, pool, (0u64..12).collect(), |j| i * 100 + j);
+                unwrap_all(inner).into_iter().sum::<u64>()
+            });
+            assert_eq!(unwrap_all(out), expected, "at {threads} workers");
+            assert_eq!(inside(pool), 0, "a helper outlived its map");
+            assert!(pool.lock().spawned < threads);
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_a_serial_result() {
+        let pool = private_pool();
+        let exec = Executor::threads(4);
+        let start = std::sync::Barrier::new(4);
+        thread::scope(|scope| {
+            for caller in 0u64..4 {
+                let start = &start;
+                scope.spawn(move || {
+                    let work = |x: u64| x * 1_000 + caller;
+                    let serial: Vec<u64> = (0u64..64).map(work).collect();
+                    start.wait();
+                    for _ in 0..50 {
+                        let out = unwrap_all(map_on(&exec, pool, (0u64..64).collect(), work));
+                        assert_eq!(out, serial, "caller {caller}");
+                    }
+                });
+            }
+        });
+        assert_eq!(inside(pool), 0);
+        assert!(pool.lock().spawned <= 3);
+    }
+
+    #[test]
+    fn a_panic_outside_the_task_reaches_the_caller_after_the_helpers_leave() {
+        // A label runs outside the task's unwind boundary: its panic,
+        // on whichever thread, ends the map on the caller.
+        let (tracer, _collector) = cbv_obs::Tracer::collecting();
+        let root = tracer.span("map");
+        let ctx = TraceCtx::under(&tracer, &root);
+        let pool = private_pool();
+        let exec = Executor::threads(8);
+        for _ in 0..20 {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                exec.try_map_on(
+                    pool,
+                    ctx,
+                    (0u64..16).collect(),
+                    |x| x,
+                    |i| {
+                        assert_ne!(i, 3, "label 3 is bad");
+                        format!("task:{i}")
+                    },
+                )
+            }));
+            let payload = caught.expect_err("the label's panic propagates");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(message.contains("label 3 is bad"), "{message}");
+            assert_eq!(inside(pool), 0);
+        }
+        let out = unwrap_all(map_on(&exec, pool, (0u64..16).collect(), |x| x * 3));
+        assert_eq!(out, (0u64..16).map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn helpers_are_spawned_once_and_reused() {
+        let pool = private_pool();
+        let exec = Executor::threads(8);
+        for round in 0u64..1_000 {
+            let out = unwrap_all(map_on(&exec, pool, (0u64..16).collect(), |x| x + round));
+            assert_eq!(out, (0u64..16).map(|x| x + round).collect::<Vec<_>>());
+            assert_eq!(inside(pool), 0);
+        }
+        let spawned = pool.lock().spawned;
+        assert!(
+            spawned <= 7,
+            "1,000 maps at 8 workers spawned {spawned} helpers"
+        );
     }
 
     #[test]
@@ -383,22 +744,19 @@ mod tests {
     #[test]
     fn try_map_isolates_panics_per_task() {
         for threads in [1, 2, 8] {
+            let pool = private_pool();
             let exec = Executor::threads(threads);
-            let (out, _busy) = exec.try_map_traced(
-                TraceCtx::disabled(),
-                (0u64..16).collect(),
-                |x| {
-                    if x == 5 {
-                        panic!("unit {x} exploded");
-                    }
-                    if x == 9 {
-                        // Non-&str payload path.
-                        std::panic::panic_any(format!("unit {x} exploded loudly"));
-                    }
-                    x * 2
-                },
-                |_| String::new(),
-            );
+            let out = map_on(&exec, pool, (0u64..16).collect(), |x| {
+                if x == 5 {
+                    panic!("unit {x} exploded");
+                }
+                if x == 9 {
+                    // Non-&str payload path.
+                    std::panic::panic_any(format!("unit {x} exploded loudly"));
+                }
+                x * 2
+            });
+            assert_eq!(inside(pool), 0, "a helper outlived its map");
             assert_eq!(out.len(), 16);
             for (i, r) in out.iter().enumerate() {
                 match (i, r) {

@@ -116,7 +116,7 @@ pub fn place_rows(netlist: &FlatNetlist, rules: &Rules) -> Placement {
         let mut x = if is_pmos { rules.finger_pitch() / 2 } else { 0 };
         let mut prev_right: Option<NetId> = None;
         for d in row_devices {
-            let dev = netlist.device(d).clone();
+            let dev = netlist.device(d);
             let w_nm = (dev.w * 1e9).round() as i64;
             let shared = prev_right == Some(dev.source) || prev_right == Some(dev.drain);
             if !shared && prev_right.is_some() {

@@ -27,6 +27,18 @@ cargo test --offline --manifest-path perf/Cargo.toml
 echo "== perf/ and BENCHMARK.json unchanged by the build =="
 git diff --exit-code -- perf/ BENCHMARK.json
 
+# The worker pool: nested and concurrent maps, panic isolation, no
+# helper left inside a returned map, and helpers spawned once (counts,
+# no clocks) — in release, where the pool's one unsafe block runs at
+# full speed. Then the battery, timing graph and flow byte-identical
+# across worker counts; CBV_THREADS sets the flow's auto-default column.
+echo "== worker pool (cbv-exec, release) =="
+cargo test -q --release -p cbv-exec
+for threads in 1 2 8; do
+  echo "== parallel determinism (CBV_THREADS=$threads) =="
+  CBV_THREADS=$threads cargo test -q -p cbv-core --test parallel
+done
+
 # The equality matrix: every path that must equal cold run_flow (owned
 # cache, shared tier, farm, daemon, restored daemon) at every prefix of
 # every row, at explicit parallelism 1, 2 and 8 in-process. The second
