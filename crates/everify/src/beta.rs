@@ -8,16 +8,21 @@ use cbv_tech::Process;
 use crate::report::{CheckKind, Report, Subject};
 use crate::{CheckScope, EverifyConfig};
 
-/// Conductance of one series path (S), from k'·W/L per device.
-fn path_conductance(netlist: &FlatNetlist, process: &Process, path: &[DeviceId]) -> f64 {
+/// Conductance of one device (S): k'·W/L.
+pub(crate) fn conductance(netlist: &FlatNetlist, process: &Process, did: DeviceId) -> f64 {
+    let d = netlist.device(did);
+    process.mos(d.kind).k_prime * d.w / d.l
+}
+
+/// Conductance of one series path (S), from [`conductance`] per device;
+/// 0 for an empty path or one with a non-conducting device.
+pub(crate) fn path_conductance(netlist: &FlatNetlist, process: &Process, path: &[DeviceId]) -> f64 {
     if path.is_empty() {
         return 0.0;
     }
     let mut inv_g = 0.0;
     for &did in path {
-        let d = netlist.device(did);
-        let k = process.mos(d.kind).k_prime;
-        let g = k * d.w / d.l;
+        let g = conductance(netlist, process, did);
         if g <= 0.0 {
             return 0.0;
         }
@@ -74,15 +79,9 @@ pub fn check(
         let class = &recognition.classes[ci];
         match class.family {
             LogicFamily::StaticComplementary => {
-                for (out, up_paths) in &class.pullup_paths {
-                    let down_paths = class
-                        .pulldown_paths
-                        .iter()
-                        .find(|(n, _)| n == out)
-                        .map(|(_, p)| p.as_slice())
-                        .unwrap_or(&[]);
-                    let g_up = best_conductance(netlist, process, up_paths);
-                    let g_down = best_conductance(netlist, process, down_paths);
+                for o in &class.outputs {
+                    let g_up = best_conductance(netlist, process, &o.pull_up_paths);
+                    let g_down = best_conductance(netlist, process, &o.pull_down_paths);
                     if g_up <= 0.0 || g_down <= 0.0 {
                         continue;
                     }
@@ -95,10 +94,10 @@ pub fn check(
                     } else {
                         ratio / hi * 0.999
                     };
-                    report.record(CheckKind::BetaRatio, Subject::Net(*out), stress, || {
+                    report.record(CheckKind::BetaRatio, Subject::Net(o.net), stress, || {
                         format!(
                             "complementary output `{}` beta ratio {ratio:.2} outside window {lo:.2}..{hi:.2}",
-                            netlist.net_name(*out)
+                            netlist.net_name(o.net)
                         )
                     });
                 }
@@ -106,23 +105,17 @@ pub fn check(
             LogicFamily::Ratioed => {
                 // The pull-down must overpower the always-on load by 3x
                 // to reach a solid low level.
-                for (out, down_paths) in &class.pulldown_paths {
-                    let up_paths = class
-                        .pullup_paths
-                        .iter()
-                        .find(|(n, _)| n == out)
-                        .map(|(_, p)| p.as_slice())
-                        .unwrap_or(&[]);
-                    let g_load = best_conductance(netlist, process, up_paths);
-                    let g_down = best_conductance(netlist, process, down_paths);
+                for o in &class.outputs {
+                    let g_load = best_conductance(netlist, process, &o.pull_up_paths);
+                    let g_down = best_conductance(netlist, process, &o.pull_down_paths);
                     if g_load <= 0.0 || g_down <= 0.0 {
                         continue;
                     }
                     let stress = 3.0 * g_load / g_down;
-                    report.record(CheckKind::BetaRatio, Subject::Net(*out), stress, || {
+                    report.record(CheckKind::BetaRatio, Subject::Net(o.net), stress, || {
                         format!(
                             "ratioed output `{}`: pull-down only {:.1}x the load (need 3x)",
-                            netlist.net_name(*out),
+                            netlist.net_name(o.net),
                             g_down / g_load
                         )
                     });

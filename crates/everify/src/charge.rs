@@ -11,16 +11,7 @@ use cbv_recognize::Recognition;
 use cbv_tech::Process;
 
 use crate::report::{CheckKind, Report, Subject};
-use crate::{CheckScope, EverifyConfig};
-
-/// The devices with a channel terminal on `net`, each once, in device
-/// order — the order every sum below is taken in.
-fn channel_devices(netlist: &FlatNetlist, net: NetId) -> Vec<DeviceId> {
-    let mut ids = netlist.channel_devices(net);
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
+use crate::{channel_devices, CheckScope, EverifyConfig};
 
 /// The devices whose gate is on `net`, in device order.
 fn gate_devices(netlist: &FlatNetlist, net: NetId) -> Vec<DeviceId> {
@@ -48,48 +39,51 @@ pub fn check(
     for &ci in &scope.cccs {
         let ccc = &recognition.cccs[ci];
         let class = &recognition.classes[ci];
-        for &dyn_net in &class.dynamic_outputs {
+        let dynamic = class
+            .outputs
+            .iter()
+            .filter(|o| class.dynamic_outputs.contains(&o.net));
+        for o in dynamic {
+            let dyn_net = o.net;
             // Internal stack nodes: channel nets of this CCC reachable in
             // the pull-down network, excluding the output itself.
             let mut internal: Vec<NetId> = Vec::new();
-            if let Some((_, paths)) = class.pulldown_paths.iter().find(|(n, _)| *n == dyn_net) {
-                // Walk each path outward from the dynamic node. Nodes
-                // that are themselves precharged (e.g. the neighbors in a
-                // Manchester chain) sit at the same potential and cannot
-                // steal charge — and the stack hanging off *them* is their
-                // own gate's problem, so collection truncates there.
-                // Every net the walk meets is a channel net of this CCC,
-                // so it is no other class's dynamic output.
-                let precharged = |net: NetId| {
-                    class.dynamic_outputs.contains(&net)
-                        // Secondary prechargers on internal stack nodes
-                        // (clock-gated PMOS from power) count too.
-                        || channel_devices(netlist, net).into_iter().any(|id| {
-                            let d = netlist.device(id);
-                            d.kind == cbv_tech::MosKind::Pmos
-                                && recognition.clock_nets.contains(&d.gate)
-                                && (netlist.net_kind(d.source)
-                                    == cbv_netlist::NetKind::Power
-                                    || netlist.net_kind(d.drain)
-                                        == cbv_netlist::NetKind::Power)
-                        })
-                };
-                for path in paths {
-                    let mut cur = dyn_net;
-                    for &did in path {
-                        let d = netlist.device(did);
-                        if !d.channel_touches(cur) {
-                            break;
-                        }
-                        let other = d.other_channel_end(cur);
-                        if netlist.net_kind(other).is_rail() || precharged(other) {
-                            break;
-                        }
-                        if ccc.channel_nets.contains(&other) && !internal.contains(&other) {
-                            internal.push(other);
-                        }
-                        cur = other;
+            // Walk each path outward from the dynamic node. Nodes
+            // that are themselves precharged (e.g. the neighbors in a
+            // Manchester chain) sit at the same potential and cannot
+            // steal charge — and the stack hanging off *them* is their
+            // own gate's problem, so collection truncates there.
+            // Every net the walk meets is a channel net of this CCC,
+            // so it is no other class's dynamic output.
+            let precharged = |net: NetId| {
+                class.dynamic_outputs.contains(&net)
+                    // Secondary prechargers on internal stack nodes
+                    // (clock-gated PMOS from power) count too.
+                    || channel_devices(netlist, net).into_iter().any(|id| {
+                        let d = netlist.device(id);
+                        d.kind == cbv_tech::MosKind::Pmos
+                            && recognition.clock_nets.contains(&d.gate)
+                            && (netlist.net_kind(d.source)
+                                == cbv_netlist::NetKind::Power
+                                || netlist.net_kind(d.drain)
+                                    == cbv_netlist::NetKind::Power)
+                    })
+            };
+            for path in &o.pull_down_paths {
+                let mut cur = dyn_net;
+                for &did in path {
+                    let d = netlist.device(did);
+                    if !d.channel_touches(cur) {
+                        break;
                     }
+                    let other = d.other_channel_end(cur);
+                    if netlist.net_kind(other).is_rail() || precharged(other) {
+                        break;
+                    }
+                    if ccc.channel_nets.contains(&other) && !internal.contains(&other) {
+                        internal.push(other);
+                    }
+                    cur = other;
                 }
             }
             if internal.is_empty() {

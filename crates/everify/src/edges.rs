@@ -5,48 +5,13 @@
 //! 10–90 % edge (≈ 2.2·R·C) is checked against the configured limit.
 
 use cbv_extract::Extracted;
-use cbv_netlist::{DeviceId, FlatNetlist};
+use cbv_netlist::FlatNetlist;
 use cbv_recognize::Recognition;
 use cbv_tech::{Corner, Process};
+use cbv_timing::delay::weakest_drive;
 
 use crate::report::{CheckKind, Report, Subject};
 use crate::{CheckScope, EverifyConfig};
-
-fn weakest_path_resistance(
-    netlist: &FlatNetlist,
-    process: &Process,
-    corner: &Corner,
-    paths: &[Vec<DeviceId>],
-) -> Option<f64> {
-    let mut rs = Vec::new();
-    for p in paths {
-        let mut r = 0.0;
-        let mut ok = true;
-        for &did in p {
-            let d = netlist.device(did);
-            let i = process.mos(d.kind).saturation_current(d.w, d.l, corner);
-            if i.amps() <= 0.0 {
-                ok = false;
-                break;
-            }
-            r += corner.vdd.volts() / (2.0 * i.amps());
-        }
-        if ok {
-            rs.push(r);
-        }
-    }
-    // Deliberately weak parallel paths (feedback keepers, jam devices)
-    // hold the node, they do not set its edges: a path more than 4x the
-    // strongest parallel path never dominates the transition.
-    let best = rs.iter().copied().fold(f64::INFINITY, f64::min);
-    rs.retain(|&r| r <= 4.0 * best);
-    rs.into_iter().fold(None, |acc, r| {
-        Some(match acc {
-            Some(w) => r.max(w),
-            None => r,
-        })
-    })
-}
 
 /// Runs the edge-rate check on one ownership scope.
 pub fn check(
@@ -61,44 +26,36 @@ pub fn check(
     let slow = Corner::slow(process);
     for &ci in &scope.cccs {
         let class = &recognition.classes[ci];
-        for (out, up_paths) in &class.pullup_paths {
-            let down_paths = class
-                .pulldown_paths
-                .iter()
-                .find(|(n, _)| n == out)
-                .map(|(_, p)| p.as_slice())
-                .unwrap_or(&[]);
+        for o in &class.outputs {
+            let out = o.net;
             // Dynamic nodes rise through their clocked precharger; a weak
             // keeper in parallel is a holder, not an edge driver.
-            let up_filtered: Vec<Vec<DeviceId>>;
-            let up_paths: &[Vec<DeviceId>] = if class.dynamic_outputs.contains(out) {
-                up_filtered = up_paths
-                    .iter()
-                    .filter(|p| {
-                        p.iter()
-                            .any(|&d| recognition.clock_nets.contains(&netlist.device(d).gate))
-                    })
-                    .cloned()
-                    .collect();
-                &up_filtered
-            } else {
-                up_paths
+            let dynamic = class.dynamic_outputs.contains(&out);
+            let up_paths = o.pull_up_paths.iter().filter(|p| {
+                !dynamic
+                    || p.iter()
+                        .any(|&d| recognition.clock_nets.contains(&netlist.device(d).gate))
+            });
+            let r_up = weakest_drive(netlist, process, &slow, up_paths);
+            let r_down = weakest_drive(netlist, process, &slow, &o.pull_down_paths);
+            // The slower side sets the edge; a NaN on either side is a
+            // broken calculation and must stay NaN, not lose to `max`.
+            let Some(r) = r_up.into_iter().chain(r_down).reduce(|a, b| {
+                if b.ohms().is_nan() || b > a {
+                    b
+                } else {
+                    a
+                }
+            }) else {
+                continue;
             };
-            let r_up = weakest_path_resistance(netlist, process, &slow, up_paths);
-            let r_down = weakest_path_resistance(netlist, process, &slow, down_paths);
-            let r = match (r_up, r_down) {
-                (Some(a), Some(b)) => a.max(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => continue,
-            };
-            let (_, c_max) = extracted.cap_bounds(*out, &config.tolerance);
-            let edge = 2.2 * r * c_max.farads();
+            let (_, c_max) = extracted.cap_bounds(out, &config.tolerance);
+            let edge = 2.2 * r.ohms() * c_max.farads();
             let stress = edge / config.max_edge.seconds();
-            report.record(CheckKind::EdgeRate, Subject::Net(*out), stress, || {
+            report.record(CheckKind::EdgeRate, Subject::Net(out), stress, || {
                 format!(
                     "net `{}` worst edge {:.0} ps exceeds limit {:.0} ps",
-                    netlist.net_name(*out),
+                    netlist.net_name(out),
                     edge * 1e12,
                     config.max_edge.seconds() * 1e12
                 )
@@ -174,6 +131,74 @@ mod tests {
         let r = run_with_load(0.0);
         assert_eq!(r.violations().count(), 0, "{:?}", r.findings());
         assert!(r.checked_count() > 0);
+    }
+
+    #[test]
+    fn nan_pull_up_width_is_a_tool_error_not_a_finite_edge() {
+        // NAND2 extracted at sane sizes, then one pull-up PMOS's width
+        // turns NaN: its parallel partner must not hide the broken path.
+        let mut f = FlatNetlist::new("nand2");
+        let a = f.add_net("a", NetKind::Input);
+        let b = f.add_net("b", NetKind::Input);
+        let y = f.add_net("y", NetKind::Output);
+        let x = f.add_net("x", NetKind::Signal);
+        let vdd = f.add_net("vdd", NetKind::Power);
+        let gnd = f.add_net("gnd", NetKind::Ground);
+        let pa = f.add_device(Device::mos(
+            MosKind::Pmos,
+            "pa",
+            a,
+            y,
+            vdd,
+            vdd,
+            4e-6,
+            0.35e-6,
+        ));
+        f.add_device(Device::mos(
+            MosKind::Pmos,
+            "pb",
+            b,
+            y,
+            vdd,
+            vdd,
+            4e-6,
+            0.35e-6,
+        ));
+        f.add_device(Device::mos(
+            MosKind::Nmos,
+            "na",
+            a,
+            y,
+            x,
+            gnd,
+            4e-6,
+            0.35e-6,
+        ));
+        f.add_device(Device::mos(
+            MosKind::Nmos,
+            "nb",
+            b,
+            x,
+            gnd,
+            gnd,
+            4e-6,
+            0.35e-6,
+        ));
+        let process = Process::strongarm_035();
+        let ex = cbv_extract::extract(&synthesize(&f, &process), &f, &process);
+        f.device_mut(pa).w = f64::NAN;
+        let rec = recognize(&f);
+        let cfg = EverifyConfig::for_process(&process);
+        let mut report = Report::new(cfg.filter_threshold);
+        let scope = CheckScope::full(&f, &rec);
+        check(&f, &rec, &ex, &process, &cfg, &scope, &mut report);
+        assert!(
+            report.tool_errors().any(|t| t.check == CheckKind::EdgeRate
+                && t.subject == Subject::Net(y)
+                && t.stress.is_nan()),
+            "{:?}",
+            report.findings()
+        );
     }
 
     #[test]

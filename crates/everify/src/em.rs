@@ -15,7 +15,7 @@ use cbv_recognize::{NetRole, Recognition};
 use cbv_tech::{Corner, Layer, Process};
 
 use crate::report::{CheckKind, Report, Subject};
-use crate::{CheckScope, EverifyConfig};
+use crate::{channel_devices, CheckScope, EverifyConfig};
 
 /// Runs both EM checks on the nets one scope owns.
 pub fn check(
@@ -66,8 +66,9 @@ pub fn check(
         // minimum width — beyond that the feeding wire necks down).
         let mut i_peak = 0.0f64;
         let mut w_drv = 0.0f64;
-        for d in netlist.devices() {
-            if d.channel_touches(en.net) && !netlist.net_kind(d.gate).is_rail() {
+        for id in channel_devices(netlist, en.net) {
+            let d = netlist.device(id);
+            if !netlist.net_kind(d.gate).is_rail() {
                 let i = process
                     .mos(d.kind)
                     .saturation_current(d.w, d.l, &fast)

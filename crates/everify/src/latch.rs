@@ -11,13 +11,9 @@ use cbv_netlist::FlatNetlist;
 use cbv_recognize::{Recognition, StateKind};
 use cbv_tech::{MosKind, Process};
 
+use crate::beta::{conductance, path_conductance};
 use crate::report::{CheckKind, Report, Subject};
 use crate::EverifyConfig;
-
-fn conductance(netlist: &FlatNetlist, d: cbv_netlist::DeviceId, process: &Process) -> f64 {
-    let dev = netlist.device(d);
-    process.mos(dev.kind).k_prime * dev.w / dev.l
-}
 
 /// Runs writability checks on every recognized state element.
 pub fn check(
@@ -70,9 +66,9 @@ pub fn check(
                         };
                         let other = d.other_channel_end(storage);
                         if !netlist.net_kind(other).is_rail() && is_outside(other) {
-                            g_write += conductance(netlist, did, process);
+                            g_write += conductance(netlist, process, did);
                         } else {
-                            g_feedback += conductance(netlist, did, process);
+                            g_feedback += conductance(netlist, process, did);
                         }
                     }
                 }
@@ -98,7 +94,12 @@ pub fn check(
                 // keeper conductance ≤ 1/3 of the weakest eval pull-down.
                 for &ci in &se.cccs {
                     let class = &recognition.classes[ci.index()];
-                    for &dyn_net in &class.dynamic_outputs {
+                    let dynamic = class
+                        .outputs
+                        .iter()
+                        .filter(|o| class.dynamic_outputs.contains(&o.net));
+                    for o in dynamic {
+                        let dyn_net = o.net;
                         let mut g_keeper = 0.0;
                         for &did in &recognition.cccs[ci.index()].devices {
                             let d = netlist.device(did);
@@ -106,29 +107,17 @@ pub fn check(
                                 && d.channel_touches(dyn_net)
                                 && !recognition.clock_nets.contains(&d.gate)
                             {
-                                g_keeper += conductance(netlist, did, process);
+                                g_keeper += conductance(netlist, process, did);
                             }
                         }
                         if g_keeper <= 0.0 {
                             continue;
                         }
-                        let g_eval = class
-                            .pulldown_paths
+                        let g_eval = o
+                            .pull_down_paths
                             .iter()
-                            .find(|(n, _)| *n == dyn_net)
-                            .map(|(_, paths)| {
-                                paths
-                                    .iter()
-                                    .map(|p| {
-                                        let inv: f64 = p
-                                            .iter()
-                                            .map(|&d| 1.0 / conductance(netlist, d, process))
-                                            .sum();
-                                        1.0 / inv
-                                    })
-                                    .fold(f64::INFINITY, f64::min)
-                            })
-                            .unwrap_or(f64::INFINITY);
+                            .map(|p| path_conductance(netlist, process, p))
+                            .fold(f64::INFINITY, f64::min);
                         if !g_eval.is_finite() {
                             continue;
                         }

@@ -125,6 +125,15 @@ impl CheckScope {
     }
 }
 
+/// The devices with a channel terminal on `net`, each once, in device
+/// order — the order every per-net sum and first-maximum is taken in.
+pub(crate) fn channel_devices(netlist: &FlatNetlist, net: NetId) -> Vec<DeviceId> {
+    let mut ids = netlist.channel_devices(net);
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
 /// The inputs every check of the battery reads.
 #[derive(Clone, Copy)]
 struct Inputs<'a> {

@@ -8,7 +8,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use cbv_netlist::{FlatNetlist, NetId};
+use cbv_netlist::{DeviceId, FlatNetlist, NetId, NetKind};
 use cbv_tech::MosKind;
 
 /// A boolean expression over nets.
@@ -110,85 +110,36 @@ impl fmt::Display for BoolExpr {
     }
 }
 
-/// Maximum number of simple paths enumerated per pull network before the
-/// extractor gives up (the paper's tools are conservative filters, not
-/// exact solvers; pathological pass networks are flagged, not solved).
+/// Maximum number of simple paths enumerated per (output, rail) before
+/// the extractor gives up. Past it [`conduction_paths`] returns `None`:
+/// the classifier keeps no path for that rail and gives the rail the
+/// function `Const(true)`, and no finding says so (ROADMAP item 21).
 pub const MAX_PATHS: usize = 4096;
 
-/// Extracts the conduction function from `from` (the output node) to `to`
-/// (a rail) through the channel graph of the devices in `devices`,
-/// considering only devices of polarity `kind` and treating gates on
-/// `skip_gates` (e.g. clocks) as always conducting.
-///
-/// Returns `None` if the path count explodes past [`MAX_PATHS`].
-pub fn conduction_function(
-    netlist: &FlatNetlist,
-    devices: &[cbv_netlist::DeviceId],
-    from: NetId,
-    to: NetId,
-    kind: MosKind,
-    skip_gates: &[NetId],
-) -> Option<BoolExpr> {
-    let mut paths: Vec<Vec<BoolExpr>> = Vec::new();
-    let mut visited: HashSet<NetId> = HashSet::new();
-    visited.insert(from);
-    let mut stack: Vec<BoolExpr> = Vec::new();
-    dfs(
-        netlist,
-        devices,
-        from,
-        to,
-        kind,
-        skip_gates,
-        &mut visited,
-        &mut stack,
-        &mut paths,
-    )?;
-    if paths.is_empty() {
-        return Some(BoolExpr::Const(false));
-    }
-    let terms: Vec<BoolExpr> = paths
-        .into_iter()
-        .map(|lits| {
-            if lits.is_empty() {
-                BoolExpr::Const(true)
-            } else if lits.len() == 1 {
-                lits.into_iter().next().expect("len checked")
-            } else {
-                BoolExpr::And(lits)
-            }
-        })
-        .collect();
-    Some(if terms.len() == 1 {
-        terms.into_iter().next().expect("len checked")
-    } else {
-        BoolExpr::Or(terms)
-    })
-}
-
 /// Enumerates the simple channel paths (as device lists) from `from` to
-/// `to` through devices of polarity `kind`. Unlike
-/// [`conduction_function`], clock gates are never skipped — electrical
-/// checks care about the physical devices on each path.
+/// `to` through devices of polarity `kind`, in depth-first device order.
+/// Every device is kept, clocks and rail-tied gates included: electrical
+/// checks care about the physical devices on each path, and
+/// [`paths_function`] reads the logic off the same list.
 ///
 /// Returns `None` if the path count explodes past [`MAX_PATHS`].
 pub fn conduction_paths(
     netlist: &FlatNetlist,
-    devices: &[cbv_netlist::DeviceId],
+    devices: &[DeviceId],
     from: NetId,
     to: NetId,
     kind: MosKind,
-) -> Option<Vec<Vec<cbv_netlist::DeviceId>>> {
+) -> Option<Vec<Vec<DeviceId>>> {
     #[allow(clippy::too_many_arguments)]
     fn walk(
         netlist: &FlatNetlist,
-        devices: &[cbv_netlist::DeviceId],
+        devices: &[DeviceId],
         at: NetId,
         target: NetId,
         kind: MosKind,
         visited: &mut HashSet<NetId>,
-        stack: &mut Vec<cbv_netlist::DeviceId>,
-        paths: &mut Vec<Vec<cbv_netlist::DeviceId>>,
+        stack: &mut Vec<DeviceId>,
+        paths: &mut Vec<Vec<DeviceId>>,
     ) -> Option<()> {
         if at == target {
             if paths.len() >= MAX_PATHS {
@@ -203,6 +154,8 @@ pub fn conduction_paths(
                 continue;
             }
             let other = d.other_channel_end(at);
+            // Paths may only pass *through* non-rail nets; they terminate
+            // at the target rail and never route through the opposite rail.
             if other != target && netlist.net_kind(other).is_rail() {
                 continue;
             }
@@ -239,84 +192,72 @@ pub fn conduction_paths(
     Some(paths)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
+/// The conduction function of one rail's enumerated paths: the OR over
+/// paths of the AND of their gate literals. Gates tied to rails fold to
+/// constants: a path through a never-on device (an NMOS gated by ground,
+/// a PMOS gated by power) is dropped, and an always-on device (the
+/// opposite tie) adds no literal — nor does a gate on `skip_gates` (e.g.
+/// clocks). A path with no literal is `Const(true)`, no path at all
+/// `Const(false)`.
+pub fn paths_function<'p>(
     netlist: &FlatNetlist,
-    devices: &[cbv_netlist::DeviceId],
-    at: NetId,
-    target: NetId,
-    kind: MosKind,
+    paths: impl IntoIterator<Item = &'p Vec<DeviceId>>,
     skip_gates: &[NetId],
-    visited: &mut HashSet<NetId>,
-    stack: &mut Vec<BoolExpr>,
-    paths: &mut Vec<Vec<BoolExpr>>,
-) -> Option<()> {
-    if at == target {
-        if paths.len() >= MAX_PATHS {
-            return None;
-        }
-        paths.push(stack.clone());
-        return Some(());
-    }
-    for &did in devices {
-        let d = netlist.device(did);
-        if d.kind != kind || !d.channel_touches(at) {
-            continue;
-        }
-        let other = d.other_channel_end(at);
-        // Paths may only pass *through* non-rail nets; they terminate at
-        // the target rail and never route through the opposite rail.
-        if other != target && netlist.net_kind(other).is_rail() {
-            continue;
-        }
-        if other != target && visited.contains(&other) {
-            continue;
-        }
-        // Gates tied to rails fold to constants: an NMOS gated by power
-        // (or a PMOS gated by ground) is always on; the opposite tie
-        // means the device never conducts.
-        let gate_kind = netlist.net_kind(d.gate);
-        let never_on = match d.kind {
-            MosKind::Nmos => gate_kind == cbv_netlist::NetKind::Ground,
-            MosKind::Pmos => gate_kind == cbv_netlist::NetKind::Power,
-        };
-        if never_on {
-            continue;
-        }
-        let always_on = skip_gates.contains(&d.gate)
-            || match d.kind {
-                MosKind::Nmos => gate_kind == cbv_netlist::NetKind::Power,
-                MosKind::Pmos => gate_kind == cbv_netlist::NetKind::Ground,
+) -> BoolExpr {
+    let terms = paths.into_iter().filter_map(|path| {
+        let mut lits = Vec::new();
+        for &did in path {
+            let d = netlist.device(did);
+            let (never, always) = match d.kind {
+                MosKind::Nmos => (NetKind::Ground, NetKind::Power),
+                MosKind::Pmos => (NetKind::Power, NetKind::Ground),
             };
-        let pushed = if always_on {
-            false
-        } else {
-            stack.push(BoolExpr::literal(d.gate, d.kind));
-            true
-        };
-        if other != target {
-            visited.insert(other);
+            let gate_kind = netlist.net_kind(d.gate);
+            if gate_kind == never {
+                return None;
+            }
+            if gate_kind != always && !skip_gates.contains(&d.gate) {
+                lits.push(BoolExpr::literal(d.gate, d.kind));
+            }
         }
-        let r = dfs(
-            netlist, devices, other, target, kind, skip_gates, visited, stack, paths,
-        );
-        if other != target {
-            visited.remove(&other);
-        }
-        if pushed {
-            stack.pop();
-        }
-        r?;
+        Some(match lits.len() {
+            0 => BoolExpr::Const(true),
+            1 => lits.pop().expect("len checked"),
+            _ => BoolExpr::And(lits),
+        })
+    });
+    any_of(terms.collect())
+}
+
+/// The OR of `terms`, unwrapped when there is one and `Const(false)`
+/// when there is none.
+pub(crate) fn any_of(mut terms: Vec<BoolExpr>) -> BoolExpr {
+    match terms.len() {
+        0 => BoolExpr::Const(false),
+        1 => terms.pop().expect("len checked"),
+        _ => BoolExpr::Or(terms),
     }
-    Some(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbv_netlist::{Device, NetKind};
+    use cbv_netlist::Device;
 
-    fn nand2() -> (FlatNetlist, Vec<cbv_netlist::DeviceId>) {
+    /// The conduction function of `from`'s paths to `to`.
+    fn function(
+        f: &FlatNetlist,
+        devices: &[DeviceId],
+        from: NetId,
+        to: NetId,
+        kind: MosKind,
+        skip_gates: &[NetId],
+    ) -> BoolExpr {
+        let paths = conduction_paths(f, devices, from, to, kind).expect("under the cap");
+        paths_function(f, &paths, skip_gates)
+    }
+
+    fn nand2() -> (FlatNetlist, Vec<DeviceId>) {
         let mut f = FlatNetlist::new("nand2");
         let a = f.add_net("a", NetKind::Input);
         let b = f.add_net("b", NetKind::Input);
@@ -376,7 +317,7 @@ mod tests {
         let gnd = f.find_net("gnd").unwrap();
         let a = f.find_net("a").unwrap();
         let b = f.find_net("b").unwrap();
-        let pd = conduction_function(&f, &ids, y, gnd, MosKind::Nmos, &[]).unwrap();
+        let pd = function(&f, &ids, y, gnd, MosKind::Nmos, &[]);
         // PD conducts iff a & b.
         for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
             let assign = |n: NetId| {
@@ -399,7 +340,7 @@ mod tests {
         let vdd = f.find_net("vdd").unwrap();
         let a = f.find_net("a").unwrap();
         let b = f.find_net("b").unwrap();
-        let pu = conduction_function(&f, &ids, y, vdd, MosKind::Pmos, &[]).unwrap();
+        let pu = function(&f, &ids, y, vdd, MosKind::Pmos, &[]);
         for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
             let assign = |n: NetId| {
                 if n == a {
@@ -413,8 +354,8 @@ mod tests {
             assert_eq!(pu.eval(&assign), !(va && vb), "a={va} b={vb}");
         }
         // PU and PD must be complementary: checked by the family classifier.
-        let pd = conduction_function(&f, &ids, y, f.find_net("gnd").unwrap(), MosKind::Nmos, &[])
-            .unwrap();
+        let gnd = f.find_net("gnd").unwrap();
+        let pd = function(&f, &ids, y, gnd, MosKind::Nmos, &[]);
         for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
             let assign = |n: NetId| {
                 if n == a {
@@ -446,10 +387,57 @@ mod tests {
             4e-6,
             0.35e-6,
         ));
-        let e = conduction_function(&f, &[id], y, gnd, MosKind::Nmos, &[clk]).unwrap();
+        let e = function(&f, &[id], y, gnd, MosKind::Nmos, &[clk]);
         assert_eq!(e, BoolExpr::Const(true));
-        let e2 = conduction_function(&f, &[id], y, gnd, MosKind::Nmos, &[]).unwrap();
+        let e2 = function(&f, &[id], y, gnd, MosKind::Nmos, &[]);
         assert_eq!(e2, BoolExpr::Var(clk));
+    }
+
+    #[test]
+    fn rail_tied_gates_fold_to_constants_but_keep_their_paths() {
+        // y -[gate gnd]- gnd (never on) in parallel with
+        // y -[gate vdd]- m -[gate a]- gnd (always on, then a).
+        let mut f = FlatNetlist::new("ties");
+        let a = f.add_net("a", NetKind::Input);
+        let y = f.add_net("y", NetKind::Output);
+        let m = f.add_net("m", NetKind::Signal);
+        let vdd = f.add_net("vdd", NetKind::Power);
+        let gnd = f.add_net("gnd", NetKind::Ground);
+        let ids = vec![
+            f.add_device(Device::mos(
+                MosKind::Nmos,
+                "off",
+                gnd,
+                y,
+                gnd,
+                gnd,
+                1e-6,
+                0.35e-6,
+            )),
+            f.add_device(Device::mos(
+                MosKind::Nmos,
+                "on",
+                vdd,
+                y,
+                m,
+                gnd,
+                1e-6,
+                0.35e-6,
+            )),
+            f.add_device(Device::mos(
+                MosKind::Nmos,
+                "na",
+                a,
+                m,
+                gnd,
+                gnd,
+                1e-6,
+                0.35e-6,
+            )),
+        ];
+        let paths = conduction_paths(&f, &ids, y, gnd, MosKind::Nmos).unwrap();
+        assert_eq!(paths, vec![vec![ids[0]], vec![ids[1], ids[2]]]);
+        assert_eq!(paths_function(&f, &paths, &[]), BoolExpr::Var(a));
     }
 
     #[test]
@@ -458,7 +446,7 @@ mod tests {
         let x = f.find_net("x").unwrap();
         let vdd = f.find_net("vdd").unwrap();
         // x has no PMOS path to vdd.
-        let e = conduction_function(&f, &ids, x, vdd, MosKind::Pmos, &[]).unwrap();
+        let e = function(&f, &ids, x, vdd, MosKind::Pmos, &[]);
         assert_eq!(e, BoolExpr::Const(false));
     }
 
@@ -528,7 +516,7 @@ mod tests {
                 0.35e-6,
             )),
         ];
-        let e = conduction_function(&f, &ids, y, gnd, MosKind::Nmos, &[]).unwrap();
+        let e = function(&f, &ids, y, gnd, MosKind::Nmos, &[]);
         // Exhaustive compare against direct graph reachability.
         for m in 0u32..32 {
             let assign = |n: NetId| {

@@ -10,7 +10,7 @@
 use cbv_netlist::{Ccc, DeviceId, FlatNetlist, NetId, NetKind};
 use cbv_tech::MosKind;
 
-use crate::expr::{conduction_function, conduction_paths, BoolExpr};
+use crate::expr::{any_of, conduction_paths, paths_function, BoolExpr};
 
 /// The logic family of one channel-connected component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,19 +38,30 @@ pub enum LogicFamily {
     Unknown,
 }
 
-/// The extracted drive functions of one output net.
+/// The pull networks of one output net: their enumerated paths, and the
+/// drive functions read off them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutputFunction {
     /// The output net.
     pub net: NetId,
-    /// Conduction condition of the PMOS network to power (clocks treated
-    /// as data). `Const(false)` when there is no pull-up.
+    /// Conduction condition of the PMOS network to power, read off
+    /// `pull_up_paths` (clocks treated as data), one OR term per power
+    /// rail. `Const(false)` when there is no pull-up; a rail past
+    /// [`MAX_PATHS`](crate::expr::MAX_PATHS) contributes `Const(true)`.
     pub pull_up: BoolExpr,
-    /// Conduction condition of the NMOS network to ground.
+    /// Conduction condition of the NMOS network to ground, read off
+    /// `pull_down_paths` the same way.
     pub pull_down: BoolExpr,
     /// The logic value this output settles to when driven, if the
     /// networks are complementary (or dynamic-evaluate): `!pull_down`.
     pub function: Option<BoolExpr>,
+    /// Every simple PMOS channel path from the output to a power rail,
+    /// rail by rail, each path a device list from the output outward —
+    /// rail-tied and clock gates included. A rail past `MAX_PATHS`
+    /// keeps none.
+    pub pull_up_paths: Vec<Vec<DeviceId>>,
+    /// The NMOS paths from the output to the ground rails, likewise.
+    pub pull_down_paths: Vec<Vec<DeviceId>>,
 }
 
 /// Classification result for one CCC.
@@ -64,10 +75,6 @@ pub struct CccClass {
     pub dynamic_outputs: Vec<NetId>,
     /// Clock nets among the inputs.
     pub clock_inputs: Vec<NetId>,
-    /// Pull-up paths per output (device lists), for electrical checks.
-    pub pullup_paths: Vec<(NetId, Vec<Vec<DeviceId>>)>,
-    /// Pull-down paths per output.
-    pub pulldown_paths: Vec<(NetId, Vec<Vec<DeviceId>>)>,
 }
 
 impl CccClass {
@@ -79,7 +86,7 @@ impl CccClass {
 
 /// Exhaustively (≤ `2^EXHAUSTIVE_VARS` assignments) or by sampling checks
 /// whether two expressions are complementary over their joint support.
-fn complementary(netlist: &FlatNetlist, a: &BoolExpr, b: &BoolExpr) -> bool {
+fn complementary(a: &BoolExpr, b: &BoolExpr) -> bool {
     const EXHAUSTIVE_VARS: usize = 12;
     let mut support = a.support();
     for n in b.support() {
@@ -87,7 +94,6 @@ fn complementary(netlist: &FlatNetlist, a: &BoolExpr, b: &BoolExpr) -> bool {
             support.push(n);
         }
     }
-    let _ = netlist;
     if support.len() <= EXHAUSTIVE_VARS {
         for m in 0u64..(1u64 << support.len()) {
             let assign = |n: NetId| {
@@ -160,57 +166,40 @@ pub fn classify_ccc(netlist: &FlatNetlist, ccc: &Ccc, clock_nets: &[NetId]) -> C
         .filter(|n| clock_nets.contains(n))
         .collect();
 
-    let or_over_rails = |from: NetId, targets: &[NetId], kind: MosKind| -> BoolExpr {
+    // One walk per (output, rail): the paths are kept, and the rail's
+    // term is read off them. Past the cap a rail keeps no path and its
+    // term is a constant-true pull, so downstream checks stay
+    // pessimistic.
+    let pull = |from: NetId, targets: &[NetId], kind: MosKind| {
         let mut terms = Vec::new();
+        let mut all = Vec::new();
         for &t in targets {
-            match conduction_function(netlist, &ccc.devices, from, t, kind, &[]) {
-                Some(BoolExpr::Const(false)) => {}
-                Some(e) => terms.push(e),
-                // Path explosion: conservatively "unknown" — represent as
-                // a constant-true pull so downstream checks stay
-                // pessimistic.
+            match conduction_paths(netlist, &ccc.devices, from, t, kind) {
+                Some(paths) => {
+                    match paths_function(netlist, &paths, &[]) {
+                        BoolExpr::Const(false) => {}
+                        e => terms.push(e),
+                    }
+                    all.extend(paths);
+                }
                 None => terms.push(BoolExpr::Const(true)),
             }
         }
-        match terms.len() {
-            0 => BoolExpr::Const(false),
-            1 => terms.into_iter().next().expect("len checked"),
-            _ => BoolExpr::Or(terms),
-        }
+        (any_of(terms), all)
     };
 
     let mut outputs = Vec::new();
-    let mut pullup_paths = Vec::new();
-    let mut pulldown_paths = Vec::new();
     for &out in &ccc.outputs {
-        let pu = or_over_rails(out, &powers, MosKind::Pmos);
-        let pd = or_over_rails(out, &grounds, MosKind::Nmos);
-        let function = if complementary(netlist, &pu, &pd) {
-            Some(pd.clone().negate())
-        } else {
-            None
-        };
-        let mut pup = Vec::new();
-        for &p in &powers {
-            if let Some(mut paths) = conduction_paths(netlist, &ccc.devices, out, p, MosKind::Pmos)
-            {
-                pup.append(&mut paths);
-            }
-        }
-        let mut pdp = Vec::new();
-        for &g in &grounds {
-            if let Some(mut paths) = conduction_paths(netlist, &ccc.devices, out, g, MosKind::Nmos)
-            {
-                pdp.append(&mut paths);
-            }
-        }
-        pullup_paths.push((out, pup));
-        pulldown_paths.push((out, pdp));
+        let (pull_up, pull_up_paths) = pull(out, &powers, MosKind::Pmos);
+        let (pull_down, pull_down_paths) = pull(out, &grounds, MosKind::Nmos);
+        let function = complementary(&pull_up, &pull_down).then(|| pull_down.clone().negate());
         outputs.push(OutputFunction {
             net: out,
-            pull_up: pu,
-            pull_down: pd,
+            pull_up,
+            pull_down,
             function,
+            pull_up_paths,
+            pull_down_paths,
         });
     }
 
@@ -219,16 +208,10 @@ pub fn classify_ccc(netlist: &FlatNetlist, ccc: &Ccc, clock_nets: &[NetId]) -> C
     // Keepers may add extra pull-up paths in parallel; what makes the
     // node dynamic is that its pull networks are NOT complementary (it
     // floats during part of the cycle) while a clocked precharger exists.
-    let has_precharge = |out: NetId| -> bool {
-        pullup_paths
+    let has_precharge = |o: &OutputFunction| {
+        o.pull_up_paths
             .iter()
-            .find(|(n, _)| *n == out)
-            .map(|(_, paths)| {
-                paths
-                    .iter()
-                    .any(|p| p.len() == 1 && clock_nets.contains(&netlist.device(p[0]).gate))
-            })
-            .unwrap_or(false)
+            .any(|p| p.len() == 1 && clock_nets.contains(&netlist.device(p[0]).gate))
     };
     let has_foot = ccc.devices.iter().any(|&did| {
         let d = netlist.device(did);
@@ -237,45 +220,32 @@ pub fn classify_ccc(netlist: &FlatNetlist, ccc: &Ccc, clock_nets: &[NetId]) -> C
             && (grounds.contains(&d.source) || grounds.contains(&d.drain))
     });
 
-    let dynamic_outputs: Vec<NetId> = outputs
+    let dynamic: Vec<&OutputFunction> = outputs
         .iter()
         .filter(|o| {
-            has_precharge(o.net) && o.function.is_none() && o.pull_down != BoolExpr::Const(false)
+            has_precharge(o) && o.function.is_none() && o.pull_down != BoolExpr::Const(false)
         })
-        .map(|o| o.net)
         .collect();
+    let dynamic_outputs: Vec<NetId> = dynamic.iter().map(|o| o.net).collect();
 
-    let family = if !dynamic_outputs.is_empty() {
-        let dual_rail = dynamic_outputs.len() == 2 && {
-            let f0 = conduction_function(
-                netlist,
-                &ccc.devices,
-                dynamic_outputs[0],
-                *grounds.first().unwrap_or(&dynamic_outputs[0]),
-                MosKind::Nmos,
-                clock_nets,
-            );
-            let f1 = conduction_function(
-                netlist,
-                &ccc.devices,
-                dynamic_outputs[1],
-                *grounds.first().unwrap_or(&dynamic_outputs[1]),
-                MosKind::Nmos,
-                clock_nets,
-            );
-            match (f0, f1) {
-                (Some(a), Some(b)) => complementary(netlist, &a, &b),
-                _ => false,
-            }
+    let family = if !dynamic.is_empty() {
+        // The evaluate functions to the first ground, clocks closed. A
+        // dynamic output has a pull-down, so `grounds` is not empty, and
+        // a path ends at the rail its last device touches.
+        let evaluate = |o: &OutputFunction| {
+            let to_first = o.pull_down_paths.iter().filter(|p| {
+                p.last()
+                    .is_some_and(|&d| netlist.device(d).channel_touches(grounds[0]))
+            });
+            paths_function(netlist, to_first, clock_nets)
         };
+        let dual_rail =
+            dynamic.len() == 2 && complementary(&evaluate(dynamic[0]), &evaluate(dynamic[1]));
         LogicFamily::Dynamic {
             footed: has_foot,
             dual_rail,
         }
-    } else if !outputs.is_empty()
-        && outputs.len() == 2
-        && is_dcvsl(netlist, ccc, &outputs, clock_nets)
-    {
+    } else if outputs.len() == 2 && is_dcvsl(netlist, ccc, &outputs) {
         LogicFamily::Dcvsl
     } else if !outputs.is_empty()
         && outputs
@@ -299,19 +269,12 @@ pub fn classify_ccc(netlist: &FlatNetlist, ccc: &Ccc, clock_nets: &[NetId]) -> C
         outputs,
         dynamic_outputs,
         clock_inputs,
-        pullup_paths,
-        pulldown_paths,
     }
 }
 
 /// DCVSL: each output's pull-up is a single PMOS gated by the *other*
 /// output (cross-coupled), with NMOS trees underneath.
-fn is_dcvsl(
-    netlist: &FlatNetlist,
-    ccc: &Ccc,
-    outputs: &[OutputFunction],
-    _clock_nets: &[NetId],
-) -> bool {
+fn is_dcvsl(netlist: &FlatNetlist, ccc: &Ccc, outputs: &[OutputFunction]) -> bool {
     let (a, b) = (outputs[0].net, outputs[1].net);
     let cross = |out: NetId, other: NetId| -> bool {
         matches!(&outputs[if out == a { 0 } else { 1 }].pull_up,
@@ -659,44 +622,6 @@ mod tests {
             }
             other => panic!("unexpected family {other:?}"),
         }
-        // Same structure keyed on one variable IS dual-rail:
-        let mut f2 = FlatNetlist::new("dr2");
-        let clk = f2.add_net("clk", NetKind::Clock);
-        let a = f2.add_net("a", NetKind::Input);
-        let t = f2.add_net("t", NetKind::Output);
-        let c = f2.add_net("c", NetKind::Output);
-        let vdd = f2.add_net("vdd", NetKind::Power);
-        let gnd = f2.add_net("gnd", NetKind::Ground);
-        f2.add_device(Device::mos(
-            MosKind::Pmos,
-            "pt",
-            clk,
-            t,
-            vdd,
-            vdd,
-            3e-6,
-            0.35e-6,
-        ));
-        f2.add_device(Device::mos(
-            MosKind::Pmos,
-            "pc",
-            clk,
-            c,
-            vdd,
-            vdd,
-            3e-6,
-            0.35e-6,
-        ));
-        // t falls when a, c falls when !a — gate c's eval with a PMOS? A
-        // PMOS in an NMOS eval tree isn't idiomatic; instead use series
-        // NMOS gated by a for t, and an NMOS gated by... there is no !a
-        // without a second rail. Accept: share the foot but swap
-        // polarities via PMOS pull-down path (still polarity Nmos filter
-        // applies) — so instead test complementarity with XOR trees:
-        // t: a&b | !a&!b is too big; keep simple: use two inputs a,b with
-        // t = a&b and c = !(a&b) needs OR of two branches: !a series
-        // impossible. Skip: single-rail check suffices above.
-        let _ = (t, c, gnd, a);
     }
 
     #[test]
@@ -830,8 +755,8 @@ mod tests {
         ));
         let classes = classify_single(&mut f, &[]);
         let c = &classes[0];
-        assert_eq!(c.pullup_paths[0].1.len(), 1);
-        assert_eq!(c.pulldown_paths[0].1.len(), 1);
-        assert_eq!(c.pullup_paths[0].1[0].len(), 1);
+        assert_eq!(c.outputs[0].pull_up_paths.len(), 1);
+        assert_eq!(c.outputs[0].pull_down_paths.len(), 1);
+        assert_eq!(c.outputs[0].pull_up_paths[0].len(), 1);
     }
 }

@@ -16,8 +16,12 @@
 //!   static complementary, ratioed, dynamic (domino, with or without a
 //!   clocked foot), dual-rail dynamic / DCVSL, or pass-transistor
 //!   ([`family`]);
-//! * the **boolean function** each output computes, extracted by path
-//!   enumeration through the channel graph ([`expr`]);
+//! * the **pull paths** of every output: one depth-first walk per
+//!   (output, rail) through the channel graph enumerates the simple
+//!   paths as device lists, kept on the output's [`OutputFunction`] for
+//!   the electrical checks and timing ([`expr::conduction_paths`]);
+//! * the **boolean function** each output computes, read off those same
+//!   paths ([`expr::paths_function`]) — there is no second walk;
 //! * **clock nets**, both declared and inferred from precharge topology,
 //!   propagated through buffer chains ([`clocks`]);
 //! * **state elements** invented on the fly by designers, found as

@@ -101,30 +101,11 @@ impl<'a> DelayCalc<'a> {
         }
     }
 
-    /// Series path resistance at a corner.
-    fn path_resistance(
-        &self,
-        netlist: &FlatNetlist,
-        path: &[DeviceId],
-        corner: &Corner,
-    ) -> Option<Ohms> {
-        let mut total = Ohms::ZERO;
-        for &did in path {
-            let d = netlist.device(did);
-            let model = self.process.mos(d.kind);
-            let i = model.saturation_current(d.w, d.l, corner);
-            if i.amps() <= 0.0 {
-                return None;
-            }
-            total += Ohms::new(corner.vdd.volts() / (2.0 * i.amps()));
-        }
-        Some(total)
-    }
-
     /// Bounded drive resistance of an output: `(strongest, weakest)` over
     /// the pull paths that involve `through_input` (all paths when the
     /// input participates in none, e.g. a precharge arc evaluated for
-    /// the clock).
+    /// the clock). The strongest is taken at the fast corner, the weakest
+    /// by [`weakest_drive`] at the slow one.
     fn drive_bounds(
         &self,
         netlist: &FlatNetlist,
@@ -132,58 +113,21 @@ impl<'a> DelayCalc<'a> {
         output: NetId,
         through_input: NetId,
     ) -> Option<(Ohms, Ohms)> {
-        let mut relevant: Vec<&Vec<DeviceId>> = Vec::new();
-        let mut all: Vec<&Vec<DeviceId>> = Vec::new();
-        for (net, paths) in class.pullup_paths.iter().chain(&class.pulldown_paths) {
-            if *net != output {
-                continue;
-            }
-            for p in paths {
-                all.push(p);
-                if p.iter().any(|&d| netlist.device(d).gate == through_input) {
-                    relevant.push(p);
-                }
-            }
-        }
-        let paths = if relevant.is_empty() { all } else { relevant };
-        if paths.is_empty() {
-            return None;
-        }
-        // Deliberately weak holders (jam feedback, keepers) in parallel
-        // with real drive never set the transition: drop paths more than
-        // 4x the strongest parallel path before taking the weak bound.
-        // `f64::min`/`max` return the non-NaN operand, so a NaN path
-        // resistance (a NaN device geometry) would silently fall out of
-        // the bounds and the arc would look healthy — every merge and
-        // the keeper filter below must propagate NaN instead.
-        let nan_merge = |acc: Option<Ohms>, r: Ohms, pick: fn(Ohms, Ohms) -> Ohms| {
-            Some(match acc {
-                Some(a) if a.ohms().is_nan() || r.ohms().is_nan() => Ohms::new(f64::NAN),
-                Some(a) => pick(a, r),
-                None => r,
-            })
+        let o = class.outputs.iter().find(|o| o.net == output)?;
+        let all = || o.pull_up_paths.iter().chain(&o.pull_down_paths);
+        let relevant: Vec<&Vec<DeviceId>> = all()
+            .filter(|p| p.iter().any(|&d| netlist.device(d).gate == through_input))
+            .collect();
+        let paths = if relevant.is_empty() {
+            all().collect()
+        } else {
+            relevant
         };
-        let mut slow_rs: Vec<Ohms> = Vec::new();
-        let mut strongest: Option<Ohms> = None;
-        for p in paths {
-            if let Some(r_fast) = self.path_resistance(netlist, p, &self.corner_fast) {
-                strongest = nan_merge(strongest, r_fast, Ohms::min);
-            }
-            if let Some(r_slow) = self.path_resistance(netlist, p, &self.corner_slow) {
-                slow_rs.push(r_slow);
-            }
-        }
-        let best_slow = slow_rs
+        let strongest = paths
             .iter()
-            .copied()
-            .fold(None, |acc, r| nan_merge(acc, r, Ohms::min))
-            .unwrap_or(Ohms::new(f64::INFINITY));
-        let weakest = slow_rs
-            .into_iter()
-            .filter(|r| {
-                r.ohms().is_nan() || best_slow.ohms().is_nan() || r.ohms() <= 4.0 * best_slow.ohms()
-            })
-            .fold(None, |acc, r| nan_merge(acc, r, Ohms::max));
+            .filter_map(|p| path_resistance(netlist, self.process, p, &self.corner_fast))
+            .fold(None, |acc, r| nan_merge(acc, r, Ohms::min));
+        let weakest = weakest_drive(netlist, self.process, &self.corner_slow, paths);
         Some((strongest?, weakest?))
     }
 
@@ -223,6 +167,64 @@ impl<'a> DelayCalc<'a> {
         t_min = t_min * self.pessimism.early_derate;
         Some((t_min, t_max))
     }
+}
+
+/// Series resistance `Σ Vdd / 2·Isat` of one pull path at a corner;
+/// `None` when a device on it cannot conduct there.
+fn path_resistance(
+    netlist: &FlatNetlist,
+    process: &Process,
+    path: &[DeviceId],
+    corner: &Corner,
+) -> Option<Ohms> {
+    let mut total = Ohms::ZERO;
+    for &did in path {
+        let d = netlist.device(did);
+        let i = process.mos(d.kind).saturation_current(d.w, d.l, corner);
+        if i.amps() <= 0.0 {
+            return None;
+        }
+        total += Ohms::new(corner.vdd.volts() / (2.0 * i.amps()));
+    }
+    Some(total)
+}
+
+/// Folds `r` into a running bound with `pick`. `f64::min`/`max` return
+/// the non-NaN operand, so a NaN path resistance (a NaN device geometry)
+/// would silently fall out of a bound and the drive would look healthy:
+/// here a NaN on either side makes the bound NaN.
+fn nan_merge(acc: Option<Ohms>, r: Ohms, pick: fn(Ohms, Ohms) -> Ohms) -> Option<Ohms> {
+    Some(match acc {
+        Some(a) if a.ohms().is_nan() || r.ohms().is_nan() => Ohms::new(f64::NAN),
+        Some(a) => pick(a, r),
+        None => r,
+    })
+}
+
+/// The weak drive bound of parallel pull paths at `corner`: the largest
+/// series resistance (`Σ Vdd / 2·Isat`) among the paths that can set
+/// the transition. Deliberately weak holders (jam feedback, keepers) in
+/// parallel with real drive never do, so paths more than 4x the
+/// strongest are dropped first. `None` when no path conducts; NaN when
+/// any path resistance is NaN. Timing's late arc bound and the edge-rate
+/// check both read a node's weak drive here.
+pub fn weakest_drive<'p>(
+    netlist: &FlatNetlist,
+    process: &Process,
+    corner: &Corner,
+    paths: impl IntoIterator<Item = &'p Vec<DeviceId>>,
+) -> Option<Ohms> {
+    let rs: Vec<Ohms> = paths
+        .into_iter()
+        .filter_map(|p| path_resistance(netlist, process, p, corner))
+        .collect();
+    let best = rs
+        .iter()
+        .fold(None, |acc, &r| nan_merge(acc, r, Ohms::min))
+        .unwrap_or(Ohms::new(f64::INFINITY));
+    rs.into_iter()
+        .filter(|r| r.ohms().is_nan() || best.ohms().is_nan() || r.ohms() <= 4.0 * best.ohms())
+        .fold(None, |acc, r| nan_merge(acc, r, Ohms::max))
 }
 
 #[cfg(test)]

@@ -95,6 +95,14 @@ done
 echo "== extraction index equals the all-pairs scan, and scans flat =="
 cargo test -q --release -p cbv-extract
 
+# The recognition oracle: one channel-graph walk per (output, rail), with
+# the function read off the stored paths, Debug-equal to the old
+# two-enumerator classification on every CCC — tier-1 runs the registry
+# and the small ladders; here the larger rungs (man64, cam128, rf16x16).
+echo "== one walk per pull network equals the two-enumerator oracle (larger ladder) =="
+cargo test -q --release -p cbv-core --test properties -- --ignored \
+  one_walk_per_pull_network_equals_the_two_enumerator_oracle_on_the_larger_ladder
+
 # Spliced fingerprints equal full ones: seeded resizes of alu8, man8
 # and ripple8 (rails and state-element CCCs included), each spliced
 # over the nets extraction redid, over the nets whose extraction
