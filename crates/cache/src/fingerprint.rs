@@ -836,6 +836,7 @@ mod tests {
                     netlist.device_mut(d).l *= factor;
                 }
 
+                let patched = layout.resized(&netlist, &p);
                 let next = synthesize(&netlist, &p);
                 let full = extract(&next, &netlist, &p);
                 let rec_full = recognize(&netlist);
@@ -850,7 +851,9 @@ mod tests {
                 );
                 bare_fps = bare_want;
                 let before = extracted.clone();
-                let spliced = extract_spliced(extracted, index, &layout, &next, &netlist, &p, &[d]);
+                let spliced = patched.and_then(|(_, diff)| {
+                    extract_spliced(extracted, index, &diff, &next, &netlist, &p, &[d])
+                });
                 let Some(spliced) = spliced else {
                     index = ShapeIndex::new(&next, netlist.net_count(), &p);
                     (layout, extracted, fps) = (next, full, want);

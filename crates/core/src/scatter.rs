@@ -557,7 +557,7 @@ enum Base {
     /// One a shared tier published, and still holds.
     Published(Arc<PreparedDesign>),
     /// The one an owned cache kept, taken out of it: once unpacked, its
-    /// blocks are freed before the layout is rebuilt.
+    /// blocks are freed before the layout is patched.
     Kept(KeptPrep),
 }
 
@@ -574,16 +574,19 @@ impl Base {
 /// `bases` whose netlist `netlist` only resizes devices of (all of them
 /// are of the run's environment), else the cold flow's [`serial_prep`].
 /// A splice reuses the base's recognition — it never reads `w` or `l` —
-/// rebuilds the layout whole and re-extracts only the nets the edit
-/// reaches ([`cbv_extract::extract_spliced`]), moving every other net
-/// over from the base and patching the base's shape index; a published
-/// base lends its layout to that rather than cloning it. It returns the [`Splice`] facts with the prep, for the
-/// fingerprints to be spliced from the base's in turn.
-/// When the edit moves a placement row (the NMOS row's height sets where
-/// every shape above it lands, so nearly every net is reached)
-/// extraction runs whole, and so do the fingerprints. Each
-/// representation equals the serial prep's. Also returns the DRC
-/// violation count when DRC ran.
+/// patches the base's layout ([`Layout::resized`]: each
+/// device redrawn at the site it kept, the route replayed) and
+/// re-extracts only the nets the patch reaches
+/// ([`cbv_extract::extract_spliced`], handed the patch's
+/// [`cbv_layout::ShapeDiff`]), moving every other net over from the base
+/// and patching the base's shape index; a published base lends its
+/// layout to the patch rather than cloning it. It returns the [`Splice`]
+/// facts with the prep, for the fingerprints to be spliced from the
+/// base's in turn. When the edit moves a placement row (the widest NMOS
+/// device sets where the PMOS row lands, so nearly every shape moves)
+/// the patch declines: layout and extraction run whole, and so do the
+/// fingerprints. Each representation equals the serial prep's. Also
+/// returns the DRC violation count when DRC ran.
 fn build_prep(
     stages: &mut Vec<StageReport>,
     flow: TraceCtx<'_>,
@@ -602,10 +605,10 @@ fn build_prep(
         let (prep, index, drc_violations) = serial_prep(stages, flow, netlist, process, check_drc);
         return (prep, index, None, drc_violations);
     };
-    // A published base outlives the run and lends its layout, and its
-    // index is copied for the splice to patch; a kept one is unpacked,
-    // and its blocks freed, before the layout is rebuilt, and its index
-    // is patched in place.
+    // A published base outlives the run and lends its layout to the
+    // patch, and its index is copied for the splice to patch; a kept one
+    // is unpacked, and its blocks freed, before the layout is patched,
+    // and its index is patched in place.
     let published;
     let (recognition, fps, old_extracted, old_layout, old_index) = match base {
         Base::Published(p) => {
@@ -630,27 +633,32 @@ fn build_prep(
         let n = recognition.cccs.len();
         (recognition, n, None)
     });
-    let layout = timed(stages, flow, "layout", |_| {
-        let l = cbv_layout::synthesize(&netlist, process);
+    let (layout, diff) = timed(stages, flow, "layout", |_| {
+        let (l, diff) = match old_layout.resized(&netlist, process) {
+            Some((l, diff)) => {
+                tracer.add("layout.patches", 1);
+                tracer.add("layout.stubs_searched", diff.stubs_searched as u64);
+                (l, Some(diff))
+            }
+            None => (cbv_layout::synthesize(&netlist, process), None),
+        };
+        drop(old_layout);
         let n = l.shapes.len();
-        (l, n, None)
+        ((l, diff), n, None)
     });
     let drc_violations = check_drc.then(|| drc_row(stages, flow, &layout, &netlist, process));
     let (extracted, index, reextracted) = timed(stages, flow, "extract", |_| {
-        let rows = |l: &Layout| l.sites.iter().map(|s| s.row_y).collect::<Vec<_>>();
-        let spliced = (rows(&old_layout) == rows(&layout))
-            .then(|| {
-                cbv_extract::extract_spliced(
-                    old_extracted,
-                    old_index,
-                    &old_layout,
-                    &layout,
-                    &netlist,
-                    process,
-                    &resized,
-                )
-            })
-            .flatten();
+        let spliced = diff.and_then(|diff| {
+            cbv_extract::extract_spliced(
+                old_extracted,
+                old_index,
+                &diff,
+                &layout,
+                &netlist,
+                process,
+                &resized,
+            )
+        });
         let (e, index, redone) = match spliced {
             Some(s) => {
                 tracer.add("prep.splices", 1);

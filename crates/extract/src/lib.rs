@@ -33,7 +33,7 @@ pub use rc::{RcNet, RcNodeId};
 
 use std::collections::HashMap;
 
-use cbv_layout::{Layout, Rect, Shape};
+use cbv_layout::{Layout, Rect, Shape, ShapeDiff};
 use cbv_netlist::{DeviceId, FlatNetlist, NetId, NetUse};
 use cbv_tech::{Farads, Layer, Ohms, Process, Tolerance};
 
@@ -262,33 +262,30 @@ pub struct SplicedExtraction {
     pub index_rebuilt: bool,
 }
 
-/// Extraction of `layout` spliced from `base`, the extraction of `old`
-/// through `base_index`, where `old` and `layout` are the layouts of
-/// `netlist` before and after a sizing edit: only device `w`/`l`
-/// changed, on the `resized` devices.
+/// Extraction of `layout` spliced from `base`, the extraction of the
+/// layout before a sizing edit through `base_index`, where `diff` is how
+/// [`Layout::resized`] patched that layout into `layout` (the layout of
+/// `netlist`, whose devices only changed `w`/`l`, on the `resized`
+/// devices).
 ///
-/// The two layouts are compared as multisets of `(layer, rect, net)`;
-/// a shape whose key occurs a different number of times in the two is
-/// *changed*. A net is re-extracted when a changed shape carries it,
-/// when a resized device's gate, source or drain is on it, or when one
-/// of its shapes lies within its layer's coupling reach of a changed
-/// shape on both axes. Every other net reads the same shapes, the same
-/// neighbours and shields (in the same order) and the same device
-/// sizes as before, so its `base` entry is moved over unchanged.
+/// A shape the diff removed or added is *changed*. A net is
+/// re-extracted when a changed shape carries it, when a resized device's
+/// gate, source or drain is on it, or when one of its shapes lies within
+/// its layer's coupling reach of a changed shape on both axes. Every
+/// other net reads the same shapes, the same neighbours and shields (in
+/// the same order: the diff's renumbering is monotone) and the same
+/// device sizes as before, so its `base` entry is moved over unchanged.
 ///
-/// `base_index` must index `old`. It becomes the index over `layout`,
-/// patched in place: the changed old shapes dropped, the kept ones
-/// renumbered, the changed new ones merged into the bands they sit in.
-/// It is rebuilt only when a changed shape lands in an index without
-/// bands.
+/// `base_index` must index the old layout. It becomes the index over
+/// `layout`, patched in place: the removed shapes dropped, the kept ones
+/// renumbered, the added ones merged into the bands they sit in. It is
+/// rebuilt only when an added shape lands in an index without bands.
 ///
-/// `None` when the unchanged shapes do not keep their relative order
-/// (a moved-over net's floating-point sums would then be taken in a
-/// different order), or `base` covers another net count.
+/// `None` when `base` covers another net count.
 pub fn extract_spliced(
     base: Extracted,
     base_index: ShapeIndex,
-    old: &Layout,
+    diff: &ShapeDiff,
     layout: &Layout,
     netlist: &FlatNetlist,
     process: &Process,
@@ -298,38 +295,12 @@ pub fn extract_spliced(
     if base.nets.len() != n_nets {
         return None;
     }
-    // Shapes are counted by a hash of their key. A collision can only
-    // hide a change from the count, and then the exact comparison of the
-    // unchanged shapes below turns the splice down.
-    let unbalanced = unbalanced_keys(&old.shapes, &layout.shapes);
-    let changed = |shapes: &[Shape]| -> Vec<bool> {
-        let is = |s: &Shape| unbalanced.binary_search(&shape_key(s)).is_ok();
-        shapes.iter().map(is).collect()
-    };
-    let (old_changed, new_changed) = (changed(&old.shapes), changed(&layout.shapes));
-    // Old id → new id of every unchanged shape; the changed ones map to
-    // `u32::MAX`. The map is monotone, or the splice is refused.
-    let mut renumber = vec![u32::MAX; old.shapes.len()];
-    let mut kept = (0..layout.shapes.len()).filter(|&j| !new_changed[j]);
-    for (i, s) in old.shapes.iter().enumerate() {
-        if !old_changed[i] {
-            let j = kept.next().filter(|&j| layout.shapes[j] == *s)?;
-            renumber[i] = j as u32;
-        }
-    }
-    if kept.next().is_some() {
-        return None;
-    }
-
-    let added: Vec<u32> = (0..layout.shapes.len() as u32)
-        .filter(|&j| new_changed[j as usize])
-        .collect();
     assert_eq!(
         base_index.shape_count,
-        old.shapes.len(),
+        diff.renumber.len(),
         "the base index indexes the old layout"
     );
-    let patched = base_index.patched(&layout.shapes, &renumber, &added, n_nets);
+    let patched = base_index.patched(&layout.shapes, &diff.renumber, &diff.added, n_nets);
     let index_rebuilt = patched.is_none();
     let index = patched.unwrap_or_else(|| ShapeIndex::new(layout, n_nets, process));
 
@@ -346,9 +317,8 @@ pub fn extract_spliced(
         }
     }
     let view = Indexed::new(&index, &layout.shapes);
-    let changed_shapes = old.shapes.iter().zip(&old_changed);
-    let changed_shapes = changed_shapes.chain(layout.shapes.iter().zip(&new_changed));
-    for (s, _) in changed_shapes.filter(|(_, &c)| c) {
+    let added = diff.added.iter().map(|&j| &layout.shapes[j as usize]);
+    for s in diff.removed.iter().chain(added) {
         mark(s.net);
         view.near(s.layer, s.rect, |i| mark(layout.shapes[i as usize].net));
     }
@@ -369,49 +339,6 @@ pub fn extract_spliced(
         redone,
         index_rebuilt,
     })
-}
-
-/// A hash of a shape's `(layer, rect, net)`.
-fn shape_key(s: &Shape) -> u64 {
-    let Rect { x0, y0, x1, y1 } = s.rect;
-    let net = s.net.map_or(u64::MAX, |n| u64::from(n.0));
-    [
-        layer_slot(s.layer) as u64,
-        x0 as u64,
-        y0 as u64,
-        x1 as u64,
-        y1 as u64,
-        net,
-    ]
-    .into_iter()
-    .fold(0xcbf2_9ce4_8422_2325, |h: u64, v| {
-        (h ^ v).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(29)
-    })
-}
-
-/// The [keys](shape_key) that occur a different number of times in `a`
-/// and in `b`, ascending.
-fn unbalanced_keys(a: &[Shape], b: &[Shape]) -> Vec<u64> {
-    let sorted = |shapes: &[Shape]| {
-        let mut keys: Vec<u64> = shapes.iter().map(shape_key).collect();
-        keys.sort_unstable();
-        keys
-    };
-    let (a, b) = (sorted(a), sorted(b));
-    let (mut i, mut j, mut out) = (0, 0, Vec::new());
-    while let Some(&k) = a.get(i).into_iter().chain(b.get(j)).min() {
-        let (i0, j0) = (i, j);
-        while a.get(i) == Some(&k) {
-            i += 1;
-        }
-        while b.get(j) == Some(&k) {
-            j += 1;
-        }
-        if i - i0 != j - j0 {
-            out.push(k);
-        }
-    }
-    out
 }
 
 /// The geometric queries extraction asks of a layout: [`ShapeIndex`]
@@ -1608,8 +1535,8 @@ mod tests {
 
         /// Perturbs shapes of a random layout (moved, stretched, dropped,
         /// inserted) and resizes devices: a splice from the old layout's
-        /// extraction equals a full extraction of the new one, bit for
-        /// bit, whenever the unchanged shapes kept their order.
+        /// extraction, told which shapes the edits touched, equals a full
+        /// extraction of the new one, bit for bit.
         #[test]
         fn spliced_extraction_equals_a_full_one_on_perturbed_layouts(
             scale in 1u32..40,
@@ -1628,31 +1555,52 @@ mod tests {
             let base_index = ShapeIndex::new(&old, old_netlist.net_count(), &process);
             let base = base_index.extract(&old, &old_netlist, &process);
 
-            let mut layout = old.clone();
+            // Each shape with the old id it keeps, or none when an edit
+            // moved, stretched or inserted it.
+            let mut shapes: Vec<(Shape, Option<u32>)> =
+                old.shapes.iter().cloned().zip((0..).map(Some)).collect();
             for &(at, action, dx, dy, kind) in &edits {
-                let n = layout.shapes.len();
+                let n = shapes.len();
                 let (dx, dy) = (i64::from(dx) - 200, i64::from(dy) - 200);
                 match action {
                     0 if n > 0 => {
-                        let r = &mut layout.shapes[at % n].rect;
-                        *r = r.translate(dx, dy);
+                        let (s, from) = &mut shapes[at % n];
+                        s.rect = s.rect.translate(dx, dy);
+                        *from = None;
                     }
                     1 if n > 0 => {
-                        let r = &mut layout.shapes[at % n].rect;
-                        *r = Rect::new(r.x0, r.y0, r.x1, r.y1 + dy.abs());
+                        let (s, from) = &mut shapes[at % n];
+                        s.rect = Rect::new(s.rect.x0, s.rect.y0, s.rect.x1, s.rect.y1 + dy.abs());
+                        *from = None;
                     }
                     2 if n > 0 => {
-                        layout.shapes.remove(at % n);
+                        shapes.remove(at % n);
                     }
                     _ => {
                         let draw = (at % 5, dx.unsigned_abs() as u32, dy.unsigned_abs() as u32,
                             300, 40, kind);
                         let extent = drawn_extent(scale, &draws);
                         let fresh = random_shape(scale, shift, extent, None, draw);
-                        layout.shapes.insert(at % (n + 1), fresh);
+                        shapes.insert(at % (n + 1), (fresh, None));
                     }
                 }
             }
+            let mut diff = ShapeDiff {
+                renumber: vec![u32::MAX; old.shapes.len()],
+                ..ShapeDiff::default()
+            };
+            for (j, (_, from)) in shapes.iter().enumerate() {
+                match from {
+                    Some(i) => diff.renumber[*i as usize] = j as u32,
+                    None => diff.added.push(j as u32),
+                }
+            }
+            let gone = old.shapes.iter().zip(&diff.renumber);
+            diff.removed = gone.filter(|(_, &j)| j == u32::MAX).map(|(s, _)| s.clone()).collect();
+            let layout = Layout {
+                shapes: shapes.into_iter().map(|(s, _)| s).collect(),
+                ..old.clone()
+            };
             let mut netlist = old_netlist.clone();
             let resized: Vec<DeviceId> = (0..3u32)
                 .filter(|d| resize & (1 << d) != 0)
@@ -1663,15 +1611,13 @@ mod tests {
             }
 
             let full = format!("{:?}", extract(&layout, &netlist, &process));
-            let spliced =
-                extract_spliced(base, base_index, &old, &layout, &netlist, &process, &resized);
-            if let Some(s) = spliced {
-                prop_assert!(s.redone.len() <= netlist.net_count());
-                prop_assert_eq!(format!("{:?}", s.extracted), full.clone());
-                // The patched (or rebuilt) index answers every net.
-                let through = s.index.extract(&layout, &netlist, &process);
-                prop_assert_eq!(format!("{through:?}"), full);
-            }
+            let s = extract_spliced(base, base_index, &diff, &layout, &netlist, &process, &resized)
+                .expect("the net count stays");
+            prop_assert!(s.redone.len() <= netlist.net_count());
+            prop_assert_eq!(format!("{:?}", s.extracted), full.clone());
+            // The patched (or rebuilt) index answers every net.
+            let through = s.index.extract(&layout, &netlist, &process);
+            prop_assert_eq!(format!("{through:?}"), full);
         }
     }
 
@@ -1698,7 +1644,7 @@ mod tests {
         assert_eq!(bits(&unpacked), bits(&extracted), "NaN payloads too");
     }
 
-    /// Resizes devices of generated designs one at a time and rebuilds
+    /// Resizes devices of generated designs one at a time and patches
     /// the layout: every edit splices, re-extracts a small share of the
     /// nets and equals a full extraction bit for bit. The index each
     /// splice patches from the last one's is never rebuilt, re-extracts
@@ -1720,9 +1666,11 @@ mod tests {
                 let d = DeviceId(step * 7919 % n_devices);
                 let factor = if step % 2 == 0 { 0.97 } else { 1.02 };
                 netlist.device_mut(d).w *= factor;
-                let next = synthesize(&netlist, &p);
-                let s = extract_spliced(extracted, index, &layout, &next, &netlist, &p, &[d])
-                    .expect("a resize keeps the unchanged shapes in order");
+                let (next, diff) = layout
+                    .resized(&netlist, &p)
+                    .expect("no resize moves the NMOS row");
+                let s = extract_spliced(extracted, index, &diff, &next, &netlist, &p, &[d])
+                    .expect("the net count stays");
                 let full = format!("{:?}", extract(&next, &netlist, &p));
                 let view = Indexed::new(&s.index, &next.shapes);
                 let through = format!("{:?}", extract_with(&view, &next, &netlist, &p));

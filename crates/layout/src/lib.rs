@@ -53,8 +53,10 @@ pub use place::{place_rows, DeviceSite, Placement};
 pub use route::route_channel;
 pub use rules::Rules;
 
-use cbv_netlist::{DeviceId, FlatNetlist, NetId};
+use cbv_netlist::{FlatNetlist, NetId};
 use cbv_tech::{Layer, Process};
+
+use place::Rows;
 
 /// One rectangle of geometry on a layer, tagged with the net it carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,9 +98,104 @@ impl Layout {
         (b.width() as f64 * 1e-9) * (b.height() as f64 * 1e-9)
     }
 
-    /// The placement site of a device, if placed.
-    pub fn site(&self, device: DeviceId) -> Option<&DeviceSite> {
-        self.sites.iter().find(|s| s.device == device)
+    /// The layout [`synthesize`] draws for `netlist`, patched from this
+    /// one, the layout of a netlist that differs from `netlist` in device
+    /// widths and lengths only; and what the patch changed.
+    ///
+    /// A device's site does not depend on any width, so the patch keeps
+    /// every site, redraws the devices at them and replays this layout's
+    /// route ([`route`] names what a replay keeps and what it searches
+    /// again): it draws what `synthesize` draws, byte for byte, without
+    /// ordering the rows or searching most stubs' columns again. `None`
+    /// when a site moved — the widest NMOS device changed, which moves
+    /// the PMOS row — or this layout does not read as one of `netlist`'s.
+    pub fn resized(&self, netlist: &FlatNetlist, process: &Process) -> Option<(Layout, ShapeDiff)> {
+        let rules = Rules::for_process(process);
+        let rows = Rows::of(netlist, &rules);
+        let devices = netlist.devices();
+        let stays = |s: &DeviceSite| {
+            let kind = devices.get(s.device.index()).map(|d| d.kind);
+            kind == Some(s.kind) && s.row_y == rows.row_y(s.kind)
+        };
+        if self.sites.len() != devices.len() || !self.sites.iter().all(stays) {
+            return None;
+        }
+        let Placement {
+            mut shapes,
+            sites,
+            terminals,
+            channel,
+        } = place::draw(netlist, self.sites.clone(), rows.channel, &rules);
+        let searched = route::route(
+            netlist,
+            &terminals,
+            channel,
+            &rules,
+            Some(&self.shapes),
+            &mut shapes,
+        )?;
+        let diff = ShapeDiff::between(&self.shapes, &shapes, searched);
+        let layout = Layout {
+            name: netlist.name().to_owned(),
+            shapes,
+            sites,
+        };
+        Some((layout, diff))
+    }
+}
+
+/// What a [`Layout::resized`] patch changed, from its base's shapes to
+/// the patched layout's: what extraction needs to splice its own result
+/// without comparing the two layouts.
+#[derive(Debug, Clone, Default)]
+pub struct ShapeDiff {
+    /// Each base shape's id in the patched layout, ascending over the
+    /// kept shapes; `u32::MAX` for a removed one.
+    pub renumber: Vec<u32>,
+    /// The patched layout's shapes that are new, ascending.
+    pub added: Vec<u32>,
+    /// The base's shapes the patch removed, in base order.
+    pub removed: Vec<Shape>,
+    /// How many stubs searched for a column (a route without a base
+    /// searches for every one).
+    pub stubs_searched: usize,
+}
+
+impl ShapeDiff {
+    /// Pairs the patched layout's shapes `new` with its base's `old`, in
+    /// order. A patch draws the same shapes in the same order except the
+    /// metal3 jogs a stub gains or drops, so a metal3 shape facing a
+    /// shape of another layer has no partner. A shape equal to its
+    /// partner is kept; every other one is removed or added.
+    fn between(old: &[Shape], new: &[Shape], stubs_searched: usize) -> ShapeDiff {
+        let mut diff = ShapeDiff {
+            renumber: vec![u32::MAX; old.len()],
+            stubs_searched,
+            ..ShapeDiff::default()
+        };
+        let (mut i, mut j) = (0, 0);
+        loop {
+            match (old.get(i), new.get(j)) {
+                (None, None) => return diff,
+                (Some(a), Some(b)) if a.layer == b.layer => {
+                    if a == b {
+                        diff.renumber[i] = j as u32;
+                    } else {
+                        diff.removed.push(a.clone());
+                        diff.added.push(j as u32);
+                    }
+                    (i, j) = (i + 1, j + 1);
+                }
+                (Some(a), b) if b.is_none_or(|b| b.layer != Layer::Metal3) => {
+                    diff.removed.push(a.clone());
+                    i += 1;
+                }
+                _ => {
+                    diff.added.push(j as u32);
+                    j += 1;
+                }
+            }
+        }
     }
 }
 
@@ -106,15 +203,18 @@ impl Layout {
 /// channel routing.
 pub fn synthesize(netlist: &FlatNetlist, process: &Process) -> Layout {
     let rules = Rules::for_process(process);
-    let placement = place_rows(netlist, &rules);
-    let routed = route_channel(netlist, &placement, &rules);
-    let mut shapes = Vec::with_capacity(placement.shapes.len() + routed.len());
-    shapes.extend(placement.shapes);
-    shapes.extend(routed);
+    let Placement {
+        mut shapes,
+        sites,
+        terminals,
+        channel,
+    } = place_rows(netlist, &rules);
+    route::route(netlist, &terminals, channel, &rules, None, &mut shapes)
+        .expect("a route without a base completes");
     Layout {
         name: netlist.name().to_owned(),
         shapes,
-        sites: placement.sites,
+        sites,
     }
 }
 

@@ -4,8 +4,13 @@
 //! between them. Devices are ordered greedily to share diffusion between
 //! neighbors that have a common channel net — the dominant area lever in
 //! hand layout, automated here.
+//!
+//! Placement decides where each device goes ([`DeviceSite`]); drawing
+//! the devices at their sites is a step of its own, which a resized
+//! layout ([`crate::Layout::resized`]) repeats over the sites it kept: a
+//! site does not depend on any device's width.
 
-use cbv_netlist::{DeviceId, FlatNetlist, NetId};
+use cbv_netlist::{Device, DeviceId, FlatNetlist, NetId};
 use cbv_tech::{Layer, MosKind};
 
 use crate::geom::{Point, Rect};
@@ -47,6 +52,43 @@ pub struct Placement {
     pub channel: (i64, i64),
 }
 
+/// The rows' vertical geometry: the NMOS row at y = 0, the routing
+/// channel above it, the PMOS row above the channel. Only the widest
+/// NMOS device moves it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Rows {
+    /// Y of the PMOS row's diffusion bottom.
+    p_y: i64,
+    /// The channel: (bottom, top).
+    pub(crate) channel: (i64, i64),
+}
+
+impl Rows {
+    pub(crate) fn of(netlist: &FlatNetlist, rules: &Rules) -> Rows {
+        let n_height = netlist
+            .devices()
+            .iter()
+            .filter(|d| d.kind == MosKind::Nmos)
+            .map(|d| (d.w * 1e9).round() as i64)
+            .max()
+            .unwrap_or(rules.lambda * 10);
+        let channel_bottom = n_height + rules.poly_extension;
+        let channel_top = channel_bottom + rules.row_gap;
+        Rows {
+            p_y: channel_top + rules.poly_extension,
+            channel: (channel_bottom, channel_top),
+        }
+    }
+
+    /// The diffusion bottom of a `kind` device's row.
+    pub(crate) fn row_y(&self, kind: MosKind) -> i64 {
+        match kind {
+            MosKind::Nmos => 0,
+            MosKind::Pmos => self.p_y,
+        }
+    }
+}
+
 /// Orders a row's devices for diffusion sharing: greedy chaining on
 /// shared channel nets.
 fn order_row(netlist: &FlatNetlist, devices: &[DeviceId]) -> Vec<DeviceId> {
@@ -72,127 +114,135 @@ fn order_row(netlist: &FlatNetlist, devices: &[DeviceId]) -> Vec<DeviceId> {
     out
 }
 
+/// How a device sits after the net on its left neighbour's right,
+/// `prev_right`: whether it shares that diffusion, and its left and right
+/// nets (a shared net goes on the left).
+fn orient(dev: &Device, prev_right: Option<NetId>) -> (bool, NetId, NetId) {
+    let shared = prev_right == Some(dev.source) || prev_right == Some(dev.drain);
+    if prev_right == Some(dev.drain) {
+        (shared, dev.drain, dev.source)
+    } else {
+        (shared, dev.source, dev.drain)
+    }
+}
+
 /// Places all devices of a netlist into two rows.
 pub fn place_rows(netlist: &FlatNetlist, rules: &Rules) -> Placement {
-    let nmos: Vec<DeviceId> = netlist
-        .device_ids()
-        .filter(|&d| netlist.device(d).kind == MosKind::Nmos)
-        .collect();
-    let pmos: Vec<DeviceId> = netlist
-        .device_ids()
-        .filter(|&d| netlist.device(d).kind == MosKind::Pmos)
-        .collect();
-
-    let row_height = |devs: &[DeviceId]| -> i64 {
-        devs.iter()
-            .map(|&d| (netlist.device(d).w * 1e9).round() as i64)
-            .max()
-            .unwrap_or(rules.lambda * 10)
-    };
-    let n_height = row_height(&nmos);
-    let p_height = row_height(&pmos);
-
-    let n_y = 0i64;
-    let channel_bottom = n_y + n_height + rules.poly_extension;
-    let channel_top = channel_bottom + rules.row_gap;
-    let p_y = channel_top + rules.poly_extension;
-
-    let mut placement = Placement {
-        shapes: Vec::new(),
-        sites: Vec::new(),
-        terminals: Vec::new(),
-        channel: (channel_bottom, channel_top),
-    };
-
-    let n_order = order_row(netlist, &nmos);
-    let p_order = order_row(netlist, &pmos);
-
-    for (row_devices, row_y, row_h, is_pmos) in [
-        (n_order, n_y, n_height, false),
-        (p_order, p_y, p_height, true),
+    let rows = Rows::of(netlist, rules);
+    let mut sites = Vec::with_capacity(netlist.devices().len());
+    // Stagger the rows by half a finger pitch so vertical channel stubs
+    // from opposite rows never share an x column.
+    for (kind, mut x) in [
+        (MosKind::Nmos, 0),
+        (MosKind::Pmos, rules.finger_pitch() / 2),
     ] {
-        // Stagger the rows by half a finger pitch so vertical channel
-        // stubs from opposite rows never share an x column.
-        let mut x = if is_pmos { rules.finger_pitch() / 2 } else { 0 };
+        let row: Vec<DeviceId> = netlist
+            .device_ids()
+            .filter(|&d| netlist.device(d).kind == kind)
+            .collect();
         let mut prev_right: Option<NetId> = None;
-        for d in row_devices {
-            let dev = netlist.device(d);
-            let w_nm = (dev.w * 1e9).round() as i64;
-            let shared = prev_right == Some(dev.source) || prev_right == Some(dev.drain);
+        for d in order_row(netlist, &row) {
+            let (shared, _, right_net) = orient(netlist.device(d), prev_right);
             if !shared && prev_right.is_some() {
                 x += rules.diff_space + rules.contact;
             }
-            // Orient the device so a shared net sits on the left.
-            let (left_net, right_net) = if prev_right == Some(dev.drain) {
-                (dev.drain, dev.source)
-            } else {
-                (dev.source, dev.drain)
-            };
-            let left_x = x;
-            let gate_x = left_x + rules.contact + rules.diff_extension / 2;
-            let right_x = gate_x + rules.gate_length + rules.diff_extension / 2;
-            // Diffusion strip (left contact .. right contact).
-            placement.shapes.push(Shape {
-                layer: Layer::Diffusion,
-                rect: Rect::new(left_x, row_y, right_x + rules.contact, row_y + w_nm),
-                net: None,
-            });
-            // Source/drain contacts in metal1. A shared diffusion keeps
-            // the neighbor's existing contact; re-emitting it would
-            // double-count its capacitance.
-            let contacts: &[(i64, NetId)] = if shared {
-                &[(right_x, right_net)]
-            } else {
-                &[(left_x, left_net), (right_x, right_net)]
-            };
-            for &(cx, net) in contacts {
-                placement.shapes.push(Shape {
-                    layer: Layer::Metal1,
-                    rect: Rect::new(cx, row_y, cx + rules.contact, row_y + w_nm),
-                    net: Some(net),
-                });
-                let term_y = if is_pmos { row_y } else { row_y + w_nm };
-                placement.terminals.push(Terminal {
-                    net,
-                    at: Point::new(cx + rules.contact / 2, term_y),
-                });
-            }
-            // Poly gate strip, extended toward the channel.
-            let (poly_y0, poly_y1, term_y) = if is_pmos {
-                (
-                    channel_top,
-                    row_y + w_nm + rules.poly_extension,
-                    channel_top,
-                )
-            } else {
-                (row_y - rules.poly_extension, channel_bottom, channel_bottom)
-            };
-            placement.shapes.push(Shape {
-                layer: Layer::Poly,
-                rect: Rect::new(
-                    gate_x,
-                    poly_y0.min(poly_y1),
-                    gate_x + rules.gate_length,
-                    poly_y0.max(poly_y1),
-                ),
-                net: Some(dev.gate),
-            });
-            placement.terminals.push(Terminal {
-                net: dev.gate,
-                at: Point::new(gate_x + rules.gate_length / 2, term_y),
-            });
-            placement.sites.push(DeviceSite {
+            let gate_x = x + rules.contact + rules.diff_extension / 2;
+            sites.push(DeviceSite {
                 device: d,
                 gate_x,
-                row_y,
-                kind: dev.kind,
+                row_y: rows.row_y(kind),
+                kind,
             });
             prev_right = Some(right_net);
-            x = right_x;
+            x = gate_x + rules.gate_length + rules.diff_extension / 2;
         }
-        let _ = row_h;
     }
-    placement
+    draw(netlist, sites, rows.channel, rules)
+}
+
+/// Draws every device at its site, in site order (a row's sites left to
+/// right, the NMOS row first): its diffusion, its source/drain contacts
+/// in metal1 and its poly gate strip, extended toward the channel, with
+/// a routing terminal on each contact and gate.
+pub(crate) fn draw(
+    netlist: &FlatNetlist,
+    sites: Vec<DeviceSite>,
+    channel: (i64, i64),
+    rules: &Rules,
+) -> Placement {
+    let (channel_bottom, channel_top) = channel;
+    let mut shapes = Vec::with_capacity(4 * sites.len());
+    let mut terminals = Vec::with_capacity(3 * sites.len());
+    // The row and right net of the device drawn last.
+    let mut prev: Option<(MosKind, NetId)> = None;
+    for site in &sites {
+        let dev = netlist.device(site.device);
+        let is_pmos = site.kind == MosKind::Pmos;
+        let row_y = site.row_y;
+        let w_nm = (dev.w * 1e9).round() as i64;
+        let prev_right = prev.filter(|&(kind, _)| kind == site.kind).map(|p| p.1);
+        let (shared, left_net, right_net) = orient(dev, prev_right);
+        let gate_x = site.gate_x;
+        let left_x = gate_x - rules.contact - rules.diff_extension / 2;
+        let right_x = gate_x + rules.gate_length + rules.diff_extension / 2;
+        // Diffusion strip (left contact .. right contact).
+        shapes.push(Shape {
+            layer: Layer::Diffusion,
+            rect: Rect::new(left_x, row_y, right_x + rules.contact, row_y + w_nm),
+            net: None,
+        });
+        // Source/drain contacts in metal1. A shared diffusion keeps the
+        // neighbor's existing contact; re-emitting it would double-count
+        // its capacitance.
+        let contacts: &[(i64, NetId)] = if shared {
+            &[(right_x, right_net)]
+        } else {
+            &[(left_x, left_net), (right_x, right_net)]
+        };
+        for &(cx, net) in contacts {
+            shapes.push(Shape {
+                layer: Layer::Metal1,
+                rect: Rect::new(cx, row_y, cx + rules.contact, row_y + w_nm),
+                net: Some(net),
+            });
+            let term_y = if is_pmos { row_y } else { row_y + w_nm };
+            terminals.push(Terminal {
+                net,
+                at: Point::new(cx + rules.contact / 2, term_y),
+            });
+        }
+        // Poly gate strip, extended toward the channel.
+        let (poly_y0, poly_y1, term_y) = if is_pmos {
+            (
+                channel_top,
+                row_y + w_nm + rules.poly_extension,
+                channel_top,
+            )
+        } else {
+            (row_y - rules.poly_extension, channel_bottom, channel_bottom)
+        };
+        shapes.push(Shape {
+            layer: Layer::Poly,
+            rect: Rect::new(
+                gate_x,
+                poly_y0.min(poly_y1),
+                gate_x + rules.gate_length,
+                poly_y0.max(poly_y1),
+            ),
+            net: Some(dev.gate),
+        });
+        terminals.push(Terminal {
+            net: dev.gate,
+            at: Point::new(gate_x + rules.gate_length / 2, term_y),
+        });
+        prev = Some((site.kind, right_net));
+    }
+    Placement {
+        shapes,
+        sites,
+        terminals,
+        channel,
+    }
 }
 
 #[cfg(test)]

@@ -95,6 +95,13 @@ done
 echo "== extraction index equals the all-pairs scan, and scans flat =="
 cargo test -q --release -p cbv-extract
 
+# The layout patch: seeded resizes of alu8, man8 and ripple8, each step's
+# patched layout Debug-equal to synthesize's and its diff the multiset
+# diff's (rail moves, jogs gained or dropped, other nets' stubs moved and
+# declined row moves all forced), 2,000 steps a design.
+echo "== a resized layout equals synthesize (long walk) =="
+cargo test -q --release -p cbv-layout -- --include-ignored
+
 # The recognition oracle: one channel-graph walk per (output, rail), with
 # the function read off the stored paths, Debug-equal to the old
 # two-enumerator classification on every CCC — tier-1 runs the registry

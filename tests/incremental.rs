@@ -529,13 +529,15 @@ fn nmos_row_height(netlist: &FlatNetlist) -> Option<i64> {
 /// must equal the full build's, and re-extracting every net through its
 /// shape index — patched from the base's, step after step — must equal
 /// the full extraction too. The walk holds row-height steps, which
-/// extract whole, and steps whose router gains or drops a jog, which
-/// shift every later shape. Counted: a spliced op re-extracts at most
-/// 22 of alu8's 222 nets and re-folds at most 12 of its 88 CCC units on
-/// average, after 64 steps and after 500, the fallbacks past the
-/// priming run are the row-height steps, and no splice rebuilds the
-/// index (`cbv-extract`'s tests hold the patched windows to at most 30
-/// ids scanned per shape).
+/// synthesize and extract whole, and steps whose router gains or drops
+/// a jog, which shift every later shape. Counted: a spliced op
+/// re-extracts at most 22 of alu8's 222 nets and re-folds at most 12 of
+/// its 88 CCC units on average, after 64 steps and after 500, the
+/// fallbacks past the priming run are the row-height steps, every splice
+/// patches its layout, a patch searches at most 40 of the route's 778
+/// stub columns on average, and no splice rebuilds the index
+/// (`cbv-extract`'s tests hold the patched windows to at most 30 ids
+/// scanned per shape).
 #[test]
 fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
     let p = Process::strongarm_035();
@@ -617,6 +619,16 @@ fn spliced_prep_equals_a_full_build_on_every_step_of_a_seeded_walk() {
     assert_eq!(count("prep.fallbacks"), 1 + row_steps as u64);
     assert_eq!(count("prep.splices"), 500 - row_steps as u64);
     assert_eq!(count("extract.index_rebuilds"), 0, "index rebuilds");
+    assert_eq!(
+        count("layout.patches"),
+        count("prep.splices"),
+        "every splice patches its layout"
+    );
+    let searched = per_splice("layout.stubs_searched");
+    assert!(
+        searched <= 40.0,
+        "a patch searched {searched:.2} of 778 stubs' columns"
+    );
     let at_500 = (
         per_splice("extract.nets_reextracted"),
         per_splice("fingerprint.units_refolded"),
