@@ -16,19 +16,19 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cbv_cache::{CacheKey, CacheStats, UnitResult, VerifyCache};
+use cbv_cache::{env_fingerprint, CacheKey, CacheStats, UnitResult, VerifyCache};
 use cbv_everify::EverifyConfig;
 use cbv_exec::Executor;
-use cbv_extract::{Extracted, ShapeIndex};
+use cbv_extract::Extracted;
 use cbv_layout::Layout;
 use cbv_netlist::FlatNetlist;
-use cbv_obs::{TraceCtx, Tracer};
+use cbv_obs::{Span, TraceCtx, Tracer};
 use cbv_power::ActivityModel;
 use cbv_recognize::Recognition;
 use cbv_tech::{Process, Seconds, Tolerance};
 use cbv_timing::{ClockSchedule, DelayCalc, Pessimism, TimingGraph};
 
-use crate::scatter::{run_flow_tiered, LocalBackend};
+use crate::scatter::{run_flow_tiered, LocalBackend, Source};
 use crate::signoff::Signoff;
 
 /// Flow configuration knobs.
@@ -102,8 +102,11 @@ pub struct StageReport {
     pub cpu_time: Seconds,
     /// Number of artifacts produced/processed (devices, shapes, arcs...).
     pub artifacts: usize,
-    /// Cache hit/miss tally, present only for the cached stages of
-    /// [`run_flow_incremental`].
+    /// Cache tally of the cached driver's `everify` and `timing` rows, on
+    /// every run of [`run_flow_incremental`] and of a
+    /// [`FlowService`](crate::service::FlowService) (whose verdict reads
+    /// the `everify` row's). `None` on every other row and on every row
+    /// of the cold [`run_flow`].
     pub cache: Option<CacheStats>,
     /// Id of this stage's span in the flow's trace (`None` when the
     /// configured tracer is disabled).
@@ -158,36 +161,212 @@ pub(crate) fn check_deadline(deadline: Option<Instant>) {
     }
 }
 
-/// Times one stage under one span of the flow's trace. The closure
-/// receives a [`TraceCtx`] positioned at the stage's span (so parallel
-/// inner work can attach child spans) and reports `(value, artifacts,
-/// cpu)`; `cpu` is the aggregate worker busy time for parallel stages,
-/// or `None` for serial stages (cpu time == wall time).
-pub(crate) fn timed<T>(
-    stages: &mut Vec<StageReport>,
-    flow: TraceCtx<'_>,
-    stage: &'static str,
-    f: impl FnOnce(TraceCtx<'_>) -> (T, usize, Option<Duration>),
-) -> T {
-    let span = flow.tracer.span_in(flow.parent, stage);
-    let span_id = span.id();
-    let ctx = TraceCtx {
-        tracer: flow.tracer,
-        parent: span_id,
-    };
-    let start = Instant::now();
-    let (value, artifacts, cpu) = f(ctx);
-    let runtime = Seconds::new(start.elapsed().as_secs_f64());
-    drop(span);
-    stages.push(StageReport {
-        stage,
-        runtime,
-        cpu_time: cpu.map_or(runtime, |d| Seconds::new(d.as_secs_f64())),
-        artifacts,
-        cache: None,
-        span_id,
-    });
-    value
+/// One run of the flow, cold or cached: the process and config it runs
+/// under and what they derive once (the executor, the check config and
+/// the environment fingerprint), its trace position under the root
+/// `flow` span, and the stage rows and DRC count reported so far.
+pub(crate) struct RunCtx<'a> {
+    pub process: &'a Process,
+    pub config: &'a FlowConfig,
+    pub exec: Executor,
+    pub everify_cfg: EverifyConfig,
+    pub env: u64,
+    /// The trace position under `root`.
+    pub flow: TraceCtx<'a>,
+    root: Span<'a>,
+    pub stages: Vec<StageReport>,
+    /// The DRC violation count, once the `drc` row ran.
+    pub drc: Option<usize>,
+}
+
+impl<'a> RunCtx<'a> {
+    /// Opens a run: its `flow` span under [`FlowConfig::trace_parent`] on
+    /// `tracer`.
+    fn new(process: &'a Process, config: &'a FlowConfig, tracer: &'a Tracer) -> Self {
+        let mut everify_cfg = EverifyConfig::for_process(process);
+        everify_cfg.tolerance = config.tolerance;
+        let env = env_fingerprint(process, &config.tolerance, &config.pessimism, &everify_cfg);
+        let root = tracer.span_in(config.trace_parent, "flow");
+        RunCtx {
+            process,
+            config,
+            exec: Executor::threads(config.parallelism),
+            everify_cfg,
+            env,
+            flow: TraceCtx::under(tracer, &root),
+            root,
+            stages: Vec::new(),
+            drc: None,
+        }
+    }
+
+    /// A run traced on the configured tracer.
+    pub fn open(process: &'a Process, config: &'a FlowConfig) -> Self {
+        Self::new(process, config, &config.tracer)
+    }
+
+    /// A run that traces nothing: the worker-side prep, whose rows the
+    /// coordinator's driver reports.
+    pub fn untraced(process: &'a Process, config: &'a FlowConfig) -> Self {
+        Self::new(process, config, TraceCtx::disabled().tracer)
+    }
+
+    /// Times one stage under one span of the run's trace. The closure
+    /// receives the run and a [`TraceCtx`] positioned at the stage's span
+    /// (so parallel inner work can attach child spans) and reports
+    /// `(value, artifacts, cpu)`; `cpu` is the aggregate worker busy time
+    /// for parallel stages, or `None` for serial stages (cpu time == wall
+    /// time).
+    pub fn timed<T>(
+        &mut self,
+        stage: &'static str,
+        f: impl FnOnce(&Self, TraceCtx<'a>) -> (T, usize, Option<Duration>),
+    ) -> T {
+        let span = self.flow.tracer.span_in(self.flow.parent, stage);
+        let span_id = span.id();
+        let ctx = TraceCtx {
+            tracer: self.flow.tracer,
+            parent: span_id,
+        };
+        let start = Instant::now();
+        let (value, artifacts, cpu) = f(self, ctx);
+        let runtime = Seconds::new(start.elapsed().as_secs_f64());
+        drop(span);
+        self.stages.push(StageReport {
+            stage,
+            runtime,
+            cpu_time: cpu.map_or(runtime, |d| Seconds::new(d.as_secs_f64())),
+            artifacts,
+            cache: None,
+            span_id,
+        });
+        value
+    }
+
+    /// The timing stage after its graph is built: constraint inference,
+    /// clock-RC skew bounds and STA over `graph` against the configured
+    /// schedule, else a single-phase one at the process target frequency
+    /// on the design's first recognized clock. Returns the STA report and
+    /// the inferred constraint count (the signoff's timing denominator).
+    fn analyze_graph(
+        &self,
+        prep: &Prep,
+        graph: &TimingGraph,
+        ctx: TraceCtx<'_>,
+    ) -> (cbv_timing::StaReport, usize) {
+        let (process, config) = (self.process, self.config);
+        let constraints = cbv_timing::infer_constraints(
+            &prep.netlist,
+            &prep.recognition,
+            process,
+            &config.pessimism,
+        );
+        let skews: Vec<_> = prep
+            .recognition
+            .clock_nets
+            .iter()
+            .filter_map(|&c| {
+                cbv_timing::clock_skew_bounds(
+                    &prep.extracted,
+                    c,
+                    cbv_tech::Ohms::new(200.0),
+                    &config.tolerance,
+                )
+            })
+            .collect();
+        let schedule = config.schedule.clone().unwrap_or_else(|| {
+            let name = prep
+                .recognition
+                .clock_nets
+                .first()
+                .map(|&c| prep.netlist.net_name(c).to_owned())
+                .unwrap_or_else(|| "clk".to_owned());
+            ClockSchedule::single(name, process.f_target().period())
+        });
+        let r = {
+            let _sta_span = ctx.span("sta");
+            cbv_timing::analyze(
+                &prep.netlist,
+                graph,
+                &constraints,
+                &schedule,
+                &config.pessimism,
+                &skews,
+            )
+        };
+        ctx.tracer
+            .add("timing.constraints", constraints.len() as u64);
+        ctx.tracer
+            .add("timing.violations", r.violations.len() as u64);
+        (r, constraints.len())
+    }
+
+    /// The cached driver's timing stage: splices the per-CCC unit arcs (in
+    /// CCC order, the cold graph's exact arc sequence), assembles the graph
+    /// around them and runs [`analyze_graph`](Self::analyze_graph) — the
+    /// same remainder cold [`run_flow`] runs after its parallel graph
+    /// build, recomputed on every run because it costs a fraction of a
+    /// millisecond. Returns the STA report, the inferred constraint count
+    /// and the spliced arc count.
+    pub fn timing_remainder(
+        &self,
+        prep: &Prep,
+        units: &[UnitResult],
+        ctx: TraceCtx<'_>,
+    ) -> (cbv_timing::StaReport, usize, usize) {
+        let arcs: Vec<cbv_timing::Arc> =
+            units.iter().flat_map(|u| u.arcs.iter().copied()).collect();
+        let n_arcs = arcs.len();
+        ctx.tracer.add("timing.arcs", n_arcs as u64);
+        let graph = cbv_timing::graph_from_arcs(&prep.netlist, &prep.recognition, arcs);
+        let (sta, n_constraints) = self.analyze_graph(prep, &graph, ctx);
+        (sta, n_constraints, n_arcs)
+    }
+
+    /// The run's last row — power estimation (§3), cheap and always
+    /// recomputed — and its close: the [`Signoff`] roll-up over everything
+    /// the run found, the root span closed, the tracer flushed and the
+    /// report assembled. The report shares the prep's netlist and
+    /// recognition.
+    pub fn finish(
+        mut self,
+        prep: &Prep,
+        everify: cbv_everify::Report,
+        sta: cbv_timing::StaReport,
+        n_constraints: usize,
+        fresh: Vec<CacheKey>,
+    ) -> FlowReport {
+        let power = self.timed("power", |run, _| {
+            let p = cbv_power::dynamic_power(
+                &prep.netlist,
+                &prep.recognition,
+                &prep.extracted,
+                run.process,
+                run.process.f_target(),
+                &ActivityModel::uniform(run.config.activity),
+            );
+            (p, 1, None)
+        });
+        let mut signoff = Signoff::default();
+        if let Some(n) = self.drc {
+            signoff.add_drc(n);
+        }
+        signoff.add_everify(&everify);
+        signoff.add_timing(&sta, n_constraints);
+        signoff.set_power(power.total());
+
+        drop(self.root);
+        self.flow.tracer.flush();
+        FlowReport {
+            stages: self.stages,
+            recognition: Arc::clone(&prep.recognition),
+            signoff,
+            everify,
+            sta,
+            netlist: Arc::clone(&prep.netlist),
+            fresh,
+        }
+    }
 }
 
 /// Validation-gated [`run_flow`]: rejects malformed netlists with a
@@ -213,38 +392,30 @@ pub fn try_run_flow(
 /// tracer is flushed before returning. The signoff and report are
 /// byte-identical whether tracing is enabled or not.
 pub fn run_flow(netlist: FlatNetlist, process: &Process, config: &FlowConfig) -> FlowReport {
-    let mut stages = Vec::new();
-    let exec = Executor::threads(config.parallelism);
-    let tracer = &config.tracer;
-    let root = tracer.span_in(config.trace_parent, "flow");
-    let flow = TraceCtx::under(tracer, &root);
+    let mut run = RunCtx::open(process, config);
 
-    // 1–3. Recognition, layout assistance, optional DRC, extraction.
-    // The shape index is dropped here: a cold run never splices.
-    let (prep, _, drc_violations) =
-        serial_prep(&mut stages, flow, netlist, process, config.check_drc);
-    let Prep {
-        netlist,
-        recognition,
-        layout,
-        extracted,
-    } = &prep;
+    // 1–3. Recognition, layout assistance, optional DRC, extraction, all
+    // computed. The shape index is dropped here: a cold run never
+    // splices.
+    let prep = run
+        .prep(netlist, Source::Cold)
+        .expect("a cold prep is built")
+        .parts;
 
     // 4. Electrical verification battery (§4.2), checks fanned out
     // across the executor's workers — one `check:<kind>` span each, a
     // panicking check isolated into a ToolError finding.
-    let mut everify_cfg = EverifyConfig::for_process(process);
-    everify_cfg.tolerance = config.tolerance;
-    let ereport = timed(&mut stages, flow, "everify", |ctx| {
+    let ereport = run.timed("everify", |run, ctx| {
         let checks = cbv_everify::battery(
-            netlist,
-            recognition,
-            extracted,
-            Some(layout),
+            &prep.netlist,
+            &prep.recognition,
+            &prep.extracted,
+            Some(&prep.layout),
             process,
-            &everify_cfg,
+            &run.everify_cfg,
         );
-        let (r, busy) = cbv_everify::run_battery(checks, everify_cfg.filter_threshold, &exec, ctx);
+        let threshold = run.everify_cfg.filter_threshold;
+        let (r, busy) = cbv_everify::run_battery(checks, threshold, &run.exec, ctx);
         ctx.tracer.gauge("everify.busy_s", busy.as_secs_f64());
         let n = r.checked_count();
         (r, n, Some(busy))
@@ -252,17 +423,17 @@ pub fn run_flow(netlist: FlatNetlist, process: &Process, config: &FlowConfig) ->
 
     // 5. Timing verification (§4.3).
     let calc = DelayCalc::new(process, config.tolerance, config.pessimism);
-    let (sta, n_constraints) = timed(&mut stages, flow, "timing", |ctx| {
+    let (sta, n_constraints) = run.timed("timing", |run, ctx| {
         let (graph, graph_busy) = cbv_timing::graph::build_graph_traced(
-            netlist,
-            recognition,
-            extracted,
+            &prep.netlist,
+            &prep.recognition,
+            &prep.extracted,
             &calc,
-            &exec,
+            &run.exec,
             ctx,
         );
         let serial_start = Instant::now();
-        let (r, n) = analyze_graph(&prep, &graph, process, config, ctx);
+        let (r, n) = run.analyze_graph(&prep, &graph, ctx);
         ctx.tracer
             .gauge("timing.graph_busy_s", graph_busy.as_secs_f64());
         // Stage compute = parallel graph build (all workers) + the
@@ -272,30 +443,7 @@ pub fn run_flow(netlist: FlatNetlist, process: &Process, config: &FlowConfig) ->
     });
 
     // 6. Power estimation (§3) and the signoff roll-up.
-    let signoff = power_and_signoff(
-        &mut stages,
-        flow,
-        &prep,
-        process,
-        config,
-        drc_violations,
-        &ereport,
-        &sta,
-        n_constraints,
-    );
-
-    drop(root);
-    tracer.flush();
-
-    FlowReport {
-        stages,
-        recognition: prep.recognition,
-        signoff,
-        everify: ereport,
-        sta,
-        netlist: prep.netlist,
-        fresh: Vec::new(),
-    }
+    run.finish(&prep, ereport, sta, n_constraints, Vec::new())
 }
 
 /// What stages 1–3 leave behind: the netlist and the three
@@ -307,182 +455,6 @@ pub(crate) struct Prep {
     pub recognition: Arc<Recognition>,
     pub layout: Layout,
     pub extracted: Extracted,
-}
-
-/// Stages 1–3 of Fig 2, one row each: circuit recognition (§2.3), layout
-/// assistance (§2.2), optional geometric DRC over the assisted layout,
-/// extraction (the §4.3 inputs). The one definition of the serial prep —
-/// the cold flow, the cached driver's prep-miss branch when it cannot
-/// splice, and [`PreparedDesign::build`](crate::scatter::PreparedDesign::build)
-/// all run this. Returns the prep, the shape index the extraction was
-/// taken through (a cached run keeps it for the next splice to patch)
-/// and the DRC violation count when DRC ran.
-pub(crate) fn serial_prep(
-    stages: &mut Vec<StageReport>,
-    flow: TraceCtx<'_>,
-    netlist: FlatNetlist,
-    process: &Process,
-    check_drc: bool,
-) -> (Prep, ShapeIndex, Option<usize>) {
-    let recognition = timed(stages, flow, "recognize", |_| {
-        let r = cbv_recognize::recognize(&netlist);
-        let n = r.cccs.len();
-        (r, n, None)
-    });
-    let layout = timed(stages, flow, "layout", |_| {
-        let l = cbv_layout::synthesize(&netlist, process);
-        let n = l.shapes.len();
-        (l, n, None)
-    });
-    let drc_violations = check_drc.then(|| drc_row(stages, flow, &layout, &netlist, process));
-    let (extracted, index) = timed(stages, flow, "extract", |_| {
-        let index = ShapeIndex::new(&layout, netlist.net_count(), process);
-        let e = index.extract(&layout, &netlist, process);
-        let n = e.iter().count();
-        ((e, index), n, None)
-    });
-    let prep = Prep {
-        netlist: Arc::new(netlist),
-        recognition: Arc::new(recognition),
-        layout,
-        extracted,
-    };
-    (prep, index, drc_violations)
-}
-
-/// The `drc` row: geometric DRC over the assisted layout, returning the
-/// violation count. It reports per run rather than priming the prep, so
-/// a run whose prep was answered from a shared cache re-runs it against
-/// the cached layout.
-pub(crate) fn drc_row(
-    stages: &mut Vec<StageReport>,
-    flow: TraceCtx<'_>,
-    layout: &Layout,
-    netlist: &FlatNetlist,
-    process: &Process,
-) -> usize {
-    let rules = cbv_layout::Rules::for_process(process);
-    timed(stages, flow, "drc", |_| {
-        let n = cbv_layout::check_drc(layout, netlist, &rules, 10_000).len();
-        (n, n, None)
-    })
-}
-
-/// The schedule timing verifies against: the configured one, else a
-/// single-phase schedule at the process target frequency on the design's
-/// first recognized clock.
-fn schedule_of(config: &FlowConfig, prep: &Prep, process: &Process) -> ClockSchedule {
-    config.schedule.clone().unwrap_or_else(|| {
-        let name = prep
-            .recognition
-            .clock_nets
-            .first()
-            .map(|&c| prep.netlist.net_name(c).to_owned())
-            .unwrap_or_else(|| "clk".to_owned());
-        ClockSchedule::single(name, process.f_target().period())
-    })
-}
-
-/// The flow's last row — power estimation (§3), cheap and always
-/// recomputed — and the [`Signoff`] roll-up over everything the run
-/// found. `drc_violations` is `Some` exactly when DRC ran.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn power_and_signoff(
-    stages: &mut Vec<StageReport>,
-    flow: TraceCtx<'_>,
-    prep: &Prep,
-    process: &Process,
-    config: &FlowConfig,
-    drc_violations: Option<usize>,
-    ereport: &cbv_everify::Report,
-    sta: &cbv_timing::StaReport,
-    n_constraints: usize,
-) -> Signoff {
-    let power = timed(stages, flow, "power", |_| {
-        let p = cbv_power::dynamic_power(
-            &prep.netlist,
-            &prep.recognition,
-            &prep.extracted,
-            process,
-            process.f_target(),
-            &ActivityModel::uniform(config.activity),
-        );
-        (p, 1, None)
-    });
-    let mut signoff = Signoff::default();
-    if let Some(n) = drc_violations {
-        signoff.add_drc(n);
-    }
-    signoff.add_everify(ereport);
-    signoff.add_timing(sta, n_constraints);
-    signoff.set_power(power.total());
-    signoff
-}
-
-/// The timing stage after its graph is built: constraint inference,
-/// clock-RC skew bounds and STA over `graph` against the flow's
-/// schedule. Returns the STA report and the inferred constraint count
-/// (the signoff's timing denominator).
-fn analyze_graph(
-    prep: &Prep,
-    graph: &TimingGraph,
-    process: &Process,
-    config: &FlowConfig,
-    ctx: TraceCtx<'_>,
-) -> (cbv_timing::StaReport, usize) {
-    let constraints =
-        cbv_timing::infer_constraints(&prep.netlist, &prep.recognition, process, &config.pessimism);
-    let skews: Vec<_> = prep
-        .recognition
-        .clock_nets
-        .iter()
-        .filter_map(|&c| {
-            cbv_timing::clock_skew_bounds(
-                &prep.extracted,
-                c,
-                cbv_tech::Ohms::new(200.0),
-                &config.tolerance,
-            )
-        })
-        .collect();
-    let schedule = schedule_of(config, prep, process);
-    let r = {
-        let _sta_span = ctx.span("sta");
-        cbv_timing::analyze(
-            &prep.netlist,
-            graph,
-            &constraints,
-            &schedule,
-            &config.pessimism,
-            &skews,
-        )
-    };
-    ctx.tracer
-        .add("timing.constraints", constraints.len() as u64);
-    ctx.tracer
-        .add("timing.violations", r.violations.len() as u64);
-    (r, constraints.len())
-}
-
-/// The cached driver's timing stage: splices the per-CCC unit arcs (in
-/// CCC order, the cold graph's exact arc sequence), assembles the graph
-/// around them and runs [`analyze_graph`] — the same remainder cold
-/// [`run_flow`] runs after its parallel graph build, recomputed on every
-/// run because it costs a fraction of a millisecond. Returns the STA
-/// report, the inferred constraint count and the spliced arc count.
-pub(crate) fn timing_remainder(
-    prep: &Prep,
-    process: &Process,
-    config: &FlowConfig,
-    units: &[UnitResult],
-    ctx: TraceCtx<'_>,
-) -> (cbv_timing::StaReport, usize, usize) {
-    let arcs: Vec<cbv_timing::Arc> = units.iter().flat_map(|u| u.arcs.iter().copied()).collect();
-    let n_arcs = arcs.len();
-    ctx.tracer.add("timing.arcs", n_arcs as u64);
-    let graph = cbv_timing::graph_from_arcs(&prep.netlist, &prep.recognition, arcs);
-    let (sta, n_constraints) = analyze_graph(prep, &graph, process, config, ctx);
-    (sta, n_constraints, n_arcs)
 }
 
 /// Runs the verification flow incrementally against a [`VerifyCache`]:

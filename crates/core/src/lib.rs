@@ -3,7 +3,7 @@
 //! This crate is the umbrella over the full-custom CAD system described
 //! in *"Designing High Performance CMOS Microprocessors Using Full Custom
 //! Techniques"* (DAC 1997): it re-exports every subsystem and adds the
-//! three pieces that tie them together:
+//! modules that tie them together:
 //!
 //! * [`views`] — the hierarchy-overlap metrics of §2.1 and Fig 1: RTL,
 //!   schematic and layout hierarchies deliberately do **not** have to
@@ -18,7 +18,17 @@
 //!   [`flow::run_flow_incremental`], the daemon's [`service`] and the
 //!   farm, differing only in its two seams: the cache (owned, or a
 //!   shared tier that also shares preps) and the unit backend;
-//! * [`signoff`] — the aggregated Correct-by-Verification report.
+//! * [`scatter`] — that cached driver, its two seams and the prepared
+//!   design a unit is verified against;
+//! * [`service`] — [`service::FlowService`], the shareable facade the
+//!   daemon's workers call: the driver with itself as the shared tier;
+//! * [`signoff`] — the aggregated Correct-by-Verification report;
+//! * [`oracle`] — a flow report read for the E16 mutation campaign and
+//!   repair: detector counts, each finding resolved onto the recognized
+//!   design;
+//! * [`screen`] — the mutation functional screen's reference-vector
+//!   oracle: golden vectors computed once from the design's RTL, every
+//!   mutant switch-level simulated against them.
 //!
 //! # Quickstart
 //!

@@ -23,7 +23,9 @@
 //! from its caller. The cold [`run_flow`] is deliberately *not* this
 //! body: it verifies the whole design without the unit partition, which
 //! makes it the oracle the driver is compared against. The two share
-//! only the serial prep, the timing stage after graph assembly
+//! only one run context (`RunCtx`: its opening, stage rows and closing),
+//! the prep builder (`RunCtx::prep`, which computes every row when there
+//! is no base — the serial prep), the timing stage after graph assembly
 //! (constraints, skew, STA) and the power + signoff roll-up.
 //!
 //! # Stage rows and determinism
@@ -50,23 +52,20 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use cbv_cache::{
-    env_fingerprint, fingerprint_design, raw_netlist_digest, CacheKey, CacheStats,
-    DesignFingerprints, UnitFingerprint, UnitResult, VerifyCache,
+    fingerprint_design, raw_netlist_digest, CacheKey, CacheStats, DesignFingerprints,
+    UnitFingerprint, UnitResult, VerifyCache,
 };
 use cbv_everify::{CheckKind, CheckScope, EverifyConfig, Finding, Severity, Subject};
 use cbv_exec::{run_isolated, Executor};
 use cbv_extract::{Extracted, PackedExtraction, ShapeIndex};
 use cbv_layout::{Layout, PackedLayout};
 use cbv_netlist::{DeviceId, FlatNetlist, NetId};
-use cbv_obs::{TraceCtx, Tracer};
+use cbv_obs::TraceCtx;
 use cbv_recognize::Recognition;
 use cbv_tech::{Process, Tolerance};
 use cbv_timing::{DelayCalc, Pessimism};
 
-use crate::flow::{
-    check_deadline, drc_row, power_and_signoff, serial_prep, timed, timing_remainder, FlowConfig,
-    FlowReport, Prep, StageReport,
-};
+use crate::flow::{check_deadline, FlowConfig, FlowReport, Prep, RunCtx};
 
 /// Everything a worker needs to verify any unit of one design revision:
 /// the recognized/laid-out/extracted design plus its unit partition and
@@ -119,48 +118,41 @@ impl PreparedDesign {
     /// worker-side entry: no tracing, no stage reports, no DRC — the
     /// coordinator's driver reports those for the run.
     pub fn build(netlist: FlatNetlist, process: &Process, config: &FlowConfig) -> Self {
-        let (parts, index, _) = serial_prep(
-            &mut Vec::new(),
-            TraceCtx::disabled(),
-            netlist,
-            process,
-            false,
-        );
-        Self::from_prep(parts, index, None, process, config, &Tracer::disabled())
+        Self::untraced(netlist, process, config, Source::Cold)
     }
 
-    /// The check config a run prepares under and its environment key.
-    fn env_of(process: &Process, config: &FlowConfig) -> (EverifyConfig, u64) {
-        let mut everify_cfg = EverifyConfig::for_process(process);
-        everify_cfg.tolerance = config.tolerance;
-        let env = env_fingerprint(process, &config.tolerance, &config.pessimism, &everify_cfg);
-        (everify_cfg, env)
-    }
-
-    /// Partitions and fingerprints `parts`: spliced from the base's
-    /// fingerprints when `parts` was spliced, counting the CCC units
-    /// re-folded on `tracer`, else in full.
-    fn from_prep(
-        parts: Prep,
-        index: ShapeIndex,
-        splice: Option<Splice>,
+    /// The prep of `netlist` from `source`, built on an untraced run.
+    fn untraced(
+        netlist: FlatNetlist,
         process: &Process,
         config: &FlowConfig,
-        tracer: &Tracer,
+        source: Source,
     ) -> Self {
-        let (everify_cfg, env) = Self::env_of(process, config);
+        let mut run = RunCtx::untraced(process, config);
+        let staged = run
+            .prep(netlist, source)
+            .expect("an unshared prep is built");
+        Self::new(staged, &run)
+    }
+
+    /// Partitions and fingerprints a run's own stages 1–3: the
+    /// fingerprints spliced from the base's when the prep was spliced,
+    /// counting the CCC units re-folded on the run's tracer, else in
+    /// full.
+    pub(crate) fn new(staged: Staged, run: &RunCtx<'_>) -> Self {
         let Prep {
             netlist,
             recognition,
             extracted,
             ..
-        } = &parts;
-        let fps = match splice {
-            Some(s) => {
+        } = &staged.parts;
+        let fps = match staged.spliced {
+            Some((base, resized, reextracted)) => {
                 let (fps, refolded) =
-                    s.base
-                        .spliced(netlist, recognition, extracted, &s.resized, &s.reextracted);
-                tracer.add("fingerprint.units_refolded", refolded as u64);
+                    base.spliced(netlist, recognition, extracted, &resized, &reextracted);
+                run.flow
+                    .tracer
+                    .add("fingerprint.units_refolded", refolded as u64);
                 fps
             }
             None => fingerprint_design(netlist, recognition, extracted),
@@ -168,15 +160,15 @@ impl PreparedDesign {
         let scopes = CheckScope::partition(netlist, recognition);
         debug_assert_eq!(scopes.len(), fps.units.len());
         PreparedDesign {
-            parts,
-            index: Arc::new(index),
+            parts: staged.parts,
+            index: Arc::new(staged.index),
             scopes,
             fps,
-            env,
-            process: process.clone(),
-            everify_cfg,
-            tolerance: config.tolerance,
-            pessimism: config.pessimism,
+            env: run.env,
+            process: run.process.clone(),
+            everify_cfg: run.everify_cfg.clone(),
+            tolerance: run.config.tolerance,
+            pessimism: run.config.pessimism,
         }
     }
 
@@ -468,31 +460,6 @@ impl<K: Copy + Eq + Hash> Inflight<K> {
     }
 }
 
-/// Where a run's stages 1–3 came from. One lives on the driver's stack
-/// per run, so the large variant is not boxed.
-#[allow(clippy::large_enum_variant)]
-enum PrepSource {
-    /// Another stream's published artifact, partition and fingerprints
-    /// included.
-    Shared(Arc<PreparedDesign>),
-    /// This run's own with its shape index, and what its splice changed
-    /// when it was spliced.
-    /// Partition and fingerprints are still to be built — inside the
-    /// `fingerprint` row, so that row times them.
-    Built(Prep, ShapeIndex, Option<Splice>),
-}
-
-/// What a spliced prep changed of its base: what
-/// [`DesignFingerprints::spliced`] needs to splice the fingerprints too.
-struct Splice {
-    /// The base's fingerprints.
-    base: DesignFingerprints,
-    /// The devices the edit resized.
-    resized: Vec<DeviceId>,
-    /// The nets extraction redid.
-    reextracted: Vec<NetId>,
-}
-
 /// What an owned [`VerifyCache`] keeps of a run's prep for the next run
 /// to splice from: the netlist, the recognition and the shape index
 /// (shared with the run's prep), the layout and the extraction, each
@@ -538,155 +505,184 @@ impl KeptPrep {
         process: &Process,
         config: &FlowConfig,
     ) -> PreparedDesign {
-        let (_, env) = PreparedDesign::env_of(process, config);
-        let base = (self.env == env).then(|| Base::Kept(self.clone()));
-        let (parts, index, splice, _) = build_prep(
-            &mut Vec::new(),
-            TraceCtx::disabled(),
-            netlist,
-            process,
-            false,
-            base.into_iter().collect(),
-        );
-        PreparedDesign::from_prep(parts, index, splice, process, config, &Tracer::disabled())
+        let source = Source::Kept(Some(self.clone()));
+        PreparedDesign::untraced(netlist, process, config, source)
     }
 }
 
-/// A prep a revision may be spliced from.
-enum Base {
-    /// One a shared tier published, and still holds.
-    Published(Arc<PreparedDesign>),
-    /// The one an owned cache kept, taken out of it: once unpacked, its
-    /// blocks are freed before the layout is patched.
-    Kept(KeptPrep),
+/// Where a run's stages 1–3 take their values from.
+pub(crate) enum Source<'p> {
+    /// Nothing: every row computes — the cold flow's serial prep.
+    Cold,
+    /// The prep an owned cache kept, if any: the rows splice from it when
+    /// the run's revision only resizes devices of its netlist under the
+    /// run's environment, else they compute.
+    Kept(Option<KeptPrep>),
+    /// The preps a shared tier published under the run's environment,
+    /// newest first: the rows splice from the first whose netlist the
+    /// revision only resizes devices of, else they compute.
+    Published(Vec<Arc<PreparedDesign>>),
+    /// A shared tier's prep of this very revision: the rows count it.
+    Shared(&'p PreparedDesign),
 }
 
-impl Base {
-    fn netlist(&self) -> &FlatNetlist {
-        match self {
-            Base::Published(p) => &p.parts.netlist,
-            Base::Kept(k) => &k.netlist,
-        }
-    }
+/// A run's own stages 1–3, as [`RunCtx::prep`] leaves them: the prep,
+/// the shape index its extraction was taken through (a cached run keeps
+/// it for the next splice to patch) and, when it was spliced, what
+/// [`DesignFingerprints::spliced`] needs to splice the fingerprints too —
+/// the base's fingerprints, the devices the edit resized and the nets
+/// extraction redid. Partition and fingerprints are built from it by
+/// [`PreparedDesign::new`].
+pub(crate) struct Staged {
+    pub parts: Prep,
+    index: ShapeIndex,
+    spliced: Option<(DesignFingerprints, Vec<DeviceId>, Vec<NetId>)>,
 }
 
-/// Stages 1–3 of a run that missed its prep: spliced from the first of
-/// `bases` whose netlist `netlist` only resizes devices of (all of them
-/// are of the run's environment), else the cold flow's [`serial_prep`].
-/// A splice reuses the base's recognition — it never reads `w` or `l` —
-/// patches the base's layout ([`Layout::resized`]: each
-/// device redrawn at the site it kept, the route replayed) and
-/// re-extracts only the nets the patch reaches
-/// ([`cbv_extract::extract_spliced`], handed the patch's
-/// [`cbv_layout::ShapeDiff`]), moving every other net over from the base
-/// and patching the base's shape index; a published base lends its
-/// layout to the patch rather than cloning it. It returns the [`Splice`]
-/// facts with the prep, for the fingerprints to be spliced from the
-/// base's in turn. When the edit moves a placement row (the widest NMOS
-/// device sets where the PMOS row lands, so nearly every shape moves)
-/// the patch declines: layout and extraction run whole, and so do the
-/// fingerprints. Each representation equals the serial prep's. Also
-/// returns the DRC violation count when DRC ran.
-fn build_prep(
-    stages: &mut Vec<StageReport>,
-    flow: TraceCtx<'_>,
-    netlist: FlatNetlist,
-    process: &Process,
-    check_drc: bool,
-    bases: Vec<Base>,
-) -> (Prep, ShapeIndex, Option<Splice>, Option<usize>) {
-    let tracer = flow.tracer;
-    let edit = bases.into_iter().find_map(|base| {
-        let resized = netlist.resized_devices(base.netlist())?;
-        Some((base, resized))
-    });
-    let Some((base, resized)) = edit else {
-        tracer.add("prep.fallbacks", 1);
-        let (prep, index, drc_violations) = serial_prep(stages, flow, netlist, process, check_drc);
-        return (prep, index, None, drc_violations);
-    };
-    // A published base outlives the run and lends its layout to the
-    // patch, and its index is copied for the splice to patch; a kept one
-    // is unpacked, and its blocks freed, before the layout is patched,
-    // and its index is patched in place.
-    let published;
-    let (recognition, fps, old_extracted, old_layout, old_index) = match base {
-        Base::Published(p) => {
-            published = p;
-            (
-                Arc::clone(&published.parts.recognition),
-                published.fps.clone(),
-                published.parts.extracted.clone(),
-                Cow::Borrowed(&published.parts.layout),
-                ShapeIndex::clone(&published.index),
-            )
-        }
-        Base::Kept(k) => (
-            k.recognition,
-            k.fps,
-            k.extracted.unpack(),
-            Cow::Owned(k.layout.unpack()),
-            Arc::unwrap_or_clone(k.index),
-        ),
-    };
-    let recognition = timed(stages, flow, "recognize", |_| {
-        let n = recognition.cccs.len();
-        (recognition, n, None)
-    });
-    let (layout, diff) = timed(stages, flow, "layout", |_| {
-        let (l, diff) = match old_layout.resized(&netlist, process) {
-            Some((l, diff)) => {
-                tracer.add("layout.patches", 1);
-                tracer.add("layout.stubs_searched", diff.stubs_searched as u64);
-                (l, Some(diff))
+/// What a splice's base lends its rows besides its layout: the
+/// recognition (shared — recognition reads neither `w` nor `l`), the
+/// fingerprints, the extraction and the shape index to patch, and the
+/// devices the edit resized.
+struct Base {
+    recognition: Arc<Recognition>,
+    fps: DesignFingerprints,
+    extracted: Extracted,
+    index: ShapeIndex,
+    resized: Vec<DeviceId>,
+}
+
+impl RunCtx<'_> {
+    /// Stages 1–3 of Fig 2, one row each: circuit recognition (§2.3),
+    /// layout assistance (§2.2), optional geometric DRC over the layout,
+    /// extraction (the §4.3 inputs). Each row takes its value from the
+    /// run's `source`:
+    /// - **counted** off a shared prep of this revision. Only DRC re-runs,
+    ///   since it reports per run rather than priming the prep; `None` is
+    ///   returned, for the shared prep is the run's;
+    /// - **spliced** from a kept or published base the revision only
+    ///   resizes devices of: recognition reused, the base's layout
+    ///   patched ([`Layout::resized`]: each device redrawn at the site it
+    ///   kept, the route replayed) and only the nets the patch reaches
+    ///   re-extracted ([`cbv_extract::extract_spliced`], handed the
+    ///   patch's [`cbv_layout::ShapeDiff`]), every other net moved over
+    ///   from the base and the base's shape index patched. A kept base is
+    ///   unpacked, and its blocks freed, before its layout is patched; a
+    ///   published one lends its layout, and its index is copied. When the
+    ///   edit moves a placement row (the widest NMOS device sets where the
+    ///   PMOS row lands, so nearly every shape moves) the patch declines
+    ///   and layout and extraction compute, and so do the fingerprints;
+    /// - **computed** when there is no base: exactly the cold flow's
+    ///   serial prep.
+    ///
+    /// Each representation equals the computed one. A cached run that
+    /// did not splice counts a `prep.fallbacks`.
+    pub(crate) fn prep(&mut self, netlist: FlatNetlist, source: Source<'_>) -> Option<Staged> {
+        let tracer = self.flow.tracer;
+        let (process, env) = (self.process, self.env);
+        let cached = !matches!(source, Source::Cold);
+        let mut shared = None;
+        let published;
+        let base = match source {
+            Source::Cold => None,
+            Source::Shared(p) => {
+                shared = Some(&p.parts);
+                None
             }
-            None => (cbv_layout::synthesize(&netlist, process), None),
+            Source::Kept(kept) => kept.filter(|k| k.env == env).and_then(|k| {
+                let resized = netlist.resized_devices(&k.netlist)?;
+                let base = Base {
+                    recognition: k.recognition,
+                    fps: k.fps,
+                    extracted: k.extracted.unpack(),
+                    index: Arc::unwrap_or_clone(k.index),
+                    resized,
+                };
+                Some((base, Cow::Owned(k.layout.unpack())))
+            }),
+            Source::Published(preps) => {
+                published = preps;
+                published.iter().find_map(|p| {
+                    let resized = netlist.resized_devices(&p.parts.netlist)?;
+                    let base = Base {
+                        recognition: Arc::clone(&p.parts.recognition),
+                        fps: p.fps.clone(),
+                        extracted: p.parts.extracted.clone(),
+                        index: ShapeIndex::clone(&p.index),
+                        resized,
+                    };
+                    Some((base, Cow::Borrowed(&p.parts.layout)))
+                })
+            }
         };
-        drop(old_layout);
-        let n = l.shapes.len();
-        ((l, diff), n, None)
-    });
-    let drc_violations = check_drc.then(|| drc_row(stages, flow, &layout, &netlist, process));
-    let (extracted, index, reextracted) = timed(stages, flow, "extract", |_| {
-        let spliced = diff.and_then(|diff| {
-            cbv_extract::extract_spliced(
-                old_extracted,
-                old_index,
-                &diff,
-                &layout,
-                &netlist,
-                process,
-                &resized,
-            )
+        let (base, old_layout) = base.unzip();
+
+        let recognition = self.timed("recognize", |_, _| {
+            let r = match (shared, &base) {
+                (Some(p), _) => Arc::clone(&p.recognition),
+                (None, Some(b)) => Arc::clone(&b.recognition),
+                (None, None) => Arc::new(cbv_recognize::recognize(&netlist)),
+            };
+            let n = r.cccs.len();
+            (r, n, None)
         });
-        let (e, index, redone) = match spliced {
-            Some(s) => {
+        let (layout, diff) = self.timed("layout", |_, _| {
+            let patched = old_layout.and_then(|old| old.resized(&netlist, process));
+            let (l, diff) = match (shared, patched) {
+                (Some(p), _) => (Cow::Borrowed(&p.layout), None),
+                (None, Some((l, diff))) => {
+                    tracer.add("layout.patches", 1);
+                    tracer.add("layout.stubs_searched", diff.stubs_searched as u64);
+                    (Cow::Owned(l), Some(diff))
+                }
+                (None, None) => (Cow::Owned(cbv_layout::synthesize(&netlist, process)), None),
+            };
+            let n = l.shapes.len();
+            ((l, diff), n, None)
+        });
+        if self.config.check_drc {
+            let rules = cbv_layout::Rules::for_process(process);
+            let read = shared.map_or(&netlist, |p| &*p.netlist);
+            self.drc = Some(self.timed("drc", |_, _| {
+                let n = cbv_layout::check_drc(&layout, read, &rules, 10_000).len();
+                (n, n, None)
+            }));
+        }
+        let (extracted, index, spliced) = self.timed("extract", |_, _| {
+            if let Some(p) = shared {
+                return (None, p.extracted.iter().count(), None);
+            }
+            let spliced = diff.zip(base).and_then(|(diff, b)| {
+                let (old, index) = (b.extracted, b.index);
+                let s = cbv_extract::extract_spliced(
+                    old, index, &diff, &layout, &netlist, process, &b.resized,
+                )?;
                 tracer.add("prep.splices", 1);
                 tracer.add("extract.nets_reextracted", s.redone.len() as u64);
                 tracer.add("extract.index_rebuilds", u64::from(s.index_rebuilt));
-                (s.extracted, s.index, Some(s.redone))
-            }
-            None => {
-                tracer.add("prep.fallbacks", 1);
+                Some((s.extracted, s.index, Some((b.fps, b.resized, s.redone))))
+            });
+            let (e, index, spliced) = spliced.unwrap_or_else(|| {
+                if cached {
+                    tracer.add("prep.fallbacks", 1);
+                }
                 let index = ShapeIndex::new(&layout, netlist.net_count(), process);
                 (index.extract(&layout, &netlist, process), index, None)
-            }
+            });
+            let n = e.iter().count();
+            (Some((e, index, spliced)), n, None)
+        })?;
+        let parts = Prep {
+            netlist: Arc::new(netlist),
+            recognition,
+            layout: layout.into_owned(),
+            extracted,
         };
-        let n = e.iter().count();
-        ((e, index, redone), n, None)
-    });
-    let splice = reextracted.map(|reextracted| Splice {
-        base: fps,
-        resized,
-        reextracted,
-    });
-    let prep = Prep {
-        netlist: Arc::new(netlist),
-        recognition,
-        layout,
-        extracted,
-    };
-    (prep, index, splice, drc_violations)
+        Some(Staged {
+            parts,
+            index,
+            spliced,
+        })
+    }
 }
 
 /// The one cached-flow body (see the module docs). With a `tier`, the
@@ -700,93 +696,57 @@ pub(crate) fn run_flow_tiered(
     tier: Option<&dyn SharedTier>,
     backend: &dyn UnitBackend,
 ) -> FlowReport {
-    let mut stages: Vec<StageReport> = Vec::new();
-    let exec = Executor::threads(config.parallelism);
+    let mut run = RunCtx::open(process, config);
     let tracer = &config.tracer;
-    let root = tracer.span_in(config.trace_parent, "flow");
-    let flow = TraceCtx::under(tracer, &root);
 
     // With a shared tier, content-address the incoming revision before
     // any prep runs: the tier hands back another stream's prep or a
     // claim on building it (single-flight — concurrent streams of the
     // same revision build once, not W times).
-    let (_, env) = PreparedDesign::env_of(process, config);
-    let key = tier.map(|_| (env, raw_netlist_digest(&netlist)));
+    let key = tier.map(|_| (run.env, raw_netlist_digest(&netlist)));
     let found = tier
         .zip(key)
         .map(|(tier, key)| tier.prep(key, config.deadline));
-    let (source, drc_violations, claim) = match found {
-        Some(Ok(p)) => {
-            // 1–3 are hits: emit the same stage rows (with the
-            // artifact's counts) so the report shape is stable, and
-            // re-run DRC, which reports per-run rather than priming
-            // the prep.
-            let parts = &p.parts;
-            timed(&mut stages, flow, "recognize", |_| {
-                ((), parts.recognition.cccs.len(), None)
-            });
-            timed(&mut stages, flow, "layout", |_| {
-                ((), parts.layout.shapes.len(), None)
-            });
-            let drc_violations = config
-                .check_drc
-                .then(|| drc_row(&mut stages, flow, &parts.layout, &parts.netlist, process));
-            timed(&mut stages, flow, "extract", |_| {
-                ((), parts.extracted.iter().count(), None)
-            });
-            (PrepSource::Shared(p), drc_violations, None)
-        }
-        found => {
-            // 1–3. Spliced from an earlier revision's prep — the one an
-            // owned cache kept, or one the tier published — when this
-            // one only resizes its devices; else the cold flow's serial
-            // prep.
-            let bases: Vec<Base> = match tier {
-                Some(tier) => tier
-                    .prep_bases(env)
-                    .into_iter()
-                    .map(Base::Published)
-                    .collect(),
-                None => cache
-                    .take_prep()
-                    .and_then(|kept| kept.downcast::<KeptPrep>().ok())
-                    .map(Arc::unwrap_or_clone)
-                    .filter(|kept| kept.env == env)
-                    .map(Base::Kept)
-                    .into_iter()
-                    .collect(),
-            };
-            let (parts, index, splice, drc_violations) =
-                build_prep(&mut stages, flow, netlist, process, config.check_drc, bases);
-            (
-                PrepSource::Built(parts, index, splice),
-                drc_violations,
-                found.and_then(Result::err),
-            )
-        }
+    let (shared, claim) = match found {
+        Some(Ok(p)) => (Some(p), None),
+        found => (None, found.and_then(Result::err)),
     };
 
-    // 4. Fingerprints and lookup. The prep names every key the run can
-    // look up, so a shared tier is asked for them here, in one batch,
-    // before the overlay is read. The batch also claims the unit keys it
-    // did not answer; one another run holds is *theirs* — not this run's
-    // to compute. A unit is dirty when its key misses and is not theirs
-    // (a lookup also refreshes the entry's recency on a bounded cache).
-    let (prep, keys, mut dirty, held) = timed(&mut stages, flow, "fingerprint", |ctx| {
-        let prep = match source {
-            PrepSource::Shared(p) => p,
-            PrepSource::Built(parts, index, splice) => {
-                let prep =
-                    PreparedDesign::from_prep(parts, index, splice, process, config, ctx.tracer);
-                let prep = Arc::new(prep);
-                // Publish before releasing, as for units.
-                if let Some((tier, key)) = tier.zip(key) {
-                    tier.publish_prep(key, Arc::clone(&prep));
-                }
-                drop(claim);
-                prep
+    // 1–3. Counted off the tier's prep of this revision; else spliced
+    // from an earlier revision's prep — the one an owned cache kept, or
+    // one the tier published — when this one only resizes its devices;
+    // else computed.
+    let source = match (&shared, tier) {
+        (Some(p), _) => Source::Shared(p),
+        (None, Some(tier)) => Source::Published(tier.prep_bases(run.env)),
+        (None, None) => Source::Kept(
+            cache
+                .take_prep()
+                .and_then(|kept| kept.downcast::<KeptPrep>().ok())
+                .map(Arc::unwrap_or_clone),
+        ),
+    };
+    let staged = run.prep(netlist, source);
+
+    // 4. Fingerprints and lookup. A prep this run built is partitioned
+    // and fingerprinted here, so that this row times them. The prep
+    // names every key the run can look up, so a shared tier is asked for
+    // them here, in one batch, before the overlay is read. The batch
+    // also claims the unit keys it did not answer; one another run holds
+    // is *theirs* — not this run's to compute. A unit is dirty when its
+    // key misses and is not theirs (a lookup also refreshes the entry's
+    // recency on a bounded cache).
+    let (prep, keys, mut dirty, held) = run.timed("fingerprint", |run, _| {
+        let prep = shared.unwrap_or_else(|| {
+            let built = staged.expect("a prep no tier shared is built");
+            let prep = Arc::new(PreparedDesign::new(built, run));
+            // Publish before releasing, as for units.
+            if let Some((tier, key)) = tier.zip(key) {
+                tier.publish_prep(key, Arc::clone(&prep));
             }
-        };
+            drop(claim);
+            prep
+        });
         let keys: Vec<CacheKey> = (0..prep.n_units()).map(|i| prep.unit_key(i)).collect();
         let (claims, theirs) = tier.map(|tier| tier.fetch(&keys, cache)).unzip();
         let theirs: Vec<CacheKey> = theirs.unwrap_or_default();
@@ -804,9 +764,9 @@ pub(crate) fn run_flow_tiered(
     // are re-indexed by unit, so backend completion order is irrelevant.
     let mut coalesced = 0;
     let mut poisoned = vec![false; n_units];
-    let (ereport, mut per_unit) = timed(&mut stages, flow, "everify", |ctx| {
+    let (ereport, mut per_unit) = run.timed("everify", |run, ctx| {
         let verify =
-            |units: &[usize]| backend.verify_units(&prep, &exec, ctx, units, config.deadline);
+            |units: &[usize]| backend.verify_units(&prep, &run.exec, ctx, units, config.deadline);
         let dirty_units: Vec<usize> = (0..n_units).filter(|&i| dirty[i]).collect();
         let (mut outcomes, mut busy) = verify(&dirty_units);
         let (claims, theirs) = held;
@@ -878,9 +838,9 @@ pub(crate) fn run_flow_tiered(
     // sequence), constraints, skew and STA, recomputed every run. The
     // row's stats count CCC arcs: replayed for a clean CCC, computed
     // for a dirty one.
-    let (sta, n_constraints) = timed(&mut stages, flow, "timing", |ctx| {
+    let (sta, n_constraints) = run.timed("timing", |run, ctx| {
         let (sta, n_constraints, n_arcs) =
-            timing_remainder(&prep.parts, process, config, &per_unit[..n_cccs], ctx);
+            run.timing_remainder(&prep.parts, &per_unit[..n_cccs], ctx);
         ((sta, n_constraints), n_arcs, None)
     });
     let dirty_cccs = dirty[..n_cccs].iter().filter(|&&d| d).count();
@@ -910,46 +870,20 @@ pub(crate) fn run_flow_tiered(
     tracer.add("cache.evictions", everify_stats.evictions as u64);
 
     for (stage, stats) in [("everify", everify_stats), ("timing", timing_stats)] {
-        let row = stages.iter_mut().find(|s| s.stage == stage);
+        let row = run.stages.iter_mut().find(|s| s.stage == stage);
         row.expect("cached stage row").cache = Some(stats);
     }
 
-    // 7. Power (§3) and the signoff roll-up.
-    let signoff = power_and_signoff(
-        &mut stages,
-        flow,
-        &prep.parts,
-        process,
-        config,
-        drc_violations,
-        &ereport,
-        &sta,
-        n_constraints,
-    );
-    cbv_everify::finding_counters(&ereport, flow);
-
-    drop(root);
-    tracer.flush();
-
-    // The report shares the prep's netlist and recognition: an owned
-    // cache keeps the prep for the next run to splice from, and a shared
-    // tier holds it for other streams.
-    let (netlist, recognition) = (
-        Arc::clone(&prep.parts.netlist),
-        Arc::clone(&prep.parts.recognition),
-    );
+    // 7. Power (§3) and the signoff roll-up. The report shares the
+    // prep's netlist and recognition: an owned cache keeps the prep for
+    // the next run to splice from, and a shared tier holds it for other
+    // streams.
+    cbv_everify::finding_counters(&ereport, run.flow);
+    let report = run.finish(&prep.parts, ereport, sta, n_constraints, fresh_keys);
     if tier.is_none() {
         cache.keep_prep(Arc::new(KeptPrep::new(&prep)));
     }
-    FlowReport {
-        stages,
-        recognition,
-        signoff,
-        everify: ereport,
-        sta,
-        netlist,
-        fresh: fresh_keys,
-    }
+    report
 }
 
 #[cfg(test)]
@@ -960,6 +894,7 @@ mod tests {
     use cbv_gen::adders::static_ripple_adder;
     use cbv_gen::datapath::alu_slice;
     use cbv_mutate::{Edit, MutationOp};
+    use cbv_obs::Tracer;
     use cbv_tech::{Farads, Ohms};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1142,31 +1077,53 @@ mod tests {
         let rows = |r: &FlowReport| -> Vec<(&'static str, usize)> {
             r.stages.iter().map(|s| (s.stage, s.artifacts)).collect()
         };
+        // The cached driver's rows: cold run_flow's plus `fingerprint`,
+        // one artifact a unit, right after `extract`.
+        let cached_rows = |cold: &FlowReport| {
+            let mut want = rows(cold);
+            let at = want.iter().position(|&(s, _)| s == "extract").unwrap() + 1;
+            want.insert(at, ("fingerprint", cold.recognition.cccs.len() + 1));
+            want
+        };
+        let drc = |r: &FlowReport| {
+            let mut categories = r.signoff.categories.iter();
+            categories
+                .find(|c| c.category == "drc")
+                .map(|c| c.violations)
+        };
+        // The second revision widens one PMOS device: a sizing edit that
+        // keeps the placement rows (any wider NMOS device would move the
+        // PMOS row), so a run against a base splices.
+        let revision = |resized: bool| {
+            let mut netlist = static_ripple_adder(4, &p).netlist;
+            if resized {
+                let wider = MutationOp::WidthScale { factor: 1.1 };
+                Edit::plant(&mut netlist, wider, 0, "xp0_ia_p").unwrap();
+            }
+            netlist
+        };
         for check_drc in [false, true] {
             let cfg = FlowConfig {
                 check_drc,
+                tracer: Tracer::new(cbv_obs::JsonlSink::new(std::io::sink())),
                 ..FlowConfig::default()
             };
-            let cold = run_flow(static_ripple_adder(4, &p).netlist, &p, &cfg);
+            let splices = || cfg.tracer.counter_value("prep.splices");
+            let cold = run_flow(revision(false), &p, &cfg);
             let service = FlowService::new(p.clone(), cfg.clone());
             let preps = PrepsOnly::new(&service);
             // Fresh caches on both sides, so the two runs differ in
             // their prep source and nothing else.
-            let run = || preps.run(static_ripple_adder(4, &p).netlist, &mut VerifyCache::new());
+            let run = || preps.run(revision(false), &mut VerifyCache::new());
             let (miss, hit) = (run(), run());
             assert_eq!(preps.counts(), (1, 1));
             assert_eq!(rows(&miss), rows(&hit), "check_drc={check_drc}");
+            assert_eq!(rows(&miss), cached_rows(&cold), "check_drc={check_drc}");
             assert_eq!(
                 rows(&miss).iter().any(|&(stage, _)| stage == "drc"),
                 check_drc,
                 "the drc row appears exactly when DRC is on"
             );
-            let drc = |r: &FlowReport| {
-                let mut categories = r.signoff.categories.iter();
-                categories
-                    .find(|c| c.category == "drc")
-                    .map(|c| c.violations)
-            };
             assert_eq!(drc(&miss).is_some(), check_drc);
             assert_eq!(
                 drc(&miss),
@@ -1176,6 +1133,25 @@ mod tests {
             assert_eq!(drc(&miss), drc(&cold));
             assert_eq!(signoff_json(&miss), signoff_json(&cold));
             assert_eq!(signoff_json(&hit), signoff_json(&cold));
+
+            // Spliced sources: the resized revision spliced from the
+            // prep an owned cache kept, and from the tier's published
+            // prep of the first revision.
+            let cold = run_flow(revision(true), &p, &cfg);
+            let mut cache = VerifyCache::new();
+            run_flow_incremental(revision(false), &p, &cfg, &mut cache);
+            let before = splices();
+            let kept = run_flow_incremental(revision(true), &p, &cfg, &mut cache);
+            assert_eq!(splices(), before + 1, "the owned cache's revision splices");
+            let published = preps.run(revision(true), &mut VerifyCache::new());
+            assert_eq!(splices(), before + 2, "the tier's revision splices");
+            assert_eq!(preps.counts(), (1, 2));
+            for (source, r) in [("kept", &kept), ("published", &published)] {
+                let at = format!("{source} base, check_drc={check_drc}");
+                assert_eq!(rows(r), cached_rows(&cold), "{at}");
+                assert_eq!(drc(r), drc(&cold), "{at}");
+                assert_eq!(signoff_json(r), signoff_json(&cold), "{at}");
+            }
         }
     }
 
@@ -1360,7 +1336,12 @@ mod tests {
             layout,
             extracted,
         };
-        let prep = PreparedDesign::from_prep(parts, index, None, &p, &cfg, &Tracer::disabled());
+        let staged = Staged {
+            parts,
+            index,
+            spliced: None,
+        };
+        let prep = PreparedDesign::new(staged, &RunCtx::untraced(&p, &cfg));
 
         // Publish the poisoned prep so the full flow consumes it — the NaN
         // travels extraction → skew bounds → capture checks end to end.
